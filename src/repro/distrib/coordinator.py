@@ -6,7 +6,11 @@ themselves (``hello``), and then *pull* configs one at a time
 (``next``) — pull-based dispatch is the work-stealing scheduler: a
 host that finishes fast asks again sooner and naturally takes more
 cells, a slow host takes fewer, and nobody needs to know anybody's
-speed in advance.
+speed in advance.  ``next`` is a long-poll: with nothing pending the
+connection handler *parks* on a condition over the coordinator lock
+and answers ``run`` the moment :meth:`Coordinator.dispatch` registers
+tickets or a failed attempt is requeued, so an idle worker costs a
+cell no polling interval — only the frame's round trip.
 
 :meth:`Coordinator.dispatch` is the campaign engine's seam.  It takes
 the same ``(config_dict, cache_root)`` job tuples the engine hands any
@@ -62,10 +66,12 @@ PENDING, ASSIGNED, DONE, FAILED = "pending", "assigned", "done", "failed"
 
 #: How long a connecting worker has to say ``hello``.
 HELLO_TIMEOUT_S = 10.0
-#: Poll cadence for handler select loops and the monitor thread.
+#: Poll cadence for handler select loops and the monitor thread; also
+#: how soon a parked handler notices that its worker hung up.
 POLL_S = 0.2
-#: What ``wait`` replies tell an idle worker to sleep.
-IDLE_WAIT_S = 0.25
+#: How long a ``next`` may stay parked before it is answered with a
+#: keepalive ``wait``.  Must stay below the worker's ``REPLY_TIMEOUT_S``.
+PARK_S = 10.0
 
 
 class RemoteRunError(RuntimeError):
@@ -143,6 +149,9 @@ class Coordinator:
         self.attempts = AttemptTracker(max_attempts)
 
         self._lock = threading.RLock()
+        #: Parked ``next`` handlers wait here; notified (lock held) by
+        #: whatever makes a ticket pending, and by :meth:`stop`.
+        self._work = threading.Condition(self._lock)
         self._tickets: dict[int, _Ticket] = {}
         self._pending: deque[_Ticket] = deque()
         self._workers: dict[str, WorkerHealth] = {}
@@ -197,6 +206,7 @@ class Coordinator:
             if self._listener is None:
                 return
             self._stopping = True
+            self._work.notify_all()  # parked handlers answer ``shutdown``
             listener, self._listener = self._listener, None
             conns = list(self._conns.values())
         listener.close()
@@ -242,9 +252,13 @@ class Coordinator:
         jobs = list(jobs)
         disp = _Dispatch(len(jobs), local_fn if self.local_fallback else None)
         tickets: list[_Ticket] = []
+        # hash outside the lock: handlers answering ``next`` need it
+        keyed = [
+            (config, cache_root, RunConfig.from_dict(config).key())
+            for config, cache_root in jobs
+        ]
         with self._lock:
-            for index, (config, cache_root) in enumerate(jobs):
-                key = RunConfig.from_dict(config).key()
+            for index, (config, cache_root, key) in enumerate(keyed):
                 self._next_tid += 1
                 ticket = _Ticket(
                     self._next_tid, disp, index, config, cache_root, key
@@ -252,6 +266,7 @@ class Coordinator:
                 self._tickets[ticket.tid] = ticket
                 self._pending.append(ticket)
                 tickets.append(ticket)
+            self._work.notify_all()
         try:
             done = 0
             while done < disp.outstanding:
@@ -269,23 +284,25 @@ class Coordinator:
                     if not ticket.terminal:
                         ticket.state = FAILED
                     self._tickets.pop(ticket.tid, None)
+                    self.attempts.forget(ticket.tid)
 
-    # -- ticket state transitions (always under the lock) -----------------
-
-    def _complete(self, ticket: _Ticket, result: dict[str, Any]) -> None:
-        ticket.state = DONE
-        ticket.deadline = None
-        self.stats.completed += 1
+    def _publish(self, ticket: _Ticket, result: dict[str, Any]) -> None:
+        """Write a ``DONE`` ticket's result to the cache, then hand it to
+        its dispatch.  Called *without* the lock: the disk work of one
+        worker's result must not hold up another worker's ``next``."""
         if ticket.cache_root is not None:
-            cache = self._caches.get(ticket.cache_root)
-            if cache is None:
-                cache = ResultCache(ticket.cache_root)
-                self._caches[ticket.cache_root] = cache
+            with self._lock:
+                cache = self._caches.get(ticket.cache_root)
+                if cache is None:
+                    cache = ResultCache(ticket.cache_root)
+                    self._caches[ticket.cache_root] = cache
             cache.put(RunConfig.from_dict(ticket.config), result)
             cache.persist_stats()  # lifetime put counters survive a kill
         ticket.owner.results.put(
             (ticket.index, {"key": ticket.key, "result": result}, None)
         )
+
+    # -- ticket state transitions (always under the lock) -----------------
 
     def _fail_attempt(self, ticket: _Ticket, error: str) -> None:
         """Book one failed attempt: requeue while budget remains,
@@ -296,6 +313,7 @@ class Coordinator:
             ticket.state = PENDING
             self._pending.append(ticket)
             self.stats.retried += 1
+            self._work.notify_all()  # a parked worker takes it at once
             return
         ticket.state = FAILED
         self.stats.failed += 1
@@ -392,6 +410,9 @@ class Coordinator:
     def _serve_worker(self, conn: socket.socket, addr) -> None:
         health: WorkerHealth | None = None
         try:
+            # frames are small and answered at once: never hold one back
+            # for the peer's delayed ACK
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(HELLO_TIMEOUT_S)
             hello = recv_msg(conn)
             if hello is None or hello.get("type") != "hello":
@@ -410,8 +431,7 @@ class Coordinator:
                 with self._lock:
                     if self._stopping:
                         return
-                ready, _, _ = select.select([conn], [], [], POLL_S)
-                if not ready:
+                if not _readable(conn, POLL_S):
                     continue
                 msg = recv_msg(conn)
                 if msg is None:
@@ -436,18 +456,36 @@ class Coordinator:
 
     def _handle_next(self, health: WorkerHealth,
                      conn: socket.socket) -> None:
-        with self._lock:
-            if self._stopping:
-                reply = {"type": "shutdown"}
-            else:
+        """Answer one ``next`` — a long-poll.
+
+        With nothing pending the handler parks on the work condition:
+        ``run`` goes out the moment a ticket is pending, ``shutdown``
+        the moment :meth:`stop` is called, and a keepalive ``wait``
+        after ``PARK_S``.  A parked worker sends nothing, so a readable
+        socket is EOF (or a protocol violation): the park ends with a
+        ``wait`` before any ticket is taken and the read loop deals
+        with whatever arrived — a worker that died idle is never
+        assigned work and burns no attempt.
+        """
+        keepalive_at = time.monotonic() + PARK_S
+        with self._work:
+            while True:
+                if self._stopping:
+                    reply = {"type": "shutdown"}
+                    break
+                left = keepalive_at - time.monotonic()
+                if left <= 0 or _readable(conn, 0):
+                    reply = {"type": "wait"}
+                    break
                 ticket = self._pop_pending()
-                if ticket is None:
-                    reply = {"type": "wait", "seconds": IDLE_WAIT_S}
-                else:
+                if ticket is not None:
                     ticket.state = ASSIGNED
                     ticket.worker = health.name
                     ticket.deadline = time.monotonic() + self.timeout_s
                     health.busy_tid = ticket.tid
+                    # silence counts from the assignment, not from a
+                    # ``next`` that may have been parked for PARK_S
+                    health.touch()
                     self.stats.dispatched += 1
                     reply = {
                         "type": "run",
@@ -456,6 +494,8 @@ class Coordinator:
                         "attempt": self.attempts.attempts(ticket.tid) + 1,
                         "config": ticket.config,
                     }
+                    break
+                self._work.wait(min(left, POLL_S))
         send_msg(conn, reply)
 
     def _ticket_for(self, health: WorkerHealth,
@@ -489,7 +529,10 @@ class Coordinator:
                 return
             # a ticket requeued by timeout may still be in the pending
             # deque; _pop_pending skips it once terminal
-            self._complete(ticket, result)
+            ticket.state = DONE
+            ticket.deadline = None
+            self.stats.completed += 1
+        self._publish(ticket, result)
 
     def _handle_failed(self, health: WorkerHealth,
                        msg: dict[str, Any]) -> None:
@@ -609,6 +652,19 @@ class Coordinator:
                     ticket.owner.results.put(
                         (ticket.index, payload, None)
                     )
+
+
+def _readable(conn: socket.socket, timeout: float) -> bool:
+    """Whether ``conn`` has bytes (or EOF) to read within ``timeout``.
+
+    A socket the monitor or :meth:`Coordinator.stop` closed under us
+    has fd -1, which ``select`` reports as ``ValueError``; that is a
+    dead connection like any other, so it leaves as ``OSError``.
+    """
+    try:
+        return bool(select.select([conn], [], [], timeout)[0])
+    except ValueError as exc:
+        raise OSError(f"connection closed under its handler: {exc}") from exc
 
 
 def _close(conn: socket.socket) -> None:

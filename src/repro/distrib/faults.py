@@ -10,10 +10,11 @@ under the coordinator's lock):
   when it runs out the accumulated error history becomes the config's
   terminal error.
 * :class:`WorkerHealth` — per-connection liveness bookkeeping: the
-  timestamp of the last message (any type — ``next`` polls and
-  ``heartbeat``\\ s both count) and the currently assigned ticket.  A
-  busy worker that goes silent past the heartbeat timeout is declared
-  dead and its assignment is retried elsewhere.
+  timestamp of the last message (any type — ``next`` requests and
+  ``heartbeat``\\ s both count) or of the assignment if that is later
+  (a ``next`` may have been parked a while), and the currently
+  assigned ticket.  A busy worker that goes silent past the heartbeat
+  timeout is declared dead and its assignment is retried elsewhere.
 * :class:`DistribStats` — the dispatch counters the benchmarks, tests,
   and CI assertions read.
 """
@@ -89,6 +90,12 @@ class AttemptTracker:
             f"attempt {i + 1}: {err}" for i, err in enumerate(errors)
         )
         return f"{len(errors)}/{self.max_attempts} attempt(s) failed — {story}"
+
+    def forget(self, tid: int) -> None:
+        """Drop a retired ticket's books (the coordinator may live for
+        days inside a service; failed tids must not pile up)."""
+        self._attempts.pop(tid, None)
+        self._errors.pop(tid, None)
 
 
 class WorkerHealth:

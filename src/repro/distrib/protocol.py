@@ -15,9 +15,9 @@ direction       type                       payload
 ==============  =========================  ==============================
 worker -> coord ``hello``                  name, host, cpu_count, version
 coord -> worker ``welcome`` / ``reject``   reason (reject only)
-worker -> coord ``next``                   (asks for one config)
+worker -> coord ``next``                   (asks for one config; long-poll)
 coord -> worker ``run``                    tid, key, attempt, config dict
-coord -> worker ``wait``                   seconds (no work right now)
+coord -> worker ``wait``                   (keepalive only: ask again now)
 coord -> worker ``shutdown``               (campaign over, disconnect)
 worker -> coord ``heartbeat``              tid (still computing)
 worker -> coord ``result``                 tid, key, result dict
@@ -29,6 +29,17 @@ The conversation is strictly worker-driven: every coordinator message
 is a response to ``hello`` or ``next``; ``heartbeat``/``result``/
 ``failed``/``bye`` expect no reply.  That keeps both ends free of
 send/recv interleaving hazards with one socket and no extra threads.
+
+``next`` is a long-poll.  The coordinator holds the request until it
+can answer ``run`` (a ticket became pending — dispatched or requeued)
+or ``shutdown`` (it is stopping); a request still parked after
+``coordinator.PARK_S`` is answered ``wait``, which carries no delay —
+the worker asks again at once — and exists only so that neither end
+ever waits on a silent socket for longer than its reply timeout.
+Every ``next`` gets exactly one reply.  Both ends set ``TCP_NODELAY``:
+a worker's ``result`` is followed at once by its ``next``, and under
+Nagle's algorithm the second small frame would wait (~40 ms on Linux)
+for the first one's delayed ACK.
 """
 
 from __future__ import annotations

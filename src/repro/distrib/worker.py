@@ -2,8 +2,11 @@
 
 A :class:`DistribWorker` connects to a coordinator, introduces itself
 (``hello`` with host, cpu_count, and package version), then loops:
-``next`` -> run the config / sleep on ``wait`` / leave on
-``shutdown``.  Configs execute through the same
+``next`` -> run the config / ask again on ``wait`` / leave on
+``shutdown``.  ``next`` is a long-poll — the coordinator holds the
+request until it has work, so an idle worker sits in ``recv`` and
+starts a config the moment one is dispatched; ``wait`` is only the
+keepalive that ends a long park.  Configs execute through the same
 :func:`repro.campaign.worker.run_and_cache` path a local campaign
 uses — but with ``cache_root=None``, because the worker may be on a
 host that cannot see the campaign's cache directory; the coordinator
@@ -23,7 +26,6 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -34,11 +36,11 @@ from .protocol import recv_msg, send_msg
 #: Heartbeat cadence while a config is computing.  Must be comfortably
 #: inside the coordinator's ``heartbeat_timeout_s`` (default 10s).
 HEARTBEAT_S = 2.0
-#: How long to wait for the coordinator's reply to ``hello``/``next``
-#: (both are answered immediately; a silent coordinator is a dead one).
+#: How long to wait for the coordinator's reply to ``hello``/``next``.
+#: ``hello`` is answered at once and a parked ``next`` within the
+#: coordinator's ``PARK_S`` (which must stay below this); a coordinator
+#: silent for longer is a dead one.
 REPLY_TIMEOUT_S = 30.0
-#: Cap on how long a ``wait`` reply can make us sleep.
-MAX_WAIT_S = 5.0
 
 
 class WorkerError(RuntimeError):
@@ -99,7 +101,9 @@ class DistribWorker:
         self._stop = threading.Event()
 
     def stop(self) -> None:
-        """Finish the in-flight config (if any), then disconnect."""
+        """Finish the in-flight config (if any), then disconnect; an
+        idle worker notices at its next reply, at most the coordinator's
+        ``PARK_S`` away."""
         self._stop.set()
 
     # -- session ----------------------------------------------------------
@@ -114,6 +118,9 @@ class DistribWorker:
             (self.host, self.port), timeout=self.reply_timeout_s
         )
         try:
+            # ``result`` is followed at once by ``next``: without this the
+            # second frame waits (~40 ms) for the first one's delayed ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.reply_timeout_s)
             send_msg(
                 sock,
@@ -151,13 +158,7 @@ class DistribWorker:
                 if kind == "shutdown":
                     break
                 if kind == "wait":
-                    self.stats.waits += 1
-                    time.sleep(
-                        min(
-                            float(reply.get("seconds") or 0.25),
-                            MAX_WAIT_S,
-                        )
-                    )
+                    self.stats.waits += 1  # keepalive: ask again at once
                     continue
                 if kind != "run":
                     continue  # forward compatibility: ignore the unknown

@@ -18,6 +18,7 @@ complete, well-formed object for the experiments that succeeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import (
@@ -115,6 +116,23 @@ def validate_args(args) -> list[str]:
     return errors
 
 
+@contextlib.contextmanager
+def _restoring_defaults():
+    """Put the process-wide default executor and kernel backend back on
+    exit: ``--executor``/``--backend`` apply to this invocation (or, in
+    a pool worker that outlives it, to this one render) — never to
+    whatever the process runs next."""
+    from ..kernels import get_default_backend, set_default_backend
+    from ..runtime.executors import get_default_executor, set_default_executor
+
+    executor, backend = get_default_executor(), get_default_backend()
+    try:
+        yield
+    finally:
+        set_default_executor(executor)
+        set_default_backend(backend)
+
+
 def _render_one(
     job: tuple[str, bool, "str | None", "str | None", "int | None"]
 ) -> str:
@@ -123,25 +141,26 @@ def _render_one(
     worker does not inherit the parent's process-wide defaults — then
     render."""
     name, quick, executor, backend, seed = job
-    if executor is not None:
-        from ..runtime.executors import set_default_executor
+    with _restoring_defaults():
+        if executor is not None:
+            from ..runtime.executors import set_default_executor
 
-        set_default_executor(executor)
-    if backend is not None:
-        from ..kernels import set_default_backend
+            set_default_executor(executor)
+        if backend is not None:
+            from ..kernels import set_default_backend
 
-        set_default_backend(backend)
-    if seed is not None:
-        import numpy as np
+            set_default_backend(backend)
+        if seed is not None:
+            import numpy as np
 
-        np.random.seed(seed)
-    import inspect
+            np.random.seed(seed)
+        import inspect
 
-    module = EXPERIMENTS[name]
-    render_params = inspect.signature(module.render).parameters
-    if quick and "quick" in render_params:
-        return module.render(quick=True)
-    return module.render()
+        module = EXPERIMENTS[name]
+        render_params = inspect.signature(module.render).parameters
+        if quick and "quick" in render_params:
+            return module.render(quick=True)
+        return module.render()
 
 
 def list_experiments() -> str:
@@ -242,6 +261,13 @@ def main(argv: list[str] | None = None) -> int:
         print(list_experiments())
         return 0
 
+    with _restoring_defaults():
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Validate, render and report; :func:`main` scopes the defaults
+    this installs."""
     errors = validate_args(args)
     if errors:
         for err in errors:

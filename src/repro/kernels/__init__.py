@@ -20,6 +20,7 @@ from .registry import (
     available_backends,
     backend_names,
     get_backend,
+    get_default_backend,
     register_backend,
     resolve_backend,
     set_default_backend,
@@ -33,6 +34,7 @@ __all__ = [
     "available_backends",
     "backend_names",
     "get_backend",
+    "get_default_backend",
     "register_backend",
     "resolve_backend",
     "set_default_backend",

@@ -148,6 +148,13 @@ def set_default_backend(
     return resolved
 
 
+def get_default_backend() -> "str | KernelBackend | None":
+    """The spec :func:`set_default_backend` installed (``None`` when
+    unset), so a caller that overrides it can put it back."""
+    with _DEFAULT_LOCK:
+        return _default_spec
+
+
 def _warn_once(name: str, reason: str) -> None:
     with _WARNED_LOCK:
         if name in _WARNED:

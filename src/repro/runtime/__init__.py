@@ -25,6 +25,7 @@ from .executors import (
     SerialExecutor,
     ThreadExecutor,
     available_executors,
+    get_default_executor,
     get_executor,
     set_default_executor,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "Timing",
     "ThreadExecutor",
     "available_executors",
+    "get_default_executor",
     "get_executor",
     "measure",
     "set_default_executor",

@@ -484,6 +484,13 @@ def set_default_executor(spec: "str | Executor | None") -> Executor | None:
     return resolved
 
 
+def get_default_executor() -> "str | Executor | None":
+    """The spec :func:`set_default_executor` installed (``None`` when
+    unset), so a caller that overrides it can put it back."""
+    with _DEFAULT_LOCK:
+        return _default_spec
+
+
 def get_executor(spec: "str | Executor | None" = None) -> Executor:
     """Resolve an executor spec (see module docstring for the chain)."""
     source = "argument"

@@ -8,11 +8,14 @@ executor and compares against a serial sweep bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import __version__
 from repro.campaign.cache import ResultCache
@@ -30,6 +33,7 @@ from repro.distrib import (
     recv_msg,
     send_msg,
 )
+from repro.distrib import coordinator as coord_mod
 from repro.distrib import protocol as proto
 from repro.perfdb.ingest import records_from_manifest
 
@@ -99,6 +103,43 @@ def _pull_one(sock):
             return reply
         time.sleep(0.05)
     raise AssertionError("never got a run message")
+
+
+def _wait_for(predicate, what, timeout=10):
+    """Block until ``predicate()`` holds (a rendezvous, not a timing
+    assertion: the deadline only turns a hang into a failure)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.01)
+
+
+def _start_worker(coord, name, runner=_stub_result, **kwargs):
+    """A DistribWorker session on a thread; ``box`` gets what ``run``
+    returned or raised."""
+    worker = DistribWorker(
+        coord.endpoint, name=name, runner=runner, **kwargs
+    )
+    box = {}
+
+    def run():
+        try:
+            box["stats"] = worker.run()
+        except BaseException as exc:  # noqa: BLE001 - asserted on by tests
+            box["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    _wait_for(
+        lambda: name in {w.name for w in coord.workers()},
+        f"worker {name!r} to register",
+    )
+    return worker, thread, box
+
+
+def _worker_names(results):
+    return [p["result"]["worker"] for _, p, exc in results if exc is None]
 
 
 @pytest.fixture
@@ -201,6 +242,86 @@ class TestProtocol:
     def test_bad_endpoints_raise(self, bad):
         with pytest.raises(ValueError):
             parse_endpoint(bad)
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+_json_objects = st.dictionaries(st.text(max_size=6), _json_values, max_size=5)
+
+
+def _wire_bytes(messages):
+    """The exact bytes ``send_msg`` puts on the wire for ``messages``."""
+    a, b = socket.socketpair()
+    try:
+        chunks = []
+        for msg in messages:
+            send_msg(a, msg)
+            frame = b.recv(1 << 20)  # small frames: one piece each
+            chunks.append(frame)
+        return chunks
+    finally:
+        a.close()
+        b.close()
+
+
+class TestFramingProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        messages=st.lists(_json_objects, min_size=1, max_size=4),
+        cuts=st.lists(st.integers(min_value=1, max_value=64), min_size=1),
+    )
+    def test_any_chunking_round_trips(self, messages, cuts):
+        data = b"".join(_wire_bytes(messages))
+        a, b = socket.socketpair()
+
+        def dribble():
+            sent = 0
+            for size in itertools.cycle(cuts):
+                if sent >= len(data):
+                    break
+                a.sendall(data[sent:sent + size])
+                sent += size
+            a.close()
+
+        writer = threading.Thread(target=dribble, daemon=True)
+        writer.start()
+        try:
+            b.settimeout(10)
+            assert [recv_msg(b) for _ in messages] == messages
+            assert recv_msg(b) is None  # then a clean EOF
+        finally:
+            writer.join(timeout=10)
+            b.close()
+        assert not writer.is_alive()
+
+    @settings(max_examples=15, deadline=None)
+    @given(messages=st.lists(_json_objects, min_size=1, max_size=3))
+    def test_a_cut_stream_is_none_only_at_a_frame_boundary(self, messages):
+        frames = _wire_bytes(messages)
+        data = b"".join(frames)
+        boundaries = {0, *itertools.accumulate(map(len, frames))}
+        for cut in range(len(data) + 1):
+            a, b = socket.socketpair()
+            try:
+                a.sendall(data[:cut])
+                a.close()
+                whole = sum(1 for end in boundaries if 0 < end <= cut)
+                assert [recv_msg(b) for _ in range(whole)] == messages[:whole]
+                if cut in boundaries:
+                    assert recv_msg(b) is None
+                else:
+                    with pytest.raises(ProtocolError):
+                        recv_msg(b)
+            finally:
+                b.close()
 
 
 # -- the scheduler seam ----------------------------------------------------
@@ -455,6 +576,186 @@ class TestDispatchFaults:
         assert cache.lifetime_stats().puts == 2
 
 
+# -- the parked state: ``next`` is a long-poll -------------------------------
+
+
+class TestParkedDispatch:
+    def test_connected_worker_never_waits(self, coord):
+        worker, thread, box = _start_worker(coord, "w")
+        for _ in range(3):  # each dispatch finds the worker parked again
+            results = list(coord.dispatch(_jobs(2)))
+            assert _worker_names(results) == ["w", "w"]
+        coord.stop()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and "error" not in box
+        assert worker.stats.completed == 6
+        assert worker.stats.waits == 0
+
+    def test_worker_lost_while_parked_costs_nothing(self, coord):
+        _start_worker(coord, "survivor")
+        sock, welcome = _fake_hello(coord, name="doomed")
+        assert welcome["type"] == "welcome"
+        send_msg(sock, {"type": "next"})  # parks: nothing is pending
+        sock.close()  # SIGKILL equivalent, while idle
+        _wait_for(
+            lambda: [w.name for w in coord.workers()] == ["survivor"],
+            "the parked worker's EOF to be noticed",
+        )
+        results = list(coord.dispatch(_jobs(2)))
+        assert _worker_names(results) == ["survivor", "survivor"]
+        assert coord.stats.dispatched == 2  # nothing went to the dead one
+        assert coord.stats.dead_workers == 0
+        assert coord.stats.retried == 0
+
+    def test_a_long_park_does_not_count_as_silence(self):
+        """Heartbeat silence is counted from the assignment: a worker
+        handed work after a park longer than the heartbeat timeout is
+        alive, not overdue."""
+        c = Coordinator(
+            timeout_s=30,
+            heartbeat_timeout_s=1.0,
+            grace_s=60,
+            local_fallback=False,
+        )
+        c.ensure_started()
+        try:
+            def slow(config):
+                time.sleep(0.5)  # several monitor ticks, two heartbeats
+                return _stub_result(config)
+
+            worker, _, _ = _start_worker(
+                c, "parked", runner=slow, heartbeat_s=0.25
+            )
+            (health,) = c.workers()
+            _wait_for(
+                lambda: health.silent_for() > c.heartbeat_timeout_s,
+                "the worker to sit parked past the heartbeat timeout",
+            )
+            results, consumer = _consume(c, _jobs(1))
+            consumer.join(timeout=10)
+            assert c.stats.dead_workers == 0  # else nobody is left to run it
+            assert not consumer.is_alive()
+            assert _worker_names(results) == ["parked"]
+            assert worker.stats.heartbeats >= 1
+            assert c.stats.dead_workers == 0
+            assert c.stats.retried == 0
+        finally:
+            c.stop()
+
+    def test_stop_releases_parked_workers(self, coord, monkeypatch):
+        from repro.distrib.cli import main
+
+        # were stop() to leave them parked, the join below would time out
+        monkeypatch.setattr(coord_mod, "PARK_S", 3600.0)
+        codes = {}
+
+        def run_cli(name):
+            codes[name] = main(
+                ["worker", coord.endpoint, "--name", name, "--quiet"]
+            )
+
+        threads = [
+            threading.Thread(target=run_cli, args=(name,), daemon=True)
+            for name in ("p0", "p1")
+        ]
+        for t in threads:
+            t.start()
+        _wait_for(lambda: len(coord.workers()) == 2, "two workers")
+        coord.stop()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == {"p0": 0, "p1": 0}
+        assert coord.workers() == []
+
+    @pytest.mark.parametrize("fault", ["death", "timeout"])
+    def test_requeue_goes_to_a_parked_worker(self, fault):
+        c = Coordinator(
+            timeout_s=0.5 if fault == "timeout" else 30,
+            heartbeat_timeout_s=60,
+            grace_s=60,
+            local_fallback=False,
+        )
+        c.ensure_started()
+        try:
+            results, consumer = _consume(c, _jobs(1))
+            sock, _ = _fake_hello(c, name="first")
+            _pull_one(sock)  # the only worker: it holds the ticket
+            rescue, thread, box = _start_worker(c, "rescue")  # parks
+            if fault == "death":
+                sock.close()
+            consumer.join(timeout=30)
+            assert not consumer.is_alive()
+            sock.close()
+            assert _worker_names(results) == ["rescue"]
+            assert c.stats.retried == 1
+            if fault == "death":
+                assert c.stats.dead_workers == 1
+            else:
+                assert c.stats.timeouts == 1
+            assert rescue.stats.waits == 0  # the requeue woke it
+        finally:
+            c.stop()
+
+    def test_idle_worker_outlives_many_parks(self, coord, monkeypatch):
+        monkeypatch.setattr(coord_mod, "PARK_S", 0.02)
+        worker, thread, box = _start_worker(coord, "idle", reply_timeout_s=5)
+        _wait_for(lambda: worker.stats.waits >= 5, "five keepalive waits")
+        assert thread.is_alive() and "error" not in box
+        assert [w.name for w in coord.workers()] == ["idle"]
+        results = list(coord.dispatch(_jobs(1)))
+        assert _worker_names(results) == ["idle"]
+
+    def test_concurrent_dispatches_each_get_a_worker(self, coord):
+        barrier = threading.Barrier(2)
+
+        def runner(config):
+            barrier.wait(timeout=10)  # passes only if both run at once
+            return _stub_result(config)
+
+        for name in ("w0", "w1"):
+            _start_worker(coord, name, runner=runner)
+        consumers = [_consume(coord, _jobs(1)) for _ in range(2)]
+        for results, consumer in consumers:
+            consumer.join(timeout=30)
+            assert not consumer.is_alive()
+        names = [_worker_names(results) for results, _ in consumers]
+        assert sorted(names) == [["w0"], ["w1"]]
+
+    def test_max_configs_worker_leaves_the_rest(self, coord):
+        results, consumer = _consume(coord, _jobs(3))
+        first = DistribWorker(coord.endpoint, name="one", runner=_stub_result)
+        assert first.run(max_configs=1).completed == 1  # returns by itself
+        _wait_for(lambda: coord.workers() == [], "the bye to land")
+        _start_worker(coord, "rest")
+        consumer.join(timeout=30)
+        assert not consumer.is_alive()
+        assert sorted(_worker_names(results)) == ["one", "rest", "rest"]
+        assert coord.stats.retried == 0
+
+    def test_retired_tickets_leave_the_attempt_tracker_empty(self, coord):
+        calls = []
+
+        def flaky(config):
+            calls.append(config["seed"])
+            if len(calls) == 1:
+                raise ValueError("first attempt fails")
+            return _stub_result(config)
+
+        _start_worker(coord, "flaky", runner=flaky)
+        results = list(coord.dispatch(_jobs(2)))
+        assert all(exc is None for _, _, exc in results)
+        assert coord.stats.retried == 1
+        assert coord.attempts._attempts == {} and coord.attempts._errors == {}
+
+    def test_closed_socket_is_a_dead_connection_not_a_crash(self):
+        a, b = socket.socketpair()
+        a.close()
+        b.close()
+        with pytest.raises(OSError, match="closed under its handler"):
+            coord_mod._readable(a, 0)
+
+
 # -- end to end through run_campaign ---------------------------------------
 
 
@@ -565,10 +866,7 @@ class TestCli:
 
         t = threading.Thread(target=run_cli, daemon=True)
         t.start()
-        deadline = time.monotonic() + 10
-        while not coord.workers() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert coord.workers()
+        _wait_for(coord.workers, "the worker to register")
         coord.stop()
         t.join(timeout=10)
         assert not t.is_alive()

@@ -243,6 +243,27 @@ class TestRunnerRegistry:
         err = capsys.readouterr().err
         assert "REPRO_SHM_DISABLE" in err and "--jobs" in err
 
+    def test_cli_puts_back_the_defaults_it_found(self, capsys):
+        """--executor/--backend scope to the invocation: whatever default
+        was installed before is installed again after."""
+        from repro.experiments.runner import main
+        from repro.kernels import get_default_backend, set_default_backend
+        from repro.runtime import get_default_executor, set_default_executor
+
+        assert main(["--executor", "threads:2", "table2"]) == 0
+        assert get_default_executor() is None
+        set_default_executor("threads:3")
+        set_default_backend("numba")  # a name only; nothing resolves it
+        try:
+            args = ["--executor", "serial", "--backend", "numpy", "table2"]
+            assert main(args) == 0
+            assert main(["--backend", "fortran", "table2"]) == 2
+            assert get_default_executor() == "threads:3"
+            assert get_default_backend() == "numba"
+        finally:
+            set_default_executor(None)
+            set_default_backend(None)
+
     def test_cli_jobs_batches_across_processes(self, capsys):
         from repro.experiments.runner import main
 

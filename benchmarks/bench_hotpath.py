@@ -256,13 +256,13 @@ def _microbench_fixtures():
 def kernel_shootout(repeats: int = SHOOTOUT_REPEATS) -> dict:
     """Per-kernel timings of every registered backend vs numpy.
 
-    Unavailable backends are resolved through
-    :func:`repro.kernels.resolve_backend`, i.e. they degrade to the
+    Unavailable backends are resolved degrade-always (the harness
+    policy, :mod:`repro.runtime.resolve`), i.e. they degrade to the
     reference — the cell is still recorded, flagged
     ``backend_available: false`` so its (reference) timing is never
     mistaken for an accelerated one.
     """
-    from repro.kernels import available_backends, resolve_backend
+    from repro.kernels import BACKENDS, available_backends
 
     support = available_backends()
     out: dict = {}
@@ -270,7 +270,7 @@ def kernel_shootout(repeats: int = SHOOTOUT_REPEATS) -> dict:
         rows = {}
         baseline = None
         for backend_name in support:
-            backend = resolve_backend(backend_name)
+            backend = BACKENDS.resolve(backend_name, degrade_explicit=True)
             fn = factory(backend)
             timing = measure(
                 fn, f"{kernel_name}.{backend_name}", repeats=repeats

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...kernels import get_backend
+from ...kernels import KernelBackend
 from ...simmpi.comm import Communicator
 from ...workload import Work
 from .hamiltonian import Hamiltonian
@@ -32,34 +32,44 @@ def dot(comm: Communicator, a: list[np.ndarray], b: list[np.ndarray]) -> complex
     return complex(comm.allreduce(partial)[0][0])
 
 
-def axpy(y: list[np.ndarray], alpha: complex, x: list[np.ndarray]) -> None:
-    """y += alpha x, slice-wise in place (kernel-backend dispatched)."""
-    kernels = get_backend()
+def axpy(
+    kernels: KernelBackend,
+    y: list[np.ndarray],
+    alpha: complex,
+    x: list[np.ndarray],
+) -> None:
+    """y += alpha x, slice-wise in place."""
     for yr, xr in zip(y, x):
         kernels.paratec_cg_axpy(yr, alpha, xr)
 
 
-def scale(x: list[np.ndarray], alpha: complex) -> None:
-    kernels = get_backend()
+def scale(
+    kernels: KernelBackend, x: list[np.ndarray], alpha: complex
+) -> None:
     for xr in x:
         kernels.paratec_cg_scale(xr, alpha)
 
 
-def normalize(comm: Communicator, x: list[np.ndarray]) -> float:
+def normalize(
+    comm: Communicator, kernels: KernelBackend, x: list[np.ndarray]
+) -> float:
     norm = np.sqrt(abs(dot(comm, x, x)))
     if norm == 0.0:
         raise ZeroDivisionError("cannot normalize a zero vector")
-    scale(x, 1.0 / norm)
+    scale(kernels, x, 1.0 / norm)
     return float(norm)
 
 
 def orthogonalize(
-    comm: Communicator, x: list[np.ndarray], against: Bands
+    comm: Communicator,
+    kernels: KernelBackend,
+    x: list[np.ndarray],
+    against: Bands,
 ) -> None:
     """Project the span of ``against`` (assumed orthonormal) out of x."""
     for band in against:
         overlap = dot(comm, band, x)
-        axpy(x, -overlap, band)
+        axpy(kernels, x, -overlap, band)
 
 
 @dataclass(frozen=True)
@@ -75,10 +85,12 @@ class CGOptions:
 
 
 def _precondition(
-    ham: Hamiltonian, g: list[np.ndarray], e_ref: float
+    kernels: KernelBackend,
+    ham: Hamiltonian,
+    g: list[np.ndarray],
+    e_ref: float,
 ) -> list[np.ndarray]:
     """Teter-style diagonal kinetic preconditioner 1/(1 + T/E)."""
-    kernels = get_backend()
     out = []
     for r, gr in enumerate(g):
         t = ham.kinetic_of(r)
@@ -93,9 +105,14 @@ def cg_band(
     lower_bands: Bands,
     opts: CGOptions,
 ) -> float:
-    """Relax one band in place; returns its final Rayleigh quotient."""
-    orthogonalize(comm, x, lower_bands)
-    normalize(comm, x)
+    """Relax one band in place; returns its final Rayleigh quotient.
+
+    The sweep primitives run on the backend the Hamiltonian's FFT
+    engine was built with — the one the solver was handed.
+    """
+    kernels = ham.fft.kernels
+    orthogonalize(comm, kernels, x, lower_bands)
+    normalize(comm, kernels, x)
     hx = ham.apply(x)
     eps = dot(comm, x, hx).real
 
@@ -104,10 +121,10 @@ def cg_band(
     for _ in range(opts.iterations):
         # steepest descent residual, projected
         g = [hr - eps * xr for hr, xr in zip(hx, x)]
-        pg = _precondition(ham, g, opts.preconditioner_energy)
-        orthogonalize(comm, pg, lower_bands)
+        pg = _precondition(kernels, ham, g, opts.preconditioner_energy)
+        orthogonalize(comm, kernels, pg, lower_bands)
         overlap = dot(comm, x, pg)
-        axpy(pg, -overlap, x)
+        axpy(kernels, pg, -overlap, x)
 
         g_dot = dot(comm, g, pg).real
         if abs(g_dot) < 1e-30:
@@ -118,12 +135,12 @@ def cg_band(
             beta = g_dot / g_dot_prev
             d = [p + beta * dp for p, dp in zip(pg, d_prev)]
             overlap = dot(comm, x, d)
-            axpy(d, -overlap, x)
+            axpy(kernels, d, -overlap, x)
         g_dot_prev = g_dot
         d_norm = np.sqrt(abs(dot(comm, d, d)))
         if d_norm < 1e-15:
             break
-        scale(d, 1.0 / d_norm)
+        scale(kernels, d, 1.0 / d_norm)
 
         # analytic line minimization on the unit circle x cos + d sin
         hd = ham.apply(d)
@@ -140,7 +157,7 @@ def cg_band(
             hx[r] = c * hx[r] + s * hd[r]
         d_prev = d
         eps = dot(comm, x, hx).real
-    normalize(comm, x)
+    normalize(comm, kernels, x)
     return float(eps)
 
 

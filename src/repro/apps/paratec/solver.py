@@ -139,12 +139,6 @@ class Paratec:
             ),
         )
 
-    def _charge_sweep(self, rank: int, per_band, ng_local: float) -> None:
-        """One rank's CG-sweep compute charges (band loops + BLAS3)."""
-        for _ in range(self.params.nbands):
-            self.comm.compute(rank, per_band)
-        self.comm.compute(rank, blas3_work(self.params.nbands, ng_local))
-
     @property
     def flops_per_step(self) -> float:
         """Total useful flops of one SCF iteration across all ranks."""

@@ -46,20 +46,16 @@ def resolve_scheduler(spec: "str | Executor") -> Executor:
 
     Everything :func:`~repro.runtime.executors.get_executor` accepts,
     plus ``"distrib:HOST:PORT"`` — distributed dispatch to
-    ``repro-distrib worker`` processes (lazily imported so the socket
-    machinery costs nothing until someone asks for it).
+    ``repro-distrib worker`` processes.  The one place that knows
+    ``distrib:`` specs; imported here, not at module level, because
+    :mod:`repro.distrib` itself imports the campaign package.
     """
-    if isinstance(spec, Executor):
-        return spec
-    if isinstance(spec, str) and spec.strip().lower().startswith("distrib:"):
-        from ..distrib.dispatch import DistribExecutor
+    if isinstance(spec, str):
+        from ..distrib.dispatch import DistribExecutor, is_distrib_spec
 
-        return DistribExecutor.from_spec(spec)
+        if is_distrib_spec(spec):
+            return DistribExecutor.from_spec(spec)
     return get_executor(spec)
-
-
-#: Backward-compatible alias (pre-distrib name, kept for callers).
-_scheduler = resolve_scheduler
 
 
 def run_campaign(

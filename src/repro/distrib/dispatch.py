@@ -35,7 +35,8 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Iterator, Sequence
 
-from ..runtime.executors import Executor, SegmentSupport
+from ..runtime.executors import Executor
+from ..runtime.resolve import Support
 from .coordinator import Coordinator
 from .protocol import parse_endpoint
 
@@ -130,8 +131,8 @@ class DistribExecutor(Executor):
     def stats(self):
         return self.coordinator.stats
 
-    def segment_support(self) -> SegmentSupport:
-        return SegmentSupport(
+    def segment_support(self) -> Support:
+        return Support(
             False,
             "distrib schedules whole campaign configs across hosts; "
             "rank segments close over live solver memory and cannot "

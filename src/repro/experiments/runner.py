@@ -18,9 +18,11 @@ complete, well-formed object for the experiments that succeeded.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
+from ..kernels import BACKENDS
+from ..runtime.executors import EXECUTORS, segment_executor
+from ..runtime.resolve import UnusableError
 from . import (
     chaos,
     fig2,
@@ -78,33 +80,20 @@ def validate_args(args) -> list[str]:
     """
     errors: list[str] = []
     if args.executor is not None:
-        from ..runtime.executors import get_executor
-
         try:
-            # constructs (without installing) the executor; raises on a
-            # malformed spec like "threads:0" or "fibers"
-            executor = get_executor(args.executor)
+            segment_executor(args.executor)
+        except UnusableError as exc:
+            errors.append(
+                f"--executor: {exc}; use 'serial' or 'threads[:N]', or "
+                "--jobs N to batch experiments across processes"
+            )
         except ValueError as exc:
             errors.append(f"--executor: {exc}")
-        else:
-            if not executor.in_process:
-                support = executor.segment_support()
-                if not support.ok:
-                    errors.append(
-                        f"--executor: {args.executor!r} cannot schedule "
-                        f"rank segments on this host ({support.reason}); "
-                        "use 'serial' or 'threads[:N]', or --jobs N to "
-                        "batch experiments across processes"
-                    )
     if args.backend is not None:
-        from ..kernels import set_default_backend
-
         try:
-            # validates the name without installing it (raises listing
-            # the valid choices); an *unavailable* backend is fine here
-            # — each run degrades to the numpy reference with a warning
-            set_default_backend(args.backend)
-            set_default_backend(None)
+            # the name only: an *unavailable* backend is fine here —
+            # each run degrades to the numpy reference with a warning
+            BACKENDS.parse(args.backend)
         except ValueError as exc:
             errors.append(f"--backend: {exc}")
     if args.seed is not None and not 0 <= args.seed <= _MAX_SEED:
@@ -116,40 +105,15 @@ def validate_args(args) -> list[str]:
     return errors
 
 
-@contextlib.contextmanager
-def _restoring_defaults():
-    """Put the process-wide default executor and kernel backend back on
-    exit: ``--executor``/``--backend`` apply to this invocation (or, in
-    a pool worker that outlives it, to this one render) — never to
-    whatever the process runs next."""
-    from ..kernels import get_default_backend, set_default_backend
-    from ..runtime.executors import get_default_executor, set_default_executor
-
-    executor, backend = get_default_executor(), get_default_backend()
-    try:
-        yield
-    finally:
-        set_default_executor(executor)
-        set_default_backend(backend)
-
-
 def _render_one(
     job: tuple[str, bool, "str | None", "str | None", "int | None"]
 ) -> str:
     """Render one experiment (module-level so worker processes can run
-    it): apply the executor/backend/seed knobs locally — a spawned
-    worker does not inherit the parent's process-wide defaults — then
-    render."""
+    it): the executor/backend/seed knobs are applied here, scoped to
+    this one render — a spawned worker does not inherit the parent's
+    process-wide defaults, and a pool worker outlives the render."""
     name, quick, executor, backend, seed = job
-    with _restoring_defaults():
-        if executor is not None:
-            from ..runtime.executors import set_default_executor
-
-            set_default_executor(executor)
-        if backend is not None:
-            from ..kernels import set_default_backend
-
-            set_default_backend(backend)
+    with EXECUTORS.scoped(executor), BACKENDS.scoped(backend):
         if seed is not None:
             import numpy as np
 
@@ -261,27 +225,12 @@ def main(argv: list[str] | None = None) -> int:
         print(list_experiments())
         return 0
 
-    with _restoring_defaults():
-        return _run(args)
-
-
-def _run(args: argparse.Namespace) -> int:
-    """Validate, render and report; :func:`main` scopes the defaults
-    this installs."""
     errors = validate_args(args)
     if errors:
         for err in errors:
             print(f"repro-experiments: {err}", file=sys.stderr)
         return 2
 
-    if args.executor is not None:
-        from ..runtime.executors import set_default_executor
-
-        set_default_executor(args.executor)
-    if args.backend is not None:
-        from ..kernels import set_default_backend
-
-        set_default_backend(args.backend)
     if args.seed is not None:
         import numpy as np
 

@@ -12,14 +12,13 @@ into this function.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
-from ..kernels import KernelBackend, resolve_backend
+from ..kernels import BACKENDS
 from ..machines.catalog import get_machine
 from ..machines.spec import MachineSpec
-from ..runtime.executors import Executor, SerialExecutor, get_executor
+from ..runtime.executors import segment_executor
 from ..resilience.checkpoint import Checkpointable, MemoryCheckpointStore
 from ..resilience.inject import FaultInjector, FaultPlan
 from ..resilience.policy import (
@@ -81,30 +80,6 @@ class HarnessResult:
         return self.ledger.render(title=title, steps=self.steps)
 
 
-def _resolve_executor(executor: Any | None) -> Executor:
-    """Resolve a run's executor, degrading gracefully when needed.
-
-    An out-of-process executor that cannot schedule rank segments on
-    this host (no fork start method, no usable POSIX shared memory, or
-    ``REPRO_SHM_DISABLE``) falls back to serial with a warning — the
-    harness promises a completed run, not a particular schedule, and
-    results are executor-independent by construction.
-    """
-    resolved = get_executor(executor)
-    if resolved.in_process:
-        return resolved
-    support = resolved.segment_support()
-    if support.ok:
-        return resolved
-    warnings.warn(
-        f"executor {resolved.name!r} cannot run rank segments here "
-        f"({support.reason}); running serial instead",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return SerialExecutor()
-
-
 def run(
     app: str | SPMDApplication,
     params: Any | None = None,
@@ -156,11 +131,12 @@ def run(
         How per-rank compute segments are scheduled: an
         :class:`~repro.runtime.executors.Executor`, a spec string
         (``"serial"``, ``"threads[:N]"``, ``"processes[:N]"``), or
-        ``None`` to resolve the process default / ``REPRO_EXECUTOR``.
-        Changes wall-clock only — states, traces, and ledgers are
-        identical across executors.  A process executor needs fork +
-        POSIX shared memory; when the host can't provide them the
-        harness warns and runs serial.  With a process executor and an
+        ``None`` for the ambient choice.  Changes wall-clock only —
+        states, traces, and ledgers are identical across executors.
+        The harness promises a completed run, not a particular
+        schedule: an executor that cannot run rank segments here (even
+        an explicit one) warns once and runs serial
+        (:mod:`repro.runtime.resolve`).  With a process executor and an
         ``arena``, the harness provisions a shared-memory arena pool
         for the run (so the solvers' in-place fast paths stay legal in
         forked workers) and unlinks its segments deterministically at
@@ -170,13 +146,14 @@ def run(
     kernel_backend:
         Which kernel implementations the solver's hot loops use: a
         :class:`~repro.kernels.KernelBackend`, a registered name
-        (``"numpy"``, ``"numba"``), or ``None`` to resolve the process
-        default / ``REPRO_KERNEL_BACKEND``.  Changes nothing but
-        wall-clock — every backend is pinned bitwise to the numpy
-        reference, so states, traces, and ledgers are identical.  A
-        backend that is unavailable on this host (numba not importable,
-        ``REPRO_NUMBA_DISABLE``) degrades to the numpy reference with a
-        warning; an unknown name raises listing the valid choices.
+        (``"numpy"``, ``"numba"``), or ``None`` for the ambient
+        choice.  Resolved here, once; the instance is handed to the
+        solver and used as is.  Changes nothing but wall-clock — every
+        backend is pinned bitwise to the numpy reference, so states,
+        traces, and ledgers are identical.  Same policy as
+        ``executor``: a backend that is unavailable on this host
+        degrades to the numpy reference with a warning; an unknown name
+        raises listing the valid choices.
     fault_plan, policy:
         A :class:`~repro.resilience.FaultPlan` to inject at the
         transport seam, and the :class:`~repro.resilience.RetryPolicy`
@@ -198,7 +175,7 @@ def run(
         params = adapter.default_params()
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    kernels: KernelBackend = resolve_backend(kernel_backend)
+    kernels = BACKENDS.resolve(kernel_backend, degrade_explicit=True)
 
     if comm is None:
         if nprocs is None:
@@ -210,7 +187,7 @@ def run(
             trace=trace,
             timeline=timeline,
             loop_registers=loop_registers,
-            executor=_resolve_executor(executor),
+            executor=segment_executor(executor, degrade_explicit=True),
         )
     elif nprocs is not None and nprocs != comm.nprocs:
         raise ValueError(

@@ -60,9 +60,11 @@ class SPMDApplication(Protocol):
     ) -> Any:
         """Build the solver state on a communicator; returns the state.
 
-        ``kernels`` is a resolved
-        :class:`~repro.kernels.KernelBackend` (or ``None`` for the
-        ambient default) forwarded to the solver's constructor.
+        ``kernels`` is the :class:`~repro.kernels.KernelBackend`
+        *instance* ``harness.run`` resolved; forward it to the solver's
+        constructor, which uses it as is.  (A direct caller may pass
+        ``None``; the solver constructor is then the edge that
+        resolves the ambient choice, once.)
         """
         ...
 

@@ -8,35 +8,30 @@ geopotential/dynamics — is a method on :class:`KernelBackend`, with a
 and a ``numba`` accelerated backend that overrides the kernels it can
 replicate bitwise and inherits the reference for the rest.
 
-Resolution mirrors the executor seam: explicit argument > process
-default (:func:`set_default_backend`) > ``REPRO_KERNEL_BACKEND`` >
-``"numpy"``; unavailable explicit backends raise naming the reason,
-unavailable ambient ones warn once and degrade to numpy.  See
-``docs/kernels.md``.
+Solvers call the backend method directly (``kernels.lbmhd_collide(...)``
+on the instance they were handed); :func:`get_backend` /
+:data:`BACKENDS` resolve a name to that instance once, at the edge.
+See ``docs/kernels.md``.
 """
 
 from .base import KernelBackend, KernelSupport, NumPyBackend
 from .registry import (
+    BACKENDS,
     available_backends,
     backend_names,
     get_backend,
-    get_default_backend,
     register_backend,
-    resolve_backend,
-    set_default_backend,
     unregister_backend,
 )
 
 __all__ = [
+    "BACKENDS",
     "KernelBackend",
     "KernelSupport",
     "NumPyBackend",
     "available_backends",
     "backend_names",
     "get_backend",
-    "get_default_backend",
     "register_backend",
-    "resolve_backend",
-    "set_default_backend",
     "unregister_backend",
 ]

@@ -17,8 +17,7 @@ meet that bar for some kernel must not override it.
 
 Backends are stateless (safe to share across threads and to inherit
 copy-on-write into forked segment workers) and are resolved through
-:mod:`repro.kernels.registry` exactly like executors: explicit argument
-> process default > ``REPRO_KERNEL_BACKEND`` > ``"numpy"``.
+:mod:`repro.kernels.registry`.
 """
 
 from __future__ import annotations
@@ -27,28 +26,11 @@ from typing import Any
 
 import numpy as np
 
+from ..runtime.resolve import Support
 
-class KernelSupport:
-    """Whether a backend can run on this host — and why not.
 
-    Truthy exactly when the backend is usable; ``reason`` carries the
-    human-readable explanation either way (capability on success, the
-    missing prerequisite on failure), mirroring
-    :class:`repro.runtime.executors.SegmentSupport` so rejection errors
-    and fallback warnings can name the actual cause.
-    """
-
-    __slots__ = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str) -> None:
-        self.ok = ok
-        self.reason = reason
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"KernelSupport(ok={self.ok}, reason={self.reason!r})"
+#: What :meth:`KernelBackend.available` returns.
+KernelSupport = Support
 
 
 class KernelBackend:

@@ -11,8 +11,10 @@
   workers mutate rank state the parent can see (zero-copy exchange);
 * :mod:`repro.runtime.executors` — the executor seam: serial lockstep,
   a thread pool, or forked worker processes for per-rank compute
-  segments, resolved from an explicit spec,
-  :func:`set_default_executor`, or ``REPRO_EXECUTOR``;
+  segments;
+* :mod:`repro.runtime.resolve` — the one resolution rule (precedence
+  chain + capability policy) the executor and kernel-backend seams
+  both instantiate;
 * :mod:`repro.runtime.perf` — small wall-clock timing helpers backing
   ``benchmarks/bench_hotpath.py`` and the ``BENCH_*.json`` perf
   trajectory.
@@ -20,20 +22,21 @@
 
 from .arena import Arena
 from .executors import (
+    EXECUTORS,
     Executor,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     available_executors,
-    get_default_executor,
     get_executor,
-    set_default_executor,
+    segment_executor,
 )
 from .perf import Timing, measure, write_results
 from .shm import SharedArenaPool, ShmArena, ShmHandles, shm_available
 
 __all__ = [
     "Arena",
+    "EXECUTORS",
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
@@ -43,10 +46,9 @@ __all__ = [
     "Timing",
     "ThreadExecutor",
     "available_executors",
-    "get_default_executor",
     "get_executor",
     "measure",
-    "set_default_executor",
+    "segment_executor",
     "shm_available",
     "write_results",
 ]

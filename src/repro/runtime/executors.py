@@ -22,9 +22,8 @@ range(nprocs)`` loop.  The executor seam makes that loop pluggable:
   results (and deferred accounting charges) ride back over a pipe.
   Segment scheduling needs ``fork`` plus POSIX shared memory (for the
   solvers' in-place state blocks); :meth:`~Executor.segment_support`
-  reports whether this host qualifies and why not, and communicators
-  refuse the executor — or fall back to serial, if it was ambient —
-  only when it doesn't.
+  reports whether this host qualifies and why not;
+  :func:`segment_executor` applies the capability policy to it.
 
 Executors schedule **compute only**.  Communication stays serialized
 between parallel regions (see ``Communicator.map_ranks``), and the
@@ -32,14 +31,8 @@ deferred-accounting replay in the communicator guarantees that every
 executor produces bitwise-identical solver states and identical
 clock/trace/ledger instrumentation — only real wall-clock differs.
 
-Resolution order for "which executor should this run use":
-
-1. an explicit ``Executor`` instance or spec string passed by the caller;
-2. the process-wide default installed with :func:`set_default_executor`
-   (what the ``repro-experiments --executor`` flag uses);
-3. the ``REPRO_EXECUTOR`` environment variable (what the CI threaded job
-   sets);
-4. ``"serial"``.
+Which executor a run gets is decided by :data:`EXECUTORS`, this seam's
+instance of the one resolution rule in :mod:`repro.runtime.resolve`.
 
 Spec strings are ``"serial"``, ``"threads"`` (worker count picked from
 the host), ``"threads:N"``, ``"processes"``, or ``"processes:N"``.
@@ -52,34 +45,13 @@ import threading
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
+from operator import methodcaller
 from typing import Callable, Iterator, Sequence, TypeVar
+
+from .resolve import Resolver, Support
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-_ENV_VAR = "REPRO_EXECUTOR"
-
-
-class SegmentSupport:
-    """Whether an executor can run rank segments here — and why not.
-
-    Truthy exactly when segments are supported; ``reason`` carries the
-    human-readable explanation either way (capability on success, the
-    missing prerequisite on failure) so rejection errors and fallback
-    warnings can name the actual cause.
-    """
-
-    __slots__ = ("ok", "reason")
-
-    def __init__(self, ok: bool, reason: str) -> None:
-        self.ok = ok
-        self.reason = reason
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SegmentSupport(ok={self.ok}, reason={self.reason!r})"
 
 
 class Executor:
@@ -111,14 +83,14 @@ class Executor:
     ) -> list[_R]:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def segment_support(self) -> SegmentSupport:
+    def segment_support(self) -> Support:
         """Can this executor schedule ``map_ranks`` segments here?
 
         In-process executors always can; :class:`ProcessExecutor`
         checks the host for ``fork`` and POSIX shared memory.  The
         communicator consults this instead of hard-rejecting by class.
         """
-        return SegmentSupport(True, "segments run in the calling process")
+        return Support(True, "segments run in the calling process")
 
     def map_segments(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
@@ -349,11 +321,11 @@ class ProcessExecutor(Executor):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
 
-    def segment_support(self) -> SegmentSupport:
+    def segment_support(self) -> Support:
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
-            return SegmentSupport(
+            return Support(
                 False,
                 "the host has no fork start method (segment callables "
                 "close over live solver state and cannot be pickled to "
@@ -363,14 +335,17 @@ class ProcessExecutor(Executor):
 
         if not shm_available():
             if os.environ.get("REPRO_SHM_DISABLE"):
-                return SegmentSupport(
-                    False, "REPRO_SHM_DISABLE is set in the environment"
+                return Support(
+                    False,
+                    "rank segments need shared memory and "
+                    "REPRO_SHM_DISABLE is set in the environment",
                 )
-            return SegmentSupport(
+            return Support(
                 False,
-                "POSIX shared memory is unavailable (no usable /dev/shm)",
+                "rank segments need POSIX shared memory, which is "
+                "unavailable (no usable /dev/shm)",
             )
-        return SegmentSupport(
+        return Support(
             True, "fork + POSIX shared memory are available"
         )
 
@@ -466,65 +441,14 @@ class ProcessExecutor(Executor):
         yield from _drain_as_completed(pool, fn, items)
 
 
-_DEFAULT_LOCK = threading.Lock()
-_default_spec: "str | Executor | None" = None
-
-
-def set_default_executor(spec: "str | Executor | None") -> Executor | None:
-    """Install a process-wide default executor (``None`` clears it).
-
-    Returns the resolved executor (so callers can log the choice), or
-    ``None`` when clearing.  The default outranks ``REPRO_EXECUTOR``
-    but is outranked by an explicit per-communicator argument.
-    """
-    global _default_spec
-    resolved = None if spec is None else _parse(spec)
-    with _DEFAULT_LOCK:
-        _default_spec = spec
-    return resolved
-
-
-def get_default_executor() -> "str | Executor | None":
-    """The spec :func:`set_default_executor` installed (``None`` when
-    unset), so a caller that overrides it can put it back."""
-    with _DEFAULT_LOCK:
-        return _default_spec
-
-
-def get_executor(spec: "str | Executor | None" = None) -> Executor:
-    """Resolve an executor spec (see module docstring for the chain)."""
-    source = "argument"
-    if spec is None:
-        with _DEFAULT_LOCK:
-            spec = _default_spec
-        source = "default"
-    if spec is None:
-        env = os.environ.get(_ENV_VAR)
-        if env:
-            spec, source = env, "env"
-        else:
-            spec = "serial"
-    return _parse(spec, source)
-
-
-def _parse(spec: "str | Executor", source: str = "argument") -> Executor:
-    """Resolve a spec to an executor; a malformed spec is a ValueError
-    listing the valid forms and naming ``REPRO_EXECUTOR`` as the source
-    when that is where the bad spec came from."""
-    if isinstance(spec, Executor):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(
-            f"executor spec must be a string or Executor, got {type(spec)!r}"
-        )
-    origin = f" (from {_ENV_VAR})" if source == "env" else ""
+def _parse(spec: str) -> Executor:
+    """Spec string -> executor; a malformed spec is a ValueError
+    listing the valid forms."""
     base, _, arg = spec.partition(":")
     base = base.strip().lower()
     if base == "serial":
         if arg:
-            raise ValueError(
-                f"serial executor takes no argument: {spec!r}{origin}"
-            )
+            raise ValueError(f"serial executor takes no argument: {spec!r}")
         return SerialExecutor()
     if base in ("threads", "processes"):
         cls = ThreadExecutor if base == "threads" else ProcessExecutor
@@ -534,12 +458,43 @@ def _parse(spec: "str | Executor", source: str = "argument") -> Executor:
             workers = int(arg)
         except ValueError:
             raise ValueError(
-                f"bad worker count in executor spec {spec!r}{origin}"
+                f"bad worker count in executor spec {spec!r}"
             ) from None
         return cls(workers)
     raise ValueError(
-        f"unknown executor {spec!r}{origin}; expected 'serial', 'threads', "
+        f"unknown executor {spec!r}; expected 'serial', 'threads', "
         "'threads:N', 'processes', or 'processes:N'"
+    )
+
+
+#: The executor seam's resolver (``EXECUTORS.scoped(spec)`` installs a
+#: scoped process default; ``EXECUTORS.default()`` reads it).
+EXECUTORS: Resolver[Executor] = Resolver(
+    kind="executor",
+    base=Executor,
+    env_var="REPRO_EXECUTOR",
+    fallback="serial",
+    parse=_parse,
+)
+
+
+def get_executor(spec: "str | Executor | None" = None) -> Executor:
+    """Resolve an executor spec for *any* use, campaign scheduling
+    included — no capability check (a process pool needs neither fork
+    nor shared memory)."""
+    return EXECUTORS.resolve(spec)
+
+
+_segment_capable = methodcaller("segment_support")
+
+
+def segment_executor(
+    spec: "str | Executor | None" = None, *, degrade_explicit: bool = False
+) -> Executor:
+    """Resolve an executor that is about to schedule rank segments:
+    the capability policy is applied to ``segment_support()``."""
+    return EXECUTORS.resolve(
+        spec, usable=_segment_capable, degrade_explicit=degrade_explicit
     )
 
 

@@ -28,7 +28,6 @@ the correctness tests run in.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -44,35 +43,15 @@ from ..resilience.policy import (
     UnrecoverableMessageError,
     payload_crc,
 )
-from ..runtime.executors import Executor, SerialExecutor, get_executor
+from ..runtime.executors import Executor, segment_executor
 from ..workload import Work, WorkloadMeter
 from .clock import VirtualClock
 from .phases import PhaseLedger, PhaseScope, PhaseState
 from .timeline import Timeline
 from .tracing import CommTrace
-from .transport import REDUCERS, Transport, get_reducer
+from .transport import Transport, get_reducer
 
 _R = TypeVar("_R")
-
-# Back-compat alias: the reducer table now lives with the transport.
-_REDUCERS = REDUCERS
-
-# One warning per (executor, reason): an ambient REPRO_EXECUTOR=processes
-# on an incapable host should not drown a test suite in repeats.
-_FALLBACK_WARNED: set[str] = set()
-
-
-def _warn_segment_fallback(name: str, reason: str) -> None:
-    key = f"{name}:{reason}"
-    if key in _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED.add(key)
-    warnings.warn(
-        f"executor {name!r} cannot run rank segments here ({reason}); "
-        "this communicator falls back to serial segment scheduling",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -168,13 +147,9 @@ class Communicator:
         How :meth:`map_ranks` schedules per-rank compute segments: an
         :class:`~repro.runtime.executors.Executor`, a spec string
         (``"serial"``, ``"threads[:N]"``, ``"processes[:N]"``), or
-        ``None`` to resolve via
-        :func:`~repro.runtime.executors.get_executor` (process default,
-        then ``REPRO_EXECUTOR``, then serial).  Process executors need
-        fork + POSIX shared memory (``segment_support``): an explicit
-        incapable spec raises; an ambient one falls back to serial with
-        a warning.  Executor choice never changes results — only
-        wall-clock.
+        ``None`` for the ambient choice — resolved here, once, by
+        :func:`~repro.runtime.executors.segment_executor`.  Executor
+        choice never changes results — only wall-clock.
     """
 
     def __init__(
@@ -198,24 +173,7 @@ class Communicator:
         self._pending: list[Request] = []
         self._world: Communicator = self
         self._phase = PhaseState()
-        resolved = get_executor(executor)
-        if not resolved.in_process:
-            support = resolved.segment_support()
-            if not support.ok:
-                if executor is None:
-                    # ambient choice (process default or REPRO_EXECUTOR):
-                    # degrade to serial rather than break the caller
-                    _warn_segment_fallback(resolved.name, support.reason)
-                    resolved = SerialExecutor()
-                else:
-                    raise ValueError(
-                        f"{resolved.name!r} cannot schedule per-rank "
-                        f"compute segments on this host: {support.reason}. "
-                        "Use 'serial' or 'threads[:N]' here — campaign-"
-                        "level scheduling with process workers still "
-                        "works (see repro.campaign)"
-                    )
-        self._exec = _ExecState(resolved)
+        self._exec = _ExecState(segment_executor(executor))
         self._resil = _ResilState()
         if machine is not None:
             self._proc: ProcessorModel | None = make_model(
@@ -488,12 +446,12 @@ class Communicator:
         traces, ledgers and meters; only real wall-clock differs.  A
         region that raises charges nothing.
 
-        Out-of-process executors run segments in forked workers; their
-        deferred charges are marshalled back over a pipe and replayed
-        in the same serialized order (see
-        :meth:`_map_ranks_marshalled`).  Segments scheduled that way
+        Every segment runs with a private buffer and returns
+        ``(result, buffer)`` through ``executor.map_segments`` — plain
+        ``map`` in process, a pipe from forked workers otherwise — so
+        there is one replay path.  Segments scheduled out of process
         must return their effects (or write through shared-memory
-        arenas) — in-place mutation of ordinary parent memory dies with
+        arenas): in-place mutation of ordinary parent memory dies with
         the child.
         """
         exec_state = self._exec
@@ -502,48 +460,9 @@ class Communicator:
         idx = list(range(self.nprocs)) if indices is None else list(indices)
         if not idx:
             return []
-        if not exec_state.executor.in_process:
-            return self._map_ranks_marshalled(fn, idx)
-        buffers: list[list[tuple[int, Work]]] = [[] for _ in idx]
         tls = exec_state.tls
 
-        def segment(job: tuple[int, int]) -> _R:
-            i, index = job
-            tls.buffer = buffers[i]
-            try:
-                return fn(index)
-            finally:
-                tls.buffer = None
-
-        exec_state.active = True
-        try:
-            results = exec_state.executor.map(segment, list(enumerate(idx)))
-        finally:
-            exec_state.active = False
-            tls.buffer = None
-        for buf in buffers:
-            for g, work in buf:
-                self._charge_compute(g, work)
-        return results
-
-    def _map_ranks_marshalled(
-        self, fn: Callable[[int], _R], idx: list[int]
-    ) -> list[_R]:
-        """Out-of-process region: forked segments, charges replayed home.
-
-        In-process executors append deferred charges straight into
-        parent-owned buffers; a forked segment's appends die with the
-        child.  Here each segment runs with a fresh private buffer and
-        returns ``(result, buffer)`` through the worker pipe; the
-        parent then replays the charges in segment order — the same
-        serialized posting order the in-process path uses — so
-        meters/clocks/ledgers/traces stay bitwise-identical to serial.
-        """
-        exec_state = self._exec
-        tls = exec_state.tls
-
-        def segment(job: tuple[int, int]) -> tuple[_R, list]:
-            i, index = job
+        def segment(index: int) -> tuple[_R, list[tuple[int, Work]]]:
             buf: list[tuple[int, Work]] = []
             tls.buffer = buf
             try:
@@ -553,9 +472,7 @@ class Communicator:
 
         exec_state.active = True
         try:
-            outcomes = exec_state.executor.map_segments(
-                segment, list(enumerate(idx))
-            )
+            outcomes = exec_state.executor.map_segments(segment, idx)
         finally:
             exec_state.active = False
             tls.buffer = None

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernels import BACKENDS
 from repro.machines import list_machines
+from repro.runtime import EXECUTORS
 from repro.simmpi import Communicator
 
 
@@ -26,23 +28,31 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20050512)
 
 
+def _leaked_defaults() -> list[str]:
+    """One line per seam whose scoped default is still installed."""
+    return [
+        f"default {seam.kind} {seam.default()!r}"
+        for seam in (EXECUTORS, BACKENDS)
+        if seam.default() is not None
+    ]
+
+
+@pytest.fixture
+def leaked_defaults():
+    """The leak guard's check, for the test that shows it has teeth."""
+    return _leaked_defaults
+
+
 @pytest.fixture(autouse=True)
 def no_ambient_defaults_left_behind():
     """Fail — and clean up after — any test that leaves a process-wide
-    default executor or kernel backend installed: the next test would
-    silently run under it (a leaked ``processes`` executor forks per
-    ``map_ranks`` region for the rest of the session)."""
+    default executor or kernel backend installed (a ``scoped`` block
+    entered and never left): the next test would silently run under it
+    (a leaked ``processes`` executor forks per ``map_ranks`` region for
+    the rest of the session)."""
     yield
-    from repro.kernels import get_default_backend, set_default_backend
-    from repro.runtime import get_default_executor, set_default_executor
-
-    left = {
-        "executor": get_default_executor(),
-        "kernel backend": get_default_backend(),
-    }
-    set_default_executor(None)
-    set_default_backend(None)
-    leaked = [f"default {what} {spec!r}" for what, spec in left.items()
-              if spec is not None]
+    leaked = _leaked_defaults()
+    for seam in (EXECUTORS, BACKENDS):
+        seam._default = None  # so the next test is not blamed too
     if leaked:
         pytest.fail(f"test left {' and '.join(leaked)} installed")

@@ -356,7 +356,7 @@ class TestProcessScheduler:
             comm = Communicator(4, executor="processes:2")
             assert comm.executor.name == "processes"
         else:
-            with pytest.raises(ValueError, match="cannot schedule"):
+            with pytest.raises(ValueError, match="cannot be used here"):
                 Communicator(4, executor="processes:2")
 
     def test_communicator_rejects_process_executor_without_shm(

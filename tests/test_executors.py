@@ -21,12 +21,12 @@ import pytest
 from repro import harness
 from repro.runtime import Arena
 from repro.runtime.executors import (
+    EXECUTORS,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     available_executors,
     get_executor,
-    set_default_executor,
 )
 from repro.simmpi import Communicator
 from repro.workload import Work
@@ -39,11 +39,10 @@ needs_process_segments = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _clean_default(monkeypatch):
-    """Each test sees a pristine resolution chain."""
+    """Each test sees a pristine resolution chain (and fresh warn-once
+    memory); a leaked default is the conftest guard's to catch."""
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    set_default_executor(None)
-    yield
-    set_default_executor(None)
+    monkeypatch.setattr(EXECUTORS, "_warned", set())
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +101,14 @@ class TestResolution:
 
     def test_default_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "threads:2")
-        set_default_executor("serial")
-        assert isinstance(get_executor(), SerialExecutor)
+        with EXECUTORS.scoped("serial"):
+            assert isinstance(get_executor(), SerialExecutor)
 
     def test_set_default_resolves_and_clears(self):
-        resolved = set_default_executor("threads:5")
-        assert isinstance(resolved, ThreadExecutor)
-        assert resolved.workers == 5
-        assert get_executor().workers == 5
-        set_default_executor(None)
+        with EXECUTORS.scoped("threads:5"):
+            resolved = get_executor()
+            assert isinstance(resolved, ThreadExecutor)
+            assert resolved.workers == 5
         assert isinstance(get_executor(), SerialExecutor)
 
     @pytest.mark.parametrize(
@@ -122,10 +120,12 @@ class TestResolution:
             get_executor(bad)
 
     def test_set_default_rejects_bad_spec(self):
-        with pytest.raises(ValueError):
-            set_default_executor("bogus")
-        # a failed set must not clobber the previous default
-        assert isinstance(get_executor(), SerialExecutor)
+        with EXECUTORS.scoped("threads:2"):
+            with pytest.raises(ValueError):
+                with EXECUTORS.scoped("bogus"):
+                    pytest.fail("a bad default must not be entered")
+            # a failed install must not clobber the previous default
+            assert isinstance(get_executor(), ThreadExecutor)
 
     def test_thread_executor_validates_workers(self):
         with pytest.raises(ValueError):
@@ -284,17 +284,14 @@ class TestProcessCapabilityPolicy:
     ):
         monkeypatch.setenv("REPRO_SHM_DISABLE", "1")
         monkeypatch.setenv("REPRO_EXECUTOR", "processes:2")
-        import repro.simmpi.comm as comm_mod
-
-        monkeypatch.setattr(comm_mod, "_FALLBACK_WARNED", set())
-        with pytest.warns(RuntimeWarning, match="falls back to serial"):
+        with pytest.warns(RuntimeWarning, match="using 'serial' instead"):
             comm = Communicator(4)
         assert comm.executor.name == "serial"
         assert comm.map_ranks(lambda r: r) == [0, 1, 2, 3]
 
     def test_harness_degrades_incapable_executor(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_DISABLE", "1")
-        with pytest.warns(RuntimeWarning, match="running serial instead"):
+        with pytest.warns(RuntimeWarning, match="using 'serial' instead"):
             result = _run("lbmhd", 4, "processes:2", arena=True)
         assert result.comm.executor.name == "serial"
 

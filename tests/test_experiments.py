@@ -247,22 +247,23 @@ class TestRunnerRegistry:
         """--executor/--backend scope to the invocation: whatever default
         was installed before is installed again after."""
         from repro.experiments.runner import main
-        from repro.kernels import get_default_backend, set_default_backend
-        from repro.runtime import get_default_executor, set_default_executor
+        from repro.kernels import BACKENDS
+        from repro.runtime import EXECUTORS
 
         assert main(["--executor", "threads:2", "table2"]) == 0
-        assert get_default_executor() is None
-        set_default_executor("threads:3")
-        set_default_backend("numba")  # a name only; nothing resolves it
-        try:
+        assert EXECUTORS.default() is None
+        # "numba" is a name only here; nothing resolves it
+        with EXECUTORS.scoped("threads:3"), BACKENDS.scoped("numba"):
             args = ["--executor", "serial", "--backend", "numpy", "table2"]
             assert main(args) == 0
+            # validating a name installs nothing, so a rejected
+            # --backend cannot disturb the outer scoped default
             assert main(["--backend", "fortran", "table2"]) == 2
-            assert get_default_executor() == "threads:3"
-            assert get_default_backend() == "numba"
-        finally:
-            set_default_executor(None)
-            set_default_backend(None)
+            assert "'fortran'" in capsys.readouterr().err
+            assert EXECUTORS.default() == "threads:3"
+            assert BACKENDS.default() == "numba"
+        assert EXECUTORS.default() is None
+        assert BACKENDS.default() is None
 
     def test_cli_jobs_batches_across_processes(self, capsys):
         from repro.experiments.runner import main

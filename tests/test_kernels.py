@@ -17,6 +17,7 @@ Three layers of contract, mirroring ``docs/kernels.md``:
 
 from __future__ import annotations
 
+import collections
 import os
 import warnings
 
@@ -31,17 +32,15 @@ from repro.apps.gtc.solver import GTC, GTCParams
 from repro.apps.lbmhd.collision import CollisionParams
 from repro.apps.lbmhd.equilibrium import f_equilibrium, g_equilibrium
 from repro.kernels import (
+    BACKENDS,
     KernelBackend,
     NumPyBackend,
     available_backends,
     backend_names,
     get_backend,
     register_backend,
-    resolve_backend,
-    set_default_backend,
     unregister_backend,
 )
-from repro.kernels import registry
 from repro.simmpi.comm import Communicator
 
 
@@ -54,11 +53,10 @@ _AMBIENT_ENV_SPEC = os.environ.get("REPRO_KERNEL_BACKEND")
 
 @pytest.fixture(autouse=True)
 def _clean_backend_state(monkeypatch):
-    """Every test starts with no default, no env spec, fresh warnings."""
+    """Every test starts with no env spec and fresh warn-once memory;
+    a leaked default is the conftest guard's to catch."""
     monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
+    monkeypatch.setattr(BACKENDS, "_warned", set())
 
 
 @pytest.fixture
@@ -84,8 +82,8 @@ def test_explicit_name_and_instance_resolve():
 
 def test_default_outranks_env(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "not-a-backend")
-    set_default_backend("numpy")
-    assert get_backend().name == "numpy"  # env never consulted
+    with BACKENDS.scoped("numpy"):
+        assert get_backend().name == "numpy"  # env never consulted
 
 
 def test_explicit_outranks_default():
@@ -94,11 +92,10 @@ def test_explicit_outranks_default():
 
     register_backend("marker", Marker)
     try:
-        set_default_backend("marker")
-        assert get_backend().name == "marker"
-        assert get_backend("numpy").name == "numpy"
+        with BACKENDS.scoped("marker"):
+            assert get_backend().name == "marker"
+            assert get_backend("numpy").name == "numpy"
     finally:
-        set_default_backend(None)
         unregister_backend("marker")
 
 
@@ -127,8 +124,9 @@ def test_unknown_env_name_names_the_variable(monkeypatch):
 
 def test_set_default_validates_eagerly():
     with pytest.raises(ValueError, match="valid choices"):
-        set_default_backend("fortran")
-    assert get_backend().name == "numpy"  # nothing was installed
+        with BACKENDS.scoped("fortran"):
+            pytest.fail("a bad default must not be entered")
+    assert BACKENDS.default() is None  # nothing was installed
 
 
 def test_non_string_spec_is_type_error():
@@ -143,14 +141,13 @@ def test_explicit_unavailable_raises_naming_reason(monkeypatch):
     monkeypatch.setenv("REPRO_NUMBA_DISABLE", "1")
     with pytest.raises(ValueError) as exc:
         get_backend("numba")
-    assert "unavailable here" in str(exc.value)
+    assert "cannot be used here" in str(exc.value)
     assert "REPRO_NUMBA_DISABLE" in str(exc.value)
 
 
 def test_ambient_unavailable_warns_once_and_degrades(monkeypatch):
     monkeypatch.setenv("REPRO_NUMBA_DISABLE", "1")
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-    registry._clear_warned()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert get_backend().name == "numpy"
@@ -160,22 +157,6 @@ def test_ambient_unavailable_warns_once_and_degrades(monkeypatch):
     ]
     assert len(relevant) == 1  # once per process, not per call
     assert issubclass(relevant[0].category, RuntimeWarning)
-
-
-def test_resolve_backend_degrades_explicit_unavailable(monkeypatch):
-    monkeypatch.setenv("REPRO_NUMBA_DISABLE", "1")
-    registry._clear_warned()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert resolve_backend("numba").name == "numpy"
-    assert any(
-        "kernel backend 'numba'" in str(w.message) for w in caught
-    )
-
-
-def test_resolve_backend_still_rejects_unknown_names():
-    with pytest.raises(ValueError, match="valid choices"):
-        resolve_backend("fortran")
 
 
 def test_available_backends_reports_every_registration():
@@ -198,14 +179,11 @@ class _DoublingBackend(KernelBackend):
 
 
 def test_registered_backend_is_dispatched():
-    from repro.kernels import fvcam as fvcam_kernels
-
     register_backend("toy", _DoublingBackend)
     try:
         h = np.arange(24.0).reshape(2, 3, 4)
-        ref = fvcam_kernels.suffix_sum(h)
-        toy = fvcam_kernels.suffix_sum(h, backend="toy")
-        assert_array_equal(toy, 2.0 * ref)
+        ref = get_backend("numpy").fvcam_suffix_sum(h)
+        assert_array_equal(get_backend("toy").fvcam_suffix_sum(h), 2.0 * ref)
         # non-overridden kernels inherit the reference
         g = get_backend("toy").fvcam_geopotential(h, 9.8)
         assert_array_equal(g, get_backend("numpy").fvcam_geopotential(h, 9.8))
@@ -496,3 +474,37 @@ def test_solver_ctor_accepts_backend_spec():
         solver.run(2)
     assert_array_equal(by_name.global_state(), by_inst.global_state())
     assert_array_equal(by_name.global_state(), ambient.global_state())
+
+
+class _CountingBackend(NumPyBackend):
+    """Reference kernels that count every ``paratec_*`` lookup."""
+
+    name = "counting"
+
+    def __init__(self) -> None:
+        self.calls: collections.Counter = collections.Counter()
+
+    def __getattribute__(self, attr: str):
+        if attr.startswith("paratec_"):
+            object.__getattribute__(self, "calls")[attr] += 1
+        return object.__getattribute__(self, attr)
+
+
+_CG_KERNELS = (
+    "paratec_cg_axpy", "paratec_cg_scale", "paratec_cg_precondition"
+)
+
+
+def test_explicit_backend_reaches_the_paratec_cg_sweep():
+    """The backend a solver is handed runs *all* of its kernels — the
+    CG sweep primitives too, which used to ask the ambient chain on
+    every call and so never saw an explicit backend."""
+    from repro.apps.paratec.solver import Paratec, ParatecParams
+
+    explicit, ambient = _CountingBackend(), _CountingBackend()
+    with BACKENDS.scoped(ambient):
+        solver = Paratec(ParatecParams(), Communicator(4), kernels=explicit)
+        solver.scf_step()
+    for kernel in _CG_KERNELS + ("paratec_fft_z",):
+        assert explicit.calls[kernel] > 0, kernel
+    assert not ambient.calls

@@ -73,8 +73,10 @@ class GTCParams:
 #
 # Module-level ``(rank, shm, args)`` callables (docs/executors.md):
 # bound per region with ``functools.partial``; every segment returns
-# its result so forked workers marshal effects home instead of
-# mutating parent memory they cannot reach.
+# its result so team workers marshal effects home instead of mutating
+# parent memory they cannot reach.  With a shared-memory arena the
+# particles live in it (``GTC._rehome``), so the regions' bulk traffic
+# — particles in, pushed particles out — goes by reference.
 
 
 def _deposit_segment(rank: int, shm, args) -> np.ndarray:
@@ -123,29 +125,11 @@ def _field_segment(domain: int, shm, args) -> list:
     return out
 
 
-def _push_out(shm, rank: int, n: int, parity: int) -> ParticleArray | None:
-    """Arena-backed destination particles for the push ping-pong.
-
-    Keys alternate on step parity so the buffers being written never
-    alias the (previous step's) particles being read.
-    """
-    if shm is None:
-        return None
-    tag = f"gtc.push.{parity}"
-    sc = shm.for_rank(rank).scratch
-    return ParticleArray(
-        r=sc(tag + ".r", (n,)),
-        theta=sc(tag + ".theta", (n,)),
-        zeta=sc(tag + ".zeta", (n,)),
-        vpar=sc(tag + ".vpar", (n,)),
-        weight=sc(tag + ".weight", (n,)),
-        species=sc(tag + ".species", (n,)),
-    )
-
-
 def _push_segment(rank: int, shm, args) -> ParticleArray:
     """Gather E at one rank's particles and advance them; returns the
-    pushed particles."""
+    pushed particles (in ``args.outs[rank]`` when the run has an arena:
+    the caller allocated it, so under a process executor it is shared
+    memory and comes home by reference)."""
     p = args.particles[rank]
     # e_fields may be shared between the ranks of a domain in arena
     # mode — segments only read them.
@@ -157,7 +141,7 @@ def _push_segment(rank: int, shm, args) -> ParticleArray:
         er_p,
         et_p,
         args.push_params,
-        out=_push_out(shm, rank, len(p), args.parity),
+        out=None if args.outs is None else args.outs[rank],
     )
     args.comm.compute(rank, push_work(len(p), args.vectorized))
     return new
@@ -207,6 +191,9 @@ class GTC:
             self.particles.extend(
                 split_particles(pool, self.decomp.npe_per_domain)
             )
+        #: per-rank length of the arena's particle buffers
+        self._capacity = [0] * comm.nprocs
+        self.particles = self._rehome(self.particles)
         self.charge: list[np.ndarray] = [
             self.torus.plane.zeros() for _ in range(comm.nprocs)
         ]
@@ -278,8 +265,50 @@ class GTC:
                 self.phi[lo + k] = fields[0]
                 self.e_fields.append(fields[1])
 
+    def _buffers(self, tag: str, rank: int, n: int) -> ParticleArray:
+        """Arena-backed storage for ``n`` particles of ``rank``: views
+        into component buffers keyed by a per-rank capacity, not by
+        ``n`` — populations change with every shift, and the arena
+        keeps every shape it is ever asked for."""
+        if n > self._capacity[rank]:
+            # room to grow: a fresh, larger set only every so often
+            self._capacity[rank] = n + n // 4
+        scratch = self.arena.for_rank(rank).scratch
+        return ParticleArray(
+            *(
+                scratch(f"{tag}.{name}", (self._capacity[rank],))[:n]
+                for name in PARTICLE_FIELDS
+            )
+        )
+
+    def _rehome(self, particles: list[ParticleArray]) -> list[ParticleArray]:
+        """With a shared-memory arena, move the populations into it.
+
+        The shift (and a restore) leaves them in private arrays, which
+        a process executor would copy to its workers with every region
+        of the next step; arena buffers go by reference instead.
+        """
+        if self.arena is None or not self.arena.shared:
+            return particles
+        homed = []
+        for rank, p in enumerate(particles):
+            dest = self._buffers("gtc.particles", rank, len(p))
+            for name in PARTICLE_FIELDS:
+                getattr(dest, name)[...] = getattr(p, name)
+            homed.append(dest)
+        return homed
+
     def push_phase(self) -> None:
         """Gather + guiding-center advance (phase 4)."""
+        outs = None
+        if self.arena is not None:
+            # keys alternate on step parity so the buffers being
+            # written never alias the particles being read
+            tag = f"gtc.push.{self.step_count % 2}"
+            outs = [
+                self._buffers(tag, rank, len(p))
+                for rank, p in enumerate(self.particles)
+            ]
         args = SimpleNamespace(
             comm=self.comm,
             grid=self.torus.plane,
@@ -287,17 +316,13 @@ class GTC:
             particles=self.particles,
             e_fields=self.e_fields,
             push_params=self.push_params,
-            parity=self.step_count % 2,
+            outs=outs,
             vectorized=self.params.use_work_vector,
             kernels=self.kernels,
         )
         self.particles = self.comm.map_ranks(
             partial(_push_segment, shm=self.arena, args=args)
         )
-
-    def _push_buffers(self, rank: int, n: int) -> ParticleArray | None:
-        """Back-compat shim over :func:`_push_out` (same ping-pong)."""
-        return _push_out(self.arena, rank, n, self.step_count % 2)
 
     def shift_phase(self) -> None:
         """Toroidal particle exchange (phase 5)."""
@@ -318,8 +343,14 @@ class GTC:
         rank_neighbors = [
             self.decomp.shift_neighbors(r) for r in range(self.comm.nprocs)
         ]
-        self.particles = shift_particles(
-            self.comm, self.torus, rank_domain, rank_neighbors, self.particles
+        self.particles = self._rehome(
+            shift_particles(
+                self.comm,
+                self.torus,
+                rank_domain,
+                rank_neighbors,
+                self.particles,
+            )
         )
 
     def step(self) -> None:
@@ -361,12 +392,14 @@ class GTC:
     def restore_state(self, snapshot: dict) -> None:
         if len(snapshot["charge"]) != self.comm.nprocs:
             raise ValueError("checkpoint rank count mismatch")
-        self.particles = [
-            ParticleArray(
-                **{k: np.array(v, copy=True) for k, v in d.items()}
-            )
-            for d in snapshot["particles"]
-        ]
+        self.particles = self._rehome(
+            [
+                ParticleArray(
+                    **{k: np.array(v, copy=True) for k, v in d.items()}
+                )
+                for d in snapshot["particles"]
+            ]
+        )
         self.charge = [np.array(c, copy=True) for c in snapshot["charge"]]
         self.phi = [np.array(f, copy=True) for f in snapshot["phi"]]
         self.step_count = int(snapshot["step_count"])

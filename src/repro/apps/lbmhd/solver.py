@@ -136,14 +136,13 @@ def equilibrium_state(
 
 # -- rank segments -----------------------------------------------------
 #
-# Module-level callables with the ``(rank, shm, args)`` signature the
-# executor seam requires (docs/executors.md): ``shm`` is the run's
-# arena (shared-memory-backed under a process executor, or None) and
-# ``args`` a namespace of region inputs bound once per region with
-# ``functools.partial``.  Segments either return their effects (the
-# allocating path) or write through shared arena views (the batched
-# fast path) — never through private parent memory, which a forked
-# worker cannot mutate.
+# Module-level callables (docs/executors.md) bound once per region with
+# ``functools.partial`` to ``args``, a namespace of region inputs.  The
+# per-rank ``(rank, shm, args)`` segments of the allocating path return
+# their effects; the ``(lo, hi, args)`` shard segments of the arena
+# path write through arena views in ``args`` (shared memory under a
+# process executor) — never through private parent memory, which a
+# team worker cannot reach.
 
 
 def _collide_segment(rank: int, shm, args) -> np.ndarray:
@@ -172,26 +171,25 @@ def _stream_segment(rank: int, shm, args) -> np.ndarray:
     return args.kernels.lbmhd_stream_from_padded(args.padded[rank])
 
 
-def _collide_block_segment(rank: int, shm, args) -> None:
-    """Batched-block collide: writes the rank's padded-core slice.
-
-    Effectful through arena views (``args.block``/``args.core`` live in
-    the run arena), so under a process executor this segment is only
-    scheduled when that arena is shared memory.
-    """
+def _collide_shard(lo: int, hi: int, args) -> None:
+    """Collide ranks ``lo:hi`` of the state block in one batched call,
+    straight into the ghost-padded core: no separate post-collision
+    buffer, no pack copy.  Scratch comes from the shard's own child
+    arena, so concurrent shards never alias a workspace."""
     args.kernels.lbmhd_collide(
-        args.block[:, rank],
+        args.block[:, lo:hi],
         args.collision,
-        out=args.core[:, rank],
-        arena=shm.for_rank(rank),
+        out=args.core[:, lo:hi],
+        arena=args.arena.for_rank(lo),
     )
-    args.comm.compute(rank, args.work)
+    for rank in range(lo, hi):
+        args.comm.compute(rank, args.work)
 
 
-def _stream_block_segment(rank: int, shm, args) -> None:
-    """Batched-block stream: padded slice back into the state block."""
-    args.kernels.lbmhd_stream_from_padded(
-        args.padded[:, rank], out=args.block[:, rank]
+def _stream_shard(lo: int, hi: int, args) -> None:
+    """Stream ranks ``lo:hi``: padded block back into the state block."""
+    args.kernels.lbmhd_stream_from_padded_batch(
+        args.padded[:, lo:hi], out=args.block[:, lo:hi]
     )
 
 
@@ -241,7 +239,7 @@ class LBMHD3D:
         self.states: list[np.ndarray] = self.decomp.scatter(global_state)
         self._state_block: np.ndarray | None = None
         # The batched fast path mutates the state block in place from
-        # rank segments; a forked worker's writes only reach the parent
+        # rank segments; a team worker's writes only reach the parent
         # when the block lives in shared memory, so on a process
         # executor the fast path requires a shared arena (the harness
         # provisions one) and otherwise the allocating path — whose
@@ -315,52 +313,28 @@ class LBMHD3D:
         core = padded_block[:, :, 1 : lx + 1, 1 : ly + 1, 1 : lz + 1]
         work = collision_work(lx * ly * lz)
 
-        # The per-rank slice kernels are bitwise-identical to the
-        # batched whole-block kernels (point-local arithmetic, pinned
-        # tile width), so the executor only picks which shape runs: a
-        # serial executor keeps the batched calls (one large NumPy op
-        # beats 2P small ones on a single core), a parallel executor
-        # gets per-rank segments that overlap across worker threads.
-        # Either way each rank's charge lands in rank order.
-        if not self.comm.executor.parallel:
-
-            def collide_rank(rank: int) -> None:
-                if rank == 0:
-                    # Collide straight into the ghost-padded core: no
-                    # separate post-collision buffer, no pack copy.
-                    self.kernels.lbmhd_collide(
-                        block, self.params.collision, out=core, arena=arena
-                    )
-                self.comm.compute(rank, work)
-
-            def stream_rank(rank: int) -> None:
-                if rank == 0:
-                    self.kernels.lbmhd_stream_from_padded_batch(
-                        padded_block, out=block
-                    )
-
-        else:
-            # Each segment writes a disjoint [:, rank] slice and
-            # scratches from its own per-rank child arena, so segments
-            # are independent (across threads or forked workers alike).
-            args = SimpleNamespace(
-                comm=self.comm,
-                block=block,
-                core=core,
-                padded=padded_block,
-                collision=self.params.collision,
-                work=work,
-                kernels=self.kernels,
-            )
-            collide_rank = partial(_collide_block_segment, shm=arena, args=args)
-            stream_rank = partial(_stream_block_segment, shm=arena, args=args)
-
+        # One batched call per shard of ranks; the kernels are
+        # point-local with a pinned tile width, so any sharding is
+        # bitwise-identical to the whole block (a serial executor's one
+        # shard) and to rank-by-rank calls.  Shards write disjoint
+        # ``[:, lo:hi]`` slices, so they are independent across worker
+        # threads and team workers alike.
+        args = SimpleNamespace(
+            comm=self.comm,
+            arena=arena,
+            block=block,
+            core=core,
+            padded=padded_block,
+            collision=self.params.collision,
+            work=work,
+            kernels=self.kernels,
+        )
         with self.comm.phase("collision"):
-            self.comm.map_ranks(collide_rank)
+            self.comm.map_shards(partial(_collide_shard, args=args))
 
         with self.comm.phase("stream"):
             exchange_halos_block(self.comm, self.decomp, padded_block)
-            self.comm.map_ranks(stream_rank)
+            self.comm.map_shards(partial(_stream_shard, args=args))
 
     def run(self, steps: int) -> None:
         for _ in range(steps):

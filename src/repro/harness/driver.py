@@ -212,7 +212,7 @@ def run(
 
     ledger = comm.attach_phase_ledger() if instrument else None
 
-    # A process executor runs segments in forked workers, which can
+    # A process executor runs segments in team workers, which can
     # only mutate arena buffers the parent also sees — so a private
     # arena is upgraded to a shared-memory one for the duration of the
     # run.  The pool is closed (segments unlinked) deterministically
@@ -305,6 +305,9 @@ def run(
 
         diagnostics = adapter.diagnostics(state)
     finally:
+        # the rank team (if the run had one) goes with the run: its
+        # workers hold mappings of the pool closed just below
+        comm.executor.close()
         if owned_pool is not None:
             owned_pool.close()
     return HarnessResult(

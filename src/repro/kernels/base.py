@@ -16,8 +16,9 @@ reference for every kernel*, across decompositions and executors (the
 meet that bar for some kernel must not override it.
 
 Backends are stateless (safe to share across threads and to inherit
-copy-on-write into forked segment workers) and are resolved through
-:mod:`repro.kernels.registry`.
+copy-on-write into forked rank-team workers, which is why a team
+message names a backend by token instead of copying it) and are
+resolved through :mod:`repro.kernels.registry`.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from typing import Any
 import numpy as np
 
 from ..runtime.resolve import Support
+from ..runtime.team import Tokened
 
 
 #: What :meth:`KernelBackend.available` returns.
 KernelSupport = Support
 
 
-class KernelBackend:
+class KernelBackend(Tokened):
     """One implementation family for the solvers' hot kernels.
 
     The base class is the NumPy reference: every method calls the

@@ -7,11 +7,14 @@
   segments from aliasing a workspace;
 * :mod:`repro.runtime.shm` — the shared-memory backing for arenas:
   :class:`SharedArenaPool` owns POSIX shared-memory slabs and serves
-  :class:`ShmArena` buffers as views into them, so forked process
-  workers mutate rank state the parent can see (zero-copy exchange);
+  :class:`ShmArena` buffers as views into them, so worker processes
+  mutate rank state the parent can see (zero-copy exchange);
 * :mod:`repro.runtime.executors` — the executor seam: serial lockstep,
-  a thread pool, or forked worker processes for per-rank compute
-  segments;
+  a thread pool, or worker processes for per-rank compute segments;
+* :mod:`repro.runtime.team` — the persistent rank team behind the
+  process executor: workers forked once per run, regions sent as
+  messages (shared-memory arrays by reference, communicators, arenas
+  and kernel backends by token, the rest by value);
 * :mod:`repro.runtime.resolve` — the one resolution rule (precedence
   chain + capability policy) the executor and kernel-backend seams
   both instantiate;

@@ -37,10 +37,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .team import Tokened
+
 
 @dataclass
-class Arena:
+class Arena(Tokened):
     """A pool of named, shape/dtype-keyed scratch buffers.
+
+    Travels to a rank-team worker by token (:class:`~repro.runtime.
+    team.Tokened`): a segment given an arena draws scratch from the
+    worker's own copy, private to that worker.
 
     Attributes
     ----------

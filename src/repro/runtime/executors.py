@@ -7,23 +7,23 @@ range(nprocs)`` loop.  The executor seam makes that loop pluggable:
 * :class:`SerialExecutor` — run segments one after another on the
   calling thread.  This is the default and reproduces the historical
   lockstep semantics exactly.
-* :class:`ThreadExecutor` — dispatch segments to a shared thread pool.
-  The rank kernels are NumPy-heavy and release the GIL inside array
-  arithmetic, so independent rank segments genuinely overlap on a
-  multi-core host.
+* :class:`ThreadExecutor` — run contiguous shards of the segments on
+  a shared thread pool, one task per worker.  Threads overlap only
+  where a kernel releases the GIL for long enough; see
+  ``docs/executors.md`` for what that has measured to.
 * :class:`ProcessExecutor` — run jobs in worker *processes*, two ways.
   Coarse campaign-level jobs (whole ``harness.run`` invocations with
   picklable dict arguments/results, see :mod:`repro.campaign`) go
   through the long-lived shared pool (:meth:`~Executor.map` /
   :meth:`~Executor.imap_unordered`).  Per-rank compute segments go
-  through :meth:`ProcessExecutor.map_segments`: each parallel region
-  forks fresh children that inherit the caller's live memory
-  copy-on-write, so segment callables need not pickle — only their
-  results (and deferred accounting charges) ride back over a pipe.
-  Segment scheduling needs ``fork`` plus POSIX shared memory (for the
-  solvers' in-place state blocks); :meth:`~Executor.segment_support`
-  reports whether this host qualifies and why not;
-  :func:`segment_executor` applies the capability policy to it.
+  through :meth:`ProcessExecutor.map_segments` to the executor's
+  persistent :class:`~repro.runtime.team.RankTeam`: workers forked
+  once, at the first parallel region, and sent every later region as a
+  message.  Segment scheduling needs ``fork`` plus POSIX shared memory
+  (for the solvers' in-place state blocks);
+  :meth:`~Executor.segment_support` reports whether this host
+  qualifies and why not; :func:`segment_executor` applies the
+  capability policy to it.
 
 Executors schedule **compute only**.  Communication stays serialized
 between parallel regions (see ``Communicator.map_ranks``), and the
@@ -49,6 +49,7 @@ from operator import methodcaller
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .resolve import Resolver, Support
+from .team import RankTeam, contiguous_shards
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -74,8 +75,8 @@ class Executor:
     parallel: bool = False
     #: True when jobs run in the calling process, sharing its memory.
     #: Process executors set this False; their rank segments run in
-    #: forked workers (see :meth:`map_segments`) and must route effects
-    #: through return values or shared-memory buffers.
+    #: team workers (see :meth:`map_segments`) and must route effects
+    #: through return values or shared-memory arguments.
     in_process: bool = True
 
     def map(
@@ -97,12 +98,18 @@ class Executor:
     ) -> list[_R]:
         """Like :meth:`map`, for rank segments specifically.
 
-        In-process executors have no distinction to make.  Process
-        executors override this with the fork-per-region path, which is
-        what lets segment callables stay unpicklable closures over the
-        caller's live memory.
+        In-process executors have no distinction to make.  The process
+        executor overrides this to step the segments on its rank team
+        (its :meth:`map` is the campaign job pool).  Either way a
+        parallel executor gives each worker one contiguous shard of
+        ``items`` (:func:`~repro.runtime.team.contiguous_shards`).
         """
         return self.map(fn, items)
+
+    def close(self) -> None:
+        """Release what the executor holds between regions (a process
+        executor's rank team).  Idempotent; the executor stays usable —
+        the next region brings it all back."""
 
     def imap_unordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
@@ -158,8 +165,12 @@ def _shared_pool(workers: int) -> _ThreadPool:
         return pool
 
 
+def _run_items(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
+    return [fn(item) for item in items]
+
+
 class ThreadExecutor(Executor):
-    """Run segments on a shared thread pool (NumPy releases the GIL).
+    """Run segments on a shared thread pool.
 
     ``workers=None`` picks ``min(8, os.cpu_count())`` — eight threads
     saturate the per-rank segment sizes the benchmarks use, and more
@@ -179,13 +190,23 @@ class ThreadExecutor(Executor):
 
     def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
+        shards = contiguous_shards(len(items), self.workers)
+        if len(shards) <= 1:
+            return _run_items(fn, items)
         pool = _shared_pool(self.workers)
-        futures = [pool.submit(fn, item) for item in items]
-        # result() in submission order: ordered results, and the first
-        # failing item's exception (not an arbitrary thread's).
-        return [f.result() for f in futures]
+        # one task per worker, not one future per item
+        futures = [
+            pool.submit(_run_items, fn, items[lo:hi]) for lo, hi in shards
+        ]
+        # a shard stops at its first failing item and shards are read
+        # in item order, so this raises the first failure in item order
+        try:
+            return [result for f in futures for result in f.result()]
+        except BaseException:
+            # the caller takes the region as over once this raises, so
+            # the shards still running must be, too
+            wait(futures)
+            raise
 
     def imap_unordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
@@ -249,64 +270,26 @@ def shutdown_process_pools() -> None:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _segment_shard_main(conn, fn, shard) -> None:
-    """Forked-child entry: run a shard of ``(index, item)`` segments.
-
-    Collects ``(index, ok, value-or-exception)`` triples and ships the
-    whole shard's outcomes in one pipe message.  A result that refuses
-    to pickle is downgraded to a per-item error (retrying the send
-    is safe: ``Connection.send`` pickles fully before writing any
-    bytes, so a failed send leaves the stream clean).
-    """
-    out = []
-    for i, item in shard:
-        try:
-            out.append((i, True, fn(item)))
-        except BaseException as exc:  # noqa: BLE001 - marshalled to parent
-            out.append((i, False, exc))
-    try:
-        conn.send(out)
-    except Exception:
-        import pickle
-
-        safe = []
-        for i, ok, value in out:
-            try:
-                pickle.dumps(value)
-            except Exception as exc:
-                ok, value = False, RuntimeError(
-                    f"segment {i} produced a result that cannot be "
-                    f"pickled back to the parent: {exc!r}"
-                )
-            safe.append((i, ok, value))
-        conn.send(safe)
-    finally:
-        conn.close()
-
-
 class ProcessExecutor(Executor):
-    """Run jobs on worker processes — pooled jobs or forked segments.
+    """Run jobs on worker processes — pooled jobs or team segments.
 
     Campaign-level scheduling (:meth:`map` / :meth:`imap_unordered`)
     uses the long-lived shared pool: ``fn`` must be a module-level
     callable and items/results must pickle (plain dicts in practice —
     see ``repro.campaign.worker``).
 
-    Rank segments (:meth:`map_segments`) cannot use a long-lived pool:
-    they are closures over the caller's *live* solver state, which a
-    worker forked at pool-construction time would see stale.  Each
-    parallel region therefore forks fresh children (copy-on-write, no
-    pickling of the callable), shards the segments contiguously across
-    them, and pipes only results and deferred accounting charges back.
-    In-place writes to ordinary memory die with the child — segments
-    scheduled here must return their effects or write through
-    shared-memory buffers (:class:`~repro.runtime.shm.ShmArena`);
+    Rank segments (:meth:`map_segments`) go to :attr:`team`, this
+    executor's own :class:`~repro.runtime.team.RankTeam`; its module
+    docstring has the rule for what a region message carries and when
+    the team is re-forked.  :meth:`close` stops the workers (``harness.
+    run`` does so when the run ends; an executor nobody closed is
+    cleaned up when it is garbage-collected or the process exits).
     :meth:`segment_support` gates the whole mode on ``fork`` + POSIX
     shared memory being available.
 
     ``workers=None`` uses every core — both whole-run campaign jobs
-    and forked rank segments scale to the host, unlike the eight-way
-    segment sweet spot the thread pool targets.
+    and rank segments scale to the host, unlike the eight-way segment
+    sweet spot the thread pool targets.
     """
 
     name = "processes"
@@ -320,6 +303,11 @@ class ProcessExecutor(Executor):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
+        #: no process exists until the first region that needs one
+        self.team = RankTeam(workers)
+
+    def close(self) -> None:
+        self.team.close()
 
     def segment_support(self) -> Support:
         import multiprocessing
@@ -327,9 +315,9 @@ class ProcessExecutor(Executor):
         if "fork" not in multiprocessing.get_all_start_methods():
             return Support(
                 False,
-                "the host has no fork start method (segment callables "
-                "close over live solver state and cannot be pickled to "
-                "spawned workers)",
+                "the host has no fork start method (rank-team workers "
+                "inherit the solver the parent built; spawned workers "
+                "could not)",
             )
         from .shm import shm_available
 
@@ -353,78 +341,17 @@ class ProcessExecutor(Executor):
         self, fn: Callable[[_T], _R], items: Sequence[_T]
     ) -> list[_R]:
         items = list(items)
-        if len(items) <= 1 or self.workers == 1:
-            # nothing to overlap: run inline, skip the fork entirely
-            return [fn(item) for item in items]
+        shards = contiguous_shards(len(items), self.workers)
+        if len(shards) <= 1:
+            # nothing to overlap: run inline, no worker involved
+            return _run_items(fn, items)
         support = self.segment_support()
         if not support.ok:
             raise RuntimeError(
                 f"process executor cannot run rank segments here: "
                 f"{support.reason}"
             )
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        nworkers = min(self.workers, len(items))
-        shards: list[list[tuple[int, _T]]] = []
-        base, extra = divmod(len(items), nworkers)
-        lo = 0
-        for w in range(nworkers):
-            hi = lo + base + (1 if w < extra else 0)
-            shards.append([(i, items[i]) for i in range(lo, hi)])
-            lo = hi
-
-        procs, conns = [], []
-        for shard in shards:
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            p = ctx.Process(
-                target=_segment_shard_main,
-                args=(send_end, fn, shard),
-                daemon=True,
-            )
-            p.start()
-            send_end.close()  # parent keeps only the receiving end
-            procs.append(p)
-            conns.append(recv_end)
-
-        outcomes: list = [None] * len(items)
-        errors: list[tuple[int, BaseException]] = []
-        try:
-            for shard, conn, p in zip(shards, conns, procs):
-                try:
-                    payload = conn.recv()
-                except EOFError:
-                    payload = None
-                p.join()
-                if payload is None:
-                    errors.append(
-                        (
-                            shard[0][0],
-                            RuntimeError(
-                                f"segment worker (pid {p.pid}) died with "
-                                f"exit code {p.exitcode} before returning "
-                                "results"
-                            ),
-                        )
-                    )
-                    continue
-                for i, ok, value in payload:
-                    if ok:
-                        outcomes[i] = value
-                    else:
-                        errors.append((i, value))
-        finally:
-            for conn in conns:
-                conn.close()
-            for p in procs:
-                if p.is_alive():  # pragma: no cover - error unwind only
-                    p.terminate()
-                p.join()
-        if errors:
-            # first failure in item order, matching map()'s contract
-            errors.sort(key=lambda e: e[0])
-            raise errors[0][1]
-        return outcomes
+        return self.team.run(fn, items, shards)
 
     def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         items = list(items)

@@ -41,11 +41,20 @@ picklable by-name description of the pool for processes that did *not*
 fork from the creator — spawned workers attach each slab by name and
 resolve labeled buffers to views.  Forked workers don't need it: they
 inherit the mappings.
+
+Every slab a process can see (created here, inherited at fork, or
+attached since) is in one per-process table; :func:`reduce_ndarray`
+and :func:`slab_view` use it to send an array that lives in a slab
+across a process boundary as ``(slab name, offset, shape, strides,
+dtype)`` instead of as bytes — the by-reference rule of
+:mod:`repro.runtime.team`.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import pickle
 import threading
 import weakref
 from dataclasses import dataclass
@@ -127,6 +136,7 @@ def _release_segments(segments: list, owner_pid: int) -> None:
     """
     if os.getpid() != owner_pid:
         return
+    _forget_slabs([seg.name for seg in segments])
     for seg in segments:
         try:
             seg.unlink()
@@ -135,22 +145,92 @@ def _release_segments(segments: list, owner_pid: int) -> None:
         _detach_segment(seg)
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment by name, without tracker ownership.
+class _GuestSegment:
+    """An existing segment attached by name: mapped, never owned.
 
-    On Python < 3.13, ``SharedMemory(name)`` registers the segment with
-    this process's resource tracker even though it did not create it —
-    exiting would then both warn about and *unlink* a segment the
-    creator still owns.  Attachers are guests: unregister immediately.
+    ``SharedMemory(name)`` is not used because before Python 3.13 it
+    registers the segment with the resource tracker, and a process
+    forked from the creator *shares the creator's tracker*: the guest's
+    register/unregister pair cancels the owner's registration, and the
+    tracker prints a ``KeyError`` traceback when the owner unlinks.  A
+    guest has nothing to tell the tracker, so it maps the segment
+    itself.
     """
-    seg = shared_memory.SharedMemory(name=name)
-    try:
-        from multiprocessing import resource_tracker
 
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker API drift
-        pass
-    return seg
+    def __init__(self, name: str) -> None:
+        import _posixshmem  # what SharedMemory itself is built on
+
+        fd = _posixshmem.shm_open(
+            "/" + name.lstrip("/"), os.O_RDWR, mode=0o600
+        )
+        try:
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        self.buf: memoryview | None = memoryview(self._mmap)
+
+    def detach(self) -> None:
+        """Drop the handle; live views keep the mapping (see
+        :func:`_detach_segment`)."""
+        self.buf = None
+        self._mmap = None
+
+
+# -- arrays by reference ----------------------------------------------------
+
+#: name -> (first address, end address, buffer) of every slab mapped in
+#: this process.  Replaced, never mutated, so readers need no lock.
+_SLABS: dict[str, tuple[int, int, memoryview]] = {}
+_slabs_lock = threading.Lock()
+
+
+def _remember_slab(name: str, buf: memoryview) -> None:
+    global _SLABS
+    start = np.frombuffer(buf, dtype=np.uint8).__array_interface__["data"][0]
+    with _slabs_lock:
+        _SLABS = {**_SLABS, name: (start, start + len(buf), buf)}
+
+
+def _forget_slabs(names: list[str]) -> None:
+    global _SLABS
+    with _slabs_lock:
+        _SLABS = {k: v for k, v in _SLABS.items() if k not in names}
+
+
+def slab_view(
+    name: str,
+    offset: int,
+    shape: tuple[int, ...],
+    strides: tuple[int, ...],
+    dtype: np.dtype,
+) -> np.ndarray:
+    """The array :func:`reduce_ndarray` described, over this process's
+    mapping of the slab; a slab not seen before (created after this
+    process forked) is attached by name and kept."""
+    entry = _SLABS.get(name)
+    if entry is None:
+        _remember_slab(name, _GuestSegment(name).buf)
+        entry = _SLABS[name]
+    return np.ndarray(
+        shape, dtype=dtype, buffer=entry[2], offset=offset, strides=strides
+    )
+
+
+def reduce_ndarray(arr: np.ndarray):
+    """Pickle reducer: an array whose memory lies in a live slab goes
+    by reference, any other array by value.
+
+    A view's first element lies inside the slab it was cut from, so
+    one address comparison settles it, whatever the strides.
+    """
+    if arr.size:
+        ptr = arr.__array_interface__["data"][0]
+        for name, (start, end, _buf) in _SLABS.items():
+            if start <= ptr < end:
+                return slab_view, (
+                    name, ptr - start, arr.shape, arr.strides, arr.dtype
+                )
+    return arr.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
 
 
 @dataclass(frozen=True)
@@ -174,7 +254,7 @@ class AttachedPool:
     """A foreign process's live attachment to a pool's slabs."""
 
     def __init__(self, handles: ShmHandles) -> None:
-        self._segments = [_attach_segment(n) for n in handles.segments]
+        self._segments = [_GuestSegment(n) for n in handles.segments]
         self._index = {
             label: (seg, off, shape, dtype)
             for label, seg, off, shape, dtype in handles.buffers
@@ -196,7 +276,7 @@ class AttachedPool:
     def close(self) -> None:
         """Detach (never unlink — attachers are guests, not owners)."""
         for seg in self._segments:
-            _detach_segment(seg)
+            seg.detach()
         self._segments = []
 
 
@@ -275,6 +355,7 @@ class SharedArenaPool:
                 seg = shared_memory.SharedMemory(create=True, size=size)
                 self._segments.append(seg)
                 self._spare = size
+                _remember_slab(seg.name, seg.buf)
             seg_idx = len(self._segments) - 1
             seg = self._segments[seg_idx]
             offset = seg.size - self._spare

@@ -16,9 +16,10 @@ The :class:`Communicator` itself is a facade over four composed layers:
 * :class:`~repro.simmpi.tracing.CommTrace` /
   :class:`~repro.simmpi.phases.PhaseLedger` — IPM-style instrumentation;
 * :class:`~repro.runtime.executors.Executor` — how per-rank compute
-  segments are scheduled (serial lockstep, a thread pool, or forked
-  worker processes over shared-memory arenas), reached through
-  :meth:`Communicator.map_ranks`.
+  segments are scheduled (serial lockstep, a thread pool, or a
+  persistent team of forked worker processes over shared-memory
+  arenas), reached through :meth:`Communicator.map_ranks` and
+  :meth:`Communicator.map_shards`.
 
 Passing ``machine=None`` yields an *ideal* communicator: data still
 moves and traces still record, but no time is charged — this is the mode
@@ -44,6 +45,7 @@ from ..resilience.policy import (
     payload_crc,
 )
 from ..runtime.executors import Executor, segment_executor
+from ..runtime.team import Tokened, contiguous_shards
 from ..workload import Work, WorkloadMeter
 from .clock import VirtualClock
 from .phases import PhaseLedger, PhaseScope, PhaseState
@@ -108,6 +110,52 @@ class _ExecState:
         self.tls = threading.local()
 
 
+class _Segment:
+    """What a region hands the executor: ``item -> (result, charges)``.
+
+    Each call runs ``fn(item)`` — ``fn(*item)`` for the ``(lo, hi)``
+    items of :meth:`Communicator.map_shards` — with a private
+    deferred-charge buffer installed on the calling thread.  A class
+    rather than a closure so that a region can be sent to a rank-team
+    worker: it pickles as its communicator (by token — the worker's
+    inherited copy, whose executor state the call then uses) and
+    ``fn``.
+    """
+
+    __slots__ = ("comm", "fn", "star", "state")
+
+    def __init__(
+        self, comm: "Communicator", fn: Callable, star: bool = False
+    ) -> None:
+        self.comm = comm
+        self.fn = fn
+        self.star = star
+        self.state = comm._exec
+
+    def __reduce__(self):
+        return _segment_in_worker, (self.comm, self.fn, self.star)
+
+    def __call__(self, item):
+        buf: list[tuple[int, Work]] = []
+        tls = self.state.tls
+        tls.buffer = buf
+        try:
+            return (self.fn(*item) if self.star else self.fn(item)), buf
+        finally:
+            tls.buffer = None
+
+
+def _segment_in_worker(
+    comm: "Communicator", fn: Callable, star: bool
+) -> _Segment:
+    """Unpickle a :class:`_Segment` in a rank-team worker."""
+    # the worker's copy of the executor state dates from its fork, when
+    # this communicator need not have been inside a region — and a
+    # worker only ever runs segments
+    comm._exec.active = True
+    return _Segment(comm, fn, star)
+
+
 class _ResilState:
     """Shared resilience box of one communicator world.
 
@@ -127,8 +175,13 @@ class _ResilState:
         self.stats = RecoveryStats()
 
 
-class Communicator:
+class Communicator(Tokened):
     """A group of simulated ranks sharing clocks, trace, and cost models.
+
+    A rank-team message names a communicator by token
+    (:class:`~repro.runtime.team.Tokened`): what a segment reads of it —
+    its ranks, processor model and executor state — is fixed at
+    construction, and what it charges is deferred and replayed here.
 
     Parameters
     ----------
@@ -448,35 +501,43 @@ class Communicator:
 
         Every segment runs with a private buffer and returns
         ``(result, buffer)`` through ``executor.map_segments`` — plain
-        ``map`` in process, a pipe from forked workers otherwise — so
-        there is one replay path.  Segments scheduled out of process
-        must return their effects (or write through shared-memory
-        arenas): in-place mutation of ordinary parent memory dies with
-        the child.
+        ``map`` in process, a message to a rank-team worker otherwise —
+        so there is one replay path.  Segments scheduled out of process
+        read only their arguments and return their effects (or write
+        them through shared-memory arguments): in-place mutation of
+        ordinary parent memory stays in the worker.
         """
+        idx = list(range(self.nprocs)) if indices is None else list(indices)
+        return self._region(_Segment(self, fn), idx)
+
+    def map_shards(self, fn: Callable[[int, int], _R]) -> list[_R]:
+        """Run ``fn(lo, hi)`` once per contiguous shard of the ranks.
+
+        For batched kernels that step a block of ranks in one call: the
+        ranks are cut into as many contiguous ``[lo, hi)`` shards as
+        the executor has workers — one shard ``(0, nprocs)`` on a
+        serial executor — and the results come back in shard order.
+        Everything :meth:`map_ranks` says about segments holds: compute
+        only, charges deferred and replayed in shard order (so ``fn``
+        charges its ranks in ascending order), no nesting, a region
+        that raises charges nothing.
+        """
+        shards = contiguous_shards(self.nprocs, self._exec.executor.workers)
+        return self._region(_Segment(self, fn, star=True), shards)
+
+    def _region(self, segment: _Segment, items: list) -> list:
         exec_state = self._exec
         if exec_state.active:
             raise RuntimeError("map_ranks regions cannot nest")
-        idx = list(range(self.nprocs)) if indices is None else list(indices)
-        if not idx:
+        if not items:
             return []
-        tls = exec_state.tls
-
-        def segment(index: int) -> tuple[_R, list[tuple[int, Work]]]:
-            buf: list[tuple[int, Work]] = []
-            tls.buffer = buf
-            try:
-                return fn(index), buf
-            finally:
-                tls.buffer = None
-
         exec_state.active = True
         try:
-            outcomes = exec_state.executor.map_segments(segment, idx)
+            outcomes = exec_state.executor.map_segments(segment, items)
         finally:
             exec_state.active = False
-            tls.buffer = None
-        results: list[_R] = []
+            exec_state.tls.buffer = None
+        results = []
         for result, buf in outcomes:
             results.append(result)
             for g, work in buf:

@@ -1,8 +1,9 @@
-"""The executor seam: resolution, ``map_ranks`` semantics, and the
+"""The executor seam: resolution, ``map_ranks`` / ``map_shards``
+semantics, the rank team behind the process executor, and the
 determinism contract.
 
 The contract is the heart of PR 3 (extended to worker processes in
-PR 6): serial, threaded, and forked-process execution of the same run
+PR 6): serial, threaded, and worker-process execution of the same run
 must produce *bitwise-identical* solver states, identical
 ``CommTrace`` byte/message matrices, identical per-phase ledger
 buckets, and identical virtual clocks — only host wall-clock may
@@ -13,13 +14,15 @@ P in {1, 4, 8}.
 from __future__ import annotations
 
 import os
+import signal
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro import harness
-from repro.runtime import Arena
+from repro.runtime import Arena, SharedArenaPool, team
 from repro.runtime.executors import (
     EXECUTORS,
     ProcessExecutor,
@@ -260,6 +263,332 @@ class TestMapRanks:
         comm = Communicator(4, executor="processes:2")
         with pytest.raises(RuntimeError, match="pickled"):
             comm.map_ranks(lambda r: threading.Lock())
+
+
+# ---------------------------------------------------------------------------
+# map_shards: the same rules, one call per contiguous shard
+# ---------------------------------------------------------------------------
+
+
+def _span(lo, hi):
+    return (lo, hi, os.getpid())
+
+
+def _charge_span(lo, hi, comm):
+    for rank in range(lo, hi):
+        comm.compute(rank, _work((rank + 1) * 1e6))
+
+
+def _charge_then_fail(lo, hi, comm):
+    _charge_span(lo, hi, comm)
+    raise KeyError(f"shard {lo}:{hi} failed")
+
+
+def _nested(lo, hi, comm):
+    return comm.map_shards(_span)
+
+
+class TestMapShards:
+    def test_serial_is_one_shard(self):
+        comm = Communicator(8)
+        assert comm.map_shards(_span) == [(0, 8, os.getpid())]
+
+    @pytest.mark.parametrize(
+        "spec, shards",
+        [
+            ("threads:3", [(0, 3), (3, 6), (6, 8)]),
+            ("threads:16", [(r, r + 1) for r in range(8)]),
+            pytest.param(
+                "processes:3",
+                [(0, 3), (3, 6), (6, 8)],
+                marks=needs_process_segments,
+            ),
+        ],
+    )
+    def test_shards_are_contiguous_and_in_order(self, spec, shards):
+        comm = Communicator(8, executor=spec)
+        assert [r[:2] for r in comm.map_shards(_span)] == shards
+
+    @needs_process_segments
+    def test_process_shards_run_one_per_worker(self):
+        comm = Communicator(8, executor="processes:2")
+        pids = {pid for _, _, pid in comm.map_shards(_span)}
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_a_subclass_sees_one_map_call_per_region(self):
+        calls = []
+
+        class Counting(SerialExecutor):
+            def map(self, fn, items):
+                calls.append(list(items))
+                return super().map(fn, items)
+
+        comm = Communicator(4, executor=Counting())
+        comm.map_shards(_span)
+        comm.map_ranks(lambda r: r)
+        assert calls == [[(0, 4)], [0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_charges_replay_like_serial_code(self, spec):
+        from repro.machines.catalog import get_machine
+
+        power3 = get_machine("Power3")
+        direct = Communicator(8, machine=power3)
+        for r in range(8):
+            direct.compute(r, _work((r + 1) * 1e6))
+        comm = Communicator(8, machine=power3, executor=spec)
+        for _ in range(2):  # the second region travels as a message
+            direct_before = direct.times.copy()
+            comm.map_shards(partial(_charge_span, comm=comm))
+        assert np.array_equal(comm.times, 2 * direct_before)
+        assert comm.meter.records[:8] == direct.meter.records
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_exception_propagates_and_charges_nothing(self, spec):
+        from repro.machines.catalog import get_machine
+
+        comm = Communicator(4, machine=get_machine("Power3"), executor=spec)
+        comm.map_shards(_span)
+        before = comm.times.copy()
+        with pytest.raises(KeyError, match="shard 0:"):
+            comm.map_shards(partial(_charge_then_fail, comm=comm))
+        assert np.array_equal(comm.times, before)
+        comm.map_shards(partial(_charge_span, comm=comm))
+        assert (comm.times > before).all()
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_regions_cannot_nest(self, spec):
+        comm = Communicator(4, executor=spec)
+        comm.map_shards(_span)
+        with pytest.raises(RuntimeError, match="nest"):
+            comm.map_shards(partial(_nested, comm=comm))
+
+
+# ---------------------------------------------------------------------------
+# the rank team: what a region message carries, and the team's lifecycle
+# ---------------------------------------------------------------------------
+
+
+def _nothing(_item):
+    return None
+
+
+def _pid(_item):
+    return os.getpid()
+
+
+def _fill_column(k, view):
+    view[:, k] = k + 1.0
+    return view
+
+
+def _bump(k, arr):
+    arr[k] += 1.0
+    return arr
+
+
+def _a_lock(_item):
+    return threading.Lock()
+
+
+def _die_once(rank, flag):
+    if rank == 2 and not os.path.exists(flag):
+        open(flag, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return rank
+
+
+@pytest.fixture
+def warm_team():
+    """A process executor whose team is already up, so the regions a
+    test runs travel as messages (the first region of a team runs
+    inherited instead)."""
+    ex = ProcessExecutor(2)
+    ex.map_segments(_nothing, [0, 1])
+    assert ex.team.spawns == 1
+    yield ex
+    ex.close()
+
+
+@needs_process_segments
+class TestRegionMessages:
+    def test_strided_shm_view_goes_and_comes_back_by_reference(
+        self, warm_team
+    ):
+        with SharedArenaPool(slab_bytes=1 << 16) as pool:
+            block = pool.allocate((4, 6))
+            view = block[:, 1:5:2]  # columns 1 and 3
+            home = warm_team.map_segments(
+                partial(_fill_column, view=view), [0, 1]
+            )
+            # the workers wrote the parent's memory...
+            assert (block[:, 1] == 1.0).all() and (block[:, 3] == 2.0).all()
+            assert not block[:, [0, 2, 4, 5]].any()
+            # ...and what they returned is a view of it, not a copy
+            for result in home:
+                assert np.shares_memory(result, block)
+                assert result.strides == view.strides
+                assert np.array_equal(result, view)
+        assert warm_team.team.spawns == 1
+        assert warm_team.team.bytes_sent < 2048  # names, not bytes
+
+    def test_slab_created_after_the_fork_is_attached_by_name(
+        self, warm_team
+    ):
+        with SharedArenaPool(slab_bytes=1 << 16) as pool:
+            late = pool.allocate((4, 2))
+            warm_team.map_segments(partial(_fill_column, view=late), [0, 1])
+            assert (late[:, 0] == 1.0).all() and (late[:, 1] == 2.0).all()
+        assert warm_team.team.spawns == 1
+
+    def test_private_array_arrives_as_a_copy(self, warm_team):
+        arr = np.zeros(2)
+        home = warm_team.map_segments(partial(_bump, arr=arr), [0, 1])
+        assert not arr.any()  # the workers bumped their copies
+        assert [list(a) for a in home] == [[1.0, 0.0], [0.0, 1.0]]
+        assert not any(np.shares_memory(a, arr) for a in home)
+
+    def test_unpicklable_result_is_named(self, warm_team):
+        with pytest.raises(RuntimeError, match="segment 0 .* pickled"):
+            warm_team.map_segments(_a_lock, [0, 1])
+        # the team survives a segment's failure
+        assert warm_team.map_segments(_pid, [0, 1]) == [
+            m.pid for m in warm_team.team._members
+        ]
+        assert warm_team.team.spawns == 1
+
+    def test_unpicklable_callable_reforks_and_runs_inherited(
+        self, warm_team
+    ):
+        assert warm_team.map_segments(lambda i: i * i, [2, 3]) == [4, 9]
+        assert warm_team.team.spawns == 2
+
+    def test_token_minted_after_the_spawn_costs_one_respawn(self, warm_team):
+        old = Communicator(4, executor=warm_team)
+        old.map_ranks(_nothing)
+        assert warm_team.team.spawns == 2  # old itself was new once
+        new = Communicator(4, executor=warm_team)
+        for comm in (new, new, old, new):
+            assert comm.map_ranks(_pid) == sorted(comm.map_ranks(_pid))
+        assert warm_team.team.spawns == 3
+        assert warm_team.team.regions == 10
+
+    @pytest.mark.parametrize("app", ["lbmhd", "gtc", "fvcam", "paratec"])
+    def test_every_app_steps_on_one_spawn(self, app):
+        ex = ProcessExecutor(2)
+        params, _ = _params_for(app, 4)
+        harness.run(
+            app, params, steps=5, nprocs=4, executor=ex, arena=Arena()
+        )
+        assert ex.team.spawns == 1
+        assert ex.team.regions > 5
+        assert ex.team.bytes_sent > 0 and ex.team.bytes_received > 0
+
+
+@needs_process_segments
+class TestTeamLifecycle:
+    def test_no_worker_exists_before_the_first_parallel_region(self):
+        ex = ProcessExecutor(2)
+        assert ex.map_segments(_pid, [0]) == [os.getpid()]  # one shard
+        assert ProcessExecutor(1).map_segments(_pid, [0, 1]) == [
+            os.getpid()
+        ] * 2
+        assert team.live_workers() == []
+        assert ex.team.spawns == 0
+
+    def test_close_is_idempotent_and_a_later_region_respawns(self):
+        ex = ProcessExecutor(2)
+        first = ex.map_segments(_pid, [0, 1])
+        assert sorted(team.live_workers()) == sorted(first)
+        ex.close()
+        ex.close()
+        assert team.live_workers() == []
+        for pid in first:  # reaped, not merely signalled
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        second = ex.map_segments(_pid, [0, 1])
+        assert ex.team.spawns == 2 and not set(first) & set(second)
+        ex.close()
+
+    def test_two_teams_and_a_process_pool_do_not_hold_each_other_up(self):
+        """Later forks inherit the earlier teams' pipe ends; closing in
+        any order must still return promptly."""
+        a, b = ProcessExecutor(2), ProcessExecutor(2)
+        a.map_segments(_nothing, [0, 1])
+        b.map_segments(_nothing, [0, 1])
+        ProcessExecutor(2).map(_nothing, [0, 1])  # the campaign pool
+        a.close()
+        assert b.map_segments(_pid, [0, 1]) == [
+            m.pid for m in b.team._members
+        ]
+        b.close()
+        assert team.live_workers() == []
+
+    def test_harness_run_leaves_no_worker_behind(self):
+        ex = ProcessExecutor(2)
+        params, steps = _params_for("lbmhd", 4)
+        harness.run(
+            "lbmhd", params, steps=steps, nprocs=4, executor=ex,
+            arena=Arena(),
+        )
+        assert ex.team.spawns == 1
+        assert team.live_workers() == []
+
+    def test_an_abandoned_executor_is_cleaned_up_by_the_collector(
+        self, leaked_team_workers
+    ):
+        comm = Communicator(4, executor="processes:2")
+        comm.map_ranks(_nothing)
+        assert len(team.live_workers()) == 2
+        del comm
+        assert leaked_team_workers() == []
+
+    def test_leak_guard_names_workers_still_referenced(
+        self, leaked_team_workers
+    ):
+        ex = ProcessExecutor(2)
+        pids = ex.map_segments(_pid, [0, 1])
+        assert sorted(leaked_team_workers()) == sorted(pids)
+        ex.close()
+        assert leaked_team_workers() == []
+
+    def test_killed_worker_fails_the_region_and_the_run_recovers(
+        self, tmp_path
+    ):
+        """SIGKILL mid-region: a RuntimeError naming pid and exit code,
+        nothing charged, the next region on a fresh team, and the run
+        ends bitwise where a serial run does."""
+        from repro.apps.lbmhd import LBMHD3D, LBMHDParams
+        from repro.machines.catalog import get_machine
+
+        def solver(executor, arena):
+            comm = Communicator(
+                4, machine=get_machine("Power3"), executor=executor
+            )
+            return LBMHD3D(LBMHDParams(shape=(8, 8, 8)), comm, arena=arena)
+
+        serial = solver("serial", Arena())
+        serial.run(4)
+
+        ex = ProcessExecutor(2)
+        with SharedArenaPool() as pool:
+            procs = solver(ex, pool.arena("run"))
+            procs.run(2)
+            victim = ex.team._members[1].pid
+            before = procs.comm.times.copy()
+            with pytest.raises(RuntimeError) as exc:
+                procs.comm.map_ranks(
+                    partial(_die_once, flag=str(tmp_path / "died"))
+                )
+            assert f"pid {victim}" in str(exc.value)
+            assert "exit code -9" in str(exc.value)
+            assert np.array_equal(procs.comm.times, before)
+            assert team.live_workers() == []  # the survivor went too
+            procs.run(2)
+            assert ex.team.spawns == 2
+            assert np.array_equal(procs.global_state(), serial.global_state())
+            assert np.array_equal(procs.comm.times, serial.comm.times)
+            ex.close()
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +854,63 @@ class TestExecutorEquivalence:
         assert (
             serial.recovery.drops_detected == procs.recovery.drops_detected
         )
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faults"])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "kind",
+        ["threads", pytest.param("processes", marks=needs_process_segments)],
+    )
+    def test_lbmhd_arena_shards_match_allocating_path(
+        self, kind, workers, faulty
+    ):
+        """The arena step collides and streams a shard of ranks per
+        call; at P=8 that is shards of 8, 4/4, 3/3/2 and 2/2/2/1/1
+        ranks, each bitwise the rank-by-rank allocating path."""
+        from repro.apps.lbmhd import LBMHDParams
+        from repro.resilience import FaultPlan, RetryPolicy
+        from repro.resilience.inject import LatencySpike, MessageDrop
+
+        def go(executor, arena):
+            plan = FaultPlan(
+                faults=(
+                    MessageDrop(rate=0.05),
+                    LatencySpike(rate=0.1, extra_s=5e-3),
+                ),
+                seed=7,
+            )
+            return harness.run(
+                "lbmhd",
+                LBMHDParams(shape=(8, 8, 8)),
+                steps=3,
+                nprocs=8,
+                machine="Power3",
+                trace=True,
+                executor=executor,
+                arena=arena,
+                fault_plan=plan if faulty else None,
+                policy=RetryPolicy() if faulty else None,
+            )
+
+        plain = go("serial", None)
+        sharded = go(f"{kind}:{workers}", Arena())
+        assert sharded.state._state_block is not None  # the arena step ran
+        assert np.array_equal(
+            _snapshot("lbmhd", plain.state), _snapshot("lbmhd", sharded.state)
+        )
+        # a faulted halo is repaired message by message on the
+        # allocating path and by accounting alone on the block path,
+        # which books the same recovery in another order (last-ulp
+        # clock differences): under faults the books are compared with
+        # the serial arena run instead
+        books = go("serial", Arena()) if faulty else plain
+        assert np.array_equal(
+            books.comm.trace.matrix(), sharded.comm.trace.matrix()
+        )
+        assert np.array_equal(books.comm.times, sharded.comm.times)
+        _assert_ledgers_equal(books.ledger, sharded.ledger)
+        if faulty:
+            assert books.recovery.resends == sharded.recovery.resends > 0
 
     def test_harness_rejects_executor_with_explicit_comm(self):
         comm = Communicator(1)

@@ -301,6 +301,32 @@ print(float(buf.sum()))
 """
 
 
+_LATE_SLAB_SCRIPT = """
+from functools import partial
+
+from repro.runtime.executors import ProcessExecutor
+from repro.runtime.shm import SharedArenaPool
+
+
+def fill(k, view):
+    view[k] = k + 1.0
+
+
+if __name__ == "__main__":
+    ex = ProcessExecutor(2)
+    pool = SharedArenaPool(slab_bytes=1 << 16)
+    early = pool.allocate((2, 8))
+    ex.map_segments(partial(fill, view=early), [0, 1])  # the fork...
+    late = pool.allocate((2, 1 << 14))  # ...and a slab that comes after
+    assert pool.num_segments == 2
+    ex.map_segments(partial(fill, view=late), [0, 1])
+    assert ex.team.spawns == 1
+    print(float(early.sum()), float(late.sum()))
+    print(*pool.handles().segments)
+    {closing}
+"""
+
+
 class TestExitHygiene:
     @pytest.mark.parametrize(
         "closing", ["pool.close()", "del pool, arena"], ids=["close", "gc"]
@@ -320,6 +346,33 @@ class TestExitHygiene:
         assert "resource_tracker" not in proc.stderr, proc.stderr
         assert "Exception ignored" not in proc.stderr, proc.stderr
         assert proc.stderr == ""
+
+    @pytest.mark.skipif(not _HAS_FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize(
+        "closing", ["ex.close(); pool.close()", "pass"], ids=["close", "exit"]
+    )
+    def test_team_worker_attaching_a_late_slab_exits_clean(self, closing):
+        """A rank-team worker attaches a slab created after its fork by
+        name.  It shares the owner's resource tracker, so it must not
+        register (or unregister) the slab there: the owner's unlink
+        would then draw a KeyError traceback from the tracker at exit."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                _LATE_SLAB_SCRIPT.format(closing=closing),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        sums, names = proc.stdout.strip().splitlines()
+        assert sums == f"{3.0 * 8} {3.0 * (1 << 14)}"
+        assert proc.stderr == ""
+        for name in names.split():
+            assert not Path("/dev/shm", name.lstrip("/")).exists()
 
     def test_no_segments_left_behind(self):
         before = set(os.listdir("/dev/shm"))

@@ -315,7 +315,3 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -4,8 +4,9 @@ The paper's core contribution is *measurement*: Gflop/s, % of peak,
 and phase breakdowns compared across applications, platforms, and
 concurrencies.  This package does the same for the reproduction's own
 trajectory: one canonical :class:`RunRecord` schema for every
-measurement the repository produces (tracked ``BENCH_*.json``
-benchmarks, campaign manifests, result-cache entries), an SQLite-backed
+measurement the repository produces (the ladder benchmark's record
+payloads, the tracked ``perf_history.jsonl``, campaign manifests,
+result-cache entries), an SQLite-backed
 :class:`PerfDB` store with JSONL import/export, a filter/group/pivot
 query API, paired-ratio regression detection with host-aware
 thresholds, and rendered roofline / phase-breakdown / shootout reports
@@ -18,7 +19,6 @@ The ``repro-perfdb`` CLI (``ingest`` / ``query`` / ``check`` /
 
 from .ingest import (
     ingest_path,
-    records_from_bench,
     records_from_cache,
     records_from_manifest,
     records_from_report,
@@ -53,7 +53,6 @@ __all__ = [
     "ingest_path",
     "inject_slowdown",
     "pivot",
-    "records_from_bench",
     "records_from_cache",
     "records_from_manifest",
     "records_from_report",

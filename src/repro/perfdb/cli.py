@@ -2,7 +2,7 @@
 
 Usage::
 
-    repro-perfdb ingest perf.db BENCH_PR*.json .repro-cache/x.manifest.jsonl
+    repro-perfdb ingest perf.db perf_history.jsonl .repro-cache/x.manifest.jsonl
     repro-perfdb query perf.db --rows app --cols executor,kernel_backend
     repro-perfdb query perf.db --where app=lbmhd --value wall_s --agg min
     repro-perfdb check perf.db                      # exit 1 on regression
@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-perfdb",
         description=(
-            "Queryable performance database over BENCH_*.json benchmarks, "
+            "Queryable performance database over benchmark record payloads, "
             "campaign manifests, and result caches — with cross-PR "
             "regression detection."
         ),
@@ -208,8 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     p_ingest.add_argument(
         "paths", nargs="+",
         help=(
-            "BENCH_*.json payloads, campaign *.manifest.jsonl journals, "
-            "record JSONL exports, or ResultCache directories"
+            '{"records": [...]} JSON payloads, campaign *.manifest.jsonl '
+            "journals, record JSONL (exports, perf_history.jsonl), or "
+            "ResultCache directories"
         ),
     )
     p_ingest.add_argument("--quiet", action="store_true")

@@ -1,25 +1,26 @@
 """Normalize every measurement source into :class:`RunRecord` rows.
 
-Sources, in decreasing order of structure:
+Sources:
 
-* **Uniform bench payloads** — anything ``benchmarks/common.py`` emits
-  carries a ``records`` list of canonical record dicts; they are taken
-  verbatim (provenance filled from the file when absent).
-* **Legacy ``BENCH_PR1``–``PR7`` payloads** — the seven mutually
-  incompatible schemas the first seven PRs accumulated.  Each has a
-  dedicated adapter; :func:`detect_schema` sniffs which one applies.
+* **Record payloads** — a ``.json`` file whose top level is an object
+  carrying a ``records`` list of canonical record dicts, which is what
+  ``benchmarks/ladder`` writes as its ``result.json``; the records are
+  taken verbatim (source and PR tag filled from the file name when
+  absent).  Any other JSON is rejected with a :class:`ValueError`
+  naming the file and what was found.
+* **Record JSONL** — one record dict per line: ``repro-perfdb export``
+  output and the tracked ``perf_history.jsonl`` (the measurements of
+  PR 1–10, frozen).
 * **Campaign manifests** — the JSONL journals of
   :mod:`repro.campaign.manifest`.  ``run-done`` events become records;
   configs come from the events themselves (new journals embed them) or
   from expanding the journaled spec and matching content keys.
 * **Result caches** — :class:`repro.campaign.cache.ResultCache`
   directories; entries carry full configs and phase breakdowns.
-* **Record JSONL** — ``repro-perfdb export`` output, re-imported by
-  the store itself.
 
-Every adapter is total: unrecognized sections are skipped, never
-fatal, so a half-written journal or a future schema yields the records
-it can instead of an exception.
+The journal and cache readers are total: unrecognized or torn lines are
+skipped, never fatal, so a half-written journal yields the records it
+can instead of an exception.
 """
 
 from __future__ import annotations
@@ -29,447 +30,6 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .record import RunRecord, pr_from_source
-
-#: Legacy section name -> application key.
-_SECTION_APPS = {
-    "lbmhd_step_loop": "lbmhd",
-    "gtc_pic_cycle": "gtc",
-    "paratec_transpose": "paratec",
-    "harness_overhead": "lbmhd",
-    "lbmhd_harness": "lbmhd",
-}
-
-#: Legacy section name -> config-block key holding ranks/steps.
-_SECTION_CONFIGS = {
-    "lbmhd_step_loop": "lbmhd",
-    "gtc_pic_cycle": "gtc",
-    "paratec_transpose": "paratec",
-    "harness_overhead": "harness_overhead",
-}
-
-
-def detect_schema(payload: Mapping[str, Any]) -> str:
-    """Which BENCH payload shape this is (``records`` or ``pr1``..``pr10``)."""
-    if isinstance(payload.get("records"), list):
-        return "records"
-    service = payload.get("service")
-    if isinstance(service, dict) and "cold" in service:
-        return "pr9"
-    distrib = payload.get("distrib")
-    if isinstance(distrib, dict) and "serial" in distrib:
-        return "pr10"
-    if "cells" in payload and "kernels" in payload:
-        return "pr7"
-    if "campaign" in payload and "cold" in payload:
-        return "pr5"
-    if "lbmhd_harness" in payload:
-        return "pr4"
-    step_loop = payload.get("lbmhd_step_loop")
-    if isinstance(step_loop, dict) and "serial" in step_loop:
-        return "pr6" if "processes" in step_loop else "pr3"
-    if "harness_overhead" in payload:
-        return "pr2"
-    if any(k in payload for k in _SECTION_APPS):
-        return "pr1"
-    raise ValueError(
-        "unrecognized benchmark payload: keys "
-        + ", ".join(sorted(map(str, payload)))
-    )
-
-
-def _timing_record(
-    cell: Mapping[str, Any],
-    *,
-    app: str,
-    bench: str,
-    variant: str,
-    **fields: Any,
-) -> RunRecord | None:
-    """A record from a ``Timing.to_dict()``-shaped cell, or ``None``."""
-    best = cell.get("best_s")
-    if best is None:
-        samples = cell.get("samples_s") or []
-        best = min(samples) if samples else None
-    if best is None:
-        return None
-    samples = cell.get("samples_s") or []
-    extra = fields.pop("extra", {})
-    return RunRecord(
-        app=app,
-        bench=bench,
-        variant=variant,
-        wall_s=float(best),
-        repeats=fields.pop("repeats", len(samples) or None),
-        extra=extra,
-        **fields,
-    )
-
-
-def _section_shape(
-    config: Mapping[str, Any], section: str
-) -> tuple[int | None, int | None]:
-    """(nprocs, steps-per-sample) for a legacy PR1/PR2 section."""
-    block = config.get(_SECTION_CONFIGS.get(section, section), {})
-    if not isinstance(block, dict):
-        return None, None
-    nprocs = block.get("ranks")
-    steps = block.get("steps_per_sample", block.get("roundtrips_per_sample"))
-    return nprocs, steps
-
-
-def _records_pr1_pr2(payload: Mapping[str, Any]) -> list[RunRecord]:
-    """PR1 (seed/fast sections) and PR2 (adds direct/harness overhead)."""
-    config = payload.get("config", {})
-    records: list[RunRecord] = []
-    for section, app in _SECTION_APPS.items():
-        cells = payload.get(section)
-        if not isinstance(cells, dict):
-            continue
-        nprocs, steps = _section_shape(config, section)
-        for variant, cell in cells.items():
-            if not isinstance(cell, dict):
-                continue
-            rec = _timing_record(
-                cell,
-                app=app,
-                bench=section,
-                variant=variant,
-                nprocs=nprocs,
-                steps=steps,
-                extra={
-                    k: cells[k]
-                    for k in ("speedup", "overhead", "limit")
-                    if isinstance(cells.get(k), (int, float))
-                },
-            )
-            if rec is not None:
-                records.append(rec)
-    return records
-
-
-def _host_facts(payload: Mapping[str, Any]) -> dict[str, Any]:
-    host = payload.get("host", {})
-    if not isinstance(host, dict):
-        return {}
-    out: dict[str, Any] = {}
-    if host.get("cpu_count") is not None:
-        out["cpu_count"] = int(host["cpu_count"])
-    if host.get("name"):
-        out["host"] = str(host["name"])
-    return out
-
-
-def _records_pr3_pr6(payload: Mapping[str, Any]) -> list[RunRecord]:
-    """PR3 (serial/threads) and PR6 (adds processes) executor cells."""
-    config = payload.get("config", {})
-    facts = _host_facts(payload)
-    cells = payload.get("lbmhd_step_loop", {})
-    records: list[RunRecord] = []
-    for variant in ("serial", "threads", "processes"):
-        cell = cells.get(variant)
-        if not isinstance(cell, dict):
-            continue
-        extra: dict[str, Any] = {}
-        support = cell.get("segment_support")
-        if isinstance(support, dict):
-            extra["segment_support"] = support
-        rec = _timing_record(
-            cell,
-            app="lbmhd",
-            bench="lbmhd_step_loop",
-            variant=variant,
-            executor=variant,
-            nprocs=config.get("ranks"),
-            steps=config.get("steps_per_sample"),
-            cpu_count=cell.get("cpu_count", facts.get("cpu_count")),
-            host=facts.get("host"),
-            extra=extra,
-        )
-        if rec is not None:
-            records.append(rec)
-    return records
-
-
-def _records_pr4(payload: Mapping[str, Any]) -> list[RunRecord]:
-    """PR4 checkpoint-overhead cells (plain vs checkpointed)."""
-    config = payload.get("config", {})
-    facts = _host_facts(payload)
-    cells = payload.get("lbmhd_harness", {})
-    records: list[RunRecord] = []
-    for variant in ("plain", "checkpointed"):
-        cell = cells.get(variant)
-        if not isinstance(cell, dict):
-            continue
-        extra: dict[str, Any] = {
-            k: cells[k]
-            for k in ("overhead", "checkpoint_bytes", "checkpoints_per_run")
-            if isinstance(cells.get(k), (int, float))
-        }
-        if variant == "checkpointed":
-            extra["checkpoint_every"] = config.get("checkpoint_every")
-        rec = _timing_record(
-            cell,
-            app="lbmhd",
-            bench="lbmhd_harness",
-            variant=variant,
-            nprocs=config.get("ranks"),
-            steps=config.get("steps"),
-            extra=extra,
-            **facts,
-        )
-        if rec is not None:
-            records.append(rec)
-    return records
-
-
-def _records_pr5(payload: Mapping[str, Any]) -> list[RunRecord]:
-    """PR5 whole-campaign timings (cold serial/processes, warm rerun)."""
-    facts = _host_facts(payload)
-    campaign = payload.get("campaign", {})
-    name = campaign.get("name", "campaign")
-    configs = payload.get("configs")
-    records: list[RunRecord] = []
-    cold = payload.get("cold", {})
-    for variant, field in (
-        ("serial", "serial_wall_s"),
-        ("processes", "processes_wall_s"),
-    ):
-        wall = cold.get(field)
-        if not isinstance(wall, (int, float)):
-            continue
-        records.append(
-            RunRecord(
-                app="campaign",
-                bench=f"campaign_cold:{name}",
-                variant=variant,
-                executor=variant,
-                wall_s=float(wall),
-                steps=configs,
-                extra={"speedup": cold.get("speedup")},
-                **facts,
-            )
-        )
-    warm = payload.get("warm", {})
-    if isinstance(warm.get("wall_s"), (int, float)):
-        records.append(
-            RunRecord(
-                app="campaign",
-                bench=f"campaign_warm:{name}",
-                variant="warm",
-                wall_s=float(warm["wall_s"]),
-                steps=configs,
-                extra={
-                    "hits": warm.get("hits"),
-                    "misses": warm.get("misses"),
-                    "fraction_of_cold": warm.get("fraction_of_cold"),
-                },
-                **facts,
-            )
-        )
-    return records
-
-
-def _records_pr7(payload: Mapping[str, Any]) -> list[RunRecord]:
-    """PR7 backend shootout: app cells plus micro-kernel timings."""
-    spec = payload.get("spec", {})
-    steps = spec.get("steps") if isinstance(spec, dict) else None
-    records: list[RunRecord] = []
-    for cell in payload.get("cells", []):
-        if not isinstance(cell, dict) or not cell.get("ok", False):
-            continue
-        wall = cell.get("wall_s")
-        if not isinstance(wall, (int, float)):
-            continue
-        backend = str(cell.get("backend", "numpy"))
-        records.append(
-            RunRecord(
-                app=str(cell.get("app", "")),
-                bench="backend_shootout",
-                variant=backend,
-                kernel_backend=backend,
-                wall_s=float(wall),
-                gflops=cell.get("gflops"),
-                steps=steps,
-                extra={
-                    k: cell[k]
-                    for k in (
-                        "backend_available",
-                        "backend_reason",
-                        "speedup_vs_numpy",
-                    )
-                    if k in cell
-                },
-            )
-        )
-    for kernel, rows in payload.get("kernels", {}).items():
-        if not isinstance(rows, dict):
-            continue
-        app = str(kernel).split("_", 1)[0]
-        for backend, cell in rows.items():
-            if not isinstance(cell, dict):
-                continue
-            rec = _timing_record(
-                cell,
-                app=app,
-                bench=f"kernel:{kernel}",
-                variant=str(backend),
-                kernel_backend=str(backend),
-                extra={
-                    k: cell[k]
-                    for k in ("backend_available", "speedup_vs_numpy")
-                    if k in cell
-                },
-            )
-            if rec is not None:
-                records.append(rec)
-    return records
-
-
-def _records_pr9(payload: Mapping[str, Any]) -> list[RunRecord]:
-    """PR9 service cells: cold/warm predict latency, coalesced vs
-    serial fan-in of identical concurrent clients."""
-    config = payload.get("config", {})
-    facts = _host_facts(payload)
-    svc = payload.get("service", {})
-    app = str(config.get("app", "lbmhd"))
-    records: list[RunRecord] = []
-    for variant in ("cold", "warm"):
-        cell = svc.get(variant)
-        if not isinstance(cell, dict):
-            continue
-        extra: dict[str, Any] = {}
-        if variant == "warm" and isinstance(
-            svc.get("warm_fraction_of_cold"), (int, float)
-        ):
-            extra["fraction_of_cold"] = svc["warm_fraction_of_cold"]
-        rec = _timing_record(
-            cell,
-            app=app,
-            bench="service_predict",
-            variant=variant,
-            nprocs=config.get("nprocs"),
-            steps=config.get("steps"),
-            extra=extra,
-            **facts,
-        )
-        if rec is not None:
-            records.append(rec)
-    for variant in ("coalesced", "serial"):
-        cell = svc.get(variant)
-        if not isinstance(cell, dict):
-            continue
-        wall = cell.get("wall_s")
-        if not isinstance(wall, (int, float)):
-            continue
-        extra = {
-            k: cell[k]
-            for k in ("clients", "computations", "coalesced_total")
-            if isinstance(cell.get(k), (int, float))
-        }
-        if variant == "coalesced" and isinstance(
-            svc.get("coalesce_speedup"), (int, float)
-        ):
-            extra["speedup_vs_serial"] = svc["coalesce_speedup"]
-        records.append(
-            RunRecord(
-                app=app,
-                bench="service_fanin",
-                variant=variant,
-                nprocs=config.get("nprocs"),
-                steps=config.get("steps"),
-                wall_s=float(wall),
-                extra=extra,
-                **facts,
-            )
-        )
-    return records
-
-
-def _records_pr10(payload: Mapping[str, Any]) -> list[RunRecord]:
-    """PR10 distrib cells: the same campaign swept serially and via a
-    coordinator with two socket workers."""
-    config = payload.get("config", {})
-    facts = _host_facts(payload)
-    distrib = payload.get("distrib", {})
-    app = str(config.get("app", "campaign"))
-    records: list[RunRecord] = []
-    for variant in ("serial", "workers2"):
-        cell = distrib.get(variant)
-        if not isinstance(cell, dict):
-            continue
-        wall = cell.get("wall_s")
-        if not isinstance(wall, (int, float)):
-            continue
-        extra = {
-            k: cell[k]
-            for k in ("workers", "cells", "completed", "dispatched",
-                      "retried")
-            if isinstance(cell.get(k), (int, float))
-        }
-        if variant == "workers2" and isinstance(
-            distrib.get("speedup"), (int, float)
-        ):
-            extra["speedup_vs_serial"] = distrib["speedup"]
-        records.append(
-            RunRecord(
-                app=app,
-                bench="distrib_campaign",
-                variant=variant,
-                nprocs=config.get("nprocs"),
-                steps=config.get("steps"),
-                wall_s=float(wall),
-                extra=extra,
-                **facts,
-            )
-        )
-    return records
-
-
-_ADAPTERS = {
-    "pr1": _records_pr1_pr2,
-    "pr2": _records_pr1_pr2,
-    "pr3": _records_pr3_pr6,
-    "pr4": _records_pr4,
-    "pr5": _records_pr5,
-    "pr6": _records_pr3_pr6,
-    "pr7": _records_pr7,
-    "pr9": _records_pr9,
-    "pr10": _records_pr10,
-}
-
-
-def records_from_bench(
-    payload: Mapping[str, Any],
-    *,
-    source: str = "",
-    pr: int | None = None,
-    host: str | None = None,
-    cpu_count: int | None = None,
-    version: str | None = None,
-) -> list[RunRecord]:
-    """Normalize one BENCH payload (any schema era) into records.
-
-    Provenance keywords fill fields the payload itself does not carry
-    (legacy files never recorded a hostname; fresh emissions do).
-    """
-    schema = detect_schema(payload)
-    if schema == "records":
-        records = [RunRecord.from_dict(d) for d in payload["records"]]
-    else:
-        records = _ADAPTERS[schema](payload)
-    if pr is None:
-        pr = pr_from_source(source)
-    return [
-        rec.with_provenance(
-            source=source or None,
-            pr=pr,
-            host=host,
-            cpu_count=cpu_count,
-            version=version,
-        )
-        for rec in records
-    ]
-
 
 # -- campaign sources -----------------------------------------------------
 
@@ -682,12 +242,41 @@ def records_from_report(
 # -- the one-call entry point ---------------------------------------------
 
 
+def _records_from_payload(p: Path) -> list[RunRecord]:
+    """Records from a ``{"records": [...]}`` JSON file, or ValueError."""
+    payload = json.loads(p.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"{p.name}: top level is a {type(payload).__name__}, "
+            "expected an object with a 'records' list"
+        )
+    rows = payload.get("records")
+    if not isinstance(rows, list):
+        raise ValueError(
+            f"{p.name}: no 'records' list among top-level keys "
+            + (", ".join(sorted(map(str, payload))) or "(none)")
+        )
+    pr = pr_from_source(p.name)
+    records: list[RunRecord] = []
+    for i, row in enumerate(rows):
+        try:
+            if not isinstance(row, dict):
+                raise TypeError(f"a {type(row).__name__}, not an object")
+            rec = RunRecord.from_dict(row)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{p.name}: records[{i}] is not a RunRecord: {exc}"
+            ) from exc
+        records.append(rec.with_provenance(source=p.name, pr=pr))
+    return records
+
+
 def ingest_path(path: "str | Path") -> list[RunRecord]:
     """Records from *any* supported on-disk source.
 
     Dispatch: a directory is a ResultCache; ``*.jsonl`` is a campaign
     manifest (falling back to record-JSONL lines if no events match);
-    anything else is parsed as a BENCH JSON payload.
+    anything else must be a ``{"records": [...]}`` JSON payload.
     """
     p = Path(path)
     if p.is_dir():
@@ -713,8 +302,7 @@ def ingest_path(path: "str | Path") -> list[RunRecord]:
                     except (TypeError, ValueError):
                         continue
         return out
-    payload = json.loads(p.read_text())
-    return records_from_bench(payload, source=p.name)
+    return _records_from_payload(p)
 
 
 def ingest_paths(

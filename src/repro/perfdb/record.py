@@ -40,8 +40,11 @@ def pr_from_source(source: str) -> int | None:
 
 
 def _freeze_extra(value: Any) -> Any:
+    """Hashable form: a dict becomes a frozenset of pairs, a list a tuple."""
     if isinstance(value, dict):
-        return tuple(sorted((str(k), _freeze_extra(v)) for k, v in value.items()))
+        return frozenset(
+            (str(k), _freeze_extra(v)) for k, v in value.items()
+        )
     if isinstance(value, (list, tuple)):
         return tuple(_freeze_extra(v) for v in value)
     if isinstance(value, (str, int, float, bool)) or value is None:
@@ -52,12 +55,10 @@ def _freeze_extra(value: Any) -> Any:
 
 
 def _thaw_extra(value: Any) -> Any:
+    if isinstance(value, frozenset):
+        pairs = sorted(value, key=lambda kv: kv[0])
+        return {k: _thaw_extra(v) for k, v in pairs}
     if isinstance(value, tuple):
-        if all(
-            isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], str)
-            for v in value
-        ):
-            return {k: _thaw_extra(v) for k, v in value}
         return [_thaw_extra(v) for v in value]
     return value
 
@@ -97,8 +98,9 @@ class RunRecord:
     messages: float | None = None
 
     # -- provenance ------------------------------------------------------
-    #: Where the number came from: a ``BENCH_*.json`` filename, a
-    #: ``manifest:<name>`` tag, ``cache``, or ``synthetic-*``.
+    #: Where the number came from: a payload's file name (the history
+    #: keeps ``BENCH_PRn.json``), a ``manifest:<name>`` tag, ``cache``,
+    #: or ``synthetic-*``.
     source: str = ""
     #: PR ordinal for cross-PR ordering (parsed from the source tag).
     pr: int | None = None
@@ -109,16 +111,23 @@ class RunRecord:
     #: Content key (``RunConfig.key``) for campaign-born records.
     key: str | None = None
     #: Anything schema-less worth keeping (frozen mapping).
-    extra: tuple = field(default_factory=tuple)
+    extra: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if self.wall_s < 0:
             raise ValueError("wall_s must be >= 0")
-        object.__setattr__(self, "extra", _freeze_extra(self.extra_dict()))
+        if isinstance(self.extra, frozenset):
+            return  # frozen already: dataclasses.replace() of a record
+        extra = self.extra or {}
+        if not isinstance(extra, dict):
+            raise TypeError(
+                f"RunRecord extra must be a mapping, "
+                f"got {type(extra).__name__}"
+            )
+        object.__setattr__(self, "extra", _freeze_extra(extra))
 
     def extra_dict(self) -> dict[str, Any]:
-        thawed = _thaw_extra(self.extra) if self.extra else {}
-        return thawed if isinstance(thawed, dict) else {}
+        return _thaw_extra(self.extra)
 
     # -- identities ------------------------------------------------------
 
@@ -212,9 +221,7 @@ class RunRecord:
             raise ValueError(
                 f"unknown RunRecord field(s): {', '.join(unknown)}"
             )
-        kwargs = dict(d)
-        kwargs["extra"] = _freeze_extra(kwargs.get("extra") or {})
-        return cls(**kwargs)
+        return cls(**d)
 
     def with_provenance(
         self,

@@ -10,7 +10,7 @@ Thresholds are **host-aware** because absolute wall-clock is only
 comparable on comparable hardware: a pair measured on the same named
 host with the same core count uses the tight ``same_host_ratio``; a
 pair spanning different hosts — or whose host was never recorded,
-which is true of every pre-perfdb ``BENCH_*.json`` — uses the loose
+which is true of every measurement before PR 7 — uses the loose
 ``cross_host_ratio``.  The historical trajectory (recorded across
 unknown CI containers, up to ~1.9x apart on identical code) therefore
 passes, while a genuine 2x slowdown measured on one machine is

@@ -17,10 +17,7 @@
   and kernel backends by token, the rest by value);
 * :mod:`repro.runtime.resolve` — the one resolution rule (precedence
   chain + capability policy) the executor and kernel-backend seams
-  both instantiate;
-* :mod:`repro.runtime.perf` — small wall-clock timing helpers backing
-  ``benchmarks/bench_hotpath.py`` and the ``BENCH_*.json`` perf
-  trajectory.
+  both instantiate.
 """
 
 from .arena import Arena
@@ -34,7 +31,6 @@ from .executors import (
     get_executor,
     segment_executor,
 )
-from .perf import Timing, measure, write_results
 from .shm import SharedArenaPool, ShmArena, ShmHandles, shm_available
 
 __all__ = [
@@ -46,12 +42,9 @@ __all__ = [
     "SharedArenaPool",
     "ShmArena",
     "ShmHandles",
-    "Timing",
     "ThreadExecutor",
     "available_executors",
     "get_executor",
-    "measure",
     "segment_executor",
     "shm_available",
-    "write_results",
 ]

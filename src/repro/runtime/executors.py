@@ -238,8 +238,9 @@ def _drain_as_completed(pool, fn, items):
 
 # Process pools are shared per worker count like thread pools: campaign
 # invocations come in bursts (cold sweep, then warm rerun) and re-forking
-# a pool for each would dominate small sweeps.  ``shutdown_pools`` exists
-# for tests and for __main__ benchmarks that want a cold-start measure.
+# a pool for each would dominate small sweeps.  ``shutdown_process_pools``
+# exists for the ladder benchmark, which wants a cold-start measure and
+# to leave no worker behind.
 _PROC_POOLS: dict[int, _ProcessPool] = {}
 _PROC_POOLS_LOCK = threading.Lock()
 

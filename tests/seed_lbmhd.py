@@ -1,19 +1,18 @@
-"""Vendored seed-commit LBMHD hot loop: the benchmark's "before".
+"""Reference LBMHD step loop: the seed commit's, kept as written.
 
-The repository's default (``arena=None``) LBMHD path already carries
-this PR's shared-kernel improvements (hoisted lattice constants, BLAS
-contractions, ``out=``-chained updates), so timing it as the baseline
-would understate the change.  This module preserves the seed commit's
-kernels verbatim — per-call constant rederivation, expression-style
-allocation in the equilibria, a fresh output state per collide, and the
-per-rank pad/exchange/stream step loop — as a stable "before" for
-``bench_hotpath.py``.
+An independent implementation for ``test_arena_fastpath`` to compare
+:class:`~repro.apps.lbmhd.solver.LBMHD3D` against.  The seed commit's
+kernels are preserved verbatim: per-call constant rederivation,
+expression-style allocation in the equilibria, a fresh output state per
+collide, and the per-rank pad/exchange/stream step loop.  The current
+solver evaluates the same algebra in moment space, in a different
+association order, so the two agree to round-off (``atol=1e-13``), not
+bitwise.
 
 Copied from commit ``a28b4e0`` (``src/repro/apps/lbmhd/equilibrium.py``,
 ``collision.py``, ``solver.py``); the pad/exchange/stream helpers are
 imported because their default (allocating) behavior is unchanged from
-that commit.  The produced states are bitwise-identical to the current
-solver's — the benchmark smoke tests assert it.
+that commit.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from repro.apps.paratec.gvectors import GSphere, SphereDistribution
 from repro.machines import get_machine
 from repro.runtime.arena import Arena
 from repro.simmpi import Communicator
+from seed_lbmhd import SeedLBMHD3D
 
 
 def _random_state(shape, seed=0):
@@ -68,6 +69,18 @@ class TestLBMHDArenaBitwise:
         ref.run(3)
         fast.run(3)
         assert_array_equal(ref.global_state(), fast.global_state())
+
+    def test_seed_step_loop_agrees_to_roundoff(self):
+        """The seed commit's step loop (an independent implementation)
+        and today's solver compute the same physics."""
+        params = LBMHDParams(shape=(8, 8, 8))
+        seed = SeedLBMHD3D(params, Communicator(8))
+        cur = LBMHD3D(params, Communicator(8))
+        seed.run(3)
+        cur.run(3)
+        np.testing.assert_allclose(
+            seed.global_state(), cur.global_state(), rtol=0.0, atol=1e-13
+        )
 
     @pytest.mark.parametrize("nprocs", [2, 4, 12])
     def test_solver_fast_path_odd_shape(self, nprocs):

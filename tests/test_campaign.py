@@ -373,3 +373,133 @@ class TestProcessScheduler:
         assert get_executor("processes:3").workers == 3
         with pytest.raises(ValueError):
             get_executor("processes:zero")
+
+
+class TestEveryAxisThroughTheEngine:
+    """One spec axis each — machines, executors, kernel backends, and
+    traced decompositions as explicit configs — swept by the engine:
+    the axis changes what it should and never the physics."""
+
+    def test_table3_machine_axis_as_campaign(self):
+        """The machine models change the *virtual* elapsed time of one
+        FVCAM step and leave the physics identical."""
+        spec = CampaignSpec(
+            name="table3-machines",
+            apps=("fvcam",),
+            machines=("ES", "Power3", None),
+            nprocs=(8,),
+            steps=1,
+            params={
+                "fvcam": {
+                    "grid": {"im": 24, "jm": 18, "km": 4},
+                    "py": 4,
+                    "pz": 2,
+                    "dt": 30.0,
+                }
+            },
+        )
+        report = run_campaign(spec, cache=None, scheduler="serial")
+        assert report.ok, [r.error for r in report.rows if not r.ok]
+        by_machine = {r.config.machine: r.result for r in report.rows}
+        assert set(by_machine) == {"ES", "Power3", None}
+        masses = {
+            r["diagnostics"]["total_mass"] for r in by_machine.values()
+        }
+        assert len(masses) == 1  # machines never rewrite physics
+        # modeled machines accrue virtual time; the ideal platform
+        # runs free
+        assert by_machine["ES"]["virtual_elapsed_s"] > 0
+        assert by_machine["Power3"]["virtual_elapsed_s"] > 0
+        assert by_machine[None]["virtual_elapsed_s"] >= 0
+
+    def test_fig2_campaign_port_preserves_the_structure(self):
+        """Figure 2's two traced decompositions as two cells: pure
+        nearest-neighbor diagonals in 1-D, a lower total volume and
+        more distinct partners (the transpose grid) in 2-D."""
+        from repro.experiments.fig2 import Fig2Result
+
+        ranks = 16
+        configs = [
+            RunConfig(
+                app="fvcam",
+                nprocs=ranks,
+                steps=4,
+                trace=True,
+                params={
+                    "grid": {"im": 24, "jm": 48, "km": 8},
+                    "py": py,
+                    "pz": pz,
+                    "dt": 30.0,
+                    "remap_interval": 4,
+                },
+            )
+            for py, pz in ((ranks, 1), (ranks // 4, 4))
+        ]
+        report = run_campaign(
+            CampaignSpec(name="fig2-decompositions", apps=("fvcam",)),
+            configs=configs,
+            cache=None,
+            scheduler="serial",
+        )
+        assert report.ok, [r.error for r in report.rows if not r.ok]
+        by_key = {r.key: r.result["trace_volume"] for r in report.rows}
+        one_d, two_d = (np.asarray(by_key[c.key()]) for c in configs)
+        result = Fig2Result(volume_1d=one_d, volume_2d=two_d)
+        assert result.volume_1d.shape == (ranks, ranks)
+        assert result.offdiagonal_offsets("1d") == [1]
+        assert result.reduction > 1.0
+        assert result.nonzero_pairs("2d") > result.nonzero_pairs("1d")
+
+    def test_executor_axis_campaign_produces_all_cells(self):
+        """Every executor cell completes, ``repeats`` produces that many
+        samples, and diagnostics agree bitwise across executors (on a
+        host without shared memory the processes cell degrades to
+        serial and must still agree)."""
+        spec = CampaignSpec(
+            name="executor-axis",
+            apps=("lbmhd",),
+            nprocs=(8,),
+            executors=("serial", "threads:4", "processes:2"),
+            steps=2,
+            repeats=2,
+            arena=True,
+            params={"lbmhd": {"shape": [8, 8, 8]}},
+        )
+        report = run_campaign(spec, cache=None, scheduler="serial")
+        assert report.ok, [r.error for r in report.rows if not r.ok]
+        assert [r.config.executor for r in report.rows] == list(
+            spec.executors
+        )
+        first = report.rows[0].result
+        for row in report.rows:
+            assert len(row.result["wall_samples_s"]) == 2
+            assert row.result["diagnostics"] == first["diagnostics"]
+
+    @pytest.mark.filterwarnings("ignore:kernel backend:RuntimeWarning")
+    def test_kernel_backend_axis_campaign_produces_all_cells(self):
+        """apps x every registered kernel backend: each cell completes
+        (an unimportable backend degrades to the numpy reference) and
+        a backend never changes an app's diagnostics."""
+        from repro.kernels import backend_names
+
+        apps = ("lbmhd", "gtc", "paratec")
+        spec = CampaignSpec(
+            name="backend-axis",
+            apps=apps,
+            kernel_backends=tuple(backend_names()),
+            steps=1,
+            seeds=(0,),
+            params={"lbmhd": {"shape": [16, 16, 16]}},
+        )
+        report = run_campaign(spec, cache=None, scheduler="serial")
+        assert report.ok, [r.error for r in report.rows if not r.ok]
+        cells = {
+            (r.config.app, r.config.kernel_backend): r.result
+            for r in report.rows
+        }
+        assert set(cells) == {
+            (app, backend) for app in apps for backend in backend_names()
+        }
+        for (app, _), result in cells.items():
+            assert result["wall_s"] > 0
+            assert result["diagnostics"] == cells[app, "numpy"]["diagnostics"]

@@ -156,6 +156,26 @@ class TestRunnerRegistry:
         for name in EXPERIMENTS:
             assert name in out
 
+    def test_module_entry_point_runs_without_a_runpy_warning(self):
+        """``python -m repro.experiments`` is the module form of the
+        CLI: the package does not import it first, so runpy has nothing
+        to warn about (``-m repro.experiments.runner`` did)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.experiments", "--list"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert set(proc.stdout.split()) >= set(EXPERIMENTS)
+
     def test_cli_json(self, capsys):
         import json
 

@@ -124,6 +124,20 @@ class TestDriver:
         result = harness.run("fvcam", steps=0)
         assert result.state.step_count == 0
 
+    def test_adapter_stepping_matches_direct_bitwise(self):
+        """Stepping a set-up state through the instrumented adapter
+        computes exactly what the solver's own loop does (P=8; the
+        single-rank case is test_harness_degenerate's)."""
+        from repro.apps.lbmhd import LBMHD3D, LBMHDParams
+
+        params = LBMHDParams(shape=(8, 8, 8))
+        direct = LBMHD3D(params, Communicator(8))
+        direct.run(4)
+        state = harness.run("lbmhd", params, steps=0, nprocs=8).state
+        for _ in range(4):
+            APPLICATIONS["lbmhd"].step(state)
+        assert np.array_equal(direct.global_state(), state.global_state())
+
     def test_default_nprocs(self):
         from repro.apps.gtc import GTCParams
 

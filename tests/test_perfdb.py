@@ -2,9 +2,11 @@
 
 Covers the ISSUE-mandated contracts:
 
-* every legacy ``BENCH_PR1``..``BENCH_PR7`` schema ingests into
-  canonical records (the *real* tracked files at the repo root, not
-  synthetic fixtures);
+* the tracked ``perf_history.jsonl`` (the measurements of PR 1–10,
+  one ``BENCH_PRn.json`` source tag per PR) ingests into 42 canonical
+  records, pinned per source against a frozen table;
+* the two accepted record shapes (``{"records": [...]}`` JSON and
+  record JSONL) yield equal records;
 * torn / empty campaign manifests are tolerated;
 * regression detection flags a synthetic 2x slowdown while passing the
   repository's real performance trajectory;
@@ -28,15 +30,36 @@ from repro.perfdb import (
     ingest_path,
     inject_slowdown,
     pivot,
-    records_from_bench,
     records_from_manifest,
     records_from_report,
     series_trends,
 )
-from repro.perfdb.ingest import detect_schema
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_FILES = sorted(REPO_ROOT.glob("BENCH_PR*.json"))
+HISTORY = REPO_ROOT / "perf_history.jsonl"
+
+#: source tag -> (pr, records, sum(wall_s), host, cpu_count), taken when
+#: the history was frozen; the file must keep saying exactly this
+FROZEN = {
+    "BENCH_PR1.json": (1, 6, 0.489592465, None, None),
+    "BENCH_PR2.json": (2, 8, 0.570105156, None, None),
+    "BENCH_PR3.json": (3, 2, 0.28617359, None, 1),
+    "BENCH_PR4.json": (4, 2, 1.750096776, None, 1),
+    "BENCH_PR5.json": (5, 3, 2.479405529, None, 1),
+    "BENCH_PR6.json": (6, 3, 1.565558086, None, 1),
+    "BENCH_PR7.json": (7, 12, 0.229060273, "vm", 1),
+    "BENCH_PR9.json": (9, 4, 2.540217713, "vm", 1),
+    "BENCH_PR10.json": (10, 2, 4.005025548, "vm", 1),
+}
+#: the sources whose file recorded a speedup target it could not enforce
+#: on its 1-core host, and the key that said so
+UNENFORCED = {
+    "BENCH_PR3.json": "enforced",
+    "BENCH_PR5.json": "speedup_enforced",
+    "BENCH_PR6.json": "enforced",
+    "BENCH_PR10.json": "enforced",
+}
+SOURCES = sorted(FROZEN)
 
 SMOKE_SPEC = CampaignSpec(
     name="perfdb-smoke",
@@ -57,80 +80,86 @@ def _record(**kw) -> RunRecord:
     return RunRecord(**base)
 
 
-# -- legacy schema ingestion (the real tracked files) ----------------------
+# -- the frozen history (the real tracked file) ----------------------------
+
+
+def _trajectory() -> list[RunRecord]:
+    return ingest_path(HISTORY)
+
+
+def _from_source(source: str) -> list[RunRecord]:
+    return [r for r in _trajectory() if r.source == source]
 
 
 def test_all_tracked_bench_files_present():
-    names = {p.name for p in BENCH_FILES}
-    assert names == {
-        f"BENCH_PR{i}.json" for i in (1, 2, 3, 4, 5, 6, 7, 9, 10)
-    }
+    records = _trajectory()
+    assert len(records) == 42
+    assert {r.source for r in records} == set(FROZEN)
 
 
-@pytest.mark.parametrize(
-    "path", BENCH_FILES, ids=[p.name for p in BENCH_FILES]
-)
-def test_every_legacy_bench_schema_adapts(path):
-    # strip any embedded canonical records so this pins the *legacy*
-    # adapter for each era, even after a bench re-emits its file
-    # through benchmarks/common.emit
-    payload = json.loads(path.read_text())
-    payload.pop("records", None)
-    records = records_from_bench(payload, source=path.name)
-    assert records, f"{path.name} legacy sections produced no records"
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_legacy_bench_schema_adapts(source):
+    # what each era's adapter produced, now pinned as data: record
+    # count, total wall-clock and the host facts the file carried
+    pr, count, wall_sum, host, cpu_count = FROZEN[source]
+    records = _from_source(source)
+    assert len(records) == count
+    assert sum(r.wall_s for r in records) == pytest.approx(
+        wall_sum, rel=0, abs=1e-9
+    )
     for r in records:
-        assert r.pr == int(path.stem.replace("BENCH_PR", ""))
+        assert (r.pr, r.host, r.cpu_count) == (pr, host, cpu_count)
+        if source in UNENFORCED:
+            target = r.extra_dict()["target"]
+            assert target[UNENFORCED[source]] is False
+            assert target["min_cores"] == 4
 
 
-@pytest.mark.parametrize(
-    "path", BENCH_FILES, ids=[p.name for p in BENCH_FILES]
-)
-def test_every_tracked_bench_file_ingests(path):
-    records = ingest_path(path)
-    assert records, f"{path.name} produced no records"
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_tracked_bench_file_ingests(source):
+    records = _from_source(source)
+    assert records, f"{source} produced no records"
     for r in records:
         assert isinstance(r, RunRecord)
-        assert r.source == path.name
-        assert r.pr == int(path.stem.replace("BENCH_PR", ""))
+        assert r.pr == FROZEN[source][0]
         assert r.wall_s >= 0.0
         assert r.bench and r.app
         # round trip through the canonical dict form
         assert RunRecord.from_dict(r.to_dict()) == r
 
 
-def test_schema_sniffing_distinguishes_all_eras():
-    seen = {}
-    for path in BENCH_FILES:
-        payload = json.loads(path.read_text())
-        payload.pop("records", None)  # sniff the legacy sections
-        seen[path.name] = detect_schema(payload)
-    assert seen == {
-        "BENCH_PR1.json": "pr1",
-        "BENCH_PR2.json": "pr2",
-        "BENCH_PR3.json": "pr3",
-        "BENCH_PR4.json": "pr4",
-        "BENCH_PR5.json": "pr5",
-        "BENCH_PR6.json": "pr6",
-        "BENCH_PR7.json": "pr7",
-        "BENCH_PR9.json": "pr9",
-        "BENCH_PR10.json": "pr10",
-    }
+def test_schema_sniffing_distinguishes_all_eras(tmp_path):
+    # no sniffing left: the two accepted record shapes, a
+    # {"records": [...]} JSON payload and record JSONL, are one format
+    records = _trajectory()
+    payload = tmp_path / "history.json"
+    payload.write_text(
+        json.dumps({"records": [r.to_dict() for r in records]})
+    )
+    assert ingest_path(payload) == records
+    lines = tmp_path / "history.jsonl"
+    lines.write_text(
+        "".join(json.dumps(r.to_dict()) + "\n" for r in records)
+    )
+    assert ingest_path(lines) == records
 
 
-def test_records_payloads_bypass_sniffing():
-    records = ingest_path(BENCH_FILES[0])
-    payload = {"records": [r.to_dict() for r in records]}
-    assert detect_schema(payload) == "records"
-    again = records_from_bench(payload, source=BENCH_FILES[0].name)
-    assert again == records
+def test_records_payloads_bypass_sniffing(tmp_path):
+    # a payload's other top-level keys are ignored, and records that
+    # carry no provenance take source and PR tag from the file name
+    bare = [
+        {**r.to_dict(), "source": "", "pr": None}
+        for r in _from_source("BENCH_PR1.json")
+    ]
+    path = tmp_path / "BENCH_PR1.json"
+    path.write_text(json.dumps({"config": {"ranks": 32}, "records": bare}))
+    assert ingest_path(path) == _from_source("BENCH_PR1.json")
 
 
 def test_full_trajectory_spans_eras_and_pivots():
     db = PerfDB()
-    total = 0
-    for path in BENCH_FILES:
-        total += db.add(ingest_path(path))
-    assert total == len(db.all()) >= 30
+    total = db.add(_trajectory())
+    assert total == len(db.all()) == 42
     assert set(db.distinct("pr")) == {1, 2, 3, 4, 5, 6, 7, 9, 10}
     # the ISSUE acceptance pivot: gflops by app x executor x backend
     view = pivot(
@@ -148,7 +177,7 @@ def test_full_trajectory_spans_eras_and_pivots():
 
 def test_store_deduplicates_on_content(tmp_path):
     db = PerfDB(tmp_path / "perf.db")
-    records = ingest_path(BENCH_FILES[0])
+    records = _from_source("BENCH_PR1.json")
     assert db.add(records) == len(records)
     assert db.add(records) == 0  # identical content: no new rows
     assert len(db.all()) == len(records)
@@ -170,11 +199,10 @@ def test_store_persists_and_queries(tmp_path):
 
 def test_jsonl_round_trip(tmp_path):
     db = PerfDB()
-    for path in BENCH_FILES:
-        db.add(ingest_path(path))
+    db.add(_trajectory())
     out = tmp_path / "records.jsonl"
     n = db.export_jsonl(out)
-    assert n == len(db.all())
+    assert n == len(db.all()) == 42
 
     db2 = PerfDB()
     assert db2.import_jsonl(out) == n
@@ -229,13 +257,6 @@ def test_empty_and_torn_manifests_tolerated(tmp_path):
 
 
 # -- regression detection --------------------------------------------------
-
-
-def _trajectory() -> list[RunRecord]:
-    records = []
-    for path in BENCH_FILES:
-        records.extend(ingest_path(path))
-    return records
 
 
 def test_real_trajectory_is_regression_free():

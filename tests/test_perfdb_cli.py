@@ -11,7 +11,7 @@ from repro.campaign import CampaignSpec, run_campaign
 from repro.perfdb.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_FILES = sorted(REPO_ROOT.glob("BENCH_PR*.json"))
+HISTORY = REPO_ROOT / "perf_history.jsonl"
 
 
 @pytest.fixture
@@ -21,8 +21,7 @@ def db_path(tmp_path):
 
 @pytest.fixture
 def loaded_db(db_path):
-    rc = main(["ingest", str(db_path), "--quiet"]
-              + [str(p) for p in BENCH_FILES])
+    rc = main(["ingest", str(db_path), "--quiet", str(HISTORY)])
     assert rc == 0
     return db_path
 
@@ -46,21 +45,52 @@ def manifest(tmp_path):
 
 
 def test_ingest_reports_per_source_counts(db_path, capsys):
-    rc = main(["ingest", str(db_path)] + [str(p) for p in BENCH_FILES])
+    rc = main(["ingest", str(db_path), str(HISTORY)])
     assert rc == 0
     out = capsys.readouterr().out
-    for p in BENCH_FILES:
-        assert p.name in out
+    assert f"{HISTORY}: 42 new record(s)" in out
+    assert "(42 new, 9 source(s))" in out
     # a re-ingest is idempotent: same sources, zero new records
-    rc = main(["ingest", str(db_path), str(BENCH_FILES[0])])
+    rc = main(["ingest", str(db_path), str(HISTORY)])
     assert rc == 0
-    assert "0 new record(s)" in capsys.readouterr().out
+    assert "0 new record(s) (42 already present)" in capsys.readouterr().out
 
 
 def test_ingest_manifest_and_missing_source(db_path, manifest, capsys):
     assert main(["ingest", str(db_path), str(manifest)]) == 0
     assert "1 new record(s)" in capsys.readouterr().out
     assert main(["ingest", str(db_path), "no-such-file.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text,complaint",
+    [
+        ("[1, 2]", "top level is a list"),
+        # the shape of every pre-ladder result file: sections, no records
+        ('{"config": {}, "lbmhd_step_loop": {}}',
+         "no 'records' list among top-level keys config, lbmhd_step_loop"),
+        ('{"records": [{"app": "lbmhd", "bench": "b"}, {"app": 3}]}',
+         "records[1] is not a RunRecord"),
+        ('{"records": [7]}', "records[0] is not a RunRecord"),
+        ('{"records": [{"app": "a", "bench": "b", "walls": 1}]}',
+         "unknown RunRecord field(s): walls"),
+        ('{"records": ', "bad source"),
+    ],
+    ids=["not-an-object", "no-records", "missing-field", "not-a-dict",
+         "unknown-field", "torn-json"],
+)
+def test_ingest_names_what_is_wrong_with_a_bad_json_source(
+    db_path, tmp_path, capsys, text, complaint
+):
+    bad = tmp_path / "x.json"
+    bad.write_text(text)
+    assert main(["ingest", str(db_path), str(bad)]) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()  # one line, not a traceback
+    assert line.startswith(f"repro-perfdb: bad source {bad}: ")
+    assert complaint in line
+    assert "x.json" in line
+    assert "0 new" in out  # nothing from the file reached the store
 
 
 def test_query_renders_the_acceptance_pivot(loaded_db, capsys):

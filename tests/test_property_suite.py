@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.perfdb import PerfDB, RunRecord
 from repro.simmpi import Communicator, Message
 
 
@@ -186,3 +192,91 @@ class TestSphereProperty:
         vecs = {tuple(v) for v in sphere.vectors}
         assert all((-a, -b, -c) in vecs for (a, b, c) in vecs)
         assert (0, 0, 0) in vecs
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_count = st.none() | st.integers(min_value=0, max_value=2**31)
+_seconds = st.none() | st.floats(min_value=0.0, max_value=1e9)
+_tag = st.none() | st.text(max_size=8)
+_run_records = st.builds(
+    RunRecord,
+    app=st.text(min_size=1, max_size=8),
+    bench=st.text(min_size=1, max_size=8),
+    variant=st.text(max_size=8),
+    machine=_tag,
+    nprocs=_count,
+    executor=st.sampled_from(["serial", "threads:2", "processes:2"]),
+    kernel_backend=st.sampled_from(["numpy", "numba"]),
+    seed=_count,
+    steps=_count,
+    repeats=_count,
+    wall_s=st.floats(min_value=0.0, max_value=1e9),
+    gflops=_seconds,
+    compute_s=_seconds,
+    comm_s=_seconds,
+    sync_s=_seconds,
+    recovery_s=_seconds,
+    nbytes=_seconds,
+    messages=_seconds,
+    source=st.text(max_size=8),
+    pr=_count,
+    host=_tag,
+    cpu_count=_count,
+    version=_tag,
+    key=_tag,
+)
+_extras = st.dictionaries(st.text(max_size=4), _json_values, max_size=3)
+
+
+class TestRunRecordRoundTrip:
+    """A record is its JSON line: what ``perf_history.jsonl`` and
+    ``repro-perfdb export`` rest on."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rec=_run_records, extra=_extras)
+    def test_dict_json_dict_is_the_same_record(self, rec, extra):
+        rec = replace(rec, extra=extra)
+        assert rec.extra_dict() == extra  # lists stay lists, dicts dicts
+        line = json.dumps(rec.to_dict(), sort_keys=True)
+        back = RunRecord.from_dict(json.loads(line))
+        assert back == rec and hash(back) == hash(rec)
+        assert back.uid() == rec.uid()
+        assert json.dumps(back.to_dict(), sort_keys=True) == line
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        records=st.lists(
+            st.builds(replace, _run_records, extra=_extras), max_size=6
+        ),
+        cut=st.integers(min_value=1, max_value=40),
+    )
+    def test_export_import_keeps_every_record_and_skips_a_torn_tail(
+        self, records, cut
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "records.jsonl"
+            with PerfDB() as db, PerfDB() as again, PerfDB() as torn:
+                db.add(records)
+                n = db.export_jsonl(out)
+                assert n == len(db.all()) == len({r.uid() for r in records})
+                assert again.import_jsonl(out) == n
+                assert again.all() == db.all()
+                # a writer that died mid-append: the last line is cut
+                # short, every earlier record still loads
+                text = out.read_text()
+                last = text.splitlines()[-1] if n else '{"app": "lbmhd"}'
+                out.write_text(text + last[: min(cut, len(last) - 1)])
+                assert torn.import_jsonl(out) == n
+                assert torn.all() == db.all()

@@ -2,8 +2,8 @@
 
 The integration tests run a real :class:`ReproService` on a background
 event-loop thread (ephemeral port) and speak actual HTTP/1.1 at it via
-``http.client`` — the same path the CI service job and
-``benchmarks/bench_service.py`` exercise.
+``http.client`` — the same path the CI service job and the ladder
+benchmark's ``predict_warm`` workload exercise.
 """
 
 from __future__ import annotations

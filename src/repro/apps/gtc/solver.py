@@ -87,11 +87,7 @@ def _deposit_segment(rank: int, shm, args) -> np.ndarray:
     until the subgroup Allreduce that follows the region.
     """
     p = args.particles[rank]
-    dest = (
-        shm.for_rank(rank).scratch("gtc.charge.partial", args.grid.shape)
-        if shm is not None
-        else None
-    )
+    dest = shm.for_rank(rank).scratch("gtc.charge.partial", args.grid.shape)
     if args.vectorized:
         rho = args.kernels.gtc_deposit_work_vector(
             args.grid, p, args.copies, out=dest
@@ -102,37 +98,30 @@ def _deposit_segment(rank: int, shm, args) -> np.ndarray:
     return rho
 
 
-def _field_segment(domain: int, shm, args) -> list:
-    """Poisson solve + E-field for one toroidal domain's ranks.
+def _field_segment(domain: int, shm, args) -> tuple:
+    """Poisson solve + E-field for one toroidal domain.
 
-    One segment per domain, not per rank: in arena mode the ranks of a
-    domain share the solve result (their reduced charges are bitwise
-    equal), so the domain is the independent unit of work.  Ranks are
-    walked in ascending order, so the deferred compute charges replay
-    exactly as the serial per-rank loop charged them.  Returns one
-    ``(phi, (e_r, e_theta))`` entry per rank.
+    One segment per domain, not per rank: after the subgroup Allreduce
+    the ranks of a domain hold the same charge bitwise, so they share
+    the one solve.  Virtual time is still charged per rank — each
+    simulated processor does the work — in ascending order, so the
+    deferred charges replay as a serial per-rank loop charges them.
+    Returns ``(phi, (e_r, e_theta))``.
     """
     lo = domain * args.npe
-    out: list[tuple[np.ndarray, tuple]] = []
-    fields: tuple[np.ndarray, tuple] | None = None
+    rho = args.charge[lo]
+    phi = solve_poisson(args.grid, rho - rho.mean())
     for rank in range(lo, lo + args.npe):
-        if not args.share or fields is None:
-            rho = args.charge[rank]
-            phi = solve_poisson(args.grid, rho - rho.mean())
-            fields = (phi, electric_field(args.grid, phi))
-        out.append(fields)
         args.comm.compute(rank, args.work)
-    return out
+    return phi, electric_field(args.grid, phi)
 
 
 def _push_segment(rank: int, shm, args) -> ParticleArray:
     """Gather E at one rank's particles and advance them; returns the
-    pushed particles (in ``args.outs[rank]`` when the run has an arena:
-    the caller allocated it, so under a process executor it is shared
-    memory and comes home by reference)."""
+    pushed particles — in ``args.outs[rank]`` where the caller put a
+    buffer there (shared memory, so it comes home by reference)."""
     p = args.particles[rank]
-    # e_fields may be shared between the ranks of a domain in arena
-    # mode — segments only read them.
+    # the ranks of a domain share their E-fields; segments only read them
     e_r, e_theta = args.e_fields[rank]
     er_p, et_p = args.kernels.gtc_gather_field(args.grid, e_r, e_theta, p)
     new = args.kernels.gtc_push_particles(
@@ -141,7 +130,7 @@ def _push_segment(rank: int, shm, args) -> ParticleArray:
         er_p,
         et_p,
         args.push_params,
-        out=None if args.outs is None else args.outs[rank],
+        out=args.outs[rank],
     )
     args.comm.compute(rank, push_work(len(p), args.vectorized))
     return new
@@ -163,7 +152,7 @@ class GTC:
     ) -> None:
         self.params = params
         self.comm = comm
-        self.arena = arena
+        self.arena = comm.executor.adopt(arena, "gtc")
         self.kernels = get_backend(kernels)
         if comm.nprocs % params.ntoroidal != 0:
             raise ValueError(
@@ -235,15 +224,9 @@ class GTC:
                 self.charge[rank] = reduced[k]
 
     def field_phase(self) -> None:
-        """Poisson solve and E-field, replicated per rank (phase 3).
-
-        With an arena the replicated solve is computed once per
-        toroidal domain: after the subgroup Allreduce every rank of a
-        domain holds the same charge bitwise, so the per-rank solves
-        are identical by construction and the fast path shares the
-        (read-only) results.  Virtual time is still charged per rank —
-        each simulated processor does the work.
-        """
+        """Poisson solve and E-field, replicated per rank (phase 3):
+        computed once per toroidal domain (:func:`_field_segment`), the
+        read-only results shared by the domain's ranks."""
         grid = self.torus.plane
         npe = self.decomp.npe_per_domain
         args = SimpleNamespace(
@@ -252,18 +235,16 @@ class GTC:
             npe=npe,
             work=poisson_work(grid),
             charge=self.charge,
-            share=self.arena is not None,
         )
         per_domain = self.comm.map_ranks(
             partial(_field_segment, shm=self.arena, args=args),
             indices=range(self.decomp.ntoroidal),
         )
         self.e_fields = []
-        for domain, fields_list in enumerate(per_domain):
-            lo = domain * npe
-            for k, fields in enumerate(fields_list):
-                self.phi[lo + k] = fields[0]
-                self.e_fields.append(fields[1])
+        for domain, (phi, e_field) in enumerate(per_domain):
+            for rank in range(domain * npe, (domain + 1) * npe):
+                self.phi[rank] = phi
+                self.e_fields.append(e_field)
 
     def _buffers(self, tag: str, rank: int, n: int) -> ParticleArray:
         """Arena-backed storage for ``n`` particles of ``rank``: views
@@ -282,13 +263,13 @@ class GTC:
         )
 
     def _rehome(self, particles: list[ParticleArray]) -> list[ParticleArray]:
-        """With a shared-memory arena, move the populations into it.
+        """Where the arena is shared memory, move the populations into it.
 
         The shift (and a restore) leaves them in private arrays, which
         a process executor would copy to its workers with every region
         of the next step; arena buffers go by reference instead.
         """
-        if self.arena is None or not self.arena.shared:
+        if not self.arena.shared:
             return particles
         homed = []
         for rank, p in enumerate(particles):
@@ -300,10 +281,11 @@ class GTC:
 
     def push_phase(self) -> None:
         """Gather + guiding-center advance (phase 4)."""
-        outs = None
-        if self.arena is not None:
-            # keys alternate on step parity so the buffers being
-            # written never alias the particles being read
+        outs: list[ParticleArray | None] = [None] * self.comm.nprocs
+        if self.arena.shared:
+            # pushed particles come home by reference; keys alternate
+            # on step parity so the buffers being written never alias
+            # the particles being read
             tag = f"gtc.push.{self.step_count % 2}"
             outs = [
                 self._buffers(tag, rank, len(p))

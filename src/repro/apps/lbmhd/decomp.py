@@ -126,7 +126,6 @@ def exchange_halos(
     comm: Communicator,
     decomp: CartesianDecomposition3D,
     padded: list[np.ndarray],
-    zero_copy: bool = False,
 ) -> None:
     """Fill the one-cell ghost layers of every rank's padded state.
 
@@ -137,13 +136,9 @@ def exchange_halos(
     axes (a single rank along that axis) wrap locally at zero cost,
     matching the physical periodic boundary.
 
-    ``zero_copy=True`` posts boundary-plane *views* and delivers them
-    uncopied (``exchange(..., copy=False)``): each halo plane then
-    moves with a single strided copy — the ghost-layer write — instead
-    of three (plane extraction, runtime delivery, ghost write).  This
-    is safe here because sends read core planes while receives write
-    only ghost planes, which never overlap; the filled ghosts are
-    bitwise-identical either way.
+    This is the per-message reference: the solver steps through
+    :func:`exchange_halos_block`, which the tests hold to the ghosts,
+    clocks and traces this function produces.
     """
     if len(padded) != decomp.nprocs:
         raise ValueError("need one padded block per rank")
@@ -152,9 +147,6 @@ def exchange_halos(
     for axis in range(3):
         ax = axis + 1  # slot axis is 0
         n = core_hi[axis]
-        lo_idx = [slice(None)] * 4
-        hi_idx = [slice(None)] * 4
-        lo_idx[ax], hi_idx[ax] = 1, n
         messages: list[Message] = []
         local_wrap: list[int] = []
         for rank in range(decomp.nprocs):
@@ -163,15 +155,11 @@ def exchange_halos(
             if lo_nbr == rank and hi_nbr == rank:
                 local_wrap.append(rank)
                 continue
-            if zero_copy:
-                lo_plane = padded[rank][tuple(lo_idx)]
-                hi_plane = padded[rank][tuple(hi_idx)]
-            else:
-                lo_plane = np.take(padded[rank], 1, axis=ax)
-                hi_plane = np.take(padded[rank], n, axis=ax)
+            lo_plane = np.take(padded[rank], 1, axis=ax)
+            hi_plane = np.take(padded[rank], n, axis=ax)
             messages.append(Message(src=rank, dst=lo_nbr, payload=lo_plane, tag=axis))
             messages.append(Message(src=rank, dst=hi_nbr, payload=hi_plane, tag=axis + 8))
-        received = comm.exchange(messages, copy=not zero_copy)
+        received = comm.exchange(messages)
 
         # Single rank along this axis: wrap the planes locally.
         for rank in local_wrap:
@@ -248,18 +236,16 @@ def exchange_halos_block(
     legacy message ordering, so clocks, traces, and the filled ghosts
     are all identical to the per-rank path bitwise.
     """
-    if padded_block.ndim != 5 or padded_block.shape[1] != decomp.nprocs:
-        raise ValueError("padded_block must be (slots, nranks, x, y, z)")
-    if not padded_block.flags.c_contiguous:
-        # The slice algebra below needs the rank axis reshaped in place;
-        # a strided block takes the (equivalent) per-rank path instead.
-        exchange_halos(
-            comm,
-            decomp,
-            [padded_block[:, r] for r in range(decomp.nprocs)],
-            zero_copy=True,
+    if (
+        padded_block.ndim != 5
+        or padded_block.shape[1] != decomp.nprocs
+        # the slice algebra below reshapes the rank axis in place
+        or not padded_block.flags.c_contiguous
+    ):
+        raise ValueError(
+            "padded_block must be a C-contiguous (slots, nranks, x, y, z) "
+            "block"
         )
-        return
     plan = _halo_plan(decomp)
     itemsize = padded_block.itemsize
     # Ranks are laid out C-order over the processor grid

@@ -120,6 +120,10 @@ def load_checkpoint(blob: bytes, comm: Communicator) -> LBMHD3D:
             b0=float(data["b0"]),
         )
         sim = LBMHD3D(params, comm)
-        sim.states = sim.decomp.scatter(data["state"])
-        sim.step_count = int(data["step"])
+        sim.restore_state(
+            {
+                "states": sim.decomp.scatter(data["state"]),
+                "step_count": int(data["step"]),
+            }
+        )
     return sim

@@ -29,11 +29,7 @@ from .collision import (
     CollisionParams,
     collision_work,
 )
-from .decomp import (
-    CartesianDecomposition3D,
-    exchange_halos,
-    exchange_halos_block,
-)
+from .decomp import CartesianDecomposition3D, exchange_halos_block
 from .equilibrium import f_equilibrium, g_equilibrium
 from .fields import (
     kinetic_energy,
@@ -43,7 +39,6 @@ from .fields import (
     split_state,
 )
 from .lattice import NSLOTS
-from .stream import pad_state
 
 
 @dataclass(frozen=True)
@@ -136,59 +131,49 @@ def equilibrium_state(
 
 # -- rank segments -----------------------------------------------------
 #
-# Module-level callables (docs/executors.md) bound once per region with
-# ``functools.partial`` to ``args``, a namespace of region inputs.  The
-# per-rank ``(rank, shm, args)`` segments of the allocating path return
-# their effects; the ``(lo, hi, args)`` shard segments of the arena
-# path write through arena views in ``args`` (shared memory under a
-# process executor) — never through private parent memory, which a
-# team worker cannot reach.
+# Module-level ``(lo, hi, args)`` shard callables (docs/executors.md)
+# bound once per region with ``functools.partial`` to ``args``, a
+# namespace of region inputs.  They write through arena views in
+# ``args`` (shared memory under a process executor) — never through
+# private parent memory, which a team worker cannot reach.
 
 
-def _collide_segment(rank: int, shm, args) -> np.ndarray:
-    """Collide one rank's state; returns the post-collision state."""
-    if args.mrt is not None:
-        from .mrt import collide_mrt
-
-        new = collide_mrt(args.states[rank], args.mrt)
-    else:
-        new = args.kernels.lbmhd_collide(
-            args.states[rank],
-            args.collision,
-            arena=None if shm is None else shm.for_rank(rank),
-        )
-    args.comm.compute(rank, args.work)
-    return new
-
-
-def _pad_segment(rank: int, shm, args) -> np.ndarray:
-    """Ghost-pad one rank's post-collision state for the halo phase."""
-    return pad_state(args.post[rank])
-
-
-def _stream_segment(rank: int, shm, args) -> np.ndarray:
-    """Stream one rank from its halo-complete padded state."""
-    return args.kernels.lbmhd_stream_from_padded(args.padded[rank])
+#: Lattice points one batched collide call covers at most: enough to
+#: amortise the call, and a bound (about 0.8 KB a point) on the
+#: workspace a solver keeps between steps however many ranks a shard
+#: holds — a serial executor's one shard is the whole lattice.
+_COLLIDE_BATCH_POINTS = 16384
 
 
 def _collide_shard(lo: int, hi: int, args) -> None:
-    """Collide ranks ``lo:hi`` of the state block in one batched call,
-    straight into the ghost-padded core: no separate post-collision
-    buffer, no pack copy.  Scratch comes from the shard's own child
-    arena, so concurrent shards never alias a workspace."""
-    args.kernels.lbmhd_collide(
-        args.block[:, lo:hi],
-        args.collision,
-        out=args.core[:, lo:hi],
-        arena=args.arena.for_rank(lo),
-    )
+    """Collide ranks ``lo:hi`` of the state block straight into the
+    ghost-padded core: no separate post-collision buffer, no pack copy.
+    BGK runs batched over a few ranks a call, its scratch drawn from
+    the shard's own child arena so concurrent shards never alias a
+    workspace; the projected-MRT operator runs rank by rank."""
+    if args.mrt is None:
+        scratch = args.arena.for_rank(lo)
+        batch = max(1, _COLLIDE_BATCH_POINTS // args.block[0, 0].size)
+        for a in range(lo, hi, batch):
+            b = min(a + batch, hi)
+            args.kernels.lbmhd_collide(
+                args.block[:, a:b],
+                args.collision,
+                out=args.core[:, a:b],
+                arena=scratch,
+            )
+    else:
+        from .mrt import collide_mrt
+
+        for rank in range(lo, hi):
+            args.core[:, rank] = collide_mrt(args.block[:, rank], args.mrt)
     for rank in range(lo, hi):
         args.comm.compute(rank, args.work)
 
 
 def _stream_shard(lo: int, hi: int, args) -> None:
     """Stream ranks ``lo:hi``: padded block back into the state block."""
-    args.kernels.lbmhd_stream_from_padded_batch(
+    args.kernels.lbmhd_stream_from_padded(
         args.padded[:, lo:hi], out=args.block[:, lo:hi]
     )
 
@@ -208,14 +193,13 @@ class Diagnostics:
 class LBMHD3D:
     """Parallel LBMHD3D simulation over a simulated communicator.
 
-    Passing an :class:`~repro.runtime.arena.Arena` enables the
-    allocation-free fast path: all rank states live side by side in one
-    ``(NSLOTS, nranks, lx, ly, lz)`` block, collision runs batched over
-    every rank at once into a persistent ghost-padded buffer, the halo
-    exchange moves plane views without intermediate copies, and
-    streaming writes straight back into the state block.  The fast path
-    is bitwise-identical to the allocating path (the regression suite
-    enforces this across decompositions).
+    All rank states live side by side in one ``(NSLOTS, nranks, lx, ly,
+    lz)`` arena block: collision runs batched over a shard of ranks at
+    a time into a persistent ghost-padded buffer, the halo exchange
+    moves boundary planes inside that buffer, and streaming writes
+    straight back into the state block — no allocation at steady
+    state.  ``arena`` is where those buffers live; without one the
+    solver takes its own from the communicator's executor.
     """
 
     app_key = "lbmhd"
@@ -231,110 +215,67 @@ class LBMHD3D:
     ) -> None:
         self.params = params
         self.comm = comm
-        self.arena = arena
+        self.arena = comm.executor.adopt(arena, "lbmhd")
         self.kernels = get_backend(kernels)
         self.decomp = CartesianDecomposition3D.create(params.shape, comm.nprocs)
-        rho, u, B = orszag_tang_fields(params.shape, params.u0, params.b0)
-        global_state = equilibrium_state(rho, u, B)
-        self.states: list[np.ndarray] = self.decomp.scatter(global_state)
-        self._state_block: np.ndarray | None = None
-        # The batched fast path mutates the state block in place from
-        # rank segments; a team worker's writes only reach the parent
-        # when the block lives in shared memory, so on a process
-        # executor the fast path requires a shared arena (the harness
-        # provisions one) and otherwise the allocating path — whose
-        # segments return their results — carries the run.
-        fast_ok = (
-            arena is not None
-            and comm.nprocs > 1
-            and not params.use_mrt
-            and (comm.executor.in_process or arena.shared)
+        lx, ly, lz = self.decomp.local_shape
+        self._state_block = self.arena.scratch(
+            "lbmhd.state_block", (NSLOTS, comm.nprocs, lx, ly, lz)
         )
-        if fast_ok:
-            lx, ly, lz = self.decomp.local_shape
-            block = arena.scratch(
-                "lbmhd.state_block", (NSLOTS, comm.nprocs, lx, ly, lz)
-            )
-            for r, s in enumerate(self.states):
-                block[:, r] = s
-            self._state_block = block
-            self.states = [block[:, r] for r in range(comm.nprocs)]
+        # the equilibria are point-local and slicing-invariant: each
+        # rank's block is bitwise its slice of the global state, which
+        # therefore never has to exist
+        rho, u, B = orszag_tang_fields(params.shape, params.u0, params.b0)
+        for rank, dst in enumerate(self.states):
+            own = (..., *self.decomp.local_slices(rank))
+            dst[...] = equilibrium_state(rho[own], u[own], B[own])
         self.step_count = 0
+
+    @property
+    def states(self) -> list[np.ndarray]:
+        """Per-rank views of the state block (write through them; the
+        list itself is not state)."""
+        return [self._state_block[:, r] for r in range(self.comm.nprocs)]
 
     # -- time stepping ---------------------------------------------------
 
     def step(self) -> None:
         """One fused collide+stream update across all ranks."""
-        if self._state_block is not None:
-            self._step_fast()
-            self.step_count += 1
-            return
-        local_points = int(np.prod(self.decomp.local_shape))
-        args = SimpleNamespace(
-            comm=self.comm,
-            states=self.states,
-            collision=self.params.collision,
-            mrt=self.params.mrt if self.params.use_mrt else None,
-            work=collision_work(local_points),
-            kernels=self.kernels,
-        )
-
-        with self.comm.phase("collision"):
-            post = self.comm.map_ranks(
-                partial(_collide_segment, shm=self.arena, args=args)
-            )
-
-        with self.comm.phase("stream"):
-            if self.comm.nprocs == 1:
-                self.states = [self.kernels.lbmhd_stream_periodic(post[0])]
-            else:
-                args.post = post
-                padded = self.comm.map_ranks(
-                    partial(_pad_segment, shm=self.arena, args=args)
-                )
-                exchange_halos(self.comm, self.decomp, padded)
-                args.padded = padded
-                self.states = self.comm.map_ranks(
-                    partial(_stream_segment, shm=self.arena, args=args)
-                )
-        self.step_count += 1
-
-    def _step_fast(self) -> None:
-        """Arena-backed batched step: zero allocations at steady state."""
-        arena = self.arena
-        assert arena is not None and self._state_block is not None
+        # shards write the block in place: once the arena's shared
+        # memory is gone (its executor was closed) team workers would
+        # write copies, so refuse instead of losing the step
+        self.comm.executor.adopt(self.arena)
         nranks = self.comm.nprocs
         lx, ly, lz = self.decomp.local_shape
-        block = self._state_block
-
-        padded_block = arena.scratch(
+        padded_block = self.arena.scratch(
             "lbmhd.padded_block", (NSLOTS, nranks, lx + 2, ly + 2, lz + 2)
         )
-        core = padded_block[:, :, 1 : lx + 1, 1 : ly + 1, 1 : lz + 1]
-        work = collision_work(lx * ly * lz)
 
-        # One batched call per shard of ranks; the kernels are
-        # point-local with a pinned tile width, so any sharding is
-        # bitwise-identical to the whole block (a serial executor's one
-        # shard) and to rank-by-rank calls.  Shards write disjoint
-        # ``[:, lo:hi]`` slices, so they are independent across worker
-        # threads and team workers alike.
+        # One segment per shard of ranks; the kernels are point-local
+        # with a pinned tile width, so any sharding (and any batching
+        # within a shard) is bitwise-identical to the whole block and
+        # to rank-by-rank calls.  Shards write disjoint ``[:, lo:hi]``
+        # slices, so they are independent across worker threads and
+        # team workers alike.
         args = SimpleNamespace(
             comm=self.comm,
-            arena=arena,
-            block=block,
-            core=core,
+            arena=self.arena,
+            block=self._state_block,
+            core=padded_block[:, :, 1 : lx + 1, 1 : ly + 1, 1 : lz + 1],
             padded=padded_block,
             collision=self.params.collision,
-            work=work,
+            mrt=self.params.mrt if self.params.use_mrt else None,
+            work=collision_work(lx * ly * lz),
             kernels=self.kernels,
         )
         with self.comm.phase("collision"):
             self.comm.map_shards(partial(_collide_shard, args=args))
 
         with self.comm.phase("stream"):
+            # a flat processor-grid axis wraps locally, at no charge
             exchange_halos_block(self.comm, self.decomp, padded_block)
             self.comm.map_shards(partial(_stream_shard, args=args))
+        self.step_count += 1
 
     def run(self, steps: int) -> None:
         for _ in range(steps):
@@ -353,8 +294,7 @@ class LBMHD3D:
         states = snapshot["states"]
         if len(states) != len(self.states):
             raise ValueError("checkpoint rank count mismatch")
-        # copy in place: in arena-block mode states[r] are views into
-        # the batched block, which _step_fast reads directly
+        # copy in place: states[r] are views into the block step() reads
         for dst, src in zip(self.states, states):
             dst[...] = src
         self.step_count = int(snapshot["step_count"])

@@ -68,46 +68,25 @@ def stream_from_padded(
     ``new[s, x-1] = padded[s, x - c_s]`` — a shifted window over the
     padded array, touching the ghost layer for boundary points.
     ``out`` (optional, fully overwritten) must not alias ``padded``.
+
+    ``padded`` may carry batch axes between the slot axis and the three
+    spatial ones — a stacked ``(NSLOTS, nranks, nx+2, ny+2, nz+2)``
+    multi-rank block streams in one strided copy per slot (72 array ops
+    instead of ``72 * nranks``), bitwise what streaming each rank
+    separately gives.
     """
     if padded.shape[0] != NSLOTS:
         raise ValueError(f"state must have {NSLOTS} slots")
-    nx, ny, nz = (d - 2 for d in padded.shape[1:])
+    nx, ny, nz = (d - 2 for d in padded.shape[-3:])
     if out is None:
-        out = np.empty((NSLOTS, nx, ny, nz), dtype=padded.dtype)
+        out = np.empty(
+            (*padded.shape[:-3], nx, ny, nz), dtype=padded.dtype
+        )
     for s in range(NSLOTS):
         cx, cy, cz = _SHIFTS[s]
         out[s] = padded[
             s,
-            1 - cx : 1 - cx + nx,
-            1 - cy : 1 - cy + ny,
-            1 - cz : 1 - cz + nz,
-        ]
-    return out
-
-
-def stream_from_padded_batch(
-    padded: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Batched pull-streaming over a stacked multi-rank padded block.
-
-    ``padded`` has shape ``(NSLOTS, nranks, nx+2, ny+2, nz+2)`` — every
-    rank's ghost-padded post-collision state side by side — and the
-    window slicing of :func:`stream_from_padded` is applied to all
-    ranks in one strided copy per slot (72 array ops per step instead
-    of ``72 * nranks``).  Bitwise-identical to streaming each rank
-    separately.
-    """
-    if padded.shape[0] != NSLOTS:
-        raise ValueError(f"state must have {NSLOTS} slots")
-    nranks = padded.shape[1]
-    nx, ny, nz = (d - 2 for d in padded.shape[2:])
-    if out is None:
-        out = np.empty((NSLOTS, nranks, nx, ny, nz), dtype=padded.dtype)
-    for s in range(NSLOTS):
-        cx, cy, cz = _SHIFTS[s]
-        out[s] = padded[
-            s,
-            :,
+            ...,
             1 - cx : 1 - cx + nx,
             1 - cy : 1 - cy + ny,
             1 - cz : 1 - cz + nz,

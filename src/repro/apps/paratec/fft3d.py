@@ -39,9 +39,10 @@ from .gvectors import GSphere, SphereDistribution, _wrap_index
 # Module-level ``(rank, shm, args)`` callables (docs/executors.md).
 # ``args.plan`` is the ParallelFFT3D engine itself: its column/slab
 # tables are built once in ``__post_init__`` and immutable afterwards
-# (partition-and-build-once), so segments only read it.  Every segment
-# returns a fresh array — arena staging buffers are scratch, never the
-# result — which keeps the transforms correct under forked workers.
+# (partition-and-build-once), so segments only read it.  ``shm`` is the
+# engine's arena: staging buffers come from the rank's child arena, and
+# every segment returns its result, which keeps the transforms correct
+# under forked workers (whose arena is their own copy).
 
 
 def _line_segment(rank: int, shm, args) -> np.ndarray:
@@ -49,13 +50,10 @@ def _line_segment(rank: int, shm, args) -> np.ndarray:
     plan = args.plan
     ncol = len(plan._col_keys[rank])
     n3 = plan.grid_shape[2]
-    if shm is not None:
-        line = shm.for_rank(rank).scratch(
-            "paratec.line", (ncol, n3), np.complex128
-        )
-        line.fill(0.0)
-    else:
-        line = np.zeros((ncol, n3), dtype=complex)
+    line = shm.for_rank(rank).scratch(
+        "paratec.line", (ncol, n3), np.complex128
+    )
+    line.fill(0.0)
     line[plan._col_of_point[rank], plan._gz_of_point[rank]] = args.coeffs[
         rank
     ]
@@ -70,42 +68,22 @@ def _fft2_segment(rank: int, shm, args) -> np.ndarray:
     return args.kernels.paratec_fft2_planes(args.slabs[rank])
 
 
-def _pack_columns_segment(i: int, shm, args) -> list[np.ndarray]:
-    """Allocating-path pack: one contiguous z-window per destination."""
-    plan = args.plan
-    return [
-        np.ascontiguousarray(
-            args.lines[i][
-                :, plan._slab_bounds[j] : plan._slab_bounds[j + 1]
-            ]
-        )
-        for j in range(args.p)
-    ]
-
-
 def _unpack_slab_segment(j: int, shm, args) -> np.ndarray:
     """Place every rank's delivered columns into rank j's slab."""
     plan = args.plan
     n1, n2, _ = plan.grid_shape
     nz = plan.slab_shape(j)[2]
-    if shm is not None:
-        rank_arena = shm.for_rank(j)
-        slab = rank_arena.scratch(
-            "paratec.slab", (n1, n2, nz), np.complex128
-        )
-        slab.fill(0.0)
-        off = plan._col_offsets
-        rows = rank_arena.scratch(
-            "paratec.rows", (int(off[-1]), nz), np.complex128
-        )
-        for i in range(args.p):
-            rows[off[i] : off[i + 1]] = args.recv[j][i]
-        slab[plan._all_keys[:, 0], plan._all_keys[:, 1], :] = rows
-    else:
-        slab = np.zeros((n1, n2, nz), dtype=complex)
-        for i in range(args.p):
-            keys = plan._col_keys[i]
-            slab[keys[:, 0], keys[:, 1], :] = args.recv[j][i]
+    rank_arena = shm.for_rank(j)
+    slab = rank_arena.scratch("paratec.slab", (n1, n2, nz), np.complex128)
+    slab.fill(0.0)
+    # stage every sender's rows once, then one stacked scatter
+    off = plan._col_offsets
+    rows = rank_arena.scratch(
+        "paratec.rows", (int(off[-1]), nz), np.complex128
+    )
+    for i in range(args.p):
+        rows[off[i] : off[i + 1]] = args.recv[j][i]
+    slab[plan._all_keys[:, 0], plan._all_keys[:, 1], :] = rows
     return slab
 
 
@@ -114,12 +92,9 @@ def _zline_segment(i: int, shm, args) -> np.ndarray:
     plan = args.plan
     n3 = plan.grid_shape[2]
     ncol = len(plan._col_keys[i])
-    if shm is not None:
-        line = shm.for_rank(i).scratch(
-            "paratec.zline", (ncol, n3), np.complex128
-        )
-    else:
-        line = np.empty((ncol, n3), dtype=complex)
+    line = shm.for_rank(i).scratch(
+        "paratec.zline", (ncol, n3), np.complex128
+    )
     for j in range(args.p):
         lo, hi = plan.slab_range(j)
         line[:, lo:hi] = args.recv[i][j]
@@ -128,20 +103,8 @@ def _zline_segment(i: int, shm, args) -> np.ndarray:
 
 
 def _pack_slab_segment(j: int, shm, args) -> list[np.ndarray]:
-    """Allocating-path pack: gather each destination's columns."""
-    plan = args.plan
-    return [
-        np.ascontiguousarray(
-            args.f2s[j][
-                plan._col_keys[i][:, 0], plan._col_keys[i][:, 1], :
-            ]
-        )
-        for i in range(args.p)
-    ]
-
-
-def _pack_slab_stacked_segment(j: int, shm, args) -> list[np.ndarray]:
-    """Arena-path pack: one stacked gather, row-range views per rank."""
+    """One stacked gather of every destination's columns; each rank's
+    block is a row range (a view) of it."""
     plan = args.plan
     off = plan._col_offsets
     allcols = args.f2s[j][plan._all_keys[:, 0], plan._all_keys[:, 1], :]
@@ -152,12 +115,11 @@ def _pack_slab_stacked_segment(j: int, shm, args) -> list[np.ndarray]:
 class ParallelFFT3D:
     """Distributed sphere <-> slab transform engine over a communicator.
 
-    With an :class:`~repro.runtime.arena.Arena` the global transposes
-    run the zero-copy fast path: boundary sub-blocks are posted as
-    views (``alltoallv(copy=False)``), scatter/gather staging buffers
-    are drawn from the arena, and per-pair unpack loops collapse into
-    one stacked placement per rank.  The moved values are identical, so
-    transforms are bitwise-equal to the allocating path.
+    The global transposes post boundary sub-blocks as views
+    (``alltoallv(copy=False)``), draw their scatter/gather staging
+    buffers from ``arena`` (the engine takes its own from the
+    communicator's executor when given none), and place each rank's
+    received rows in one stacked scatter.
     """
 
     dist: SphereDistribution
@@ -166,6 +128,7 @@ class ParallelFFT3D:
     kernels: "str | KernelBackend | None" = None
 
     def __post_init__(self) -> None:
+        self.arena = self.comm.executor.adopt(self.arena, "paratec.fft")
         self.kernels = get_backend(self.kernels)
         if self.comm.nprocs != self.dist.nranks:
             raise ValueError("communicator size does not match distribution")
@@ -269,35 +232,19 @@ class ParallelFFT3D:
 
         ``lines[i]`` is rank i's ``(ncol_i, n3)`` z-lines; returns each
         rank's ``(n1, n2, nz_j)`` slab with the sphere columns placed
-        (zero elsewhere), before any planar FFT.  The allocating path
-        packs every ``(i, j)`` sub-block contiguously and lets the
-        Alltoallv copy; the arena path posts z-window *views*, delivers
-        them uncopied, and stages each destination's rows once for a
-        single stacked scatter per rank.
+        (zero elsewhere), before any planar FFT.  Each ``(i, j)``
+        sub-block is posted as a z-window *view* and delivered
+        uncopied; every destination stages its rows once for a single
+        stacked scatter.
         """
         p = self.comm.nprocs
-        if self.arena is None:
-            send = self.comm.map_ranks(
-                partial(
-                    _pack_columns_segment,
-                    shm=None,
-                    args=SimpleNamespace(plan=self, lines=lines, p=p),
-                )
-            )
-            with self.comm.phase("fft"):
-                recv = self.comm.alltoallv(send)
-        else:
-            send = [
-                [
-                    lines[i][
-                        :, self._slab_bounds[j] : self._slab_bounds[j + 1]
-                    ]
-                    for j in range(p)
-                ]
-                for i in range(p)
-            ]
-            with self.comm.phase("fft"):
-                recv = self.comm.alltoallv(send, copy=False)
+        bounds = self._slab_bounds
+        send = [
+            [lines[i][:, bounds[j] : bounds[j + 1]] for j in range(p)]
+            for i in range(p)
+        ]
+        with self.comm.phase("fft"):
+            recv = self.comm.alltoallv(send, copy=False)
 
         return self.comm.map_ranks(
             partial(
@@ -344,28 +291,14 @@ class ParallelFFT3D:
         ``f2s[j]`` is rank j's planar-transformed ``(n1, n2, nz_j)``
         slab; returns ``recv`` with ``recv[i][j]`` = rank i's columns
         restricted to rank j's planes (rank j sends ``send[j][i]`` to
-        rank i).  The allocating path gathers each ``(j, i)`` block
-        contiguously; the arena path gathers *all* columns of a slab in
-        one stacked fancy-index per rank and posts row-range views,
-        delivered uncopied.
+        rank i).  All columns of a slab are gathered in one stacked
+        fancy-index per rank and posted as row-range views, delivered
+        uncopied.
         """
         p = self.comm.nprocs
-        if self.arena is None:
-            send = self.comm.map_ranks(
-                partial(
-                    _pack_slab_segment,
-                    shm=None,
-                    args=SimpleNamespace(plan=self, f2s=f2s, p=p),
-                )
-            )
-            with self.comm.phase("fft"):
-                return self.comm.alltoallv(send)
-
-        # One gather for every destination at once; the per-rank blocks
-        # are row ranges (views) of the stacked result.
         send = self.comm.map_ranks(
             partial(
-                _pack_slab_stacked_segment,
+                _pack_slab_segment,
                 shm=self.arena,
                 args=SimpleNamespace(plan=self, f2s=f2s, p=p),
             )

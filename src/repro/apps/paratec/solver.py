@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ...kernels import KernelBackend, get_backend
+from ...runtime.arena import Arena
 from ...simmpi.comm import Communicator
 from .cg import Bands, CGOptions, blas3_work
 from .fft3d import ParallelFFT3D
@@ -62,6 +63,7 @@ class Paratec:
         self,
         params: ParatecParams,
         comm: Communicator,
+        arena: Arena | None = None,
         kernels: "str | KernelBackend | None" = None,
     ) -> None:
         self.params = params
@@ -69,7 +71,9 @@ class Paratec:
         self.kernels = get_backend(kernels)
         self.sphere = GSphere(params.ecut, params.grid_shape)
         self.dist = SphereDistribution(self.sphere, comm.nprocs)
-        self.fft = ParallelFFT3D(self.dist, comm, kernels=self.kernels)
+        self.fft = ParallelFFT3D(
+            self.dist, comm, arena=arena, kernels=self.kernels
+        )
         self.ham = Hamiltonian.from_atoms(self.fft, list(params.atoms))
         self.bands: Bands = initial_bands(
             self.fft, params.nbands, seed=params.seed

@@ -2,8 +2,8 @@
 
 A :class:`CampaignSpec` names the sweep axes (apps x machines x P x
 executor x kernel backend x seeds), plus shared knobs (steps, repeats,
-arena, trace, per-app parameter overrides).  :meth:`CampaignSpec.expand` takes the
-cross product and returns one :class:`RunConfig` per cell.
+trace, per-app parameter overrides).  :meth:`CampaignSpec.expand` takes
+the cross product and returns one :class:`RunConfig` per cell.
 
 ``RunConfig`` is frozen and hashable; :meth:`RunConfig.key` is the
 cache identity — a SHA-256 over the canonical JSON form of the config
@@ -75,7 +75,6 @@ class RunConfig:
     kernel_backend: str = "numpy"
     seed: int | None = None
     params: tuple = ()
-    arena: bool = False
     trace: bool = False
     repeats: int = 1
 
@@ -100,7 +99,6 @@ class RunConfig:
             "kernel_backend": self.kernel_backend,
             "seed": self.seed,
             "params": self.params_dict(),
-            "arena": self.arena,
             "trace": self.trace,
             "repeats": self.repeats,
         }
@@ -165,7 +163,6 @@ class CampaignSpec:
     seeds: tuple[int | None, ...] = (None,)
     steps: int = 1
     repeats: int = 1
-    arena: bool = False
     trace: bool = False
     params: tuple = field(default_factory=tuple)
 
@@ -196,7 +193,6 @@ class CampaignSpec:
                 kernel_backend=backend,
                 seed=seed,
                 params=freeze_params(overrides.get(app)),
-                arena=self.arena,
                 trace=self.trace,
                 repeats=self.repeats,
             )
@@ -217,7 +213,6 @@ class CampaignSpec:
             "seeds": list(self.seeds),
             "steps": self.steps,
             "repeats": self.repeats,
-            "arena": self.arena,
             "trace": self.trace,
             "params": self.params_mapping(),
         }

@@ -72,12 +72,6 @@ def execute_config(config: RunConfig) -> dict[str, Any]:
     workloads.
     """
     params = build_params(config.app, config.params_dict())
-    arena = None
-    if config.arena:
-        from ..runtime.arena import Arena
-
-        arena = Arena()
-
     samples: list[float] = []
     result = None
     for _ in range(config.repeats):
@@ -95,7 +89,6 @@ def execute_config(config: RunConfig) -> dict[str, Any]:
             executor=config.executor,
             kernel_backend=config.kernel_backend,
             trace=config.trace,
-            arena=arena,
         )
         samples.append(time.perf_counter() - t0)
 

@@ -182,10 +182,7 @@ class ParatecApp:
         arena: Any | None = None,
         kernels: Any | None = None,
     ) -> Paratec:
-        solver = Paratec(params, comm, kernels=kernels)
-        if arena is not None:
-            solver.fft.arena = arena
-        return solver
+        return Paratec(params, comm, arena=arena, kernels=kernels)
 
     def step(self, state: Paratec) -> Paratec:
         state.scf_step()

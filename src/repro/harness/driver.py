@@ -121,8 +121,10 @@ def run(
         An existing communicator to run on instead (its machine/trace
         settings are respected; the other knobs must be left default).
     arena:
-        Optional :class:`~repro.runtime.arena.Arena` enabling the
-        solvers' zero-copy fast paths.
+        The :class:`~repro.runtime.arena.Arena` the solver keeps its
+        buffers in, for a caller that wants to reuse one across runs
+        or inspect it afterwards.  Omitted, the run takes one from the
+        communicator's executor and drops its scratch when it ends.
     instrument:
         Attach a fresh :class:`~repro.simmpi.PhaseLedger` for the run
         (the default).  ``False`` runs without phase accounting — the
@@ -136,11 +138,12 @@ def run(
         The harness promises a completed run, not a particular
         schedule: an executor that cannot run rank segments here (even
         an explicit one) warns once and runs serial
-        (:mod:`repro.runtime.resolve`).  With a process executor and an
-        ``arena``, the harness provisions a shared-memory arena pool
-        for the run (so the solvers' in-place fast paths stay legal in
-        forked workers) and unlinks its segments deterministically at
-        the end.  Only meaningful when the harness builds the
+        (:mod:`repro.runtime.resolve`).  The executor is also where the
+        run's arena comes from (``Executor.arena``): a process executor
+        serves shared memory, which its workers write in place, and
+        unlinks the segments when the run ends; a caller's private
+        ``arena`` is replaced by a shared one of the same name for
+        such a run.  Only meaningful when the harness builds the
         communicator; combining it with an explicit ``comm`` is an
         error (the communicator already carries its executor).
     kernel_backend:
@@ -212,23 +215,15 @@ def run(
 
     ledger = comm.attach_phase_ledger() if instrument else None
 
-    # A process executor runs segments in team workers, which can
-    # only mutate arena buffers the parent also sees — so a private
-    # arena is upgraded to a shared-memory one for the duration of the
-    # run.  The pool is closed (segments unlinked) deterministically
-    # on the way out; live views in the returned state keep their
-    # mappings until they are garbage collected.
-    owned_pool = None
-    if (
-        arena is not None
-        and not comm.executor.in_process
-        and not getattr(arena, "shared", False)
-    ):
-        from ..runtime.shm import SharedArenaPool, shm_available
-
-        if shm_available():
-            owned_pool = SharedArenaPool(name=f"repro-{adapter.key}")
-            arena = owned_pool.arena(getattr(arena, "name", "arena"))
+    # The run's buffers live in the caller's arena where the
+    # executor's segments can write through it (team workers cannot
+    # through private memory), else in one the executor makes — for
+    # this run only.
+    made_arena = not (arena is not None and comm.executor.reaches(arena))
+    if made_arena:
+        arena = comm.executor.arena(
+            arena.name if arena is not None else adapter.key
+        )
 
     try:
         state = adapter.setup(comm, params, arena=arena, kernels=kernels)
@@ -305,11 +300,13 @@ def run(
 
         diagnostics = adapter.diagnostics(state)
     finally:
-        # the rank team (if the run had one) goes with the run: its
-        # workers hold mappings of the pool closed just below
+        # the rank team and the shared memory behind the run's arena
+        # (if it had them) go with the run; live views in the returned
+        # state keep their mappings until they are garbage collected
         comm.executor.close()
-        if owned_pool is not None:
-            owned_pool.close()
+        if made_arena:
+            # scratch goes too; the state keeps what it references
+            arena.clear()
     return HarnessResult(
         app=adapter,
         params=params,

@@ -60,6 +60,10 @@ class SPMDApplication(Protocol):
     ) -> Any:
         """Build the solver state on a communicator; returns the state.
 
+        ``arena`` is an injected resource, not a mode: forward it to
+        the solver's constructor, which with ``None`` takes its own
+        from ``comm.executor``.
+
         ``kernels`` is the :class:`~repro.kernels.KernelBackend`
         *instance* ``harness.run`` resolved; forward it to the solver's
         constructor, which uses it as is.  (A direct caller may pass

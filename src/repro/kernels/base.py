@@ -105,13 +105,6 @@ class KernelBackend(Tokened):
 
         return stream_from_padded(padded, out=out)
 
-    def lbmhd_stream_from_padded_batch(
-        self, padded: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        from ..apps.lbmhd.stream import stream_from_padded_batch
-
-        return stream_from_padded_batch(padded, out=out)
-
     # -- GTC ------------------------------------------------------------
 
     def gtc_deposit_scalar(

@@ -296,26 +296,31 @@ class FaultInjector(Transport):
         phase: str | None,
         granks: Sequence[tuple[int, int]],
         nbytes: Sequence[int],
-        attempt: int = 0,
-    ) -> list[tuple[int, FaultSpec]]:
+        attempt: int,
+    ) -> list[tuple[str, float]]:
         """Accounting-only faulting for :meth:`Communicator.exchange_phase`.
 
         The caller already moved the bytes in bulk, so nothing can be
         corrupted — but the *wire* the accounting models still flakes.
-        Returns ``(message_index, spec)`` for every message the plan
-        faults, so the facade can charge the retransmit/delay time it
-        would have cost.
+        Returns, per message of the ``attempt``-th transmission, the
+        ``(kind, extra_s)`` :meth:`deliver_faulty` would have produced,
+        so the facade can charge the retransmit/delay time it would
+        have cost.
         """
-        hits: list[tuple[int, FaultSpec]] = []
-        for k, (src, dst) in enumerate(granks):
+        verdicts: list[tuple[str, float]] = []
+        for (src, dst), nb in zip(granks, nbytes):
             spec = self.judge(
                 phase=phase, src=src, dst=dst, attempt=attempt
             )
-            if spec is not None and not (
-                isinstance(spec, BitFlip) and int(nbytes[k]) == 0
-            ):
-                hits.append((k, spec))
-        return hits
+            if isinstance(spec, MessageDrop):
+                verdicts.append((DROPPED, 0.0))
+            elif isinstance(spec, BitFlip) and nb > 0:
+                verdicts.append((CORRUPT, 0.0))
+            elif isinstance(spec, LatencySpike):
+                verdicts.append((OK, spec.extra_s))
+            else:
+                verdicts.append((OK, 0.0))
+        return verdicts
 
     # -- Transport interface -------------------------------------------
 

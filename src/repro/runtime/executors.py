@@ -48,7 +48,9 @@ from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from operator import methodcaller
 from typing import Callable, Iterator, Sequence, TypeVar
 
+from .arena import Arena
 from .resolve import Resolver, Support
+from .shm import SharedArenaPool, shm_available
 from .team import RankTeam, contiguous_shards
 
 _T = TypeVar("_T")
@@ -106,10 +108,39 @@ class Executor:
         """
         return self.map(fn, items)
 
+    def arena(self, name: str = "arena") -> Arena:
+        """A fresh arena whose buffers this executor's segments can
+        write: private memory here, shared memory from a pool the
+        executor owns on :class:`ProcessExecutor`.  Which kind of
+        memory backs a run is decided here and nowhere else."""
+        return Arena(name=name)
+
+    def reaches(self, arena: Arena) -> bool:
+        """Do writes a segment makes through ``arena``'s buffers land
+        in the caller's memory?"""
+        return self.in_process or arena.shared
+
+    def adopt(self, arena: Arena | None, name: str = "arena") -> Arena:
+        """The arena a solver on this executor keeps its buffers in:
+        the caller's, or with ``None`` a fresh one called ``name``."""
+        if arena is None:
+            return self.arena(name)
+        if not self.reaches(arena):
+            raise ValueError(
+                f"arena {arena.name!r} is not shared memory (it is "
+                "private, or its pool has been closed), so the worker "
+                f"processes of a {self.name!r} executor cannot write "
+                "through it: omit arena= or take one from "
+                "comm.executor.arena()"
+            )
+        return arena
+
     def close(self) -> None:
         """Release what the executor holds between regions (a process
-        executor's rank team).  Idempotent; the executor stays usable —
-        the next region brings it all back."""
+        executor's rank team and shared-memory pool).  Idempotent; the
+        executor stays usable — the next region, or the next
+        :meth:`arena`, brings it all back — but arenas it handed out
+        before are private memory from here on."""
 
     def imap_unordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
@@ -282,7 +313,10 @@ class ProcessExecutor(Executor):
     Rank segments (:meth:`map_segments`) go to :attr:`team`, this
     executor's own :class:`~repro.runtime.team.RankTeam`; its module
     docstring has the rule for what a region message carries and when
-    the team is re-forked.  :meth:`close` stops the workers (``harness.
+    the team is re-forked.  The arenas it hands out (:meth:`arena`) are
+    views into one :class:`~repro.runtime.shm.SharedArenaPool` it owns,
+    so its workers write rank state where the parent reads it.
+    :meth:`close` stops the workers and unlinks the pool (``harness.
     run`` does so when the run ends; an executor nobody closed is
     cleaned up when it is garbage-collected or the process exits).
     :meth:`segment_support` gates the whole mode on ``fork`` + POSIX
@@ -306,9 +340,20 @@ class ProcessExecutor(Executor):
         self.workers = workers
         #: no process exists until the first region that needs one
         self.team = RankTeam(workers)
+        #: no segment exists until the first arena is asked for
+        self._pool: SharedArenaPool | None = None
+
+    def arena(self, name: str = "arena") -> Arena:
+        if self._pool is None:
+            self._pool = SharedArenaPool(name=f"repro-{self.name}")
+        return self._pool.arena(name)
 
     def close(self) -> None:
+        # the team first: its workers hold mappings of the pool's slabs
         self.team.close()
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
     def segment_support(self) -> Support:
         import multiprocessing
@@ -320,8 +365,6 @@ class ProcessExecutor(Executor):
                 "inherit the solver the parent built; spawned workers "
                 "could not)",
             )
-        from .shm import shm_available
-
         if not shm_available():
             if os.environ.get("REPRO_SHM_DISABLE"):
                 return Support(

@@ -618,8 +618,7 @@ class Communicator(Tokened):
         senders may reuse their buffers.  ``copy=False`` is the
         zero-copy fast path: the posted payload objects themselves are
         delivered, which is only safe when the sender does not mutate
-        them before the receiver is done (the halo exchange sends
-        freshly sliced planes, so it qualifies).
+        them before the receiver is done.
         """
         self._require_serial_region("exchange")
         if not messages:
@@ -664,14 +663,15 @@ class Communicator(Tokened):
         do not depend on which communication path a solver variant
         takes.
         """
+        from ..resilience.inject import CORRUPT, DROPPED, OK
+
         self._check_rank_failure()
-        resil = self._resil
-        inj, policy, stats = resil.injector, resil.policy, resil.stats
+        inj = self._resil.injector
         ledger = self._phase.ledger
         phase = self._phase.current
-        n = len(messages)
         crcs = [payload_crc(m.payload) for m in messages]
         granks = [(self._g(m.src), self._g(m.dst)) for m in messages]
+        triples = [(m.src, m.dst, m.nbytes) for m in messages]
 
         for k, m in enumerate(messages):
             if self._trace is not None:
@@ -679,64 +679,107 @@ class Communicator(Tokened):
             if ledger is not None:
                 ledger.record_traffic(phase, granks[k][0], m.nbytes)
         if self._net is not None:
-            self._charge_ptp_phase(
-                [(m.src, m.dst, m.nbytes) for m in messages]
-            )
+            self._charge_ptp_phase(triples)
 
-        slots: list[np.ndarray | None] = [None] * n
-        attempts = [0] * n
-        pending = list(range(n))
-        while pending:
+        slots: list[np.ndarray | None] = [None] * len(messages)
+
+        def transmit(pending: list[int], attempt: int) -> list[tuple]:
             outcomes = inj.deliver_faulty(
                 [messages[i] for i in pending],
                 phase=phase,
-                attempts=[attempts[i] for i in pending],
+                attempts=[attempt] * len(pending),
                 granks=[granks[i] for i in pending],
                 copy=copy,
             )
-            failed: list[int] = []
-            for j, i in enumerate(pending):
-                out = outcomes[j]
-                g_src, g_dst = granks[i]
+            verdicts = []
+            for i, out in zip(pending, outcomes):
                 if out.payload is None:
-                    # drop: the receiver only notices after a timeout
+                    verdicts.append((DROPPED, 0.0))
+                elif payload_crc(out.payload) != crcs[i]:
+                    # corruption: caught by the checksum on arrival
+                    verdicts.append((CORRUPT, 0.0))
+                else:
+                    slots[i] = out.payload
+                    verdicts.append((OK, out.extra_s))
+            return verdicts
+
+        self._retransmit_until_clean(granks, triples, transmit)
+        received: dict[int, list[np.ndarray]] = {}
+        for i, m in enumerate(messages):
+            payload = slots[i]
+            assert payload is not None
+            received.setdefault(m.dst, []).append(payload)
+        return received
+
+    def _retransmit_until_clean(
+        self,
+        granks: Sequence[tuple[int, int]],
+        triples: Sequence[tuple[int, int, int]],
+        transmit: Callable[[list[int], int], list[tuple[str, float]]],
+    ) -> None:
+        """The self-healing loop of one point-to-point phase.
+
+        ``transmit(pending, attempt)`` sends the ``pending`` message
+        indices for the ``attempt``-th time and returns one ``(verdict,
+        extra_s)`` per index: ``DROPPED`` (the receiver times out),
+        ``CORRUPT`` (the receiver NACKs) or ``OK`` with the straggler
+        delay it absorbed.  Failed messages are retransmitted with
+        exponential backoff until a round comes back clean; a message
+        still failing after ``policy.max_retries`` retransmits raises
+        :class:`UnrecoverableMessageError`.  :meth:`exchange` (whose
+        ``transmit`` moves and checksums real payloads) and
+        :meth:`exchange_phase` (whose ``transmit`` only asks the
+        injector) book every second, resend and trace record here, so
+        the two cannot drift apart.  ``granks``/``triples`` are the
+        messages' global ``(src, dst)`` and local ``(src, dst, nbytes)``.
+        """
+        from ..resilience.inject import CORRUPT, DROPPED
+
+        policy, stats = self._resil.policy, self._resil.stats
+        ledger = self._phase.ledger
+        phase = self._phase.current
+        pending = list(range(len(granks)))
+        attempt = 0
+        while True:
+            failed: list[int] = []
+            for i, (verdict, extra_s) in zip(
+                pending, transmit(pending, attempt)
+            ):
+                g_dst = granks[i][1]
+                if verdict == DROPPED:
                     stats.drops_detected += 1
                     self._charge_recovery(
                         [g_dst], policy.detect_timeout, phase, "detect"
                     )
                     failed.append(i)
-                elif payload_crc(out.payload) != crcs[i]:
-                    # corruption: caught by the checksum on arrival
+                elif verdict == CORRUPT:
                     stats.corruptions_detected += 1
                     self._charge_recovery(
                         [g_dst], policy.nack_time, phase, "nack"
                     )
                     failed.append(i)
-                else:
-                    if out.extra_s > 0.0:
-                        stats.delays_absorbed += 1
-                        self._charge_recovery(
-                            [g_dst], out.extra_s, phase, "straggler"
-                        )
-                    slots[i] = out.payload
+                elif extra_s > 0.0:
+                    stats.delays_absorbed += 1
+                    self._charge_recovery(
+                        [g_dst], extra_s, phase, "straggler"
+                    )
             if not failed:
-                break
+                return
+            attempt += 1
             for i in failed:
-                attempts[i] += 1
-                if attempts[i] > policy.max_retries:
-                    m = messages[i]
+                src, dst, nb = triples[i]
+                if attempt > policy.max_retries:
                     raise UnrecoverableMessageError(
-                        f"message {m.src}->{m.dst} ({m.nbytes} B) still "
+                        f"message {src}->{dst} ({nb} B) still "
                         f"failing after {policy.max_retries} retransmits"
                     )
                 g_src, g_dst = granks[i]
-                nb = messages[i].nbytes
                 wire = (
                     self._net.ptp_time(nb, g_src, g_dst)
                     if self._net is not None
                     else 0.0
                 )
-                backoff = policy.backoff(attempts[i])
+                backoff = policy.backoff(attempt)
                 self._charge_recovery(
                     [g_src], backoff + wire, phase, "resend"
                 )
@@ -750,12 +793,6 @@ class Communicator(Tokened):
                 if ledger is not None:
                     ledger.record_traffic(phase, g_src, nb)
             pending = failed
-        received: dict[int, list[np.ndarray]] = {}
-        for i, m in enumerate(messages):
-            payload = slots[i]
-            assert payload is not None
-            received.setdefault(m.dst, []).append(payload)
-        return received
 
     def exchange_phase(
         self,
@@ -819,75 +856,30 @@ class Communicator(Tokened):
                 )
             if ledger is not None:
                 ledger.record_traffic_bulk(phase, g_srcs, nbytes_a)
+        inj = self._resil.injector
+        if self._net is None and inj is None:
+            return
+        triples = [
+            (int(s), int(d), int(nb))
+            for s, d, nb in zip(srcs_a, dsts_a, nbytes_a)
+        ]
         if self._net is not None:
-            self._charge_ptp_phase(
-                [
-                    (int(s), int(d), int(nb))
-                    for s, d, nb in zip(srcs_a, dsts_a, nbytes_a)
-                ]
+            self._charge_ptp_phase(triples)
+        if inj is not None:
+            # The bytes moved out-of-band, so an injected fault cannot
+            # touch the data — but the wire the accounting models
+            # still flakes, and heals exactly as exchange() would.
+            granks = [(self._g(s), self._g(d)) for s, d, _ in triples]
+            self._retransmit_until_clean(
+                granks,
+                triples,
+                lambda pending, attempt: inj.judge_phase(
+                    phase=phase,
+                    granks=[granks[i] for i in pending],
+                    nbytes=[triples[i][2] for i in pending],
+                    attempt=attempt,
+                ),
             )
-        if self._resil.injector is not None:
-            self._account_phase_faults(
-                [
-                    (self._g(int(s)), self._g(int(d)))
-                    for s, d in zip(srcs_a, dsts_a)
-                ],
-                nbytes_a,
-            )
-
-    def _account_phase_faults(
-        self, granks: list[tuple[int, int]], nbytes_a: np.ndarray
-    ) -> None:
-        """Accounting-only recovery charges for bulk-moved messages.
-
-        :meth:`exchange_phase` callers moved their bytes out-of-band
-        (one strided block copy), so an injected fault cannot touch the
-        data — but the wire the accounting models still flakes.  Each
-        faulted message charges its detection + one backed-off
-        retransmit (latency spikes charge their delay), mirroring what
-        :meth:`_exchange_resilient` books for a ``repeat=1`` fault.
-        """
-        from ..resilience.inject import LatencySpike, MessageDrop
-
-        resil = self._resil
-        inj, policy, stats = resil.injector, resil.policy, resil.stats
-        ledger = self._phase.ledger
-        phase = self._phase.current
-        for k, spec in inj.judge_phase(
-            phase=phase, granks=granks, nbytes=nbytes_a
-        ):
-            g_src, g_dst = granks[k]
-            nb = int(nbytes_a[k])
-            if isinstance(spec, LatencySpike):
-                stats.delays_absorbed += 1
-                self._charge_recovery(
-                    [g_dst], spec.extra_s, phase, "straggler"
-                )
-                continue
-            if isinstance(spec, MessageDrop):
-                stats.drops_detected += 1
-                detect = policy.detect_timeout
-            else:
-                stats.corruptions_detected += 1
-                detect = policy.nack_time
-            wire = (
-                self._net.ptp_time(nb, g_src, g_dst)
-                if self._net is not None
-                else 0.0
-            )
-            backoff = policy.backoff(1)
-            self._charge_recovery(
-                [g_src], backoff + wire, phase, "resend"
-            )
-            self._charge_recovery(
-                [g_dst], detect + backoff + wire, phase, "resend-wait"
-            )
-            stats.resends += 1
-            stats.resend_bytes += nb
-            if self._trace is not None:
-                self._trace.record(g_src, g_dst, nb, "resend")
-            if ledger is not None:
-                ledger.record_traffic(phase, g_src, nb)
 
     def _charge_ptp_phase(
         self, triples: Sequence[tuple[int, int, int]]

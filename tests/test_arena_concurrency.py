@@ -42,6 +42,18 @@ class TestForRank:
         assert arena.num_buffers >= 2
         assert arena.nbytes >= 2 * 4 * 8
 
+    def test_large_buffers_keep_the_contract(self):
+        """Buffers of 4 MiB and more are the arena's own anonymous
+        mappings (no huge-page advice); the contract is np.zeros'."""
+        arena = Arena()
+        big = arena.scratch("big", (3, 1 << 18), np.complex128)  # 12 MiB
+        assert big.shape == (3, 1 << 18) and big.dtype == np.complex128
+        assert big.flags.c_contiguous and big.flags.writeable
+        assert not big.any()
+        big[1, 5] = 2 - 1j
+        assert arena.scratch("big", (3, 1 << 18), np.complex128) is big
+        assert arena.nbytes == big.nbytes
+
     def test_clear_releases_children(self):
         arena = Arena()
         child = arena.for_rank(0)

@@ -1,10 +1,14 @@
-"""Arena fast paths must be bitwise-identical to the allocating paths.
+"""Whose arena backs a run must not show in its results.
 
-The decomposition-independence suite is the numerical oracle of this
-repository; these tests pin the stronger per-kernel guarantee that the
-PR's zero-copy/arena variants (LBMHD collide + block halo exchange, GTC
-deposit/push, PARATEC FFT transposes) reproduce the allocating code
-paths bit for bit, across at least two decompositions each.
+Every solver steps through arena buffers; a caller may hand it the
+arena (to reuse across runs, or to place it in shared memory) or let
+the solver take its own from the executor.  These tests pin that the
+two are bitwise-identical across at least two decompositions each, that
+an arena reused by a second run carries nothing over from the first,
+that the kernels' ``arena=`` / ``out=`` buffer sources do not change
+their arithmetic, and the two independent references the one step path
+is held to: the seed commit's step loop and the per-message halo
+exchange.
 """
 
 from __future__ import annotations
@@ -26,10 +30,19 @@ from repro.apps.lbmhd.fields import split_state
 from repro.apps.lbmhd.solver import LBMHD3D, LBMHDParams
 from repro.apps.paratec.fft3d import ParallelFFT3D
 from repro.apps.paratec.gvectors import GSphere, SphereDistribution
+from repro import harness
 from repro.machines import get_machine
-from repro.runtime.arena import Arena
+from repro.runtime import Arena, SharedArenaPool, shm_available
 from repro.simmpi import Communicator
 from seed_lbmhd import SeedLBMHD3D
+
+
+def _with_given_arena(cls, params, nprocs):
+    """``cls`` built on an arena its caller provides — from the
+    executor, so the suite also runs under ``REPRO_EXECUTOR=processes``
+    (where a private ``Arena()`` is refused)."""
+    comm = Communicator(nprocs)
+    return cls(params, comm, arena=comm.executor.arena("given"))
 
 
 def _random_state(shape, seed=0):
@@ -63,12 +76,13 @@ class TestLBMHDArenaBitwise:
 
     @pytest.mark.parametrize("nprocs", [2, 8])
     def test_solver_fast_path_bitwise(self, nprocs):
+        """A caller's arena and the solver's own: the same bits."""
         params = LBMHDParams(shape=(8, 8, 8))
-        ref = LBMHD3D(params, Communicator(nprocs))
-        fast = LBMHD3D(params, Communicator(nprocs), arena=Arena())
-        ref.run(3)
-        fast.run(3)
-        assert_array_equal(ref.global_state(), fast.global_state())
+        own = LBMHD3D(params, Communicator(nprocs))
+        given = _with_given_arena(LBMHD3D, params, nprocs)
+        own.run(3)
+        given.run(3)
+        assert_array_equal(own.global_state(), given.global_state())
 
     def test_seed_step_loop_agrees_to_roundoff(self):
         """The seed commit's step loop (an independent implementation)
@@ -85,11 +99,11 @@ class TestLBMHDArenaBitwise:
     @pytest.mark.parametrize("nprocs", [2, 4, 12])
     def test_solver_fast_path_odd_shape(self, nprocs):
         params = LBMHDParams(shape=(12, 6, 10))
-        ref = LBMHD3D(params, Communicator(nprocs))
-        fast = LBMHD3D(params, Communicator(nprocs), arena=Arena())
-        ref.run(2)
-        fast.run(2)
-        assert_array_equal(ref.global_state(), fast.global_state())
+        own = LBMHD3D(params, Communicator(nprocs))
+        given = _with_given_arena(LBMHD3D, params, nprocs)
+        own.run(2)
+        given.run(2)
+        assert_array_equal(own.global_state(), given.global_state())
 
     @pytest.mark.parametrize("nprocs", [4, 8])
     def test_block_halo_exchange_matches_legacy(self, nprocs):
@@ -110,6 +124,13 @@ class TestLBMHDArenaBitwise:
         for r in range(nprocs):
             assert_array_equal(blk[:, r], padded[r])
         assert block_comm.times.tolist() == legacy_comm.times.tolist()
+
+    def test_block_halo_exchange_rejects_a_strided_block(self):
+        decomp = CartesianDecomposition3D.create((8, 8, 8), 4)
+        lx, ly, lz = decomp.local_shape
+        strided = np.zeros((72, 8, lx + 2, ly + 2, lz + 2))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            exchange_halos_block(Communicator(4), decomp, strided)
 
 
 class TestGTCArenaBitwise:
@@ -139,16 +160,17 @@ class TestGTCArenaBitwise:
 
     @pytest.mark.parametrize("nprocs,ntoroidal", [(4, 4), (8, 4)])
     def test_solver_fast_path_bitwise(self, nprocs, ntoroidal):
+        """A caller's arena and the solver's own: the same bits."""
         params = GTCParams(ntoroidal=ntoroidal, particles_per_cell=4)
-        ref = GTC(params, Communicator(nprocs))
-        fast = GTC(params, Communicator(nprocs), arena=Arena())
-        ref.run(3)
-        fast.run(3)
-        for a, b in zip(ref.charge, fast.charge):
+        own = GTC(params, Communicator(nprocs))
+        given = _with_given_arena(GTC, params, nprocs)
+        own.run(3)
+        given.run(3)
+        for a, b in zip(own.charge, given.charge):
             assert_array_equal(a, b)
-        for a, b in zip(ref.phi, fast.phi):
+        for a, b in zip(own.phi, given.phi):
             assert_array_equal(a, b)
-        for pa, pb in zip(ref.particles, fast.particles):
+        for pa, pb in zip(own.particles, given.particles):
             for field in ("r", "theta", "zeta", "vpar", "weight", "species"):
                 assert_array_equal(getattr(pa, field), getattr(pb, field))
 
@@ -156,45 +178,112 @@ class TestGTCArenaBitwise:
 class TestParatecArenaBitwise:
     @pytest.mark.parametrize("nranks", [4, 16])
     def test_transposes_bitwise_and_roundtrip(self, nranks):
+        """The stacked, view-posting transposes move every (i, j)
+        sub-block to where a block-by-block placement puts it — with
+        the engine's own arena and with a caller's."""
         sphere = GSphere(25.0, (18, 18, 18))
         dist = SphereDistribution(sphere, nranks)
-        ref = ParallelFFT3D(dist, Communicator(nranks))
-        fast = ParallelFFT3D(dist, Communicator(nranks), arena=Arena())
+        own = ParallelFFT3D(dist, Communicator(nranks))
+        given = _with_given_arena(ParallelFFT3D, dist, nranks)
         rng = np.random.default_rng(2)
         lines = [
-            rng.standard_normal((len(ref._col_keys[r]), 18))
-            + 1j * rng.standard_normal((len(ref._col_keys[r]), 18))
+            rng.standard_normal((len(own._col_keys[r]), 18))
+            + 1j * rng.standard_normal((len(own._col_keys[r]), 18))
             for r in range(nranks)
         ]
-        s_ref = ref.transpose_columns_to_slabs(lines)
-        s_fast = fast.transpose_columns_to_slabs(lines)
-        for a, b in zip(s_ref, s_fast):
-            assert_array_equal(a, b)
+        expected = []
+        for j in range(nranks):
+            lo, hi = own.slab_range(j)
+            slab = np.zeros(own.slab_shape(j), dtype=complex)
+            for i in range(nranks):
+                keys = own._col_keys[i]
+                slab[keys[:, 0], keys[:, 1], :] = lines[i][:, lo:hi]
+            expected.append(slab)
+        for fft in (own, given):
+            for got, want in zip(
+                fft.transpose_columns_to_slabs(lines), expected
+            ):
+                assert_array_equal(got, want)
 
-        slabs = [np.asarray(s).copy() for s in s_ref]
-        r_ref = ref.transpose_slabs_to_columns(slabs)
-        r_fast = fast.transpose_slabs_to_columns(slabs)
-        for row_a, row_b in zip(r_ref, r_fast):
-            for a, b in zip(row_a, row_b):
-                assert_array_equal(a, b)
+        for fft in (own, given):
+            recv = fft.transpose_slabs_to_columns(expected)
+            for i in range(nranks):
+                keys = own._col_keys[i]
+                for j in range(nranks):
+                    assert_array_equal(
+                        recv[i][j], expected[j][keys[:, 0], keys[:, 1], :]
+                    )
 
     @pytest.mark.parametrize("nranks", [4, 16])
     def test_full_transform_bitwise(self, nranks):
+        """A caller's arena and the engine's own: the same bits."""
         sphere = GSphere(25.0, (18, 18, 18))
         dist = SphereDistribution(sphere, nranks)
-        ref = ParallelFFT3D(dist, Communicator(nranks))
-        fast = ParallelFFT3D(dist, Communicator(nranks), arena=Arena())
+        own = ParallelFFT3D(dist, Communicator(nranks))
+        given = _with_given_arena(ParallelFFT3D, dist, nranks)
         rng = np.random.default_rng(4)
         coeffs = [
             rng.standard_normal(len(dist.points_of(r)))
             + 1j * rng.standard_normal(len(dist.points_of(r)))
             for r in range(nranks)
         ]
-        slabs_ref = ref.sphere_to_real(coeffs)
-        slabs_fast = fast.sphere_to_real(coeffs)
-        for a, b in zip(slabs_ref, slabs_fast):
+        slabs_own = own.sphere_to_real(coeffs)
+        slabs_given = given.sphere_to_real(coeffs)
+        for a, b in zip(slabs_own, slabs_given):
             assert_array_equal(a, b)
-        back_ref = ref.real_to_sphere(slabs_ref)
-        back_fast = fast.real_to_sphere([s.copy() for s in slabs_fast])
-        for a, b in zip(back_ref, back_fast):
+        back_own = own.real_to_sphere(slabs_own)
+        back_given = given.real_to_sphere([s.copy() for s in slabs_given])
+        for a, b in zip(back_own, back_given):
             assert_array_equal(a, b)
+
+
+_REUSE = {
+    "lbmhd": LBMHDParams(shape=(8, 8, 8)),
+    # few particles a rank, so every shift changes the populations and
+    # the second run asks the arena for other lengths than the first
+    "gtc": GTCParams(mpsi=8, mtheta=16, ntoroidal=4, particles_per_cell=3),
+    "paratec": None,
+}
+
+
+class TestArenaReuse:
+    """What a campaign-style repeat loop relies on: a second run on an
+    arena the first run left full (ghost layers, staging buffers, GTC's
+    grown particle buffers) starts as clean as one on a fresh arena."""
+
+    @pytest.mark.parametrize("app", sorted(_REUSE))
+    @pytest.mark.parametrize(
+        "shared",
+        [
+            False,
+            pytest.param(
+                True,
+                marks=pytest.mark.skipif(
+                    not shm_available(), reason="no POSIX shared memory"
+                ),
+            ),
+        ],
+        ids=["private", "shared"],
+    )
+    def test_second_run_on_a_used_arena_matches_fresh_ones(self, app, shared):
+        def run(arena, steps):
+            return harness.run(
+                app, _REUSE[app], steps=steps, nprocs=4, machine="X1",
+                arena=arena,
+            )
+
+        def same(a, b):
+            assert_array_equal(
+                a.app.state_vector(a.state), b.app.state_vector(b.state)
+            )
+            assert_array_equal(a.comm.times, b.comm.times)
+
+        pool = SharedArenaPool() if shared else None
+        try:
+            arena = pool.arena("reused") if shared else Arena()
+            run(arena, 3)
+            same(run(arena, 2), run(None, 2))
+            same(run(arena, 3), run(None, 3))
+        finally:
+            if pool is not None:
+                pool.close()

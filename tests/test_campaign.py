@@ -462,7 +462,6 @@ class TestEveryAxisThroughTheEngine:
             executors=("serial", "threads:4", "processes:2"),
             steps=2,
             repeats=2,
-            arena=True,
             params={"lbmhd": {"shape": [8, 8, 8]}},
         )
         report = run_campaign(spec, cache=None, scheduler="serial")

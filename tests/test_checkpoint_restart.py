@@ -182,12 +182,15 @@ class TestHarnessRestartMechanics:
         assert result.ledger.totals().recovery_s.sum() > 0.0
 
     def test_failed_step_accounting_is_path_independent(self):
-        """Rank death aborts before charging, on every comm path.
+        """Rank death aborts before charging, whoever owns the arena.
 
-        The arena fast path (bulk exchange_phase) and the plain path
-        (per-message exchange) must leave identical clocks and ledgers
-        behind a failed-and-replayed step — the death fires at entry of
-        the next communication, never after a partial charge.
+        A run on a caller's arena and one on the solver's own must
+        leave identical clocks and ledgers behind a failed-and-replayed
+        step — the death fires at entry of the next communication,
+        never after a partial charge, and the replay restores into the
+        same arena block it died in.  (That the bulk ``exchange_phase``
+        dies where the per-message ``exchange`` does is pinned in
+        ``test_resilience.py::TestBulkExchangeFaultParity``.)
         """
         from repro.runtime.arena import Arena
 
@@ -200,9 +203,9 @@ class TestHarnessRestartMechanics:
                 fault_plan=plan, checkpoint_every=2, **kwargs,
             )
 
-        fast, plain = run(arena=Arena()), run()
-        assert np.array_equal(fast.comm.times, plain.comm.times)
-        ta, tb = fast.ledger.totals(), plain.ledger.totals()
+        given, own = run(arena=Arena()), run()
+        assert np.array_equal(given.comm.times, own.comm.times)
+        ta, tb = given.ledger.totals(), own.ledger.totals()
         for k in ("compute_s", "comm_s", "wait_s", "recovery_s",
                   "nbytes", "messages"):
             assert np.array_equal(

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import harness
-from repro.runtime import Arena, SharedArenaPool, team
+from repro.runtime import Arena, SharedArenaPool, ShmArena, team
 from repro.runtime.executors import (
     EXECUTORS,
     ProcessExecutor,
@@ -477,9 +477,7 @@ class TestRegionMessages:
     def test_every_app_steps_on_one_spawn(self, app):
         ex = ProcessExecutor(2)
         params, _ = _params_for(app, 4)
-        harness.run(
-            app, params, steps=5, nprocs=4, executor=ex, arena=Arena()
-        )
+        harness.run(app, params, steps=5, nprocs=4, executor=ex)
         assert ex.team.spawns == 1
         assert ex.team.regions > 5
         assert ex.team.bytes_sent > 0 and ex.team.bytes_received > 0
@@ -589,6 +587,70 @@ class TestTeamLifecycle:
             assert np.array_equal(procs.global_state(), serial.global_state())
             assert np.array_equal(procs.comm.times, serial.comm.times)
             ex.close()
+
+
+# ---------------------------------------------------------------------------
+# the executor decides what memory backs a run's arena
+# ---------------------------------------------------------------------------
+
+
+class TestExecutorArena:
+    @pytest.mark.parametrize("ex", [SerialExecutor(), ThreadExecutor(2)])
+    def test_in_process_executors_serve_fresh_private_arenas(self, ex):
+        a, b = ex.arena("x"), ex.arena("x")
+        assert a is not b and a.name == "x" and not a.shared
+        assert ex.adopt(a, "unused") is a
+        assert ex.adopt(None, "own").name == "own"
+
+    @needs_process_segments
+    def test_process_executor_serves_shared_arenas_until_closed(self):
+        ex = ProcessExecutor(2)
+        arena = ex.arena("run")
+        block = arena.scratch("block", 64)
+        assert isinstance(arena, ShmArena) and arena.shared
+        assert ex.adopt(arena, "unused") is arena
+        names = [f"/dev/shm/{n}" for n in arena.pool.handles().segments]
+        assert names and all(os.path.exists(n) for n in names)
+        ex.close()
+        ex.close()
+        assert not any(os.path.exists(n) for n in names)
+        assert not arena.shared
+        block[:] = 1.0  # a live view outlives the segment's name
+        # the executor stays usable: the next arena brings a pool back
+        again = ex.arena("run")
+        assert again.shared and again.pool is not arena.pool
+        ex.close()
+
+    @needs_process_segments
+    def test_solver_on_process_executor_refuses_a_private_arena(self):
+        """It used to fall back, silently, to another step path."""
+        from repro.apps.gtc import GTC, GTCParams
+        from repro.apps.lbmhd import LBMHD3D, LBMHDParams
+        from repro.apps.paratec import Paratec, ParatecParams
+
+        ex = ProcessExecutor(2)
+        lbmhd = LBMHDParams(shape=(8, 8, 8))
+        for solver, params in (
+            (LBMHD3D, lbmhd),
+            (GTC, GTCParams(mpsi=8, mtheta=16, particles_per_cell=3)),
+            (Paratec, ParatecParams()),
+        ):
+            with pytest.raises(ValueError, match=r"omit arena=.*\.arena\(\)"):
+                solver(params, Communicator(4, executor=ex), arena=Arena())
+        # the fix the message names
+        procs = LBMHD3D(
+            lbmhd, Communicator(4, executor=ex), arena=ex.arena("mine")
+        )
+        serial = LBMHD3D(lbmhd, Communicator(4))
+        procs.run(2)
+        serial.run(2)
+        assert ex.team.spawns == 1
+        assert np.array_equal(procs.global_state(), serial.global_state())
+        ex.close()
+        # closing the executor took the shared memory with it: workers
+        # would now step copies of the block, so the solver says so
+        with pytest.raises(ValueError, match="pool has been closed"):
+            procs.step()
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +768,8 @@ def _assert_ledgers_equal(a, b) -> None:
 
 
 def _run(app: str, nprocs: int, executor, arena: bool):
+    """``arena=True`` hands the run a caller's (private) arena;
+    ``False`` leaves the solver to take its own from the executor."""
     params, steps = _params_for(app, nprocs)
     return harness.run(
         app,
@@ -741,7 +805,7 @@ class TestExecutorEquivalence:
 
     @pytest.mark.parametrize("app", ["lbmhd", "gtc", "fvcam", "paratec"])
     def test_threaded_matches_serial_with_arena(self, app):
-        """The zero-copy fast paths obey the same contract (P=4)."""
+        """A caller's arena obeys the same contract (P=4)."""
         serial = _run(app, 4, "serial", arena=True)
         threaded = _run(app, 4, ThreadExecutor(4), arena=True)
 
@@ -778,8 +842,8 @@ class TestExecutorEquivalence:
     @needs_process_segments
     @pytest.mark.parametrize("app", ["lbmhd", "gtc", "fvcam", "paratec"])
     def test_processes_match_serial_with_arena(self, app):
-        """The shared-memory fast paths obey the same contract (P=4):
-        the harness upgrades the private arena to an shm pool and the
+        """A caller's private arena obeys the same contract (P=4): the
+        run takes a shared one of that name from its executor, and the
         forked workers' writes land bitwise where serial's would."""
         serial = _run(app, 4, "serial", arena=True)
         procs = _run(app, 4, "processes:2", arena=True)
@@ -795,21 +859,26 @@ class TestExecutorEquivalence:
         _assert_ledgers_equal(serial.ledger, procs.ledger)
 
     def test_arena_path_matches_plain_path_threaded(self):
-        """Fast path vs slow path equality survives the thread pool."""
-        plain = _run("lbmhd", 4, ThreadExecutor(4), arena=False)
-        fast = _run("lbmhd", 4, ThreadExecutor(4), arena=True)
+        """Whose arena it is does not show, on the thread pool either."""
+        own = _run("lbmhd", 4, ThreadExecutor(4), arena=False)
+        given = _run("lbmhd", 4, ThreadExecutor(4), arena=True)
         assert np.array_equal(
-            _snapshot("lbmhd", plain.state), _snapshot("lbmhd", fast.state)
+            _snapshot("lbmhd", own.state), _snapshot("lbmhd", given.state)
         )
+        assert np.array_equal(own.comm.times, given.comm.times)
 
     @needs_process_segments
     def test_arena_path_matches_plain_path_processes(self):
-        """Fast path vs slow path equality survives forked workers."""
-        plain = _run("lbmhd", 4, "processes:2", arena=False)
-        fast = _run("lbmhd", 4, "processes:2", arena=True)
+        """Whose arena it is does not show on forked workers either:
+        both runs end up in shared memory from the executor's pool."""
+        own = _run("lbmhd", 4, "processes:2", arena=False)
+        given = _run("lbmhd", 4, "processes:2", arena=True)
         assert np.array_equal(
-            _snapshot("lbmhd", plain.state), _snapshot("lbmhd", fast.state)
+            _snapshot("lbmhd", own.state), _snapshot("lbmhd", given.state)
         )
+        assert np.array_equal(own.comm.times, given.comm.times)
+        for result in (own, given):
+            assert isinstance(result.state.arena, ShmArena)
 
     @needs_process_segments
     def test_processes_match_serial_under_fault_plan(self):
@@ -864,9 +933,10 @@ class TestExecutorEquivalence:
     def test_lbmhd_arena_shards_match_allocating_path(
         self, kind, workers, faulty
     ):
-        """The arena step collides and streams a shard of ranks per
-        call; at P=8 that is shards of 8, 4/4, 3/3/2 and 2/2/2/1/1
-        ranks, each bitwise the rank-by-rank allocating path."""
+        """The step collides and streams a shard of ranks per call; at
+        P=8 that is shards of 8, 4/4, 3/3/2 and 2/2/2/1/1 ranks, each
+        bitwise the serial executor's one whole-block shard — state,
+        clocks, trace and ledger, with and without injected faults."""
         from repro.apps.lbmhd import LBMHDParams
         from repro.resilience import FaultPlan, RetryPolicy
         from repro.resilience.inject import LatencySpike, MessageDrop
@@ -892,25 +962,18 @@ class TestExecutorEquivalence:
                 policy=RetryPolicy() if faulty else None,
             )
 
-        plain = go("serial", None)
+        whole = go("serial", None)
         sharded = go(f"{kind}:{workers}", Arena())
-        assert sharded.state._state_block is not None  # the arena step ran
         assert np.array_equal(
-            _snapshot("lbmhd", plain.state), _snapshot("lbmhd", sharded.state)
+            _snapshot("lbmhd", whole.state), _snapshot("lbmhd", sharded.state)
         )
-        # a faulted halo is repaired message by message on the
-        # allocating path and by accounting alone on the block path,
-        # which books the same recovery in another order (last-ulp
-        # clock differences): under faults the books are compared with
-        # the serial arena run instead
-        books = go("serial", Arena()) if faulty else plain
         assert np.array_equal(
-            books.comm.trace.matrix(), sharded.comm.trace.matrix()
+            whole.comm.trace.matrix(), sharded.comm.trace.matrix()
         )
-        assert np.array_equal(books.comm.times, sharded.comm.times)
-        _assert_ledgers_equal(books.ledger, sharded.ledger)
+        assert np.array_equal(whole.comm.times, sharded.comm.times)
+        _assert_ledgers_equal(whole.ledger, sharded.ledger)
         if faulty:
-            assert books.recovery.resends == sharded.recovery.resends > 0
+            assert whole.recovery.resends == sharded.recovery.resends > 0
 
     def test_harness_rejects_executor_with_explicit_comm(self):
         comm = Communicator(1)

@@ -133,7 +133,11 @@ class TestDriver:
         params = LBMHDParams(shape=(8, 8, 8))
         direct = LBMHD3D(params, Communicator(8))
         direct.run(4)
-        state = harness.run("lbmhd", params, steps=0, nprocs=8).state
+        # set up as harness.run does, on a communicator that stays the
+        # test's: a run's own goes with the run, executor and all
+        comm = Communicator(8)
+        comm.attach_phase_ledger()
+        state = APPLICATIONS["lbmhd"].setup(comm, params)
         for _ in range(4):
             APPLICATIONS["lbmhd"].step(state)
         assert np.array_equal(direct.global_state(), state.global_state())

@@ -278,8 +278,8 @@ def _kernel_cases():
         "lbmhd_stream_from_padded": (
             lambda b: b.lbmhd_stream_from_padded(padded)
         ),
-        "lbmhd_stream_from_padded_batch": (
-            lambda b: b.lbmhd_stream_from_padded_batch(padded_block)
+        "lbmhd_stream_from_padded_block": (
+            lambda b: b.lbmhd_stream_from_padded(padded_block)
         ),
         "gtc_deposit_scalar": lambda b: b.gtc_deposit_scalar(plane, parts),
         "gtc_deposit_scalar_gyro": (

@@ -128,3 +128,14 @@ class TestMRTSolver:
         np.testing.assert_allclose(
             a.global_state(), b.global_state(), atol=1e-13
         )
+
+    @pytest.mark.parametrize("nprocs", [2, 4, 8])
+    def test_mrt_is_decomposition_independent(self, nprocs):
+        """MRT collides rank by rank inside the shard step and rides the
+        same block halo exchange and stream: any P gives P=1's bits."""
+        params = LBMHDParams(shape=(8, 8, 8), use_mrt=True, tau_ghost=1.1)
+        one = LBMHD3D(params, Communicator(1))
+        many = LBMHD3D(params, Communicator(nprocs))
+        one.run(3)
+        many.run(3)
+        np.testing.assert_array_equal(many.global_state(), one.global_state())

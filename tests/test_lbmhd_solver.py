@@ -65,6 +65,26 @@ def test_parallel_matches_serial_bitwise(nprocs):
     np.testing.assert_array_equal(ref.global_state(), par.global_state())
 
 
+@pytest.mark.parametrize("cap", [1, 150, 64 * 8])
+def test_collide_batch_size_does_not_show(monkeypatch, cap):
+    """A shard is collided a few ranks a call, capped by lattice points
+    to bound the workspace: one rank a call, 2+1 within each of the
+    3/3/2-rank shards, or the whole lattice at once — the same bits."""
+    from repro.apps.lbmhd import solver
+
+    def run(executor):
+        sim = LBMHD3D(
+            LBMHDParams(shape=(8, 8, 8)), Communicator(8, executor=executor)
+        )
+        sim.run(3)
+        return sim.global_state()
+
+    ref = run("serial")
+    monkeypatch.setattr(solver, "_COLLIDE_BATCH_POINTS", cap)
+    np.testing.assert_array_equal(run("threads:3"), ref)
+    np.testing.assert_array_equal(run("serial"), ref)
+
+
 class TestConservation:
     def run_sim(self, steps=6):
         sim = LBMHD3D(LBMHDParams(shape=(8, 8, 8)), Communicator(4))

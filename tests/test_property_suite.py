@@ -280,3 +280,156 @@ class TestRunRecordRoundTrip:
                 out.write_text(text + last[: min(cut, len(last) - 1)])
                 assert torn.import_jsonl(out) == n
                 assert torn.all() == db.all()
+
+
+_plain_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**53), max_value=2**53)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+)
+_plain_values = st.recursive(
+    _plain_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_overrides = st.dictionaries(st.text(max_size=6), _plain_values, max_size=4)
+_name = st.text(min_size=1, max_size=8)
+_config_fields = dict(
+    app=_name,
+    nprocs=st.none() | st.integers(min_value=1, max_value=4096),
+    steps=st.integers(min_value=0, max_value=1000),
+    machine=st.none() | _name,
+    executor=st.sampled_from(["serial", "threads:2", "processes:2"]),
+    kernel_backend=st.sampled_from(["numpy", "numba"]),
+    seed=st.none() | st.integers(min_value=0, max_value=2**31),
+    params=_overrides,
+    trace=st.booleans(),
+    repeats=st.integers(min_value=1, max_value=9),
+)
+_spec_fields = dict(
+    name=_name,
+    apps=st.lists(_name, min_size=1, max_size=3),
+    machines=st.lists(st.none() | _name, min_size=1, max_size=3),
+    nprocs=st.lists(
+        st.none() | st.integers(min_value=1, max_value=64),
+        min_size=1, max_size=3,
+    ),
+    executors=st.lists(_config_fields["executor"], min_size=1, max_size=2),
+    kernel_backends=st.lists(
+        _config_fields["kernel_backend"], min_size=1, max_size=2
+    ),
+    seeds=st.lists(_config_fields["seed"], min_size=1, max_size=2),
+    steps=_config_fields["steps"],
+    repeats=_config_fields["repeats"],
+    trace=st.booleans(),
+    params=st.dictionaries(_name, _overrides, max_size=2),
+)
+
+
+def _respell(value, rng):
+    """The same JSON-plain value with its dict keys in another order and
+    its lists spelled as tuples."""
+    if isinstance(value, dict):
+        items = [(k, _respell(v, rng)) for k, v in value.items()]
+        rng.shuffle(items)
+        return dict(items)
+    if isinstance(value, (list, tuple)):
+        return tuple(_respell(v, rng) for v in value)
+    return value
+
+
+class TestCampaignConfigRoundTrip:
+    """A config is its dict, and its key is a function of its content:
+    what the result cache, the manifests and spec files rest on."""
+
+    @staticmethod
+    def _fields(cls):
+        from dataclasses import fields
+
+        return {f.name for f in fields(cls)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(kwargs=st.fixed_dictionaries(_config_fields))
+    def test_run_config_survives_dict_and_json(self, kwargs):
+        from repro.campaign.spec import RunConfig
+
+        assert set(kwargs) == self._fields(RunConfig)  # strategy is whole
+        cfg = RunConfig.from_dict(kwargs)
+        assert set(cfg.to_dict()) == self._fields(RunConfig)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        back = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert back == cfg and hash(back) == hash(cfg)
+        assert back.key() == cfg.key()
+
+    @settings(max_examples=100, deadline=None)
+    @given(kwargs=st.fixed_dictionaries(_spec_fields))
+    def test_campaign_spec_survives_dict_and_json(self, kwargs):
+        from repro.campaign.spec import CampaignSpec
+
+        assert set(kwargs) == self._fields(CampaignSpec)
+        spec = CampaignSpec.from_dict(kwargs)
+        assert set(spec.to_dict()) == self._fields(CampaignSpec)
+        assert CampaignSpec.from_dict(spec.to_dict()) == spec
+        back = CampaignSpec.from_json(json.dumps(spec.to_dict()))
+        assert back == spec
+        assert [c.key() for c in back.expand()] == [
+            c.key() for c in spec.expand()
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kwargs=st.fixed_dictionaries(_config_fields),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_key_ignores_params_key_order_and_list_spelling(
+        self, kwargs, rng
+    ):
+        from repro.campaign.spec import RunConfig
+
+        cfg = RunConfig.from_dict(kwargs)
+        again = RunConfig.from_dict(
+            {**kwargs, "params": _respell(kwargs["params"], rng)}
+        )
+        assert again == cfg and again.key() == cfg.key()
+
+    @settings(max_examples=100, deadline=None)
+    @given(kwargs=st.fixed_dictionaries(_config_fields))
+    def test_key_tells_every_field_and_the_version_apart(self, kwargs):
+        from repro.campaign.spec import RunConfig
+
+        cfg = RunConfig.from_dict(kwargs)
+        other = {
+            "app": kwargs["app"] + "x",
+            "nprocs": (kwargs["nprocs"] or 0) + 1,
+            "steps": kwargs["steps"] + 1,
+            "machine": (kwargs["machine"] or "") + "x",
+            "executor": kwargs["executor"] + "0",
+            "kernel_backend": kwargs["kernel_backend"] + "x",
+            "seed": (kwargs["seed"] or 0) + 1,
+            "params": {**kwargs["params"], "one more": 1},
+            "trace": not kwargs["trace"],
+            "repeats": kwargs["repeats"] + 1,
+        }
+        assert set(other) == self._fields(RunConfig)
+        keys = {cfg.key(), cfg.key(version="some other version")}
+        for name, value in other.items():
+            keys.add(RunConfig.from_dict({**kwargs, name: value}).key())
+        assert len(keys) == len(other) + 2
+
+    def test_a_dict_still_carrying_arena_fails_loudly(self):
+        """The field is gone; a stale spec file must say so, not run."""
+        from repro.campaign.spec import CampaignSpec, RunConfig
+
+        with pytest.raises(
+            ValueError, match=r"unknown RunConfig field\(s\): arena"
+        ):
+            RunConfig.from_dict({"app": "lbmhd", "arena": True})
+        with pytest.raises(
+            ValueError, match=r"unknown CampaignSpec field\(s\): arena"
+        ):
+            CampaignSpec.from_json(
+                '{"name": "old", "apps": ["lbmhd"], "arena": false}'
+            )

@@ -255,6 +255,105 @@ class TestResilientExchange:
         assert comm.recovery_stats.drops_detected == 0
 
 
+class TestBulkExchangeFaultParity:
+    """``exchange_phase`` heals like ``exchange``.
+
+    LBMHD steps through the bulk, accounting-only ``exchange_phase``;
+    the seed step loop posts the same halo through per-message
+    ``Communicator.exchange``.  The two charge equal compute and post
+    equal messages in equal order, so under one fault plan they must
+    book the same recovery, second for second — it used to fault the
+    first attempt only, whatever ``repeat`` and ``max_retries`` said.
+    """
+
+    STEPS = 3
+
+    def _pair(self, *faults):
+        from repro.apps.lbmhd import LBMHD3D, LBMHDParams
+        from seed_lbmhd import SeedLBMHD3D
+
+        params = LBMHDParams(shape=(8, 8, 8))
+        plan = FaultPlan(faults=faults, seed=5)
+        solvers = []
+        for cls in (LBMHD3D, SeedLBMHD3D):
+            comm = Communicator(4, machine=get_machine("X1"), trace=True)
+            comm.attach_phase_ledger()
+            comm.enable_resilience(plan, policy=RetryPolicy())
+            solvers.append(cls(params, comm))
+        return solvers
+
+    def _run(self, solver):
+        inj = solver.comm.fault_injector
+        for step in range(self.STEPS):
+            inj.begin_step(step)
+            solver.step()
+            inj.end_step()
+
+    def _assert_same_books(self, bulk, raw):
+        assert np.array_equal(bulk.comm.times, raw.comm.times)
+        assert bulk.comm.recovery_stats == raw.comm.recovery_stats
+        assert np.array_equal(
+            bulk.comm.trace.matrix(), raw.comm.trace.matrix()
+        )
+        assert bulk.comm.trace.calls == raw.comm.trace.calls
+        a = bulk.comm.phase_ledger.totals()
+        b = raw.comm.phase_ledger.totals()
+        for k in ("comm_s", "wait_s", "recovery_s", "nbytes", "messages"):
+            assert np.array_equal(getattr(a, k), getattr(b, k)), k
+
+    @pytest.mark.parametrize(
+        "repeat,drops,growth", [(1, 2, 1.0), (2, 4, 2.17)]
+    )
+    def test_drops_repeat_and_back_off_alike(self, repeat, drops, growth):
+        def run(repeat):
+            pair = self._pair(MessageDrop(src=0, dst=1, step=1, repeat=repeat))
+            for solver in pair:
+                self._run(solver)
+            return pair
+
+        bulk, raw = run(repeat)
+        stats = bulk.comm.recovery_stats
+        # rank 0 sends rank 1 its low and its high x-plane
+        assert stats.drops_detected == stats.resends == drops
+        self._assert_same_books(bulk, raw)
+        once = run(1)[0].comm.recovery_stats.recovery_rank_seconds
+        assert stats.recovery_rank_seconds == pytest.approx(
+            growth * once, rel=0.01
+        )
+
+    def test_rate_faults_of_every_kind_alike(self):
+        """Seeded draws happen in posting order on both paths."""
+        bulk, raw = self._pair(
+            MessageDrop(rate=0.1, repeat=2),
+            BitFlip(rate=0.1),
+            LatencySpike(rate=0.1, extra_s=2e-3),
+        )
+        self._run(bulk)
+        self._run(raw)
+        stats = bulk.comm.recovery_stats
+        assert stats.drops_detected and stats.corruptions_detected
+        assert stats.delays_absorbed
+        self._assert_same_books(bulk, raw)
+
+    def test_persistent_drop_exhausts_retries_on_both(self):
+        bulk, raw = self._pair(MessageDrop(src=0, dst=1, step=1, repeat=99))
+        messages = []
+        for solver in (bulk, raw):
+            with pytest.raises(UnrecoverableMessageError) as err:
+                self._run(solver)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "after 8 retransmits" in messages[0]
+        self._assert_same_books(bulk, raw)
+
+    def test_rank_death_fires_before_anything_is_charged_on_both(self):
+        bulk, raw = self._pair(RankFailure(rank=3, step=1))
+        for solver in (bulk, raw):
+            with pytest.raises(RankFailureError):
+                self._run(solver)
+        self._assert_same_books(bulk, raw)
+
+
 class TestCheckpointStores:
     def _payload(self):
         return {

@@ -327,6 +327,21 @@ if __name__ == "__main__":
 """
 
 
+_EXECUTOR_POOL_SCRIPT = """
+from repro import harness
+from repro.apps.lbmhd import LBMHD3D, LBMHDParams
+from repro.simmpi import Communicator
+
+if __name__ == "__main__":
+    params = LBMHDParams(shape=(8, 8, 8))
+    {run}
+    arena = solver.arena
+    assert solver.comm.executor.team.spawns == 1
+    print(type(arena).__name__, float(solver.global_state().sum()))
+    print(*arena.pool.handles().segments)
+"""
+
+
 class TestExitHygiene:
     @pytest.mark.parametrize(
         "closing", ["pool.close()", "del pool, arena"], ids=["close", "gc"]
@@ -371,6 +386,37 @@ class TestExitHygiene:
         sums, names = proc.stdout.strip().splitlines()
         assert sums == f"{3.0 * 8} {3.0 * (1 << 14)}"
         assert proc.stderr == ""
+        for name in names.split():
+            assert not Path("/dev/shm", name.lstrip("/")).exists()
+
+    @pytest.mark.skipif(not _HAS_FORK, reason="needs the fork start method")
+    @pytest.mark.parametrize(
+        "run",
+        [
+            'solver = harness.run("lbmhd", params, steps=2, nprocs=4, '
+            'executor="processes:2").state',
+            'solver = LBMHD3D(params, Communicator(4, executor="processes:2"))'
+            "; solver.run(2)",
+        ],
+        ids=["harness", "abandoned"],
+    )
+    def test_executor_owned_pool_exits_clean(self, run):
+        """No ``arena=`` anywhere: the shared memory is the executor's.
+        ``harness.run`` unlinks it with the run; a solver built by hand
+        and never closed leaves it to the finalizers at exit.  Either
+        way no segment and no tracker warning is left behind."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXECUTOR_POOL_SCRIPT.format(run=run)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary, names = proc.stdout.strip().splitlines()
+        assert summary.startswith("ShmArena ")
+        assert proc.stderr == ""
+        assert names.split()
         for name in names.split():
             assert not Path("/dev/shm", name.lstrip("/")).exists()
 

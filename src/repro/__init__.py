@@ -32,7 +32,7 @@ from .perfmodel import PerfResult, ResultTable
 from .simmpi import Communicator, Message
 from .workload import Work, WorkloadMeter
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "Communicator",

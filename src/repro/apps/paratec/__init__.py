@@ -1,16 +1,6 @@
 """PARATEC — plane-wave density functional theory (paper §6)."""
 
-from .cg import (
-    Bands,
-    CGOptions,
-    axpy,
-    blas3_work,
-    cg_band,
-    dot,
-    normalize,
-    orthogonalize,
-    subspace_rotation,
-)
+from .cg import CGOptions, blas3_work, block_cg, overlaps
 from .density import (
     accumulate_density,
     exchange_potential,
@@ -44,7 +34,6 @@ from .workload import (
 
 __all__ = [
     "Atom",
-    "Bands",
     "CGOptions",
     "FLOPS_PER_CG_STEP",
     "GSphere",
@@ -63,11 +52,9 @@ __all__ = [
     "TABLE6_ROWS",
     "accumulate_density",
     "attach_nonlocal",
-    "axpy",
     "blas3_work",
+    "block_cg",
     "build_local_potential",
-    "cg_band",
-    "dot",
     "exchange_potential",
     "external_energy",
     "hartree_potential",
@@ -75,10 +62,8 @@ __all__ = [
     "initial_bands",
     "load_balance_columns",
     "mix_potentials",
-    "normalize",
-    "orthogonalize",
+    "overlaps",
     "predict",
     "relax_atoms",
-    "subspace_rotation",
     "total_potential",
 ]

@@ -1,12 +1,24 @@
-"""Band-by-band conjugate-gradient eigensolver with subspace rotation.
+"""All-band (block) preconditioned conjugate-gradient eigensolver.
 
 PARATEC "uses an all-band conjugate gradient (CG) approach to solve the
-Kohn-Sham equations".  The mini-app implements the classic
-Teter–Payne–Allan band-sweep CG: each band is relaxed by preconditioned
-CG on the Rayleigh quotient while kept orthogonal to the lower bands,
-followed by a subspace rotation (the dense-linear-algebra/BLAS3 part).
-All inner products over the distributed G-sphere go through subgroup
-``Allreduce`` — scalar results are identical to a serial run.
+Kohn-Sham equations".  The mini-app runs it in block form (LOBPCG,
+Knyazev 2001): every rank holds its slice of all ``nb`` bands as one
+``(nb, ng_local)`` stack, and one sweep is
+
+* a start: one batched ``H X``, then a Rayleigh–Ritz on ``X`` alone —
+  ``eigh(H, S)`` factors the overlap ``S`` by Cholesky, so the random
+  or drifted start comes out orthonormal;
+* per iteration: the residual ``R = HX - X Lambda``, the block Teter
+  preconditioner ``W = K R``, ``X`` projected out of ``W`` (one GEMM
+  and one Allreduce of an ``nb x nb`` buffer), one batched ``H W``,
+  and a Rayleigh–Ritz on ``[X, W, P]`` whose two ``3nb x 3nb`` Gram
+  matrices travel in one Allreduce of one stacked buffer.
+
+The last Rayleigh–Ritz is the subspace rotation: its Ritz values are
+the eigenvalues.  Every inner product is a GEMM over the local sphere
+slices summed by one Allreduce, so results equal a serial run's to
+round-off, and each H application moves all bands through one pair of
+FFT transposes.
 """
 
 from __future__ import annotations
@@ -14,62 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
-from ...kernels import KernelBackend
 from ...simmpi.comm import Communicator
 from ...workload import Work
 from .hamiltonian import Hamiltonian
-
-#: Distributed band storage: bands x per-rank sphere slices.
-Bands = list[list[np.ndarray]]
-
-
-def dot(comm: Communicator, a: list[np.ndarray], b: list[np.ndarray]) -> complex:
-    """Global <a|b> over per-rank slices (one scalar Allreduce)."""
-    partial = [
-        np.array([np.vdot(ar, br)]) for ar, br in zip(a, b)
-    ]
-    return complex(comm.allreduce(partial)[0][0])
-
-
-def axpy(
-    kernels: KernelBackend,
-    y: list[np.ndarray],
-    alpha: complex,
-    x: list[np.ndarray],
-) -> None:
-    """y += alpha x, slice-wise in place."""
-    for yr, xr in zip(y, x):
-        kernels.paratec_cg_axpy(yr, alpha, xr)
-
-
-def scale(
-    kernels: KernelBackend, x: list[np.ndarray], alpha: complex
-) -> None:
-    for xr in x:
-        kernels.paratec_cg_scale(xr, alpha)
-
-
-def normalize(
-    comm: Communicator, kernels: KernelBackend, x: list[np.ndarray]
-) -> float:
-    norm = np.sqrt(abs(dot(comm, x, x)))
-    if norm == 0.0:
-        raise ZeroDivisionError("cannot normalize a zero vector")
-    scale(kernels, x, 1.0 / norm)
-    return float(norm)
-
-
-def orthogonalize(
-    comm: Communicator,
-    kernels: KernelBackend,
-    x: list[np.ndarray],
-    against: Bands,
-) -> None:
-    """Project the span of ``against`` (assumed orthonormal) out of x."""
-    for band in against:
-        overlap = dot(comm, band, x)
-        axpy(kernels, x, -overlap, band)
 
 
 @dataclass(frozen=True)
@@ -84,121 +45,129 @@ class CGOptions:
             raise ValueError("preconditioner energy must be positive")
 
 
-def _precondition(
-    kernels: KernelBackend,
-    ham: Hamiltonian,
-    g: list[np.ndarray],
-    e_ref: float,
-) -> list[np.ndarray]:
-    """Teter-style diagonal kinetic preconditioner 1/(1 + T/E)."""
-    out = []
-    for r, gr in enumerate(g):
-        t = ham.kinetic_of(r)
-        out.append(kernels.paratec_cg_precondition(gr, t, e_ref))
-    return out
+def overlaps(
+    comm: Communicator, a: list[np.ndarray], b: list[np.ndarray]
+) -> np.ndarray:
+    """Global ``A B^H`` of two per-rank band blocks: entry ``(i, j)`` is
+    ``<b_j|a_i>`` over the whole sphere.  One GEMM per rank, one
+    Allreduce."""
+    return comm.allreduce([ar @ br.conj().T for ar, br in zip(a, b)])[0]
 
 
-def cg_band(
+#: Smallest eigenvalue of the unit-diagonal overlap a basis may have.
+#: Ritz vectors of a basis nearer singular than this would come out
+#: orthonormal only to ~1e-16 / RCOND; the 16³, 8-band SCF keeps its
+#: ``[X, W, P]`` above 9e-4 (and the 12³, 4-band one above 3e-5) over
+#: 300 steps, so the guard is for degenerate inputs, not the norm.
+_RCOND = 1e-8
+
+
+def _lowest_ritz_pairs(
+    h_sub: np.ndarray, s_sub: np.ndarray, nb: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``nb`` Ritz pairs of the pencil ``(h_sub, s_sub)``.
+
+    The basis is ``[X, W, P]`` in blocks of ``nb`` rows.  The pencil is
+    scaled to a unit-diagonal overlap first (the ``W`` and ``P`` rows
+    shrink as the bands converge).  While the overlap is numerically
+    singular the trailing block is dropped — ``P``, then ``W`` — which
+    is LOBPCG's usual restart; ``X`` alone is orthonormal up to the
+    start's Cholesky.  Returns the Ritz values and the ``(m, nb)``
+    coefficients, zero on dropped rows.
+    """
+    m = len(s_sub)
+    diag = s_sub.diagonal().real
+    d = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    h_sub = h_sub * np.outer(d, d)
+    s_sub = s_sub * np.outer(d, d)
+    k = m
+    while k > nb and np.linalg.eigvalsh(s_sub[:k, :k])[0] < _RCOND:
+        k -= nb
+    vals, vecs = eigh(
+        h_sub[:k, :k], s_sub[:k, :k], subset_by_index=(0, nb - 1)
+    )
+    coeffs = np.zeros((m, nb), dtype=complex)
+    coeffs[:k] = vecs * d[:k, None]
+    return vals, coeffs
+
+
+def block_cg(
     comm: Communicator,
     ham: Hamiltonian,
-    x: list[np.ndarray],
-    lower_bands: Bands,
+    bands: list[np.ndarray],
     opts: CGOptions,
-) -> float:
-    """Relax one band in place; returns its final Rayleigh quotient.
+) -> np.ndarray:
+    """Relax all bands at once; returns their eigenvalues, ascending.
 
-    The sweep primitives run on the backend the Hamiltonian's FFT
-    engine was built with — the one the solver was handed.
+    ``bands[r]`` is rank r's ``(nb, ng_local)`` stack; the list is
+    updated in place with orthonormal Ritz vectors.  The preconditioner
+    runs on the backend the Hamiltonian's FFT engine was built with —
+    the one the solver was handed.
     """
     kernels = ham.fft.kernels
-    orthogonalize(comm, kernels, x, lower_bands)
-    normalize(comm, kernels, x)
+    nb = len(bands[0])
+    x = list(bands)
     hx = ham.apply(x)
-    eps = dot(comm, x, hx).real
 
-    d_prev: list[np.ndarray] | None = None
-    g_dot_prev = 0.0
+    def rayleigh_ritz(z, hz):
+        # both Gram matrices of the basis in one stacked Allreduce
+        stacked = comm.allreduce(
+            [np.stack([zr @ hr.conj().T, zr @ zr.conj().T])
+             for zr, hr in zip(z, hz)]
+        )[0]
+        vals, coeffs = _lowest_ritz_pairs(stacked[0], stacked[1], nb)
+        return vals, coeffs.conj().T
+
+    lam, rot = rayleigh_ritz(x, hx)
+    x = [rot @ xr for xr in x]
+    hx = [rot @ hr for hr in hx]
+    p = hp = [xr[:0] for xr in x]  # no step taken yet: an empty block
     for _ in range(opts.iterations):
-        # steepest descent residual, projected
-        g = [hr - eps * xr for hr, xr in zip(hx, x)]
-        pg = _precondition(kernels, ham, g, opts.preconditioner_energy)
-        orthogonalize(comm, kernels, pg, lower_bands)
-        overlap = dot(comm, x, pg)
-        axpy(kernels, pg, -overlap, x)
+        w = [
+            kernels.paratec_precondition(
+                hr - lam[:, None] * xr,
+                ham.kinetic_of(r),
+                opts.preconditioner_energy,
+            )
+            for r, (xr, hr) in enumerate(zip(x, hx))
+        ]
+        proj = overlaps(comm, w, x)
+        w = [wr - proj @ xr for wr, xr in zip(w, x)]
+        hw = ham.apply(w)
 
-        g_dot = dot(comm, g, pg).real
-        if abs(g_dot) < 1e-30:
-            break
-        if d_prev is None:
-            d = [p.copy() for p in pg]
-        else:
-            beta = g_dot / g_dot_prev
-            d = [p + beta * dp for p, dp in zip(pg, d_prev)]
-            overlap = dot(comm, x, d)
-            axpy(kernels, d, -overlap, x)
-        g_dot_prev = g_dot
-        d_norm = np.sqrt(abs(dot(comm, d, d)))
-        if d_norm < 1e-15:
-            break
-        scale(kernels, d, 1.0 / d_norm)
-
-        # analytic line minimization on the unit circle x cos + d sin
-        hd = ham.apply(d)
-        e_xd = dot(comm, d, hx).real
-        e_dd = dot(comm, d, hd).real
-        theta = 0.5 * np.arctan2(2.0 * e_xd, eps - e_dd)
-        c, s = np.cos(theta), np.sin(theta)
-        e_trial = c * c * eps + s * s * e_dd + 2 * s * c * e_xd
-        if e_trial > eps:  # wrong branch: rotate by pi/2
-            theta += 0.5 * np.pi
-            c, s = np.cos(theta), np.sin(theta)
-        for r in range(len(x)):
-            x[r] = c * x[r] + s * d[r]
-            hx[r] = c * hx[r] + s * hd[r]
-        d_prev = d
-        eps = dot(comm, x, hx).real
-    normalize(comm, kernels, x)
-    return float(eps)
+        z = [np.concatenate(parts) for parts in zip(x, w, p)]
+        hz = [np.concatenate(parts) for parts in zip(hx, hw, hp)]
+        lam, rot = rayleigh_ritz(z, hz)
+        # P: the step just taken, without its X component
+        p = [rot[:, nb:] @ zr[nb:] for zr in z]
+        hp = [rot[:, nb:] @ hr[nb:] for hr in hz]
+        x = [rot @ zr for zr in z]
+        hx = [rot @ hr for hr in hz]
+    bands[:] = x
+    return lam
 
 
-def subspace_rotation(
-    comm: Communicator, ham: Hamiltonian, bands: Bands
-) -> np.ndarray:
-    """Rayleigh–Ritz in the current band span; returns eigenvalues.
-
-    Builds the nb x nb subspace Hamiltonian (BLAS3 zgemm territory in
-    the real code), diagonalizes, and rotates the bands in place.
-    """
-    nb = len(bands)
-    h_bands = [ham.apply(b) for b in bands]
-    h_sub = np.empty((nb, nb), dtype=complex)
-    s_sub = np.empty((nb, nb), dtype=complex)
-    for i in range(nb):
-        for j in range(nb):
-            h_sub[i, j] = dot(comm, bands[i], h_bands[j])
-            s_sub[i, j] = dot(comm, bands[i], bands[j])
-    # solve the (nearly identity-overlap) generalized problem
-    from scipy.linalg import eigh
-
-    vals, vecs = eigh(h_sub, s_sub)
-    nranks = len(bands[0])
-    for r in range(nranks):
-        stack = np.stack([bands[b][r] for b in range(nb)])  # (nb, ng_local)
-        rotated = vecs.T.conj() @ stack
-        for b in range(nb):
-            bands[b][r] = rotated[b]
-    return vals.real
+#: ``nb x nb x ng_local`` complex GEMM products of one block-CG sweep:
+#: the start's Gram pair and rotation of X and HX; per iteration the
+#: projection (2), the ``3nb`` Gram pair (18) and the rotations of X,
+#: HX (3 each), P and HP (2 each) — charged in full on the first
+#: iteration too, whose basis has no P yet.
+_START_GEMMS = 4
+_ITERATION_GEMMS = 30
 
 
 def blas3_work(
-    nbands: int, ng_local: float, name: str = "paratec.blas3"
+    nbands: int,
+    ng_local: float,
+    iterations: int,
+    name: str = "paratec.blas3",
 ) -> Work:
-    """Subspace construction + rotation cost (the BLAS3 fraction)."""
-    flops = 8.0 * nbands * nbands * ng_local * 2.0
+    """Subspace Gram + rotation GEMMs of one sweep (the BLAS3 fraction)."""
+    products = _START_GEMMS + _ITERATION_GEMMS * iterations
     return Work(
         name=name,
-        flops=flops,
-        bytes_unit=16.0 * nbands * ng_local,
+        flops=8.0 * products * nbands * nbands * ng_local,
+        bytes_unit=16.0 * nbands * ng_local * (2 + 6 * iterations),
         blas3_fraction=1.0,
         cache_fraction=0.9,
     )

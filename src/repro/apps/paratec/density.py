@@ -1,7 +1,7 @@
 """Charge density and self-consistent potentials (Hartree + LDA-x).
 
-The density is accumulated in real space on the distributed z-slabs as
-bands come out of the FFT; the SCF potential update (Hartree solve in
+The density is accumulated in real space on the distributed z-slabs
+from one all-band FFT; the SCF potential update (Hartree solve in
 G-space plus a Slater exchange term) runs on the gathered dense grid —
 a replicated, O(grid) step that is negligible next to the per-band FFT
 and BLAS3 work, mirroring PARATEC's own cost structure.
@@ -13,20 +13,19 @@ import numpy as np
 
 
 def accumulate_density(
-    band_slabs: list[list[np.ndarray]], occupations: np.ndarray
+    band_slabs: list[np.ndarray], occupations: np.ndarray
 ) -> list[np.ndarray]:
-    """rho(r) slabs from per-band real-space slabs.
+    """rho(r) slabs from per-rank real-space band stacks.
 
-    ``band_slabs[b][rank]`` is band b's wavefunction on rank's slab.
+    ``band_slabs[rank]`` is ``(nb, n1, n2, nz)``: every band's
+    wavefunction on the rank's slab, as one all-band transform returns.
     """
-    if len(band_slabs) != len(occupations):
+    if any(len(s) != len(occupations) for s in band_slabs):
         raise ValueError("need one occupation per band")
-    nranks = len(band_slabs[0])
-    rho = [np.zeros(band_slabs[0][r].shape) for r in range(nranks)]
-    for occ, slabs in zip(occupations, band_slabs):
-        for r in range(nranks):
-            rho[r] += occ * np.abs(slabs[r]) ** 2
-    return rho
+    return [
+        np.tensordot(occupations, np.abs(s) ** 2, axes=1)
+        for s in band_slabs
+    ]
 
 
 def hartree_potential(rho: np.ndarray) -> np.ndarray:

@@ -16,6 +16,12 @@ Layout and algorithm (the standard PARATEC scheme):
   column to slab layout, then 2-D inverse FFTs in each z-plane.
 * Real -> sphere reverses the steps with forward FFTs.
 
+Every transform carries any leading band axes along: a rank's
+``(nb, ng_local)`` band stack goes through one scatter, one batched
+line/plane FFT and one global transpose per direction, so the
+Alltoallv count of an all-band H application does not grow with the
+number of bands — only its message size does.
+
 The transforms are exact inverses of each other and match the dense
 ``numpy.fft`` reference (tests enforce both to machine precision).
 """
@@ -48,15 +54,15 @@ from .gvectors import GSphere, SphereDistribution, _wrap_index
 def _line_segment(rank: int, shm, args) -> np.ndarray:
     """Scatter one rank's sphere points into columns; inverse-FFT in z."""
     plan = args.plan
+    coeffs = args.coeffs[rank]
     ncol = len(plan._col_keys[rank])
-    n3 = plan.grid_shape[2]
     line = shm.for_rank(rank).scratch(
-        "paratec.line", (ncol, n3), np.complex128
+        "paratec.line",
+        (*coeffs.shape[:-1], ncol, plan.grid_shape[2]),
+        np.complex128,
     )
     line.fill(0.0)
-    line[plan._col_of_point[rank], plan._gz_of_point[rank]] = args.coeffs[
-        rank
-    ]
+    line[..., plan._col_of_point[rank], plan._gz_of_point[rank]] = coeffs
     return plan.kernels.paratec_ifft_z(line)
 
 
@@ -73,33 +79,36 @@ def _unpack_slab_segment(j: int, shm, args) -> np.ndarray:
     plan = args.plan
     n1, n2, _ = plan.grid_shape
     nz = plan.slab_shape(j)[2]
+    lead = args.recv[j][0].shape[:-2]
     rank_arena = shm.for_rank(j)
-    slab = rank_arena.scratch("paratec.slab", (n1, n2, nz), np.complex128)
+    slab = rank_arena.scratch(
+        "paratec.slab", (*lead, n1, n2, nz), np.complex128
+    )
     slab.fill(0.0)
     # stage every sender's rows once, then one stacked scatter
     off = plan._col_offsets
     rows = rank_arena.scratch(
-        "paratec.rows", (int(off[-1]), nz), np.complex128
+        "paratec.rows", (*lead, int(off[-1]), nz), np.complex128
     )
     for i in range(args.p):
-        rows[off[i] : off[i + 1]] = args.recv[j][i]
-    slab[plan._all_keys[:, 0], plan._all_keys[:, 1], :] = rows
+        rows[..., off[i] : off[i + 1], :] = args.recv[j][i]
+    slab[..., plan._all_keys[:, 0], plan._all_keys[:, 1], :] = rows
     return slab
 
 
 def _zline_segment(i: int, shm, args) -> np.ndarray:
     """Reassemble full z-lines, forward-FFT, pull the sphere points."""
     plan = args.plan
-    n3 = plan.grid_shape[2]
+    lead = args.recv[i][0].shape[:-2]
     ncol = len(plan._col_keys[i])
     line = shm.for_rank(i).scratch(
-        "paratec.zline", (ncol, n3), np.complex128
+        "paratec.zline", (*lead, ncol, plan.grid_shape[2]), np.complex128
     )
     for j in range(args.p):
         lo, hi = plan.slab_range(j)
-        line[:, lo:hi] = args.recv[i][j]
+        line[..., lo:hi] = args.recv[i][j]
     fz = plan.kernels.paratec_fft_z(line)
-    return fz[plan._col_of_point[i], plan._gz_of_point[i]]
+    return fz[..., plan._col_of_point[i], plan._gz_of_point[i]]
 
 
 def _pack_slab_segment(j: int, shm, args) -> list[np.ndarray]:
@@ -107,8 +116,8 @@ def _pack_slab_segment(j: int, shm, args) -> list[np.ndarray]:
     block is a row range (a view) of it."""
     plan = args.plan
     off = plan._col_offsets
-    allcols = args.f2s[j][plan._all_keys[:, 0], plan._all_keys[:, 1], :]
-    return [allcols[off[i] : off[i + 1]] for i in range(args.p)]
+    allcols = args.f2s[j][..., plan._all_keys[:, 0], plan._all_keys[:, 1], :]
+    return [allcols[..., off[i] : off[i + 1], :] for i in range(args.p)]
 
 
 @dataclass
@@ -203,8 +212,11 @@ class ParallelFFT3D:
     def sphere_to_real(self, coeffs: list[np.ndarray]) -> list[np.ndarray]:
         """psi(G) (per-rank sphere slices) -> psi(r) (per-rank z-slabs).
 
-        Uses the ``numpy.fft.ifftn`` normalization (1/N on the inverse),
-        so the composition with :meth:`real_to_sphere` is the identity.
+        ``coeffs[r]`` is ``(..., ng_local)``, ``(nb, ng_local)`` for a
+        band stack; each returned slab is ``(..., n1, n2, nz)`` with the
+        same leading axes.  Uses the ``numpy.fft.ifftn`` normalization
+        (1/N on the inverse), so the composition with
+        :meth:`real_to_sphere` is the identity.
         """
         # 1. scatter points into columns; 1-D inverse FFT along z.
         lines = self.comm.map_ranks(
@@ -230,9 +242,9 @@ class ParallelFFT3D:
     ) -> list[np.ndarray]:
         """The column->slab global transpose (pack, Alltoallv, unpack).
 
-        ``lines[i]`` is rank i's ``(ncol_i, n3)`` z-lines; returns each
-        rank's ``(n1, n2, nz_j)`` slab with the sphere columns placed
-        (zero elsewhere), before any planar FFT.  Each ``(i, j)``
+        ``lines[i]`` is rank i's ``(..., ncol_i, n3)`` z-lines; returns
+        each rank's ``(..., n1, n2, nz_j)`` slab with the sphere columns
+        placed (zero elsewhere), before any planar FFT.  Each ``(i, j)``
         sub-block is posted as a z-window *view* and delivered
         uncopied; every destination stages its rows once for a single
         stacked scatter.
@@ -240,7 +252,7 @@ class ParallelFFT3D:
         p = self.comm.nprocs
         bounds = self._slab_bounds
         send = [
-            [lines[i][:, bounds[j] : bounds[j + 1]] for j in range(p)]
+            [lines[i][..., bounds[j] : bounds[j + 1]] for j in range(p)]
             for i in range(p)
         ]
         with self.comm.phase("fft"):
@@ -257,8 +269,9 @@ class ParallelFFT3D:
     def real_to_sphere(self, slabs: list[np.ndarray]) -> list[np.ndarray]:
         """psi(r) (per-rank z-slabs) -> psi(G) (per-rank sphere slices).
 
-        High-frequency grid content outside the sphere is discarded —
-        exactly PARATEC's cutoff projection.
+        Leading band axes of the slabs carry through, as in
+        :meth:`sphere_to_real`.  High-frequency grid content outside the
+        sphere is discarded — exactly PARATEC's cutoff projection.
         """
         p = self.comm.nprocs
 
@@ -288,12 +301,12 @@ class ParallelFFT3D:
     ) -> list[list[np.ndarray]]:
         """The slab->column global transpose (pack, Alltoallv, unpack).
 
-        ``f2s[j]`` is rank j's planar-transformed ``(n1, n2, nz_j)``
-        slab; returns ``recv`` with ``recv[i][j]`` = rank i's columns
-        restricted to rank j's planes (rank j sends ``send[j][i]`` to
-        rank i).  All columns of a slab are gathered in one stacked
-        fancy-index per rank and posted as row-range views, delivered
-        uncopied.
+        ``f2s[j]`` is rank j's planar-transformed ``(..., n1, n2,
+        nz_j)`` slab; returns ``recv`` with ``recv[i][j]`` = rank i's
+        columns restricted to rank j's planes (rank j sends
+        ``send[j][i]`` to rank i).  All columns of a slab are gathered
+        in one stacked fancy-index per rank and posted as row-range
+        views, delivered uncopied.
         """
         p = self.comm.nprocs
         send = self.comm.map_ranks(
@@ -309,7 +322,7 @@ class ParallelFFT3D:
     # -- cost accounting --------------------------------------------------
 
     def transform_work(self, name: str = "paratec.fft3d") -> Work:
-        """Per-rank compute Work of one distributed transform."""
+        """Per-rank compute Work of one distributed transform of one band."""
         n1, n2, n3 = self.grid_shape
         n_total = n1 * n2 * n3
         flops = 5.0 * n_total * np.log2(max(n_total, 2)) / self.comm.nprocs

@@ -8,7 +8,8 @@ pseudopotentials: each atom contributes
 built on the dense FFT grid and transformed to real space once.  The
 Hamiltonian application is PARATEC's inner kernel: diagonal kinetic in
 G-space plus a real-space potential multiply reached through the
-parallel 3-D FFT (forward + inverse per application).
+parallel 3-D FFT (forward + inverse per application, all bands at
+once).
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ class Hamiltonian:
         return self._kinetic_local[rank]
 
     def apply(self, psi_locals: list[np.ndarray]) -> list[np.ndarray]:
-        """H |psi> for one band stored as per-rank sphere slices."""
+        """H |psi> for every band of per-rank ``(nb, ng_local)`` stacks
+        (or one ``(ng_local,)`` band): one sphere->real and one
+        real->sphere transform for the whole block."""
         slabs = self.fft.sphere_to_real(psi_locals)
         for r, slab in enumerate(slabs):
             slab *= self.potential_slabs[r]
@@ -116,7 +119,8 @@ class Hamiltonian:
         ]
 
     def apply_work(self, name: str = "paratec.h_apply") -> Work:
-        """Per-rank compute Work of one H application (2 FFTs + axpys)."""
+        """Per-rank compute Work of one H application to one band
+        (2 FFTs + axpys)."""
         fft_work = self.fft.transform_work(name)
         points = self.fft.dist.sphere.num_g / self.fft.dist.nranks
         extra = Work(

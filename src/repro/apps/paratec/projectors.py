@@ -7,8 +7,8 @@ separable *nonlocal* term acting per angular-momentum channel:
     V_nl |psi> = sum_a sum_p  D_p  |beta_p^a> <beta_p^a | psi>
 
 The projectors live naturally in G-space (a radial form factor times a
-structure phase), so applying ``V_nl`` is two zgemm-shaped contractions
-per band — more of exactly the BLAS3-regime work the paper's PARATEC
+structure phase), so applying ``V_nl`` to a band block is two zgemms —
+more of exactly the BLAS3-regime work the paper's PARATEC
 analysis leans on.
 
 The mini-app uses Gaussian s-channel projectors (one per atom), which
@@ -44,10 +44,11 @@ class NonlocalChannel:
 class NonlocalPotential:
     """Distributed separable V_nl over a sphere distribution.
 
-    Projector coefficients are precomputed per rank; an application is
-    ``<beta|psi>`` (local dots + subgroup Allreduce) followed by the
-    rank-one updates — the same communication/BLAS3 pattern as the
-    production code's nonlocal term.
+    Each rank keeps its slice of every projector as one
+    ``(nproj, ng_local)`` matrix; an application to a band block is
+    ``<beta|psi>`` as one GEMM per rank plus one subgroup Allreduce,
+    then the update as a second GEMM — the same communication/BLAS3
+    pattern as the production code's nonlocal term.
     """
 
     def __init__(
@@ -61,47 +62,44 @@ class NonlocalPotential:
         self.dist = dist
         self.comm = comm
         self.channels = list(channels)
+        self._strengths = np.array([ch.strength for ch in self.channels])
 
         sphere = dist.sphere
         g = sphere.vectors.astype(np.float64)
         g_sq = (g**2).sum(axis=1)
-        self._beta_local: list[list[np.ndarray]] = []  # [channel][rank]
-        for ch in self.channels:
+        beta = np.empty((len(self.channels), sphere.num_g), dtype=complex)
+        for p, ch in enumerate(self.channels):
             tau = np.asarray(ch.atom.position)
             phase = np.exp(-2j * np.pi * (g @ tau))
             form = np.exp(-0.5 * g_sq * ch.width**2)
-            beta = form * phase
+            beta[p] = form * phase
             # normalize so <beta|beta> = 1 over the full sphere
-            beta = beta / np.linalg.norm(beta)
-            self._beta_local.append(
-                [beta[dist.points_of(r)] for r in range(dist.nranks)]
-            )
+            beta[p] /= np.linalg.norm(beta[p])
+        #: per rank, the ``(nproj, ng_local)`` projector matrix
+        self._beta_local: list[np.ndarray] = dist.scatter(beta)
 
     @property
     def num_projectors(self) -> int:
         return len(self.channels)
 
     def projections(self, psi_locals: list[np.ndarray]) -> np.ndarray:
-        """<beta_p | psi> for every channel (one Allreduce per apply)."""
-        partial = np.zeros((self.comm.nprocs, self.num_projectors), dtype=complex)
-        for r, psi_r in enumerate(psi_locals):
-            for p, betas in enumerate(self._beta_local):
-                partial[r, p] = np.vdot(betas[r], psi_r)
-        reduced = self.comm.allreduce([partial[r] for r in range(self.comm.nprocs)])
-        return reduced[0]
+        """``<beta_p|psi_b>`` as ``(nb, nproj)`` for per-rank
+        ``(nb, ng_local)`` blocks (``(nproj,)`` for one band): one GEMM
+        per rank, one Allreduce."""
+        partial = [
+            psi @ beta.conj().T
+            for psi, beta in zip(psi_locals, self._beta_local)
+        ]
+        return self.comm.allreduce(partial)[0]
 
     def apply(self, psi_locals: list[np.ndarray]) -> list[np.ndarray]:
-        """V_nl |psi> as per-rank sphere slices."""
-        coeffs = self.projections(psi_locals)
-        out = [np.zeros_like(p) for p in psi_locals]
-        for p, ch in enumerate(self.channels):
-            amp = ch.strength * coeffs[p]
-            for r in range(self.comm.nprocs):
-                out[r] += amp * self._beta_local[p][r]
-        return out
+        """V_nl |psi> as per-rank sphere slices, for the whole block."""
+        amps = self.projections(psi_locals) * self._strengths
+        return [amps @ beta for beta in self._beta_local]
 
     def apply_work(self, name: str = "paratec.nonlocal") -> Work:
-        """Per-rank Work of one application (2 x nproj x ng_local zaxpy)."""
+        """Per-rank Work of one application to one band (2 x nproj x
+        ng_local multiply-adds)."""
         ng_local = self.dist.sphere.num_g / self.dist.nranks
         flops = 16.0 * self.num_projectors * ng_local
         return Work(
@@ -116,8 +114,10 @@ class NonlocalPotential:
 def attach_nonlocal(hamiltonian, vnl: NonlocalPotential):
     """Wrap a Hamiltonian's ``apply`` to include the nonlocal term.
 
-    Returns the same Hamiltonian object with a composed ``apply``; the
-    original local-only behaviour stays available as ``apply_local``.
+    Returns the same Hamiltonian object with a composed block
+    ``apply`` (one batched local apply plus one block nonlocal apply);
+    the original local-only behaviour stays available as
+    ``apply_local``.
     """
     if getattr(hamiltonian, "_nonlocal_attached", False):
         raise ValueError("nonlocal term already attached")

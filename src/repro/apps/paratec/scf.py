@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...simmpi.comm import Communicator
-from .cg import Bands, CGOptions, cg_band, dot, subspace_rotation
+from .cg import CGOptions, block_cg
 from .density import (
     accumulate_density,
     exchange_potential,
@@ -30,27 +30,29 @@ class SCFResult:
 
 def initial_bands(
     fft: ParallelFFT3D, nbands: int, seed: int = 11
-) -> Bands:
-    """Random starting bands (orthogonalized by the first CG sweep).
+) -> list[np.ndarray]:
+    """Random starting bands as per-rank ``(nbands, ng_local)`` stacks
+    (orthonormalized by the first CG sweep).
 
     Coefficients are drawn for the *full sphere* and then scattered, so
     the starting point — and hence every SCF iterate — is independent of
     the processor count (tests rely on this decomposition invariance).
     """
     rng = np.random.default_rng(seed)
-    dist = fft.dist
-    bands: Bands = []
-    for _ in range(nbands):
-        full = rng.standard_normal(dist.sphere.num_g) + 1j * rng.standard_normal(
-            dist.sphere.num_g
-        )
-        bands.append(dist.scatter(full))
-    return bands
+    num_g = fft.dist.sphere.num_g
+    full = np.stack(
+        [
+            rng.standard_normal(num_g) + 1j * rng.standard_normal(num_g)
+            for _ in range(nbands)
+        ]
+    )
+    return fft.dist.scatter(full)
 
 
 @dataclass
 class SCFDriver:
-    """Iterates bands -> density -> potential to self-consistency."""
+    """The two halves of one SCF iteration: a band solve, then the
+    density -> potential update (``Paratec`` iterates them)."""
 
     comm: Communicator
     ham: Hamiltonian
@@ -66,19 +68,18 @@ class SCFDriver:
                 self.ham.potential_slabs
             ).copy()
 
-    def solve_bands(self, bands: Bands) -> np.ndarray:
-        """One CG sweep over all bands + subspace rotation."""
+    def solve_bands(self, bands: list[np.ndarray]) -> np.ndarray:
+        """One all-band CG sweep; returns the eigenvalues."""
         with self.comm.phase("cg"):
-            for b, band in enumerate(bands):
-                cg_band(self.comm, self.ham, band, bands[:b], self.cg_options)
-            return subspace_rotation(self.comm, self.ham, bands)
+            return block_cg(self.comm, self.ham, bands, self.cg_options)
 
-    def update_potential(self, bands: Bands) -> float:
+    def update_potential(self, bands: list[np.ndarray]) -> float:
         """Recompute V_eff from the band density; returns |dV|_max."""
         fft = self.ham.fft
         with self.comm.phase("density"):
-            band_slabs = [fft.sphere_to_real(band) for band in bands]
-            rho_slabs = accumulate_density(band_slabs, self.occupations)
+            rho_slabs = accumulate_density(
+                fft.sphere_to_real(bands), self.occupations
+            )
             rho = np.concatenate(rho_slabs, axis=2)
             v_new = (
                 self.v_external
@@ -93,29 +94,3 @@ class SCFDriver:
             ]
             self.ham.set_potential(slabs)
             return float(np.abs(v_mixed - v_old).max())
-
-    def run(
-        self,
-        bands: Bands,
-        max_iterations: int = 5,
-        tolerance: float = 1e-4,
-        update_density: bool = True,
-    ) -> SCFResult:
-        eigenvalues = np.zeros(len(bands))
-        dv = 0.0
-        iterations = 0
-        for iterations in range(1, max_iterations + 1):
-            eigenvalues = self.solve_bands(bands)
-            if not update_density:
-                dv = 0.0
-                break
-            dv = self.update_potential(bands)
-            if dv < tolerance:
-                break
-        band_energy = float((self.occupations * eigenvalues).sum())
-        return SCFResult(
-            eigenvalues=eigenvalues,
-            band_energy=band_energy,
-            potential_change=dv,
-            iterations=iterations,
-        )

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from types import SimpleNamespace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ...kernels import KernelBackend, get_backend
 from ...runtime.arena import Arena
 from ...simmpi.comm import Communicator
-from .cg import Bands, CGOptions, blas3_work
+from ...workload import Work
+from .cg import CGOptions, blas3_work
+from .density import accumulate_density
 from .fft3d import ParallelFFT3D
 from .gvectors import GSphere, SphereDistribution
 from .hamiltonian import Atom, Hamiltonian
 from .scf import SCFDriver, SCFResult, initial_bands
+
+#: ``Paratec.run`` stops once the potential moves less than this.
+_SCF_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -37,18 +40,8 @@ class ParatecParams:
     def __post_init__(self) -> None:
         if self.nbands < 1:
             raise ValueError("need at least one band")
-
-
-def _sweep_segment(rank: int, shm, args) -> None:
-    """One rank's CG-sweep compute charges (band loops + BLAS3).
-
-    Module-level ``(rank, shm, args)`` segment (docs/executors.md):
-    pure accounting, so it marshals home from forked workers as
-    deferred charges with no state to return.
-    """
-    for _ in range(args.nbands):
-        args.comm.compute(rank, args.per_band)
-    args.comm.compute(rank, args.blas3)
+        if self.scf_iterations < 1:
+            raise ValueError("need at least one SCF iteration")
 
 
 class Paratec:
@@ -75,7 +68,8 @@ class Paratec:
             self.dist, comm, arena=arena, kernels=self.kernels
         )
         self.ham = Hamiltonian.from_atoms(self.fft, list(params.atoms))
-        self.bands: Bands = initial_bands(
+        #: per rank, the ``(nbands, ng_local)`` stack of every band
+        self.bands: list[np.ndarray] = initial_bands(
             self.fft, params.nbands, seed=params.seed
         )
         occ = np.zeros(params.nbands)
@@ -90,33 +84,29 @@ class Paratec:
         self.result: SCFResult | None = None
 
     def run(self, update_density: bool = True) -> SCFResult:
-        """Run the SCF cycle, charging compute work as it goes."""
-        # charge per-sweep work: per band, ~2 H-applications per CG
-        # iteration (each 2 FFTs) + the BLAS3 subspace work.
-        self.comm.map_ranks(self._sweep_partial())
-        self.result = self.driver.run(
-            self.bands,
-            max_iterations=self.params.scf_iterations,
-            update_density=update_density,
-        )
+        """SCF steps until ``|dV|_max < _SCF_TOLERANCE``, at most
+        ``params.scf_iterations`` of them (one without a density
+        update)."""
+        for iterations in range(1, self.params.scf_iterations + 1):
+            result = self.scf_step(update_density)
+            if not update_density or result.potential_change < _SCF_TOLERANCE:
+                break
+        self.result = replace(result, iterations=iterations)
         return self.result
 
     def scf_step(self, update_density: bool = True) -> SCFResult:
         """One SCF iteration (band solve + density/potential update).
 
-        The harness-facing unit of stepping: charges the per-sweep
-        compute work under the "cg" phase, then runs exactly one
-        ``solve_bands`` / ``update_potential`` round.  ``run()`` above
-        keeps its original all-at-once behavior for direct users.
+        The harness-facing unit of stepping: each half charges its
+        share of :meth:`sweep_work` under its phase, then runs.
         """
-        with self.comm.phase("cg"):
-            self.comm.map_ranks(self._sweep_partial())
+        work = self.sweep_work()
+        self._charge("cg", work["cg"])
         eigenvalues = self.driver.solve_bands(self.bands)
-        dv = (
-            self.driver.update_potential(self.bands)
-            if update_density
-            else 0.0
-        )
+        dv = 0.0
+        if update_density:
+            self._charge("density", work["density"])
+            dv = self.driver.update_potential(self.bands)
         band_energy = float((self.driver.occupations * eigenvalues).sum())
         self.result = SCFResult(
             eigenvalues=eigenvalues,
@@ -126,33 +116,39 @@ class Paratec:
         )
         return self.result
 
-    def _sweep_partial(self):
-        """The bound per-rank sweep segment for one charging region."""
+    def _charge(self, phase: str, works: list[Work]) -> None:
+        with self.comm.phase(phase):
+            for work in works:
+                self.comm.compute_all([work] * self.comm.nprocs)
+
+    def sweep_work(self) -> dict[str, list[Work]]:
+        """Per-rank compute of one SCF iteration, by phase — the one
+        source of both the charged compute and :attr:`flops_per_step`.
+
+        The block CG applies H to all ``nb`` bands ``iterations + 1``
+        times (the start, then one ``H W`` per iteration) and runs its
+        Gram and rotation GEMMs on the ``3nb`` subspace; the density
+        update transforms every band to real space once.
+        """
+        p = self.params
         ng_local = self.sphere.num_g / self.comm.nprocs
-        per_band = self.ham.apply_work().scaled(
-            2.0 * self.params.cg_iterations
-        )
-        return partial(
-            _sweep_segment,
-            shm=None,
-            args=SimpleNamespace(
-                comm=self.comm,
-                nbands=self.params.nbands,
-                per_band=per_band,
-                blas3=blas3_work(self.params.nbands, ng_local),
-            ),
-        )
+        return {
+            "cg": [
+                self.ham.apply_work().scaled(
+                    p.nbands * (p.cg_iterations + 1)
+                ),
+                blas3_work(p.nbands, ng_local, p.cg_iterations),
+            ],
+            "density": [
+                self.fft.transform_work("paratec.density").scaled(p.nbands)
+            ],
+        }
 
     @property
     def flops_per_step(self) -> float:
         """Total useful flops of one SCF iteration across all ranks."""
-        ng_local = self.sphere.num_g / self.comm.nprocs
-        per_band = self.ham.apply_work().scaled(
-            2.0 * self.params.cg_iterations
-        )
-        per_rank = (
-            self.params.nbands * per_band.flops
-            + blas3_work(self.params.nbands, ng_local).flops
+        per_rank = sum(
+            w.flops for works in self.sweep_work().values() for w in works
         )
         return per_rank * self.comm.nprocs
 
@@ -163,25 +159,21 @@ class Paratec:
 
         The SCF driver itself is stateless between sweeps: the mixed
         potential lives in the Hamiltonian and ``v_external`` is a
-        constant, so bands + potential slabs reproduce any later sweep.
+        constant, so the per-rank band stacks + potential slabs
+        reproduce any later sweep.
         """
         return {
-            "bands": [
-                [np.array(a, copy=True) for a in band]
-                for band in self.bands
-            ],
+            "bands": [np.array(b, copy=True) for b in self.bands],
             "potential_slabs": [
                 np.array(s, copy=True) for s in self.ham.potential_slabs
             ],
         }
 
     def restore_state(self, snapshot: dict) -> None:
-        if len(snapshot["bands"]) != len(self.bands):
-            raise ValueError("checkpoint band count mismatch")
-        self.bands = [
-            [np.array(a, copy=True) for a in band]
-            for band in snapshot["bands"]
-        ]
+        bands = snapshot["bands"]
+        if [b.shape for b in bands] != [b.shape for b in self.bands]:
+            raise ValueError("checkpoint band layout mismatch")
+        self.bands = [np.array(b, copy=True) for b in bands]
         self.ham.set_potential(
             [np.array(s, copy=True) for s in snapshot["potential_slabs"]]
         )
@@ -194,9 +186,9 @@ class Paratec:
         return self.result.eigenvalues
 
     def density(self) -> np.ndarray:
-        """Gathered real-space density of the current bands."""
-        from .density import accumulate_density
-
-        band_slabs = [self.fft.sphere_to_real(b) for b in self.bands]
-        rho = accumulate_density(band_slabs, self.driver.occupations)
+        """Gathered real-space density of the current bands (one
+        all-band transform)."""
+        rho = accumulate_density(
+            self.fft.sphere_to_real(self.bands), self.driver.occupations
+        )
         return np.concatenate(rho, axis=2)

@@ -131,7 +131,7 @@ def _paratec_checks() -> list[Check]:
         ParallelFFT3D,
         ParatecParams,
         SphereDistribution,
-        dot,
+        overlaps,
     )
     from ..simmpi import Communicator
 
@@ -155,15 +155,11 @@ def _paratec_checks() -> list[Check]:
         "paratec", ParatecParams(scf_iterations=2), steps=0, nprocs=2
     ).state
     solver.run()
-    worst = 0.0
-    for i in range(len(solver.bands)):
-        for j in range(len(solver.bands)):
-            overlap = dot(solver.comm, solver.bands[i], solver.bands[j])
-            expected = 1.0 if i == j else 0.0
-            worst = max(worst, abs(overlap - expected))
+    gram = overlaps(solver.comm, solver.bands, solver.bands)
+    worst = float(np.abs(gram - np.eye(len(gram))).max())
     return [
         Check("paratec: parallel FFT == numpy ifftn", fft_err, 1e-12),
-        Check("paratec: SCF band orthonormality", worst, 1e-8),
+        Check("paratec: SCF band orthonormality", worst, 1e-10),
     ]
 
 

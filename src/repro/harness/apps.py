@@ -160,8 +160,8 @@ class FVCAMApp:
 class ParatecApp:
     """Plane-wave DFT total-energy code (PARATEC).
 
-    One harness step is one SCF iteration (``Paratec.scf_step``); the
-    classic all-at-once ``Paratec.run`` is untouched for direct users.
+    One harness step is one SCF iteration (``Paratec.scf_step``);
+    ``Paratec.run`` loops the same step.
     """
 
     key = "paratec"
@@ -200,7 +200,7 @@ class ParatecApp:
         }
 
     def state_vector(self, state: Paratec) -> np.ndarray:
-        parts = [a.ravel() for band in state.bands for a in band]
+        parts = [b.ravel() for b in state.bands]
         parts += [s.ravel() for s in state.ham.potential_slabs]
         if state.result is not None:
             parts.append(state.result.eigenvalues.astype(complex).ravel())

@@ -2,13 +2,14 @@
 
 A :class:`KernelBackend` is one *implementation family* for every hot
 loop body the four solvers dispatch: LBMHD collision/equilibria/stream,
-GTC deposit/gather/push, PARATEC line/plane FFTs and CG sweep
-primitives, FVCAM geopotential/dynamics.  The base class **is** the
-reference implementation — every method delegates to the existing NumPy
-kernels in :mod:`repro.apps`, bitwise-unchanged — so an accelerated
-backend subclasses it and overrides only the kernels it genuinely
-speeds up; everything else inherits the reference.  That per-kernel
-inheritance is what keeps the parity contract cheap to uphold:
+GTC deposit/gather/push, PARATEC batched line/plane FFTs and the
+block CG preconditioner, FVCAM geopotential/dynamics.  The base class
+**is** the reference implementation — every method delegates to the
+existing NumPy kernels in :mod:`repro.apps`, bitwise-unchanged — so an
+accelerated backend subclasses it and overrides only the kernels it
+genuinely speeds up; everything else inherits the reference.  That
+per-kernel inheritance is what keeps the parity contract cheap to
+uphold:
 
 *Every backend must produce bitwise-identical results to the NumPy
 reference for every kernel*, across decompositions and executors (the
@@ -165,36 +166,29 @@ class KernelBackend(Tokened):
     # -- PARATEC --------------------------------------------------------
 
     def paratec_ifft_z(self, lines: np.ndarray) -> np.ndarray:
-        """Inverse 1-D FFT along z of one rank's column lines."""
-        return np.fft.ifft(lines, axis=1)
+        """Inverse 1-D FFT along z of one rank's ``(..., ncol, n3)``
+        column lines (any leading band axes)."""
+        return np.fft.ifft(lines, axis=-1)
 
     def paratec_fft_z(self, lines: np.ndarray) -> np.ndarray:
         """Forward 1-D FFT along z of one rank's column lines."""
-        return np.fft.fft(lines, axis=1)
+        return np.fft.fft(lines, axis=-1)
 
     def paratec_ifft2_planes(self, slab: np.ndarray) -> np.ndarray:
-        """Inverse planar FFTs of one rank's z-slab."""
-        return np.fft.ifft2(slab, axes=(0, 1))
+        """Inverse planar FFTs of one rank's ``(..., n1, n2, nz)``
+        z-slab (any leading band axes)."""
+        return np.fft.ifft2(slab, axes=(-3, -2))
 
     def paratec_fft2_planes(self, slab: np.ndarray) -> np.ndarray:
         """Forward planar FFTs of one rank's z-slab."""
-        return np.fft.fft2(slab, axes=(0, 1))
+        return np.fft.fft2(slab, axes=(-3, -2))
 
-    def paratec_cg_axpy(
-        self, y: np.ndarray, alpha: complex, x: np.ndarray
-    ) -> None:
-        """One slice of the CG sweep's y += alpha x, in place."""
-        y += alpha * x
-
-    def paratec_cg_scale(self, x: np.ndarray, alpha: complex) -> None:
-        """One slice of the CG sweep's x *= alpha, in place."""
-        x *= alpha
-
-    def paratec_cg_precondition(
-        self, g: np.ndarray, kinetic: np.ndarray, e_ref: float
+    def paratec_precondition(
+        self, residual: np.ndarray, kinetic: np.ndarray, e_ref: float
     ) -> np.ndarray:
-        """Teter diagonal preconditioner g / (1 + T/E) for one slice."""
-        return g / (1.0 + kinetic / e_ref)
+        """Teter diagonal preconditioner R / (1 + T/E) of one rank's
+        ``(nb, ng_local)`` residual block."""
+        return residual / (1.0 + kinetic / e_ref)
 
     # -- FVCAM ----------------------------------------------------------
 

@@ -100,18 +100,19 @@ _MARKERS = {"{}", "[]", "()"}
 def flatten_tree(tree: Any, prefix: str = "") -> dict[str, Any]:
     """Flatten a nested payload to ``{"a/0/b": leaf}`` (npz keys).
 
-    Dict keys must be strings without ``/`` (the path separator) and
-    must not collide with the container markers — otherwise two
-    distinct leaves would flatten onto one key and the round trip would
-    silently drop data, so both raise ``ValueError`` instead.
+    Dict keys must be non-empty strings without ``/`` (the path
+    separator) and must not collide with the container markers —
+    otherwise two distinct paths would flatten onto one key and the
+    round trip would silently drop data, so all raise ``ValueError``
+    instead.
     """
     out: dict[str, Any] = {}
     if isinstance(tree, dict):
         for k in tree:
-            if not isinstance(k, str) or "/" in k or k in _MARKERS:
+            if not isinstance(k, str) or not k or "/" in k or k in _MARKERS:
                 raise ValueError(
-                    f"checkpoint dict keys must be strings without '/' "
-                    f"and not {sorted(_MARKERS)}; got {k!r}"
+                    f"checkpoint dict keys must be non-empty strings "
+                    f"without '/' and not {sorted(_MARKERS)}; got {k!r}"
                 )
         items: Any = tree.items()
         marker = "{}"

@@ -176,28 +176,33 @@ class TestGTCArenaBitwise:
 
 
 class TestParatecArenaBitwise:
+    NBANDS = 3
+
     @pytest.mark.parametrize("nranks", [4, 16])
     def test_transposes_bitwise_and_roundtrip(self, nranks):
         """The stacked, view-posting transposes move every (i, j)
-        sub-block to where a block-by-block placement puts it — with
-        the engine's own arena and with a caller's."""
+        sub-block of every band to where a block-by-block placement
+        puts it, all bands in one Alltoallv — with the engine's own
+        arena and with a caller's."""
         sphere = GSphere(25.0, (18, 18, 18))
         dist = SphereDistribution(sphere, nranks)
         own = ParallelFFT3D(dist, Communicator(nranks))
         given = _with_given_arena(ParallelFFT3D, dist, nranks)
         rng = np.random.default_rng(2)
+        shapes = [
+            (self.NBANDS, len(own._col_keys[r]), 18) for r in range(nranks)
+        ]
         lines = [
-            rng.standard_normal((len(own._col_keys[r]), 18))
-            + 1j * rng.standard_normal((len(own._col_keys[r]), 18))
-            for r in range(nranks)
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in shapes
         ]
         expected = []
         for j in range(nranks):
             lo, hi = own.slab_range(j)
-            slab = np.zeros(own.slab_shape(j), dtype=complex)
+            slab = np.zeros((self.NBANDS, *own.slab_shape(j)), dtype=complex)
             for i in range(nranks):
                 keys = own._col_keys[i]
-                slab[keys[:, 0], keys[:, 1], :] = lines[i][:, lo:hi]
+                slab[:, keys[:, 0], keys[:, 1], :] = lines[i][:, :, lo:hi]
             expected.append(slab)
         for fft in (own, given):
             for got, want in zip(
@@ -211,21 +216,24 @@ class TestParatecArenaBitwise:
                 keys = own._col_keys[i]
                 for j in range(nranks):
                     assert_array_equal(
-                        recv[i][j], expected[j][keys[:, 0], keys[:, 1], :]
+                        recv[i][j], expected[j][:, keys[:, 0], keys[:, 1], :]
                     )
 
     @pytest.mark.parametrize("nranks", [4, 16])
     def test_full_transform_bitwise(self, nranks):
-        """A caller's arena and the engine's own: the same bits."""
+        """A caller's arena and the engine's own: the same bits, and a
+        band block transforms each band exactly as it alone would."""
         sphere = GSphere(25.0, (18, 18, 18))
         dist = SphereDistribution(sphere, nranks)
         own = ParallelFFT3D(dist, Communicator(nranks))
         given = _with_given_arena(ParallelFFT3D, dist, nranks)
         rng = np.random.default_rng(4)
+        shapes = [
+            (self.NBANDS, len(dist.points_of(r))) for r in range(nranks)
+        ]
         coeffs = [
-            rng.standard_normal(len(dist.points_of(r)))
-            + 1j * rng.standard_normal(len(dist.points_of(r)))
-            for r in range(nranks)
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in shapes
         ]
         slabs_own = own.sphere_to_real(coeffs)
         slabs_given = given.sphere_to_real(coeffs)
@@ -235,6 +243,10 @@ class TestParatecArenaBitwise:
         back_given = given.real_to_sphere([s.copy() for s in slabs_given])
         for a, b in zip(back_own, back_given):
             assert_array_equal(a, b)
+        for band in range(self.NBANDS):
+            alone = own.sphere_to_real([c[band] for c in coeffs])
+            for a, b in zip(slabs_own, alone):
+                assert_array_equal(a[band], b)
 
 
 _REUSE = {

@@ -57,6 +57,13 @@ class TestSpec:
                       params={"shape": [8, 8, 8]})
         assert c.key() != a.key()
 
+    def test_band_by_band_paratec_results_are_not_served(self):
+        """PARATEC's eigensolver changed to all-band CG in 1.2.0: a
+        cell cached by an earlier version must miss, not be served."""
+        cfg = RunConfig(app="paratec", nprocs=4, steps=2,
+                        params={"grid_shape": [16, 16, 16], "nbands": 8})
+        assert cfg.key(version="1.1.0") != cfg.key()
+
     def test_json_round_trip(self):
         spec = CampaignSpec.from_json(json.dumps(TINY.to_dict()))
         assert spec == TINY

@@ -9,8 +9,13 @@ time must be visible in the ledger's recovery column.
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro import harness
 from repro.apps.fvcam.solver import FVCAMParams
@@ -324,6 +329,14 @@ class TestFlattenRoundTrip:
         with pytest.raises(ValueError):
             flatten_tree({0: np.arange(2)})
 
+    def test_empty_dict_key_raises(self):
+        # "" at the top level flattened onto the root's own path, so
+        # unflatten recursed forever
+        with pytest.raises(ValueError):
+            flatten_tree({"": np.arange(2)})
+        with pytest.raises(ValueError):
+            flatten_tree({"a": {"": np.arange(2)}})
+
     def test_tuples_round_trip_as_tuples(self, tmp_path):
         payload = {"t": (np.arange(2), 5.0), "l": [np.arange(2)]}
         back = unflatten_tree(flatten_tree(payload))
@@ -345,3 +358,70 @@ class TestFlattenRoundTrip:
         assert back["l"] == []
         assert back["t"] == ()
         assert int(back["x"]) == 3
+
+
+# -- property: any nested payload survives flatten -> npz -> unflatten ------
+
+_LEAVES = arrays(
+    st.sampled_from([np.float64, np.complex128, np.int64, np.float32]),
+    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    elements={"allow_nan": False, "min_value": -1e6, "max_value": 1e6},
+)
+_KEYS = st.text(
+    st.characters(blacklist_characters="/", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+).filter(lambda k: k not in ("{}", "[]", "()"))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+def _assert_same_tree(got, want) -> None:
+    """Same containers, same keys, same leaves by dtype, shape and value
+    (the disk store hands 0-d leaves back as NumPy scalars)."""
+    if isinstance(want, (dict, list, tuple)):
+        assert type(got) is type(want)
+        assert len(got) == len(want)
+        keys = sorted(want) if isinstance(want, dict) else range(len(want))
+        if isinstance(want, dict):
+            assert sorted(got) == keys
+        for k in keys:
+            _assert_same_tree(got[k], want[k])
+    else:
+        got = np.asarray(got)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestFlattenRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(tree=st.dictionaries(_KEYS, _TREES, max_size=4))
+    def test_nested_payload_round_trips_through_disk(self, tree):
+        _assert_same_tree(unflatten_tree(flatten_tree(tree)), tree)
+        with tempfile.TemporaryDirectory() as root:
+            store = DiskCheckpointStore(root)
+            store.save("t", 3, tree)
+            back = store.load("t")
+        assert back.step == 3
+        _assert_same_tree(back.payload, tree)
+
+    @pytest.mark.parametrize("nranks,nbands", [(1, 1), (2, 4), (4, 8)])
+    def test_paratec_payload_round_trips(self, nranks, nbands, tmp_path):
+        """PARATEC's checkpoint: one complex (nbands, ng_local) stack
+        and one real potential slab per rank."""
+        from repro.apps.paratec import Paratec
+        from repro.simmpi import Communicator
+
+        solver = Paratec(ParatecParams(nbands=nbands), Communicator(nranks))
+        payload = solver.checkpoint_state()
+        assert [b.shape[0] for b in payload["bands"]] == [nbands] * nranks
+        store = DiskCheckpointStore(tmp_path)
+        store.save("paratec", 1, payload)
+        _assert_same_tree(store.load("paratec").payload, payload)

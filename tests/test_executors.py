@@ -721,16 +721,6 @@ def _params_for(app: str, nprocs: int):
     raise AssertionError(app)
 
 
-def _flatten(obj) -> list[np.ndarray]:
-    """Recursively flatten nested lists/tuples of arrays (paratec bands)."""
-    if isinstance(obj, np.ndarray):
-        return [obj]
-    out: list[np.ndarray] = []
-    for item in obj:
-        out.extend(_flatten(item))
-    return out
-
-
 def _snapshot(app: str, state) -> np.ndarray:
     if app == "lbmhd":
         return state.global_state()
@@ -743,7 +733,8 @@ def _snapshot(app: str, state) -> np.ndarray:
     if app == "fvcam":
         return np.concatenate([f.ravel() for f in state.global_fields()])
     if app == "paratec":
-        parts = [a.ravel() for a in _flatten(state.bands)]
+        # one (nbands, ng_local) stack per rank
+        parts = [block.ravel() for block in state.bands]
         parts.append(state.result.eigenvalues.ravel())
         return np.concatenate(parts)
     raise AssertionError(app)

@@ -242,13 +242,16 @@ def _kernel_cases():
     e_theta_at_p = 0.01 * rng.standard_normal(parts.r.shape)
     push = gtc.push_params
 
-    # PARATEC: complex lines/slabs/slices
+    # PARATEC: complex lines/slabs/residuals, one band and a band block
     lines = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
     slab = rng.standard_normal((6, 6, 3)) + 1j * rng.standard_normal(
         (6, 6, 3)
     )
-    x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    line_block = np.stack([lines, 2.0 * lines, lines[::-1]])
+    slab_block = np.stack([slab, slab[::-1]])
+    residual = rng.standard_normal((3, 40)) + 1j * rng.standard_normal(
+        (3, 40)
+    )
     kinetic = rng.random(40) * 4.0
 
     # FVCAM: level stacks on the solver's own lat-lon grid
@@ -259,16 +262,6 @@ def _kernel_cases():
     cv = 0.2 * rng.standard_normal(q.shape)
     phi = 9.8 * h
     coslat = fv_grid.coslat
-
-    def axpy(b):
-        yc = y.copy()
-        b.paratec_cg_axpy(yc, 0.25 - 0.5j, x)
-        return yc
-
-    def scale(b):
-        xc = x.copy()
-        b.paratec_cg_scale(xc, 0.75 + 0.1j)
-        return xc
 
     return {
         "lbmhd_collide": lambda b: b.lbmhd_collide(state.copy(), cparams),
@@ -300,10 +293,12 @@ def _kernel_cases():
         "paratec_fft_z": lambda b: b.paratec_fft_z(lines),
         "paratec_ifft2_planes": lambda b: b.paratec_ifft2_planes(slab),
         "paratec_fft2_planes": lambda b: b.paratec_fft2_planes(slab),
-        "paratec_cg_axpy": axpy,
-        "paratec_cg_scale": scale,
-        "paratec_cg_precondition": (
-            lambda b: b.paratec_cg_precondition(x, kinetic, 2.0)
+        "paratec_fft_z_block": lambda b: b.paratec_fft_z(line_block),
+        "paratec_ifft2_planes_block": (
+            lambda b: b.paratec_ifft2_planes(slab_block)
+        ),
+        "paratec_precondition": (
+            lambda b: b.paratec_precondition(residual, kinetic, 2.0)
         ),
         "fvcam_suffix_sum": lambda b: b.fvcam_suffix_sum(h),
         "fvcam_geopotential": lambda b: b.fvcam_geopotential(h, 9.8),
@@ -490,21 +485,39 @@ class _CountingBackend(NumPyBackend):
         return object.__getattribute__(self, attr)
 
 
-_CG_KERNELS = (
-    "paratec_cg_axpy", "paratec_cg_scale", "paratec_cg_precondition"
-)
-
-
 def test_explicit_backend_reaches_the_paratec_cg_sweep():
     """The backend a solver is handed runs *all* of its kernels — the
-    CG sweep primitives too, which used to ask the ambient chain on
-    every call and so never saw an explicit backend."""
+    block CG's preconditioner too, which once asked the ambient chain on
+    every call and so never saw an explicit backend.  Serial, so the
+    counts are not kept in forked workers under ``REPRO_EXECUTOR``."""
     from repro.apps.paratec.solver import Paratec, ParatecParams
 
     explicit, ambient = _CountingBackend(), _CountingBackend()
     with BACKENDS.scoped(ambient):
-        solver = Paratec(ParatecParams(), Communicator(4), kernels=explicit)
+        comm = Communicator(4, executor="serial")
+        solver = Paratec(ParatecParams(), comm, kernels=explicit)
         solver.scf_step()
-    for kernel in _CG_KERNELS + ("paratec_fft_z",):
+    for kernel in ("paratec_precondition", "paratec_fft_z"):
         assert explicit.calls[kernel] > 0, kernel
     assert not ambient.calls
+
+
+def test_batched_paratec_ffts_transform_each_band_alone():
+    """A leading band axis is a batch: band b of the block transform is
+    the transform of band b, bit for bit."""
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((3, 6, 6, 4)) + 1j * rng.standard_normal(
+        (3, 6, 6, 4)
+    )
+    lines = block.reshape(3, 24, 6)
+    backend = get_backend("numpy")
+    for kernel, batch in (
+        ("paratec_fft2_planes", block),
+        ("paratec_ifft2_planes", block),
+        ("paratec_fft_z", lines),
+        ("paratec_ifft_z", lines),
+    ):
+        transform = getattr(backend, kernel)
+        together = transform(batch)
+        for b in range(3):
+            assert_array_equal(together[b], transform(batch[b]))

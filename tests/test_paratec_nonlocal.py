@@ -11,10 +11,10 @@ from repro.apps.paratec import (
     Hamiltonian,
     ParallelFFT3D,
     SphereDistribution,
-    dot,
+    block_cg,
     initial_bands,
 )
-from repro.apps.paratec.cg import CGOptions, cg_band
+from repro.apps.paratec.cg import CGOptions
 from repro.apps.paratec.projectors import (
     NonlocalChannel,
     NonlocalPotential,
@@ -46,7 +46,7 @@ class TestNonlocalOperator:
 
     def test_projector_normalized(self):
         comm, dist, ham, vnl = setup(3)
-        beta_full = dist.gather(vnl._beta_local[0])
+        beta_full = dist.gather(vnl._beta_local)[0]
         assert np.linalg.norm(beta_full) == pytest.approx(1.0)
 
     def test_rank_one_action(self):
@@ -57,7 +57,7 @@ class TestNonlocalOperator:
             SPHERE.num_g
         )
         out = dist.gather(vnl.apply(dist.scatter(psi)))
-        beta = dist.gather(vnl._beta_local[0])
+        beta = dist.gather(vnl._beta_local)[0]
         want = 2.5 * np.vdot(beta, psi) * beta
         np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -80,6 +80,31 @@ class TestNonlocalOperator:
         np.testing.assert_allclose(results[0], results[1], atol=1e-12)
         np.testing.assert_allclose(results[0], results[2], atol=1e-12)
 
+    def test_block_apply_matches_per_band(self):
+        """Two projectors, a five-band block: one GEMM + one Allreduce
+        gives what five single-band applications give."""
+        dist = SphereDistribution(SPHERE, 3)
+        comm = Communicator(3)
+        vnl = NonlocalPotential(
+            dist,
+            comm,
+            [
+                NonlocalChannel(atom=Atom(position=(0.5, 0.5, 0.5))),
+                NonlocalChannel(
+                    atom=Atom(position=(0.2, 0.7, 0.1)), strength=-1.5
+                ),
+            ],
+        )
+        rng = np.random.default_rng(4)
+        shape = (5, SPHERE.num_g)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert vnl.projections(dist.scatter(block)).shape == (5, 2)
+        together = dist.gather(vnl.apply(dist.scatter(block)))
+        apart = np.stack(
+            [dist.gather(vnl.apply(dist.scatter(band))) for band in block]
+        )
+        np.testing.assert_allclose(together, apart, rtol=0, atol=1e-12)
+
     def test_work_descriptor(self):
         comm, dist, ham, vnl = setup(2)
         w = vnl.apply_work()
@@ -91,9 +116,9 @@ class TestAttachedHamiltonian:
         comm, dist, ham, vnl = setup(2, strength=3.0)
         attach_nonlocal(ham, vnl)
         rng = np.random.default_rng(3)
-        psi = dist.scatter(
-            rng.standard_normal(SPHERE.num_g)
-            + 1j * rng.standard_normal(SPHERE.num_g)
+        psi = dist.scatter(  # a three-band block
+            rng.standard_normal((3, SPHERE.num_g))
+            + 1j * rng.standard_normal((3, SPHERE.num_g))
         )
         full = dist.gather(ham.apply(psi))
         local = dist.gather(ham.apply_local(psi))
@@ -112,12 +137,10 @@ class TestAttachedHamiltonian:
             comm, dist, ham, vnl = setup(2, strength=strength)
             if strength != 0.0:
                 attach_nonlocal(ham, vnl)
-            fft = ham.fft
-            bands = initial_bands(fft, 1, seed=5)
-            e = None
-            for _ in range(6):
-                e = cg_band(comm, ham, bands[0], [], CGOptions(iterations=20))
-            return e
+            bands = initial_bands(ham.fft, 1, seed=5)
+            for _ in range(3):
+                e = block_cg(comm, ham, bands, CGOptions(iterations=20))
+            return e[0]
 
         e_free = ground_energy(0.0)
         e_repulsive = ground_energy(0.5)
@@ -127,8 +150,7 @@ class TestAttachedHamiltonian:
     def test_attractive_channel_binds(self):
         comm, dist, ham, vnl = setup(2, strength=-2.0)
         attach_nonlocal(ham, vnl)
-        bands = initial_bands(ham.fft, 1, seed=6)
-        e = None
-        for _ in range(8):
-            e = cg_band(comm, ham, bands[0], [], CGOptions(iterations=20))
-        assert e < -0.5  # bound well below the free-electron zero
+        bands = initial_bands(ham.fft, 2, seed=6)
+        for _ in range(3):
+            e = block_cg(comm, ham, bands, CGOptions(iterations=20))
+        assert e[0] < -0.5  # bound well below the free-electron zero

@@ -14,19 +14,20 @@ from repro.apps.paratec import (
     ParatecParams,
     SphereDistribution,
     TABLE6_ROWS,
+    block_cg,
     build_local_potential,
-    cg_band,
-    dot,
     hartree_potential,
     exchange_potential,
     initial_bands,
     mix_potentials,
+    overlaps,
     predict,
-    subspace_rotation,
 )
 from repro.apps.paratec.cg import CGOptions
 from repro.apps.paratec.scf import SCFDriver
 from repro.apps.paratec.workload import ParatecScenario
+from repro.machines import get_machine
+from repro.runtime.executors import SerialExecutor
 from repro.simmpi import Communicator
 
 SPHERE = GSphere(ecut=4.0, grid_shape=(10, 10, 10))
@@ -98,15 +99,44 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             ham.set_potential([np.zeros((3, 3, 3)), np.zeros((3, 3, 3))])
 
+    def test_block_apply_matches_per_band(self, rng):
+        """One batched apply == one apply per band (two transposes for
+        the whole block instead of two per band)."""
+        comm, fft, ham = setup(3, atoms=[Atom(position=(0.3, 0.4, 0.5))])
+        dist = fft.dist
+        shape = (5, SPHERE.num_g)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        together = dist.gather(ham.apply(dist.scatter(block)))
+        apart = np.stack(
+            [dist.gather(ham.apply(dist.scatter(band))) for band in block]
+        )
+        np.testing.assert_allclose(together, apart, rtol=0, atol=1e-12)
+
+    def test_free_electron_block_apply_is_kinetic(self, rng):
+        comm, fft, ham = setup(2)
+        dist = fft.dist
+        block = rng.standard_normal((4, SPHERE.num_g)) + 0j
+        out = dist.gather(ham.apply(dist.scatter(block)))
+        np.testing.assert_allclose(out, SPHERE.kinetic * block, atol=1e-12)
+
+
+def _dense_hamiltonian(fft, ham) -> np.ndarray:
+    """H as an explicit ``num_g x num_g`` matrix: one batched apply to
+    the identity block (row b is H e_b)."""
+    dist = fft.dist
+    eye = np.eye(dist.sphere.num_g, dtype=complex)
+    return dist.gather(ham.apply(dist.scatter(eye)))
+
 
 class TestCG:
     def test_free_electron_ground_state(self):
+        """Free electrons: the lowest seven levels are exactly the
+        kinetic energies 0 and 1/2 (six-fold)."""
         comm, fft, ham = setup(2)
-        bands = initial_bands(fft, 1, seed=3)
-        opts = CGOptions(iterations=30)
-        for _ in range(6):
-            eps = cg_band(comm, ham, bands[0], [], opts)
-        assert eps == pytest.approx(0.0, abs=1e-3)
+        bands = initial_bands(fft, 7, seed=3)
+        for _ in range(3):
+            eps = block_cg(comm, ham, bands, CGOptions(iterations=10))
+        np.testing.assert_allclose(eps, [0.0] + [0.5] * 6, atol=1e-10)
 
     def test_orthogonality_maintained(self):
         comm, fft, ham = setup(2, atoms=[Atom(position=(0.5, 0.5, 0.5))])
@@ -115,13 +145,12 @@ class TestCG:
             comm=comm, ham=ham, occupations=np.array([2.0, 2.0, 2.0])
         )
         driver.solve_bands(bands)
-        for i in range(3):
-            for j in range(3):
-                overlap = dot(comm, bands[i], bands[j])
-                expected = 1.0 if i == j else 0.0
-                assert abs(overlap - expected) < 1e-8
+        gram = overlaps(comm, bands, bands)
+        assert np.abs(gram - np.eye(3)).max() < 1e-10
 
     def test_subspace_rotation_sorts_eigenvalues(self):
+        """The last Rayleigh–Ritz is the subspace rotation: the bands
+        come out as Ritz vectors, H diagonal among them, ascending."""
         comm, fft, ham = setup(2, atoms=[Atom(position=(0.5, 0.5, 0.5))])
         bands = initial_bands(fft, 3, seed=5)
         driver = SCFDriver(
@@ -129,16 +158,63 @@ class TestCG:
         )
         vals = driver.solve_bands(bands)
         assert (np.diff(vals) >= -1e-10).all()
+        h_sub = overlaps(comm, ham.apply(bands), bands)
+        np.testing.assert_allclose(h_sub, np.diag(vals), atol=1e-9)
 
     def test_cg_monotone_energy(self):
+        """The sum of band energies never rises across block iterations."""
         comm, fft, ham = setup(1, atoms=[Atom(position=(0.5, 0.5, 0.5))])
-        bands = initial_bands(fft, 1, seed=6)
-        energies = []
-        for _ in range(5):
-            energies.append(
-                cg_band(comm, ham, bands[0], [], CGOptions(iterations=2))
-            )
-        assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
+        bands = initial_bands(fft, 3, seed=6)
+        sums = [
+            block_cg(comm, ham, bands, CGOptions(iterations=1)).sum()
+            for _ in range(8)
+        ]
+        assert all(b <= a + 1e-9 for a, b in zip(sums, sums[1:]))
+        assert sums[-1] < sums[0]
+
+    @pytest.mark.parametrize("nranks", [1, 3])
+    def test_matches_dense_eigh_at_fixed_potential(self, nranks):
+        comm, fft, ham = setup(nranks, atoms=[Atom(position=(0.5, 0.5, 0.5))])
+        want = np.linalg.eigvalsh(_dense_hamiltonian(fft, ham))[:4]
+        bands = initial_bands(fft, 4, seed=7)
+        for _ in range(3):
+            got = block_cg(comm, ham, bands, CGOptions(iterations=10))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+    def test_singular_basis_drops_the_trailing_block(self, rng):
+        """A P that repeats W makes the overlap singular: the Ritz pairs
+        are those of [X, W], with zero weight on P."""
+        from repro.apps.paratec.cg import _lowest_ritz_pairs
+
+        n, nb = 30, 3
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = a + a.conj().T
+        x = np.linalg.qr(rng.standard_normal((n, nb)))[0].T + 0j
+        w = rng.standard_normal((nb, n)) + 1j * rng.standard_normal((nb, n))
+
+        def pencil(z):
+            return z @ (z @ h).conj().T, z @ z.conj().T
+
+        vals, coeffs = _lowest_ritz_pairs(*pencil(np.vstack([x, w, w])), nb)
+        want, want_coeffs = _lowest_ritz_pairs(*pencil(np.vstack([x, w])), nb)
+        np.testing.assert_allclose(vals, want, atol=1e-12)
+        assert not coeffs[2 * nb :].any()
+        np.testing.assert_allclose(coeffs[: 2 * nb], want_coeffs, atol=1e-12)
+
+
+class _CountingExecutor(SerialExecutor):
+    """Serial executor counting the parallel regions it is handed."""
+
+    def __init__(self) -> None:
+        self.regions = 0
+
+    def map(self, fn, items):
+        self.regions += 1
+        return super().map(fn, items)
+
+
+#: The ladder's ``solver_serial`` PARATEC class.
+LADDER = ParatecParams(grid_shape=(16, 16, 16), nbands=8)
 
 
 class TestParatecSolver:
@@ -176,6 +252,75 @@ class TestParatecSolver:
         p = Paratec(ParatecParams(scf_iterations=1), comm)
         p.run(update_density=False)
         assert comm.meter.total_flops() > 0
+
+    def test_charged_flops_are_flops_per_step(self):
+        """One source for both: a step charges exactly flops_per_step."""
+        comm = Communicator(3)
+        p = Paratec(ParatecParams(), comm)
+        for steps in (1, 2):
+            p.scf_step()
+            assert comm.meter.total_flops() == pytest.approx(
+                steps * p.flops_per_step, rel=1e-12
+            )
+
+    def test_run_stops_at_tolerance(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.apps.paratec.solver._SCF_TOLERANCE", 1e3
+        )
+        p = Paratec(ParatecParams(scf_iterations=4), Communicator(2))
+        assert p.run().iterations == 1
+        with pytest.raises(ValueError):
+            ParatecParams(scf_iterations=0)
+
+    def test_checkpoint_round_trip_is_per_rank_blocks(self):
+        p = Paratec(ParatecParams(), Communicator(2))
+        p.scf_step()
+        snap = p.checkpoint_state()
+        assert [b.shape for b in snap["bands"]] == [
+            (4, n) for n in p.dist.counts()
+        ]
+        expected = p.scf_step().eigenvalues
+        p.restore_state(snap)
+        assert np.array_equal(p.scf_step().eigenvalues, expected)
+        with pytest.raises(ValueError):
+            p.restore_state({**snap, "bands": [b[:2] for b in snap["bands"]]})
+
+    def test_regions_and_messages_per_step(self):
+        """At the ladder's configuration a step is at least 5x fewer
+        regions and messages than the band-at-a-time sweep's 361 and
+        2848: each H application is six regions and two Alltoallv for
+        all eight bands."""
+        counter = _CountingExecutor()
+        comm = Communicator(4, machine=get_machine("ES"), executor=counter)
+        comm.attach_phase_ledger()
+        p = Paratec(LADDER, comm)
+        steps = 2
+        for _ in range(steps):
+            p.scf_step()
+        messages = comm.phase_ledger.totals().messages.sum() / steps
+        assert counter.regions / steps <= 72
+        assert messages <= 570
+
+    def test_arena_stays_flat_after_the_first_step(self):
+        """Scratch is keyed per call site, not per band: its buffers do
+        not multiply with the block width, and later steps reuse them."""
+        counts = {}
+        for nbands in (4, 8):
+            comm = Communicator(4)
+            arena = comm.executor.arena("paratec")
+            p = Paratec(
+                ParatecParams(grid_shape=(16, 16, 16), nbands=nbands),
+                comm,
+                arena=arena,
+            )
+            p.scf_step()
+            after_first = (arena.nbytes, arena.num_buffers, arena.misses)
+            for _ in range(2):
+                p.scf_step()
+            now = (arena.nbytes, arena.num_buffers, arena.misses)
+            assert now == after_first
+            counts[nbands] = arena.num_buffers
+        assert counts[4] == counts[8]
 
 
 class TestTable6Shape:

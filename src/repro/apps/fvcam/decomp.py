@@ -15,6 +15,7 @@ block, which is what makes Figure 2(b)'s diagonal segments of length
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,11 +65,16 @@ class FVDecomposition:
     def rank_of(self, y: int, z: int) -> int:
         return (z % self.pz) * self.py + (y % self.py)
 
+    @cached_property
+    def _lat_bounds(self) -> tuple[int, ...]:
+        """Row bounds of the ``py`` latitude blocks (computed once)."""
+        bounds = np.linspace(0, self.grid.jm, self.py + 1).astype(int)
+        return tuple(int(b) for b in bounds)
+
     def lat_slice(self, rank: int) -> slice:
         """Latitude rows owned by a rank (block distribution)."""
         y, _ = self.coords(rank)
-        bounds = np.linspace(0, self.grid.jm, self.py + 1).astype(int)
-        return slice(int(bounds[y]), int(bounds[y + 1]))
+        return slice(self._lat_bounds[y], self._lat_bounds[y + 1])
 
     def level_slice(self, rank: int) -> slice:
         _, z = self.coords(rank)

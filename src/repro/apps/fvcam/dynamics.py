@@ -63,7 +63,11 @@ def transport_2d(
     cu: np.ndarray,
     cv: np.ndarray,
 ) -> np.ndarray:
-    """Directionally split conservative transport of one field.
+    """Directionally split conservative transport of a field, or of a
+    stack of fields with leading axes: ``q`` is ``(..., nlev, nlat,
+    nlon)`` and the ``(nlev, nlat, nlon)`` Courant numbers broadcast
+    over the leading axes, so every field rides the same fluxes in one
+    call (bitwise what one call per field gives).
 
     Zonal sweep (periodic) followed by meridional sweep (walls).  The
     meridional boundary faces carry zero flux, so the global sum of

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
 from ...kernels import KernelBackend, get_backend
+from ...runtime.arena import Arena
+from ...runtime.team import Tokened
 from ...simmpi.comm import Communicator, Message
+from ...workload import Work
 from .decomp import FVDecomposition
 from .dynamics import (
     HALO,
@@ -32,9 +34,9 @@ from .dynamics import (
     dynamics_work,
 )
 from .grid import LatLonGrid
-from .physics import PhysicsParams, apply_physics, physics_work
-from .polarfilter import apply_polar_filter, damping_coefficients, filter_work
-from .vertical import remap_column, remap_work, transpose_bytes
+from .physics import PhysicsParams, physics_work
+from .polarfilter import damping_coefficients, filter_work
+from .vertical import remap_column, remap_work
 
 
 @dataclass(frozen=True)
@@ -86,203 +88,151 @@ def initial_tracer(grid: LatLonGrid) -> np.ndarray:
     return np.repeat(blob[None, :, :], grid.km, axis=0)
 
 
-# -- rank segments -----------------------------------------------------
+@dataclass(frozen=True)
+class _RankGeometry:
+    """What a rank's step reads besides its fields, fixed at
+    construction: the padded rows' metric, the polar-filter rows and the
+    ``Work`` each phase charges (they depend on shapes only)."""
+
+    jm_l: int
+    #: cos(lat) on the padded rows, clamped at the walls
+    coslat: np.ndarray
+    #: latitude neighbours, ``None`` at a wall
+    south: int | None
+    north: int | None
+    #: local rows the polar filter touches, and their damping factors
+    filter_rows: np.ndarray
+    filter_coefs: np.ndarray
+    dynamics: Work
+    filter: Work
+    physics: Work
+    remap: Work
+
+
+class _RegionArgs(Tokened):
+    """What every region of one solver reads: its arena buffers, rank
+    geometry and constants.  All fixed at construction — the buffers'
+    contents change, in shared memory under a process executor — so a
+    rank-team message names it by token instead of copying it."""
+
+    def __init__(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+
+# -- shard functions ---------------------------------------------------
 #
-# Module-level ``(rank, shm, args)`` callables (docs/executors.md),
-# bound per region with ``functools.partial``.  FVCAM keeps no arena,
-# so ``shm`` is always None; what matters for process executors is
-# that every segment *returns* its rank's updated blocks — the parent
-# applies them after the region — instead of writing ``self.h[rank]``
-# and friends in place, which a forked worker cannot do.
+# Module-level ``(lo, hi, args)`` callables (docs/executors.md), bound
+# with ``functools.partial`` to the solver's ``_RegionArgs``.  Each
+# steps ranks ``lo:hi`` one rank at a time, in ascending order (the
+# order the charges replay in), and writes its results in place through
+# the arena views in ``args``.
 
 
-def _padded_coslat(grid: LatLonGrid, decomp, rank: int) -> np.ndarray:
-    """cos(lat) for the padded rows (clamped at the walls)."""
-    ls = decomp.lat_slice(rank)
-    idx = np.arange(ls.start - HALO, ls.stop + HALO)
-    idx = np.clip(idx, 0, grid.jm - 1)
-    return grid.coslat[idx]
+def _colsum_shard(lo: int, hi: int, args) -> None:
+    """Level-block column sums of the padded thickness (pz > 1)."""
+    for rank in range(lo, hi):
+        args.blocks[rank][0].sum(axis=0, out=args.colsum[rank])
 
 
-def _filtered_rows_local(grid: LatLonGrid, decomp, rank: int) -> np.ndarray:
-    ls = decomp.lat_slice(rank)
-    rows = grid.filtered_rows
-    return rows[(rows >= ls.start) & (rows < ls.stop)] - ls.start
+def _sweep_shard(lo: int, hi: int, args) -> None:
+    """Geopotential, transport, pressure gradient, drag and polar
+    filter, written back into each block's core."""
+    grid, dt, kernels = args.grid, args.dt, args.kernels
+    for rank in range(lo, hi):
+        geo = args.geometry[rank]
+        block, core = args.blocks[rank], args.cores[rank]
+        if args.levels_split:
+            suffix = kernels.fvcam_suffix_sum(block[0])
+            phi = grid.gravity * (suffix + args.below[rank][None, :, :])
+        else:
+            phi = kernels.fvcam_geopotential(block[0], grid.gravity)
+        cu = courant_lon(grid, block[1], geo.coslat, dt)
+        cv = courant_lat(grid, block[2], dt)
+        # wall faces carry no meridional flux
+        if geo.south is None:
+            cv[:, : HALO + 1, :] = 0.0
+        if geo.north is None:
+            cv[:, geo.jm_l + HALO :, :] = 0.0
 
-
-def _apply_filter(
-    grid: LatLonGrid,
-    decomp,
-    filter_coefs: np.ndarray,
-    rank: int,
-    targets: list[np.ndarray],
-) -> None:
-    """Polar FFT filter, in place on the segment-local target arrays."""
-    ls = decomp.lat_slice(rank)
-    rows_global = grid.filtered_rows
-    sel = (rows_global >= ls.start) & (rows_global < ls.stop)
-    if not sel.any():
-        return
-    rows_local = rows_global[sel] - ls.start
-    coefs = filter_coefs[sel]
-    for arr in targets:
-        spectrum = np.fft.rfft(arr[:, rows_local, :], axis=-1)
-        spectrum *= coefs
-        arr[:, rows_local, :] = np.fft.irfft(
-            spectrum, n=grid.im, axis=-1
-        )
-
-
-def _pack_segment(rank: int, shm, args) -> np.ndarray:
-    """Stack one rank's fields into a ghost-padded halo block."""
-    km_l, jm_l, im = args.decomp.local_shape(rank)
-    nf = len(args.fields)
-    block = np.empty((nf, km_l, jm_l + 2 * HALO, im))
-    for f, arr in enumerate(args.fields):
-        block[f, :, HALO:-HALO, :] = arr[rank]
-        # replicate edges; overwritten by halo data when a neighbor
-        # exists (walls keep the replication)
-        block[f, :, :HALO, :] = arr[rank][:, :1, :]
-        block[f, :, -HALO:, :] = arr[rank][:, -1:, :]
-    return block
-
-
-def _suffix_segment(rank: int, shm, args) -> np.ndarray:
-    """Whole-column geopotential by vertical suffix sum (pz == 1)."""
-    h_pad = args.padded[rank][0]
-    return args.kernels.fvcam_geopotential(h_pad, args.gravity)
-
-
-def _colsum_segment(rank: int, shm, args) -> np.ndarray:
-    """One rank's level-block column sum (the pz > 1 partial)."""
-    return args.padded[rank][0].sum(axis=0)
-
-
-def _combine_segment(rank: int, shm, args) -> np.ndarray:
-    """Combine a rank's suffix sum with the planes from lower layers."""
-    h_pad = args.padded[rank][0]
-    suffix = args.kernels.fvcam_suffix_sum(h_pad)
-    below = np.zeros_like(args.block_sums[rank])
-    for plane in args.received.get(rank, []):
-        below += plane
-    return args.gravity * (suffix + below[None, :, :])
-
-
-def _sweep_segment(rank: int, shm, args):
-    """Transport + pressure gradient + polar filter for one rank.
-
-    Returns the rank's updated ``(h, u, v, q)`` blocks (``q`` is None
-    without a tracer).
-    """
-    grid, decomp, dt = args.grid, args.decomp, args.dt
-    km_l, jm_l, im = decomp.local_shape(rank)
-    coslat_pad = _padded_coslat(grid, decomp, rank)
-    h_pad, u_pad, v_pad = args.padded[rank][:3]
-    q_pad = args.padded[rank][3] if args.has_tracer else None
-    cu = courant_lon(grid, u_pad, coslat_pad, dt)
-    cv = courant_lat(grid, v_pad, dt)
-
-    # wall faces carry no meridional flux
-    y, _ = decomp.coords(rank)
-    if y == 0:
-        cv[:, : HALO + 1, :] = 0.0
-    if y == decomp.py - 1:
-        cv[:, jm_l + HALO :, :] = 0.0
-
-    kernels = args.kernels
-    H = h_pad * coslat_pad[None, :, None]
-    H_new = kernels.fvcam_transport_2d(grid, H, cu, cv)
-    u_new = kernels.fvcam_transport_2d(grid, u_pad, cu, cv)
-    v_new = kernels.fvcam_transport_2d(grid, v_pad, cu, cv)
-    if q_pad is not None:
-        # tracer mass QH advected with the same fluxes keeps a
+        # the block becomes what is transported, all in one call: the
+        # area-weighted mass H, the winds and, with a tracer, the
+        # tracer mass QH — advected with the same fluxes, it keeps a
         # constant concentration exactly constant
-        QH_new = kernels.fvcam_transport_2d(grid, q_pad * H, cu, cv)
+        block[0] *= geo.coslat[None, :, None]
+        if args.tracer:
+            block[3] *= block[0]
+        new = kernels.fvcam_transport_2d(grid, block, cu, cv)
+        du, dv = kernels.fvcam_pressure_gradient(grid, phi, geo.coslat, dt)
+        new[1] += du
+        new[2] += dv
 
-    du, dv = kernels.fvcam_pressure_gradient(
-        grid, args.phis[rank], coslat_pad, dt
-    )
-    u_new += du
-    v_new += dv
-
-    crop = slice(HALO, HALO + jm_l)
-    h = H_new[:, crop, :] / coslat_pad[None, crop, None]
-    q = (
-        QH_new[:, crop, :] / H_new[:, crop, :]
-        if q_pad is not None
-        else None
-    )
-    u = u_new[:, crop, :] * (1.0 - dt * args.drag)
-    v = v_new[:, crop, :] * (1.0 - dt * args.drag)
-
-    # tracer *mass* rides through the filter (which smooths air and
-    # tracer consistently); the column physics afterwards moves air at
-    # the local concentration, i.e. it preserves the mixing ratio q
-    # rather than the tracer mass.
-    q_mass = q * h if q is not None else None
-    targets = [h, u, v] + ([q_mass] if q_mass is not None else [])
-    _apply_filter(grid, decomp, args.filter_coefs, rank, targets)
-    if q_mass is not None:
-        q = q_mass / h
-
-    points = km_l * jm_l * im
-    args.comm.compute(rank, dynamics_work(grid, points))
-    rows = _filtered_rows_local(grid, decomp, rank)
-    args.comm.compute(
-        rank, filter_work(grid, max(len(rows), 0) * km_l or 1)
-    )
-    return h, u, v, q
+        crop = slice(HALO, HALO + geo.jm_l)
+        H = new[0, :, crop, :]
+        np.divide(H, geo.coslat[None, crop, None], out=core[0])
+        damp = 1.0 - dt * args.drag
+        np.multiply(new[1:3, :, crop, :], damp, out=core[1:3])
+        if args.tracer:
+            # tracer *mass* rides through the filter (which smooths air
+            # and tracer consistently); the column physics afterwards
+            # moves air at the local concentration, i.e. it preserves
+            # the mixing ratio q rather than the tracer mass.
+            np.multiply(new[3, :, crop, :] / H, core[0], out=core[3])
+        if len(geo.filter_rows):
+            spectrum = np.fft.rfft(core[:, :, geo.filter_rows, :], axis=-1)
+            spectrum *= geo.filter_coefs
+            core[:, :, geo.filter_rows, :] = np.fft.irfft(
+                spectrum, n=grid.im, axis=-1
+            )
+        if args.tracer:
+            core[3] /= core[0]
+        args.comm.compute(rank, geo.dynamics)
+        args.comm.compute(rank, geo.filter)
 
 
-def _physics_raw_segment(rank: int, shm, args) -> np.ndarray:
-    return (args.h_ref[rank] - args.h[rank]) * args.scale
+def _relax_shard(lo: int, hi: int, args) -> None:
+    """The thermal increment of each rank, and its column mean — or,
+    with the column split over the level group, its column sum for the
+    group's allreduce."""
+    for rank in range(lo, hi):
+        raw, mean = args.raw[rank], args.mean[rank]
+        np.multiply(args.h_ref - args.cores[rank][0], args.scale, out=raw)
+        if args.levels_split:
+            raw.sum(axis=0, out=mean)
+        else:
+            raw.mean(axis=0, out=mean)
 
 
-def _physics_mean_segment(rank: int, shm, args) -> np.ndarray:
-    return args.raw[rank].mean(axis=0, keepdims=True)
+def _physics_shard(lo: int, hi: int, args) -> None:
+    """Apply the mass-neutral thermal increment and the wind drag."""
+    for rank in range(lo, hi):
+        core = args.cores[rank]
+        core[0] = core[0] + args.raw[rank] - args.mean[rank][None, :, :]
+        core[1:3] *= args.damp
+        args.comm.compute(rank, args.geometry[rank].physics)
 
 
-def _physics_update_segment(rank: int, shm, args):
-    """Apply the mass-neutral thermal increment + drag; returns
-    the rank's updated ``(h, u, v)``."""
-    h = args.h[rank] + args.raw[rank] - args.means[rank]
-    u = args.u[rank] * args.damp
-    v = args.v[rank] * args.damp
-    km_l, jm_l, im = args.decomp.local_shape(rank)
-    args.comm.compute(rank, physics_work(args.grid, km_l * jm_l * im))
-    return h, u, v
-
-
-def _remap_segment(rank: int, shm, args):
-    """Whole-column vertical remap (pz == 1); returns (h, u, v, q)."""
-    fields = [args.u[rank], args.v[rank]]
-    if args.q is not None:
-        fields.append(args.q[rank])
-    h, out = remap_column(args.h[rank], fields)
-    _, jm_l, im = args.decomp.local_shape(rank)
-    args.comm.compute(rank, remap_work(args.grid, jm_l * im))
-    return h, out[0], out[1], (out[2] if args.q is not None else None)
-
-
-def _remap_member_segment(local: int, shm, args) -> list[np.ndarray]:
-    """Remap one level-group member's transposed columns; returns the
-    per-member blocks for the backward transpose."""
-    grank = args.granks[local]
-    stacked = np.concatenate(args.recv[local], axis=1)  # full km
-    h, out = remap_column(stacked[0], list(stacked[1:]))
-    ncols = h.shape[1] * h.shape[2]
-    args.comm.compute(grank, remap_work(args.grid, ncols))
-    # backward transpose: split km again
-    km_l = args.grid.km // args.gsize
-    all_fields = [h, *out]
-    return [
-        np.stack([f[j * km_l : (j + 1) * km_l] for f in all_fields])
-        for j in range(args.gsize)
-    ]
+def _remap_shard(lo: int, hi: int, args) -> None:
+    """Remap each rank's full columns in place: its own block's core
+    (pz == 1) or the columns the forward transpose gathered."""
+    for rank in range(lo, hi):
+        columns = args.columns[rank]
+        h, out = remap_column(columns[0], list(columns[1:]))
+        for dst, src in zip(columns, [h, *out]):
+            dst[...] = src
+        args.comm.compute(rank, args.geometry[rank].remap)
 
 
 class FVCAM:
-    """Parallel FVCAM mini-app over a simulated communicator."""
+    """Parallel FVCAM mini-app over a simulated communicator.
+
+    Each rank's prognostic fields (h, u, v and, with a tracer, q) live
+    stacked in one ghost-padded ``(nf, km_l, jm_l + 2 HALO, im)`` arena
+    block — per rank, since a latitude split may be ragged.  The halo
+    exchange fills the ghost rows in place, and every phase is one
+    ``map_shards`` region whose shards write their ranks' results back
+    into the blocks.  ``arena`` is where those buffers live; without one
+    the solver takes its own from the communicator's executor.
+    """
 
     app_key = "fvcam"
     #: IPM phase labels of one step (physics/remap fire on their
@@ -293,130 +243,160 @@ class FVCAM:
         self,
         params: FVCAMParams,
         comm: Communicator,
+        arena: Arena | None = None,
         kernels: "str | KernelBackend | None" = None,
     ) -> None:
         self.params = params
-        self.grid = params.grid
+        self.grid = grid = params.grid
         self.comm = comm
+        self.arena = comm.executor.adopt(arena, "fvcam")
         self.kernels = get_backend(kernels)
-        self.decomp = params.decomposition()
-        if comm.nprocs != self.decomp.nprocs:
+        self.decomp = decomp = params.decomposition()
+        if comm.nprocs != decomp.nprocs:
             raise ValueError(
                 f"communicator has {comm.nprocs} ranks, decomposition "
-                f"needs {self.decomp.nprocs}"
+                f"needs {decomp.nprocs}"
             )
-        self.level_groups = self.decomp.make_level_groups(comm)
+        self.level_groups = decomp.make_level_groups(comm)
         self.dyn = DynamicsParams(dt=params.dt)
         self.phys = PhysicsParams()
-        self._filter_coefs = damping_coefficients(self.grid)
+        #: the remap's longitude split inside a level group
+        self._lon_bounds = np.linspace(0, grid.im, decomp.pz + 1).astype(int)
+        coefs = damping_coefficients(grid)
+        self._geometry = [
+            self._rank_geometry(r, coefs) for r in range(comm.nprocs)
+        ]
 
-        h, u, v = initial_state(
-            self.grid, params.h0, params.bump_amplitude, params.u0
+        fields = initial_state(
+            grid, params.h0, params.bump_amplitude, params.u0
         )
-        self.h = self.decomp.scatter(h)
-        self.u = self.decomp.scatter(u)
-        self.v = self.decomp.scatter(v)
-        self.h_ref = self.decomp.scatter(h * 0 + params.h0 / self.grid.km)
-        self.q: list[np.ndarray] | None = None
         if params.with_tracer:
-            self.q = self.decomp.scatter(initial_tracer(self.grid))
+            fields += (initial_tracer(grid),)
+        nf = len(fields)
+
+        # every buffer a rank's step touches, allocated here: per rank
+        # (a latitude split may be ragged), from the rank's child arena
+        shapes = [decomp.local_shape(r) for r in range(comm.nprocs)]
+
+        def per_rank(key: str, sizes: list[tuple]) -> list[np.ndarray]:
+            return [
+                self.arena.for_rank(r).scratch(key, size)
+                for r, size in enumerate(sizes)
+            ]
+
+        self._blocks = per_rank(
+            "fvcam.fields", [(nf, k, j + 2 * HALO, i) for k, j, i in shapes]
+        )
+        self._cores = [b[:, :, HALO:-HALO, :] for b in self._blocks]
+        for f, global_field in enumerate(fields):
+            for core, local in zip(self._cores, decomp.scatter(global_field)):
+                core[f] = local
+        levels_split = decomp.pz > 1
+        if levels_split:
+            planes = [(j + 2 * HALO, i) for _, j, i in shapes]
+            self._colsum = per_rank("fvcam.colsum", planes)
+            self._below = per_rank("fvcam.below", planes)
+            self._columns = per_rank(
+                "fvcam.columns",
+                [
+                    (nf, grid.km, j, self._lon_width(r))
+                    for r, (_, j, _) in enumerate(shapes)
+                ],
+            )
+        else:
+            # whole columns are local: no partial sums, no transposes
+            self._colsum = self._below = None
+            self._columns = self._cores
+        physics_dt = params.dt * params.physics_interval
+        self._args = _RegionArgs(
+            comm=comm,
+            kernels=self.kernels,
+            grid=grid,
+            dt=params.dt,
+            drag=self.dyn.drag,
+            tracer=params.with_tracer,
+            levels_split=levels_split,
+            geometry=self._geometry,
+            blocks=self._blocks,
+            cores=self._cores,
+            colsum=self._colsum,
+            below=self._below,
+            raw=per_rank("fvcam.raw", shapes),
+            mean=per_rank("fvcam.mean", [(j, i) for _, j, i in shapes]),
+            columns=self._columns,
+            # the reference thickness the thermal physics relaxes to
+            h_ref=params.h0 / grid.km,
+            scale=physics_dt / self.phys.tau_thermal,
+            damp=1.0 - physics_dt / self.phys.tau_drag,
+        )
         self.step_count = 0
 
-    # -- halo machinery ------------------------------------------------------
+    def _lon_width(self, rank: int) -> int:
+        """Longitudes of a rank's full columns in the remap."""
+        z = self.decomp.coords(rank)[1]
+        return int(self._lon_bounds[z + 1] - self._lon_bounds[z])
 
-    def _fields(self) -> tuple[list[np.ndarray], ...]:
-        if self.q is None:
-            return (self.h, self.u, self.v)
-        return (self.h, self.u, self.v, self.q)
-
-    def _padded(self) -> list[np.ndarray]:
-        """Stacked (nf, km_local, jm_local + 2 HALO, im) padded fields."""
-        args = SimpleNamespace(decomp=self.decomp, fields=self._fields())
-        padded = self.comm.map_ranks(
-            partial(_pack_segment, shm=None, args=args)
+    def _rank_geometry(self, rank: int, coefs: np.ndarray) -> _RankGeometry:
+        grid, decomp = self.grid, self.decomp
+        km_l, jm_l, im = decomp.local_shape(rank)
+        ls = decomp.lat_slice(rank)
+        rows = np.clip(
+            np.arange(ls.start - HALO, ls.stop + HALO), 0, grid.jm - 1
+        )
+        filtered = grid.filtered_rows
+        sel = (filtered >= ls.start) & (filtered < ls.stop)
+        south, north = decomp.lat_neighbors(rank)
+        points = km_l * jm_l * im
+        return _RankGeometry(
+            jm_l=jm_l,
+            coslat=grid.coslat[rows],
+            south=south,
+            north=north,
+            filter_rows=filtered[sel] - ls.start,
+            filter_coefs=coefs[sel],
+            dynamics=dynamics_work(grid, points),
+            filter=filter_work(grid, int(sel.sum()) * km_l or 1),
+            physics=physics_work(grid, points),
+            remap=remap_work(grid, jm_l * self._lon_width(rank)),
         )
 
-        messages = []
-        for rank in range(self.comm.nprocs):
-            south, north = self.decomp.lat_neighbors(rank)
-            core = padded[rank][:, :, HALO:-HALO, :]
-            if south is not None:
-                messages.append(
-                    Message(rank, south, core[:, :, :HALO, :], tag=0)
-                )
-            if north is not None:
-                messages.append(
-                    Message(rank, north, core[:, :, -HALO:, :], tag=1)
-                )
-        received = self.comm.exchange(messages)
-        counters: dict[int, int] = {}
-        for m in messages:
-            i = counters.get(m.dst, 0)
-            counters[m.dst] = i + 1
-            payload = received[m.dst][i]
-            if m.tag == 0:  # a south-going block fills receiver's north ghost
-                padded[m.dst][:, :, -HALO:, :] = payload
-            else:
-                padded[m.dst][:, :, :HALO, :] = payload
-        return padded
+    # -- the prognostic fields, as per-rank views ------------------------
 
-    def _padded_coslat(self, rank: int) -> np.ndarray:
-        """Back-compat shim over the module-level helper."""
-        return _padded_coslat(self.grid, self.decomp, rank)
+    def _field(self, f: int) -> list[np.ndarray]:
+        return [core[f] for core in self._cores]
 
-    # -- vertical geopotential ----------------------------------------------
+    @property
+    def h(self) -> list[np.ndarray]:
+        """Per-rank layer-thickness views (write through them; the list
+        itself is not state)."""
+        return self._field(0)
 
-    def _geopotential(self, padded: list[np.ndarray]) -> list[np.ndarray]:
-        """Phi on padded rows, combining level-group partial sums.
+    @property
+    def u(self) -> list[np.ndarray]:
+        return self._field(1)
 
-        With ``pz > 1`` each rank sends its level-block column-sum plane
-        to the ranks holding *higher* layers (smaller level index) —
-        the low-volume vertical communication that shows up as the
-        ``Pz - 1`` lines parallel to the diagonal in Figure 2(b).
-        """
-        args = SimpleNamespace(
-            padded=padded, gravity=self.grid.gravity, kernels=self.kernels
-        )
-        if self.decomp.pz == 1:
-            return self.comm.map_ranks(
-                partial(_suffix_segment, shm=None, args=args)
-            )
+    @property
+    def v(self) -> list[np.ndarray]:
+        return self._field(2)
 
-        sums = self.comm.map_ranks(
-            partial(_colsum_segment, shm=None, args=args)
-        )
-        block_sums = dict(enumerate(sums))
-        messages = []
-        for rank in range(self.comm.nprocs):
-            y, z = self.decomp.coords(rank)
-            for z_above in range(z):  # ranks holding higher layers
-                messages.append(
-                    Message(
-                        rank,
-                        self.decomp.rank_of(y, z_above),
-                        block_sums[rank],
-                        tag=z,
-                    )
-                )
-        received = self.comm.exchange(messages)
-        args.block_sums = block_sums
-        args.received = received
-        return self.comm.map_ranks(
-            partial(_combine_segment, shm=None, args=args)
-        )
+    @property
+    def q(self) -> list[np.ndarray] | None:
+        """Per-rank tracer views, or ``None`` without a tracer."""
+        return self._field(3) if self.params.with_tracer else None
 
     # -- time stepping ---------------------------------------------------------
 
     def step(self) -> None:
-        grid = self.grid
-        dt = self.params.dt
+        # shards write the blocks in place: once the arena's shared
+        # memory is gone (its executor was closed) team workers would
+        # write copies, so refuse instead of losing the step
+        self.comm.executor.adopt(self.arena)
         with self.comm.phase("halo"):
-            padded = self._padded()
+            self._halo()
         with self.comm.phase("geopotential"):
-            phis = self._geopotential(padded)
-
+            self._geopotential()
         with self.comm.phase("dynamics"):
-            self._dynamics_sweep(padded, phis)
+            self.comm.map_shards(partial(_sweep_shard, args=self._args))
 
         self.step_count += 1
         # As in CAM itself, the physics runs on the long time step, with
@@ -426,53 +406,73 @@ class FVCAM:
             and self.step_count % self.params.physics_interval == 0
         ):
             with self.comm.phase("physics"):
-                self._physics_phase(dt * self.params.physics_interval)
+                self._physics_phase()
         if self.step_count % self.params.remap_interval == 0:
             with self.comm.phase("remap"):
                 self.remap()
 
-    def _dynamics_sweep(
-        self, padded: list[np.ndarray], phis: list[np.ndarray]
-    ) -> None:
-        """Transport + pressure gradient + polar filter on every rank."""
-        args = SimpleNamespace(
-            comm=self.comm,
-            grid=self.grid,
-            decomp=self.decomp,
-            dt=self.params.dt,
-            padded=padded,
-            phis=phis,
-            has_tracer=self.q is not None,
-            drag=self.dyn.drag,
-            filter_coefs=self._filter_coefs,
-            kernels=self.kernels,
-        )
-        swept = self.comm.map_ranks(
-            partial(_sweep_segment, shm=None, args=args)
-        )
-        for rank, (h, u, v, q) in enumerate(swept):
-            self.h[rank], self.u[rank], self.v[rank] = h, u, v
-            if self.q is not None:
-                self.q[rank] = q
+    def _halo(self) -> None:
+        """Fill every block's ghost rows in place: the neighbour's edge
+        rows where there is one, the block's own edge row at a wall."""
+        messages = []
+        for rank, (block, core) in enumerate(zip(self._blocks, self._cores)):
+            geo = self._geometry[rank]
+            if geo.south is None:
+                block[:, :, :HALO, :] = core[:, :, :1, :]
+            else:
+                messages.append(
+                    Message(rank, geo.south, core[:, :, :HALO, :], tag=0)
+                )
+            if geo.north is None:
+                block[:, :, -HALO:, :] = core[:, :, -1:, :]
+            else:
+                messages.append(
+                    Message(rank, geo.north, core[:, :, -HALO:, :], tag=1)
+                )
+        received = self.comm.exchange(messages)
+        inbox = {dst: iter(payloads) for dst, payloads in received.items()}
+        for m in messages:
+            block = self._blocks[m.dst]
+            # a south-going block fills the receiver's north ghost rows
+            ghost = slice(-HALO, None) if m.tag == 0 else slice(None, HALO)
+            block[:, :, ghost, :] = next(inbox[m.dst])
 
-    def _filtered_rows_local(self, rank: int) -> np.ndarray:
-        """Back-compat shim over the module-level helper."""
-        return _filtered_rows_local(self.grid, self.decomp, rank)
+    # -- vertical geopotential ----------------------------------------------
 
-    def _apply_local_filter(
-        self, rank: int, q_mass: np.ndarray | None = None
-    ) -> None:
-        """Back-compat shim: filters this rank's live fields in place."""
-        targets = [self.h[rank], self.u[rank], self.v[rank]]
-        if q_mass is not None:
-            targets.append(q_mass)
-        _apply_filter(
-            self.grid, self.decomp, self._filter_coefs, rank, targets
-        )
+    def _geopotential(self) -> None:
+        """Combine the level group's partial column sums (pz > 1).
+
+        Each rank sends its level-block column-sum plane to the ranks
+        holding *higher* layers (smaller level index) — the low-volume
+        vertical communication that shows up as the ``Pz - 1`` lines
+        parallel to the diagonal in Figure 2(b).  What a rank receives
+        is summed into its ``below`` plane, which the dynamics sweep
+        adds to its own suffix sum.
+        """
+        if self.decomp.pz == 1:
+            return
+        self.comm.map_shards(partial(_colsum_shard, args=self._args))
+        messages = []
+        for rank in range(self.comm.nprocs):
+            y, z = self.decomp.coords(rank)
+            for z_above in range(z):  # ranks holding higher layers
+                messages.append(
+                    Message(
+                        rank,
+                        self.decomp.rank_of(y, z_above),
+                        self._colsum[rank],
+                        tag=z,
+                    )
+                )
+        received = self.comm.exchange(messages)
+        for rank, below in enumerate(self._below):
+            below[...] = 0.0
+            for plane in received.get(rank, []):
+                below += plane
 
     # -- physics phase ---------------------------------------------------
 
-    def _physics_phase(self, dt: float) -> None:
+    def _physics_phase(self) -> None:
         """Column physics: relaxation de-meaned over the *full* column.
 
         The thermal increment must be mass-neutral per column; with
@@ -480,107 +480,56 @@ class FVCAM:
         mean is combined across it — the same reason real CAM runs its
         physics in a whole-column decomposition.
         """
-        km = self.grid.km
-        args = SimpleNamespace(
-            comm=self.comm,
-            grid=self.grid,
-            decomp=self.decomp,
-            h=self.h,
-            u=self.u,
-            v=self.v,
-            h_ref=self.h_ref,
-            scale=dt / self.phys.tau_thermal,
-        )
-        raw = self.comm.map_ranks(
-            partial(_physics_raw_segment, shm=None, args=args)
-        )
-        args.raw = raw
-        if self.decomp.pz == 1:
-            means = self.comm.map_ranks(
-                partial(_physics_mean_segment, shm=None, args=args)
-            )
-        else:
-            means = [None] * self.comm.nprocs
+        self.comm.map_shards(partial(_relax_shard, args=self._args))
+        if self.decomp.pz > 1:
+            mean = self._args.mean
             for group in self.level_groups:
-                contribs = [
-                    raw[grank].sum(axis=0) for grank in group.ranks
-                ]
-                summed = group.allreduce(contribs)
+                summed = group.allreduce([mean[g] for g in group.ranks])
                 for local, grank in enumerate(group.ranks):
-                    means[grank] = (summed[local] / km)[None, :, :]
-        args.means = means
-        args.damp = 1.0 - dt / self.phys.tau_drag
-        updated = self.comm.map_ranks(
-            partial(_physics_update_segment, shm=None, args=args)
-        )
-        for rank, (h, u, v) in enumerate(updated):
-            self.h[rank], self.u[rank], self.v[rank] = h, u, v
+                    np.divide(summed[local], self.grid.km, out=mean[grank])
+        self.comm.map_shards(partial(_physics_shard, args=self._args))
 
     # -- remap phase ---------------------------------------------------------
 
     def remap(self) -> None:
-        """Vertical remap, transposing level blocks within each group."""
-        pz = self.decomp.pz
-        grid = self.grid
-        if pz == 1:
-            args = SimpleNamespace(
-                comm=self.comm,
-                grid=grid,
-                decomp=self.decomp,
-                h=self.h,
-                u=self.u,
-                v=self.v,
-                q=self.q,
-            )
-            remapped = self.comm.map_ranks(
-                partial(_remap_segment, shm=None, args=args)
-            )
-            for rank, (h, u, v, q) in enumerate(remapped):
-                self.h[rank], self.u[rank], self.v[rank] = h, u, v
-                if self.q is not None:
-                    self.q[rank] = q
-            return
+        """Vertical remap, transposing level blocks within each group.
 
+        With ``pz > 1`` every group's forward transpose runs first —
+        ``(km/pz, jm_l, im)`` blocks to ``(km, jm_l, im/pz)`` columns —
+        then one region remaps every member's columns, then the
+        backward transposes put them back.
+        """
+        if self.decomp.pz == 1:
+            self.comm.map_shards(partial(_remap_shard, args=self._args))
+            return
+        lon = self._lon_bounds
+        pz = self.decomp.pz
+        km_l = self.grid.km // pz
         for group in self.level_groups:
-            gsize = len(group.ranks)
-            lon_bounds = np.linspace(0, grid.im, gsize + 1).astype(int)
-            # forward transpose: (km/pz, jm_l, im) -> (km, jm_l, im/pz)
-            field_lists = self._fields()
-            send = [
+            recv = group.alltoallv(
                 [
-                    np.stack(
-                        [
-                            arr[grank][
-                                :, :, lon_bounds[j] : lon_bounds[j + 1]
-                            ]
-                            for arr in field_lists
-                        ]
-                    )
-                    for j in range(gsize)
+                    [self._cores[g][..., lon[j] : lon[j + 1]] for j in range(pz)]
+                    for g in group.ranks
                 ]
-                for grank in group.ranks
-            ]
-            recv = group.alltoallv(send)
-            args = SimpleNamespace(
-                comm=self.comm,
-                grid=grid,
-                granks=group.ranks,
-                gsize=gsize,
-                recv=recv,
             )
-            sent_back = self.comm.map_ranks(
-                partial(_remap_member_segment, shm=None, args=args),
-                indices=range(gsize),
-            )
-            back = group.alltoallv(sent_back)
+            # each member's full columns, gathered level block by block
             for local, grank in enumerate(group.ranks):
-                blocks = back[local]  # from each member: its lon chunk
-                restored = np.concatenate(blocks, axis=3)
-                self.h[grank] = restored[0].copy()
-                self.u[grank] = restored[1].copy()
-                self.v[grank] = restored[2].copy()
-                if self.q is not None:
-                    self.q[grank] = restored[3].copy()
+                np.concatenate(recv[local], axis=1, out=self._columns[grank])
+        self.comm.map_shards(partial(_remap_shard, args=self._args))
+        for group in self.level_groups:
+            back = group.alltoallv(
+                [
+                    [
+                        self._columns[g][:, j * km_l : (j + 1) * km_l]
+                        for j in range(pz)
+                    ]
+                    for g in group.ranks
+                ]
+            )
+            for local, grank in enumerate(group.ranks):
+                core = self._cores[grank]
+                for j, chunk in enumerate(back[local]):
+                    core[..., lon[j] : lon[j + 1]] = chunk
 
     def run(self, steps: int) -> None:
         for _ in range(steps):
@@ -588,30 +537,27 @@ class FVCAM:
 
     # -- checkpoint/restart ------------------------------------------------
 
+    def _field_names(self) -> tuple[str, ...]:
+        return ("h", "u", "v") + (("q",) if self.params.with_tracer else ())
+
     def checkpoint_state(self) -> dict:
         """Snapshot the prognostic fields (``Checkpointable``).
 
-        ``h_ref`` and the damping coefficients are constants; halo
-        padding is rebuilt every dynamics step.
+        The reference state and the damping coefficients are
+        constants; the ghost rows are refilled every dynamics step.
         """
-        snap: dict = {
-            "step_count": self.step_count,
-            "h": [np.array(a, copy=True) for a in self.h],
-            "u": [np.array(a, copy=True) for a in self.u],
-            "v": [np.array(a, copy=True) for a in self.v],
-        }
-        if self.q is not None:
-            snap["q"] = [np.array(a, copy=True) for a in self.q]
+        snap: dict = {"step_count": self.step_count}
+        for f, name in enumerate(self._field_names()):
+            snap[name] = [np.array(a, copy=True) for a in self._field(f)]
         return snap
 
     def restore_state(self, snapshot: dict) -> None:
         if len(snapshot["h"]) != self.comm.nprocs:
             raise ValueError("checkpoint rank count mismatch")
-        self.h = [np.array(a, copy=True) for a in snapshot["h"]]
-        self.u = [np.array(a, copy=True) for a in snapshot["u"]]
-        self.v = [np.array(a, copy=True) for a in snapshot["v"]]
-        if self.q is not None:
-            self.q = [np.array(a, copy=True) for a in snapshot["q"]]
+        # copy in place: the views are into the blocks step() reads
+        for f, name in enumerate(self._field_names()):
+            for dst, src in zip(self._field(f), snapshot[name]):
+                dst[...] = src
         self.step_count = int(snapshot["step_count"])
 
     # -- observation -------------------------------------------------------------
@@ -628,27 +574,26 @@ class FVCAM:
             raise RuntimeError("run with with_tracer=True")
         return self.decomp.gather(self.q)
 
+    def _coslat(self, rank: int) -> np.ndarray:
+        """cos(lat) of a rank's own rows, broadcastable over a field."""
+        geo = self._geometry[rank]
+        return geo.coslat[None, HALO : HALO + geo.jm_l, None]
+
     def tracer_mass(self) -> float:
         """Area-weighted tracer mass (sum of q h cos(lat); conserved)."""
         if self.q is None:
             raise RuntimeError("run with with_tracer=True")
-        total = 0.0
-        for rank in range(self.comm.nprocs):
-            coslat = self.grid.coslat[self.decomp.lat_slice(rank)]
-            total += float(
-                (self.q[rank] * self.h[rank] * coslat[None, :, None]).sum()
-            )
-        return total
+        return sum(
+            float((q * h * self._coslat(rank)).sum())
+            for rank, (q, h) in enumerate(zip(self.q, self.h))
+        )
 
     def total_mass(self) -> float:
         """Area-weighted global mass (conserved to round-off)."""
-        total = 0.0
-        for rank in range(self.comm.nprocs):
-            coslat = self.grid.coslat[self.decomp.lat_slice(rank)]
-            total += float(
-                (self.h[rank] * coslat[None, :, None]).sum()
-            )
-        return total
+        return sum(
+            float((h * self._coslat(rank)).sum())
+            for rank, h in enumerate(self.h)
+        )
 
     @property
     def flops_per_step(self) -> float:

@@ -39,7 +39,9 @@ def remap_column(
         raise ValueError("layer thicknesses must be positive")
     flat_h = h.reshape(km, -1)
     ncol = flat_h.shape[1]
-    flat_fields = [f.reshape(km, -1) for f in fields]
+    flat_fields = np.empty((len(fields), km, ncol))
+    for f_flat, f in zip(flat_fields, fields):
+        f_flat[...] = f.reshape(km, -1)
 
     src_edges = np.vstack(
         [np.zeros((1, ncol)), np.cumsum(flat_h, axis=0)]
@@ -50,20 +52,17 @@ def remap_column(
         [np.zeros((1, ncol)), np.cumsum(tgt_h, axis=0)]
     )
 
-    new_fields = [np.zeros_like(flat_h) for _ in fields]
-    # overlap integral of target layer t with source layer s
-    for t in range(km):
-        lo_t, hi_t = tgt_edges[t], tgt_edges[t + 1]
-        for s in range(km):
-            lo_s, hi_s = src_edges[s], src_edges[s + 1]
-            overlap = np.minimum(hi_t, hi_s) - np.maximum(lo_t, lo_s)
-            overlap = np.maximum(overlap, 0.0)
-            for f_new, f_src in zip(new_fields, flat_fields):
-                f_new[t] += overlap * f_src[s]
-    tgt_mass = tgt_h
-    out_fields = [
-        (f_new / tgt_mass).reshape(h.shape) for f_new in new_fields
-    ]
+    # overlap integral of every target layer with source layer s, for
+    # every field at once; each target still sums its sources in order
+    new_fields = np.zeros_like(flat_fields)
+    lo_t, hi_t = tgt_edges[:-1], tgt_edges[1:]
+    for s in range(km):
+        overlap = np.minimum(hi_t, src_edges[s + 1]) - np.maximum(
+            lo_t, src_edges[s]
+        )
+        overlap = np.maximum(overlap, 0.0)
+        new_fields += overlap * flat_fields[:, s, None, :]
+    out_fields = [(f_new / tgt_h).reshape(h.shape) for f_new in new_fields]
     return tgt_h.reshape(h.shape), out_fields
 
 

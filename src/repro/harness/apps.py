@@ -133,9 +133,7 @@ class FVCAMApp:
         arena: Any | None = None,
         kernels: Any | None = None,
     ) -> FVCAM:
-        # FVCAM manages its own scratch internally; arena is accepted
-        # for interface uniformity and ignored.
-        return FVCAM(params, comm, kernels=kernels)
+        return FVCAM(params, comm, arena=arena, kernels=kernels)
 
     def step(self, state: FVCAM) -> FVCAM:
         state.step()

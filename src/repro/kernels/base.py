@@ -208,6 +208,8 @@ class KernelBackend(Tokened):
         cu: np.ndarray,
         cv: np.ndarray,
     ) -> np.ndarray:
+        """Split van Leer transport of one rank's ``(..., km, jm, im)``
+        field stack (any leading field axes; ``cu``/``cv`` broadcast)."""
         from ..apps.fvcam.dynamics import transport_2d
 
         return transport_2d(grid, q, cu, cv)

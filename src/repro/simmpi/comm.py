@@ -136,7 +136,7 @@ class _Segment:
         return _segment_in_worker, (self.comm, self.fn, self.star)
 
     def __call__(self, item):
-        buf: list[tuple[int, Work]] = []
+        buf: list[tuple[int, Work, float]] = []
         tls = self.state.tls
         tls.buffer = buf
         try:
@@ -540,8 +540,8 @@ class Communicator(Tokened):
         results = []
         for result, buf in outcomes:
             results.append(result)
-            for g, work in buf:
-                self._charge_compute(g, work)
+            for g, work, dt in buf:
+                self._charge_compute(g, work, dt)
         return results
 
     def _require_serial_region(self, opname: str) -> None:
@@ -558,38 +558,41 @@ class Communicator(Tokened):
         """Charge one rank for a kernel; returns the seconds charged.
 
         Inside a :meth:`map_ranks` region the charge is deferred (and
-        replayed in deterministic order at region end); the returned
-        duration is the same either way, since the processor model is a
-        pure function of the work record.
+        replayed in deterministic order at region end) together with
+        its duration, which the replay books as it is: the processor
+        model is a pure function of the work record, so it is evaluated
+        once, here.
         """
+        dt = self._proc.time(work) if self._proc is not None else 0.0
+        g = self._g(local_rank)
         exec_state = self._exec
-        if exec_state.active:
-            buf = getattr(exec_state.tls, "buffer", None)
-            if buf is None:
-                raise RuntimeError(
-                    "compute called during a map_ranks region from outside "
-                    "any segment"
-                )
-            buf.append((self._g(local_rank), work))
-            return self._proc.time(work) if self._proc is not None else 0.0
-        return self._charge_compute(self._g(local_rank), work)
+        if not exec_state.active:
+            self._charge_compute(g, work, dt)
+            return dt
+        buf = getattr(exec_state.tls, "buffer", None)
+        if buf is None:
+            raise RuntimeError(
+                "compute called during a map_ranks region from outside "
+                "any segment"
+            )
+        buf.append((g, work, dt))
+        return dt
 
-    def _charge_compute(self, g: int, work: Work) -> float:
-        """Meter/clock/timeline/ledger bookkeeping for one charge."""
+    def _charge_compute(self, g: int, work: Work, dt: float) -> None:
+        """Meter/clock/timeline/ledger bookkeeping for one charge of
+        ``dt`` seconds."""
         self._meter.record(work)
         ledger = self._phase.ledger
         if self._proc is None:
             if ledger is not None:
                 ledger.record_compute(self._phase.current, g, 0.0, work.flops)
-            return 0.0
-        dt = self._proc.time(work)
+            return
         t0 = self._clock.time(g)
         self._clock.advance(g, dt)
         if self._timeline is not None:
             self._timeline.record(g, t0, t0 + dt, work.name, "compute")
         if ledger is not None:
             ledger.record_compute(self._phase.current, g, dt, work.flops)
-        return dt
 
     def compute_all(self, work_per_rank: Sequence[Work]) -> float:
         """Charge every rank its own work; returns the max time charged."""

@@ -48,11 +48,12 @@ def test_ablation_fv_step(benchmark):
 def test_ablation_dycore_vector_friendliness(benchmark, report):
     """Modeled %peak of the two cores across machine families."""
     from repro.apps.fvcam import FVCAMScenario
-    from repro.apps.fvcam.workload import rank_step_work
+    from repro.perfmodel.predict import model_of
 
     t = SpharmTransform(lmax=85, nlat=128, radius=6.371e6)  # ~T85
     spectral = eulerian_step_work(t)
     scenario = FVCAMScenario(672, 7)  # the paper's large 2D-7v run
+    fvcam = model_of("fvcam")
 
     def sweep():
         rows = {}
@@ -61,7 +62,7 @@ def test_ablation_dycore_vector_friendliness(benchmark, report):
             model = make_model(spec)
             rows[m] = (
                 model.pct_peak(spectral),
-                model.pct_peak(rank_step_work(spec, scenario)),
+                model.pct_peak(fvcam.rank_work(spec, scenario)),
             )
         return rows
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import breakdown, validate, whatif
+from repro.experiments.common import AT_256
 
 
 def test_whatif_counterfactuals(benchmark, report):
@@ -16,7 +17,7 @@ def test_whatif_counterfactuals(benchmark, report):
 
 def test_breakdown_sweep(benchmark, report):
     data = benchmark(breakdown.run)
-    assert len(data) == len(breakdown.CASES) * len(breakdown.MACHINES)
+    assert len(data) == len(AT_256) * len(breakdown.MACHINES)
     report("breakdown", breakdown.render())
 
 

@@ -20,23 +20,19 @@ The modeled mechanisms behind the paper's trends:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ...machines.catalog import get_machine
-from ...machines.processor import make_model
-from ...machines.spec import MachineSpec, ProcessorKind
+from ...machines.spec import MachineSpec
 from ...network.collectives import CollectiveModel
 from ...network.model import NetworkModel
-from ...perfmodel.efficiency import get_calibration
-from ...perfmodel.report import PerfResult
-from ...workload import Work, combine
+from ...perfmodel.predict import AppModel
 from .dynamics import dynamics_work
 from .grid import D_GRID, LatLonGrid
 from .physics import physics_work
 from .polarfilter import filter_work
-from .vertical import remap_work
+from .vertical import remap_work, transpose_bytes
 
 #: The D-mesh at paper scale (full-sphere latitude count).
 PAPER_GRID = LatLonGrid(im=D_GRID[0], jm=D_GRID[1], km=D_GRID[2] + 0)
@@ -90,8 +86,8 @@ def layout(spec: MachineSpec, scenario: FVCAMScenario) -> tuple[int, float]:
     return ranks, lats
 
 
-def rank_step_work(spec: MachineSpec, scenario: FVCAMScenario) -> Work:
-    """Per-*processor* compute Work of one dynamics+physics step.
+def kernel_works(spec: MachineSpec, scenario: FVCAMScenario) -> dict:
+    """Named per-*processor* compute kernels of one dynamics+physics step.
 
     The vector port "moved the latitude loops to the lowest level, to
     provide greatest opportunity for parallelism" — so the vector
@@ -102,45 +98,14 @@ def rank_step_work(spec: MachineSpec, scenario: FVCAMScenario) -> Work:
     grid = PAPER_GRID
     points_per_proc = grid.total_points / scenario.nprocs
     _, lats = layout(spec, scenario)
-
-    from dataclasses import replace
-
-    # Dynamics inner loops sweep latitude tiles by unrolled longitude
-    # blocks; the polar-filter FFT batch is limited by the raw latitude
-    # count (the harsher constraint, kept separate below).
-    dyn = replace(
-        dynamics_work(grid, int(points_per_proc)),
-        avg_vector_length=float(max(2.0, min(256.0, lats * 16.0))),
-    )
-    phys = physics_work(grid, int(points_per_proc))
-
     # polar filter: ~1/3 of latitudes are filtered; the FFT batch width
     # on this processor is its share of the subdomain's filtered rows.
     filtered_share = len(grid.filtered_rows) / grid.jm
     rows_local = max(1, int(filtered_share * lats))
-    filt = filter_work(
-        grid, rows_local * max(1, grid.km // scenario.pz)
-    )
-    filt = replace(
-        filt, avg_vector_length=float(max(1.0, min(256.0, rows_local)))
-    )
-
-    remap = remap_work(
-        grid, int(grid.points_per_level / scenario.nprocs)
-    ).scaled(1.0 / REMAP_INTERVAL)
-    return combine([dyn, phys, filt, remap], name="fvcam.step")
-
-
-def kernel_works(spec: MachineSpec, scenario: FVCAMScenario) -> dict:
-    """Named per-processor compute kernels of one step."""
-    from dataclasses import replace
-
-    grid = PAPER_GRID
-    points_per_proc = grid.total_points / scenario.nprocs
-    _, lats = layout(spec, scenario)
-    filtered_share = len(grid.filtered_rows) / grid.jm
-    rows_local = max(1, int(filtered_share * lats))
     return {
+        # Dynamics inner loops sweep latitude tiles by unrolled longitude
+        # blocks; the polar-filter FFT batch is limited by the raw
+        # latitude count (the harsher constraint).
         "dynamics": replace(
             dynamics_work(grid, int(points_per_proc)),
             avg_vector_length=float(max(2.0, min(256.0, lats * 16.0))),
@@ -160,21 +125,19 @@ def comm_times(spec: MachineSpec, scenario: FVCAMScenario) -> dict:
     """Named per-processor communication costs of one step."""
     grid = PAPER_GRID
     ranks, _ = layout(spec, scenario)
-    net = NetworkModel(spec, ranks)
-    coll = CollectiveModel(net)
+    coll = CollectiveModel(NetworkModel(spec, ranks))
     km_local = max(1, grid.km // scenario.pz)
+    # the split scheme exchanges halos once per directional sweep and
+    # sub-step: ~4 exchanges of 2 ghost rows x 3 fields per time step,
+    # plus two scalar reductions (CFL checks / diagnostics).
     halo_bytes = 2 * grid.im * km_local * 3 * 8.0
     out = {
         "latitude halos": 4.0 * coll.halo_exchange(halo_bytes, 2)
         + 2.0 * coll.allreduce(8.0, ranks)
     }
     if scenario.pz > 1:
-        from .vertical import transpose_bytes
-
         py = max(1, ranks // scenario.pz)
-        vert_bytes = (
-            scenario.pz * (grid.jm / py) * grid.im * 8.0
-        )
+        vert_bytes = scenario.pz * (grid.jm / py) * grid.im * 8.0
         out["vertical sums"] = coll.allreduce(vert_bytes, scenario.pz)
         out["remap transposes"] = (
             2.0
@@ -186,67 +149,26 @@ def comm_times(spec: MachineSpec, scenario: FVCAMScenario) -> dict:
     return out
 
 
-def step_time(spec: MachineSpec, scenario: FVCAMScenario) -> tuple[float, float]:
-    """(compute_seconds, comm_seconds) per step per processor."""
-    grid = PAPER_GRID
-    work = rank_step_work(spec, scenario)
-    model = make_model(spec)
-    t_comp = model.time(work)
+def adjust_compute(
+    t: float, spec: MachineSpec, scenario: FVCAMScenario
+) -> float:
+    """OpenMP efficiency, then the physics load imbalance."""
     threads = OPENMP_THREADS.get(spec.name, 1)
     if threads > 1:
-        t_comp /= OMP_EFFICIENCY
+        t /= OMP_EFFICIENCY
     # "load balancing improves performance within the physics package
     # ... Only on the Cray X1 and X1E did load balancing improve
     # performance" -- the others carry a growing physics imbalance.
     if spec.name not in ("X1", "X1E", "X1-SSP"):
         ranks_lb = max(1, scenario.nprocs // threads)
-        t_comp *= 1.0 + 0.04 * np.log2(max(ranks_lb, 2))
-
-    ranks, _ = layout(spec, scenario)
-    net = NetworkModel(spec, ranks)
-    coll = CollectiveModel(net)
-    km_local = max(1, grid.km // scenario.pz)
-    # the split scheme exchanges halos once per directional sweep and
-    # sub-step: ~4 exchanges of 2 ghost rows x 3 fields per time step,
-    # plus two scalar reductions (CFL checks / diagnostics).
-    halo_bytes = 2 * grid.im * km_local * 3 * 8.0
-    t_halo = 4.0 * coll.halo_exchange(halo_bytes, num_neighbors=2)
-    t_halo += 2.0 * coll.allreduce(8.0, ranks)
-
-    t_vert = 0.0
-    t_transpose = 0.0
-    if scenario.pz > 1:
-        vert_bytes = scenario.pz * (grid.jm / max(1, ranks // scenario.pz)) * grid.im * 8.0
-        t_vert = coll.allreduce(vert_bytes, scenario.pz)
-        from .vertical import transpose_bytes
-
-        py = max(1, ranks // scenario.pz)
-        t_transpose = (
-            2.0
-            * coll.transpose(
-                transpose_bytes(grid, py, scenario.pz), scenario.pz
-            )
-            / REMAP_INTERVAL
-        )
-    return t_comp, t_halo + t_vert + t_transpose
+        t *= 1.0 + 0.04 * np.log2(max(ranks_lb, 2))
+    return t
 
 
-def predict(machine: str, scenario: FVCAMScenario) -> PerfResult:
-    """Modeled Table 3 cell for one machine."""
-    spec = get_machine(machine)
-    t_comp, t_comm = step_time(spec, scenario)
-    residual = get_calibration("fvcam", spec.name)
-    t_total = t_comp / residual + t_comm
-    flops = rank_step_work(spec, scenario).flops
-    return PerfResult(
-        app="fvcam",
-        machine=spec.name,
-        nprocs=scenario.nprocs,
-        gflops_per_proc=flops / t_total / 1e9,
-        config=scenario.label,
-        wall_seconds=t_total,
-        total_flops=flops * scenario.nprocs,
-    )
+MODEL = AppModel(
+    "fvcam", kernel_works, comm_times, adjust_compute=adjust_compute
+)
+predict = MODEL.predict
 
 
 #: Simulated seconds advanced per modeled dynamics step.  The 0.5
@@ -261,9 +183,6 @@ def simulated_days_per_day(machine: str, scenario: FVCAMScenario) -> float:
     One simulated day needs 86400 / DT_SECONDS dynamics steps; each
     step costs the modeled wall time.
     """
-    spec = get_machine(machine)
-    t_comp, t_comm = step_time(spec, scenario)
-    residual = get_calibration("fvcam", spec.name)
-    t_step = t_comp / residual + t_comm
+    t_step = predict(machine, scenario).wall_seconds
     steps_per_sim_day = 86400.0 / DT_SECONDS
     return 86400.0 / (steps_per_sim_day * t_step)

@@ -15,14 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...machines.catalog import get_machine
-from ...machines.processor import make_model
 from ...machines.spec import MachineSpec
 from ...network.collectives import CollectiveModel
 from ...network.model import NetworkModel
-from ...perfmodel.efficiency import get_calibration
-from ...perfmodel.report import PerfResult
-from ...workload import combine
+from ...perfmodel.predict import AppModel
 from .deposit import deposit_work
 from .grid import PoloidalGrid
 from .poisson import poisson_work
@@ -64,19 +60,8 @@ TABLE4_ROWS: tuple[GTCScenario, ...] = (
 )
 
 
-def rank_work(spec: MachineSpec):
-    """Per-step compute Work of one rank (3.2M particles + field solve)."""
-    vectorized = spec.kind.value == "vector"
-    works = [
-        deposit_work(PARTICLES_PER_PROC, vectorized),
-        push_work(PARTICLES_PER_PROC, vectorized),
-        poisson_work(PAPER_PLANE),
-    ]
-    return combine(works, name="gtc.step")
-
-
 def kernel_works(spec: MachineSpec, scenario: GTCScenario) -> dict:
-    """Named per-rank compute kernels of one step (for breakdowns)."""
+    """Named per-rank compute kernels of one step (3.2M particles)."""
     vectorized = spec.kind.value == "vector"
     return {
         "charge deposition": deposit_work(PARTICLES_PER_PROC, vectorized),
@@ -97,33 +82,5 @@ def comm_times(spec: MachineSpec, scenario: GTCScenario) -> dict:
     }
 
 
-def step_time(spec: MachineSpec, scenario: GTCScenario) -> tuple[float, float]:
-    """(compute_seconds, comm_seconds) per step per rank."""
-    model = make_model(spec)
-    t_comp = model.time(rank_work(spec))
-
-    net = NetworkModel(spec, scenario.nprocs)
-    coll = CollectiveModel(net)
-    grid_bytes = PAPER_PLANE.num_points * 8.0
-    t_reduce = coll.allreduce(grid_bytes, scenario.npe_per_domain)
-    shift_bytes = SHIFT_FRACTION * PARTICLES_PER_PROC * 6 * 8.0
-    t_shift = coll.halo_exchange(shift_bytes, num_neighbors=2)
-    return t_comp, t_reduce + t_shift
-
-
-def predict(machine: str, scenario: GTCScenario) -> PerfResult:
-    """Modeled Table 4 cell for one machine."""
-    spec = get_machine(machine)
-    t_comp, t_comm = step_time(spec, scenario)
-    residual = get_calibration("gtc", spec.name)
-    t_total = t_comp / residual + t_comm
-    flops = rank_work(spec).flops
-    return PerfResult(
-        app="gtc",
-        machine=spec.name,
-        nprocs=scenario.nprocs,
-        gflops_per_proc=flops / t_total / 1e9,
-        config=scenario.label,
-        wall_seconds=t_total,
-        total_flops=flops * scenario.nprocs,
-    )
+MODEL = AppModel("gtc", kernel_works, comm_times)
+predict = MODEL.predict

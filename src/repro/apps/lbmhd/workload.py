@@ -15,13 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ...machines.catalog import get_machine
-from ...machines.processor import make_model
 from ...machines.spec import MachineSpec
 from ...network.collectives import CollectiveModel
 from ...network.model import NetworkModel
-from ...perfmodel.efficiency import get_calibration
-from ...perfmodel.report import PerfResult
+from ...perfmodel.predict import AppModel
 from .collision import COLLISION_REGISTER_DEMAND, collision_work
 from .decomp import CartesianDecomposition3D
 from .stream import halo_bytes
@@ -57,85 +54,44 @@ TABLE5_ROWS: tuple[LBMHDScenario, ...] = (
 ES_HEADLINE = LBMHDScenario(1024, 4800)
 
 
-def kernel_works(spec: MachineSpec, scenario: LBMHDScenario) -> dict:
-    """Named per-rank compute kernels of one step (for breakdowns)."""
+def _local_shape(scenario: LBMHDScenario) -> tuple[float, float, float]:
+    """Per-rank subgrid of the Cartesian decomposition.
+
+    4800 does not factor into a divisible cube of 1024; such counts fall
+    back to a load-balanced ideal split for the headline estimate.
+    """
     try:
-        decomp = CartesianDecomposition3D.create(
+        return CartesianDecomposition3D.create(
             scenario.global_shape, scenario.nprocs
-        )
-        local_shape = decomp.local_shape
+        ).local_shape
     except ValueError:
         side = (scenario.grid**3 / scenario.nprocs) ** (1.0 / 3.0)
-        local_shape = (side, side, side)  # type: ignore[assignment]
-    local_points = float(np.prod(local_shape))
+        return (side, side, side)
+
+
+def kernel_works(spec: MachineSpec, scenario: LBMHDScenario) -> dict:
+    """Named per-rank compute kernels of one step."""
+    local_points = float(np.prod(_local_shape(scenario)))
     work = collision_work(int(round(local_points)))
+    # The fused grid-point loop is strip-mined over the whole subgrid:
+    # trip counts saturate the 256-word registers for any realistic
+    # block, so the effective vector length is the register-length cap.
     vl = min(256.0, local_points)
     return {"collide+stream": replace(work, avg_vector_length=vl)}
 
 
 def comm_times(spec: MachineSpec, scenario: LBMHDScenario) -> dict:
     """Named per-rank communication costs of one step."""
-    try:
-        decomp = CartesianDecomposition3D.create(
-            scenario.global_shape, scenario.nprocs
-        )
-        local_shape = decomp.local_shape
-    except ValueError:
-        side = (scenario.grid**3 / scenario.nprocs) ** (1.0 / 3.0)
-        local_shape = (side, side, side)  # type: ignore[assignment]
-    net = NetworkModel(spec, scenario.nprocs)
-    coll = CollectiveModel(net)
-    face_bytes = halo_bytes(tuple(int(round(x)) for x in local_shape)) / 6.0
+    coll = CollectiveModel(NetworkModel(spec, scenario.nprocs))
+    local = tuple(int(round(x)) for x in _local_shape(scenario))
+    face_bytes = halo_bytes(local) / 6.0
     return {"halo exchange": coll.halo_exchange(face_bytes, num_neighbors=6)}
 
 
-def step_time(spec: MachineSpec, scenario: LBMHDScenario) -> tuple[float, float]:
-    """(compute_seconds, comm_seconds) per time step per rank."""
-    # 4800 does not factor into a divisible cube of 1024; fall back to a
-    # load-balanced ideal split for the headline estimate.
-    try:
-        decomp = CartesianDecomposition3D.create(
-            scenario.global_shape, scenario.nprocs
-        )
-        local_shape = decomp.local_shape
-    except ValueError:
-        side = (scenario.grid**3 / scenario.nprocs) ** (1.0 / 3.0)
-        local_shape = (side, side, side)  # type: ignore[assignment]
-
-    local_points = float(np.prod(local_shape))
-    work = collision_work(int(round(local_points)))
-    # The fused grid-point loop is strip-mined over the whole subgrid:
-    # trip counts saturate the 256-word registers for any realistic
-    # block, so the effective vector length is the register-length cap.
-    vl = min(256.0, local_points)
-    work = replace(work, avg_vector_length=vl)
-
-    model = make_model(spec, loop_registers=COLLISION_REGISTER_DEMAND)
-    t_comp = model.time(work)
-
-    net = NetworkModel(spec, scenario.nprocs)
-    coll = CollectiveModel(net)
-    face_bytes = halo_bytes(tuple(int(round(s)) for s in local_shape)) / 6.0
-    t_comm = coll.halo_exchange(face_bytes, num_neighbors=6)
-    return t_comp, t_comm
-
-
-def predict(machine: str, scenario: LBMHDScenario) -> PerfResult:
-    """Modeled Table 5 cell for one machine."""
-    spec = get_machine(machine)
-    t_comp, t_comm = step_time(spec, scenario)
-    residual = get_calibration("lbmhd", spec.name)
-    t_total = t_comp / residual + t_comm
-    flops_per_rank = collision_work(
-        int(round(scenario.grid**3 / scenario.nprocs))
-    ).flops
-    gflops = flops_per_rank / t_total / 1e9
-    return PerfResult(
-        app="lbmhd",
-        machine=spec.name,
-        nprocs=scenario.nprocs,
-        gflops_per_proc=gflops,
-        config=scenario.label,
-        wall_seconds=t_total,
-        total_flops=flops_per_rank * scenario.nprocs,
-    )
+MODEL = AppModel(
+    "lbmhd",
+    kernel_works,
+    comm_times,
+    loop_registers=COLLISION_REGISTER_DEMAND,
+)
+predict = MODEL.predict

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ...machines.catalog import get_machine
-from ...machines.processor import make_model
 from ...machines.spec import MachineSpec
 from ...network.collectives import CollectiveModel
 from ...network.model import NetworkModel
-from ...perfmodel.efficiency import get_calibration
-from ...perfmodel.report import PerfResult
-from ...workload import Work, combine
+from ...perfmodel.predict import AppModel
+from ...workload import Work
 
 #: CdSe quantum-dot benchmark geometry (§6.1): 488 atoms, 35 Ry.
 NBANDS = 1100
@@ -59,54 +54,21 @@ TABLE6_ROWS: tuple[ParatecScenario, ...] = tuple(
 )
 
 
-def rank_work(spec: MachineSpec, nprocs: int) -> Work:
-    """Per-rank compute Work of one CG step."""
-    flops = FLOPS_PER_CG_STEP / nprocs
-    n_total = float(np.prod(FFT_GRID))
-
-    blas3 = Work(
-        name="paratec.blas3",
-        flops=flops * BLAS3_FRACTION,
-        bytes_unit=flops * BLAS3_FRACTION / 16.0,  # high reuse zgemm
-        blas3_fraction=1.0,
-        cache_fraction=0.9,
-    )
-    fft = Work(
-        name="paratec.fft",
-        flops=flops * FFT_FRACTION,
-        bytes_unit=flops * FFT_FRACTION / 1.5,  # ~1.5 flops/byte
-        vector_fraction=0.94,
-        avg_vector_length=float(min(256, FFT_GRID[0])),
-        fma_fraction=0.8,
-        cache_fraction=0.6,
-    )
-    other = Work(
-        name="paratec.f90",
-        flops=flops * OTHER_FRACTION,
-        bytes_unit=flops * OTHER_FRACTION / 1.0,
-        vector_fraction=0.88,
-        avg_vector_length=128.0,
-        fma_fraction=0.7,
-        cache_fraction=0.4,
-    )
-    return combine([blas3, fft, other], name="paratec.cg_step")
-
-
 def kernel_works(spec: MachineSpec, scenario: ParatecScenario) -> dict:
-    """Named per-rank compute kernels of one CG step (for breakdowns)."""
+    """Named per-rank compute kernels of one CG step."""
     flops = FLOPS_PER_CG_STEP / scenario.nprocs
     return {
         "BLAS3 (subspace)": Work(
             name="paratec.blas3",
             flops=flops * BLAS3_FRACTION,
-            bytes_unit=flops * BLAS3_FRACTION / 16.0,
+            bytes_unit=flops * BLAS3_FRACTION / 16.0,  # high reuse zgemm
             blas3_fraction=1.0,
             cache_fraction=0.9,
         ),
         "3D FFT": Work(
             name="paratec.fft",
             flops=flops * FFT_FRACTION,
-            bytes_unit=flops * FFT_FRACTION / 1.5,
+            bytes_unit=flops * FFT_FRACTION / 1.5,  # ~1.5 flops/byte
             vector_fraction=0.94,
             avg_vector_length=float(min(256, FFT_GRID[0])),
             fma_fraction=0.8,
@@ -127,8 +89,11 @@ def kernel_works(spec: MachineSpec, scenario: ParatecScenario) -> dict:
 def comm_times(spec: MachineSpec, scenario: ParatecScenario) -> dict:
     """Named per-rank communication costs of one CG step."""
     p = scenario.nprocs
-    net = NetworkModel(spec, p)
-    coll = CollectiveModel(net)
+    coll = CollectiveModel(NetworkModel(spec, p))
+    # "Even though the 3D FFT was written to minimize global
+    # communications": only the populated sphere columns move through
+    # the transposes — every rank redistributes its 1/P share of the
+    # ~NUM_G complex coefficients, twice per FFT.
     bytes_per_rank_per_fft = TRANSPOSES_PER_FFT * 16.0 * NUM_G / p
     total_bytes = NBANDS * FFTS_PER_BAND * bytes_per_rank_per_fft
     num_alltoalls = max(
@@ -141,41 +106,5 @@ def comm_times(spec: MachineSpec, scenario: ParatecScenario) -> dict:
     }
 
 
-def step_time(spec: MachineSpec, scenario: ParatecScenario) -> tuple[float, float]:
-    """(compute_seconds, comm_seconds) per CG step per rank."""
-    p = scenario.nprocs
-    model = make_model(spec)
-    t_comp = model.time(rank_work(spec, p))
-
-    net = NetworkModel(spec, p)
-    coll = CollectiveModel(net)
-    # "Even though the 3D FFT was written to minimize global
-    # communications": only the populated sphere columns move through
-    # the transposes — every rank redistributes its 1/P share of the
-    # ~NUM_G complex coefficients, twice per FFT.
-    bytes_per_rank_per_fft = TRANSPOSES_PER_FFT * 16.0 * NUM_G / p
-    total_bytes = NBANDS * FFTS_PER_BAND * bytes_per_rank_per_fft
-    num_alltoalls = max(
-        1, NBANDS * FFTS_PER_BAND * TRANSPOSES_PER_FFT // (BAND_BLOCK)
-    )
-    per_alltoall_bytes = total_bytes / num_alltoalls
-    t_comm = num_alltoalls * coll.transpose(per_alltoall_bytes, p)
-    return t_comp, t_comm
-
-
-def predict(machine: str, scenario: ParatecScenario) -> PerfResult:
-    """Modeled Table 6 cell for one machine."""
-    spec = get_machine(machine)
-    t_comp, t_comm = step_time(spec, scenario)
-    residual = get_calibration("paratec", spec.name)
-    t_total = t_comp / residual + t_comm
-    flops = FLOPS_PER_CG_STEP / scenario.nprocs
-    return PerfResult(
-        app="paratec",
-        machine=spec.name,
-        nprocs=scenario.nprocs,
-        gflops_per_proc=flops / t_total / 1e9,
-        config=scenario.label,
-        wall_seconds=t_total,
-        total_flops=FLOPS_PER_CG_STEP,
-    )
+MODEL = AppModel("paratec", kernel_works, comm_times)
+predict = MODEL.predict

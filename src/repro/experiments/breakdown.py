@@ -7,18 +7,8 @@ grows with concurrency, LBMHD is one big vector kernel.
 
 from __future__ import annotations
 
-from ..apps.fvcam import FVCAMScenario
-from ..apps.gtc import GTCScenario
-from ..apps.lbmhd import LBMHDScenario
-from ..apps.paratec import ParatecScenario
 from ..perfmodel.breakdown import PhaseBreakdown, phase_breakdown
-
-CASES = {
-    "lbmhd": LBMHDScenario(512, 256),
-    "gtc": GTCScenario(256, 400),
-    "paratec": ParatecScenario(256),
-    "fvcam": FVCAMScenario(256, 4),
-}
+from .common import AT_256
 
 MACHINES = ("ES", "Opteron")
 
@@ -26,7 +16,7 @@ MACHINES = ("ES", "Opteron")
 def run() -> dict[tuple[str, str], PhaseBreakdown]:
     return {
         (app, machine): phase_breakdown(app, scenario, machine)
-        for app, scenario in CASES.items()
+        for app, scenario in AT_256.items()
         for machine in MACHINES
     }
 

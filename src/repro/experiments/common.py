@@ -3,8 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
+from ..apps.fvcam import FVCAMScenario
+from ..apps.gtc import GTCScenario
+from ..apps.lbmhd import LBMHDScenario
+from ..apps.paratec import ParatecScenario
 from ..machines.catalog import get_machine
+from ..perfmodel.predict import model_of
+
+#: One 256-processor scenario per application: the cases of Figure 8
+#: and of the breakdown, what-if and roofline views.
+AT_256 = {
+    "lbmhd": LBMHDScenario(512, 256),
+    "gtc": GTCScenario(256, 400),
+    "paratec": ParatecScenario(256),
+    "fvcam": FVCAMScenario(256, 4),
+}
 
 
 @dataclass(frozen=True)
@@ -30,6 +45,35 @@ class Cell:
         if self.paper_gflops in (None, 0.0):
             return None
         return self.model_gflops / self.paper_gflops
+
+
+def model_vs_paper(
+    app: str,
+    rows: Iterable,
+    machines: list[str],
+    label: Callable[[object], str],
+    paper_row: Callable[[object], dict[str, float]],
+) -> dict[tuple[str, str], Cell]:
+    """Every (row, machine) cell of one table: prediction vs paper.
+
+    The paper reports X1-SSP rates as 4-SSP aggregates (one MSP's
+    worth), so the modeled per-SSP rate is multiplied by 4 and the cell
+    is read against the X1's peak.
+    """
+    predict = model_of(app).predict
+    cells: dict[tuple[str, str], Cell] = {}
+    for scenario in rows:
+        paper = paper_row(scenario)
+        for machine in machines:
+            gflops = predict(machine, scenario).gflops_per_proc
+            if machine == "X1-SSP":
+                gflops *= 4
+            cells[(label(scenario), machine)] = Cell(
+                machine="X1" if machine == "X1-SSP" else machine,
+                model_gflops=gflops,
+                paper_gflops=paper.get(machine),
+            )
+    return cells
 
 
 def render_comparison(

@@ -7,26 +7,11 @@ equals the inverse runtime ratio since the flop count is fixed).
 
 from __future__ import annotations
 
-from ..apps import fvcam, gtc, lbmhd, paratec
-from ..machines.catalog import get_machine
+from ..perfmodel.predict import APPS, model_of
+from .common import AT_256
 
 MACHINES = ["Power3", "Itanium2", "Opteron", "X1", "ES", "SX-8"]
 P = 256
-
-#: 256-processor scenario per application.
-_SCENARIOS = {
-    "fvcam": fvcam.FVCAMScenario(256, 4),
-    "gtc": gtc.GTCScenario(256, 400),
-    "lbmhd": lbmhd.LBMHDScenario(512, 256),
-    "paratec": paratec.ParatecScenario(256),
-}
-
-_PREDICT = {
-    "fvcam": fvcam.predict,
-    "gtc": gtc.predict,
-    "lbmhd": lbmhd.predict,
-    "paratec": paratec.predict,
-}
 
 #: FVCAM has no Opteron or SX-8 results in the paper.
 _UNAVAILABLE = {("fvcam", "Opteron"), ("fvcam", "SX-8")}
@@ -35,13 +20,14 @@ _UNAVAILABLE = {("fvcam", "Opteron"), ("fvcam", "SX-8")}
 def run() -> dict[str, dict[str, dict[str, float]]]:
     """{app: {machine: {"gflops", "pct_peak", "relative_to_es"}}}."""
     out: dict[str, dict[str, dict[str, float]]] = {}
-    for app, scenario in _SCENARIOS.items():
+    for app in APPS:
+        predict, scenario = model_of(app).predict, AT_256[app]
         rows: dict[str, dict[str, float]] = {}
-        es_rate = _PREDICT[app]("ES", scenario).gflops_per_proc
+        es_rate = predict("ES", scenario).gflops_per_proc
         for machine in MACHINES:
             if (app, machine) in _UNAVAILABLE:
                 continue
-            r = _PREDICT[app](machine, scenario)
+            r = predict(machine, scenario)
             rows[machine] = {
                 "gflops": r.gflops_per_proc,
                 "pct_peak": r.pct_peak,

@@ -12,16 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..apps.fvcam import FVCAMScenario
-from ..apps.fvcam.workload import rank_step_work
-from ..apps.gtc import GTCScenario
-from ..apps.gtc.workload import rank_work as gtc_rank_work
-from ..apps.lbmhd import LBMHDScenario
-from ..apps.lbmhd.workload import kernel_works as lbmhd_kernels
-from ..apps.paratec import ParatecScenario
-from ..apps.paratec.workload import rank_work as paratec_rank_work
 from ..machines.catalog import get_machine
+from ..perfmodel.predict import model_of
 from ..perfmodel.roofline import Roofline
+from .common import AT_256
 
 MACHINES = ("Opteron", "X1", "ES", "SX-8")
 MARKS = {"lbmhd": "L", "gtc": "G", "paratec": "P", "fvcam": "F"}
@@ -31,18 +25,11 @@ def app_points(machine: str) -> dict[str, tuple[float, float]]:
     """(intensity flops/byte, modeled Gflop/P) per application."""
     spec = get_machine(machine)
     roof = Roofline(spec)
-    works = {
-        "lbmhd": next(
-            iter(lbmhd_kernels(spec, LBMHDScenario(512, 256)).values())
-        ),
-        "gtc": gtc_rank_work(spec),
-        "paratec": paratec_rank_work(spec, 256),
-        "fvcam": rank_step_work(spec, FVCAMScenario(256, 4)),
-    }
-    return {
-        app: (min(w.intensity, 64.0), roof.sustained(w))
-        for app, w in works.items()
-    }
+    out = {}
+    for app in MARKS:
+        work = model_of(app).rank_work(spec, AT_256[app])
+        out[app] = (min(work.intensity, 64.0), roof.sustained(work))
+    return out
 
 
 def ascii_roofline(machine: str, width: int = 56, height: int = 12) -> str:

@@ -2,32 +2,35 @@
 
 from __future__ import annotations
 
-from ..apps.fvcam import TABLE3_ROWS, predict
+from ..apps.fvcam import TABLE3_ROWS
 from . import paper_data
-from .common import Cell, mean_abs_deviation, render_comparison
+from .common import (
+    Cell,
+    mean_abs_deviation,
+    model_vs_paper,
+    render_comparison,
+)
 
 MACHINES = ["Power3", "Itanium2", "X1", "X1E", "ES"]
 
 
+def _label(s) -> str:
+    return f"{s.label} P={s.nprocs}"
+
+
 def run() -> dict[tuple[str, str], Cell]:
     """All Table 3 cells: model prediction vs paper measurement."""
-    cells: dict[tuple[str, str], Cell] = {}
-    for scenario in TABLE3_ROWS:
-        key = (scenario.label, scenario.nprocs)
-        label = f"{scenario.label} P={scenario.nprocs}"
-        paper_row = paper_data.TABLE3.get(key, {})
-        for machine in MACHINES:
-            result = predict(machine, scenario)
-            cells[(label, machine)] = Cell(
-                machine=machine,
-                model_gflops=result.gflops_per_proc,
-                paper_gflops=paper_row.get(machine),
-            )
-    return cells
+    return model_vs_paper(
+        "fvcam",
+        TABLE3_ROWS,
+        MACHINES,
+        _label,
+        lambda s: paper_data.TABLE3.get((s.label, s.nprocs), {}),
+    )
 
 
 def row_labels() -> list[str]:
-    return [f"{s.label} P={s.nprocs}" for s in TABLE3_ROWS]
+    return [_label(s) for s in TABLE3_ROWS]
 
 
 def render() -> str:

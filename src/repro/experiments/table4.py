@@ -4,33 +4,33 @@ from __future__ import annotations
 
 from ..apps.gtc import TABLE4_ROWS, predict
 from . import paper_data
-from .common import Cell, mean_abs_deviation, render_comparison
+from .common import (
+    Cell,
+    mean_abs_deviation,
+    model_vs_paper,
+    render_comparison,
+)
 
 MACHINES = ["Power3", "Itanium2", "Opteron", "X1", "X1-SSP", "ES", "SX-8"]
 
 
+def _label(s) -> str:
+    return f"P={s.nprocs} ({s.particles_per_cell}/cell)"
+
+
 def run() -> dict[tuple[str, str], Cell]:
-    cells: dict[tuple[str, str], Cell] = {}
-    for scenario in TABLE4_ROWS:
-        label = f"P={scenario.nprocs} ({scenario.particles_per_cell}/cell)"
-        paper_row = paper_data.TABLE4.get(scenario.nprocs, {})
-        for machine in MACHINES:
-            result = predict(machine, scenario)
-            gflops = result.gflops_per_proc
-            if machine == "X1-SSP":
-                gflops *= 4  # the paper reports 4-SSP aggregates
-            cells[(label, machine)] = Cell(
-                machine="X1" if machine == "X1-SSP" else machine,
-                model_gflops=gflops,
-                paper_gflops=paper_row.get(machine),
-            )
-    return cells
+    """All Table 4 cells: model prediction vs paper measurement."""
+    return model_vs_paper(
+        "gtc",
+        TABLE4_ROWS,
+        MACHINES,
+        _label,
+        lambda s: paper_data.TABLE4.get(s.nprocs, {}),
+    )
 
 
 def row_labels() -> list[str]:
-    return [
-        f"P={s.nprocs} ({s.particles_per_cell}/cell)" for s in TABLE4_ROWS
-    ]
+    return [_label(s) for s in TABLE4_ROWS]
 
 
 def render() -> str:

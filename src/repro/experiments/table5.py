@@ -4,32 +4,33 @@ from __future__ import annotations
 
 from ..apps.lbmhd import ES_HEADLINE, TABLE5_ROWS, predict
 from . import paper_data
-from .common import Cell, mean_abs_deviation, render_comparison
+from .common import (
+    Cell,
+    mean_abs_deviation,
+    model_vs_paper,
+    render_comparison,
+)
 
 MACHINES = ["Power3", "Itanium2", "Opteron", "X1", "X1-SSP", "ES", "SX-8"]
 
 
+def _label(s) -> str:
+    return f"{s.label} P={s.nprocs}"
+
+
 def run() -> dict[tuple[str, str], Cell]:
-    cells: dict[tuple[str, str], Cell] = {}
-    for scenario in TABLE5_ROWS:
-        key = (scenario.grid, scenario.nprocs)
-        label = f"{scenario.label} P={scenario.nprocs}"
-        paper_row = paper_data.TABLE5.get(key, {})
-        for machine in MACHINES:
-            result = predict(machine, scenario)
-            gflops = result.gflops_per_proc
-            if machine == "X1-SSP":
-                gflops *= 4
-            cells[(label, machine)] = Cell(
-                machine="X1" if machine == "X1-SSP" else machine,
-                model_gflops=gflops,
-                paper_gflops=paper_row.get(machine),
-            )
-    return cells
+    """All Table 5 cells: model prediction vs paper measurement."""
+    return model_vs_paper(
+        "lbmhd",
+        TABLE5_ROWS,
+        MACHINES,
+        _label,
+        lambda s: paper_data.TABLE5.get((s.grid, s.nprocs), {}),
+    )
 
 
 def row_labels() -> list[str]:
-    return [f"{s.label} P={s.nprocs}" for s in TABLE5_ROWS]
+    return [_label(s) for s in TABLE5_ROWS]
 
 
 def render() -> str:

@@ -5,31 +5,33 @@ from __future__ import annotations
 from ..apps.paratec import TABLE6_ROWS, predict
 from ..apps.paratec.workload import ParatecScenario
 from . import paper_data
-from .common import Cell, mean_abs_deviation, render_comparison
+from .common import (
+    Cell,
+    mean_abs_deviation,
+    model_vs_paper,
+    render_comparison,
+)
 
 MACHINES = ["Power3", "Itanium2", "Opteron", "X1", "X1-SSP", "ES", "SX-8"]
 
 
+def _label(s) -> str:
+    return f"P={s.nprocs}"
+
+
 def run() -> dict[tuple[str, str], Cell]:
-    cells: dict[tuple[str, str], Cell] = {}
-    for scenario in TABLE6_ROWS:
-        label = f"P={scenario.nprocs}"
-        paper_row = paper_data.TABLE6.get(scenario.nprocs, {})
-        for machine in MACHINES:
-            result = predict(machine, scenario)
-            gflops = result.gflops_per_proc
-            if machine == "X1-SSP":
-                gflops *= 4
-            cells[(label, machine)] = Cell(
-                machine="X1" if machine == "X1-SSP" else machine,
-                model_gflops=gflops,
-                paper_gflops=paper_row.get(machine),
-            )
-    return cells
+    """All Table 6 cells: model prediction vs paper measurement."""
+    return model_vs_paper(
+        "paratec",
+        TABLE6_ROWS,
+        MACHINES,
+        _label,
+        lambda s: paper_data.TABLE6.get(s.nprocs, {}),
+    )
 
 
 def row_labels() -> list[str]:
-    return [f"P={s.nprocs}" for s in TABLE6_ROWS]
+    return [_label(s) for s in TABLE6_ROWS]
 
 
 def render() -> str:

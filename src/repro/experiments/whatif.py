@@ -17,14 +17,13 @@ Three counterfactuals, each tied to a paper statement:
 
 from __future__ import annotations
 
-from ..apps.fvcam import FVCAMScenario
-from ..apps.gtc import GTCScenario
-from ..apps.gtc.workload import rank_work as gtc_rank_work
-from ..apps.gtc.workload import step_time as gtc_step_time
-from ..apps.lbmhd import LBMHDScenario
-from ..apps.paratec import ParatecScenario
 from ..machines.catalog import get_machine
-from ..perfmodel.sensitivity import perturb, sensitivity_profile
+from ..perfmodel.sensitivity import (
+    app_rate_function,
+    perturb,
+    sensitivity_profile,
+)
+from .common import AT_256
 
 
 def sx8_with_fplram() -> dict[str, float]:
@@ -48,12 +47,7 @@ def sx8_with_fplram() -> dict[str, float]:
         target_fraction / sx8.vector.gather_bw_fraction,
     )
 
-    scenario = GTCScenario(256, 400)
-
-    def rate(spec):
-        t_comp, t_comm = gtc_step_time(spec, scenario)
-        return gtc_rank_work(spec).flops / (t_comp + t_comm) / 1e9
-
+    rate = app_rate_function("gtc", AT_256["gtc"])
     return {
         "stock": rate(sx8),
         "fplram": rate(upgraded),
@@ -68,34 +62,15 @@ def x1_with_es_registers() -> dict[str, float]:
     system for the collision loop's excess live values; 72 registers
     eliminate the spills outright.
     """
-    from ..apps.lbmhd.collision import collision_work
-    from ..apps.lbmhd.workload import step_time as lbmhd_step_time
-
     x1 = get_machine("X1")
     upgraded = perturb(x1, "vector.num_registers", 72.0 / 32.0)
-    scenario = LBMHDScenario(512, 256)
-
-    def rate(spec):
-        t_comp, t_comm = lbmhd_step_time(spec, scenario)
-        flops = collision_work(
-            int(round(scenario.grid**3 / scenario.nprocs))
-        ).flops
-        return flops / (t_comp + t_comm) / 1e9
-
+    rate = app_rate_function("lbmhd", AT_256["lbmhd"])
     return {
         "stock": rate(x1),
         "more_registers": rate(upgraded),
         "speedup": rate(upgraded) / rate(x1),
     }
 
-
-#: (app, scenario) pairs used for the sensitivity table.
-SENSITIVITY_CASES = {
-    "lbmhd": LBMHDScenario(512, 256),
-    "gtc": GTCScenario(256, 400),
-    "paratec": ParatecScenario(256),
-    "fvcam": FVCAMScenario(256, 4),
-}
 
 SENSITIVITY_PARAMS = (
     "peak_gflops",
@@ -112,7 +87,7 @@ def sensitivity_profiles() -> dict[str, dict[str, float]]:
         app: sensitivity_profile(
             app, scenario, get_machine("ES"), SENSITIVITY_PARAMS
         )
-        for app, scenario in SENSITIVITY_CASES.items()
+        for app, scenario in AT_256.items()
     }
 
 

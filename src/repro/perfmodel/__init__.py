@@ -8,6 +8,7 @@ from .efficiency import (
     get_calibration,
     set_calibration,
 )
+from .predict import APPS, AppModel, model_of
 from .report import PerfResult, ResultTable, relative_to
 from .roofline import Bound, Roofline, vector_length_roof
 from .sensitivity import (
@@ -19,6 +20,8 @@ from .sensitivity import (
 )
 
 __all__ = [
+    "APPS",
+    "AppModel",
     "Bound",
     "PerfResult",
     "PhaseBreakdown",
@@ -31,6 +34,7 @@ __all__ = [
     "effective_rate",
     "elasticity",
     "get_calibration",
+    "model_of",
     "perturb",
     "phase_breakdown",
     "relative_to",

@@ -4,10 +4,10 @@ The paper's analysis reasons about phases — "the computational work
 directly involving the particles accounts for almost 85% of the
 overhead", "much of the computation time (typically 60%) involves FFTs
 and BLAS3 routines", "the global data transposes ... account for the
-bulk of PARATEC's communication overhead".  This module evaluates the
-modeled time of every named compute kernel and communication operation
-of an application step, so those statements can be checked against the
-model (and are, in the test suite).
+bulk of PARATEC's communication overhead".  This module splits the
+modeled step of :mod:`repro.perfmodel.predict` by named compute kernel
+and communication operation, so those statements can be checked
+against the same model the tables print (and are, in the test suite).
 """
 
 from __future__ import annotations
@@ -15,22 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..machines.catalog import get_machine
-from ..machines.processor import make_model
 from ..machines.spec import MachineSpec
-
-
-def _app_module(app: str):
-    if app == "lbmhd":
-        from ..apps.lbmhd import workload
-    elif app == "gtc":
-        from ..apps.gtc import workload
-    elif app == "paratec":
-        from ..apps.paratec import workload
-    elif app == "fvcam":
-        from ..apps.fvcam import workload
-    else:
-        raise KeyError(f"unknown app {app!r}")
-    return workload
+from .predict import model_of
 
 
 @dataclass
@@ -142,15 +128,25 @@ class PhaseBreakdown:
 def phase_breakdown(
     app: str, scenario, machine: str | MachineSpec
 ) -> PhaseBreakdown:
-    """Evaluate every named phase of one application scenario."""
+    """The modeled step of one scenario, split by named phase.
+
+    The compute phases are the step's compute time (processor model,
+    register demand and adjustment included) shared out in proportion
+    to each kernel's own modeled time, so they sum to it; the comm
+    phases are the step's communication costs as they are.
+    """
     spec = machine if isinstance(machine, MachineSpec) else get_machine(machine)
-    workload = _app_module(app)
-    model = make_model(spec)
-    compute = {
-        name: model.time(work)
-        for name, work in workload.kernel_works(spec, scenario).items()
+    model = model_of(app)
+    t_comp, _ = model.step_time(spec, scenario)
+    processor = model.processor(spec)
+    alone = {
+        name: processor.time(work)
+        for name, work in model.kernel_works(spec, scenario).items()
     }
-    comm = dict(workload.comm_times(spec, scenario))
+    scale = t_comp / sum(alone.values())
     return PhaseBreakdown(
-        app=app, machine=spec.name, compute=compute, comm=comm
+        app=app,
+        machine=spec.name,
+        compute={name: t * scale for name, t in alone.items()},
+        comm=dict(model.comm_times(spec, scenario)),
     )

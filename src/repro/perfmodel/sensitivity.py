@@ -20,6 +20,7 @@ from dataclasses import replace
 from typing import Callable
 
 from ..machines.spec import MachineSpec
+from .predict import model_of
 
 #: Parameter paths supported by :func:`perturb`: either a MachineSpec
 #: field or a dotted path into a nested spec ("vector.gather_bw_fraction").
@@ -80,52 +81,8 @@ def app_rate_function(app: str, scenario) -> Callable[[MachineSpec], float]:
     Calibration residuals are intentionally excluded: sensitivities
     describe the first-principles model.
     """
-    if app == "lbmhd":
-        from ..apps.lbmhd.workload import step_time as st
-        from ..apps.lbmhd.collision import collision_work
-
-        def rate(spec: MachineSpec) -> float:
-            t_comp, t_comm = st(spec, scenario)
-            flops = collision_work(
-                int(round(scenario.grid**3 / scenario.nprocs))
-            ).flops
-            return flops / (t_comp + t_comm) / 1e9
-
-        return rate
-    if app == "gtc":
-        from ..apps.gtc.workload import rank_work, step_time as st
-
-        def rate(spec: MachineSpec) -> float:
-            t_comp, t_comm = st(spec, scenario)
-            return rank_work(spec).flops / (t_comp + t_comm) / 1e9
-
-        return rate
-    if app == "paratec":
-        from ..apps.paratec.workload import (
-            FLOPS_PER_CG_STEP,
-            step_time as st,
-        )
-
-        def rate(spec: MachineSpec) -> float:
-            t_comp, t_comm = st(spec, scenario)
-            return (
-                FLOPS_PER_CG_STEP / scenario.nprocs / (t_comp + t_comm) / 1e9
-            )
-
-        return rate
-    if app == "fvcam":
-        from ..apps.fvcam.workload import rank_step_work, step_time as st
-
-        def rate(spec: MachineSpec) -> float:
-            t_comp, t_comm = st(spec, scenario)
-            return (
-                rank_step_work(spec, scenario).flops
-                / (t_comp + t_comm)
-                / 1e9
-            )
-
-        return rate
-    raise KeyError(f"unknown app {app!r}")
+    model = model_of(app)
+    return lambda spec: model.rate(spec, scenario)
 
 
 def sensitivity_profile(

@@ -8,7 +8,9 @@ from repro.apps.fvcam import FVCAMScenario
 from repro.apps.gtc import GTCScenario
 from repro.apps.lbmhd import LBMHDScenario
 from repro.apps.paratec import ParatecScenario
-from repro.perfmodel import phase_breakdown
+from repro.experiments.common import AT_256
+from repro.machines.catalog import MACHINES
+from repro.perfmodel import model_of, phase_breakdown
 
 
 class TestPhaseBreakdown:
@@ -38,6 +40,18 @@ class TestPhaseBreakdown:
         bd = phase_breakdown("paratec", ParatecScenario(256), "ES")
         text = bd.render()
         assert "BLAS3" in text and "FFT transposes" in text
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("app", sorted(AT_256))
+def test_breakdown_is_the_prediction_split_by_phase(app, machine):
+    # the compute phases share out the predictor's compute time —
+    # register demand and FVCAM's OpenMP/imbalance adjustment included
+    scenario = AT_256[app]
+    t_comp, t_comm = model_of(app).step_time(MACHINES[machine], scenario)
+    bd = phase_breakdown(app, scenario, machine)
+    assert bd.compute_seconds == pytest.approx(t_comp, rel=1e-12)
+    assert bd.comm_seconds == t_comm
 
 
 class TestPaperPhaseClaims:

@@ -14,7 +14,9 @@ ledger's recovery column.
 
 The rendered output ends with a machine-readable JSON document (one
 object per app: fault counters, recovery seconds, overhead ratio,
-identity flag) so CI and notebooks can assert on it directly.
+identity flag) so CI and notebooks can assert on it directly.  A run
+that breaks the property raises instead, with the table in the
+message, so ``repro-experiments chaos`` exits nonzero.
 """
 
 from __future__ import annotations
@@ -174,6 +176,10 @@ def render(quick: bool = False) -> str:
         "acceptance: every faulted run matches its fault-free twin "
         + ("bitwise — PASS" if ok else "bitwise — FAIL")
     )
+    if not ok:
+        # a failed property is a failed experiment: the runner reports
+        # it on stderr and exits nonzero, so CI cannot miss it
+        raise RuntimeError("\n".join(lines))
     lines.append("")
     lines.append("JSON:")
     lines.append(

@@ -21,7 +21,12 @@ import argparse
 import sys
 
 from ..kernels import BACKENDS
-from ..runtime.executors import EXECUTORS, segment_executor
+from ..runtime.executors import (
+    EXECUTORS,
+    ProcessExecutor,
+    SerialExecutor,
+    segment_executor,
+)
 from ..runtime.resolve import UnusableError
 from . import (
     chaos,
@@ -261,25 +266,14 @@ def main(argv: list[str] | None = None) -> int:
     ]
     outputs: dict[str, str] = {}
     failures: dict[str, str] = {}
-    if args.jobs > 1 and len(names) > 1:
-        # campaign-style batch: fan the renders out across worker
-        # processes; per-job error isolation comes with the seam.
-        from ..runtime.executors import ProcessExecutor
-
-        executor = ProcessExecutor(min(args.jobs, len(names)))
-        completed = executor.imap_unordered(_render_one, jobs)
-    else:
-        def _serial():
-            for i, job in enumerate(jobs):
-                try:
-                    yield i, _render_one(job), None
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - isolate
-                    yield i, None, exc
-
-        completed = _serial()
-    for i, text, exc in completed:
+    # campaign-style batch: fan the renders out across worker processes
+    # when asked to; per-job error isolation comes with the seam
+    executor = (
+        ProcessExecutor(min(args.jobs, len(names)))
+        if args.jobs > 1 and len(names) > 1
+        else SerialExecutor()
+    )
+    for i, text, exc in executor.imap_unordered(_render_one, jobs):
         name = names[i]
         if exc is not None:
             failures[name] = f"{type(exc).__name__}: {exc}"

@@ -158,11 +158,15 @@ def run(
         degrades to the numpy reference with a warning; an unknown name
         raises listing the valid choices.
     fault_plan, policy:
-        A :class:`~repro.resilience.FaultPlan` to inject at the
-        transport seam, and the :class:`~repro.resilience.RetryPolicy`
-        governing detection/retry/restart costs.  Passing either turns
-        on the resilient run loop; recovery time lands in the ledger's
-        ``recovery`` column and the counters in ``result.recovery``.
+        A :class:`~repro.resilience.FaultPlan` to inject on the
+        point-to-point wire, and the
+        :class:`~repro.resilience.RetryPolicy` governing
+        detection/retry/restart costs.  A plan with faults installs an
+        injector, stepped along with the run; recovery time lands in
+        the ledger's ``recovery`` column and the counters in
+        ``result.recovery`` (which any ``fault_plan`` or
+        ``checkpoint_every`` fills in).  A plan naming a rank the run
+        does not have is a ``ValueError``.
     checkpoint_every, checkpoint_store:
         Snapshot the solver every N completed steps into the store
         (an in-memory store by default).  A rank failure from the
@@ -206,11 +210,13 @@ def run(
     resilient = fault_plan is not None or checkpoint_every is not None
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
+    # only a plan with faults needs an injector; a checkpoint-only run
+    # still charges its snapshots at the policy's bandwidth
+    faulty = fault_plan is not None and bool(fault_plan.faults)
     injector: FaultInjector | None = None
-    if resilient:
+    if faulty or policy is not None:
         injector = comm.enable_resilience(
-            fault_plan if fault_plan is not None else FaultPlan(),
-            policy=policy,
+            fault_plan if faulty else None, policy=policy
         )
 
     ledger = comm.attach_phase_ledger() if instrument else None
@@ -228,75 +234,68 @@ def run(
     try:
         state = adapter.setup(comm, params, arena=arena, kernels=kernels)
 
-        recovery: RecoveryStats | None = None
-        if not resilient:
-            for _ in range(steps):
+        recovery = comm.recovery_stats
+        store = (
+            checkpoint_store
+            if checkpoint_store is not None
+            else MemoryCheckpointStore()
+        )
+        tag = adapter.key
+        last_ckpt = None
+        plan_kills_ranks = faulty and bool(fault_plan.rank_failures)
+        if isinstance(state, Checkpointable) and plan_kills_ranks:
+            # the step-0 anchor (the job's initial condition) is only
+            # needed when a failure can strike before the first
+            # periodic snapshot; it exists before the run starts and
+            # is not charged.  checkpoint_state hands over fresh
+            # copies, so the store takes ownership (copy=False).
+            last_ckpt = store.save(
+                tag, 0, state.checkpoint_state(), copy=False
+            )
+        completed = 0
+        restarts = 0
+        while completed < steps:
+            try:
+                if injector is not None:
+                    injector.begin_step(completed)
                 state = adapter.step(state)
-        else:
-            recovery = comm.recovery_stats
-            store = (
-                checkpoint_store
-                if checkpoint_store is not None
-                else MemoryCheckpointStore()
-            )
-            tag = adapter.key
-            last_ckpt = None
-            plan_kills_ranks = (
-                fault_plan is not None and bool(fault_plan.rank_failures)
-            )
-            if isinstance(state, Checkpointable) and plan_kills_ranks:
-                # the step-0 anchor (the job's initial condition) is only
-                # needed when a failure can strike before the first
-                # periodic snapshot; it exists before the run starts and
-                # is not charged.  checkpoint_state hands over fresh
-                # copies, so the store takes ownership (copy=False).
-                last_ckpt = store.save(
-                    tag, 0, state.checkpoint_state(), copy=False
-                )
-            completed = 0
-            restarts = 0
-            while completed < steps:
-                injector.begin_step(completed)
-                try:
-                    state = adapter.step(state)
+                if injector is not None:
                     injector.end_step()
-                except RankFailureError:
-                    recovery.rank_failures += 1
-                    if last_ckpt is None or restarts >= max_restarts:
-                        raise
-                    restarts += 1
-                    ckpt = store.load(tag)
-                    if ckpt is None:
-                        # The anchor was saved, so a vanished checkpoint is
-                        # store corruption (deleted npz, evicted entry...) —
-                        # name it instead of surfacing whatever attribute
-                        # error the restore path would hit downstream.
-                        raise RuntimeError(
-                            f"restart of {tag!r} at step {completed} needs "
-                            f"the checkpoint saved at step {last_ckpt.step}, "
-                            f"but {type(store).__name__}.load({tag!r}) "
-                            "returned None — the checkpoint store lost it"
-                        ) from None
-                    comm.recover_restart(ckpt.nbytes)
-                    state.restore_state(ckpt.payload)
-                    recovery.replayed_steps += completed - ckpt.step
-                    completed = ckpt.step
-                    continue
-                completed += 1
-                if (
-                    checkpoint_every is not None
-                    and completed % checkpoint_every == 0
-                    and completed < steps
-                    and isinstance(state, Checkpointable)
-                ):
-                    t0 = time.perf_counter()
-                    last_ckpt = store.save(
-                        tag, completed, state.checkpoint_state(), copy=False
-                    )
-                    recovery.checkpoint_host_seconds += (
-                        time.perf_counter() - t0
-                    )
-                    comm.charge_checkpoint(last_ckpt.nbytes)
+            except RankFailureError:
+                recovery.rank_failures += 1
+                if last_ckpt is None or restarts >= max_restarts:
+                    raise
+                restarts += 1
+                ckpt = store.load(tag)
+                if ckpt is None:
+                    # The anchor was saved, so a vanished checkpoint is
+                    # store corruption (deleted npz, evicted entry...) —
+                    # name it instead of surfacing whatever attribute
+                    # error the restore path would hit downstream.
+                    raise RuntimeError(
+                        f"restart of {tag!r} at step {completed} needs "
+                        f"the checkpoint saved at step {last_ckpt.step}, "
+                        f"but {type(store).__name__}.load({tag!r}) "
+                        "returned None — the checkpoint store lost it"
+                    ) from None
+                comm.recover_restart(ckpt.nbytes)
+                state.restore_state(ckpt.payload)
+                recovery.replayed_steps += completed - ckpt.step
+                completed = ckpt.step
+                continue
+            completed += 1
+            if (
+                checkpoint_every is not None
+                and completed % checkpoint_every == 0
+                and completed < steps
+                and isinstance(state, Checkpointable)
+            ):
+                t0 = time.perf_counter()
+                last_ckpt = store.save(
+                    tag, completed, state.checkpoint_state(), copy=False
+                )
+                recovery.checkpoint_host_seconds += time.perf_counter() - t0
+                comm.charge_checkpoint(last_ckpt.nbytes)
 
         diagnostics = adapter.diagnostics(state)
     finally:
@@ -315,5 +314,5 @@ def run(
         steps=steps,
         ledger=ledger,
         diagnostics=diagnostics,
-        recovery=recovery,
+        recovery=recovery if resilient else None,
     )

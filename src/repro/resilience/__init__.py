@@ -1,16 +1,18 @@
 """repro.resilience — faults, self-healing policies, checkpoint/restart.
 
-The subsystem has three layers, mirroring the runtime's layering:
+The subsystem has four parts, mirroring the runtime's layering:
 
 * :mod:`repro.resilience.inject` — deterministic, seedable fault
-  injectors wrapping the byte-moving
-  :class:`~repro.simmpi.transport.Transport` (drops, bit-flips, latency
+  injectors on the point-to-point wire (drops, bit-flips, latency
   spikes, whole-rank failure), configured by a declarative
-  :class:`FaultPlan`;
-* :mod:`repro.resilience.policy` — CRC detection, retry-with-backoff
-  and restart policies applied by the
-  :class:`~repro.simmpi.comm.Communicator` facade, every second charged
-  to the virtual clock and the phase ledger's ``recovery`` column;
+  :class:`FaultPlan`: a verdict source, not a transport;
+* :mod:`repro.resilience.policy` — the :class:`RetryPolicy` knobs, the
+  CRC-32 wire checksum and the :class:`RecoveryStats` counters;
+* :mod:`repro.resilience.heal` — the self-healing layer the
+  :class:`~repro.simmpi.comm.Communicator` calls when a communication
+  starts and after each point-to-point phase: detection, retry with
+  backoff, and the checkpoint/restart charges, every second charged to
+  the virtual clock and the phase ledger's ``recovery`` column;
 * :mod:`repro.resilience.checkpoint` — the :class:`Checkpointable`
   protocol the four solvers implement, plus in-memory and on-disk
   snapshot stores the harness restarts from.
@@ -29,6 +31,7 @@ from .checkpoint import (
     own_tree,
     snapshot_nbytes,
 )
+from .heal import Resilience
 from .inject import (
     BitFlip,
     FaultInjector,
@@ -61,6 +64,7 @@ __all__ = [
     "RankFailure",
     "RankFailureError",
     "RecoveryStats",
+    "Resilience",
     "ResilienceError",
     "RetryPolicy",
     "UnrecoverableMessageError",

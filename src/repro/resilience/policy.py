@@ -2,9 +2,9 @@
 
 The paper's platforms keep multi-hour runs alive through MTBF-aware
 batch practice; this module is the simulated runtime's version of that
-discipline.  A :class:`RetryPolicy` parameterizes how the
-:class:`~repro.simmpi.comm.Communicator` facade reacts when the fault
-injector misbehaves at the transport seam:
+discipline.  A :class:`RetryPolicy` parameterizes how the healing
+hook (:mod:`repro.resilience.heal`) repairs the point-to-point traffic
+the fault injector spoils:
 
 * every point-to-point payload carries a CRC-32 checksum; a mismatch on
   arrival (bit-flip corruption) or a missing arrival (drop, noticed
@@ -48,8 +48,7 @@ class UnrecoverableMessageError(ResilienceError):
 class RankFailureError(ResilienceError):
     """A simulated rank died; only checkpoint/restart can continue.
 
-    Raised from inside the communicator (at the transport seam) or at a
-    step boundary.  The harness catches it when a checkpoint store is
+    Raised when a communication starts or at a step boundary.  The harness catches it when a checkpoint store is
     available, restores the last snapshot, and replays.
     """
 
@@ -134,7 +133,3 @@ class RecoveryStats:
 
     def as_dict(self) -> dict[str, float]:
         return {k: float(getattr(self, k)) for k in self.__dataclass_fields__}
-
-    def merge(self, other: "RecoveryStats") -> None:
-        for k in self.__dataclass_fields__:
-            setattr(self, k, getattr(self, k) + getattr(other, k))

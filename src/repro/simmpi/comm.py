@@ -21,6 +21,11 @@ The :class:`Communicator` itself is a facade over four composed layers:
   arenas), reached through :meth:`Communicator.map_ranks` and
   :meth:`Communicator.map_shards`.
 
+Fault handling is not one of them: the facade consults a
+:class:`~repro.resilience.heal.Resilience` hook when a communication
+starts and after each point-to-point phase, and only books what it
+charges.
+
 Passing ``machine=None`` yields an *ideal* communicator: data still
 moves and traces still record, but no time is charged — this is the mode
 the correctness tests run in.
@@ -38,12 +43,7 @@ from ..machines.processor import ProcessorModel, make_model
 from ..machines.spec import MachineSpec
 from ..network.collectives import CollectiveModel
 from ..network.model import NetworkModel
-from ..resilience.policy import (
-    RecoveryStats,
-    RetryPolicy,
-    UnrecoverableMessageError,
-    payload_crc,
-)
+from ..resilience import RecoveryStats, Resilience, RetryPolicy
 from ..runtime.executors import Executor, segment_executor
 from ..runtime.team import Tokened, contiguous_shards
 from ..workload import Work, WorkloadMeter
@@ -156,25 +156,6 @@ def _segment_in_worker(
     return _Segment(comm, fn, star)
 
 
-class _ResilState:
-    """Shared resilience box of one communicator world.
-
-    Like :class:`PhaseState`: one mutable object referenced by the
-    world and every subgroup, whenever they were split, so a fault plan
-    enabled on the world also governs subgroup traffic.  ``injector``
-    is ``None`` until :meth:`Communicator.enable_resilience`; the
-    policy and stats always exist (checkpoint charging works without a
-    fault plan).
-    """
-
-    __slots__ = ("injector", "policy", "stats")
-
-    def __init__(self) -> None:
-        self.injector = None
-        self.policy = RetryPolicy()
-        self.stats = RecoveryStats()
-
-
 class Communicator(Tokened):
     """A group of simulated ranks sharing clocks, trace, and cost models.
 
@@ -227,7 +208,7 @@ class Communicator(Tokened):
         self._world: Communicator = self
         self._phase = PhaseState()
         self._exec = _ExecState(segment_executor(executor))
-        self._resil = _ResilState()
+        self._resil = Resilience()
         if machine is not None:
             self._proc: ProcessorModel | None = make_model(
                 machine, loop_registers=loop_registers
@@ -356,24 +337,18 @@ class Communicator(Tokened):
     def enable_resilience(self, injector, policy: RetryPolicy | None = None):
         """Install a fault injector (and optionally a retry policy).
 
-        ``injector`` is a :class:`~repro.resilience.inject.FaultInjector`
-        or a :class:`~repro.resilience.inject.FaultPlan` (wrapped around
-        this communicator's transport).  Point-to-point payloads then
-        flow through the injector; drops and CRC-detected corruption
-        are retransmitted with exponential backoff, latency spikes are
-        absorbed — every repair second charged to the virtual clock and
-        the phase ledger's ``recovery`` column.  Shared with all
-        subgroups of this world.  Returns the installed injector.
+        ``injector`` is a :class:`~repro.resilience.inject.FaultInjector`,
+        a :class:`~repro.resilience.inject.FaultPlan` (wrapped in one),
+        or ``None`` to install the policy alone.  A plan naming a rank
+        outside this world is a ``ValueError``.  Point-to-point phases
+        are then healed by :class:`~repro.resilience.heal.Resilience`:
+        drops and CRC-detected corruption are retransmitted until they
+        arrive intact, latency spikes are absorbed — every repair
+        second charged to the virtual clock and the phase ledger's
+        ``recovery`` column.  Shared with all subgroups of this world.
+        Returns the installed injector.
         """
-        from ..resilience.inject import FaultInjector, FaultPlan
-
-        if isinstance(injector, FaultPlan):
-            injector = FaultInjector(injector, transport=self._transport)
-        resil = self._resil
-        resil.injector = injector
-        if policy is not None:
-            resil.policy = policy
-        return injector
+        return self._resil.enable(injector, policy, self._world.nprocs)
 
     def disable_resilience(self) -> None:
         """Remove the fault injector (policy and stats are kept)."""
@@ -391,11 +366,27 @@ class Communicator(Tokened):
     def recovery_stats(self) -> RecoveryStats:
         return self._resil.stats
 
-    def _check_rank_failure(self) -> None:
-        """Fire a scheduled rank death at this communication point."""
-        inj = self._resil.injector
-        if inj is not None:
-            inj.check_rank_failure()
+    def charge_checkpoint(self, nbytes: int) -> float:
+        """Charge every rank the virtual cost of writing one checkpoint.
+
+        The harness calls this when it snapshots a
+        :class:`~repro.resilience.checkpoint.Checkpointable` solver;
+        the per-rank seconds (aggregate ``nbytes`` over the policy's
+        checkpoint bandwidth) land in the recovery column.  Returns the
+        per-rank seconds charged.
+        """
+        return self._resil.charge_checkpoint(self, nbytes)
+
+    def recover_restart(self, nbytes: int) -> float:
+        """Charge a rank-failure recovery: sync, penalty, restore read.
+
+        All ranks synchronize (the failed collective everyone notices),
+        then pay the policy's flat restart penalty plus the restore
+        read of ``nbytes`` checkpoint bytes.  Every second lands in the
+        recovery column.  Returns the per-rank seconds charged after
+        the synchronization.
+        """
+        return self._resil.recover_restart(self, nbytes)
 
     def _charge_recovery(
         self, g_ranks, seconds: float, phase: str | None,
@@ -415,45 +406,32 @@ class Communicator(Tokened):
                 ledger.record_recovery(phase, g, seconds)
             stats.recovery_rank_seconds += seconds
 
-    def charge_checkpoint(self, nbytes: int) -> float:
-        """Charge every rank the virtual cost of writing one checkpoint.
+    def _charge_resend(
+        self, g_src: int, g_dst: int, nbytes: int, delay: float,
+        phase: str | None,
+    ) -> None:
+        """Book one retransmission: ``delay`` plus wire time on both
+        ends (recovery column), the resent bytes in trace and ledger."""
+        wire = (
+            self._net.ptp_time(nbytes, g_src, g_dst)
+            if self._net is not None
+            else 0.0
+        )
+        self._charge_recovery([g_src], delay + wire, phase, "resend")
+        self._charge_recovery([g_dst], delay + wire, phase, "resend-wait")
+        if self._trace is not None:
+            self._trace.record(g_src, g_dst, nbytes, "resend")
+        ledger = self._phase.ledger
+        if ledger is not None:
+            ledger.record_traffic(phase, g_src, nbytes)
 
-        The harness calls this when it snapshots a
-        :class:`~repro.resilience.checkpoint.Checkpointable` solver;
-        the per-rank seconds (aggregate ``nbytes`` over the policy's
-        checkpoint bandwidth) land in the recovery column.  Returns the
-        per-rank seconds charged.
-        """
-        stats = self._resil.stats
-        dt = self._resil.policy.checkpoint_time(nbytes, self.nprocs)
-        self._charge_recovery(self._ranks, dt, self._phase.current,
-                              label="checkpoint")
-        stats.checkpoints += 1
-        stats.checkpoint_bytes += float(nbytes)
-        return dt
-
-    def recover_restart(self, nbytes: int) -> float:
-        """Charge a rank-failure recovery: sync, penalty, restore read.
-
-        All ranks synchronize (the failed collective everyone notices),
-        then pay the policy's flat restart penalty plus the restore
-        read of ``nbytes`` checkpoint bytes.  Every second lands in the
-        recovery column.  Returns the per-rank seconds charged after
-        the synchronization.
-        """
-        resil = self._resil
-        phase = self._phase.current
+    def _sync_recovery(self, phase: str | None) -> None:
+        """Synchronize the group, booking each rank's wait as recovery."""
         _, waits = self._clock.synchronize_with_waits(self._ranks)
         ledger = self._phase.ledger
         if ledger is not None:
             ledger.record_recovery_group(phase, self._ranks, waits)
-        resil.stats.recovery_rank_seconds += float(waits.sum())
-        dt = resil.policy.restart_penalty + resil.policy.restore_time(
-            nbytes, self.nprocs
-        )
-        self._charge_recovery(self._ranks, dt, phase, label="restart")
-        resil.stats.restarts += 1
-        return dt
+        self._resil.stats.recovery_rank_seconds += float(waits.sum())
 
     @property
     def elapsed(self) -> float:
@@ -622,6 +600,11 @@ class Communicator(Tokened):
         zero-copy fast path: the posted payload objects themselves are
         delivered, which is only safe when the sender does not mutate
         them before the receiver is done.
+
+        With a fault injector installed (:meth:`enable_resilience`),
+        the booked first transmission is then healed: what it lost or
+        corrupted is retransmitted until every payload arrives intact,
+        the repair time booked in the recovery column.
         """
         self._require_serial_region("exchange")
         if not messages:
@@ -629,8 +612,8 @@ class Communicator(Tokened):
         for m in messages:
             if not (0 <= m.src < self.nprocs and 0 <= m.dst < self.nprocs):
                 raise IndexError(f"message rank out of range: {m.src}->{m.dst}")
-        if self._resil.injector is not None:
-            return self._exchange_resilient(list(messages), copy)
+        resil = self._resil
+        resil.check_rank_failure()
         received = self._transport.deliver(messages, copy=copy)
         ledger = self._phase.ledger
         phase = self._phase.current
@@ -643,159 +626,9 @@ class Communicator(Tokened):
             self._charge_ptp_phase(
                 [(m.src, m.dst, m.nbytes) for m in messages]
             )
+        if resil.injector is not None:
+            resil.heal_exchange(self, messages, received)
         return received
-
-    def _exchange_resilient(
-        self, messages: list[Message], copy: bool
-    ) -> dict[int, list[np.ndarray]]:
-        """:meth:`exchange` through the fault injector, self-healing.
-
-        The first transmission charges exactly what the fault-free path
-        would (same trace/ledger/clock arithmetic), so an empty fault
-        plan is accounting-neutral.  Every delivered payload is then
-        verified against its sender-side CRC-32; a missing payload
-        (drop) or a mismatch (bit-flip) is retransmitted with
-        exponential backoff until it arrives intact, the extra time
-        booked in the recovery column.  Posting order per destination
-        is preserved across retransmits, so callers that index
-        ``received[dst]`` positionally are unaffected by faults.
-
-        A scheduled rank death fires here at entry, before anything is
-        charged — the same point :meth:`exchange_phase` and the
-        collectives die at — so the clocks a failed step leaves behind
-        do not depend on which communication path a solver variant
-        takes.
-        """
-        from ..resilience.inject import CORRUPT, DROPPED, OK
-
-        self._check_rank_failure()
-        inj = self._resil.injector
-        ledger = self._phase.ledger
-        phase = self._phase.current
-        crcs = [payload_crc(m.payload) for m in messages]
-        granks = [(self._g(m.src), self._g(m.dst)) for m in messages]
-        triples = [(m.src, m.dst, m.nbytes) for m in messages]
-
-        for k, m in enumerate(messages):
-            if self._trace is not None:
-                self._trace.record(granks[k][0], granks[k][1], m.nbytes)
-            if ledger is not None:
-                ledger.record_traffic(phase, granks[k][0], m.nbytes)
-        if self._net is not None:
-            self._charge_ptp_phase(triples)
-
-        slots: list[np.ndarray | None] = [None] * len(messages)
-
-        def transmit(pending: list[int], attempt: int) -> list[tuple]:
-            outcomes = inj.deliver_faulty(
-                [messages[i] for i in pending],
-                phase=phase,
-                attempts=[attempt] * len(pending),
-                granks=[granks[i] for i in pending],
-                copy=copy,
-            )
-            verdicts = []
-            for i, out in zip(pending, outcomes):
-                if out.payload is None:
-                    verdicts.append((DROPPED, 0.0))
-                elif payload_crc(out.payload) != crcs[i]:
-                    # corruption: caught by the checksum on arrival
-                    verdicts.append((CORRUPT, 0.0))
-                else:
-                    slots[i] = out.payload
-                    verdicts.append((OK, out.extra_s))
-            return verdicts
-
-        self._retransmit_until_clean(granks, triples, transmit)
-        received: dict[int, list[np.ndarray]] = {}
-        for i, m in enumerate(messages):
-            payload = slots[i]
-            assert payload is not None
-            received.setdefault(m.dst, []).append(payload)
-        return received
-
-    def _retransmit_until_clean(
-        self,
-        granks: Sequence[tuple[int, int]],
-        triples: Sequence[tuple[int, int, int]],
-        transmit: Callable[[list[int], int], list[tuple[str, float]]],
-    ) -> None:
-        """The self-healing loop of one point-to-point phase.
-
-        ``transmit(pending, attempt)`` sends the ``pending`` message
-        indices for the ``attempt``-th time and returns one ``(verdict,
-        extra_s)`` per index: ``DROPPED`` (the receiver times out),
-        ``CORRUPT`` (the receiver NACKs) or ``OK`` with the straggler
-        delay it absorbed.  Failed messages are retransmitted with
-        exponential backoff until a round comes back clean; a message
-        still failing after ``policy.max_retries`` retransmits raises
-        :class:`UnrecoverableMessageError`.  :meth:`exchange` (whose
-        ``transmit`` moves and checksums real payloads) and
-        :meth:`exchange_phase` (whose ``transmit`` only asks the
-        injector) book every second, resend and trace record here, so
-        the two cannot drift apart.  ``granks``/``triples`` are the
-        messages' global ``(src, dst)`` and local ``(src, dst, nbytes)``.
-        """
-        from ..resilience.inject import CORRUPT, DROPPED
-
-        policy, stats = self._resil.policy, self._resil.stats
-        ledger = self._phase.ledger
-        phase = self._phase.current
-        pending = list(range(len(granks)))
-        attempt = 0
-        while True:
-            failed: list[int] = []
-            for i, (verdict, extra_s) in zip(
-                pending, transmit(pending, attempt)
-            ):
-                g_dst = granks[i][1]
-                if verdict == DROPPED:
-                    stats.drops_detected += 1
-                    self._charge_recovery(
-                        [g_dst], policy.detect_timeout, phase, "detect"
-                    )
-                    failed.append(i)
-                elif verdict == CORRUPT:
-                    stats.corruptions_detected += 1
-                    self._charge_recovery(
-                        [g_dst], policy.nack_time, phase, "nack"
-                    )
-                    failed.append(i)
-                elif extra_s > 0.0:
-                    stats.delays_absorbed += 1
-                    self._charge_recovery(
-                        [g_dst], extra_s, phase, "straggler"
-                    )
-            if not failed:
-                return
-            attempt += 1
-            for i in failed:
-                src, dst, nb = triples[i]
-                if attempt > policy.max_retries:
-                    raise UnrecoverableMessageError(
-                        f"message {src}->{dst} ({nb} B) still "
-                        f"failing after {policy.max_retries} retransmits"
-                    )
-                g_src, g_dst = granks[i]
-                wire = (
-                    self._net.ptp_time(nb, g_src, g_dst)
-                    if self._net is not None
-                    else 0.0
-                )
-                backoff = policy.backoff(attempt)
-                self._charge_recovery(
-                    [g_src], backoff + wire, phase, "resend"
-                )
-                self._charge_recovery(
-                    [g_dst], backoff + wire, phase, "resend-wait"
-                )
-                stats.resends += 1
-                stats.resend_bytes += nb
-                if self._trace is not None:
-                    self._trace.record(g_src, g_dst, nb, "resend")
-                if ledger is not None:
-                    ledger.record_traffic(phase, g_src, nb)
-            pending = failed
 
     def exchange_phase(
         self,
@@ -846,7 +679,8 @@ class Communicator(Tokened):
             or max(srcs_a.max(), dsts_a.max()) >= self.nprocs
         ):
             raise IndexError("message rank out of range")
-        self._check_rank_failure()
+        resil = self._resil
+        resil.check_rank_failure()
         ledger = self._phase.ledger
         phase = self._phase.current
         if self._trace is not None or ledger is not None:
@@ -859,8 +693,7 @@ class Communicator(Tokened):
                 )
             if ledger is not None:
                 ledger.record_traffic_bulk(phase, g_srcs, nbytes_a)
-        inj = self._resil.injector
-        if self._net is None and inj is None:
+        if self._net is None and resil.injector is None:
             return
         triples = [
             (int(s), int(d), int(nb))
@@ -868,21 +701,8 @@ class Communicator(Tokened):
         ]
         if self._net is not None:
             self._charge_ptp_phase(triples)
-        if inj is not None:
-            # The bytes moved out-of-band, so an injected fault cannot
-            # touch the data — but the wire the accounting models
-            # still flakes, and heals exactly as exchange() would.
-            granks = [(self._g(s), self._g(d)) for s, d, _ in triples]
-            self._retransmit_until_clean(
-                granks,
-                triples,
-                lambda pending, attempt: inj.judge_phase(
-                    phase=phase,
-                    granks=[granks[i] for i in pending],
-                    nbytes=[triples[i][2] for i in pending],
-                    attempt=attempt,
-                ),
-            )
+        if resil.injector is not None:
+            resil.heal_phase(self, triples)
 
     def _charge_ptp_phase(
         self, triples: Sequence[tuple[int, int, int]]
@@ -1124,7 +944,7 @@ class Communicator(Tokened):
         the per-rank share of the collective's traffic.
         """
         self._require_serial_region(label)
-        self._check_rank_failure()
+        self._resil.check_rank_failure()
         ledger = self._phase.ledger
         phase = self._phase.current
         if self._timeline is not None:

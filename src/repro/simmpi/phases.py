@@ -173,7 +173,7 @@ class PhaseLedger:
     def record_recovery(
         self, phase: str | None, rank: int, seconds: float
     ) -> None:
-        """Book fault-recovery time (retransmit, backoff, restore...)."""
+        """Book fault-recovery time (retransmit, restore...)."""
         self.bucket(phase).recovery_s[rank] += seconds
 
     def record_recovery_group(

@@ -239,6 +239,29 @@ class TestRunnerRegistry:
         assert set(out) == {"table2", "table1"}
         assert "nope" in captured.err
 
+    def test_chaos_fail_exits_nonzero(self, capsys, monkeypatch):
+        """A faulted run that does not match its fault-free twin is a
+        failed experiment, not a FAIL line in a zero-exit report."""
+        from repro.experiments import chaos, runner
+        from repro.resilience import RecoveryStats
+
+        def case(app, identical):
+            return chaos.ChaosCase(
+                app=app, nprocs=4, steps=6, identical=identical,
+                clean_elapsed=1.0, faulted_elapsed=1.5, recovery_s=0.5,
+                stats=RecoveryStats().as_dict(),
+            )
+
+        monkeypatch.setattr(
+            chaos, "compute",
+            lambda quick=False: [case("lbmhd", True), case("gtc", False)],
+        )
+        assert runner.main(["chaos", "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert "chaos failed" in captured.err
+        assert "bitwise — FAIL" in captured.err
+        assert "gtc" in captured.err and "NO" in captured.err
+
     def test_cli_accepts_capable_process_executor(self, capsys):
         """Process executors schedule rank segments wherever the host
         supports fork + POSIX shared memory; a host (or env toggle)

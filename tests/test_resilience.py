@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -67,10 +69,10 @@ class TestFaultSpecs:
                 FaultPlan(faults=(MessageDrop(rate=0.5),), seed=3)
             )
             inj.begin_step(0)
-            return [
-                inj.judge(phase=None, src=0, dst=1, attempt=0) is not None
-                for _ in range(32)
-            ]
+            specs = inj.verdicts(
+                phase=None, granks=[(0, 1)] * 32, nbytes=[8] * 32, attempt=0
+            )
+            return [spec is not None for spec in specs]
 
         first, second = outcomes(), outcomes()
         assert first == second
@@ -244,6 +246,54 @@ class TestResilientExchange:
         inj.begin_step(0)
         with pytest.raises(RankFailureError):
             inj.end_step()
+
+    def test_plan_naming_absent_ranks_is_rejected(self):
+        comm = Communicator(4)
+        for spec in (
+            MessageDrop(src=9, dst=0),
+            BitFlip(dst=4),
+            RankFailure(rank=7, step=2),
+        ):
+            with pytest.raises(ValueError, match=re.escape(repr(spec))):
+                comm.enable_resilience(FaultPlan(faults=(spec,)))
+        assert comm.fault_injector is None
+        # a subgroup's plan still names world ranks
+        low, high = comm.split([0, 0, 1, 1])
+        high.enable_resilience(FaultPlan(faults=(MessageDrop(src=3),)))
+        assert comm.fault_injector is not None
+
+    def test_harness_rejects_plan_naming_absent_ranks(self):
+        from repro import harness
+
+        plan = FaultPlan(
+            faults=(RankFailure(rank=7, step=2), MessageDrop(src=9, dst=0))
+        )
+        with pytest.raises(ValueError, match="RankFailure"):
+            harness.run(
+                "lbmhd", steps=4, nprocs=4, machine="Power3",
+                fault_plan=plan, checkpoint_every=2,
+            )
+
+    def test_world_plan_governs_subgroup_exchanges(self):
+        """Faults match global ranks, and the resilience box is shared:
+        a drop of world 2->3 hits the second subgroup's local 0->1."""
+        comm, ledger = self._comm(
+            FaultPlan(faults=(MessageDrop(src=2, dst=3),))
+        )
+        comm.fault_injector.begin_step(0)
+        low, high = comm.split([0, 0, 1, 1])
+        with comm.phase("halo"):
+            out_low = low.exchange([Message(0, 1, np.arange(3.0))])
+            assert comm.recovery_stats.resends == 0
+            out_high = high.exchange([Message(0, 1, np.arange(5.0))])
+        assert np.array_equal(out_low[1][0], np.arange(3.0))
+        assert np.array_equal(out_high[1][0], np.arange(5.0))
+        stats = comm.recovery_stats
+        assert stats.drops_detected == stats.resends == 1
+        assert stats.resend_bytes == 5 * 8
+        recov = ledger.bucket("halo").recovery_s
+        assert recov[0] == recov[1] == 0.0
+        assert recov[2] > 0.0 and recov[3] > 0.0
 
     def test_disable_resilience_restores_plain_path(self):
         comm, _ = self._comm(

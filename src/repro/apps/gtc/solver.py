@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,71 +70,86 @@ class GTCParams:
         return self.particles_per_cell * self.mpsi * self.mtheta
 
 
-# -- rank segments -----------------------------------------------------
+# -- shard functions ---------------------------------------------------
 #
-# Module-level ``(rank, shm, args)`` callables (docs/executors.md):
-# bound per region with ``functools.partial``; every segment returns
-# its result so team workers marshal effects home instead of mutating
-# parent memory they cannot reach.  With a shared-memory arena the
-# particles live in it (``GTC._rehome``), so the regions' bulk traffic
-# — particles in, pushed particles out — goes by reference.
+# Module-level ``(lo, hi, args)`` callables (docs/executors.md), bound
+# per region with ``functools.partial``.  Each steps ranks ``lo:hi`` in
+# ascending order (the order the charges replay in) and returns its
+# ranks' results, which the caller concatenates in shard order: team
+# workers marshal effects home instead of mutating parent memory they
+# cannot reach.  With a shared-memory arena the particles live in it
+# (``GTC._rehome``), so the regions' bulk traffic — particles in,
+# pushed particles out — goes by reference.
 
 
-def _deposit_segment(rank: int, shm, args) -> np.ndarray:
-    """Deposit one rank's particles; returns the unreduced partial.
+def _deposit_shard(lo: int, hi: int, args) -> list[np.ndarray]:
+    """Deposit each rank's particles; returns the unreduced partials.
 
-    The accumulation buffer is drawn from the rank's child arena so
-    concurrent segments never alias — the partials must all survive
+    Each accumulation buffer is drawn from its rank's child arena so
+    concurrent shards never alias — the partials must all survive
     until the subgroup Allreduce that follows the region.
     """
-    p = args.particles[rank]
-    dest = shm.for_rank(rank).scratch("gtc.charge.partial", args.grid.shape)
-    if args.vectorized:
-        rho = args.kernels.gtc_deposit_work_vector(
-            args.grid, p, args.copies, out=dest
+    partials = []
+    for rank in range(lo, hi):
+        p = args.particles[rank]
+        dest = args.arena.for_rank(rank).scratch(
+            "gtc.charge.partial", args.grid.shape
         )
-    else:
-        rho = args.kernels.gtc_deposit_scalar(args.grid, p, out=dest)
-    args.comm.compute(rank, deposit_work(len(p), args.vectorized))
-    return rho
+        if args.vectorized:
+            rho = args.kernels.gtc_deposit_work_vector(
+                args.grid, p, args.copies, out=dest
+            )
+        else:
+            rho = args.kernels.gtc_deposit_scalar(args.grid, p, out=dest)
+        args.comm.compute(rank, deposit_work(len(p), args.vectorized))
+        partials.append(rho)
+    return partials
 
 
-def _field_segment(domain: int, shm, args) -> tuple:
-    """Poisson solve + E-field for one toroidal domain.
+def _field_shard(lo: int, hi: int, args) -> list[tuple]:
+    """Poisson solve + E-field for each toroidal domain whose first
+    rank lies in ``lo:hi``.
 
-    One segment per domain, not per rank: after the subgroup Allreduce
+    One solve per domain, not per rank: after the subgroup Allreduce
     the ranks of a domain hold the same charge bitwise, so they share
-    the one solve.  Virtual time is still charged per rank — each
-    simulated processor does the work — in ascending order, so the
-    deferred charges replay as a serial per-rank loop charges them.
-    Returns ``(phi, (e_r, e_theta))``.
+    the one solve, made by the shard holding the domain's first rank —
+    a domain that straddles shards is never solved twice.  Virtual time
+    is still charged to every rank of the shard: each simulated
+    processor does the work.  Returns ``(phi, (e_r, e_theta))`` per
+    domain solved, in domain order.
     """
-    lo = domain * args.npe
-    rho = args.charge[lo]
-    phi = solve_poisson(args.grid, rho - rho.mean())
-    for rank in range(lo, lo + args.npe):
+    solved = []
+    for rank in range(lo, hi):
+        if rank % args.npe == 0:
+            rho = args.charge[rank]
+            phi = solve_poisson(args.grid, rho - rho.mean())
+            solved.append((phi, electric_field(args.grid, phi)))
         args.comm.compute(rank, args.work)
-    return phi, electric_field(args.grid, phi)
+    return solved
 
 
-def _push_segment(rank: int, shm, args) -> ParticleArray:
-    """Gather E at one rank's particles and advance them; returns the
+def _push_shard(lo: int, hi: int, args) -> list[ParticleArray]:
+    """Gather E at each rank's particles and advance them; returns the
     pushed particles — in ``args.outs[rank]`` where the caller put a
-    buffer there (shared memory, so it comes home by reference)."""
-    p = args.particles[rank]
-    # the ranks of a domain share their E-fields; segments only read them
-    e_r, e_theta = args.e_fields[rank]
-    er_p, et_p = args.kernels.gtc_gather_field(args.grid, e_r, e_theta, p)
-    new = args.kernels.gtc_push_particles(
-        args.torus,
-        p,
-        er_p,
-        et_p,
-        args.push_params,
-        out=args.outs[rank],
-    )
-    args.comm.compute(rank, push_work(len(p), args.vectorized))
-    return new
+    buffer there (shared memory, so they come home by reference)."""
+    pushed = []
+    for rank in range(lo, hi):
+        p = args.particles[rank]
+        # the ranks of a domain share their E-fields; shards only read them
+        e_r, e_theta = args.e_fields[rank]
+        er_p, et_p = args.kernels.gtc_gather_field(args.grid, e_r, e_theta, p)
+        pushed.append(
+            args.kernels.gtc_push_particles(
+                args.torus,
+                p,
+                er_p,
+                et_p,
+                args.push_params,
+                out=args.outs[rank],
+            )
+        )
+        args.comm.compute(rank, push_work(len(p), args.vectorized))
+    return pushed
 
 
 class GTC:
@@ -204,14 +220,17 @@ class GTC:
         """Per-rank charge deposition; returns the unreduced partials."""
         args = SimpleNamespace(
             comm=self.comm,
+            arena=self.arena,
             grid=self.torus.plane,
             particles=self.particles,
             vectorized=self.params.use_work_vector,
             copies=self.params.work_vector_copies,
             kernels=self.kernels,
         )
-        return self.comm.map_ranks(
-            partial(_deposit_segment, shm=self.arena, args=args)
+        return list(
+            chain.from_iterable(
+                self.comm.map_shards(partial(_deposit_shard, args=args))
+            )
         )
 
     def _reduce_charge(self, partial: list[np.ndarray]) -> None:
@@ -225,7 +244,7 @@ class GTC:
 
     def field_phase(self) -> None:
         """Poisson solve and E-field, replicated per rank (phase 3):
-        computed once per toroidal domain (:func:`_field_segment`), the
+        computed once per toroidal domain (:func:`_field_shard`), the
         read-only results shared by the domain's ranks."""
         grid = self.torus.plane
         npe = self.decomp.npe_per_domain
@@ -236,9 +255,8 @@ class GTC:
             work=poisson_work(grid),
             charge=self.charge,
         )
-        per_domain = self.comm.map_ranks(
-            partial(_field_segment, shm=self.arena, args=args),
-            indices=range(self.decomp.ntoroidal),
+        per_domain = chain.from_iterable(
+            self.comm.map_shards(partial(_field_shard, args=args))
         )
         self.e_fields = []
         for domain, (phi, e_field) in enumerate(per_domain):
@@ -302,8 +320,10 @@ class GTC:
             vectorized=self.params.use_work_vector,
             kernels=self.kernels,
         )
-        self.particles = self.comm.map_ranks(
-            partial(_push_segment, shm=self.arena, args=args)
+        self.particles = list(
+            chain.from_iterable(
+                self.comm.map_shards(partial(_push_shard, args=args))
+            )
         )
 
     def shift_phase(self) -> None:

@@ -24,11 +24,7 @@ import numpy as np
 from ...kernels import KernelBackend, get_backend
 from ...runtime.arena import Arena
 from ...simmpi.comm import Communicator
-from .collision import (
-    COLLISION_REGISTER_DEMAND,
-    CollisionParams,
-    collision_work,
-)
+from .collision import CollisionParams, collision_work
 from .decomp import CartesianDecomposition3D, exchange_halos_block
 from .equilibrium import f_equilibrium, g_equilibrium
 from .fields import (
@@ -334,10 +330,6 @@ class LBMHD3D:
         """Total useful flops per time step (all ranks)."""
         points = int(np.prod(self.params.shape))
         return collision_work(points).flops
-
-    @property
-    def register_demand(self) -> float:
-        return COLLISION_REGISTER_DEMAND
 
 
 def _q27_float() -> np.ndarray:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,84 +41,102 @@ from ...simmpi.comm import Communicator
 from ...workload import Work
 from .gvectors import GSphere, SphereDistribution, _wrap_index
 
-# -- rank segments -----------------------------------------------------
+# -- shard functions ---------------------------------------------------
 #
-# Module-level ``(rank, shm, args)`` callables (docs/executors.md).
-# ``args.plan`` is the ParallelFFT3D engine itself: its column/slab
-# tables are built once in ``__post_init__`` and immutable afterwards
-# (partition-and-build-once), so segments only read it.  ``shm`` is the
-# engine's arena: staging buffers come from the rank's child arena, and
-# every segment returns its result, which keeps the transforms correct
-# under forked workers (whose arena is their own copy).
+# Module-level ``(lo, hi, args)`` callables (docs/executors.md).  Each
+# steps ranks ``lo:hi`` in ascending order and returns their results,
+# which the caller concatenates in shard order; that keeps the
+# transforms correct under forked workers (whose arena is their own
+# copy).  ``args.plan`` is the ParallelFFT3D engine itself: its
+# column/slab tables are built once in ``__post_init__`` and immutable
+# afterwards (partition-and-build-once), so shards only read it.
+# Staging buffers come from each rank's child of ``args.arena``, the
+# engine's arena.
 
 
-def _line_segment(rank: int, shm, args) -> np.ndarray:
-    """Scatter one rank's sphere points into columns; inverse-FFT in z."""
+def _line_shard(lo: int, hi: int, args) -> list[np.ndarray]:
+    """Scatter each rank's sphere points into columns; inverse-FFT in z."""
     plan = args.plan
-    coeffs = args.coeffs[rank]
-    ncol = len(plan._col_keys[rank])
-    line = shm.for_rank(rank).scratch(
-        "paratec.line",
-        (*coeffs.shape[:-1], ncol, plan.grid_shape[2]),
-        np.complex128,
-    )
-    line.fill(0.0)
-    line[..., plan._col_of_point[rank], plan._gz_of_point[rank]] = coeffs
-    return plan.kernels.paratec_ifft_z(line)
+    lines = []
+    for rank in range(lo, hi):
+        coeffs = args.coeffs[rank]
+        ncol = len(plan._col_keys[rank])
+        line = args.arena.for_rank(rank).scratch(
+            "paratec.line",
+            (*coeffs.shape[:-1], ncol, plan.grid_shape[2]),
+            np.complex128,
+        )
+        line.fill(0.0)
+        line[..., plan._col_of_point[rank], plan._gz_of_point[rank]] = coeffs
+        lines.append(plan.kernels.paratec_ifft_z(line))
+    return lines
 
 
-def _ifft2_segment(rank: int, shm, args) -> np.ndarray:
-    return args.kernels.paratec_ifft2_planes(args.slabs[rank])
+def _ifft2_shard(lo: int, hi: int, args) -> list[np.ndarray]:
+    return [args.kernels.paratec_ifft2_planes(s) for s in args.slabs[lo:hi]]
 
 
-def _fft2_segment(rank: int, shm, args) -> np.ndarray:
-    return args.kernels.paratec_fft2_planes(args.slabs[rank])
+def _fft2_shard(lo: int, hi: int, args) -> list[np.ndarray]:
+    return [args.kernels.paratec_fft2_planes(s) for s in args.slabs[lo:hi]]
 
 
-def _unpack_slab_segment(j: int, shm, args) -> np.ndarray:
-    """Place every rank's delivered columns into rank j's slab."""
+def _unpack_slab_shard(lo: int, hi: int, args) -> list[np.ndarray]:
+    """Place every rank's delivered columns into each rank's slab."""
     plan = args.plan
     n1, n2, _ = plan.grid_shape
-    nz = plan.slab_shape(j)[2]
-    lead = args.recv[j][0].shape[:-2]
-    rank_arena = shm.for_rank(j)
-    slab = rank_arena.scratch(
-        "paratec.slab", (*lead, n1, n2, nz), np.complex128
-    )
-    slab.fill(0.0)
-    # stage every sender's rows once, then one stacked scatter
     off = plan._col_offsets
-    rows = rank_arena.scratch(
-        "paratec.rows", (*lead, int(off[-1]), nz), np.complex128
-    )
-    for i in range(args.p):
-        rows[..., off[i] : off[i + 1], :] = args.recv[j][i]
-    slab[..., plan._all_keys[:, 0], plan._all_keys[:, 1], :] = rows
-    return slab
+    slabs = []
+    for j in range(lo, hi):
+        nz = plan.slab_shape(j)[2]
+        lead = args.recv[j][0].shape[:-2]
+        rank_arena = args.arena.for_rank(j)
+        slab = rank_arena.scratch(
+            "paratec.slab", (*lead, n1, n2, nz), np.complex128
+        )
+        slab.fill(0.0)
+        # stage every sender's rows once, then one stacked scatter
+        rows = rank_arena.scratch(
+            "paratec.rows", (*lead, int(off[-1]), nz), np.complex128
+        )
+        for i in range(args.p):
+            rows[..., off[i] : off[i + 1], :] = args.recv[j][i]
+        slab[..., plan._all_keys[:, 0], plan._all_keys[:, 1], :] = rows
+        slabs.append(slab)
+    return slabs
 
 
-def _zline_segment(i: int, shm, args) -> np.ndarray:
+def _zline_shard(lo: int, hi: int, args) -> list[np.ndarray]:
     """Reassemble full z-lines, forward-FFT, pull the sphere points."""
     plan = args.plan
-    lead = args.recv[i][0].shape[:-2]
-    ncol = len(plan._col_keys[i])
-    line = shm.for_rank(i).scratch(
-        "paratec.zline", (*lead, ncol, plan.grid_shape[2]), np.complex128
-    )
-    for j in range(args.p):
-        lo, hi = plan.slab_range(j)
-        line[..., lo:hi] = args.recv[i][j]
-    fz = plan.kernels.paratec_fft_z(line)
-    return fz[..., plan._col_of_point[i], plan._gz_of_point[i]]
+    points = []
+    for i in range(lo, hi):
+        lead = args.recv[i][0].shape[:-2]
+        ncol = len(plan._col_keys[i])
+        line = args.arena.for_rank(i).scratch(
+            "paratec.zline", (*lead, ncol, plan.grid_shape[2]), np.complex128
+        )
+        for j in range(args.p):
+            z0, z1 = plan.slab_range(j)
+            line[..., z0:z1] = args.recv[i][j]
+        fz = plan.kernels.paratec_fft_z(line)
+        points.append(fz[..., plan._col_of_point[i], plan._gz_of_point[i]])
+    return points
 
 
-def _pack_slab_segment(j: int, shm, args) -> list[np.ndarray]:
-    """One stacked gather of every destination's columns; each rank's
-    block is a row range (a view) of it."""
+def _pack_slab_shard(lo: int, hi: int, args) -> list[list[np.ndarray]]:
+    """One stacked gather of every destination's columns per rank; each
+    destination's block is a row range (a view) of it."""
     plan = args.plan
     off = plan._col_offsets
-    allcols = args.f2s[j][..., plan._all_keys[:, 0], plan._all_keys[:, 1], :]
-    return [allcols[..., off[i] : off[i + 1], :] for i in range(args.p)]
+    sends = []
+    for j in range(lo, hi):
+        allcols = args.f2s[j][
+            ..., plan._all_keys[:, 0], plan._all_keys[:, 1], :
+        ]
+        sends.append(
+            [allcols[..., off[i] : off[i + 1], :] for i in range(args.p)]
+        )
+    return sends
 
 
 @dataclass
@@ -209,6 +228,14 @@ class ParallelFFT3D:
 
     # -- transforms -----------------------------------------------------------
 
+    def _per_rank(self, shard_fn, **args) -> list:
+        """One ``map_shards`` region of ``shard_fn`` over ``args``; the
+        shards' per-rank results, concatenated in rank order."""
+        shards = self.comm.map_shards(
+            partial(shard_fn, args=SimpleNamespace(**args))
+        )
+        return list(chain.from_iterable(shards))
+
     def sphere_to_real(self, coeffs: list[np.ndarray]) -> list[np.ndarray]:
         """psi(G) (per-rank sphere slices) -> psi(r) (per-rank z-slabs).
 
@@ -219,23 +246,13 @@ class ParallelFFT3D:
         :meth:`real_to_sphere` is the identity.
         """
         # 1. scatter points into columns; 1-D inverse FFT along z.
-        lines = self.comm.map_ranks(
-            partial(
-                _line_segment,
-                shm=self.arena,
-                args=SimpleNamespace(plan=self, coeffs=coeffs),
-            )
+        lines = self._per_rank(
+            _line_shard, plan=self, arena=self.arena, coeffs=coeffs
         )
 
         # 2 + 3. global transpose, then 2-D inverse FFT per plane.
         slabs = self.transpose_columns_to_slabs(lines)
-        return self.comm.map_ranks(
-            partial(
-                _ifft2_segment,
-                shm=self.arena,
-                args=SimpleNamespace(slabs=slabs, kernels=self.kernels),
-            )
-        )
+        return self._per_rank(_ifft2_shard, slabs=slabs, kernels=self.kernels)
 
     def transpose_columns_to_slabs(
         self, lines: list[np.ndarray]
@@ -258,12 +275,8 @@ class ParallelFFT3D:
         with self.comm.phase("fft"):
             recv = self.comm.alltoallv(send, copy=False)
 
-        return self.comm.map_ranks(
-            partial(
-                _unpack_slab_segment,
-                shm=self.arena,
-                args=SimpleNamespace(plan=self, recv=recv, p=p),
-            )
+        return self._per_rank(
+            _unpack_slab_shard, plan=self, arena=self.arena, recv=recv, p=p
         )
 
     def real_to_sphere(self, slabs: list[np.ndarray]) -> list[np.ndarray]:
@@ -276,24 +289,14 @@ class ParallelFFT3D:
         p = self.comm.nprocs
 
         # 1. 2-D forward FFT per plane.
-        f2s = self.comm.map_ranks(
-            partial(
-                _fft2_segment,
-                shm=self.arena,
-                args=SimpleNamespace(slabs=slabs, kernels=self.kernels),
-            )
-        )
+        f2s = self._per_rank(_fft2_shard, slabs=slabs, kernels=self.kernels)
 
         # 2. global transpose slabs -> columns.
         recv = self.transpose_slabs_to_columns(f2s)
 
         # 3. reassemble full z-lines; forward FFT along z; pull points.
-        return self.comm.map_ranks(
-            partial(
-                _zline_segment,
-                shm=self.arena,
-                args=SimpleNamespace(plan=self, recv=recv, p=p),
-            )
+        return self._per_rank(
+            _zline_shard, plan=self, arena=self.arena, recv=recv, p=p
         )
 
     def transpose_slabs_to_columns(
@@ -309,13 +312,7 @@ class ParallelFFT3D:
         views, delivered uncopied.
         """
         p = self.comm.nprocs
-        send = self.comm.map_ranks(
-            partial(
-                _pack_slab_segment,
-                shm=self.arena,
-                args=SimpleNamespace(plan=self, f2s=f2s, p=p),
-            )
-        )
+        send = self._per_rank(_pack_slab_shard, plan=self, f2s=f2s, p=p)
         with self.comm.phase("fft"):
             return self.comm.alltoallv(send, copy=False)
 

@@ -81,13 +81,6 @@ class CampaignReport:
             ],
         }
 
-    def to_records(self, *, source: str = "") -> list:
-        """This invocation as canonical :class:`repro.perfdb.RunRecord`
-        rows — the uniform emission path every measurement shares."""
-        from ..perfdb.ingest import records_from_report
-
-        return records_from_report(self, source=source)
-
     def render(self) -> str:
         """ASCII per-config table plus the hit/miss/time footer."""
         width = max([len(r.config.label) for r in self.rows] or [10])

@@ -11,10 +11,10 @@ failure isolation, all of which key off the ``imap_unordered``
 contract.
 
 Scope: campaign-level jobs only.  :meth:`segment_support` reports
-False — per-rank compute segments are closures over live solver
-memory and cannot cross a socket — so a communicator handed this
-executor falls back to serial rank stepping, exactly like a host
-without fork support.
+False — rank segments need workers forked from the process that built
+the solver, which a worker across a socket is not — so a communicator
+handed this executor falls back to serial rank stepping, exactly like
+a host without fork support.
 
 Tuning knobs ride on environment variables (the spec string stays a
 plain endpoint so every existing ``--scheduler`` surface works
@@ -135,8 +135,8 @@ class DistribExecutor(Executor):
         return Support(
             False,
             "distrib schedules whole campaign configs across hosts; "
-            "rank segments close over live solver memory and cannot "
-            "cross a socket",
+            "rank segments need workers forked from the process that "
+            "built the solver",
         )
 
     def map(

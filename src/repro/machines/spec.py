@@ -219,10 +219,6 @@ class MachineSpec:
         """STREAM bytes available per peak flop (Table 1 'Peak Stream')."""
         return self.stream_bw_gbs / self.peak_gflops
 
-    @property
-    def clock_ghz(self) -> float:
-        return self.clock_mhz / 1000.0
-
     def pct_of_peak(self, gflops_per_proc: float) -> float:
         """Express a sustained per-processor rate as percentage of peak."""
         return 100.0 * gflops_per_proc / self.peak_gflops

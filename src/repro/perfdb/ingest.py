@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .record import RunRecord, pr_from_source
 
@@ -303,13 +303,3 @@ def ingest_path(path: "str | Path") -> list[RunRecord]:
                         continue
         return out
     return _records_from_payload(p)
-
-
-def ingest_paths(
-    db: Any, paths: Iterable["str | Path"]
-) -> dict[str, int]:
-    """Ingest every path into ``db``; returns ``{path: new-row-count}``."""
-    counts: dict[str, int] = {}
-    for path in paths:
-        counts[str(path)] = db.add(ingest_path(path))
-    return counts

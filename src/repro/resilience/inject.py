@@ -25,7 +25,7 @@ Fault kinds, mirroring what the paper's platforms actually suffer:
 Determinism: specs with ``rate < 1`` draw from a private
 ``np.random.default_rng(plan.seed)`` in message-posting order, which is
 serialized by construction (communication is forbidden inside
-``map_ranks`` regions), so a plan replays identically under any
+``map_shards`` regions), so a plan replays identically under any
 executor.
 """
 

@@ -137,10 +137,6 @@ class Arena(Tokened):
         """
         return False
 
-    def scratch_like(self, key: str, ref: np.ndarray) -> np.ndarray:
-        """Workspace with the shape and dtype of a reference array."""
-        return self.scratch(key, ref.shape, ref.dtype)
-
     def for_rank(self, rank: int) -> "Arena":
         """The per-rank child arena — disjoint pool, stable identity.
 

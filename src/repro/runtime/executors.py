@@ -26,7 +26,7 @@ range(nprocs)`` loop.  The executor seam makes that loop pluggable:
   capability policy to it.
 
 Executors schedule **compute only**.  Communication stays serialized
-between parallel regions (see ``Communicator.map_ranks``), and the
+between parallel regions (see ``Communicator.map_shards``), and the
 deferred-accounting replay in the communicator guarantees that every
 executor produces bitwise-identical solver states and identical
 clock/trace/ledger instrumentation — only real wall-clock differs.
@@ -87,7 +87,7 @@ class Executor:
         raise NotImplementedError
 
     def segment_support(self) -> Support:
-        """Can this executor schedule ``map_ranks`` segments here?
+        """Can this executor schedule rank segments here?
 
         In-process executors always can; :class:`ProcessExecutor`
         checks the host for ``fork`` and POSIX shared memory.  The

@@ -36,11 +36,9 @@ Design points, in the order they bit:
   jobs simulating them — fall back to serial execution instead of
   failing mid-run.
 
-:class:`ShmHandles` (from :meth:`SharedArenaPool.handles`) is the
-picklable by-name description of the pool for processes that did *not*
-fork from the creator — spawned workers attach each slab by name and
-resolve labeled buffers to views.  Forked workers don't need it: they
-inherit the mappings.
+:class:`ShmHandles` (from :meth:`SharedArenaPool.handles`) names the
+pool's slabs as ``/dev/shm`` lists them.  Workers never need it: they
+are forked, and inherit the mappings.
 
 Every slab a process can see (created here, inherited at fork, or
 attached since) is in one per-process table; :func:`reduce_ndarray`
@@ -145,8 +143,8 @@ def _release_segments(segments: list, owner_pid: int) -> None:
         _detach_segment(seg)
 
 
-class _GuestSegment:
-    """An existing segment attached by name: mapped, never owned.
+def _attach(name: str) -> memoryview:
+    """Map an existing segment by name: mapped, never owned.
 
     ``SharedMemory(name)`` is not used because before Python 3.13 it
     registers the segment with the resource tracker, and a process
@@ -156,24 +154,13 @@ class _GuestSegment:
     guest has nothing to tell the tracker, so it maps the segment
     itself.
     """
+    import _posixshmem  # what SharedMemory itself is built on
 
-    def __init__(self, name: str) -> None:
-        import _posixshmem  # what SharedMemory itself is built on
-
-        fd = _posixshmem.shm_open(
-            "/" + name.lstrip("/"), os.O_RDWR, mode=0o600
-        )
-        try:
-            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
-        finally:
-            os.close(fd)
-        self.buf: memoryview | None = memoryview(self._mmap)
-
-    def detach(self) -> None:
-        """Drop the handle; live views keep the mapping (see
-        :func:`_detach_segment`)."""
-        self.buf = None
-        self._mmap = None
+    fd = _posixshmem.shm_open("/" + name.lstrip("/"), os.O_RDWR, mode=0o600)
+    try:
+        return memoryview(mmap.mmap(fd, os.fstat(fd).st_size))
+    finally:
+        os.close(fd)
 
 
 # -- arrays by reference ----------------------------------------------------
@@ -209,7 +196,7 @@ def slab_view(
     process forked) is attached by name and kept."""
     entry = _SLABS.get(name)
     if entry is None:
-        _remember_slab(name, _GuestSegment(name).buf)
+        _remember_slab(name, _attach(name))
         entry = _SLABS[name]
     return np.ndarray(
         shape, dtype=dtype, buffer=entry[2], offset=offset, strides=strides
@@ -235,49 +222,9 @@ def reduce_ndarray(arr: np.ndarray):
 
 @dataclass(frozen=True)
 class ShmHandles:
-    """Picklable by-name description of a pool's slabs and buffers.
-
-    ``buffers`` maps label -> (slab index, byte offset, shape, dtype
-    str).  :meth:`open` attaches every slab in a foreign process (one
-    that did not fork from the pool's creator) and resolves labels to
-    live views.
-    """
+    """The names of a pool's live slabs, as ``/dev/shm`` lists them."""
 
     segments: tuple[str, ...]
-    buffers: tuple[tuple[str, int, int, tuple[int, ...], str], ...]
-
-    def open(self) -> "AttachedPool":
-        return AttachedPool(self)
-
-
-class AttachedPool:
-    """A foreign process's live attachment to a pool's slabs."""
-
-    def __init__(self, handles: ShmHandles) -> None:
-        self._segments = [_GuestSegment(n) for n in handles.segments]
-        self._index = {
-            label: (seg, off, shape, dtype)
-            for label, seg, off, shape, dtype in handles.buffers
-        }
-
-    def view(self, label: str) -> np.ndarray:
-        """The live shared view of one labeled buffer."""
-        seg_idx, off, shape, dtype = self._index[label]
-        return np.ndarray(
-            shape,
-            dtype=np.dtype(dtype),
-            buffer=self._segments[seg_idx].buf,
-            offset=off,
-        )
-
-    def labels(self) -> list[str]:
-        return sorted(self._index)
-
-    def close(self) -> None:
-        """Detach (never unlink — attachers are guests, not owners)."""
-        for seg in self._segments:
-            seg.detach()
-        self._segments = []
 
 
 class SharedArenaPool:
@@ -310,7 +257,6 @@ class SharedArenaPool:
         self._lock = threading.Lock()
         self._segments: list[shared_memory.SharedMemory] = []
         self._spare = 0  # bytes left in the last slab
-        self._table: dict[str, tuple[int, int, tuple[int, ...], str]] = {}
         self._owner_pid = os.getpid()
         self._closed = False
         self._buffers = 0
@@ -338,6 +284,8 @@ class SharedArenaPool:
 
         The ``None`` return is the graceful path a forked worker (or a
         closed pool) takes — callers substitute private memory.
+        ``label`` is the caller's name for the buffer; the pool keeps
+        no record of it.
         """
         if not self.writable:
             return None
@@ -356,14 +304,11 @@ class SharedArenaPool:
                 self._segments.append(seg)
                 self._spare = size
                 _remember_slab(seg.name, seg.buf)
-            seg_idx = len(self._segments) - 1
-            seg = self._segments[seg_idx]
+            seg = self._segments[-1]
             offset = seg.size - self._spare
             self._spare -= need
             self._buffers += 1
             self._used_bytes += nbytes
-            if label is not None:
-                self._table[label] = (seg_idx, offset, shape, dt.str)
         return np.ndarray(shape, dtype=dt, buffer=seg.buf, offset=offset)
 
     def allocate(
@@ -387,14 +332,9 @@ class SharedArenaPool:
         return ShmArena(self, name=name)
 
     def handles(self) -> ShmHandles:
-        """Picklable attachment info for non-forked worker processes."""
+        """The names of the pool's slabs so far."""
         with self._lock:
-            return ShmHandles(
-                segments=tuple(seg.name for seg in self._segments),
-                buffers=tuple(
-                    (label, *entry) for label, entry in self._table.items()
-                ),
-            )
+            return ShmHandles(tuple(seg.name for seg in self._segments))
 
     # -- lifecycle ------------------------------------------------------
 
@@ -470,8 +410,7 @@ class ShmArena(Arena):
     def _new_buffer(
         self, key: str, shape: tuple[int, ...], dtype: np.dtype
     ) -> np.ndarray:
-        label = f"{self.name}/{key}/{'x'.join(map(str, shape))}/{dtype.str}"
-        buf = self._shm_pool.try_allocate(shape, dtype, label=label)
+        buf = self._shm_pool.try_allocate(shape, dtype)
         if buf is None:
             return np.zeros(shape, dtype=dtype)
         return buf

@@ -18,8 +18,7 @@ The :class:`Communicator` itself is a facade over four composed layers:
 * :class:`~repro.runtime.executors.Executor` — how per-rank compute
   segments are scheduled (serial lockstep, a thread pool, or a
   persistent team of forked worker processes over shared-memory
-  arenas), reached through :meth:`Communicator.map_ranks` and
-  :meth:`Communicator.map_shards`.
+  arenas), reached through :meth:`Communicator.map_shards`.
 
 Fault handling is not one of them: the facade consults a
 :class:`~repro.resilience.heal.Resilience` hook when a communication
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,7 +90,7 @@ class _ExecState:
     """Executor + parallel-region state shared by world and subgroups.
 
     Lives in one box (like :class:`PhaseState`) so a subgroup split
-    before or after a ``map_ranks`` region sees the same region flag:
+    before or after a ``map_shards`` region sees the same region flag:
     compute charged on a subcommunicator inside a segment defers like
     compute charged on the world, and communication attempted on either
     is rejected.
@@ -111,49 +110,46 @@ class _ExecState:
 
 
 class _Segment:
-    """What a region hands the executor: ``item -> (result, charges)``.
+    """What a region hands the executor: ``(lo, hi) -> (charges, result)``.
 
-    Each call runs ``fn(item)`` — ``fn(*item)`` for the ``(lo, hi)``
-    items of :meth:`Communicator.map_shards` — with a private
-    deferred-charge buffer installed on the calling thread.  A class
-    rather than a closure so that a region can be sent to a rank-team
-    worker: it pickles as its communicator (by token — the worker's
-    inherited copy, whose executor state the call then uses) and
-    ``fn``.
+    Each call runs ``fn(lo, hi)`` with a private deferred-charge buffer
+    installed on the calling thread.  A class rather than a closure so
+    that a region can be sent to a rank-team worker: it pickles as its
+    communicator (by token — the worker's inherited copy, whose
+    executor state the call then uses) and ``fn``.
     """
 
-    __slots__ = ("comm", "fn", "star", "state")
+    __slots__ = ("comm", "fn", "state")
 
-    def __init__(
-        self, comm: "Communicator", fn: Callable, star: bool = False
-    ) -> None:
+    def __init__(self, comm: "Communicator", fn: Callable) -> None:
         self.comm = comm
         self.fn = fn
-        self.star = star
         self.state = comm._exec
 
     def __reduce__(self):
-        return _segment_in_worker, (self.comm, self.fn, self.star)
+        return _segment_in_worker, (self.comm, self.fn)
 
-    def __call__(self, item):
+    def __call__(self, shard: tuple[int, int]):
         buf: list[tuple[int, Work, float]] = []
         tls = self.state.tls
         tls.buffer = buf
         try:
-            return (self.fn(*item) if self.star else self.fn(item)), buf
+            result = self.fn(*shard)
         finally:
             tls.buffer = None
+        # charges first: pickled home, the names every charge repeats
+        # then take pickle's short memo slots before a shard's results
+        # fill them
+        return buf, result
 
 
-def _segment_in_worker(
-    comm: "Communicator", fn: Callable, star: bool
-) -> _Segment:
+def _segment_in_worker(comm: "Communicator", fn: Callable) -> _Segment:
     """Unpickle a :class:`_Segment` in a rank-team worker."""
     # the worker's copy of the executor state dates from its fork, when
     # this communicator need not have been inside a region — and a
     # worker only ever runs segments
     comm._exec.active = True
-    return _Segment(comm, fn, star)
+    return _Segment(comm, fn)
 
 
 class Communicator(Tokened):
@@ -178,7 +174,7 @@ class Communicator(Tokened):
     loop_registers:
         Register-demand hint forwarded to the vector processor model.
     executor:
-        How :meth:`map_ranks` schedules per-rank compute segments: an
+        How :meth:`map_shards` schedules per-rank compute: an
         :class:`~repro.runtime.executors.Executor`, a spec string
         (``"serial"``, ``"threads[:N]"``, ``"processes[:N]"``), or
         ``None`` for the ambient choice — resolved here, once, by
@@ -284,7 +280,7 @@ class Communicator(Tokened):
 
     @property
     def executor(self) -> Executor:
-        """The executor scheduling :meth:`map_ranks` segments."""
+        """The executor scheduling :meth:`map_shards` regions."""
         return self._exec.executor
 
     # -- IPM-style phase instrumentation -------------------------------
@@ -453,70 +449,51 @@ class Communicator(Tokened):
 
     # -- executor seam ---------------------------------------------------
 
-    def map_ranks(
-        self,
-        fn: Callable[[int], _R],
-        indices: Iterable[int] | None = None,
-    ) -> list[_R]:
-        """Run independent per-rank compute segments via the executor.
-
-        ``fn(index)`` is called once per index (default: every local
-        rank), possibly concurrently, and the results are returned in
-        index order.  Segments are *compute only*: they may mutate
-        rank-local state and charge :meth:`compute`, but any
-        communication (exchange, collectives, phase changes) raises
-        ``RuntimeError`` — communication belongs between regions, where
-        rank order is deterministic.
-
-        Determinism contract: while the region runs, every ``compute``
-        charge is deferred into the calling segment's buffer instead of
-        touching the meter/clock/ledger; when all segments finish, the
-        charges are replayed in segment order — exactly the order a
-        serial ``for`` loop would have produced.  Serial, threaded and
-        process executors therefore yield bitwise-identical clocks,
-        traces, ledgers and meters; only real wall-clock differs.  A
-        region that raises charges nothing.
-
-        Every segment runs with a private buffer and returns
-        ``(result, buffer)`` through ``executor.map_segments`` — plain
-        ``map`` in process, a message to a rank-team worker otherwise —
-        so there is one replay path.  Segments scheduled out of process
-        read only their arguments and return their effects (or write
-        them through shared-memory arguments): in-place mutation of
-        ordinary parent memory stays in the worker.
-        """
-        idx = list(range(self.nprocs)) if indices is None else list(indices)
-        return self._region(_Segment(self, fn), idx)
-
     def map_shards(self, fn: Callable[[int, int], _R]) -> list[_R]:
         """Run ``fn(lo, hi)`` once per contiguous shard of the ranks.
 
-        For batched kernels that step a block of ranks in one call: the
-        ranks are cut into as many contiguous ``[lo, hi)`` shards as
-        the executor has workers — one shard ``(0, nprocs)`` on a
-        serial executor — and the results come back in shard order.
-        Everything :meth:`map_ranks` says about segments holds: compute
-        only, charges deferred and replayed in shard order (so ``fn``
-        charges its ranks in ascending order), no nesting, a region
-        that raises charges nothing.
-        """
-        shards = contiguous_shards(self.nprocs, self._exec.executor.workers)
-        return self._region(_Segment(self, fn, star=True), shards)
+        The ranks are cut into as many contiguous ``[lo, hi)`` shards as
+        the executor has workers — one shard ``(0, nprocs)`` on a serial
+        executor — and ``fn`` steps its shard's ranks, possibly
+        concurrently with the other shards; the results come back in
+        shard order.  Shards are *compute only*: they may mutate
+        rank-local state and charge :meth:`compute`, but any
+        communication (exchange, collectives, phase changes) raises
+        ``RuntimeError`` — communication belongs between regions, where
+        rank order is deterministic.  Regions do not nest.
 
-    def _region(self, segment: _Segment, items: list) -> list:
+        Determinism contract: while the region runs, every ``compute``
+        charge is deferred into the calling shard's buffer instead of
+        touching the meter/clock/ledger; when all shards finish, the
+        charges are replayed in shard order — so a ``fn`` that charges
+        its ranks in ascending order replays exactly as a serial
+        ``for`` loop over every rank would have charged.  Serial,
+        threaded and process executors therefore yield
+        bitwise-identical clocks, traces, ledgers and meters; only real
+        wall-clock differs.  A region that raises charges nothing.
+
+        Every shard runs with a private buffer and returns ``(buffer,
+        result)`` through ``executor.map_segments`` — plain ``map`` in
+        process, a message to a rank-team worker otherwise — so there
+        is one replay path.  Shards scheduled out of process read only
+        their arguments and return their effects (or write them through
+        shared-memory arguments): in-place mutation of ordinary parent
+        memory stays in the worker.
+        """
         exec_state = self._exec
         if exec_state.active:
-            raise RuntimeError("map_ranks regions cannot nest")
-        if not items:
-            return []
+            raise RuntimeError("parallel regions cannot nest")
+        shards = contiguous_shards(self.nprocs, exec_state.executor.workers)
         exec_state.active = True
         try:
-            outcomes = exec_state.executor.map_segments(segment, items)
+            outcomes = exec_state.executor.map_segments(
+                _Segment(self, fn), shards
+            )
         finally:
             exec_state.active = False
             exec_state.tls.buffer = None
         results = []
-        for result, buf in outcomes:
+        for buf, result in outcomes:
             results.append(result)
             for g, work, dt in buf:
                 self._charge_compute(g, work, dt)
@@ -525,9 +502,8 @@ class Communicator(Tokened):
     def _require_serial_region(self, opname: str) -> None:
         if self._exec.active:
             raise RuntimeError(
-                f"{opname} is not allowed inside a map_ranks parallel "
-                "region; segments are compute-only — communicate between "
-                "regions"
+                f"{opname} is not allowed inside a parallel region; "
+                "shards are compute-only — communicate between regions"
             )
 
     # -- compute ---------------------------------------------------------
@@ -535,7 +511,7 @@ class Communicator(Tokened):
     def compute(self, local_rank: int, work: Work) -> float:
         """Charge one rank for a kernel; returns the seconds charged.
 
-        Inside a :meth:`map_ranks` region the charge is deferred (and
+        Inside a :meth:`map_shards` region the charge is deferred (and
         replayed in deterministic order at region end) together with
         its duration, which the replay books as it is: the processor
         model is a pure function of the work record, so it is evaluated
@@ -550,8 +526,8 @@ class Communicator(Tokened):
         buf = getattr(exec_state.tls, "buffer", None)
         if buf is None:
             raise RuntimeError(
-                "compute called during a map_ranks region from outside "
-                "any segment"
+                "compute called during a parallel region from outside "
+                "any shard"
             )
         buf.append((g, work, dt))
         return dt

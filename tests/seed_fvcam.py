@@ -6,8 +6,9 @@ that commit wrote it: ``np.roll``-based transport operators, the
 triple-loop vertical remap, and a time step that packs a fresh padded
 block per rank, transports each field in its own call and hands every
 rank's updated blocks back as new arrays.  Its per-rank segments ran
-through ``map_ranks``, whose charges replay in rank order; here they are
-the plain rank loops that replay is defined to equal.
+through that commit's per-rank regions (``map_ranks``, since deleted),
+whose charges replay in rank order; here they are the plain rank loops
+that replay is defined to equal.
 
 Copied from commit ``bb7bd1d`` (``src/repro/apps/fvcam/ppm.py``,
 ``dynamics.py``, ``vertical.py``, ``solver.py``); the courant numbers,

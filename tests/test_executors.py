@@ -1,5 +1,4 @@
-"""The executor seam: resolution, ``map_ranks`` / ``map_shards``
-semantics, the rank team behind the process executor, and the
+"""The executor seam: resolution, ``map_shards`` semantics, the rank team behind the process executor, and the
 determinism contract.
 
 The contract is the heart of PR 3 (extended to worker processes in
@@ -17,6 +16,7 @@ import os
 import signal
 import threading
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -153,7 +153,7 @@ class TestResolution:
 
 
 # ---------------------------------------------------------------------------
-# map_ranks semantics
+# parallel-region semantics, with closures as shard functions
 # ---------------------------------------------------------------------------
 
 
@@ -170,24 +170,21 @@ _SPECS = [
 ]
 
 
+def _per_rank(comm, fn):
+    """``fn(rank)`` for every rank, one ``map_shards`` region."""
+    shards = comm.map_shards(lambda lo, hi: [fn(r) for r in range(lo, hi)])
+    return list(chain.from_iterable(shards))
+
+
 class TestMapRanks:
     @pytest.mark.parametrize("spec", _SPECS)
     def test_results_in_rank_order(self, spec):
         comm = Communicator(8, executor=spec)
-        assert comm.map_ranks(lambda r: r * r) == [r * r for r in range(8)]
-
-    @pytest.mark.parametrize("spec", _SPECS)
-    def test_indices_subset(self, spec):
-        comm = Communicator(8, executor=spec)
-        assert comm.map_ranks(lambda r: -r, indices=[5, 1, 6]) == [-5, -1, -6]
-
-    def test_empty_indices(self):
-        comm = Communicator(4, executor="threads:2")
-        assert comm.map_ranks(lambda r: r, indices=[]) == []
+        assert _per_rank(comm, lambda r: r * r) == [r * r for r in range(8)]
 
     @pytest.mark.parametrize("spec", _SPECS)
     def test_deferred_compute_matches_direct(self, spec):
-        """compute() inside segments charges exactly like serial code."""
+        """compute() inside shards charges exactly like serial code."""
         from repro.machines.catalog import get_machine
 
         power3 = get_machine("Power3")
@@ -196,7 +193,7 @@ class TestMapRanks:
             direct.compute(r, _work((r + 1) * 1e6))
 
         seg = Communicator(4, machine=power3, trace=True, executor=spec)
-        seg.map_ranks(lambda r: seg.compute(r, _work((r + 1) * 1e6)))
+        _per_rank(seg, lambda r: seg.compute(r, _work((r + 1) * 1e6)))
 
         assert np.array_equal(direct.times, seg.times)
         assert direct.meter.total_flops() == seg.meter.total_flops()
@@ -213,13 +210,13 @@ class TestMapRanks:
     )
     def test_communication_inside_segment_raises(self, op):
         comm = Communicator(4, executor="threads:2")
-        with pytest.raises(RuntimeError, match="map_ranks"):
-            comm.map_ranks(lambda r: op(comm, r))
+        with pytest.raises(RuntimeError, match="inside a parallel region"):
+            _per_rank(comm, lambda r: op(comm, r))
 
     def test_nested_map_ranks_raises(self):
         comm = Communicator(4, executor="threads:2")
         with pytest.raises(RuntimeError, match="nest"):
-            comm.map_ranks(lambda r: comm.map_ranks(lambda q: q))
+            _per_rank(comm, lambda r: _per_rank(comm, lambda q: q))
 
     @pytest.mark.parametrize("spec", _SPECS)
     def test_exception_propagates_and_charges_nothing(self, spec):
@@ -233,19 +230,19 @@ class TestMapRanks:
 
         before = comm.times.copy()
         with pytest.raises(KeyError, match="segment failed"):
-            comm.map_ranks(boom)
+            _per_rank(comm, boom)
         # failed regions replay nothing: the clocks are untouched
         assert np.array_equal(comm.times, before)
         # ...and the communicator is usable again afterwards
-        comm.map_ranks(lambda r: comm.compute(r, _work()))
+        _per_rank(comm, lambda r: comm.compute(r, _work()))
         assert (comm.times > before).all()
 
     def test_threads_actually_overlap(self):
-        """ThreadExecutor runs segments on multiple threads."""
+        """ThreadExecutor runs shards on multiple threads."""
         comm = Communicator(4, executor=ThreadExecutor(4))
         barrier = threading.Barrier(4, timeout=10.0)
-        idents = comm.map_ranks(
-            lambda r: (barrier.wait(), threading.get_ident())[1]
+        idents = _per_rank(
+            comm, lambda r: (barrier.wait(), threading.get_ident())[1]
         )
         assert len(set(idents)) > 1
 
@@ -254,7 +251,7 @@ class TestMapRanks:
         """ProcessExecutor steps ranks in worker processes, not here."""
         comm = Communicator(4, executor="processes:2")
         parent = os.getpid()
-        pids = comm.map_ranks(lambda r: os.getpid())
+        pids = _per_rank(comm, lambda r: os.getpid())
         assert parent not in pids
         assert len(set(pids)) == 2  # two shards, one worker each
 
@@ -262,7 +259,7 @@ class TestMapRanks:
     def test_unpicklable_segment_result_is_named(self):
         comm = Communicator(4, executor="processes:2")
         with pytest.raises(RuntimeError, match="pickled"):
-            comm.map_ranks(lambda r: threading.Lock())
+            _per_rank(comm, lambda r: threading.Lock())
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +322,8 @@ class TestMapShards:
 
         comm = Communicator(4, executor=Counting())
         comm.map_shards(_span)
-        comm.map_ranks(lambda r: r)
-        assert calls == [[(0, 4)], [0, 1, 2, 3]]
+        comm.map_shards(partial(_charge_span, comm=comm))
+        assert calls == [[(0, 4)], [(0, 4)]]
 
     @pytest.mark.parametrize("spec", _SPECS)
     def test_charges_replay_like_serial_code(self, spec):
@@ -391,11 +388,11 @@ def _a_lock(_item):
     return threading.Lock()
 
 
-def _die_once(rank, flag):
-    if rank == 2 and not os.path.exists(flag):
+def _die_once(lo, hi, flag):
+    if lo <= 2 < hi and not os.path.exists(flag):
         open(flag, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
-    return rank
+    return lo
 
 
 @pytest.fixture
@@ -465,11 +462,11 @@ class TestRegionMessages:
 
     def test_token_minted_after_the_spawn_costs_one_respawn(self, warm_team):
         old = Communicator(4, executor=warm_team)
-        old.map_ranks(_nothing)
+        old.map_shards(_span)
         assert warm_team.team.spawns == 2  # old itself was new once
         new = Communicator(4, executor=warm_team)
         for comm in (new, new, old, new):
-            assert comm.map_ranks(_pid) == sorted(comm.map_ranks(_pid))
+            assert comm.map_shards(_span) == comm.map_shards(_span)
         assert warm_team.team.spawns == 3
         assert warm_team.team.regions == 10
 
@@ -536,7 +533,7 @@ class TestTeamLifecycle:
         self, leaked_team_workers
     ):
         comm = Communicator(4, executor="processes:2")
-        comm.map_ranks(_nothing)
+        comm.map_shards(_span)
         assert len(team.live_workers()) == 2
         del comm
         assert leaked_team_workers() == []
@@ -575,7 +572,7 @@ class TestTeamLifecycle:
             victim = ex.team._members[1].pid
             before = procs.comm.times.copy()
             with pytest.raises(RuntimeError) as exc:
-                procs.comm.map_ranks(
+                procs.comm.map_shards(
                     partial(_die_once, flag=str(tmp_path / "died"))
                 )
             assert f"pid {victim}" in str(exc.value)
@@ -678,7 +675,7 @@ class TestProcessCapabilityPolicy:
         with pytest.warns(RuntimeWarning, match="using 'serial' instead"):
             comm = Communicator(4)
         assert comm.executor.name == "serial"
-        assert comm.map_ranks(lambda r: r) == [0, 1, 2, 3]
+        assert comm.map_shards(_span) == [(0, 4, os.getpid())]
 
     def test_harness_degrades_incapable_executor(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_DISABLE", "1")
@@ -726,6 +723,7 @@ def _snapshot(app: str, state) -> np.ndarray:
         return state.global_state()
     if app == "gtc":
         parts = [c.ravel() for c in state.charge]
+        parts += [f.ravel() for f in state.phi]
         for p in state.particles:
             for attr in ("r", "theta", "zeta", "vpar", "weight"):
                 parts.append(getattr(p, attr).ravel())
@@ -848,6 +846,50 @@ class TestExecutorEquivalence:
         assert serial.comm.trace.calls == procs.comm.trace.calls
         assert np.array_equal(serial.comm.times, procs.comm.times)
         _assert_ledgers_equal(serial.ledger, procs.ledger)
+
+    @pytest.mark.parametrize(
+        "ntoroidal", [4, 1], ids=["domain-over-two-shards", "one-domain"]
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        ["threads:3", pytest.param("processes:3", marks=needs_process_segments)],
+    )
+    def test_gtc_domain_straddling_shards_matches_serial(
+        self, spec, ntoroidal
+    ):
+        """P=8 on three workers is shards [0,3) [3,6) [6,8), so domain
+        1's ranks {2, 3} (or, with one domain, all eight ranks) span
+        more than one shard.  The domain is solved once, by the shard
+        holding its first rank, and charged rank by rank wherever its
+        ranks fall.  (ntoroidal=2 would put four ranks in a domain, but
+        the particle shift rejects two domains.)"""
+        from repro.apps.gtc import GTCParams
+
+        params = GTCParams(
+            mpsi=8, mtheta=16, ntoroidal=ntoroidal, particles_per_cell=3
+        )
+
+        def go(executor):
+            return harness.run(
+                "gtc",
+                params,
+                steps=2,
+                nprocs=8,
+                machine="Power3",
+                trace=True,
+                executor=executor,
+            )
+
+        serial, sharded = go("serial"), go(spec)
+        assert np.array_equal(
+            _snapshot("gtc", serial.state), _snapshot("gtc", sharded.state)
+        )
+        assert np.array_equal(
+            serial.comm.trace.matrix(), sharded.comm.trace.matrix()
+        )
+        assert serial.comm.trace.calls == sharded.comm.trace.calls
+        assert np.array_equal(serial.comm.times, sharded.comm.times)
+        _assert_ledgers_equal(serial.ledger, sharded.ledger)
 
     def test_arena_path_matches_plain_path_threaded(self):
         """Whose arena it is does not show, on the thread pool either."""

@@ -103,8 +103,11 @@ class TestZeroByteMessages:
         with comm.phase("halo"):
             comm.exchange_phase([0, 1, 2], [1, 2, 3], 0)
             # threaded compute segments around it stay legal
-            comm.map_ranks(
-                lambda r: comm.compute(r, Work(name="noop", flops=1.0e3))
+            comm.map_shards(
+                lambda lo, hi: [
+                    comm.compute(r, Work(name="noop", flops=1.0e3))
+                    for r in range(lo, hi)
+                ]
             )
         bucket = ledger.bucket("halo")
         assert bucket.messages.sum() == 3
@@ -140,8 +143,8 @@ class TestZeroByteMessages:
     def test_exchange_inside_map_ranks_raises(self):
         comm = Communicator(2, executor="threads:2")
 
-        def bad(rank):
+        def bad(lo, hi):
             comm.exchange_phase([0], [1], 0)
 
         with pytest.raises(RuntimeError):
-            comm.map_ranks(bad)
+            comm.map_shards(bad)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ...kernels import KernelBackend, get_backend
 from ...runtime.arena import Arena
-from ...runtime.team import Tokened
+from ...runtime.team import RegionArgs
 from ...simmpi.comm import Communicator, Message
 from ...workload import Work
 from .decomp import FVDecomposition
@@ -109,20 +109,10 @@ class _RankGeometry:
     remap: Work
 
 
-class _RegionArgs(Tokened):
-    """What every region of one solver reads: its arena buffers, rank
-    geometry and constants.  All fixed at construction — the buffers'
-    contents change, in shared memory under a process executor — so a
-    rank-team message names it by token instead of copying it."""
-
-    def __init__(self, **fields) -> None:
-        self.__dict__.update(fields)
-
-
 # -- shard functions ---------------------------------------------------
 #
 # Module-level ``(lo, hi, args)`` callables (docs/executors.md), bound
-# with ``functools.partial`` to the solver's ``_RegionArgs``.  Each
+# with ``functools.partial`` to the solver's ``RegionArgs``.  Each
 # steps ranks ``lo:hi`` one rank at a time, in ascending order (the
 # order the charges replay in), and writes its results in place through
 # the arena views in ``args``.
@@ -308,7 +298,7 @@ class FVCAM:
             self._colsum = self._below = None
             self._columns = self._cores
         physics_dt = params.dt * params.physics_interval
-        self._args = _RegionArgs(
+        self._args = RegionArgs(
             comm=comm,
             kernels=self.kernels,
             grid=grid,

@@ -32,7 +32,7 @@ import numpy as np
 
 from ...runtime.arena import Arena
 from ...workload import Work
-from .grid import PoloidalGrid
+from .grid import Cells, PoloidalGrid
 from .particles import PARTICLE_WORDS, ParticleArray
 
 #: Grid copies used by the work-vector method on 256-element registers.
@@ -79,18 +79,10 @@ def gyro_ring(
     return ring
 
 
-def _cic_stencil(
-    grid: PoloidalGrid,
-    r: np.ndarray,
-    theta: np.ndarray,
-    weight: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened 4-point CIC indices and weights, shapes (4, n)."""
-    i, j, fi, fj = grid.locate(r, theta)
-    jp = (j + 1) % grid.mtheta
-    ip = np.minimum(i + 1, grid.mpsi - 1)
-
-    wts = np.stack(
+def _cic_weights(cells: Cells, weight: np.ndarray) -> np.ndarray:
+    """The 4-point CIC weights of located particles, shape (4, n)."""
+    fi, fj = cells.fi, cells.fj
+    return np.stack(
         [
             weight * (1 - fi) * (1 - fj),
             weight * (1 - fi) * fj,
@@ -98,28 +90,31 @@ def _cic_stencil(
             weight * fi * fj,
         ]
     )
-    idx = np.stack(
-        [
-            i * grid.mtheta + j,
-            i * grid.mtheta + jp,
-            ip * grid.mtheta + j,
-            ip * grid.mtheta + jp,
-        ]
-    )
-    return idx, wts
 
 
 def _ring_stencils(
-    grid: PoloidalGrid, particles: ParticleArray, gyro_radius: float
+    grid: PoloidalGrid,
+    particles: ParticleArray,
+    gyro_radius: float,
+    cells: Cells | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked CIC stencils over all gyro-ring points, shapes (4k, n)."""
+    """Stacked CIC stencils over all gyro-ring points, shapes (4k, n).
+
+    ``cells`` are the guiding centres' cells, already located
+    (:meth:`PoloidalGrid.locate_cells`); they are the whole stencil of
+    the guiding-centre deposit, so they need a zero gyro radius.
+    """
+    if cells is not None:
+        if gyro_radius != 0.0:
+            raise ValueError("located cells are the guiding centres'")
+        return cells.corners, _cic_weights(cells, particles.weight)
     ring = gyro_ring(grid, particles, gyro_radius)
     share = particles.weight / len(ring)
     idx_parts, wt_parts = [], []
     for rr, tt in ring:
-        idx, wts = _cic_stencil(grid, rr, tt, share)
-        idx_parts.append(idx)
-        wt_parts.append(wts)
+        located = grid.locate_cells(rr, tt)
+        idx_parts.append(located.corners)
+        wt_parts.append(_cic_weights(located, share))
     return np.concatenate(idx_parts), np.concatenate(wt_parts)
 
 
@@ -129,15 +124,18 @@ def deposit_scalar(
     gyro_radius: float = 0.0,
     out: np.ndarray | None = None,
     arena: Arena | None = None,
+    cells: Cells | None = None,
 ) -> np.ndarray:
     """Histogram-style deposition (the cache-machine code path).
 
     ``out`` (optional, shape ``grid.shape``) receives the density and
     is fully overwritten; with an ``arena`` the accumulation buffer is
-    reused across calls instead of freshly allocated.  The scatter-add
-    order is unchanged either way, so results are bitwise-identical.
+    reused across calls instead of freshly allocated.  ``cells`` are
+    the particles' cells when the caller has located them already
+    (guiding-centre deposit only).  The scatter-add order is unchanged
+    either way, so results are bitwise-identical.
     """
-    idx, wts = _ring_stencils(grid, particles, gyro_radius)
+    idx, wts = _ring_stencils(grid, particles, gyro_radius, cells)
     if out is not None:
         rho = out.view()
         rho.shape = (grid.num_points,)  # raises if out is not viewable flat
@@ -158,18 +156,20 @@ def deposit_work_vector(
     gyro_radius: float = 0.0,
     out: np.ndarray | None = None,
     arena: Arena | None = None,
+    cells: Cells | None = None,
 ) -> np.ndarray:
     """Work-vector deposition (the vector-machine code path).
 
     Particle ``p`` writes to private copy ``p % num_copies``; the copies
     are reduced at the end.  Bincount per stripe keeps each private
     accumulation conflict-free, mirroring the vector-register semantics.
-    With an ``arena`` the reduction buffer is reused across calls
-    (bitwise-identical accumulation either way).
+    With an ``arena`` the reduction buffer is reused across calls, and
+    ``cells`` are reused as in :func:`deposit_scalar` (bitwise-identical
+    accumulation either way).
     """
     if num_copies < 1:
         raise ValueError("num_copies must be >= 1")
-    idx, wts = _ring_stencils(grid, particles, gyro_radius)
+    idx, wts = _ring_stencils(grid, particles, gyro_radius, cells)
     n = len(particles)
     if out is not None:
         total = out.view()

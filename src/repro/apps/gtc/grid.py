@@ -11,8 +11,24 @@ poloidal points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+
+class Cells(NamedTuple):
+    """The CIC cells of a set of particle positions.
+
+    ``corners`` is ``(4, n)``: the flat grid index (``i * mtheta + j``)
+    of each particle's four cell corners, in the order ``(i, j)``,
+    ``(i, j+1)``, ``(i+1, j)``, ``(i+1, j+1)``; ``fi`` and ``fj`` are
+    the fractional offsets of :meth:`PoloidalGrid.locate`.  Deposition
+    scatters into those corners and the gather reads from them.
+    """
+
+    corners: np.ndarray
+    fi: np.ndarray
+    fj: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,28 @@ class PoloidalGrid:
         j = tj.astype(np.int64) % self.mtheta
         fj = tj - np.floor(tj)
         return i, j, fi, fj
+
+    def locate_cells(
+        self, r: np.ndarray, theta: np.ndarray, out: Cells | None = None
+    ) -> Cells:
+        """The :class:`Cells` of particle positions, written into
+        ``out`` (same length) when given."""
+        i, j, fi, fj = self.locate(r, theta)
+        if out is None:
+            out = Cells(np.empty((4, len(fi)), dtype=np.int64), fi, fj)
+        else:
+            out.fi[...] = fi
+            out.fj[...] = fj
+        jp = (j + 1) % self.mtheta
+        ip = np.minimum(i + 1, self.mpsi - 1)
+        i *= self.mtheta
+        ip *= self.mtheta
+        corners = out.corners
+        np.add(i, j, out=corners[0])
+        np.add(i, jp, out=corners[1])
+        np.add(ip, j, out=corners[2])
+        np.add(ip, jp, out=corners[3])
+        return out
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)

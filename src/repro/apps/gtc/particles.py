@@ -101,7 +101,8 @@ class ParticleArray:
         return float(self.weight[mask].sum())
 
     def pack(self, mask: np.ndarray) -> np.ndarray:
-        """Serialize the masked particles into a (n, 5) buffer."""
+        """Serialize the masked particles into an ``(n, PARTICLE_WORDS)``
+        buffer: one row per particle, one column per field."""
         return np.stack(
             [getattr(self, f)[mask] for f in PARTICLE_FIELDS], axis=1
         )
@@ -110,7 +111,7 @@ class ParticleArray:
     def unpack(cls, buffer: np.ndarray) -> "ParticleArray":
         """Inverse of :meth:`pack`."""
         if buffer.ndim != 2 or buffer.shape[1] != PARTICLE_WORDS:
-            raise ValueError("buffer must be (n, 5)")
+            raise ValueError(f"buffer must be (n, {PARTICLE_WORDS})")
         return cls(*(buffer[:, k].copy() for k in range(PARTICLE_WORDS)))
 
     def keep(self, mask: np.ndarray) -> "ParticleArray":

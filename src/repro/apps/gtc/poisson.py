@@ -19,6 +19,8 @@ overhead").
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import solve_banded
 
@@ -50,44 +52,64 @@ def laplacian(grid: PoloidalGrid, phi: np.ndarray) -> np.ndarray:
     return radial + poloidal
 
 
-def solve_poisson(grid: PoloidalGrid, rho: np.ndarray) -> np.ndarray:
-    """Solve ``-laplacian(phi) = rho``; exact inverse of :func:`laplacian`."""
-    if rho.shape != grid.shape:
-        raise ValueError("rho does not match the grid")
+@lru_cache(maxsize=8)
+def _radial_operators(grid: PoloidalGrid) -> np.ndarray:
+    """The banded radial operator of every poloidal harmonic.
+
+    ``(nm, 3, mpsi)`` in ``solve_banded``'s ``(1, 1)`` layout, built
+    once per grid (a frozen dataclass, so it keys the cache):
+
+        a_i phi_{i-1} + b_i phi_i + c_i phi_{i+1} = -rho_i
+    """
     r = grid.radii
     dr, dth = grid.dr, grid.dtheta
     m = np.fft.rfftfreq(grid.mtheta, d=1.0 / grid.mtheta)  # harmonics
-
-    rho_m = np.fft.rfft(rho, axis=1)  # (mpsi, nm)
-    phi_m = np.empty_like(rho_m)
-
-    # Tridiagonal radial operator per harmonic:
-    #   a_i phi_{i-1} + b_i phi_i + c_i phi_{i+1} = -rho_i
     lower = (r - 0.5 * dr) / (r * dr * dr)  # coefficient of phi_{i-1}
     upper = (r + 0.5 * dr) / (r * dr * dr)  # coefficient of phi_{i+1}
+    bands = np.zeros((len(m), 3, grid.mpsi), dtype=complex)
     # theta second derivative of harmonic m: -(2 - 2 cos(m dth)) / dth^2
     for k, mk in enumerate(m):
-        diag = (
+        bands[k, 0, 1:] = upper[:-1]
+        bands[k, 1, :] = (
             -(lower + upper)
             - (2.0 - 2.0 * np.cos(mk * dth)) / (r * r * dth * dth)
         )
-        ab = np.zeros((3, grid.mpsi), dtype=complex)
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
-        phi_m[:, k] = solve_banded((1, 1), ab, -rho_m[:, k])
-
-    return np.fft.irfft(phi_m, n=grid.mtheta, axis=1)
+        bands[k, 2, :-1] = lower[1:]
+    bands.setflags(write=False)
+    return bands
 
 
-def electric_field(grid: PoloidalGrid, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E = -grad(phi): radial and poloidal components on the grid."""
+def solve_poisson(grid: PoloidalGrid, rho: np.ndarray) -> np.ndarray:
+    """Solve ``-laplacian(phi) = rho``; exact inverse of :func:`laplacian`.
+
+    ``rho`` is one charge grid or a stack of them (any leading axes):
+    each harmonic's radial system is one banded solve over every grid
+    of the stack at once, a right-hand side column per grid.
+    """
+    if rho.shape[-2:] != grid.shape:
+        raise ValueError("rho does not match the grid")
+    stack = rho.reshape((-1,) + grid.shape)
+    rho_m = np.fft.rfft(stack, axis=-1)  # (n, mpsi, nm)
+    phi_m = np.empty_like(rho_m)
+    for k, ab in enumerate(_radial_operators(grid)):
+        phi_m[:, :, k] = solve_banded((1, 1), ab, -rho_m[:, :, k].T).T
+    phi = np.fft.irfft(phi_m, n=grid.mtheta, axis=-1)
+    return phi.reshape(rho.shape)
+
+
+def electric_field(
+    grid: PoloidalGrid, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """E = -grad(phi): radial and poloidal components on the grid (of
+    one potential or a stack of them)."""
     dr, dth = grid.dr, grid.dtheta
     r = grid.radii[:, None]
-    phi_up = np.vstack([phi[1:], np.zeros((1, grid.mtheta))])
-    phi_dn = np.vstack([np.zeros((1, grid.mtheta)), phi[:-1]])
+    # zero ghost surfaces: the Dirichlet pin
+    padded = np.zeros(phi.shape[:-2] + (grid.mpsi + 2, grid.mtheta))
+    padded[..., 1:-1, :] = phi
+    phi_up, phi_dn = padded[..., 2:, :], padded[..., :-2, :]
     e_r = -(phi_up - phi_dn) / (2.0 * dr)
-    e_theta = -(np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (
+    e_theta = -(np.roll(phi, -1, axis=-1) - np.roll(phi, 1, axis=-1)) / (
         2.0 * r * dth
     )
     return e_r, e_theta

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...workload import Work
-from .grid import PoloidalGrid, TorusGrid
+from .grid import Cells, PoloidalGrid, TorusGrid
 from .particles import PARTICLE_WORDS, ParticleArray
 
 #: Arithmetic per particle for the gyro-averaged field gather (2 field
@@ -53,12 +53,14 @@ def gather_field(
     grid: PoloidalGrid,
     e_r: np.ndarray,
     e_theta: np.ndarray,
-    particles: ParticleArray,
+    cells: Cells,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CIC-interpolate (E_r, E_theta) to the particle positions."""
-    i, j, fi, fj = grid.locate(particles.r, particles.theta)
-    jp = (j + 1) % grid.mtheta
-    ip = np.minimum(i + 1, grid.mpsi - 1)
+    """CIC-interpolate (E_r, E_theta) to particle positions, given as
+    their located cells (:meth:`PoloidalGrid.locate_cells`, which the
+    solver's deposit calls once a step): the fields are read at the
+    flat corner indices.
+    """
+    corners, fi, fj = cells
 
     w00 = (1 - fi) * (1 - fj)
     w01 = (1 - fi) * fj
@@ -66,11 +68,12 @@ def gather_field(
     w11 = fi * fj
 
     def interp(field: np.ndarray) -> np.ndarray:
+        flat = field.reshape(-1)
         return (
-            w00 * field[i, j]
-            + w01 * field[i, jp]
-            + w10 * field[ip, j]
-            + w11 * field[ip, jp]
+            w00 * flat.take(corners[0])
+            + w01 * flat.take(corners[1])
+            + w10 * flat.take(corners[2])
+            + w11 * flat.take(corners[3])
         )
 
     return interp(e_r), interp(e_theta)

@@ -2,12 +2,14 @@
 
 One time step, per rank (SPMD over the simulated communicator):
 
-1. *charge*   — deposit the rank's particle slice onto its private copy
-   of the domain grid (work-vector method on vector machines);
+1. *charge*   — locate the rank's particles' grid cells and deposit
+   them onto its private copy of the domain grid (work-vector method
+   on vector machines);
 2. *reduce*   — ``Allreduce`` the charge over the domain's particle
    subgroup (the communication the new decomposition introduced);
 3. *field*    — Poisson solve + E = -grad(phi) (replicated per rank);
-4. *push*     — gather E at particles, advance the guiding centers;
+4. *push*     — gather E at the cells the deposit located, advance the
+   guiding centers;
 5. *shift*    — exchange domain-crossing particles with zeta neighbors.
 """
 
@@ -15,20 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from types import SimpleNamespace
 
 import numpy as np
 
 from ...kernels import KernelBackend, get_backend
 from ...runtime.arena import Arena
+from ...runtime.team import RegionArgs
 from ...simmpi.comm import Communicator
 from .decomp import GTCDecomposition, choose_decomposition
 from .deposit import DEFAULT_WORK_VECTOR_COPIES, deposit_work
-from .grid import PoloidalGrid, TorusGrid
+from .grid import Cells, PoloidalGrid, TorusGrid
 from .particles import (
     DEFAULT_SPECIES,
     PARTICLE_FIELDS,
+    PARTICLE_WORDS,
     ParticleArray,
     Species,
     load_multispecies,
@@ -72,92 +74,91 @@ class GTCParams:
 
 # -- shard functions ---------------------------------------------------
 #
-# Module-level ``(lo, hi, args)`` callables (docs/executors.md), bound
-# per region with ``functools.partial``.  Each steps ranks ``lo:hi`` in
-# ascending order (the order the charges replay in) and returns its
-# ranks' results, which the caller concatenates in shard order: team
-# workers marshal effects home instead of mutating parent memory they
-# cannot reach.  With a shared-memory arena the particles live in it
-# (``GTC._rehome``), so the regions' bulk traffic — particles in,
-# pushed particles out — goes by reference.
+# Module-level ``(lo, hi, args, ...)`` callables (docs/executors.md),
+# bound per region with ``functools.partial`` to the solver's
+# ``RegionArgs`` (by token: the grid blocks it holds are arena memory,
+# shared under a process executor) and the step's per-rank particle
+# views.  Each steps ranks ``lo:hi`` in ascending order (the order the
+# charges replay in) and writes its results in place, into arena
+# buffers the caller allocated: the particles, their cells and every
+# grid go by reference.
 
 
-def _deposit_shard(lo: int, hi: int, args) -> list[np.ndarray]:
-    """Deposit each rank's particles; returns the unreduced partials.
-
-    Each accumulation buffer is drawn from its rank's child arena so
-    concurrent shards never alias — the partials must all survive
-    until the subgroup Allreduce that follows the region.
-    """
-    partials = []
+def _deposit_shard(lo: int, hi: int, args, particles, cells) -> None:
+    """Locate each rank's particles into ``cells`` and deposit them
+    into the rank's row of ``args.partial`` (the unreduced charge)."""
+    grid = args.grid
     for rank in range(lo, hi):
-        p = args.particles[rank]
-        dest = args.arena.for_rank(rank).scratch(
-            "gtc.charge.partial", args.grid.shape
-        )
+        p = particles[rank]
+        located = grid.locate_cells(p.r, p.theta, out=cells[rank])
         if args.vectorized:
-            rho = args.kernels.gtc_deposit_work_vector(
-                args.grid, p, args.copies, out=dest
+            args.kernels.gtc_deposit_work_vector(
+                grid, p, args.copies, out=args.partial[rank], cells=located
             )
         else:
-            rho = args.kernels.gtc_deposit_scalar(args.grid, p, out=dest)
+            args.kernels.gtc_deposit_scalar(
+                grid, p, out=args.partial[rank], cells=located
+            )
         args.comm.compute(rank, deposit_work(len(p), args.vectorized))
-        partials.append(rho)
-    return partials
 
 
-def _field_shard(lo: int, hi: int, args) -> list[tuple]:
-    """Poisson solve + E-field for each toroidal domain whose first
-    rank lies in ``lo:hi``.
+def _field_shard(lo: int, hi: int, args) -> None:
+    """Poisson solve + E-field of every toroidal domain whose first
+    rank lies in ``lo:hi``, all in one stacked solve.
 
     One solve per domain, not per rank: after the subgroup Allreduce
     the ranks of a domain hold the same charge bitwise, so they share
     the one solve, made by the shard holding the domain's first rank —
     a domain that straddles shards is never solved twice.  Virtual time
     is still charged to every rank of the shard: each simulated
-    processor does the work.  Returns ``(phi, (e_r, e_theta))`` per
-    domain solved, in domain order.
+    processor does the work.
     """
-    solved = []
+    first, last = -(-lo // args.npe), -(-hi // args.npe)
+    if first < last:
+        rho = args.charge[first:last]
+        phi = solve_poisson(
+            args.grid, rho - rho.mean(axis=(1, 2), keepdims=True)
+        )
+        args.phi[first:last] = phi
+        args.e_r[first:last], args.e_theta[first:last] = electric_field(
+            args.grid, phi
+        )
     for rank in range(lo, hi):
-        if rank % args.npe == 0:
-            rho = args.charge[rank]
-            phi = solve_poisson(args.grid, rho - rho.mean())
-            solved.append((phi, electric_field(args.grid, phi)))
         args.comm.compute(rank, args.work)
-    return solved
 
 
-def _push_shard(lo: int, hi: int, args) -> list[ParticleArray]:
-    """Gather E at each rank's particles and advance them; returns the
-    pushed particles — in ``args.outs[rank]`` where the caller put a
-    buffer there (shared memory, so they come home by reference)."""
-    pushed = []
+def _push_shard(lo: int, hi: int, args, particles, cells, outs) -> None:
+    """Gather E at each rank's particles, at the cells the deposit
+    located, and advance them into ``outs[rank]``."""
     for rank in range(lo, hi):
-        p = args.particles[rank]
+        p = particles[rank]
         # the ranks of a domain share their E-fields; shards only read them
-        e_r, e_theta = args.e_fields[rank]
-        er_p, et_p = args.kernels.gtc_gather_field(args.grid, e_r, e_theta, p)
-        pushed.append(
-            args.kernels.gtc_push_particles(
-                args.torus,
-                p,
-                er_p,
-                et_p,
-                args.push_params,
-                out=args.outs[rank],
-            )
+        domain = rank // args.npe
+        er_p, et_p = args.kernels.gtc_gather_field(
+            args.grid, args.e_r[domain], args.e_theta[domain], cells[rank]
+        )
+        args.kernels.gtc_push_particles(
+            args.torus, p, er_p, et_p, args.push_params, out=outs[rank]
         )
         args.comm.compute(rank, push_work(len(p), args.vectorized))
-    return pushed
 
 
 class GTC:
-    """Parallel GTC simulation over a simulated communicator."""
+    """Parallel GTC simulation over a simulated communicator.
+
+    Everything a step touches lives in the arena: each rank's particles
+    in one of two buffer sets, ``gtc.particles`` (their home between
+    steps) and ``gtc.pushed`` (the push's output, which the shift
+    compacts back home; until the push, it holds the particles'
+    cells), and the unreduced, reduced, potential and E-field grids as
+    ``(P | ntoroidal, mpsi, mtheta)`` blocks.
+    """
 
     app_key = "gtc"
     #: IPM phase labels of one step, in the paper's order.
     phases = ("charge", "reduce", "field", "push", "shift")
+    #: arena tags of the two particle buffer sets
+    _SETS = ("gtc.particles", "gtc.pushed")
 
     def __init__(
         self,
@@ -182,9 +183,37 @@ class GTC:
         self.torus = params.make_torus()
         self.push_params = PushParams(dt=params.dt)
         self.subgroups = self.decomp.make_subgroups(comm)
+        grid = self.torus.plane
+        npe = self.decomp.npe_per_domain
+
+        def block(key: str, n: int) -> np.ndarray:
+            buf = self.arena.scratch(key, (n,) + grid.shape)
+            buf.fill(0.0)  # a caller's arena may hold an earlier run's
+            return buf
+
+        self._args = RegionArgs(
+            comm=comm,
+            kernels=self.kernels,
+            grid=grid,
+            torus=self.torus,
+            push_params=self.push_params,
+            npe=npe,
+            vectorized=params.use_work_vector,
+            copies=params.work_vector_copies,
+            work=poisson_work(grid),
+            partial=block("gtc.charge.partial", comm.nprocs),
+            charge=block("gtc.charge", params.ntoroidal),
+            phi=block("gtc.phi", params.ntoroidal),
+            e_r=block("gtc.e_r", params.ntoroidal),
+            e_theta=block("gtc.e_theta", params.ntoroidal),
+        )
+        #: per-rank views of the domain grids: every rank of a domain
+        #: holds its domain's reduced charge and potential
+        self.charge = [self._args.charge[r // npe] for r in range(comm.nprocs)]
+        self.phi = [self._args.phi[r // npe] for r in range(comm.nprocs)]
 
         rng = np.random.default_rng(params.seed)
-        self.particles: list[ParticleArray] = []
+        particles: list[ParticleArray] = []
         for domain in range(params.ntoroidal):
             pool = load_multispecies(
                 self.torus,
@@ -193,166 +222,138 @@ class GTC:
                 rng,
                 params.species,
             )
-            self.particles.extend(
-                split_particles(pool, self.decomp.npe_per_domain)
-            )
-        #: per-rank length of the arena's particle buffers
+            particles.extend(split_particles(pool, npe))
+        #: per-rank particle capacity of the arena buffers, and the
+        #: buffers, by (key, rank)
         self._capacity = [0] * comm.nprocs
-        self.particles = self._rehome(self.particles)
-        self.charge: list[np.ndarray] = [
-            self.torus.plane.zeros() for _ in range(comm.nprocs)
-        ]
-        self.phi: list[np.ndarray] = [
-            self.torus.plane.zeros() for _ in range(comm.nprocs)
-        ]
+        self._held: dict[tuple[str, int], np.ndarray] = {}
+        self._home(particles)
+        self._cells: list[Cells] = []
         self.step_count = 0
+
+    # -- particle storage --------------------------------------------------
+
+    def _rows(
+        self, key: str, rank: int, n: int, rows: int, dtype=np.float64
+    ) -> np.ndarray:
+        """A ``(rows, n)`` view of ``rank``'s arena buffer ``key``, each
+        row contiguous.  Buffers are sized by a per-rank capacity, not
+        by ``n`` — populations change with every shift, and the arena
+        keeps every shape it is ever asked for — and held between
+        calls."""
+        if n > self._capacity[rank]:
+            # room to grow: a fresh, larger set only every so often
+            self._capacity[rank] = n + n // 4
+        size = rows * self._capacity[rank]
+        buf = self._held.get((key, rank))
+        if buf is None or len(buf) != size:
+            buf = self.arena.for_rank(rank).scratch(key, (size,), dtype)
+            self._held[key, rank] = buf
+        return buf[: rows * n].reshape(rows, n)
+
+    def _storage(self, which: int, rank: int, n: int) -> ParticleArray:
+        """``n`` particles of ``rank`` in buffer set ``which``."""
+        return ParticleArray(
+            *self._rows(self._SETS[which], rank, n, PARTICLE_WORDS)
+        )
+
+    def _cells_of(self, rank: int, n: int) -> Cells:
+        """Storage for the cells of ``rank``'s ``n`` particles: the
+        memory of the buffer set the push will write.  A cell takes the
+        six 8-byte words a particle does (four corners, two offsets),
+        and the gather has read a rank's cells before its push
+        overwrites them — so locating costs no memory of its own."""
+        words = self._rows(self._SETS[1 - self._set], rank, n, PARTICLE_WORDS)
+        fi, fj = words[4:]
+        return Cells(words[:4].view(np.int64), fi, fj)
+
+    def _home(self, particles: list[ParticleArray]) -> None:
+        """Copy populations (a fresh load, a restore) into the home set."""
+        self._set = 0
+        self.particles = []
+        for rank, p in enumerate(particles):
+            dest = self._storage(0, rank, len(p))
+            for name in PARTICLE_FIELDS:
+                getattr(dest, name)[...] = getattr(p, name)
+            self.particles.append(dest)
+
+    def _other_set(self) -> int:
+        """The buffer set the particles are not in, which the next
+        phase that moves them writes into (never the one it reads)."""
+        self._set = 1 - self._set
+        return self._set
 
     # -- phases -----------------------------------------------------------
 
     def charge_phase(self) -> None:
         """Deposit + subgroup Allreduce (phases 1 and 2)."""
         with self.comm.phase("charge"):
-            partial = self._deposit()
+            self._deposit()
         with self.comm.phase("reduce"):
-            self._reduce_charge(partial)
+            self._reduce_charge()
 
-    def _deposit(self) -> list[np.ndarray]:
-        """Per-rank charge deposition; returns the unreduced partials."""
-        args = SimpleNamespace(
-            comm=self.comm,
-            arena=self.arena,
-            grid=self.torus.plane,
-            particles=self.particles,
-            vectorized=self.params.use_work_vector,
-            copies=self.params.work_vector_copies,
-            kernels=self.kernels,
-        )
-        return list(
-            chain.from_iterable(
-                self.comm.map_shards(partial(_deposit_shard, args=args))
+    def _deposit(self) -> None:
+        """Per-rank cell location and charge deposition into the
+        unreduced-charge block; the cells are kept for the push."""
+        self._cells = [
+            self._cells_of(rank, len(p))
+            for rank, p in enumerate(self.particles)
+        ]
+        self.comm.map_shards(
+            partial(
+                _deposit_shard,
+                args=self._args,
+                particles=self.particles,
+                cells=self._cells,
             )
         )
 
-    def _reduce_charge(self, partial: list[np.ndarray]) -> None:
+    def _reduce_charge(self) -> None:
         """Subgroup Allreduce of the deposited partials."""
+        npe = self.decomp.npe_per_domain
+        partials = self._args.partial
         for domain, sub in enumerate(self.subgroups):
-            lo = domain * self.decomp.npe_per_domain
-            hi = lo + self.decomp.npe_per_domain
-            reduced = sub.allreduce(partial[lo:hi])
-            for k, rank in enumerate(range(lo, hi)):
-                self.charge[rank] = reduced[k]
+            lo = domain * npe
+            reduced = sub.allreduce(list(partials[lo : lo + npe]))
+            self._args.charge[domain] = reduced[0]
 
     def field_phase(self) -> None:
         """Poisson solve and E-field, replicated per rank (phase 3):
-        computed once per toroidal domain (:func:`_field_shard`), the
-        read-only results shared by the domain's ranks."""
-        grid = self.torus.plane
-        npe = self.decomp.npe_per_domain
-        args = SimpleNamespace(
-            comm=self.comm,
-            grid=grid,
-            npe=npe,
-            work=poisson_work(grid),
-            charge=self.charge,
-        )
-        per_domain = chain.from_iterable(
-            self.comm.map_shards(partial(_field_shard, args=args))
-        )
-        self.e_fields = []
-        for domain, (phi, e_field) in enumerate(per_domain):
-            for rank in range(domain * npe, (domain + 1) * npe):
-                self.phi[rank] = phi
-                self.e_fields.append(e_field)
-
-    def _buffers(self, tag: str, rank: int, n: int) -> ParticleArray:
-        """Arena-backed storage for ``n`` particles of ``rank``: views
-        into component buffers keyed by a per-rank capacity, not by
-        ``n`` — populations change with every shift, and the arena
-        keeps every shape it is ever asked for."""
-        if n > self._capacity[rank]:
-            # room to grow: a fresh, larger set only every so often
-            self._capacity[rank] = n + n // 4
-        scratch = self.arena.for_rank(rank).scratch
-        return ParticleArray(
-            *(
-                scratch(f"{tag}.{name}", (self._capacity[rank],))[:n]
-                for name in PARTICLE_FIELDS
-            )
-        )
-
-    def _rehome(self, particles: list[ParticleArray]) -> list[ParticleArray]:
-        """Where the arena is shared memory, move the populations into it.
-
-        The shift (and a restore) leaves them in private arrays, which
-        a process executor would copy to its workers with every region
-        of the next step; arena buffers go by reference instead.
-        """
-        if not self.arena.shared:
-            return particles
-        homed = []
-        for rank, p in enumerate(particles):
-            dest = self._buffers("gtc.particles", rank, len(p))
-            for name in PARTICLE_FIELDS:
-                getattr(dest, name)[...] = getattr(p, name)
-            homed.append(dest)
-        return homed
+        computed once per toroidal domain (:func:`_field_shard`) into
+        the domain blocks the domain's ranks read."""
+        self.comm.map_shards(partial(_field_shard, args=self._args))
 
     def push_phase(self) -> None:
-        """Gather + guiding-center advance (phase 4)."""
-        outs: list[ParticleArray | None] = [None] * self.comm.nprocs
-        if self.arena.shared:
-            # pushed particles come home by reference; keys alternate
-            # on step parity so the buffers being written never alias
-            # the particles being read
-            tag = f"gtc.push.{self.step_count % 2}"
-            outs = [
-                self._buffers(tag, rank, len(p))
-                for rank, p in enumerate(self.particles)
-            ]
-        args = SimpleNamespace(
-            comm=self.comm,
-            grid=self.torus.plane,
-            torus=self.torus,
-            particles=self.particles,
-            e_fields=self.e_fields,
-            push_params=self.push_params,
-            outs=outs,
-            vectorized=self.params.use_work_vector,
-            kernels=self.kernels,
-        )
-        self.particles = list(
-            chain.from_iterable(
-                self.comm.map_shards(partial(_push_shard, args=args))
+        """Gather + guiding-center advance (phase 4), at the cells the
+        charge phase located, into the other buffer set."""
+        into = self._other_set()
+        outs = [
+            self._storage(into, rank, len(p))
+            for rank, p in enumerate(self.particles)
+        ]
+        self.comm.map_shards(
+            partial(
+                _push_shard,
+                args=self._args,
+                particles=self.particles,
+                cells=self._cells,
+                outs=outs,
             )
         )
+        self.particles = outs
 
     def shift_phase(self) -> None:
-        """Toroidal particle exchange (phase 5)."""
-        if self.decomp.ntoroidal == 1:
-            for rank, p in enumerate(self.particles):
-                self.particles[rank] = ParticleArray(
-                    r=p.r,
-                    theta=p.theta,
-                    zeta=np.mod(p.zeta, 2.0 * np.pi),
-                    vpar=p.vpar,
-                    weight=p.weight,
-                    species=p.species,
-                )
-            return
-        rank_domain = [
-            self.decomp.domain_of(r) for r in range(self.comm.nprocs)
-        ]
-        rank_neighbors = [
-            self.decomp.shift_neighbors(r) for r in range(self.comm.nprocs)
-        ]
-        self.particles = self._rehome(
-            shift_particles(
-                self.comm,
-                self.torus,
-                rank_domain,
-                rank_neighbors,
-                self.particles,
-            )
+        """Toroidal particle exchange (phase 5): stayers and arrivals
+        are written into the other buffer set — home again, after a
+        push."""
+        nprocs = self.comm.nprocs
+        self.particles = shift_particles(
+            self.comm,
+            self.torus,
+            [self.decomp.domain_of(r) for r in range(nprocs)],
+            [self.decomp.shift_neighbors(r) for r in range(nprocs)],
+            self.particles,
+            storage=partial(self._storage, self._other_set()),
         )
 
     def step(self) -> None:
@@ -374,9 +375,8 @@ class GTC:
     def checkpoint_state(self) -> dict:
         """Snapshot particles + fields (``repro.resilience.Checkpointable``).
 
-        ``step_count`` rides along because the push phase ping-pongs
-        arena buffers on its parity; E-fields are derived each step and
-        recomputed on replay.
+        E-fields and cells are derived each step and recomputed on
+        replay.
         """
         return {
             "step_count": self.step_count,
@@ -394,16 +394,11 @@ class GTC:
     def restore_state(self, snapshot: dict) -> None:
         if len(snapshot["charge"]) != self.comm.nprocs:
             raise ValueError("checkpoint rank count mismatch")
-        self.particles = self._rehome(
-            [
-                ParticleArray(
-                    **{k: np.array(v, copy=True) for k, v in d.items()}
-                )
-                for d in snapshot["particles"]
-            ]
-        )
-        self.charge = [np.array(c, copy=True) for c in snapshot["charge"]]
-        self.phi = [np.array(f, copy=True) for f in snapshot["phi"]]
+        self._home([ParticleArray(**d) for d in snapshot["particles"]])
+        npe = self.decomp.npe_per_domain
+        for domain in range(self.decomp.ntoroidal):
+            self._args.charge[domain] = snapshot["charge"][domain * npe]
+            self._args.phi[domain] = snapshot["phi"][domain * npe]
         self.step_count = int(snapshot["step_count"])
 
     # -- observation ------------------------------------------------------

@@ -115,11 +115,14 @@ class KernelBackend(Tokened):
         gyro_radius: float = 0.0,
         out: np.ndarray | None = None,
         arena: Any | None = None,
+        cells: Any | None = None,
     ) -> np.ndarray:
+        """Histogram deposit; ``cells`` are the particles' located
+        :class:`~repro.apps.gtc.grid.Cells` when the caller has them."""
         from ..apps.gtc.deposit import deposit_scalar
 
         return deposit_scalar(
-            grid, particles, gyro_radius, out=out, arena=arena
+            grid, particles, gyro_radius, out=out, arena=arena, cells=cells
         )
 
     def gtc_deposit_work_vector(
@@ -130,11 +133,18 @@ class KernelBackend(Tokened):
         gyro_radius: float = 0.0,
         out: np.ndarray | None = None,
         arena: Any | None = None,
+        cells: Any | None = None,
     ) -> np.ndarray:
         from ..apps.gtc.deposit import deposit_work_vector
 
         return deposit_work_vector(
-            grid, particles, num_copies, gyro_radius, out=out, arena=arena
+            grid,
+            particles,
+            num_copies,
+            gyro_radius,
+            out=out,
+            arena=arena,
+            cells=cells,
         )
 
     def gtc_gather_field(
@@ -142,11 +152,13 @@ class KernelBackend(Tokened):
         grid: Any,
         e_r: np.ndarray,
         e_theta: np.ndarray,
-        particles: Any,
+        cells: Any,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """CIC gather at particles given as their located
+        :class:`~repro.apps.gtc.grid.Cells`."""
         from ..apps.gtc.push import gather_field
 
-        return gather_field(grid, e_r, e_theta, particles)
+        return gather_field(grid, e_r, e_theta, cells)
 
     def gtc_push_particles(
         self,

@@ -108,15 +108,15 @@ def _deposit_stripes(total, tmp, idx, wts, num_copies, n):
             total[g] += tmp[g]
 
 
-def _gather(field, i, j, ip, jp, w00, w01, w10, w11, out):
+def _gather(field, corners, w00, w01, w10, w11, out):
     # ((w00*f + w01*f) + w10*f) + w11*f — the reference's left-to-right
-    # association, per element.
-    for k in range(i.shape[0]):
+    # association, per element, at the flat corner indices.
+    for k in range(corners.shape[1]):
         out[k] = (
-            w00[k] * field[i[k], j[k]]
-            + w01[k] * field[i[k], jp[k]]
-            + w10[k] * field[ip[k], j[k]]
-            + w11[k] * field[ip[k], jp[k]]
+            w00[k] * field[corners[0, k]]
+            + w01[k] * field[corners[1, k]]
+            + w10[k] * field[corners[2, k]]
+            + w11[k] * field[corners[3, k]]
         )
 
 
@@ -208,10 +208,11 @@ class NumbaBackend(KernelBackend):
         gyro_radius: float = 0.0,
         out: np.ndarray | None = None,
         arena: Any | None = None,
+        cells: Any | None = None,
     ) -> np.ndarray:
         from ..apps.gtc.deposit import _ring_stencils
 
-        idx, wts = _ring_stencils(grid, particles, gyro_radius)
+        idx, wts = _ring_stencils(grid, particles, gyro_radius, cells)
         if out is not None:
             rho = out.view()
             rho.shape = (grid.num_points,)
@@ -236,12 +237,13 @@ class NumbaBackend(KernelBackend):
         gyro_radius: float = 0.0,
         out: np.ndarray | None = None,
         arena: Any | None = None,
+        cells: Any | None = None,
     ) -> np.ndarray:
         from ..apps.gtc.deposit import _ring_stencils
 
         if num_copies < 1:
             raise ValueError("num_copies must be >= 1")
-        idx, wts = _ring_stencils(grid, particles, gyro_radius)
+        idx, wts = _ring_stencils(grid, particles, gyro_radius, cells)
         n = len(particles)
         if out is not None:
             total = out.view()
@@ -270,26 +272,25 @@ class NumbaBackend(KernelBackend):
         grid: Any,
         e_r: np.ndarray,
         e_theta: np.ndarray,
-        particles: Any,
+        cells: Any,
     ) -> tuple[np.ndarray, np.ndarray]:
-        i, j, fi, fj = grid.locate(particles.r, particles.theta)
-        jp = (j + 1) % grid.mtheta
-        ip = np.minimum(i + 1, grid.mpsi - 1)
+        corners, fi, fj = cells
         # weights computed with the reference's exact numpy expressions
         w00 = (1 - fi) * (1 - fj)
         w01 = (1 - fi) * fj
         w10 = fi * (1 - fj)
         w11 = fi * fj
         gather = _jit(_gather)
+        corners = np.ascontiguousarray(corners)
         out_r = np.empty_like(fi)
         out_t = np.empty_like(fi)
         gather(
-            np.ascontiguousarray(e_r), i, j, ip, jp, w00, w01, w10, w11,
-            out_r,
+            np.ascontiguousarray(e_r).reshape(-1), corners, w00, w01, w10,
+            w11, out_r,
         )
         gather(
-            np.ascontiguousarray(e_theta), i, j, ip, jp, w00, w01, w10,
-            w11, out_t,
+            np.ascontiguousarray(e_theta).reshape(-1), corners, w00, w01,
+            w10, w11, out_t,
         )
         return out_r, out_t
 

@@ -130,10 +130,8 @@ class Arena(Tokened):
         """True when buffers are visible to forked worker processes.
 
         Private-memory arenas answer ``False``.  A process executor
-        accepts only arenas that answer ``True`` (its workers write
-        rank state in place), and GTC keeps its particle populations
-        in the arena exactly when it does, so they reach the workers by
-        reference.
+        accepts only arenas that answer ``True``: its workers write
+        rank state in place.
         """
         return False
 

@@ -52,7 +52,13 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["RankTeam", "Tokened", "contiguous_shards", "live_workers"]
+__all__ = [
+    "RankTeam",
+    "RegionArgs",
+    "Tokened",
+    "contiguous_shards",
+    "live_workers",
+]
 
 #: Seconds a worker gets to honour a shutdown message before SIGKILL.
 _JOIN_S = 5.0
@@ -124,6 +130,16 @@ class Tokened:
         if self._token > watermark:
             raise _NotInSnapshot(repr(self))
         return _by_token, (self._token,)
+
+
+class RegionArgs(Tokened):
+    """What every region of one solver reads: its arena buffers, rank
+    geometry and constants.  All fixed at construction — the buffers'
+    contents change, in shared memory under a process executor — so a
+    rank-team message names it by token instead of copying it."""
+
+    def __init__(self, **fields: Any) -> None:
+        self.__dict__.update(fields)
 
 
 # -- the wire format ----------------------------------------------------------

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from ..machines.processor import ProcessorModel, make_model
+from ..machines.processor import make_model
 from ..machines.spec import MachineSpec
 from ..network.collectives import CollectiveModel
 from ..network.model import NetworkModel
@@ -53,6 +54,12 @@ from .tracing import CommTrace
 from .transport import Transport, get_reducer
 
 _R = TypeVar("_R")
+
+#: Distinct work records a communicator keeps the processor model's
+#: time of.  A solver charges a handful of fixed records plus, for
+#: particle codes, one per rank population size, which changes every
+#: step — hence a bound, with the least recently used dropped.
+WORK_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -206,13 +213,17 @@ class Communicator(Tokened):
         self._exec = _ExecState(segment_executor(executor))
         self._resil = Resilience()
         if machine is not None:
-            self._proc: ProcessorModel | None = make_model(
-                machine, loop_registers=loop_registers
-            )
+            model = make_model(machine, loop_registers=loop_registers)
+            # the model is a pure function of a hashable, frozen work
+            # record, and solvers charge the same few records over and
+            # over: evaluate each once
+            self._proc_time: Callable[[Work], float] | None = lru_cache(
+                maxsize=WORK_MEMO_SIZE
+            )(model.time)
             self._net: NetworkModel | None = NetworkModel(machine, nprocs)
             self._coll: CollectiveModel | None = CollectiveModel(self._net)
         else:
-            self._proc = None
+            self._proc_time = None
             self._net = None
             self._coll = None
 
@@ -229,7 +240,7 @@ class Communicator(Tokened):
         sub._timeline = world._timeline
         sub._meter = world._meter
         sub._pending = []
-        sub._proc = world._proc
+        sub._proc_time = world._proc_time
         sub._net = world._net
         sub._coll = world._coll
         sub._world = world._world
@@ -515,9 +526,10 @@ class Communicator(Tokened):
         replayed in deterministic order at region end) together with
         its duration, which the replay books as it is: the processor
         model is a pure function of the work record, so it is evaluated
-        once, here.
+        once, here — and once per distinct record, as the communicator
+        remembers the last ``WORK_MEMO_SIZE`` it timed.
         """
-        dt = self._proc.time(work) if self._proc is not None else 0.0
+        dt = self._proc_time(work) if self._proc_time is not None else 0.0
         g = self._g(local_rank)
         exec_state = self._exec
         if not exec_state.active:
@@ -537,7 +549,7 @@ class Communicator(Tokened):
         ``dt`` seconds."""
         self._meter.record(work)
         ledger = self._phase.ledger
-        if self._proc is None:
+        if self._proc_time is None:
             if ledger is not None:
                 ledger.record_compute(self._phase.current, g, 0.0, work.flops)
             return

@@ -848,7 +848,9 @@ class TestExecutorEquivalence:
         _assert_ledgers_equal(serial.ledger, procs.ledger)
 
     @pytest.mark.parametrize(
-        "ntoroidal", [4, 1], ids=["domain-over-two-shards", "one-domain"]
+        "ntoroidal",
+        [4, 1, 2],
+        ids=["domain-over-two-shards", "one-domain", "two-domains"],
     )
     @pytest.mark.parametrize(
         "spec",
@@ -861,8 +863,8 @@ class TestExecutorEquivalence:
         1's ranks {2, 3} (or, with one domain, all eight ranks) span
         more than one shard.  The domain is solved once, by the shard
         holding its first rank, and charged rank by rank wherever its
-        ranks fall.  (ntoroidal=2 would put four ranks in a domain, but
-        the particle shift rejects two domains.)"""
+        ranks fall.  With two domains, four ranks a domain, each rank's
+        left and right neighbour is the same rank."""
         from repro.apps.gtc import GTCParams
 
         params = GTCParams(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.gtc import (
+    PARTICLE_WORDS,
     ParticleArray,
     PoloidalGrid,
     TorusGrid,
@@ -34,6 +35,15 @@ TORUS = TorusGrid(plane=GRID, ntoroidal=4)
 
 def particles(n=2000, seed=0, domain=0) -> ParticleArray:
     return load_particles(TORUS, n, domain, np.random.default_rng(seed))
+
+
+def cells(p: ParticleArray):
+    return GRID.locate_cells(p.r, p.theta)
+
+
+def fresh(rank: int, n: int) -> ParticleArray:
+    """Shift storage: new memory for every rank."""
+    return ParticleArray(*np.empty((PARTICLE_WORDS, n)))
 
 
 class TestDeposition:
@@ -124,7 +134,7 @@ class TestGatherPush:
         p = particles(500)
         e_r = np.full(GRID.shape, 1.5)
         e_t = np.full(GRID.shape, -0.5)
-        er_p, et_p = gather_field(GRID, e_r, e_t, p)
+        er_p, et_p = gather_field(GRID, e_r, e_t, cells(p))
         np.testing.assert_allclose(er_p, 1.5, atol=1e-12)
         np.testing.assert_allclose(et_p, -0.5, atol=1e-12)
 
@@ -135,7 +145,7 @@ class TestGatherPush:
         phi = rng.standard_normal(GRID.shape)
         rho = deposit_scalar(GRID, p)
         lhs = float((rho * phi).sum())
-        phi_at_p, _ = gather_field(GRID, phi, phi, p)
+        phi_at_p, _ = gather_field(GRID, phi, phi, cells(p))
         rhs = float((p.weight * phi_at_p).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -197,6 +207,7 @@ class TestShift:
             [decomp.domain_of(r) for r in range(4)],
             [decomp.shift_neighbors(r) for r in range(4)],
             pops,
+            fresh,
         )
         assert sum(len(p) for p in out) == total_before
         assert sum(p.total_charge for p in out) == pytest.approx(charge_before)
@@ -204,6 +215,41 @@ class TestShift:
         for rank, p in enumerate(out):
             if len(p):
                 assert (TORUS.domain_of(p.zeta) == decomp.domain_of(rank)).all()
+
+
+    def test_shift_two_domains_conserves_particles_and_charge(self):
+        """Both neighbours of a domain are the other one: a crossing
+        particle leaves by the side its ``vpar`` points to."""
+        torus = TorusGrid(plane=GRID, ntoroidal=2)
+        comm = Communicator(4)
+        decomp = GTCDecomposition(ntoroidal=2, npe_per_domain=2)
+        rng = np.random.default_rng(3)
+        pops = []
+        for rank in range(4):
+            p = load_particles(torus, 100, decomp.domain_of(rank), rng)
+            p.weight[:] = rng.random(len(p))
+            # cross the upper edge moving up, the lower one moving down
+            p.zeta[:10] += torus.dzeta
+            p.vpar[:10] = np.abs(p.vpar[:10])
+            p.zeta[10:20] -= torus.dzeta
+            p.vpar[10:20] = -np.abs(p.vpar[10:20])
+            pops.append(p)
+        stay, left, right = classify(torus, decomp.domain_of(0), pops[0])
+        assert (stay.sum(), left.sum(), right.sum()) == (80, 10, 10)
+        total_before = sum(len(p) for p in pops)
+        charge_before = sum(p.total_charge for p in pops)
+        out = shift_particles(
+            comm,
+            torus,
+            [decomp.domain_of(r) for r in range(4)],
+            [decomp.shift_neighbors(r) for r in range(4)],
+            pops,
+            fresh,
+        )
+        assert sum(len(p) for p in out) == total_before
+        assert sum(p.total_charge for p in out) == pytest.approx(charge_before)
+        for rank, p in enumerate(out):
+            assert (torus.domain_of(p.zeta) == decomp.domain_of(rank)).all()
 
 
 class TestDecomposition:

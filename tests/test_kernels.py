@@ -236,6 +236,7 @@ def _kernel_cases():
     )
     plane, torus = gtc.torus.plane, gtc.torus
     parts = gtc.particles[0]
+    cells = plane.locate_cells(parts.r, parts.theta)
     e_r_grid = 0.01 * rng.standard_normal(plane.shape)
     e_theta_grid = 0.01 * rng.standard_normal(plane.shape)
     e_r_at_p = 0.01 * rng.standard_normal(parts.r.shape)
@@ -278,11 +279,17 @@ def _kernel_cases():
         "gtc_deposit_scalar_gyro": (
             lambda b: b.gtc_deposit_scalar(plane, parts, gyro_radius=0.05)
         ),
+        "gtc_deposit_scalar_cells": (
+            lambda b: b.gtc_deposit_scalar(plane, parts, cells=cells)
+        ),
         "gtc_deposit_work_vector": (
             lambda b: b.gtc_deposit_work_vector(plane, parts, 8)
         ),
+        "gtc_deposit_work_vector_cells": (
+            lambda b: b.gtc_deposit_work_vector(plane, parts, 8, cells=cells)
+        ),
         "gtc_gather_field": (
-            lambda b: b.gtc_gather_field(plane, e_r_grid, e_theta_grid, parts)
+            lambda b: b.gtc_gather_field(plane, e_r_grid, e_theta_grid, cells)
         ),
         "gtc_push_particles": (
             lambda b: b.gtc_push_particles(

@@ -224,6 +224,25 @@ class TestCompute:
         with pytest.raises(ValueError):
             comm.compute_all([Work(name="k", flops=1.0)])
 
+    def test_processor_model_timed_once_per_distinct_work(self):
+        from repro.machines.processor import make_model
+        from repro.simmpi.comm import WORK_MEMO_SIZE
+
+        machine = get_machine("ES")
+        model = make_model(machine)
+        comm = Communicator(4, machine=machine)
+        sub = comm.split([0, 0, 1, 1])[1]
+        work = Work(name="k", flops=1e9, bytes_unit=1e8)
+        # an equal record built apart from the first hits the memo too
+        charged = [comm.compute(0, work), sub.compute(1, Work(**vars(work)))]
+        assert charged == [model.time(work)] * 2
+        assert comm._proc_time.cache_info().hits == 1
+        # one record per population size, as a particle code charges
+        for n in range(2 * WORK_MEMO_SIZE):
+            w = Work(name="push", flops=700.0 * n)
+            assert comm.compute(n % 4, w) == model.time(w)
+        assert comm._proc_time.cache_info().currsize == WORK_MEMO_SIZE
+
     @given(st.integers(min_value=1, max_value=16))
     def test_construction_sizes(self, n):
         assert Communicator(n).nprocs == n

@@ -153,7 +153,9 @@ def run_campaign(
             # result was actually computed (cache hits carry the
             # original computing host, which is the right answer)
             result = row.result or {}
-            for field in ("host", "cpu_count", "version", "worker"):
+            for field in (
+                "host", "cpu_count", "version", "worker", "executor"
+            ):
                 if field in result:
                     event[field] = result[field]
             journal.append(event)

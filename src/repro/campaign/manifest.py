@@ -13,7 +13,7 @@ Events::
      "host": {"name": ..., "cpu_count": N}, "version": ...}
     {"event": "run-start",  "key": ..., "label": ..., "config": {...}}
     {"event": "run-done",   "key": ..., "label": ..., "config": {...},
-     "cached": bool, "wall_s": ..., "gflops": ...}
+     "cached": bool, "wall_s": ..., "gflops": ..., "executor": ...}
     {"event": "run-failed", "key": ..., "label": ..., "config": {...},
      "error": "..."}
     {"event": "campaign-end", "hits": H, "misses": M, "failures": F,

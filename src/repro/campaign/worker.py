@@ -95,8 +95,13 @@ def execute_config(config: RunConfig) -> dict[str, Any]:
     wall_s = min(samples)
     flops_per_step = float(result.flops_per_step)
     total_flops = flops_per_step * config.steps
+    # harness.run runs serial when the config's executor cannot
+    # schedule rank segments here: report the executor that ran
+    ran = result.comm.executor.name
+    requested = config.executor.partition(":")[0].strip().lower()
     out: dict[str, Any] = {
         "label": config.label,
+        "executor": config.executor if ran == requested else ran,
         "wall_s": wall_s,
         "wall_samples_s": samples,
         "machine": result.machine_name,

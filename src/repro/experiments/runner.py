@@ -96,8 +96,6 @@ def validate_args(args) -> list[str]:
             errors.append(f"--executor: {exc}")
     if args.backend is not None:
         try:
-            # the name only: an *unavailable* backend is fine here —
-            # each run degrades to the numpy reference with a warning
             BACKENDS.parse(args.backend)
         except ValueError as exc:
             errors.append(f"--backend: {exc}")
@@ -189,10 +187,9 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         metavar="SPEC",
         help=(
-            "kernel backend for the solvers' hot loops: 'numpy' or "
-            "'numba' (results are bitwise identical either way — only "
-            "wall-clock differs; an unavailable backend degrades to the "
-            "numpy reference with a warning)"
+            "kernel backend for the solvers' hot loops, by registered "
+            "name: 'numpy' is the reference (every backend is bitwise "
+            "identical to it — only wall-clock differs)"
         ),
     )
     parser.add_argument(

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from ..kernels import BACKENDS
+from ..kernels import get_backend
 from ..machines.catalog import get_machine
 from ..machines.spec import MachineSpec
 from ..runtime.executors import segment_executor
@@ -149,14 +149,12 @@ def run(
     kernel_backend:
         Which kernel implementations the solver's hot loops use: a
         :class:`~repro.kernels.KernelBackend`, a registered name
-        (``"numpy"``, ``"numba"``), or ``None`` for the ambient
-        choice.  Resolved here, once; the instance is handed to the
-        solver and used as is.  Changes nothing but wall-clock — every
-        backend is pinned bitwise to the numpy reference, so states,
-        traces, and ledgers are identical.  Same policy as
-        ``executor``: a backend that is unavailable on this host
-        degrades to the numpy reference with a warning; an unknown name
-        raises listing the valid choices.
+        (``"numpy"``), or ``None`` for the ambient choice.  Resolved
+        here, once; the instance is handed to the solver and used as
+        is.  Changes nothing but wall-clock — every backend is pinned
+        bitwise to the numpy reference, so states, traces, and ledgers
+        are identical.  An unknown name raises listing the valid
+        choices.
     fault_plan, policy:
         A :class:`~repro.resilience.FaultPlan` to inject on the
         point-to-point wire, and the
@@ -182,7 +180,7 @@ def run(
         params = adapter.default_params()
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    kernels = BACKENDS.resolve(kernel_backend, degrade_explicit=True)
+    kernels = get_backend(kernel_backend)
 
     if comm is None:
         if nprocs is None:

@@ -1,12 +1,12 @@
-"""repro.kernels — pluggable backends for the solvers' hot kernels.
+"""repro.kernels — the backend seam for the solvers' hot kernels.
 
-One API, many implementations (the FluidFFT pattern): every hot loop
-body the four solvers execute — LBMHD collision/equilibria/stream, GTC
-deposit/gather/push, PARATEC FFT stages and CG sweep primitives, FVCAM
-geopotential/dynamics — is a method on :class:`KernelBackend`, with a
-``numpy`` reference backend (the historical code, bitwise-unchanged)
-and a ``numba`` accelerated backend that overrides the kernels it can
-replicate bitwise and inherits the reference for the rest.
+One API over the implementations (the FluidFFT pattern): every hot
+loop body the four solvers execute — LBMHD collision/equilibria/stream,
+GTC deposit/gather/push, PARATEC FFT stages and CG sweep primitives,
+FVCAM geopotential/dynamics — is a method on :class:`KernelBackend`.
+The ``numpy`` reference backend (the historical code, bitwise-
+unchanged) is the one registered; a backend that overrides a kernel
+must reproduce it bitwise and inherits the reference for the rest.
 
 Solvers call the backend method directly (``kernels.lbmhd_collide(...)``
 on the instance they were handed); :func:`get_backend` /
@@ -14,10 +14,9 @@ on the instance they were handed); :func:`get_backend` /
 See ``docs/kernels.md``.
 """
 
-from .base import KernelBackend, KernelSupport, NumPyBackend
+from .base import KernelBackend, NumPyBackend
 from .registry import (
     BACKENDS,
-    available_backends,
     backend_names,
     get_backend,
     register_backend,
@@ -27,9 +26,7 @@ from .registry import (
 __all__ = [
     "BACKENDS",
     "KernelBackend",
-    "KernelSupport",
     "NumPyBackend",
-    "available_backends",
     "backend_names",
     "get_backend",
     "register_backend",

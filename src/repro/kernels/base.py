@@ -19,7 +19,8 @@ meet that bar for some kernel must not override it.
 Backends are stateless (safe to share across threads and to inherit
 copy-on-write into forked rank-team workers, which is why a team
 message names a backend by token instead of copying it) and are
-resolved through :mod:`repro.kernels.registry`.
+resolved through :mod:`repro.kernels.registry`.  There is no per-host
+capability check: a backend that is registered runs.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from ..runtime.resolve import Support
 from ..runtime.team import Tokened
-
-
-#: What :meth:`KernelBackend.available` returns.
-KernelSupport = Support
 
 
 class KernelBackend(Tokened):
@@ -48,12 +44,8 @@ class KernelBackend(Tokened):
     packages that import the registry.
     """
 
-    #: spec-style name ("numpy", "numba")
+    #: spec-style name ("numpy")
     name: str = "kernel-backend"
-
-    def available(self) -> KernelSupport:
-        """Can this backend run here?  The reference always can."""
-        return KernelSupport(True, "NumPy reference kernels")
 
     # -- LBMHD ----------------------------------------------------------
 

@@ -2,26 +2,20 @@
 
 One flat namespace of named backends.  Which one a run gets is decided
 by :data:`BACKENDS`, this seam's instance of the one resolution rule in
-:mod:`repro.runtime.resolve`, with :meth:`KernelBackend.available` as
-the standing capability check — so a campaign sweep with a ``numba``
-axis completes on a numba-less host, and the warning tells you the
-cells ran on the reference backend.
+:mod:`repro.runtime.resolve` (its precedence chain; every registered
+backend is usable, so no capability check applies here).
 """
 
 from __future__ import annotations
 
 import threading
-from operator import methodcaller
 from typing import Callable
 
 from ..runtime.resolve import Resolver
-from .base import KernelBackend, KernelSupport, NumPyBackend
+from .base import KernelBackend, NumPyBackend
 
-#: name -> zero-arg factory; factories import lazily so registering the
-#: numba backend costs nothing until someone asks for it.
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
-#: name -> constructed singleton (backends are stateless; one each).
-_INSTANCES: dict[str, KernelBackend] = {}
+#: name -> the backend's one instance (backends are stateless).
+_BACKENDS: dict[str, KernelBackend] = {}
 _REGISTRY_LOCK = threading.Lock()
 
 
@@ -31,7 +25,7 @@ def register_backend(
     *,
     replace: bool = False,
 ) -> None:
-    """Register a backend factory under ``name``.
+    """Register the backend ``factory()`` builds under ``name``.
 
     ``replace=True`` allows shadowing an existing registration (tests
     use this to install toy backends); otherwise a duplicate name is an
@@ -41,39 +35,28 @@ def register_backend(
     if not key:
         raise ValueError("backend name must be non-empty")
     with _REGISTRY_LOCK:
-        if key in _FACTORIES and not replace:
+        if key in _BACKENDS and not replace:
             raise ValueError(f"kernel backend {key!r} is already registered")
-        _FACTORIES[key] = factory
-        _INSTANCES.pop(key, None)
+        _BACKENDS[key] = factory()
 
 
 def unregister_backend(name: str) -> None:
     """Remove a registration (tests cleaning up toy backends)."""
-    key = name.strip().lower()
     with _REGISTRY_LOCK:
-        _FACTORIES.pop(key, None)
-        _INSTANCES.pop(key, None)
+        _BACKENDS.pop(name.strip().lower(), None)
 
 
 def backend_names() -> list[str]:
     """Registered spec names, registration order (for CLI help/errors)."""
     with _REGISTRY_LOCK:
-        return list(_FACTORIES)
-
-
-def available_backends() -> dict[str, KernelSupport]:
-    """Name -> :class:`KernelSupport` for every registered backend."""
-    return {name: _parse(name).available() for name in backend_names()}
+        return list(_BACKENDS)
 
 
 def _parse(spec: str) -> KernelBackend:
-    """Registered name -> its (lazily constructed) singleton; unknown
-    names are a ValueError listing the valid choices."""
-    key = spec.strip().lower()
+    """Registered name -> its instance; unknown names are a ValueError
+    listing the valid choices."""
     with _REGISTRY_LOCK:
-        backend = _INSTANCES.get(key)
-        if backend is None and key in _FACTORIES:
-            backend = _INSTANCES[key] = _FACTORIES[key]()
+        backend = _BACKENDS.get(spec.strip().lower())
     if backend is None:
         choices = ", ".join(repr(n) for n in backend_names())
         raise ValueError(
@@ -90,7 +73,6 @@ BACKENDS: Resolver[KernelBackend] = Resolver(
     env_var="REPRO_KERNEL_BACKEND",
     fallback="numpy",
     parse=_parse,
-    usable=methodcaller("available"),
 )
 
 
@@ -101,15 +83,4 @@ def get_backend(
     return BACKENDS.resolve(spec)
 
 
-def _register_builtins() -> None:
-    register_backend("numpy", NumPyBackend, replace=True)
-
-    def _make_numba() -> KernelBackend:
-        from .numba_backend import NumbaBackend
-
-        return NumbaBackend()
-
-    register_backend("numba", _make_numba, replace=True)
-
-
-_register_builtins()
+register_backend("numpy", NumPyBackend)

@@ -74,9 +74,15 @@ def _record_from_config_result(
     host: str | None = None,
     cpu_count: int | None = None,
     version: str | None = None,
+    executor: str | None = None,
     extra: Mapping[str, Any] | None = None,
 ) -> RunRecord:
-    """One record from a RunConfig dict plus its measured outcome."""
+    """One record from a RunConfig dict plus its measured outcome.
+
+    The record is filed under the executor that ran (the result's, or
+    ``executor`` as journaled), which is serial where the config's
+    could not run; older results lack it and fall back to the config's.
+    """
     phase = _phase_totals(result or {})
     res = result or {}
     return RunRecord(
@@ -86,7 +92,10 @@ def _record_from_config_result(
         variant=str(res.get("label") or config.get("label") or ""),
         machine=config.get("machine"),
         nprocs=config.get("nprocs") or res.get("nprocs"),
-        executor=str(config.get("executor", "serial")),
+        executor=str(
+            res.get("executor") or executor
+            or config.get("executor", "serial")
+        ),
         kernel_backend=str(config.get("kernel_backend", "numpy")),
         seed=config.get("seed"),
         steps=config.get("steps"),
@@ -172,6 +181,7 @@ def records_from_manifest(
                 host=ev_host if isinstance(ev_host, str) else host,
                 cpu_count=event.get("cpu_count", cpu_count),
                 version=event.get("version") or version,
+                executor=event.get("executor"),
                 extra={"worker": str(worker)} if worker else None,
             )
         )

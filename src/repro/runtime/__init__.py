@@ -17,7 +17,7 @@
   and kernel backends by token, the rest by value);
 * :mod:`repro.runtime.resolve` — the one resolution rule (precedence
   chain + capability policy) the executor and kernel-backend seams
-  both instantiate.
+  both instantiate; only executors have a capability to check.
 """
 
 from .arena import Arena

@@ -9,12 +9,14 @@ once, for every seam (:data:`repro.runtime.executors.EXECUTORS`,
 1. an explicit instance or spec string passed by the caller;
 2. the process default a :meth:`Resolver.scoped` block installed (what
    ``repro-experiments --executor/--backend`` use);
-3. the seam's environment variable (``REPRO_EXECUTOR``,
-   ``REPRO_KERNEL_BACKEND`` — what the CI jobs set);
+3. the seam's environment variable (``REPRO_EXECUTOR`` — what the CI
+   executor jobs set — or ``REPRO_KERNEL_BACKEND``);
 4. the seam's fallback (``"serial"``, ``"numpy"``).
 
 **Capability policy** — when the caller says what the choice must be
-usable *for* (``usable=``, e.g. "schedule rank segments here"):
+usable *for* (``usable=``, e.g. "schedule rank segments here"; only the
+executor seam has such a check, passed per call by
+:func:`~repro.runtime.executors.segment_executor`):
 
 * an unknown name always raises a ``ValueError`` listing the choices,
   naming the environment variable when the bad spec came from it — a
@@ -74,9 +76,7 @@ class Resolver(Generic[_T]):
     """Precedence chain + capability policy for one seam.
 
     ``parse`` maps a spec string to an instance and raises
-    ``ValueError`` (listing the valid choices) for anything else;
-    ``usable`` is the seam's standing capability check, applied on
-    every resolution unless the caller passes its own.
+    ``ValueError`` (listing the valid choices) for anything else.
     """
 
     def __init__(
@@ -86,14 +86,12 @@ class Resolver(Generic[_T]):
         env_var: str,
         fallback: str,
         parse: Callable[[str], _T],
-        usable: Callable[[_T], Support] | None = None,
     ) -> None:
         self.kind = kind
         self.base = base
         self.env_var = env_var
         self.fallback = fallback
         self._parse_name = parse
-        self._usable = usable
         self._lock = threading.Lock()
         self._default: "str | _T | None" = None
         self._warned: set[tuple[str, str]] = set()
@@ -147,7 +145,6 @@ class Resolver(Generic[_T]):
             if not from_env:
                 raise
             raise ValueError(f"{exc} (from {self.env_var})") from None
-        usable = usable or self._usable
         if usable is None:
             return chosen
         support = usable(chosen)

@@ -481,30 +481,44 @@ class TestEveryAxisThroughTheEngine:
             assert len(row.result["wall_samples_s"]) == 2
             assert row.result["diagnostics"] == first["diagnostics"]
 
-    @pytest.mark.filterwarnings("ignore:kernel backend:RuntimeWarning")
     def test_kernel_backend_axis_campaign_produces_all_cells(self):
         """apps x every registered kernel backend: each cell completes
-        (an unimportable backend degrades to the numpy reference) and
-        a backend never changes an app's diagnostics."""
-        from repro.kernels import backend_names
+        and a backend never changes an app's diagnostics."""
+        from repro.kernels import (
+            NumPyBackend,
+            backend_names,
+            register_backend,
+            unregister_backend,
+        )
+
+        class _Reference(NumPyBackend):
+            """The numpy kernels under a second name."""
+
+            name = "reference"
 
         apps = ("lbmhd", "gtc", "paratec")
-        spec = CampaignSpec(
-            name="backend-axis",
-            apps=apps,
-            kernel_backends=tuple(backend_names()),
-            steps=1,
-            seeds=(0,),
-            params={"lbmhd": {"shape": [16, 16, 16]}},
-        )
-        report = run_campaign(spec, cache=None, scheduler="serial")
+        register_backend("reference", _Reference)
+        try:
+            backends = tuple(backend_names())
+            assert len(backends) >= 2
+            spec = CampaignSpec(
+                name="backend-axis",
+                apps=apps,
+                kernel_backends=backends,
+                steps=1,
+                seeds=(0,),
+                params={"lbmhd": {"shape": [16, 16, 16]}},
+            )
+            report = run_campaign(spec, cache=None, scheduler="serial")
+        finally:
+            unregister_backend("reference")
         assert report.ok, [r.error for r in report.rows if not r.ok]
         cells = {
             (r.config.app, r.config.kernel_backend): r.result
             for r in report.rows
         }
         assert set(cells) == {
-            (app, backend) for app in apps for backend in backend_names()
+            (app, backend) for app in apps for backend in backends
         }
         for (app, _), result in cells.items():
             assert result["wall_s"] > 0

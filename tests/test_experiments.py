@@ -290,21 +290,34 @@ class TestRunnerRegistry:
         """--executor/--backend scope to the invocation: whatever default
         was installed before is installed again after."""
         from repro.experiments.runner import main
-        from repro.kernels import BACKENDS
+        from repro.kernels import (
+            BACKENDS,
+            NumPyBackend,
+            register_backend,
+            unregister_backend,
+        )
         from repro.runtime import EXECUTORS
+
+        class _Outer(NumPyBackend):
+            name = "outer"
 
         assert main(["--executor", "threads:2", "table2"]) == 0
         assert EXECUTORS.default() is None
-        # "numba" is a name only here; nothing resolves it
-        with EXECUTORS.scoped("threads:3"), BACKENDS.scoped("numba"):
-            args = ["--executor", "serial", "--backend", "numpy", "table2"]
-            assert main(args) == 0
-            # validating a name installs nothing, so a rejected
-            # --backend cannot disturb the outer scoped default
-            assert main(["--backend", "fortran", "table2"]) == 2
-            assert "'fortran'" in capsys.readouterr().err
-            assert EXECUTORS.default() == "threads:3"
-            assert BACKENDS.default() == "numba"
+        register_backend("outer", _Outer)
+        try:
+            with EXECUTORS.scoped("threads:3"), BACKENDS.scoped("outer"):
+                args = [
+                    "--executor", "serial", "--backend", "numpy", "table2"
+                ]
+                assert main(args) == 0
+                # validating a name installs nothing, so a rejected
+                # --backend cannot disturb the outer scoped default
+                assert main(["--backend", "fortran", "table2"]) == 2
+                assert "'fortran'" in capsys.readouterr().err
+                assert EXECUTORS.default() == "threads:3"
+                assert BACKENDS.default() == "outer"
+        finally:
+            unregister_backend("outer")
         assert EXECUTORS.default() is None
         assert BACKENDS.default() is None
 

@@ -30,6 +30,7 @@ from repro.perfdb import (
     ingest_path,
     inject_slowdown,
     pivot,
+    records_from_cache,
     records_from_manifest,
     records_from_report,
     series_trends,
@@ -238,6 +239,39 @@ def test_fresh_manifest_ingests_with_host_provenance(tmp_path):
     assert {r.series_key() for r in direct} == {
         r.series_key() for r in records
     }
+
+
+@pytest.mark.filterwarnings("ignore:executor 'processes':RuntimeWarning")
+def test_degraded_cell_is_filed_under_the_executor_that_ran(
+    tmp_path, monkeypatch
+):
+    """Without shared memory a ``processes:2`` cell runs serial
+    (``harness.run`` degrades it), so every source files it as serial;
+    a cell that ran as asked keeps its spec."""
+    monkeypatch.setenv("REPRO_SHM_DISABLE", "1")
+    spec = CampaignSpec(
+        name="degraded",
+        apps=("lbmhd",),
+        executors=("processes:2", "threads:2"),
+        steps=1,
+        params={"lbmhd": {"shape": [8, 8, 8]}},
+    )
+    manifest = tmp_path / "degraded.manifest.jsonl"
+    cache = tmp_path / "cache"
+    report = run_campaign(
+        spec, cache=cache, manifest=manifest, scheduler="serial"
+    )
+    assert report.ok
+    ran = {"processes:2": "serial", "threads:2": "threads:2"}
+    for records in (
+        records_from_manifest(manifest),
+        records_from_report(report),
+        records_from_cache(cache),
+    ):
+        by_label = {r.variant: r.executor for r in records}
+        assert by_label == {
+            row.config.label: ran[row.config.executor] for row in report.rows
+        }
 
 
 def test_empty_and_torn_manifests_tolerated(tmp_path):

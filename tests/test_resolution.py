@@ -35,7 +35,7 @@ from repro.runtime.executors import (
     get_executor,
     segment_executor,
 )
-from repro.runtime.resolve import Resolver, UnusableError
+from repro.runtime.resolve import Resolver, Support, UnusableError
 from repro.simmpi import Communicator
 
 
@@ -66,6 +66,26 @@ class _Beta(NumPyBackend):
     name = "beta"
 
 
+class _Gamma(NumPyBackend):
+    name = "gamma"
+
+
+#: Every kernel backend is usable, so the backend seam has no
+#: capability check of its own; this test-only one makes ``gamma``
+#: unusable while the variable is set, so the policy runs on both seams.
+_GAMMA_DISABLE = "REPRO_TEST_GAMMA_DISABLE"
+
+
+def _gamma_usable(backend: NumPyBackend) -> Support:
+    if backend.name == "gamma" and os.environ.get(_GAMMA_DISABLE):
+        return Support(False, f"disabled by {_GAMMA_DISABLE}")
+    return Support(True, "registered")
+
+
+def _backend_for_use(spec: Any = None, **kwargs: Any) -> NumPyBackend:
+    return BACKENDS.resolve(spec, usable=_gamma_usable, **kwargs)
+
+
 SEAMS = {
     "executor": Seam(
         resolver=EXECUTORS,
@@ -83,15 +103,15 @@ SEAMS = {
     "backend": Seam(
         resolver=BACKENDS,
         get=get_backend,
-        for_use=BACKENDS.resolve,
+        for_use=_backend_for_use,
         fallback_type=NumPyBackend,
         a="alpha",
         b="beta",
         make_instance=NumPyBackend,
         unknown="fortran",
-        choices=("'numpy'", "'numba'"),
-        unusable="numba",
-        disable_env="REPRO_NUMBA_DISABLE",
+        choices=("'numpy'", "'gamma'"),
+        unusable="gamma",
+        disable_env=_GAMMA_DISABLE,
     ),
 }
 
@@ -102,11 +122,12 @@ def _name(spec: str) -> str:
 
 @pytest.fixture(scope="module", autouse=True)
 def _toy_backends():
-    register_backend("alpha", _Alpha)
-    register_backend("beta", _Beta)
+    toys = {"alpha": _Alpha, "beta": _Beta, "gamma": _Gamma}
+    for name, cls in toys.items():
+        register_backend(name, cls)
     yield
-    unregister_backend("alpha")
-    unregister_backend("beta")
+    for name in toys:
+        unregister_backend(name)
 
 
 @pytest.fixture(autouse=True)

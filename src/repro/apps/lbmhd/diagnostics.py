@@ -12,7 +12,8 @@ processors also need checkpoint/restart, provided here as exact
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,16 +90,17 @@ def turbulence_report(sim: LBMHD3D) -> TurbulenceReport:
 
 
 def save_checkpoint(sim: LBMHD3D) -> bytes:
-    """Serialize the full simulation state (exact, compressed)."""
+    """Serialize the full simulation state (exact, compressed).
+
+    The parameters go in whole, every :class:`LBMHDParams` field as
+    JSON (floats round-trip exactly), so a field added there survives
+    a restart without being listed here.
+    """
     buffer = io.BytesIO()
     np.savez_compressed(
         buffer,
         step=np.array(sim.step_count),
-        shape=np.array(sim.params.shape),
-        tau=np.array(sim.params.tau),
-        tau_m=np.array(sim.params.tau_m),
-        u0=np.array(sim.params.u0),
-        b0=np.array(sim.params.b0),
+        params=np.array(json.dumps(asdict(sim.params))),
         state=sim.global_state(),
     )
     return buffer.getvalue()
@@ -112,13 +114,9 @@ def load_checkpoint(blob: bytes, comm: Communicator) -> LBMHD3D:
     subsequent steps).
     """
     with np.load(io.BytesIO(blob)) as data:
-        params = LBMHDParams(
-            shape=tuple(int(x) for x in data["shape"]),
-            tau=float(data["tau"]),
-            tau_m=float(data["tau_m"]),
-            u0=float(data["u0"]),
-            b0=float(data["b0"]),
-        )
+        fields = json.loads(str(data["params"]))
+        # JSON has no tuples: the lattice shape comes back as a list
+        params = LBMHDParams(**{**fields, "shape": tuple(fields["shape"])})
         sim = LBMHD3D(params, comm)
         sim.restore_state(
             {

@@ -1,7 +1,7 @@
 """repro.kernels — the backend seam for the solvers' hot kernels.
 
 One API over the implementations (the FluidFFT pattern): every hot
-loop body the four solvers execute — LBMHD collision/equilibria/stream,
+loop body the four solvers execute — LBMHD collision and stream,
 GTC deposit/gather/push, PARATEC FFT stages and CG sweep primitives,
 FVCAM geopotential/dynamics — is a method on :class:`KernelBackend`.
 The ``numpy`` reference backend (the historical code, bitwise-

@@ -1,7 +1,7 @@
 """The kernel-backend contract and the NumPy reference backend.
 
 A :class:`KernelBackend` is one *implementation family* for every hot
-loop body the four solvers dispatch: LBMHD collision/equilibria/stream,
+loop body the four solvers dispatch: LBMHD collision and stream,
 GTC deposit/gather/push, PARATEC batched line/plane FFTs and the
 block CG preconditioner, FVCAM geopotential/dynamics.  The base class
 **is** the reference implementation — every method delegates to the
@@ -60,36 +60,6 @@ class KernelBackend(Tokened):
         from ..apps.lbmhd.collision import collide
 
         return collide(state, params, out=out, arena=arena)
-
-    def lbmhd_f_equilibrium(
-        self,
-        rho: np.ndarray,
-        u: np.ndarray,
-        B: np.ndarray,
-        out: np.ndarray | None = None,
-        arena: Any | None = None,
-    ) -> np.ndarray:
-        from ..apps.lbmhd.equilibrium import f_equilibrium
-
-        return f_equilibrium(rho, u, B, out=out, arena=arena)
-
-    def lbmhd_g_equilibrium(
-        self,
-        u: np.ndarray,
-        B: np.ndarray,
-        out: np.ndarray | None = None,
-        arena: Any | None = None,
-    ) -> np.ndarray:
-        from ..apps.lbmhd.equilibrium import g_equilibrium
-
-        return g_equilibrium(u, B, out=out, arena=arena)
-
-    def lbmhd_stream_periodic(
-        self, state: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        from ..apps.lbmhd.stream import stream_periodic
-
-        return stream_periodic(state, out=out)
 
     def lbmhd_stream_from_padded(
         self, padded: np.ndarray, out: np.ndarray | None = None

@@ -21,17 +21,12 @@ class VirtualClock:
         self.nprocs = nprocs
         self._t = np.zeros(nprocs, dtype=np.float64)
 
-    def advance(self, rank: int, dt: float) -> None:
-        """Add ``dt`` seconds to one rank's clock."""
+    def advance(self, rank, dt: float) -> None:
+        """Add ``dt`` seconds to one rank's clock (or to each of a list
+        of distinct ranks)."""
         if dt < 0:
             raise ValueError(f"negative time increment {dt}")
         self._t[rank] += dt
-
-    def advance_group(self, ranks, dt: float) -> None:
-        """Add ``dt`` to every rank in ``ranks``."""
-        if dt < 0:
-            raise ValueError(f"negative time increment {dt}")
-        self._t[list(ranks)] += dt
 
     def synchronize(self, ranks=None) -> float:
         """Align clocks (all, or a subgroup) to their max; return it."""

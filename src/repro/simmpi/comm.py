@@ -20,10 +20,16 @@ The :class:`Communicator` itself is a facade over four composed layers:
   persistent team of forked worker processes over shared-memory
   arenas), reached through :meth:`Communicator.map_shards`.
 
-Fault handling is not one of them: the facade consults a
+Every charged second goes through one private primitive,
+:meth:`Communicator._book` (or :meth:`Communicator._sync` for a group
+synchronization), which advances the clocks, appends the timeline
+interval and adds to the phase-ledger column of the same kind — so the
+instruments cannot disagree.
+
+Fault handling is not one of the layers: the facade consults a
 :class:`~repro.resilience.heal.Resilience` hook when a communication
-starts and after each point-to-point phase, and only books what it
-charges.
+starts and after each point-to-point phase, and the hook books its
+repair time through the same primitive.
 
 Passing ``machine=None`` yields an *ideal* communicator: data still
 moves and traces still record, but no time is charged — this is the mode
@@ -177,7 +183,8 @@ class Communicator(Tokened):
     trace:
         Record per-pair communication volumes (Figure 2 instrumentation).
     timeline:
-        Record per-rank compute/comm/wait intervals (Gantt profiling).
+        Record per-rank compute/comm/wait/recovery intervals (Gantt
+        profiling).
     loop_registers:
         Register-demand hint forwarded to the vector processor model.
     executor:
@@ -351,8 +358,8 @@ class Communicator(Tokened):
         are then healed by :class:`~repro.resilience.heal.Resilience`:
         drops and CRC-detected corruption are retransmitted until they
         arrive intact, latency spikes are absorbed — every repair
-        second charged to the virtual clock and the phase ledger's
-        ``recovery`` column.  Shared with all subgroups of this world.
+        second booked as kind ``recovery`` (clock, timeline and phase
+        ledger column).  Shared with all subgroups of this world.
         Returns the installed injector.
         """
         return self._resil.enable(injector, policy, self._world.nprocs)
@@ -395,50 +402,54 @@ class Communicator(Tokened):
         """
         return self._resil.recover_restart(self, nbytes)
 
-    def _charge_recovery(
-        self, g_ranks, seconds: float, phase: str | None,
-        label: str = "recovery",
-    ) -> None:
-        """Advance clocks and book time in the recovery column."""
-        if seconds <= 0.0:
-            return
-        ledger = self._phase.ledger
-        stats = self._resil.stats
-        for g in g_ranks:
-            t0 = self._clock.time(g)
-            self._clock.advance(g, seconds)
-            if self._timeline is not None:
-                self._timeline.record(g, t0, t0 + seconds, label, "recovery")
-            if ledger is not None:
-                ledger.record_recovery(phase, g, seconds)
-            stats.recovery_rank_seconds += seconds
+    # -- booking ----------------------------------------------------------
 
-    def _charge_resend(
-        self, g_src: int, g_dst: int, nbytes: int, delay: float,
-        phase: str | None,
-    ) -> None:
-        """Book one retransmission: ``delay`` plus wire time on both
-        ends (recovery column), the resent bytes in trace and ledger."""
-        wire = (
-            self._net.ptp_time(nbytes, g_src, g_dst)
-            if self._net is not None
-            else 0.0
-        )
-        self._charge_recovery([g_src], delay + wire, phase, "resend")
-        self._charge_recovery([g_dst], delay + wire, phase, "resend-wait")
-        if self._trace is not None:
-            self._trace.record(g_src, g_dst, nbytes, "resend")
+    def _book(self, kind: str, ranks, seconds: float, label: str) -> None:
+        """Charge ``seconds`` of ``kind`` time to global rank(s) ``ranks``.
+
+        The one place a charged second is booked: each rank's clock
+        advances, its timeline gets the interval, and the phase ledger
+        adds it to the column of the same kind
+        (:data:`~repro.simmpi.phases.KINDS`) in the current phase.
+        ``ranks`` is one global rank id or a list of distinct ones.
+        """
+        if self._timeline is not None:
+            for g in (ranks,) if type(ranks) is int else ranks:
+                t0 = self._clock.time(g)
+                self._timeline.record(g, t0, t0 + seconds, label, kind)
+        self._clock.advance(ranks, seconds)
         ledger = self._phase.ledger
         if ledger is not None:
-            ledger.record_traffic(phase, g_src, nbytes)
+            ledger.record(self._phase.current, ranks, kind + "_s", seconds)
 
-    def _sync_recovery(self, phase: str | None) -> None:
-        """Synchronize the group, booking each rank's wait as recovery."""
-        _, waits = self._clock.synchronize_with_waits(self._ranks)
+    def _sync(self, kind: str, label: str) -> np.ndarray:
+        """Align the group's clocks to their max, booking each wait.
+
+        The clocks are *set* to the group maximum rather than advanced
+        by their waits (which could round differently); each rank's
+        wait then goes to the timeline and the ledger column ``kind``
+        as :meth:`_book` would.  Returns the waits in rank order.
+        """
+        ranks = self._ranks
+        if self._timeline is not None:
+            before = [self._clock.time(g) for g in ranks]
+        t_sync, waits = self._clock.synchronize_with_waits(ranks)
+        if self._timeline is not None:
+            for g, t0 in zip(ranks, before):
+                self._timeline.record(g, t0, t_sync, label, kind)
         ledger = self._phase.ledger
         if ledger is not None:
-            ledger.record_recovery_group(phase, self._ranks, waits)
-        self._resil.stats.recovery_rank_seconds += float(waits.sum())
+            ledger.record(self._phase.current, ranks, kind + "_s", waits)
+        return waits
+
+    def _traffic(self, g_srcs, nbytes) -> None:
+        """Book sent bytes, one message per sender entry, in the ledger."""
+        ledger = self._phase.ledger
+        if ledger is not None:
+            phase = self._phase.current
+            idx = np.asarray(g_srcs, dtype=np.intp)
+            ledger.record(phase, idx, "nbytes", nbytes)
+            ledger.record(phase, idx, "messages", 1.0)
 
     @property
     def elapsed(self) -> float:
@@ -545,20 +556,12 @@ class Communicator(Tokened):
         return dt
 
     def _charge_compute(self, g: int, work: Work, dt: float) -> None:
-        """Meter/clock/timeline/ledger bookkeeping for one charge of
-        ``dt`` seconds."""
+        """Meter one charge and book its ``dt`` seconds and flops."""
         self._meter.record(work)
+        self._book("compute", g, dt, work.name)
         ledger = self._phase.ledger
-        if self._proc_time is None:
-            if ledger is not None:
-                ledger.record_compute(self._phase.current, g, 0.0, work.flops)
-            return
-        t0 = self._clock.time(g)
-        self._clock.advance(g, dt)
-        if self._timeline is not None:
-            self._timeline.record(g, t0, t0 + dt, work.name, "compute")
         if ledger is not None:
-            ledger.record_compute(self._phase.current, g, dt, work.flops)
+            ledger.record(self._phase.current, g, "flops", work.flops)
 
     def compute_all(self, work_per_rank: Sequence[Work]) -> float:
         """Charge every rank its own work; returns the max time charged."""
@@ -600,22 +603,15 @@ class Communicator(Tokened):
         for m in messages:
             if not (0 <= m.src < self.nprocs and 0 <= m.dst < self.nprocs):
                 raise IndexError(f"message rank out of range: {m.src}->{m.dst}")
-        resil = self._resil
-        resil.check_rank_failure()
+        self._resil.check_rank_failure()
         received = self._transport.deliver(messages, copy=copy)
-        ledger = self._phase.ledger
-        phase = self._phase.current
-        for m in messages:
-            if self._trace is not None:
-                self._trace.record(self._g(m.src), self._g(m.dst), m.nbytes)
-            if ledger is not None:
-                ledger.record_traffic(phase, self._g(m.src), m.nbytes)
-        if self._net is not None:
-            self._charge_ptp_phase(
-                [(m.src, m.dst, m.nbytes) for m in messages]
-            )
-        if resil.injector is not None:
-            resil.heal_exchange(self, messages, received)
+        self._ptp(
+            [m.src for m in messages],
+            [m.dst for m in messages],
+            [m.nbytes for m in messages],
+            messages,
+            received,
+        )
         return received
 
     def exchange_phase(
@@ -667,72 +663,54 @@ class Communicator(Tokened):
             or max(srcs_a.max(), dsts_a.max()) >= self.nprocs
         ):
             raise IndexError("message rank out of range")
-        resil = self._resil
-        resil.check_rank_failure()
-        ledger = self._phase.ledger
-        phase = self._phase.current
-        if self._trace is not None or ledger is not None:
-            g_srcs = [self._g(int(s)) for s in srcs_a]
-            if self._trace is not None:
-                self._trace.record_pairs(
-                    g_srcs,
-                    [self._g(int(d)) for d in dsts_a],
-                    nbytes_a,
-                )
-            if ledger is not None:
-                ledger.record_traffic_bulk(phase, g_srcs, nbytes_a)
-        if self._net is None and resil.injector is None:
-            return
-        triples = [
-            (int(s), int(d), int(nb))
-            for s, d, nb in zip(srcs_a, dsts_a, nbytes_a)
-        ]
-        if self._net is not None:
-            self._charge_ptp_phase(triples)
-        if resil.injector is not None:
-            resil.heal_phase(self, triples)
+        self._resil.check_rank_failure()
+        self._ptp(srcs_a.tolist(), dsts_a.tolist(), nbytes_a.tolist())
 
-    def _charge_ptp_phase(
-        self, triples: Sequence[tuple[int, int, int]]
+    def _ptp(
+        self,
+        srcs: list[int],
+        dsts: list[int],
+        nbytes: list[int],
+        messages: Sequence[Message] | None = None,
+        received: dict[int, list[np.ndarray]] | None = None,
     ) -> None:
-        """Clock/timeline/ledger charging for one point-to-point phase.
+        """Accounting of one point-to-point phase, payloads moved or not.
 
-        ``triples`` is ``(src_local, dst_local, nbytes)`` in posting
-        order.  Senders serialize their own sends; receivers wait for
-        their latest arrival.  Shared by :meth:`exchange` (which moved
-        real payloads) and :meth:`exchange_phase` (accounting only).
+        Message ``k`` goes from local rank ``srcs[k]`` to ``dsts[k]``
+        with ``nbytes[k]`` bytes, in posting order.  Traces the pairs,
+        books the traffic, charges the wire (senders serialize their
+        own sends; receivers wait for their latest arrival) and hands
+        the phase to the healing hook.  :meth:`exchange` passes the
+        ``messages`` it delivered as ``received`` so the hook can check
+        payloads; :meth:`exchange_phase` moved none.
         """
-        ledger = self._phase.ledger
-        phase = self._phase.current
-        depart_base = {
-            s: self._clock.time(self._g(s)) for s, _, _ in triples
-        }
-        send_accum: dict[int, float] = {}
-        arrivals: dict[int, float] = {}
-        for s, d, nb in triples:
-            cost = self._net.ptp_time(nb, self._g(s), self._g(d))
-            send_accum[s] = send_accum.get(s, 0.0) + cost
-            arrivals[d] = max(
-                arrivals.get(d, 0.0), depart_base[s] + send_accum[s]
+        ranks = self._ranks
+        g_srcs = [ranks[s] for s in srcs]
+        g_dsts = [ranks[d] for d in dsts]
+        if self._trace is not None:
+            self._trace.record_pairs(g_srcs, g_dsts, nbytes)
+        self._traffic(g_srcs, nbytes)
+        net = self._net
+        if net is not None:
+            clock = self._clock
+            depart_base = {g: clock.time(g) for g in g_srcs}
+            send_accum: dict[int, float] = {}
+            arrivals: dict[int, float] = {}
+            for s, d, nb in zip(g_srcs, g_dsts, nbytes):
+                send_accum[s] = send_accum.get(s, 0.0) + net.ptp_time(nb, s, d)
+                arrivals[d] = max(
+                    arrivals.get(d, 0.0), depart_base[s] + send_accum[s]
+                )
+            for g, dt in send_accum.items():
+                self._book("comm", g, dt, "send")
+            for g, t_arr in arrivals.items():
+                wait = t_arr - clock.time(g)
+                if wait > 0:
+                    self._book("wait", g, wait, "recv")
+        if self._resil.injector is not None:
+            self._resil.heal(
+                self, list(zip(srcs, dsts, nbytes)), messages, received
             )
-        for src, dt in send_accum.items():
-            g = self._g(src)
-            t0 = self._clock.time(g)
-            self._clock.advance(g, dt)
-            if self._timeline is not None:
-                self._timeline.record(g, t0, t0 + dt, "send", "comm")
-            if ledger is not None:
-                ledger.record_comm(phase, g, dt)
-        for dst, t_arr in arrivals.items():
-            g = self._g(dst)
-            wait = t_arr - self._clock.time(g)
-            if wait > 0:
-                t0 = self._clock.time(g)
-                self._clock.advance(g, wait)
-                if self._timeline is not None:
-                    self._timeline.record(g, t0, t0 + wait, "recv", "wait")
-                if ledger is not None:
-                    ledger.record_wait(phase, g, wait)
 
     def sendrecv(
         self, src: int, dst: int, payload: np.ndarray
@@ -933,27 +911,11 @@ class Communicator(Tokened):
         """
         self._require_serial_region(label)
         self._resil.check_rank_failure()
-        ledger = self._phase.ledger
-        phase = self._phase.current
-        if self._timeline is not None:
-            pre = {g: self._clock.time(g) for g in self._ranks}
-        t_sync, waits = self._clock.synchronize_with_waits(self._ranks)
-        if self._timeline is not None:
-            for g in self._ranks:
-                self._timeline.record(g, pre[g], t_sync, label, "wait")
-        if ledger is not None:
-            ledger.record_waits(phase, self._ranks, waits)
-            if nbytes_per_rank > 0:
-                ledger.record_collective(phase, self._ranks, nbytes_per_rank)
+        self._sync("wait", label)
+        if nbytes_per_rank > 0:
+            self._traffic(self._ranks, nbytes_per_rank)
         if cost > 0:
-            self._clock.advance_group(self._ranks, cost)
-            if self._timeline is not None:
-                for g in self._ranks:
-                    self._timeline.record(
-                        g, t_sync, t_sync + cost, label, "comm"
-                    )
-            if ledger is not None:
-                ledger.record_comm_group(phase, self._ranks, cost)
+            self._book("comm", self._ranks, cost, label)
 
     # -- internals ---------------------------------------------------------
 

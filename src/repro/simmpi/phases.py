@@ -31,6 +31,16 @@ import numpy as np
 #: Phase label charged when no ``with comm.phase(...)`` scope is open.
 UNPHASED = "(unphased)"
 
+#: The kinds of charged time — one vocabulary for both instruments: the
+#: communicator books a second of kind ``k`` into a :class:`PhaseBucket`
+#: column ``k_s`` and a :class:`~repro.simmpi.timeline.Timeline` event
+#: of kind ``k``.
+KINDS = ("compute", "comm", "wait", "recovery")
+
+#: Every :class:`PhaseBucket` column: the seconds of each kind, then
+#: the work and traffic counts.
+COLUMNS = tuple(f"{k}_s" for k in KINDS) + ("flops", "nbytes", "messages")
+
 
 class PhaseState:
     """Shared mutable current-phase + ledger box of one communicator world."""
@@ -92,40 +102,29 @@ class PhaseBucket:
     messages: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("compute_s", "comm_s", "wait_s", "recovery_s",
-                     "flops", "nbytes", "messages"):
+        for name in COLUMNS:
             setattr(self, name, np.zeros(self.nprocs, dtype=np.float64))
 
     @property
     def total_seconds(self) -> float:
         """Summed rank-seconds (compute + comm + wait + recovery)."""
-        return float(
-            self.compute_s.sum()
-            + self.comm_s.sum()
-            + self.wait_s.sum()
-            + self.recovery_s.sum()
-        )
+        return float(sum(getattr(self, f"{k}_s").sum() for k in KINDS))
 
     def as_record(self, steps: int = 1) -> dict:
         """Aggregate summary (per step when ``steps`` is given)."""
         s = max(steps, 1)
-        return {
-            "compute_s_mean": float(self.compute_s.mean()) / s,
-            "compute_s_max": float(self.compute_s.max()) / s,
-            "comm_s_mean": float(self.comm_s.mean()) / s,
-            "comm_s_max": float(self.comm_s.max()) / s,
-            "wait_s_mean": float(self.wait_s.mean()) / s,
-            "wait_s_max": float(self.wait_s.max()) / s,
-            "recovery_s_mean": float(self.recovery_s.mean()) / s,
-            "recovery_s_max": float(self.recovery_s.max()) / s,
-            "flops": float(self.flops.sum()) / s,
-            "nbytes": float(self.nbytes.sum()) / s,
-            "messages": float(self.messages.sum()) / s,
-        }
+        record = {}
+        for k in KINDS:
+            col = getattr(self, f"{k}_s")
+            record[f"{k}_s_mean"] = float(col.mean()) / s
+            record[f"{k}_s_max"] = float(col.max()) / s
+        for name in COLUMNS[len(KINDS):]:
+            record[name] = float(getattr(self, name).sum()) / s
+        return record
 
 
 class PhaseLedger:
-    """Per-rank, per-phase compute/comm/wait/bytes/messages record.
+    """Per-rank, per-phase seconds of each kind, flops, bytes, messages.
 
     Sized to the *world* communicator; ranks are global rank ids, so
     subgroup operations (GTC's particle-subgroup ``Allreduce``, FVCAM's
@@ -147,68 +146,20 @@ class PhaseLedger:
             b = self._buckets[key] = PhaseBucket(self.nprocs)
         return b
 
-    def record_compute(
-        self, phase: str | None, rank: int, seconds: float, flops: float = 0.0
-    ) -> None:
-        b = self.bucket(phase)
-        b.compute_s[rank] += seconds
-        b.flops[rank] += flops
+    def record(self, phase: str | None, ranks, column: str, amount) -> None:
+        """Add ``amount`` to one column of ``phase``'s bucket.
 
-    def record_comm(self, phase: str | None, rank: int, seconds: float) -> None:
-        self.bucket(phase).comm_s[rank] += seconds
-
-    def record_comm_group(
-        self, phase: str | None, ranks, seconds: float
-    ) -> None:
-        self.bucket(phase).comm_s[list(ranks)] += seconds
-
-    def record_wait(self, phase: str | None, rank: int, seconds: float) -> None:
-        self.bucket(phase).wait_s[rank] += seconds
-
-    def record_waits(self, phase: str | None, ranks, seconds) -> None:
-        """Vector counterpart of :meth:`record_wait` (one value per rank)."""
-        b = self.bucket(phase)
-        np.add.at(b.wait_s, list(ranks), seconds)
-
-    def record_recovery(
-        self, phase: str | None, rank: int, seconds: float
-    ) -> None:
-        """Book fault-recovery time (retransmit, restore...)."""
-        self.bucket(phase).recovery_s[rank] += seconds
-
-    def record_recovery_group(
-        self, phase: str | None, ranks, seconds
-    ) -> None:
-        """Vector counterpart of :meth:`record_recovery`.
-
-        ``seconds`` is a scalar charged to every rank, or one value per
-        rank (``np.add.at`` scatter semantics either way).
+        The one mutator: the communicator books every charged second
+        (column ``<kind>_s`` for each of :data:`KINDS`) and every flop,
+        byte and message through it.  ``ranks`` is one global rank id
+        or a sequence of them; ``amount`` is one value for every rank
+        or one per rank, summed in order where a rank repeats.
         """
-        b = self.bucket(phase)
-        np.add.at(b.recovery_s, list(ranks), seconds)
-
-    def record_traffic(
-        self, phase: str | None, rank: int, nbytes: float, messages: int = 1
-    ) -> None:
-        b = self.bucket(phase)
-        b.nbytes[rank] += nbytes
-        b.messages[rank] += messages
-
-    def record_traffic_bulk(self, phase: str | None, ranks, nbytes) -> None:
-        """One scatter-add for a whole batch of sends (``exchange_phase``)."""
-        b = self.bucket(phase)
-        idx = np.asarray(ranks, dtype=np.intp)
-        np.add.at(b.nbytes, idx, np.asarray(nbytes, dtype=np.float64))
-        np.add.at(b.messages, idx, 1.0)
-
-    def record_collective(
-        self, phase: str | None, ranks, nbytes_per_rank: float
-    ) -> None:
-        """Attribute one collective call: every rank sends ~its payload."""
-        b = self.bucket(phase)
-        idx = list(ranks)
-        b.nbytes[idx] += nbytes_per_rank
-        b.messages[idx] += 1.0
+        col = getattr(self.bucket(phase), column)
+        if type(ranks) is int:  # one rank: the compute replay's hot path
+            col[ranks] += amount
+        else:
+            np.add.at(col, np.asarray(ranks, dtype=np.intp), amount)
 
     # -- inspection ------------------------------------------------------
 
@@ -227,13 +178,9 @@ class PhaseLedger:
         """Everything summed over phases (still per rank)."""
         out = PhaseBucket(self.nprocs)
         for b in self._buckets.values():
-            out.compute_s += b.compute_s
-            out.comm_s += b.comm_s
-            out.wait_s += b.wait_s
-            out.recovery_s += b.recovery_s
-            out.flops += b.flops
-            out.nbytes += b.nbytes
-            out.messages += b.messages
+            for name in COLUMNS:
+                total = getattr(out, name)
+                total += getattr(b, name)
         return out
 
     def as_records(self, steps: int = 1) -> list[dict]:
@@ -252,9 +199,10 @@ class PhaseLedger:
             f"{'phase':<14} {'compute ms':>11} {'comm ms':>9} "
             f"{'sync ms':>9} {'recov ms':>9} {'MB':>9} {'msgs':>8}"
         )
-        total = PhaseBucket(self.nprocs)
-        for name in self.phases:
-            r = self._buckets[name].as_record(steps)
+        rows = list(self._buckets.items())
+        rows.append(("total", self.totals()))
+        for name, bucket in rows:
+            r = bucket.as_record(steps)
             lines.append(
                 f"{name:<14} {r['compute_s_mean'] * 1e3:>11.3f} "
                 f"{r['comm_s_mean'] * 1e3:>9.3f} "
@@ -262,14 +210,6 @@ class PhaseLedger:
                 f"{r['recovery_s_mean'] * 1e3:>9.3f} "
                 f"{r['nbytes'] / 1e6:>9.3f} {r['messages']:>8.0f}"
             )
-        t = self.totals().as_record(steps)
-        lines.append(
-            f"{'total':<14} {t['compute_s_mean'] * 1e3:>11.3f} "
-            f"{t['comm_s_mean'] * 1e3:>9.3f} "
-            f"{t['wait_s_mean'] * 1e3:>9.3f} "
-            f"{t['recovery_s_mean'] * 1e3:>9.3f} "
-            f"{t['nbytes'] / 1e6:>9.3f} {t['messages']:>8.0f}"
-        )
         return "\n".join(lines)
 
     def reset(self) -> None:

@@ -1,20 +1,26 @@
 """Per-rank execution timelines for the simulated runtime.
 
 Beyond the aggregate clocks, a :class:`Timeline` records every compute
-kernel, communication operation, and synchronization wait as an
-interval on its rank's time axis, and renders the result as an ASCII
-Gantt chart — the closest thing to a parallel profiler's trace view
-for the simulated machine.  Useful for seeing *why* a configuration is
-slow: load imbalance shows up as wait bars, communication-bound runs
-as tilde-filled rows.
+kernel, communication operation, synchronization wait and fault
+recovery as an interval on its rank's time axis, and renders the result
+as an ASCII Gantt chart — the closest thing to a parallel profiler's
+trace view for the simulated machine.  Useful for seeing *why* a
+configuration is slow: load imbalance shows up as wait bars,
+communication-bound runs as tilde-filled rows.
+
+The event kinds are the phase ledger's :data:`~repro.simmpi.phases.KINDS`:
+the communicator books each charged second into both instruments at
+once, so a rank's timeline total of a kind equals its ledger column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .phases import KINDS
+
 #: Event kinds and their Gantt glyphs.
-GLYPHS = {"compute": "#", "comm": "~", "wait": "."}
+GLYPHS = dict(zip(KINDS, "#~.!"))
 
 
 @dataclass(frozen=True)
@@ -25,7 +31,7 @@ class Event:
     start: float
     end: float
     label: str
-    kind: str  # "compute" | "comm" | "wait"
+    kind: str  # one of KINDS
 
     def __post_init__(self) -> None:
         if self.end < self.start:
@@ -89,15 +95,13 @@ class Timeline:
 
     def render_gantt(self, width: int = 72) -> str:
         """ASCII Gantt chart: one row per rank, '#'=compute, '~'=comm,
-        '.'=wait, ' '=idle; later events overwrite earlier in a cell."""
+        '.'=wait, '!'=recovery, ' '=idle; later events overwrite earlier
+        in a cell."""
         span = self.span
         if span == 0:
             return "(no events)"
-        lines = [
-            f"virtual time 0 .. {span:.3e} s   "
-            f"[{GLYPHS['compute']}=compute {GLYPHS['comm']}=comm "
-            f"{GLYPHS['wait']}=wait]"
-        ]
+        legend = " ".join(f"{glyph}={kind}" for kind, glyph in GLYPHS.items())
+        lines = [f"virtual time 0 .. {span:.3e} s   [{legend}]"]
         for rank in range(self.nprocs):
             row = [" "] * width
             for e in self.events_for(rank):

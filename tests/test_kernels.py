@@ -228,9 +228,6 @@ def _kernel_cases():
 
     return {
         "lbmhd_collide": lambda b: b.lbmhd_collide(state.copy(), cparams),
-        "lbmhd_f_equilibrium": lambda b: b.lbmhd_f_equilibrium(rho, u, B),
-        "lbmhd_g_equilibrium": lambda b: b.lbmhd_g_equilibrium(u, B),
-        "lbmhd_stream_periodic": lambda b: b.lbmhd_stream_periodic(state),
         "lbmhd_stream_from_padded": (
             lambda b: b.lbmhd_stream_from_padded(padded)
         ),

@@ -96,6 +96,20 @@ class TestCheckpoint:
         restored = load_checkpoint(save_checkpoint(sim), Communicator(1))
         assert restored.params == params
 
+    def test_mrt_parameters_survive(self):
+        params = LBMHDParams(
+            shape=SHAPE, tau=0.9, tau_m=0.7, use_mrt=True, tau_ghost=1.3
+        )
+        sim = LBMHD3D(params, Communicator(2))
+        sim.run(2)
+        restored = load_checkpoint(save_checkpoint(sim), Communicator(2))
+        assert restored.params == params
+        sim.step()
+        restored.step()
+        np.testing.assert_array_equal(
+            restored.global_state(), sim.global_state()
+        )
+
     def test_blob_is_compact(self):
         sim = LBMHD3D(LBMHDParams(shape=SHAPE), Communicator(1))
         blob = save_checkpoint(sim)

@@ -51,6 +51,7 @@ def _cmd_run(args) -> int:
     spec_path = Path(args.spec)
     try:
         spec = CampaignSpec.from_json(spec_path.read_text())
+        spec.expand()  # type-checks every cell before anything runs
     except FileNotFoundError:
         print(f"repro-campaign: no such spec file: {spec_path}",
               file=sys.stderr)
@@ -156,12 +157,7 @@ def _cmd_status(args) -> int:
             tag, extra = "FAIL", str(event.get("error", ""))
         else:
             tag, extra = "....", "(started, no completion journaled)"
-        config = event.get("config") or {}
-        backend = config.get("kernel_backend", "-")
-        print(
-            f"  {tag}  {event.get('label', key):<40} "
-            f"{backend:<8} {extra}"
-        )
+        print(f"  {tag}  {event.get('label', key):<40} {extra}")
     cache_line = _cache_stats_line(args.cache_dir)
     if cache_line is not None:
         print(cache_line)

@@ -85,14 +85,10 @@ class CampaignReport:
         """ASCII per-config table plus the hit/miss/time footer."""
         width = max([len(r.config.label) for r in self.rows] or [10])
         width = max(width, len("config"))
-        bwidth = max(
-            [len(r.config.kernel_backend) for r in self.rows]
-            + [len("backend")]
-        )
         lines = [
             f"campaign {self.spec.name!r}: {len(self.rows)} config(s) "
             f"via {self.scheduler}",
-            f"{'config':<{width}}  {'backend':<{bwidth}}  {'status':>6}  "
+            f"{'config':<{width}}  {'status':>6}  "
             f"{'wall s':>9}  {'Gflop/s':>9}",
         ]
         for r in self.rows:
@@ -100,7 +96,6 @@ class CampaignReport:
             wall = f"{r.wall_s:9.3f}" if r.ok else "        -"
             lines.append(
                 f"{r.config.label:<{width}}  "
-                f"{r.config.kernel_backend:<{bwidth}}  "
                 f"{r.status:>6}  {wall}  {gf}"
             )
             if r.error:

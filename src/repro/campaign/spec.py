@@ -1,9 +1,9 @@
 """Campaign specs and the hashable run configurations they expand into.
 
 A :class:`CampaignSpec` names the sweep axes (apps x machines x P x
-executor x kernel backend x seeds), plus shared knobs (steps, repeats,
-trace, per-app parameter overrides).  :meth:`CampaignSpec.expand` takes
-the cross product and returns one :class:`RunConfig` per cell.
+executor x seeds), plus shared knobs (steps, repeats, trace, per-app
+parameter overrides).  :meth:`CampaignSpec.expand` takes the cross
+product and returns one :class:`RunConfig` per cell.
 
 ``RunConfig`` is frozen and hashable; :meth:`RunConfig.key` is the
 cache identity — a SHA-256 over the canonical JSON form of the config
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Any, Iterable, Mapping
@@ -72,13 +73,25 @@ class RunConfig:
     steps: int = 1
     machine: str | None = None
     executor: str = "serial"
-    kernel_backend: str = "numpy"
     seed: int | None = None
     params: tuple = ()
     trace: bool = False
     repeats: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("nprocs", "steps", "seed", "repeats"):
+            value = getattr(self, name)
+            if value is None and name in ("nprocs", "seed"):
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise TypeError(
+                    f"{name!r} must be an integer, got {value!r}"
+                )
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.trace, bool):
+            raise TypeError(f"'trace' must be a boolean, got {self.trace!r}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.repeats < 1:
@@ -96,7 +109,6 @@ class RunConfig:
             "steps": self.steps,
             "machine": self.machine,
             "executor": self.executor,
-            "kernel_backend": self.kernel_backend,
             "seed": self.seed,
             "params": self.params_dict(),
             "trace": self.trace,
@@ -135,8 +147,6 @@ class RunConfig:
         bits.append(f" x{self.steps}")
         if self.executor != "serial":
             bits.append(f" {self.executor}")
-        if self.kernel_backend != "numpy":
-            bits.append(f" k:{self.kernel_backend}")
         if self.seed is not None:
             bits.append(f" seed={self.seed}")
         if self.repeats > 1:
@@ -159,7 +169,6 @@ class CampaignSpec:
     machines: tuple[str | None, ...] = (None,)
     nprocs: tuple[int | None, ...] = (None,)
     executors: tuple[str, ...] = ("serial",)
-    kernel_backends: tuple[str, ...] = ("numpy",)
     seeds: tuple[int | None, ...] = (None,)
     steps: int = 1
     repeats: int = 1
@@ -170,8 +179,7 @@ class CampaignSpec:
         if not self.apps:
             raise ValueError("a campaign needs at least one app")
         for axis in (
-            "apps", "machines", "nprocs", "executors",
-            "kernel_backends", "seeds",
+            "apps", "machines", "nprocs", "executors", "seeds",
         ):
             object.__setattr__(self, axis, tuple(getattr(self, axis)))
         object.__setattr__(self, "params", _freeze(self.params_mapping()))
@@ -190,15 +198,14 @@ class CampaignSpec:
                 steps=self.steps,
                 machine=machine,
                 executor=executor,
-                kernel_backend=backend,
                 seed=seed,
                 params=freeze_params(overrides.get(app)),
                 trace=self.trace,
                 repeats=self.repeats,
             )
-            for app, machine, p, executor, backend, seed in product(
+            for app, machine, p, executor, seed in product(
                 self.apps, self.machines, self.nprocs,
-                self.executors, self.kernel_backends, self.seeds,
+                self.executors, self.seeds,
             )
         ]
 
@@ -209,7 +216,6 @@ class CampaignSpec:
             "machines": list(self.machines),
             "nprocs": list(self.nprocs),
             "executors": list(self.executors),
-            "kernel_backends": list(self.kernel_backends),
             "seeds": list(self.seeds),
             "steps": self.steps,
             "repeats": self.repeats,
@@ -227,8 +233,7 @@ class CampaignSpec:
             )
         kwargs = dict(d)
         for axis in (
-            "apps", "machines", "nprocs", "executors",
-            "kernel_backends", "seeds",
+            "apps", "machines", "nprocs", "executors", "seeds",
         ):
             if axis in kwargs:
                 value = kwargs[axis]

@@ -87,7 +87,6 @@ def execute_config(config: RunConfig) -> dict[str, Any]:
             nprocs=config.nprocs,
             machine=config.machine,
             executor=config.executor,
-            kernel_backend=config.kernel_backend,
             trace=config.trace,
         )
         samples.append(time.perf_counter() - t0)

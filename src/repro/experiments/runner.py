@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..kernels import BACKENDS
 from ..runtime.executors import (
     EXECUTORS,
     ProcessExecutor,
@@ -94,11 +93,6 @@ def validate_args(args) -> list[str]:
             )
         except ValueError as exc:
             errors.append(f"--executor: {exc}")
-    if args.backend is not None:
-        try:
-            BACKENDS.parse(args.backend)
-        except ValueError as exc:
-            errors.append(f"--backend: {exc}")
     if args.seed is not None and not 0 <= args.seed <= _MAX_SEED:
         errors.append(
             f"--seed: must be in [0, 2**32 - 1], got {args.seed}"
@@ -108,15 +102,13 @@ def validate_args(args) -> list[str]:
     return errors
 
 
-def _render_one(
-    job: tuple[str, bool, "str | None", "str | None", "int | None"]
-) -> str:
+def _render_one(job: tuple[str, bool, "str | None", "int | None"]) -> str:
     """Render one experiment (module-level so worker processes can run
-    it): the executor/backend/seed knobs are applied here, scoped to
-    this one render — a spawned worker does not inherit the parent's
+    it): the executor/seed knobs are applied here, scoped to this one
+    render — a spawned worker does not inherit the parent's
     process-wide defaults, and a pool worker outlives the render."""
-    name, quick, executor, backend, seed = job
-    with EXECUTORS.scoped(executor), BACKENDS.scoped(backend):
+    name, quick, executor, seed = job
+    with EXECUTORS.scoped(executor):
         if seed is not None:
             import numpy as np
 
@@ -181,15 +173,6 @@ def main(argv: list[str] | None = None) -> int:
             "'threads[:N]', or 'processes[:N]' (results are identical "
             "either way — only wall-clock differs; processes needs fork "
             "+ POSIX shared memory)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        metavar="SPEC",
-        help=(
-            "kernel backend for the solvers' hot loops, by registered "
-            "name: 'numpy' is the reference (every backend is bitwise "
-            "identical to it — only wall-clock differs)"
         ),
     )
     parser.add_argument(
@@ -258,8 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         save_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = [
-        (name, args.quick, args.executor, args.backend, args.seed)
-        for name in names
+        (name, args.quick, args.executor, args.seed) for name in names
     ]
     outputs: dict[str, str] = {}
     failures: dict[str, str] = {}

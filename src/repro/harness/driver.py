@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from ..kernels import get_backend
 from ..machines.catalog import get_machine
 from ..machines.spec import MachineSpec
 from ..runtime.executors import segment_executor
@@ -94,7 +93,6 @@ def run(
     instrument: bool = True,
     loop_registers: float | None = None,
     executor: Any | None = None,
-    kernel_backend: Any | None = None,
     fault_plan: FaultPlan | None = None,
     policy: RetryPolicy | None = None,
     checkpoint_every: int | None = None,
@@ -146,15 +144,6 @@ def run(
         such a run.  Only meaningful when the harness builds the
         communicator; combining it with an explicit ``comm`` is an
         error (the communicator already carries its executor).
-    kernel_backend:
-        Which kernel implementations the solver's hot loops use: a
-        :class:`~repro.kernels.KernelBackend`, a registered name
-        (``"numpy"``), or ``None`` for the ambient choice.  Resolved
-        here, once; the instance is handed to the solver and used as
-        is.  Changes nothing but wall-clock — every backend is pinned
-        bitwise to the numpy reference, so states, traces, and ledgers
-        are identical.  An unknown name raises listing the valid
-        choices.
     fault_plan, policy:
         A :class:`~repro.resilience.FaultPlan` to inject on the
         point-to-point wire, and the
@@ -180,7 +169,6 @@ def run(
         params = adapter.default_params()
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    kernels = get_backend(kernel_backend)
 
     if comm is None:
         if nprocs is None:
@@ -230,7 +218,7 @@ def run(
         )
 
     try:
-        state = adapter.setup(comm, params, arena=arena, kernels=kernels)
+        state = adapter.setup(comm, params, arena=arena)
 
         recovery = comm.recovery_stats
         store = (

@@ -64,11 +64,11 @@ class SPMDApplication(Protocol):
         the solver's constructor, which with ``None`` takes its own
         from ``comm.executor``.
 
-        ``kernels`` is the :class:`~repro.kernels.KernelBackend`
-        *instance* ``harness.run`` resolved; forward it to the solver's
-        constructor, which uses it as is.  (A direct caller may pass
-        ``None``; the solver constructor is then the edge that
-        resolves the ambient choice, once.)
+        ``kernels`` is a :class:`~repro.kernels.KernelBackend`
+        instance to substitute for the numpy one (a test's toy
+        backend, a benchmark's timing backend); forward it to the
+        solver's constructor, which with ``None`` takes the numpy
+        backend.
         """
         ...
 

@@ -18,9 +18,9 @@ meet that bar for some kernel must not override it.
 
 Backends are stateless (safe to share across threads and to inherit
 copy-on-write into forked rank-team workers, which is why a team
-message names a backend by token instead of copying it) and are
-resolved through :mod:`repro.kernels.registry`.  There is no per-host
-capability check: a backend that is registered runs.
+message names a backend by token instead of copying it).  A solver
+takes its backend as an instance (``kernels=``); :func:`get_backend`
+gives the numpy one when it is handed none.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class KernelBackend(Tokened):
     by construction.  App modules are imported inside the methods (the
     import is a cached ``sys.modules`` lookup after the first call) so
     this module never participates in an import cycle with the app
-    packages that import the registry.
+    packages that import it.
     """
 
     #: spec-style name ("numpy")
@@ -207,3 +207,28 @@ class NumPyBackend(KernelBackend):
     """The reference backend: the extracted current code, unchanged."""
 
     name = "numpy"
+
+
+#: The instance every solver handed no backend runs on.
+_NUMPY = NumPyBackend()
+
+
+def get_backend(
+    spec: "str | KernelBackend | None" = None,
+) -> KernelBackend:
+    """``None`` or ``"numpy"`` -> the numpy backend; an instance ->
+    itself.  Any other name is a ``ValueError`` listing the choice."""
+    if spec is None:
+        return _NUMPY
+    if isinstance(spec, KernelBackend):
+        return spec
+    if not isinstance(spec, str):
+        raise TypeError(
+            "kernel backend spec must be a string or KernelBackend, "
+            f"got {type(spec)!r}"
+        )
+    if spec.strip().lower() != "numpy":
+        raise ValueError(
+            f"unknown kernel backend {spec!r}; valid choices: 'numpy'"
+        )
+    return _NUMPY

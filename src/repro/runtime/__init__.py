@@ -15,9 +15,8 @@
   process executor: workers forked once per run, regions sent as
   messages (shared-memory arrays by reference, communicators, arenas
   and kernel backends by token, the rest by value);
-* :mod:`repro.runtime.resolve` — the one resolution rule (precedence
-  chain + capability policy) the executor and kernel-backend seams
-  both instantiate; only executors have a capability to check.
+* :mod:`repro.runtime.resolve` — the resolution rule (precedence
+  chain + capability policy) the executor seam instantiates.
 """
 
 from .arena import Arena

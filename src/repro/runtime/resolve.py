@@ -1,22 +1,21 @@
-"""The one resolution rule behind the pluggable seams.
+"""The resolution rule behind the executor seam.
 
-"Which executor / kernel backend does this run get?" is answered here,
-once, for every seam (:data:`repro.runtime.executors.EXECUTORS`,
-:data:`repro.kernels.registry.BACKENDS`).
+"Which executor does this run get?" is answered here, once
+(:data:`repro.runtime.executors.EXECUTORS` is the one
+:class:`Resolver`).
 
 **Precedence** — the first one present wins:
 
 1. an explicit instance or spec string passed by the caller;
 2. the process default a :meth:`Resolver.scoped` block installed (what
-   ``repro-experiments --executor/--backend`` use);
+   ``repro-experiments --executor`` uses);
 3. the seam's environment variable (``REPRO_EXECUTOR`` — what the CI
-   executor jobs set — or ``REPRO_KERNEL_BACKEND``);
-4. the seam's fallback (``"serial"``, ``"numpy"``).
+   executor jobs set);
+4. the seam's fallback (``"serial"``).
 
 **Capability policy** — when the caller says what the choice must be
-usable *for* (``usable=``, e.g. "schedule rank segments here"; only the
-executor seam has such a check, passed per call by
-:func:`~repro.runtime.executors.segment_executor`):
+usable *for* (``usable=``, e.g. "schedule rank segments here", passed
+per call by :func:`~repro.runtime.executors.segment_executor`):
 
 * an unknown name always raises a ``ValueError`` listing the choices,
   naming the environment variable when the bad spec came from it — a

@@ -3,15 +3,16 @@
 The service's wire format is deliberately thin: a ``POST /v1/predict``
 body is exactly the JSON form of a
 :class:`~repro.campaign.spec.RunConfig` (app x machine x P x executor
-x kernel backend x seed x params ...) plus one transport knob,
+x seed x params ...) plus one transport knob,
 ``wait`` — so a request *is* a campaign cell, shares the campaign's
 SHA-256 content key, and therefore shares its cache entries and its
 in-flight coalescing identity for free.
 
 Validation happens here, before anything is queued: an unknown app,
-machine, executor, or kernel backend is a client error (HTTP 400 with
-the choices listed), never a failed job discovered minutes later in a
-worker process.
+machine or executor, an unknown field, or a field of the wrong type
+(``"nprocs": "4"``, ``"steps": 2.5``) is a client error (HTTP 400
+naming it, with the choices listed where there are choices), never a
+failed job discovered minutes later in a worker process.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Any
 
 from ..campaign.spec import RunConfig
 from ..harness.apps import APPLICATIONS
-from ..kernels import backend_names
 from ..machines.catalog import MACHINES, get_machine
 from ..runtime.executors import get_executor
 
@@ -82,11 +82,5 @@ def _validate_config(config: RunConfig) -> None:
         get_executor(config.executor)
     except (TypeError, ValueError) as exc:
         raise ApiError(400, str(exc)) from None
-    if config.kernel_backend not in backend_names():
-        raise ApiError(
-            400,
-            f"unknown kernel backend {config.kernel_backend!r}; "
-            "available: " + ", ".join(sorted(backend_names())),
-        )
     if config.nprocs is not None and config.nprocs < 1:
         raise ApiError(400, "'nprocs' must be >= 1")

@@ -7,7 +7,7 @@ the job progress stream.
 
 Endpoints::
 
-    POST /v1/predict       app x machine x P x executor x backend -> result
+    POST /v1/predict       app x machine x P x executor x seed -> result
                            (body = RunConfig JSON + optional "wait": false)
     GET  /v1/jobs          all tracked jobs (summaries)
     GET  /v1/jobs/<id>     NDJSON event stream (replays, then live)

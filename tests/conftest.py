@@ -7,7 +7,6 @@ import gc
 import numpy as np
 import pytest
 
-from repro.kernels import BACKENDS
 from repro.machines import list_machines
 from repro.runtime import EXECUTORS, team
 from repro.simmpi import Communicator
@@ -30,11 +29,11 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20050512)
 
 
-def _leaked_defaults() -> list[str]:
+def _leaked_defaults(seams=(EXECUTORS,)) -> list[str]:
     """One line per seam whose scoped default is still installed."""
     return [
         f"default {seam.kind} {seam.default()!r}"
-        for seam in (EXECUTORS, BACKENDS)
+        for seam in seams
         if seam.default() is not None
     ]
 
@@ -48,14 +47,13 @@ def leaked_defaults():
 @pytest.fixture(autouse=True)
 def no_ambient_defaults_left_behind():
     """Fail — and clean up after — any test that leaves a process-wide
-    default executor or kernel backend installed (a ``scoped`` block
-    entered and never left): the next test would silently run under it
-    (a leaked ``processes`` executor keeps a rank team of worker
-    processes alive for the rest of the session)."""
+    default executor installed (a ``scoped`` block entered and never
+    left): the next test would silently run under it (a leaked
+    ``processes`` executor keeps a rank team of worker processes alive
+    for the rest of the session)."""
     yield
     leaked = _leaked_defaults()
-    for seam in (EXECUTORS, BACKENDS):
-        seam._default = None  # so the next test is not blamed too
+    EXECUTORS._default = None  # so the next test is not blamed too
     if leaked:
         pytest.fail(f"test left {' and '.join(leaked)} installed")
 

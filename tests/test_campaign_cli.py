@@ -72,6 +72,19 @@ class TestRun:
         assert _run(bad, tmp_path) == 2
         assert "bad spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value", [("nprocs", ["4"]), ("steps", 2.5), ("trace", "yes")]
+    )
+    def test_wrongly_typed_spec_exits_2(
+        self, tmp_path, capsys, field, value
+    ):
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(dict(SPEC, **{field: value})))
+        assert _run(bad, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "bad spec" in err and f"'{field}' must be" in err
+        assert not (tmp_path / "cache").exists()  # nothing ran
+
     def test_bad_scheduler_exits_2(self, spec_file, tmp_path, capsys):
         assert main(
             ["run", str(spec_file), "--cache-dir", str(tmp_path),

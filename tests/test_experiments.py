@@ -287,39 +287,23 @@ class TestRunnerRegistry:
         assert "REPRO_SHM_DISABLE" in err and "--jobs" in err
 
     def test_cli_puts_back_the_defaults_it_found(self, capsys):
-        """--executor/--backend scope to the invocation: whatever default
-        was installed before is installed again after."""
+        """--executor scopes to the invocation: whatever default was
+        installed before is installed again after."""
         from repro.experiments.runner import main
-        from repro.kernels import (
-            BACKENDS,
-            NumPyBackend,
-            register_backend,
-            unregister_backend,
-        )
         from repro.runtime import EXECUTORS
-
-        class _Outer(NumPyBackend):
-            name = "outer"
 
         assert main(["--executor", "threads:2", "table2"]) == 0
         assert EXECUTORS.default() is None
-        register_backend("outer", _Outer)
-        try:
-            with EXECUTORS.scoped("threads:3"), BACKENDS.scoped("outer"):
-                args = [
-                    "--executor", "serial", "--backend", "numpy", "table2"
-                ]
-                assert main(args) == 0
-                # validating a name installs nothing, so a rejected
-                # --backend cannot disturb the outer scoped default
-                assert main(["--backend", "fortran", "table2"]) == 2
-                assert "'fortran'" in capsys.readouterr().err
-                assert EXECUTORS.default() == "threads:3"
-                assert BACKENDS.default() == "outer"
-        finally:
-            unregister_backend("outer")
+        with EXECUTORS.scoped("threads:3"):
+            assert main(["--executor", "serial", "table2"]) == 0
+            # validating a name installs nothing, so a rejected
+            # --executor cannot disturb the outer scoped default
+            assert main(["--executor", "fibers", "table2"]) == 2
+            assert "'fibers'" in capsys.readouterr().err
+            assert EXECUTORS.default() == "threads:3"
         assert EXECUTORS.default() is None
-        assert BACKENDS.default() is None
+        with pytest.raises(SystemExit):  # there is no backend to choose
+            main(["--backend", "numpy", "table2"])
 
     def test_cli_jobs_batches_across_processes(self, capsys):
         from repro.experiments.runner import main

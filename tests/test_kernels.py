@@ -1,17 +1,17 @@
-"""The kernel-backend seam: resolution, registration, parity.
+"""The kernel-backend seam: one backend, substitutable by instance.
 
 Three layers of contract, mirroring ``docs/kernels.md``:
 
-* **Resolution** — explicit argument > process default >
-  ``REPRO_KERNEL_BACKEND`` > ``"numpy"``; unknown names are a
-  ValueError listing the valid choices (and naming the environment
-  variable when that is where the bad spec came from).
-* **Registration** — a registered backend is dispatched; a duplicate
-  name needs ``replace=True``.
-* **Parity** — every registered backend is pinned bitwise against the
-  numpy reference per kernel, and a harness run produces states,
-  diagnostics, ledgers, and virtual clocks identical whether the
-  backend is ambient, named, or handed over as an instance.
+* **Resolution** — ``get_backend`` maps ``None`` and ``"numpy"`` to the
+  numpy backend and an instance to itself; any other name is a
+  ValueError listing ``'numpy'``, and nothing ambient (no environment
+  variable) is consulted.
+* **Dispatch** — a backend instance handed to a solver (``kernels=``,
+  directly or through ``adapter.setup``) runs every one of its kernels.
+* **Parity** — the numpy backend is pinned bitwise against itself per
+  kernel (the harness that would catch a divergent backend), and a run
+  produces states, diagnostics, ledgers, and virtual clocks identical
+  whether the solver is handed no backend, the name, or an instance.
 """
 
 from __future__ import annotations
@@ -28,26 +28,12 @@ from repro.apps.gtc.particles import PARTICLE_FIELDS
 from repro.apps.gtc.solver import GTC, GTCParams
 from repro.apps.lbmhd.collision import CollisionParams
 from repro.apps.lbmhd.equilibrium import f_equilibrium, g_equilibrium
-from repro.kernels import (
-    BACKENDS,
-    KernelBackend,
-    NumPyBackend,
-    backend_names,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.kernels import KernelBackend, NumPyBackend, get_backend
+from repro.kernels import base as kernels_base
 from repro.simmpi.comm import Communicator
 
 
-@pytest.fixture(autouse=True)
-def _clean_backend_state(monkeypatch):
-    """Every test starts with no env spec; a leaked default is the
-    conftest guard's to catch."""
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-
-
-# -- resolution order ------------------------------------------------------
+# -- resolution --------------------------------------------------------------
 
 
 def test_default_resolution_is_numpy():
@@ -62,26 +48,17 @@ def test_explicit_name_and_instance_resolve():
 
 
 def test_default_outranks_env(monkeypatch):
+    """The variable that once chose a backend is not read any more."""
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "not-a-backend")
-    with BACKENDS.scoped("numpy"):
-        assert get_backend().name == "numpy"  # env never consulted
+    assert get_backend() is get_backend("numpy")
 
 
 def test_explicit_outranks_default():
     class Marker(NumPyBackend):
         name = "marker"
 
-    register_backend("marker", Marker)
-    try:
-        with BACKENDS.scoped("marker"):
-            assert get_backend().name == "marker"
-            assert get_backend("numpy").name == "numpy"
-    finally:
-        unregister_backend("marker")
-
-
-def test_env_var_resolves(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
+    marker = Marker()
+    assert get_backend(marker) is marker
     assert get_backend().name == "numpy"
 
 
@@ -90,24 +67,7 @@ def test_unknown_name_lists_choices():
         get_backend("fortran")
     msg = str(exc.value)
     assert "unknown kernel backend 'fortran'" in msg
-    assert all(repr(name) in msg for name in backend_names())
-    assert "REPRO_KERNEL_BACKEND" not in msg  # not env-sourced
-
-
-def test_unknown_env_name_names_the_variable(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "fortran")
-    with pytest.raises(ValueError) as exc:
-        get_backend()
-    msg = str(exc.value)
-    assert "(from REPRO_KERNEL_BACKEND)" in msg
     assert "'numpy'" in msg
-
-
-def test_set_default_validates_eagerly():
-    with pytest.raises(ValueError, match="valid choices"):
-        with BACKENDS.scoped("fortran"):
-            pytest.fail("a bad default must not be entered")
-    assert BACKENDS.default() is None  # nothing was installed
 
 
 def test_non_string_spec_is_type_error():
@@ -115,7 +75,7 @@ def test_non_string_spec_is_type_error():
         get_backend(42)
 
 
-# -- registration + dispatch -----------------------------------------------
+# -- dispatch ----------------------------------------------------------------
 
 
 class _DoublingBackend(KernelBackend):
@@ -128,41 +88,26 @@ class _DoublingBackend(KernelBackend):
 
 
 def test_registered_backend_is_dispatched():
-    register_backend("toy", _DoublingBackend)
-    try:
-        h = np.arange(24.0).reshape(2, 3, 4)
-        ref = get_backend("numpy").fvcam_suffix_sum(h)
-        assert_array_equal(get_backend("toy").fvcam_suffix_sum(h), 2.0 * ref)
-        # non-overridden kernels inherit the reference
-        g = get_backend("toy").fvcam_geopotential(h, 9.8)
-        assert_array_equal(g, get_backend("numpy").fvcam_geopotential(h, 9.8))
-    finally:
-        unregister_backend("toy")
+    """A solver handed a backend instance through ``adapter.setup``
+    runs its kernels: the doubled suffix sum reaches FVCAM's state."""
+    h = np.arange(24.0).reshape(2, 3, 4)
+    toy, ref = _DoublingBackend(), get_backend()
+    assert_array_equal(toy.fvcam_suffix_sum(h), 2.0 * ref.fvcam_suffix_sum(h))
+    # non-overridden kernels inherit the reference
+    assert_array_equal(
+        toy.fvcam_geopotential(h, 9.8), ref.fvcam_geopotential(h, 9.8)
+    )
+    fvcam, params = harness.APPLICATIONS["fvcam"], FVCAMParams(py=2, pz=2)
+    doubled = fvcam.setup(Communicator(4), params, kernels=toy)
+    plain = fvcam.setup(Communicator(4), params)
+    assert doubled.kernels is toy
+    for state in (doubled, plain):
+        fvcam.step(state)
+    assert not np.array_equal(
+        fvcam.state_vector(doubled), fvcam.state_vector(plain)
+    )
     with pytest.raises(ValueError, match="valid choices"):
         get_backend("toy")
-
-
-def test_available_backends_reports_every_registration():
-    """backend_names() lists each registration in order, and only
-    while it is registered."""
-    assert backend_names()[0] == "numpy"
-    register_backend("toy", _DoublingBackend)
-    try:
-        assert backend_names()[-1] == "toy"
-        assert get_backend("toy").name == "toy-double"
-    finally:
-        unregister_backend("toy")
-    assert "toy" not in backend_names()
-
-
-def test_duplicate_registration_needs_replace():
-    register_backend("toy", _DoublingBackend)
-    try:
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("toy", _DoublingBackend)
-        register_backend("toy", _DoublingBackend, replace=True)
-    finally:
-        unregister_backend("toy")
 
 
 # -- per-kernel parity matrix ----------------------------------------------
@@ -291,9 +236,9 @@ def _assert_same(name: str, got, want) -> None:
         assert_array_equal(np.asarray(got), np.asarray(want), err_msg=name)
 
 
-@pytest.mark.parametrize("backend_name", backend_names())
+@pytest.mark.parametrize("backend_name", ["numpy"])
 def test_backend_bitwise_parity_per_kernel(backend_name):
-    """Every registered backend == numpy, kernel by kernel."""
+    """The named backend == the numpy one, kernel by kernel."""
     backend = get_backend(backend_name)
     reference = get_backend("numpy")
     for name, call in _kernel_cases().items():
@@ -302,17 +247,13 @@ def test_backend_bitwise_parity_per_kernel(backend_name):
 
 def test_toy_backend_must_not_survive_parity():
     """The parity harness actually detects a divergent backend."""
-    register_backend("toy", _DoublingBackend)
-    try:
-        cases = _kernel_cases()
-        with pytest.raises(AssertionError):
-            _assert_same(
-                "fvcam_suffix_sum",
-                cases["fvcam_suffix_sum"](get_backend("toy")),
-                cases["fvcam_suffix_sum"](get_backend("numpy")),
-            )
-    finally:
-        unregister_backend("toy")
+    cases = _kernel_cases()
+    with pytest.raises(AssertionError):
+        _assert_same(
+            "fvcam_suffix_sum",
+            cases["fvcam_suffix_sum"](_DoublingBackend()),
+            cases["fvcam_suffix_sum"](get_backend()),
+        )
 
 
 # -- harness-level equivalence ---------------------------------------------
@@ -343,13 +284,30 @@ def _assert_runs_identical(app: str, a, b) -> None:
     assert a.ledger.as_records(steps=1) == b.ledger.as_records(steps=1)
 
 
+class _Handing:
+    """An application's adapter that hands its solver ``kernels``."""
+
+    def __init__(self, app: str, kernels) -> None:
+        self._adapter = harness.APPLICATIONS[app]
+        self._kernels = kernels
+
+    def __getattr__(self, name: str):
+        return getattr(self._adapter, name)
+
+    def setup(self, comm, params, arena=None, kernels=None):
+        return self._adapter.setup(
+            comm, params, arena=arena, kernels=self._kernels
+        )
+
+
 def _assert_backend_specs_run_identically(app, nprocs, params) -> None:
-    """The ambient backend, the name ``"numpy"`` and a fresh
-    :class:`NumPyBackend` instance give the same run."""
+    """No backend, the name ``"numpy"`` and a fresh
+    :class:`NumPyBackend` instance handed through ``adapter.setup``
+    give the same run."""
     base = harness.run(app, params, steps=2, nprocs=nprocs)
     for spec in ("numpy", NumPyBackend()):
         pinned = harness.run(
-            app, params, steps=2, nprocs=nprocs, kernel_backend=spec
+            _Handing(app, spec), params, steps=2, nprocs=nprocs
         )
         _assert_runs_identical(app, base, pinned)
 
@@ -370,12 +328,9 @@ def test_harness_backend_equivalence_p8(app, nprocs, params):
 @pytest.mark.parametrize("executor", ["serial", "threads:2"])
 def test_backend_composes_with_executors(executor):
     """Backend dispatch threads through the executor seam unchanged."""
-    serial = harness.run(
-        "gtc", steps=2, nprocs=4, kernel_backend="numpy", executor="serial"
-    )
-    other = harness.run(
-        "gtc", steps=2, nprocs=4, kernel_backend="numpy", executor=executor
-    )
+    handing = _Handing("gtc", NumPyBackend())
+    serial = harness.run(handing, steps=2, nprocs=4, executor="serial")
+    other = harness.run(handing, steps=2, nprocs=4, executor=executor)
     _assert_runs_identical("gtc", serial, other)
 
 
@@ -386,21 +341,14 @@ def test_backend_composes_with_process_executor():
     support = ProcessExecutor(2).segment_support()
     if not support.ok:
         pytest.skip(f"process executor unsupported: {support.reason}")
-    serial = harness.run(
-        "lbmhd", steps=2, nprocs=4, kernel_backend="numpy", executor="serial"
-    )
-    procs = harness.run(
-        "lbmhd",
-        steps=2,
-        nprocs=4,
-        kernel_backend="numpy",
-        executor="processes:2",
-    )
+    handing = _Handing("lbmhd", NumPyBackend())
+    serial = harness.run(handing, steps=2, nprocs=4, executor="serial")
+    procs = harness.run(handing, steps=2, nprocs=4, executor="processes:2")
     _assert_runs_identical("lbmhd", serial, procs)
 
 
 def test_solver_ctor_accepts_backend_spec():
-    """Solvers take names, instances, or None (ambient) directly."""
+    """Solvers take the name, an instance, or None (numpy) directly."""
     from repro.apps.lbmhd.solver import LBMHD3D, LBMHDParams
 
     params = LBMHDParams(shape=(8, 8, 8))
@@ -427,18 +375,18 @@ class _CountingBackend(NumPyBackend):
         return object.__getattribute__(self, attr)
 
 
-def test_explicit_backend_reaches_the_paratec_cg_sweep():
+def test_explicit_backend_reaches_the_paratec_cg_sweep(monkeypatch):
     """The backend a solver is handed runs *all* of its kernels — the
-    block CG's preconditioner too, which once asked the ambient chain on
-    every call and so never saw an explicit backend.  Serial, so the
-    counts are not kept in forked workers under ``REPRO_EXECUTOR``."""
+    block CG's preconditioner too, which once looked up the default
+    backend on every call and so never saw an explicit one.  Serial, so
+    the counts are not kept in forked workers under ``REPRO_EXECUTOR``."""
     from repro.apps.paratec.solver import Paratec, ParatecParams
 
     explicit, ambient = _CountingBackend(), _CountingBackend()
-    with BACKENDS.scoped(ambient):
-        comm = Communicator(4, executor="serial")
-        solver = Paratec(ParatecParams(), comm, kernels=explicit)
-        solver.scf_step()
+    monkeypatch.setattr(kernels_base, "_NUMPY", ambient)
+    comm = Communicator(4, executor="serial")
+    solver = Paratec(ParatecParams(), comm, kernels=explicit)
+    solver.scf_step()
     for kernel in ("paratec_precondition", "paratec_fft_z"):
         assert explicit.calls[kernel] > 0, kernel
     assert not ambient.calls

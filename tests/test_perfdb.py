@@ -274,6 +274,55 @@ def test_degraded_cell_is_filed_under_the_executor_that_ran(
         }
 
 
+def _with_kernel_backend(event: dict) -> dict:
+    """An event as a journal written before the kernel-backend knob
+    left would hold it: every embedded config names ``numpy``, and the
+    campaign's spec sweeps ``kernel_backends``."""
+    event = dict(event)
+    if isinstance(event.get("config"), dict):
+        event["config"] = {**event["config"], "kernel_backend": "numpy"}
+    if isinstance(event.get("spec"), dict):
+        event["spec"] = {**event["spec"], "kernel_backends": ["numpy"]}
+    return event
+
+
+def test_journals_and_caches_naming_a_kernel_backend_still_ingest(tmp_path):
+    """Manifests and cache entries that carry ``kernel_backend`` (and a
+    ``campaign-start`` spec with ``kernel_backends``) ingest into the
+    very records today's do."""
+    manifest = tmp_path / "now" / "smoke.manifest.jsonl"
+    cache = tmp_path / "now" / "cache"
+    manifest.parent.mkdir()
+    report = run_campaign(
+        SMOKE_SPEC, cache=cache, manifest=manifest, scheduler="serial"
+    )
+    assert report.ok
+
+    old_manifest = tmp_path / "old" / manifest.name
+    old_manifest.parent.mkdir()
+    lines = manifest.read_text().splitlines()
+    old_manifest.write_text("".join(
+        json.dumps(_with_kernel_backend(json.loads(line))) + "\n"
+        for line in lines
+    ))
+    assert '"kernel_backends": ["numpy"]' in old_manifest.read_text()
+    old_cache = tmp_path / "old" / "cache"
+    for entry in sorted(cache.glob("*/*.json")):
+        target = old_cache / entry.relative_to(cache)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(
+            json.dumps(_with_kernel_backend(json.loads(entry.read_text())))
+        )
+
+    now = records_from_manifest(manifest)
+    assert len(now) == len(SMOKE_SPEC.expand())
+    assert records_from_manifest(old_manifest) == now
+    cached = records_from_cache(cache)
+    assert len(cached) == len(SMOKE_SPEC.expand())
+    assert records_from_cache(old_cache) == cached
+    assert {r.kernel_backend for r in now + cached} == {"numpy"}
+
+
 def test_empty_and_torn_manifests_tolerated(tmp_path):
     empty = tmp_path / "empty.manifest.jsonl"
     empty.write_text("")

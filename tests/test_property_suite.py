@@ -303,7 +303,6 @@ _config_fields = dict(
     steps=st.integers(min_value=0, max_value=1000),
     machine=st.none() | _name,
     executor=st.sampled_from(["serial", "threads:2", "processes:2"]),
-    kernel_backend=st.sampled_from(["numpy", "numba"]),
     seed=st.none() | st.integers(min_value=0, max_value=2**31),
     params=_overrides,
     trace=st.booleans(),
@@ -318,9 +317,6 @@ _spec_fields = dict(
         min_size=1, max_size=3,
     ),
     executors=st.lists(_config_fields["executor"], min_size=1, max_size=2),
-    kernel_backends=st.lists(
-        _config_fields["kernel_backend"], min_size=1, max_size=2
-    ),
     seeds=st.lists(_config_fields["seed"], min_size=1, max_size=2),
     steps=_config_fields["steps"],
     repeats=_config_fields["repeats"],
@@ -407,7 +403,6 @@ class TestCampaignConfigRoundTrip:
             "steps": kwargs["steps"] + 1,
             "machine": (kwargs["machine"] or "") + "x",
             "executor": kwargs["executor"] + "0",
-            "kernel_backend": kwargs["kernel_backend"] + "x",
             "seed": (kwargs["seed"] or 0) + 1,
             "params": {**kwargs["params"], "one more": 1},
             "trace": not kwargs["trace"],

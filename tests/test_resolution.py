@@ -1,12 +1,13 @@
-"""The one resolution contract, run against both seams.
+"""The one resolution contract, run against two resolvers.
 
 ``repro.runtime.resolve.Resolver`` holds the precedence chain (explicit
 argument > scoped process default > environment variable > fallback)
 and the capability policy (unknown always raises; unusable-and-explicit
 raises naming the reason; unusable-and-ambient warns once and degrades;
-harness-style callers degrade always).  The executor seam and the
-kernel-backend seam are two instances of it, so every case below runs
-once per seam.
+harness-style callers degrade always).  The executor seam is the one
+instance the package has; a test-local resolver over toy kernel
+backends is the second, so the rule is checked on something other than
+the executors' own quirks and every case below runs once per seam.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (
-    BACKENDS,
-    NumPyBackend,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.kernels import KernelBackend, NumPyBackend
 from repro.runtime.executors import (
     EXECUTORS,
     ProcessExecutor,
@@ -70,9 +65,32 @@ class _Gamma(NumPyBackend):
     name = "gamma"
 
 
-#: Every kernel backend is usable, so the backend seam has no
-#: capability check of its own; this test-only one makes ``gamma``
-#: unusable while the variable is set, so the policy runs on both seams.
+_TOYS = {
+    cls.name: cls() for cls in (NumPyBackend, _Alpha, _Beta, _Gamma)
+}
+
+
+def _parse_toy(spec: str) -> NumPyBackend:
+    toy = _TOYS.get(spec.strip().lower())
+    if toy is None:
+        choices = ", ".join(repr(name) for name in _TOYS)
+        raise ValueError(
+            f"unknown kernel backend {spec!r}; valid choices: {choices}"
+        )
+    return toy
+
+
+#: The backend seam: the resolution rule over the toy backends.
+TOY_BACKENDS: Resolver[KernelBackend] = Resolver(
+    kind="kernel backend",
+    base=KernelBackend,
+    env_var="REPRO_TEST_KERNEL_BACKEND",
+    fallback="numpy",
+    parse=_parse_toy,
+)
+
+#: A capability check for the backend seam: ``gamma`` is unusable
+#: while the variable is set, so the policy runs on both seams.
 _GAMMA_DISABLE = "REPRO_TEST_GAMMA_DISABLE"
 
 
@@ -83,7 +101,7 @@ def _gamma_usable(backend: NumPyBackend) -> Support:
 
 
 def _backend_for_use(spec: Any = None, **kwargs: Any) -> NumPyBackend:
-    return BACKENDS.resolve(spec, usable=_gamma_usable, **kwargs)
+    return TOY_BACKENDS.resolve(spec, usable=_gamma_usable, **kwargs)
 
 
 SEAMS = {
@@ -101,8 +119,8 @@ SEAMS = {
         disable_env="REPRO_SHM_DISABLE",
     ),
     "backend": Seam(
-        resolver=BACKENDS,
-        get=get_backend,
+        resolver=TOY_BACKENDS,
+        get=TOY_BACKENDS.resolve,
         for_use=_backend_for_use,
         fallback_type=NumPyBackend,
         a="alpha",
@@ -120,23 +138,18 @@ def _name(spec: str) -> str:
     return spec.partition(":")[0]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _toy_backends():
-    toys = {"alpha": _Alpha, "beta": _Beta, "gamma": _Gamma}
-    for name, cls in toys.items():
-        register_backend(name, cls)
-    yield
-    for name in toys:
-        unregister_backend(name)
-
-
 @pytest.fixture(autouse=True)
 def _pristine_chain(monkeypatch):
     """No env spec (the CI executor jobs run this module with an ambient
-    ``REPRO_EXECUTOR``), fresh warn-once memory."""
+    ``REPRO_EXECUTOR``), fresh warn-once memory; the conftest guard
+    watches only the package's executor seam, so the toy seam's default
+    is checked here."""
     for s in SEAMS.values():
         monkeypatch.delenv(s.resolver.env_var, raising=False)
         monkeypatch.setattr(s.resolver, "_warned", set())
+    yield
+    leaked, TOY_BACKENDS._default = TOY_BACKENDS._default, None
+    assert leaked is None, f"test left default kernel backend {leaked!r}"
 
 
 @pytest.fixture(params=list(SEAMS))
@@ -231,15 +244,16 @@ def test_scoping_none_installs_nothing(seam):
 
 
 def test_leak_guard_names_a_default_left_installed(seam, leaked_defaults):
+    seams = (seam.resolver,)
     scope = seam.resolver.scoped(seam.a)
     scope.__enter__()  # what a test that never leaves the block does
     try:
-        assert leaked_defaults() == [
+        assert leaked_defaults(seams) == [
             f"default {seam.resolver.kind} {seam.a!r}"
         ]
     finally:
         scope.__exit__(None, None, None)
-    assert leaked_defaults() == []
+    assert leaked_defaults(seams) == []
 
 
 # -- unknown names / bad specs ---------------------------------------------

@@ -74,10 +74,19 @@ class TestParsePredict:
             ({"app": "no-such-app"}, "unknown application"),
             ({**SMALL, "machine": "Cray-3"}, "unknown machine"),
             ({**SMALL, "executor": "fibers"}, "fibers"),
-            ({**SMALL, "kernel_backend": "fortran"}, "unknown kernel"),
+            # the knob left: naming it is an unknown field
+            (
+                {**SMALL, "kernel_backend": "numpy"},
+                "unknown RunConfig field(s): kernel_backend",
+            ),
             ({**SMALL, "nprocs": 0}, "nprocs"),
             ({**SMALL, "bogus_field": 1}, "bogus_field"),
             ({**SMALL, "wait": "yes"}, "'wait' must be a boolean"),
+            ({"app": "lbmhd", "nprocs": "4"}, "'nprocs' must be an integer"),
+            ({**SMALL, "nprocs": True}, "'nprocs' must be an integer"),
+            ({**SMALL, "steps": 2.5}, "'steps' must be an integer"),
+            ({**SMALL, "seed": "x"}, "'seed' must be an integer"),
+            ({**SMALL, "trace": "yes"}, "'trace' must be a boolean"),
         ],
     )
     def test_bad_requests_are_400_with_the_reason(self, body, fragment):

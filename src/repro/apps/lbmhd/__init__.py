@@ -1,7 +1,7 @@
 """LBMHD3D — 3-D lattice Boltzmann magneto-hydrodynamics (paper §5)."""
 
 from .collision import CollisionParams, collide, collision_work
-from .decomp import CartesianDecomposition3D, exchange_halos, factor3d
+from .decomp import CartesianDecomposition3D, factor3d
 from .diagnostics import (
     TurbulenceReport,
     load_checkpoint,
@@ -46,7 +46,7 @@ from .two_d import (
     g_equilibrium_2d,
     step_work_2d,
 )
-from .stream import halo_bytes, pad_state, stream_from_padded, stream_periodic
+from .stream import halo_bytes, stream_block, stream_periodic
 from .workload import ES_HEADLINE, TABLE5_ROWS, LBMHDScenario, predict
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "density",
     "divergence",
     "equilibrium_state",
-    "exchange_halos",
     "f_equilibrium",
     "f_equilibrium_2d",
     "factor3d",
@@ -90,13 +89,12 @@ __all__ = [
     "moments",
     "momentum",
     "orszag_tang_fields",
-    "pad_state",
     "predict",
     "save_checkpoint",
     "shell_spectrum",
     "split_state",
     "step_work_2d",
-    "stream_from_padded",
+    "stream_block",
     "stream_periodic",
     "turbulence_report",
     "velocity",

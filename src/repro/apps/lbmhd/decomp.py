@@ -7,6 +7,11 @@ exchanges one-cell face halos with its six neighbors.  The diagonal
 (edge/corner) ghost data that D3Q27 streaming needs is obtained by
 exchanging the axes *in order*, each phase forwarding the ghosts
 received in the previous ones.
+
+Every rank's block lives in one flat multi-rank array, so the solver's
+stream reads those boundary planes where they lie, and
+:func:`charge_halo_exchange` books the exchange an MPI code would make
+without moving a byte.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ...simmpi.comm import Communicator, Message
+from ...simmpi.comm import Communicator
+from .lattice import NSLOTS
 
 
 def factor3d(nprocs: int) -> tuple[int, int, int]:
@@ -122,84 +128,17 @@ class CartesianDecomposition3D:
         return out
 
 
-def exchange_halos(
-    comm: Communicator,
-    decomp: CartesianDecomposition3D,
-    padded: list[np.ndarray],
-) -> None:
-    """Fill the one-cell ghost layers of every rank's padded state.
-
-    ``padded[r]`` has shape ``(slots, lx+2, ly+2, lz+2)`` with the core
-    already written.  Axes are exchanged in order so that the second and
-    third phases forward previously received ghosts, populating the
-    edge/corner ghosts needed by diagonal streaming.  Self-neighboring
-    axes (a single rank along that axis) wrap locally at zero cost,
-    matching the physical periodic boundary.
-
-    This is the per-message reference: the solver steps through
-    :func:`exchange_halos_block`, which the tests hold to the ghosts,
-    clocks and traces this function produces.
-    """
-    if len(padded) != decomp.nprocs:
-        raise ValueError("need one padded block per rank")
-    core_hi = [n for n in decomp.local_shape]  # index of last core plane
-
-    for axis in range(3):
-        ax = axis + 1  # slot axis is 0
-        n = core_hi[axis]
-        messages: list[Message] = []
-        local_wrap: list[int] = []
-        for rank in range(decomp.nprocs):
-            lo_nbr = decomp.neighbor(rank, axis, -1)
-            hi_nbr = decomp.neighbor(rank, axis, +1)
-            if lo_nbr == rank and hi_nbr == rank:
-                local_wrap.append(rank)
-                continue
-            lo_plane = np.take(padded[rank], 1, axis=ax)
-            hi_plane = np.take(padded[rank], n, axis=ax)
-            messages.append(Message(src=rank, dst=lo_nbr, payload=lo_plane, tag=axis))
-            messages.append(Message(src=rank, dst=hi_nbr, payload=hi_plane, tag=axis + 8))
-        received = comm.exchange(messages)
-
-        # Single rank along this axis: wrap the planes locally.
-        for rank in local_wrap:
-            idx_lo = [slice(None)] * 4
-            idx_hi = [slice(None)] * 4
-            idx_lo[ax], idx_hi[ax] = 0, n + 1
-            src_lo = [slice(None)] * 4
-            src_hi = [slice(None)] * 4
-            src_lo[ax], src_hi[ax] = 1, n
-            padded[rank][tuple(idx_lo)] = padded[rank][tuple(src_hi)]
-            padded[rank][tuple(idx_hi)] = padded[rank][tuple(src_lo)]
-
-        # exchange() delivers payload copies per destination in posting
-        # order; pair them back up with their messages and use the tag
-        # to pick the ghost plane: a *low* core plane sent leftwards
-        # lands in the receiver's *high* ghost, and vice versa.
-        counters: dict[int, int] = {}
-        for m in messages:
-            i = counters.get(m.dst, 0)
-            counters[m.dst] = i + 1
-            payload = received[m.dst][i]
-            ghost = [slice(None)] * 4
-            ghost[ax] = n + 1 if m.tag == axis else 0
-            padded[m.dst][tuple(ghost)] = payload
-
-
 @lru_cache(maxsize=None)
 def _halo_plan(
     decomp: CartesianDecomposition3D,
-) -> tuple[
-    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None, ...
-]:
-    """Per-axis neighbor topology of the halo exchange, computed once.
+) -> tuple[tuple[np.ndarray, np.ndarray] | None, ...]:
+    """Per-axis message order of the halo exchange, computed once.
 
     For each axis: ``None`` when the processor grid is flat along it
-    (every rank wraps locally), else ``(lo, hi, srcs, dsts)`` where
-    ``lo[r]``/``hi[r]`` are rank ``r``'s periodic neighbors and
-    ``srcs``/``dsts`` spell out the legacy per-rank message order
-    (rank 0's low send, rank 0's high send, rank 1's low send, ...) for
-    clock/trace accounting.
+    (every rank wraps locally), else ``(srcs, dsts)`` spelling out the
+    per-rank message order (rank 0's send to its low neighbour, rank
+    0's send to its high one, rank 1's low send, ...) that fixes each
+    sender's serialisation.
     """
     axes = []
     ranks = np.arange(decomp.nprocs, dtype=np.intp)
@@ -207,86 +146,32 @@ def _halo_plan(
         if decomp.proc_grid[axis] == 1:
             axes.append(None)
             continue
-        lo = np.array(
-            [decomp.neighbor(r, axis, -1) for r in ranks], dtype=np.intp
-        )
-        hi = np.array(
-            [decomp.neighbor(r, axis, +1) for r in ranks], dtype=np.intp
-        )
-        srcs = np.repeat(ranks, 2)
         dsts = np.empty(2 * decomp.nprocs, dtype=np.intp)
-        dsts[0::2] = lo
-        dsts[1::2] = hi
-        axes.append((lo, hi, srcs, dsts))
+        dsts[0::2] = [decomp.neighbor(r, axis, -1) for r in ranks]
+        dsts[1::2] = [decomp.neighbor(r, axis, +1) for r in ranks]
+        axes.append((np.repeat(ranks, 2), dsts))
     return tuple(axes)
 
 
-def exchange_halos_block(
-    comm: Communicator,
-    decomp: CartesianDecomposition3D,
-    padded_block: np.ndarray,
+def charge_halo_exchange(
+    comm: Communicator, decomp: CartesianDecomposition3D
 ) -> None:
-    """Batched :func:`exchange_halos` over a stacked multi-rank block.
+    """Charge one step's one-cell face halo exchange; move nothing.
 
-    ``padded_block`` has shape ``(slots, nranks, lx+2, ly+2, lz+2)``
-    with every core already written.  Each axis phase moves all ranks'
-    boundary planes in two strided gather-copies (instead of two Python
-    messages per rank) and charges the communicator through
-    :meth:`~repro.simmpi.comm.Communicator.exchange_phase` with the
-    legacy message ordering, so clocks, traces, and the filled ghosts
-    are all identical to the per-rank path bitwise.
+    The stream reads neighbours' boundary planes straight from the
+    post-collision block (:func:`~repro.apps.lbmhd.stream.stream_block`),
+    so no byte moves here; the communicator is charged what an MPI code
+    exchanging ghost planes would send: per decomposed axis, one
+    :meth:`~repro.simmpi.comm.Communicator.exchange_phase` of two
+    messages per rank, each one plane of a ghost-padded state — all
+    ``NSLOTS`` float64 slots, two ghost cells wider along the other two
+    axes, which carries the edge and corner ghosts forward axis by
+    axis.  A flat processor-grid axis wraps locally, at no charge.
     """
-    if (
-        padded_block.ndim != 5
-        or padded_block.shape[1] != decomp.nprocs
-        # the slice algebra below reshapes the rank axis in place
-        or not padded_block.flags.c_contiguous
-    ):
-        raise ValueError(
-            "padded_block must be a C-contiguous (slots, nranks, x, y, z) "
-            "block"
-        )
-    plan = _halo_plan(decomp)
-    itemsize = padded_block.itemsize
-    # Ranks are laid out C-order over the processor grid
-    # (``rank = (cx*py + cy)*pz + cz``), so splitting the rank axis into
-    # (px, py, pz) turns each neighbor shift into plain slice algebra.
-    slots = padded_block.shape[0]
-    grid = decomp.proc_grid
-    block7 = padded_block.reshape(slots, *grid, *padded_block.shape[2:])
-    for axis in range(3):
-        n = decomp.local_shape[axis]
-        ga = axis + 1  # processor-grid axis in the 7-d frame
-        sp = axis + 4  # spatial axis in the 7-d frame
-        p_ax = grid[axis]
-
-        def idx(grid_sel: slice | int, plane: int) -> tuple:
-            ix: list = [slice(None)] * 7
-            ix[ga] = grid_sel
-            ix[sp] = plane
-            return tuple(ix)
-
-        # Hi ghost <- hi neighbor's low core plane; lo ghost <- lo
-        # neighbor's high core plane.  Each direction is a bulk
-        # coordinate shift plus the periodic wrap column — all basic
-        # (view) slices, no gather temporaries.  With a flat grid along
-        # this axis only the wrap assignments run: the local periodic
-        # wrap, charged nothing, exactly like the per-rank path.
-        if p_ax > 1:
-            block7[idx(slice(0, p_ax - 1), n + 1)] = block7[
-                idx(slice(1, p_ax), 1)
-            ]
-            block7[idx(slice(1, p_ax), 0)] = block7[
-                idx(slice(0, p_ax - 1), n)
-            ]
-        block7[idx(p_ax - 1, n + 1)] = block7[idx(0, 1)]
-        block7[idx(0, 0)] = block7[idx(p_ax - 1, n)]
-
-        if plan[axis] is not None:
-            _, _, srcs, dsts = plan[axis]
-            plane_bytes = itemsize * int(
-                np.prod(
-                    [padded_block.shape[i] for i in (0, 2, 3, 4) if i != axis + 2]
-                )
-            )
-            comm.exchange_phase(srcs, dsts, plane_bytes)
+    local = decomp.local_shape
+    for axis, plan in enumerate(_halo_plan(decomp)):
+        if plan is None:
+            continue
+        b, c = (n + 2 for d, n in enumerate(local) if d != axis)
+        srcs, dsts = plan
+        comm.exchange_phase(srcs, dsts, 8 * NSLOTS * b * c)

@@ -25,7 +25,7 @@ from ...kernels import KernelBackend, get_backend
 from ...runtime.arena import Arena
 from ...simmpi.comm import Communicator
 from .collision import CollisionParams, collision_work
-from .decomp import CartesianDecomposition3D, exchange_halos_block
+from .decomp import CartesianDecomposition3D, charge_halo_exchange
 from .equilibrium import f_equilibrium, g_equilibrium
 from .fields import (
     kinetic_energy,
@@ -64,6 +64,11 @@ class LBMHDParams:
             raise ValueError("lattice must be at least 4 cells per side")
         if abs(self.u0) > 0.2 or abs(self.b0) > 0.2:
             raise ValueError("initial amplitudes must stay well below c_s")
+        # an unstable relaxation time fails here, not at the first step:
+        # building the operators runs their own checks and messages
+        self.collision
+        if self.use_mrt:
+            self.mrt
 
     @property
     def collision(self) -> CollisionParams:
@@ -142,11 +147,11 @@ _COLLIDE_BATCH_POINTS = 16384
 
 
 def _collide_shard(lo: int, hi: int, args) -> None:
-    """Collide ranks ``lo:hi`` of the state block straight into the
-    ghost-padded core: no separate post-collision buffer, no pack copy.
-    BGK runs batched over a few ranks a call, its scratch drawn from
-    the shard's own child arena so concurrent shards never alias a
-    workspace; the projected-MRT operator runs rank by rank."""
+    """Collide ranks ``lo:hi`` of the state block into the flat
+    post-collision block.  BGK runs batched over a few ranks a call,
+    its scratch drawn from the shard's own child arena so concurrent
+    shards never alias a workspace; the projected-MRT operator runs
+    rank by rank."""
     if args.mrt is None:
         scratch = args.arena.for_rank(lo)
         batch = max(1, _COLLIDE_BATCH_POINTS // args.block[0, 0].size)
@@ -155,22 +160,25 @@ def _collide_shard(lo: int, hi: int, args) -> None:
             args.kernels.lbmhd_collide(
                 args.block[:, a:b],
                 args.collision,
-                out=args.core[:, a:b],
+                out=args.post[:, a:b],
                 arena=scratch,
             )
     else:
         from .mrt import collide_mrt
 
         for rank in range(lo, hi):
-            args.core[:, rank] = collide_mrt(args.block[:, rank], args.mrt)
+            args.post[:, rank] = collide_mrt(args.block[:, rank], args.mrt)
     for rank in range(lo, hi):
         args.comm.compute(rank, args.work)
 
 
 def _stream_shard(lo: int, hi: int, args) -> None:
-    """Stream ranks ``lo:hi``: padded block back into the state block."""
+    """Pull-stream ranks ``lo:hi`` from the post-collision block into
+    the state block.  Their neighbours' boundary planes may lie in
+    other shards' ranks: safe to read, because the collide region has
+    completed and the block is arena memory every worker maps."""
     args.kernels.lbmhd_stream_from_padded(
-        args.padded[:, lo:hi], out=args.block[:, lo:hi]
+        args.post, args.proc_grid, args.block, lo, hi
     )
 
 
@@ -190,12 +198,16 @@ class LBMHD3D:
     """Parallel LBMHD3D simulation over a simulated communicator.
 
     All rank states live side by side in one ``(NSLOTS, nranks, lx, ly,
-    lz)`` arena block: collision runs batched over a shard of ranks at
-    a time into a persistent ghost-padded buffer, the halo exchange
-    moves boundary planes inside that buffer, and streaming writes
-    straight back into the state block — no allocation at steady
-    state.  ``arena`` is where those buffers live; without one the
-    solver takes its own from the communicator's executor.
+    lz)`` arena block.  Collision runs batched over a shard of ranks at
+    a time into a flat post-collision block of the same shape, and the
+    stream pulls every slot of a shard's ranks straight from it —
+    interior shift, neighbours' boundary planes and periodic wrap — back
+    into the state block: the paper's fused collide/stream, where "only
+    the points on cell boundaries require copying".  No ghost layer is
+    ever filled; the halo exchange is charged to the communicator as
+    an MPI code would send it.  No allocation at steady state.
+    ``arena`` is where those blocks live; without one the solver takes
+    its own from the communicator's executor.
     """
 
     app_key = "lbmhd"
@@ -243,22 +255,24 @@ class LBMHD3D:
         self.comm.executor.adopt(self.arena)
         nranks = self.comm.nprocs
         lx, ly, lz = self.decomp.local_shape
-        padded_block = self.arena.scratch(
-            "lbmhd.padded_block", (NSLOTS, nranks, lx + 2, ly + 2, lz + 2)
+        post_block = self.arena.scratch(
+            "lbmhd.post_block", (NSLOTS, nranks, lx, ly, lz)
         )
 
-        # One segment per shard of ranks; the kernels are point-local
-        # with a pinned tile width, so any sharding (and any batching
-        # within a shard) is bitwise-identical to the whole block and
-        # to rank-by-rank calls.  Shards write disjoint ``[:, lo:hi]``
-        # slices, so they are independent across worker threads and
-        # team workers alike.
+        # One segment per shard of ranks; collision is point-local
+        # with a pinned tile width and the stream only copies, so any
+        # sharding (and any batching within a shard) is
+        # bitwise-identical to the whole block and to rank-by-rank
+        # calls.  Shards write disjoint ``[:, lo:hi]`` slices, and the
+        # stream reads other shards' ranks only of the post-collision
+        # block, which the previous region finished, so they are
+        # independent across worker threads and team workers alike.
         args = SimpleNamespace(
             comm=self.comm,
             arena=self.arena,
             block=self._state_block,
-            core=padded_block[:, :, 1 : lx + 1, 1 : ly + 1, 1 : lz + 1],
-            padded=padded_block,
+            post=post_block,
+            proc_grid=self.decomp.proc_grid,
             collision=self.params.collision,
             mrt=self.params.mrt if self.params.use_mrt else None,
             work=collision_work(lx * ly * lz),
@@ -268,8 +282,7 @@ class LBMHD3D:
             self.comm.map_shards(partial(_collide_shard, args=args))
 
         with self.comm.phase("stream"):
-            # a flat processor-grid axis wraps locally, at no charge
-            exchange_halos_block(self.comm, self.decomp, padded_block)
+            charge_halo_exchange(self.comm, self.decomp)
             self.comm.map_shards(partial(_stream_shard, args=args))
         self.step_count += 1
 

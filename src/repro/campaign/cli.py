@@ -26,10 +26,12 @@ import json
 import sys
 from pathlib import Path
 
+from ..harness.apps import APPLICATIONS
 from .cache import ResultCache
 from .engine import default_manifest_path, run_campaign
 from .manifest import summarize
 from .spec import CampaignSpec
+from .worker import build_params
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -51,7 +53,12 @@ def _cmd_run(args) -> int:
     spec_path = Path(args.spec)
     try:
         spec = CampaignSpec.from_json(spec_path.read_text())
-        spec.expand()  # type-checks every cell before anything runs
+        # type-checks every cell, and builds its params, before
+        # anything runs: a bad params body never reaches a pool (an
+        # unknown app stays a failure of its own cells)
+        for config in spec.expand():
+            if config.app in APPLICATIONS:
+                build_params(config.app, config.params_dict())
     except FileNotFoundError:
         print(f"repro-campaign: no such spec file: {spec_path}",
               file=sys.stderr)

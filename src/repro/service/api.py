@@ -9,10 +9,11 @@ SHA-256 content key, and therefore shares its cache entries and its
 in-flight coalescing identity for free.
 
 Validation happens here, before anything is queued: an unknown app,
-machine or executor, an unknown field, or a field of the wrong type
-(``"nprocs": "4"``, ``"steps": 2.5``) is a client error (HTTP 400
-naming it, with the choices listed where there are choices), never a
-failed job discovered minutes later in a worker process.
+machine or executor, an unknown field, a field of the wrong type
+(``"nprocs": "4"``, ``"steps": 2.5``), or a ``params`` body the app
+rejects (an unknown parameter, ``"tau": 0.4``) is a client error (HTTP
+400 naming it, with the choices listed where there are choices), never
+a failed job discovered minutes later in a worker process.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..campaign.spec import RunConfig
+from ..campaign.worker import build_params
 from ..harness.apps import APPLICATIONS
 from ..machines.catalog import MACHINES, get_machine
 from ..runtime.executors import get_executor
@@ -84,3 +86,9 @@ def _validate_config(config: RunConfig) -> None:
         raise ApiError(400, str(exc)) from None
     if config.nprocs is not None and config.nprocs < 1:
         raise ApiError(400, "'nprocs' must be >= 1")
+    # the worker builds the same params: an unknown or invalid one
+    # (an unstable relaxation time, say) fails here, not in the job
+    try:
+        build_params(config.app, config.params_dict())
+    except (TypeError, ValueError) as exc:
+        raise ApiError(400, f"bad params for {config.app!r}: {exc}") from None

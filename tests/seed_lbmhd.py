@@ -11,8 +11,8 @@ bitwise.
 
 Copied from commit ``a28b4e0`` (``src/repro/apps/lbmhd/equilibrium.py``,
 ``collision.py``, ``solver.py``); the pad/exchange/stream helpers are
-imported because their default (allocating) behavior is unchanged from
-that commit.
+imported from ``seed_lbmhd_block``, whose copies keep the default
+(allocating) behavior of that commit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.lbmhd.collision import collision_work
-from repro.apps.lbmhd.decomp import CartesianDecomposition3D, exchange_halos
+from repro.apps.lbmhd.decomp import CartesianDecomposition3D
 from repro.apps.lbmhd.fields import magnetic_field, momentum, split_state
 from repro.apps.lbmhd.lattice import (
     CS2,
@@ -34,12 +34,9 @@ from repro.apps.lbmhd.solver import (
     equilibrium_state,
     orszag_tang_fields,
 )
-from repro.apps.lbmhd.stream import (
-    pad_state,
-    stream_from_padded,
-    stream_periodic,
-)
+from repro.apps.lbmhd.stream import stream_periodic
 from repro.simmpi.comm import Communicator
+from seed_lbmhd_block import exchange_halos, pad_state, stream_from_padded
 
 
 def seed_f_equilibrium(

@@ -23,11 +23,11 @@ from repro.apps.gtc.solver import GTC, GTCParams
 from repro.apps.lbmhd.collision import CollisionParams, collide
 from repro.apps.lbmhd.decomp import (
     CartesianDecomposition3D,
-    exchange_halos,
-    exchange_halos_block,
+    charge_halo_exchange,
 )
 from repro.apps.lbmhd.fields import split_state
 from repro.apps.lbmhd.solver import LBMHD3D, LBMHDParams
+from repro.apps.lbmhd.stream import stream_block
 from repro.apps.paratec.fft3d import ParallelFFT3D
 from repro.apps.paratec.gvectors import GSphere, SphereDistribution
 from repro import harness
@@ -35,6 +35,7 @@ from repro.machines import get_machine
 from repro.runtime import Arena, SharedArenaPool, shm_available
 from repro.simmpi import Communicator
 from seed_lbmhd import SeedLBMHD3D
+from seed_lbmhd_block import stream_per_rank
 
 
 def _with_given_arena(cls, params, nprocs):
@@ -107,30 +108,36 @@ class TestLBMHDArenaBitwise:
 
     @pytest.mark.parametrize("nprocs", [4, 8])
     def test_block_halo_exchange_matches_legacy(self, nprocs):
-        """Same ghost cells AND same virtual clocks as the per-pair path."""
+        """The pull-stream over the flat block and the halo charge: same
+        states AND same virtual clocks as padding each rank, exchanging
+        its ghosts message by message and streaming it alone."""
         shape = (8, 8, 8)
         decomp = CartesianDecomposition3D.create(shape, nprocs)
         lx, ly, lz = decomp.local_shape
         rng = np.random.default_rng(11)
-        block = rng.standard_normal((72, nprocs, lx + 2, ly + 2, lz + 2))
+        post = rng.standard_normal((72, nprocs, lx, ly, lz))
         legacy_comm = Communicator(nprocs, machine=get_machine("X1"))
         block_comm = Communicator(nprocs, machine=get_machine("X1"))
 
-        padded = [block[:, r].copy() for r in range(nprocs)]
-        exchange_halos(legacy_comm, decomp, padded)
-        blk = block.copy()
-        exchange_halos_block(block_comm, decomp, blk)
+        want = stream_per_rank(
+            legacy_comm, decomp, [post[:, r] for r in range(nprocs)]
+        )
+        charge_halo_exchange(block_comm, decomp)
+        got = stream_block(post, decomp.proc_grid, np.empty_like(post))
 
         for r in range(nprocs):
-            assert_array_equal(blk[:, r], padded[r])
+            assert_array_equal(got[:, r], want[r])
         assert block_comm.times.tolist() == legacy_comm.times.tolist()
 
     def test_block_halo_exchange_rejects_a_strided_block(self):
         decomp = CartesianDecomposition3D.create((8, 8, 8), 4)
         lx, ly, lz = decomp.local_shape
-        strided = np.zeros((72, 8, lx + 2, ly + 2, lz + 2))[:, ::2]
+        strided = np.zeros((72, 8, lx, ly, lz))[:, ::2]
+        out = np.zeros((72, 4, lx, ly, lz))
         with pytest.raises(ValueError, match="C-contiguous"):
-            exchange_halos_block(Communicator(4), decomp, strided)
+            stream_block(strided, decomp.proc_grid, out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            stream_block(out, decomp.proc_grid, strided)
 
 
 class TestGTCArenaBitwise:

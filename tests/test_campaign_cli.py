@@ -85,6 +85,26 @@ class TestRun:
         assert "bad spec" in err and f"'{field}' must be" in err
         assert not (tmp_path / "cache").exists()  # nothing ran
 
+    @pytest.mark.parametrize(
+        "params, fragment",
+        [
+            ({"bogus": 1}, "unknown parameter(s) for 'lbmhd': bogus"),
+            ({"tau": 0.4}, "relaxation times must exceed 1/2"),
+        ],
+        ids=["unknown", "unstable"],
+    )
+    def test_bad_params_exit_2_before_anything_runs(
+        self, tmp_path, capsys, params, fragment
+    ):
+        bad = tmp_path / "params.json"
+        bad.write_text(
+            json.dumps(dict(SPEC, params={**SPEC["params"], "lbmhd": params}))
+        )
+        assert _run(bad, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "bad spec" in err and fragment in err
+        assert not (tmp_path / "cache").exists()  # nothing ran
+
     def test_bad_scheduler_exits_2(self, spec_file, tmp_path, capsys):
         assert main(
             ["run", str(spec_file), "--cache-dir", str(tmp_path),

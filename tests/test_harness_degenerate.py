@@ -3,9 +3,9 @@
 The harness (phase scopes, ledger attachment) must be numerically
 invisible: a single-rank run through ``harness.run`` is bitwise
 identical to constructing and stepping the solver directly.  And the
-batched halo exchange must handle processor grids that are flat along
+flat-block pull-stream must handle processor grids that are flat along
 one or more axes (``_halo_plan`` returns ``None`` there — the periodic
-wrap is purely local).
+wrap is purely local and charged nothing).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import harness
+from repro.machines import get_machine
 from repro.simmpi import Communicator
 
 
@@ -81,51 +82,48 @@ class TestFlatAxisHaloExchange:
     def test_block_matches_per_rank_path(self, proc_grid):
         from repro.apps.lbmhd.decomp import (
             CartesianDecomposition3D,
-            exchange_halos,
-            exchange_halos_block,
+            charge_halo_exchange,
         )
+        from repro.apps.lbmhd.stream import stream_block
+        from seed_lbmhd_block import stream_per_rank
 
         decomp = CartesianDecomposition3D(
             global_shape=(8, 4, 4), proc_grid=proc_grid
         )
         lx, ly, lz = decomp.local_shape
         rng = np.random.default_rng(3)
-        nslots = 5
-        block = np.zeros((nslots, decomp.nprocs, lx + 2, ly + 2, lz + 2))
-        block[:, :, 1 : lx + 1, 1 : ly + 1, 1 : lz + 1] = rng.standard_normal(
-            (nslots, decomp.nprocs, lx, ly, lz)
-        )
-        reference = [block[:, r].copy() for r in range(decomp.nprocs)]
+        post = rng.standard_normal((72, decomp.nprocs, lx, ly, lz))
+        block_comm = Communicator(decomp.nprocs, machine=get_machine("X1"))
+        rank_comm = Communicator(decomp.nprocs, machine=get_machine("X1"))
 
-        exchange_halos_block(Communicator(decomp.nprocs), decomp, block)
-        exchange_halos(Communicator(decomp.nprocs), decomp, reference)
+        charge_halo_exchange(block_comm, decomp)
+        got = stream_block(post, proc_grid, np.empty_like(post))
+        want = stream_per_rank(
+            rank_comm, decomp, [post[:, r] for r in range(decomp.nprocs)]
+        )
         for r in range(decomp.nprocs):
-            assert np.array_equal(block[:, r], reference[r]), proc_grid
+            assert np.array_equal(got[:, r], want[r]), proc_grid
+        assert block_comm.times.tolist() == rank_comm.times.tolist()
 
     def test_flat_axes_wrap_periodically(self):
-        from repro.apps.lbmhd.decomp import (
-            CartesianDecomposition3D,
-            exchange_halos_block,
-        )
+        from repro.apps.lbmhd.decomp import CartesianDecomposition3D
+        from repro.apps.lbmhd.lattice import slot_shifts
+        from repro.apps.lbmhd.stream import stream_block
 
         decomp = CartesianDecomposition3D(
             global_shape=(8, 4, 4), proc_grid=(4, 1, 1)
         )
         lx, ly, lz = decomp.local_shape
-        block = np.zeros((1, 4, lx + 2, ly + 2, lz + 2))
-        core = np.arange(4 * lx * ly * lz, dtype=float).reshape(
-            1, 4, lx, ly, lz
+        post = np.arange(72 * 4 * lx * ly * lz, dtype=float).reshape(
+            72, 4, lx, ly, lz
         )
-        block[:, :, 1 : lx + 1, 1 : ly + 1, 1 : lz + 1] = core
-        exchange_halos_block(Communicator(4), decomp, block)
-        # y and z are flat: ghosts wrap each rank's own core locally
-        assert np.array_equal(
-            block[:, :, 1 : lx + 1, 0, 1 : lz + 1], core[..., -1, :]
-        )
-        assert np.array_equal(
-            block[:, :, 1 : lx + 1, 1 : ly + 1, lz + 1], core[..., 0]
-        )
-        # x is decomposed: rank 0's low ghost is rank 3's high core plane
-        assert np.array_equal(
-            block[:, 0, 0, 1 : ly + 1, 1 : lz + 1], core[:, 3, -1]
-        )
+        out = stream_block(post, decomp.proc_grid, np.empty_like(post))
+        slot = {tuple(c): s for s, c in enumerate(slot_shifts().tolist())}
+        # y and z are flat: a rank pulls from the far side of its own core
+        sy, sz = slot[(0, 1, 0)], slot[(0, 0, -1)]
+        assert np.array_equal(out[sy, :, :, 0], post[sy, :, :, -1])
+        assert np.array_equal(out[sz, :, :, :, -1], post[sz, :, :, :, 0])
+        # x is decomposed: rank 0's low plane comes from rank 3's high one
+        sx = slot[(1, 0, 0)]
+        assert np.array_equal(out[sx, 0, 0], post[sx, 3, -1])
+        assert np.array_equal(out[sx, 2, 0], post[sx, 1, -1])

@@ -130,11 +130,8 @@ def _kernel_cases():
     f = f_equilibrium(rho, u, B)
     g = g_equilibrium(u, B)
     state = np.concatenate([f, g.reshape(-1, *shape)])
-    padded = np.pad(state, ((0, 0),) + ((1, 1),) * 3, mode="wrap")
+    one_rank = np.ascontiguousarray(state[:, None])
     block = np.stack([state, np.roll(state, 1, axis=1)], axis=1)
-    padded_block = np.pad(
-        block, ((0, 0), (0, 0)) + ((1, 1),) * 3, mode="wrap"
-    )
     cparams = CollisionParams()
 
     # GTC: a real grid + particle population from a tiny solver
@@ -174,10 +171,14 @@ def _kernel_cases():
     return {
         "lbmhd_collide": lambda b: b.lbmhd_collide(state.copy(), cparams),
         "lbmhd_stream_from_padded": (
-            lambda b: b.lbmhd_stream_from_padded(padded)
+            lambda b: b.lbmhd_stream_from_padded(
+                one_rank, (1, 1, 1), np.empty_like(one_rank)
+            )
         ),
         "lbmhd_stream_from_padded_block": (
-            lambda b: b.lbmhd_stream_from_padded(padded_block)
+            lambda b: b.lbmhd_stream_from_padded(
+                block, (2, 1, 1), np.empty_like(block)
+            )
         ),
         "gtc_deposit_scalar": lambda b: b.gtc_deposit_scalar(plane, parts),
         "gtc_deposit_scalar_gyro": (

@@ -32,6 +32,26 @@ class TestFactor3D:
             factor3d(0)
 
 
+class TestParams:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"tau": 0.4}, "relaxation times must exceed 1/2"),
+            ({"tau_m": 0.5}, "relaxation times must exceed 1/2"),
+            ({"use_mrt": True, "tau_ghost": 0.5}, "tau_ghost must exceed 1/2"),
+        ],
+        ids=["tau", "tau_m", "tau_ghost"],
+    )
+    def test_unstable_relaxation_rejected_at_construction(
+        self, kwargs, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            LBMHDParams(**kwargs)
+
+    def test_tau_ghost_is_unused_without_mrt(self):
+        assert LBMHDParams(tau_ghost=0.5).tau_ghost == 0.5
+
+
 class TestDecomposition:
     def test_scatter_gather_roundtrip(self, rng):
         d = CartesianDecomposition3D.create((8, 8, 8), 8)

@@ -87,6 +87,15 @@ class TestParsePredict:
             ({**SMALL, "steps": 2.5}, "'steps' must be an integer"),
             ({**SMALL, "seed": "x"}, "'seed' must be an integer"),
             ({**SMALL, "trace": "yes"}, "'trace' must be a boolean"),
+            # the params body is built before anything is queued
+            (
+                {**SMALL, "params": {"bogus": 1}},
+                "unknown parameter(s) for 'lbmhd': bogus",
+            ),
+            (
+                {**SMALL, "params": {"tau": 0.4}},
+                "relaxation times must exceed 1/2",
+            ),
         ],
     )
     def test_bad_requests_are_400_with_the_reason(self, body, fragment):
@@ -435,11 +444,14 @@ class TestPredictFlow:
 
     def test_failing_config_is_a_failed_job_not_a_crash(self, service):
         svc, port = service
-        bad = {**SMALL, "params": {"no_such_param": 1}}
+        # valid params the solver still refuses: 9 cells do not split
+        # over the (2, 2, 1) processor grid of P=4 (a params body the
+        # app itself rejects is a 400, test_bad_requests_are_400...)
+        bad = {**SMALL, "params": {"shape": [9, 8, 8]}}
         status, body = _json(port, "POST", "/v1/predict", bad)
         assert status == 500
         assert body["state"] == "failed"
-        assert "no_such_param" in body["error"]
+        assert "not divisible" in body["error"]
         # the service is still healthy afterwards
         status, _ = _json(port, "GET", "/v1/healthz")
         assert status == 200

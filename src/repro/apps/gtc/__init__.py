@@ -37,7 +37,7 @@ from .push import (
     push_particles,
     push_work,
 )
-from .shift import classify, shift_particles
+from .shift import classify, shift_block
 from .solver import GTC, GTCParams
 from .workload import (
     PAPER_NTOROIDAL,
@@ -87,7 +87,7 @@ __all__ = [
     "predict",
     "push_particles",
     "push_work",
-    "shift_particles",
+    "shift_block",
     "solve_poisson",
     "split_particles",
     "work_vector_memory_overhead",

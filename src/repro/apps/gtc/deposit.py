@@ -15,7 +15,7 @@ Two implementations, numerically identical up to floating-point
 reassociation (tests enforce agreement):
 
 * :func:`deposit_scalar` — the superscalar path: a single histogram
-  accumulation (``np.add.at``), the analogue of the cache-blocked
+  accumulation (one ``np.bincount``), the analogue of the cache-blocked
   scalar loop.
 * :func:`deposit_work_vector` — the vector path: particles are striped
   over ``num_copies`` private grid copies so every element of a vector
@@ -27,6 +27,8 @@ reassociation (tests enforce agreement):
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -118,6 +120,37 @@ def _ring_stencils(
     return np.concatenate(idx_parts), np.concatenate(wt_parts)
 
 
+def _rank_rows(
+    grid: PoloidalGrid, idx: np.ndarray, counts: np.ndarray | None
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``idx`` as flat indices into a stack of one grid per rank, and
+    the stack's shape.
+
+    ``counts`` (``None``: one rank) splits the particles into
+    consecutive ranks' populations; each particle's indices move to its
+    rank's row.  A grid point belongs to one rank, so it receives the
+    same contributions in the same order as a per-rank deposit would
+    give it.
+    """
+    if counts is None:
+        return idx, grid.shape
+    rows = np.arange(len(counts)) * grid.num_points
+    return idx + np.repeat(rows, counts), (len(counts),) + grid.shape
+
+
+def _destination(
+    size: int, out: np.ndarray | None, arena: Arena | None, key: str
+) -> np.ndarray | None:
+    """``out`` viewed flat, the arena's ``key`` buffer, or ``None``."""
+    if out is not None:
+        dest = out.view()
+        dest.shape = (size,)  # raises if out is not viewable flat
+        return dest
+    if arena is not None:
+        return arena.scratch(key, (size,))
+    return None
+
+
 def deposit_scalar(
     grid: PoloidalGrid,
     particles: ParticleArray,
@@ -125,28 +158,32 @@ def deposit_scalar(
     out: np.ndarray | None = None,
     arena: Arena | None = None,
     cells: Cells | None = None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Histogram-style deposition (the cache-machine code path).
 
     ``out`` (optional, shape ``grid.shape``) receives the density and
-    is fully overwritten; with an ``arena`` the accumulation buffer is
-    reused across calls instead of freshly allocated.  ``cells`` are
+    is fully overwritten; with an ``arena`` the result is copied into a
+    buffer reused across calls.  ``cells`` are
     the particles' cells when the caller has located them already
-    (guiding-centre deposit only).  The scatter-add order is unchanged
-    either way, so results are bitwise-identical.
+    (guiding-centre deposit only).  With ``counts`` the particles are
+    consecutive ranks' populations, ``counts[k]`` of them for rank
+    ``k``, and each rank deposits into its own grid: the result (and
+    ``out``) is ``(len(counts),) + grid.shape``.
+
+    One ``bincount`` accumulates every contribution in array order, as
+    ``np.add.at`` would into zeros, so the result is bitwise the same
+    whichever way it is called.
     """
     idx, wts = _ring_stencils(grid, particles, gyro_radius, cells)
-    if out is not None:
-        rho = out.view()
-        rho.shape = (grid.num_points,)  # raises if out is not viewable flat
-        rho.fill(0.0)
-    elif arena is not None:
-        rho = arena.scratch("gtc.deposit.rho", (grid.num_points,))
-        rho.fill(0.0)
-    else:
-        rho = np.zeros(grid.num_points)
-    np.add.at(rho, idx.ravel(), wts.ravel())
-    return rho.reshape(grid.shape)
+    idx, shape = _rank_rows(grid, idx, counts)
+    size = math.prod(shape)
+    rho = np.bincount(idx.ravel(), weights=wts.ravel(), minlength=size)
+    dest = _destination(size, out, arena, "gtc.deposit.rho")
+    if dest is not None:
+        dest[...] = rho
+        rho = dest
+    return rho.reshape(shape)
 
 
 def deposit_work_vector(
@@ -157,6 +194,7 @@ def deposit_work_vector(
     out: np.ndarray | None = None,
     arena: Arena | None = None,
     cells: Cells | None = None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Work-vector deposition (the vector-machine code path).
 
@@ -164,23 +202,26 @@ def deposit_work_vector(
     are reduced at the end.  Bincount per stripe keeps each private
     accumulation conflict-free, mirroring the vector-register semantics.
     With an ``arena`` the reduction buffer is reused across calls, and
-    ``cells`` are reused as in :func:`deposit_scalar` (bitwise-identical
-    accumulation either way).
+    ``cells`` and ``counts`` are as in :func:`deposit_scalar`; with
+    ``counts``, ``p`` is the particle's index within its rank (bitwise
+    the same accumulation either way).
     """
     if num_copies < 1:
         raise ValueError("num_copies must be >= 1")
     idx, wts = _ring_stencils(grid, particles, gyro_radius, cells)
+    idx, shape = _rank_rows(grid, idx, counts)
+    size = math.prod(shape)
     n = len(particles)
-    if out is not None:
-        total = out.view()
-        total.shape = (grid.num_points,)  # raises if out not viewable flat
-        total.fill(0.0)
-    elif arena is not None:
-        total = arena.scratch("gtc.deposit.wv_total", (grid.num_points,))
-        total.fill(0.0)
+    total = _destination(size, out, arena, "gtc.deposit.wv_total")
+    if total is None:
+        total = np.zeros(size)
     else:
-        total = np.zeros(grid.num_points)
-    stripe = np.arange(n) % num_copies
+        total.fill(0.0)
+    within = np.arange(n)
+    if counts is not None:
+        starts = np.cumsum(counts) - counts
+        within -= np.repeat(starts, counts)
+    stripe = within % num_copies
     for c in range(num_copies):
         sel = stripe == c
         if not sel.any():
@@ -188,9 +229,9 @@ def deposit_work_vector(
         total += np.bincount(
             idx[:, sel].ravel(),
             weights=wts[:, sel].ravel(),
-            minlength=grid.num_points,
+            minlength=size,
         )
-    return total.reshape(grid.shape)
+    return total.reshape(shape)
 
 
 def work_vector_memory_overhead(

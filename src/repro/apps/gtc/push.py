@@ -54,13 +54,22 @@ def gather_field(
     e_r: np.ndarray,
     e_theta: np.ndarray,
     cells: Cells,
+    counts: np.ndarray | None = None,
+    planes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """CIC-interpolate (E_r, E_theta) to particle positions, given as
     their located cells (:meth:`PoloidalGrid.locate_cells`, which the
     solver's deposit calls once a step): the fields are read at the
     flat corner indices.
+
+    With ``counts`` the particles are consecutive ranks' populations,
+    ``counts[k]`` of them for rank ``k``, and the fields are stacks of
+    ``(nplanes,) + grid.shape``: rank ``k`` reads plane ``planes[k]``.
     """
     corners, fi, fj = cells
+    if counts is not None:
+        base = np.asarray(planes) * grid.num_points
+        corners = corners + np.repeat(base, counts)
 
     w00 = (1 - fi) * (1 - fj)
     w01 = (1 - fi) * fj

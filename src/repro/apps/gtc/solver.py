@@ -11,6 +11,16 @@ One time step, per rank (SPMD over the simulated communicator):
 4. *push*     — gather E at the cells the deposit located, advance the
    guiding centers;
 5. *shift*    — exchange domain-crossing particles with zeta neighbors.
+
+All ranks' particles are one struct-of-arrays arena block of
+``(PARTICLE_WORDS, N)`` words, rank ``r``'s in columns
+``off[r]:off[r + 1]`` — the long particle loops the vector codes win
+with.  The charge and push regions cut each shard's ranks into groups
+of consecutive ranks holding at least :data:`GROUP_PARTICLES` between
+them and make one kernel call per group: one rank a group at the
+benchmark's P=8, four at P=32.  One call over a whole shard is
+slower (0.7x at P=8): its temporaries outgrow the caches.  The shift
+(:func:`~.shift.shift_block`) moves only the particles that cross.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ from ...kernels import KernelBackend, get_backend
 from ...runtime.arena import Arena
 from ...runtime.team import RegionArgs
 from ...simmpi.comm import Communicator
-from .decomp import GTCDecomposition, choose_decomposition
-from .deposit import DEFAULT_WORK_VECTOR_COPIES, deposit_work
+from .decomp import GTCDecomposition
+from .deposit import deposit_work
 from .grid import Cells, PoloidalGrid, TorusGrid
 from .particles import (
     DEFAULT_SPECIES,
@@ -38,7 +48,7 @@ from .particles import (
 )
 from .poisson import electric_field, poisson_work, solve_poisson
 from .push import PushParams, push_work
-from .shift import shift_particles
+from .shift import shift_block
 
 
 @dataclass(frozen=True)
@@ -55,11 +65,20 @@ class GTCParams:
     ntoroidal: int = 4
     particles_per_cell: int = 10
     dt: float = 0.01
-    thermal_velocity: float = 1.0
     use_work_vector: bool = False
     work_vector_copies: int = 8
     seed: int = 7
     species: tuple[Species, ...] = DEFAULT_SPECIES
+
+    def __post_init__(self) -> None:
+        # a bad value fails here, not inside the run: building the grid
+        # and the push constants runs their own checks and messages
+        self.make_torus()
+        PushParams(dt=self.dt)
+        if self.particles_per_cell < 0:
+            raise ValueError("particles_per_cell must be non-negative")
+        if self.use_work_vector and self.work_vector_copies < 1:
+            raise ValueError("work_vector_copies must be >= 1")
 
     def make_torus(self) -> TorusGrid:
         return TorusGrid(
@@ -72,34 +91,70 @@ class GTCParams:
         return self.particles_per_cell * self.mpsi * self.mtheta
 
 
+#: Particles one kernel call covers, at least: a region steps its ranks
+#: in groups of consecutive ranks that hold this many between them.
+GROUP_PARTICLES = 8192
+
+
+def _rank_groups(off: np.ndarray, lo: int, hi: int):
+    """Ranks ``lo:hi`` cut into groups of consecutive ranks, as many a
+    group as hold :data:`GROUP_PARTICLES` particles on average (at
+    least one): ``(g0, g1, counts)`` of each, ``counts`` the ranks'
+    particle counts."""
+    nranks, total = len(off) - 1, int(off[-1])
+    size = round(GROUP_PARTICLES * nranks / total) if total else nranks
+    size = max(1, size)
+    for g0 in range(lo, hi, size):
+        g1 = min(g0 + size, hi)
+        yield g0, g1, np.diff(off[g0 : g1 + 1])
+
+
+def _columns(block: np.ndarray, a: int, b: int) -> ParticleArray:
+    """Particles ``a:b`` of a block, as a view."""
+    return ParticleArray(*block[:, a:b])
+
+
+def _cell_columns(cells: Cells, a: int, b: int) -> Cells:
+    """Cells ``a:b``, as a view."""
+    return Cells(cells.corners[:, a:b], cells.fi[a:b], cells.fj[a:b])
+
+
 # -- shard functions ---------------------------------------------------
 #
 # Module-level ``(lo, hi, args, ...)`` callables (docs/executors.md),
 # bound per region with ``functools.partial`` to the solver's
 # ``RegionArgs`` (by token: the grid blocks it holds are arena memory,
-# shared under a process executor) and the step's per-rank particle
-# views.  Each steps ranks ``lo:hi`` in ascending order (the order the
-# charges replay in) and writes its results in place, into arena
-# buffers the caller allocated: the particles, their cells and every
-# grid go by reference.
+# shared under a process executor), the step's rank offsets and the
+# particle blocks.  Each steps ranks ``lo:hi`` in ascending order (the
+# order the charges replay in), one kernel call per rank group, and
+# writes its results in place, into arena buffers the caller
+# allocated: the particles, their cells and every grid go by reference.
 
 
-def _deposit_shard(lo: int, hi: int, args, particles, cells) -> None:
-    """Locate each rank's particles into ``cells`` and deposit them
-    into the rank's row of ``args.partial`` (the unreduced charge)."""
+def _deposit_shard(lo: int, hi: int, args, off, particles, cells) -> None:
+    """Locate each group's particles into ``cells`` and deposit them
+    into its ranks' rows of ``args.partial`` (the unreduced charge)."""
     grid = args.grid
-    for rank in range(lo, hi):
-        p = particles[rank]
-        located = grid.locate_cells(p.r, p.theta, out=cells[rank])
+    for g0, g1, counts in _rank_groups(off, lo, hi):
+        a, b = off[g0], off[g1]
+        p = _columns(particles, a, b)
+        at = _cell_columns(cells, a, b)
+        located = grid.locate_cells(p.r, p.theta, out=at)
         if args.vectorized:
             args.kernels.gtc_deposit_work_vector(
-                grid, p, args.copies, out=args.partial[rank], cells=located
+                grid,
+                p,
+                args.copies,
+                out=args.partial[g0:g1],
+                cells=located,
+                counts=counts,
             )
         else:
             args.kernels.gtc_deposit_scalar(
-                grid, p, out=args.partial[rank], cells=located
+                grid, p, out=args.partial[g0:g1], cells=located, counts=counts
             )
-        args.comm.compute(rank, deposit_work(len(p), args.vectorized))
+        for n, rank in zip(counts.tolist(), range(g0, g1)):
+            args.comm.compute(rank, deposit_work(n, args.vectorized))
 
 
 def _field_shard(lo: int, hi: int, args) -> None:
@@ -127,37 +182,49 @@ def _field_shard(lo: int, hi: int, args) -> None:
         args.comm.compute(rank, args.work)
 
 
-def _push_shard(lo: int, hi: int, args, particles, cells, outs) -> None:
-    """Gather E at each rank's particles, at the cells the deposit
-    located, and advance them into ``outs[rank]``."""
-    for rank in range(lo, hi):
-        p = particles[rank]
+def _push_shard(lo: int, hi: int, args, off, particles, cells, out) -> None:
+    """Gather E at each group's particles, at the cells the deposit
+    located, and advance them into the same columns of ``out``."""
+    for g0, g1, counts in _rank_groups(off, lo, hi):
+        a, b = off[g0], off[g1]
         # the ranks of a domain share their E-fields; shards only read them
-        domain = rank // args.npe
         er_p, et_p = args.kernels.gtc_gather_field(
-            args.grid, args.e_r[domain], args.e_theta[domain], cells[rank]
+            args.grid,
+            args.e_r,
+            args.e_theta,
+            _cell_columns(cells, a, b),
+            counts=counts,
+            planes=np.arange(g0, g1) // args.npe,
         )
         args.kernels.gtc_push_particles(
-            args.torus, p, er_p, et_p, args.push_params, out=outs[rank]
+            args.torus,
+            _columns(particles, a, b),
+            er_p,
+            et_p,
+            args.push_params,
+            out=_columns(out, a, b),
         )
-        args.comm.compute(rank, push_work(len(p), args.vectorized))
+        for n, rank in zip(counts.tolist(), range(g0, g1)):
+            args.comm.compute(rank, push_work(n, args.vectorized))
 
 
 class GTC:
     """Parallel GTC simulation over a simulated communicator.
 
-    Everything a step touches lives in the arena: each rank's particles
-    in one of two buffer sets, ``gtc.particles`` (their home between
-    steps) and ``gtc.pushed`` (the push's output, which the shift
-    compacts back home; until the push, it holds the particles'
-    cells), and the unreduced, reduced, potential and E-field grids as
-    ``(P | ntoroidal, mpsi, mtheta)`` blocks.
+    Everything a step touches lives in the arena: the particles in one
+    of two ``(PARTICLE_WORDS, N)`` blocks, ``gtc.particles`` (their
+    home between steps) and ``gtc.pushed`` (the push's output, which
+    the shift compacts back home; until the push, it holds the
+    particles' cells), with rank offsets ``_off``; and the unreduced,
+    reduced, potential and E-field grids as ``(P | ntoroidal, mpsi,
+    mtheta)`` blocks.  The shift conserves N, so the blocks never
+    resize.
     """
 
     app_key = "gtc"
     #: IPM phase labels of one step, in the paper's order.
     phases = ("charge", "reduce", "field", "push", "shift")
-    #: arena tags of the two particle buffer sets
+    #: arena tags of the two particle blocks
     _SETS = ("gtc.particles", "gtc.pushed")
 
     def __init__(
@@ -185,6 +252,12 @@ class GTC:
         self.subgroups = self.decomp.make_subgroups(comm)
         grid = self.torus.plane
         npe = self.decomp.npe_per_domain
+        ranks = range(comm.nprocs)
+        #: each rank's toroidal domain and its (left, right) partners
+        self._domain = np.array([self.decomp.domain_of(r) for r in ranks])
+        self._neighbors = np.array(
+            [self.decomp.shift_neighbors(r) for r in ranks]
+        )
 
         def block(key: str, n: int) -> np.ndarray:
             buf = self.arena.scratch(key, (n,) + grid.shape)
@@ -209,8 +282,8 @@ class GTC:
         )
         #: per-rank views of the domain grids: every rank of a domain
         #: holds its domain's reduced charge and potential
-        self.charge = [self._args.charge[r // npe] for r in range(comm.nprocs)]
-        self.phi = [self._args.phi[r // npe] for r in range(comm.nprocs)]
+        self.charge = [self._args.charge[r // npe] for r in ranks]
+        self.phi = [self._args.phi[r // npe] for r in ranks]
 
         rng = np.random.default_rng(params.seed)
         particles: list[ParticleArray] = []
@@ -223,65 +296,53 @@ class GTC:
                 params.species,
             )
             particles.extend(split_particles(pool, npe))
-        #: per-rank particle capacity of the arena buffers, and the
-        #: buffers, by (key, rank)
-        self._capacity = [0] * comm.nprocs
-        self._held: dict[tuple[str, int], np.ndarray] = {}
-        self._home(particles)
-        self._cells: list[Cells] = []
+        self._load(particles)
         self.step_count = 0
 
     # -- particle storage --------------------------------------------------
 
-    def _rows(
-        self, key: str, rank: int, n: int, rows: int, dtype=np.float64
-    ) -> np.ndarray:
-        """A ``(rows, n)`` view of ``rank``'s arena buffer ``key``, each
-        row contiguous.  Buffers are sized by a per-rank capacity, not
-        by ``n`` — populations change with every shift, and the arena
-        keeps every shape it is ever asked for — and held between
-        calls."""
-        if n > self._capacity[rank]:
-            # room to grow: a fresh, larger set only every so often
-            self._capacity[rank] = n + n // 4
-        size = rows * self._capacity[rank]
-        buf = self._held.get((key, rank))
-        if buf is None or len(buf) != size:
-            buf = self.arena.for_rank(rank).scratch(key, (size,), dtype)
-            self._held[key, rank] = buf
-        return buf[: rows * n].reshape(rows, n)
-
-    def _storage(self, which: int, rank: int, n: int) -> ParticleArray:
-        """``n`` particles of ``rank`` in buffer set ``which``."""
-        return ParticleArray(
-            *self._rows(self._SETS[which], rank, n, PARTICLE_WORDS)
-        )
-
-    def _cells_of(self, rank: int, n: int) -> Cells:
-        """Storage for the cells of ``rank``'s ``n`` particles: the
-        memory of the buffer set the push will write.  A cell takes the
-        six 8-byte words a particle does (four corners, two offsets),
-        and the gather has read a rank's cells before its push
-        overwrites them — so locating costs no memory of its own."""
-        words = self._rows(self._SETS[1 - self._set], rank, n, PARTICLE_WORDS)
-        fi, fj = words[4:]
-        return Cells(words[:4].view(np.int64), fi, fj)
-
-    def _home(self, particles: list[ParticleArray]) -> None:
-        """Copy populations (a fresh load, a restore) into the home set."""
+    def _load(self, particles: list[ParticleArray]) -> None:
+        """Copy per-rank populations (a fresh load, a restore) into the
+        home block, sizing both blocks to their total."""
+        counts = [len(p) for p in particles]
+        self._off = np.concatenate([[0], np.cumsum(counts)])
+        shape = (PARTICLE_WORDS, int(self._off[-1]))
+        self._blocks = [self.arena.scratch(key, shape) for key in self._SETS]
         self._set = 0
-        self.particles = []
-        for rank, p in enumerate(particles):
-            dest = self._storage(0, rank, len(p))
-            for name in PARTICLE_FIELDS:
-                getattr(dest, name)[...] = getattr(p, name)
-            self.particles.append(dest)
+        for k, name in enumerate(PARTICLE_FIELDS):
+            fields = [getattr(p, name) for p in particles]
+            np.concatenate(fields, out=self._blocks[0][k])
+
+    @property
+    def particles(self) -> list[ParticleArray]:
+        """Each rank's particles, as views of the home block."""
+        off, block = self._off, self._blocks[self._set]
+        return [
+            _columns(block, off[r], off[r + 1])
+            for r in range(self.comm.nprocs)
+        ]
+
+    def _cells(self) -> Cells:
+        """The particles' cells, in the memory of the block the push
+        will write.  A cell takes the six 8-byte words a particle does
+        (four corners, two offsets), and the gather has read a group's
+        cells before its push overwrites them — so locating costs no
+        memory of its own."""
+        words = self._blocks[1 - self._set]
+        return Cells(words[:4].view(np.int64), words[4], words[5])
 
     def _other_set(self) -> int:
-        """The buffer set the particles are not in, which the next
-        phase that moves them writes into (never the one it reads)."""
+        """The block the particles are not in, which the next phase
+        that moves them writes into (never the one it reads)."""
         self._set = 1 - self._set
         return self._set
+
+    def _region(self, fn, **blocks) -> None:
+        """One region of ``fn`` over the ranks, handed the step's rank
+        offsets and the particle ``blocks``."""
+        self.comm.map_shards(
+            partial(fn, args=self._args, off=self._off, **blocks)
+        )
 
     # -- phases -----------------------------------------------------------
 
@@ -293,19 +354,12 @@ class GTC:
             self._reduce_charge()
 
     def _deposit(self) -> None:
-        """Per-rank cell location and charge deposition into the
-        unreduced-charge block; the cells are kept for the push."""
-        self._cells = [
-            self._cells_of(rank, len(p))
-            for rank, p in enumerate(self.particles)
-        ]
-        self.comm.map_shards(
-            partial(
-                _deposit_shard,
-                args=self._args,
-                particles=self.particles,
-                cells=self._cells,
-            )
+        """Cell location and charge deposition, per rank group, into
+        the unreduced-charge block; the cells are kept for the push."""
+        self._region(
+            _deposit_shard,
+            particles=self._blocks[self._set],
+            cells=self._cells(),
         )
 
     def _reduce_charge(self) -> None:
@@ -325,35 +379,28 @@ class GTC:
 
     def push_phase(self) -> None:
         """Gather + guiding-center advance (phase 4), at the cells the
-        charge phase located, into the other buffer set."""
-        into = self._other_set()
-        outs = [
-            self._storage(into, rank, len(p))
-            for rank, p in enumerate(self.particles)
-        ]
-        self.comm.map_shards(
-            partial(
-                _push_shard,
-                args=self._args,
-                particles=self.particles,
-                cells=self._cells,
-                outs=outs,
-            )
+        charge phase located, into the other block."""
+        cells = self._cells()
+        here = self._blocks[self._set]
+        self._region(
+            _push_shard,
+            particles=here,
+            cells=cells,
+            out=self._blocks[self._other_set()],
         )
-        self.particles = outs
 
     def shift_phase(self) -> None:
         """Toroidal particle exchange (phase 5): stayers and arrivals
-        are written into the other buffer set — home again, after a
-        push."""
-        nprocs = self.comm.nprocs
-        self.particles = shift_particles(
+        are written into the other block — home again, after a push."""
+        here = self._blocks[self._set]
+        self._off = shift_block(
             self.comm,
             self.torus,
-            [self.decomp.domain_of(r) for r in range(nprocs)],
-            [self.decomp.shift_neighbors(r) for r in range(nprocs)],
-            self.particles,
-            storage=partial(self._storage, self._other_set()),
+            self._domain,
+            self._neighbors,
+            self._off,
+            here,
+            self._blocks[self._other_set()],
         )
 
     def step(self) -> None:
@@ -394,7 +441,7 @@ class GTC:
     def restore_state(self, snapshot: dict) -> None:
         if len(snapshot["charge"]) != self.comm.nprocs:
             raise ValueError("checkpoint rank count mismatch")
-        self._home([ParticleArray(**d) for d in snapshot["particles"]])
+        self._load([ParticleArray(**d) for d in snapshot["particles"]])
         npe = self.decomp.npe_per_domain
         for domain in range(self.decomp.ntoroidal):
             self._args.charge[domain] = snapshot["charge"][domain * npe]
@@ -404,7 +451,7 @@ class GTC:
     # -- observation ------------------------------------------------------
 
     def total_particles(self) -> int:
-        return sum(len(p) for p in self.particles)
+        return int(self._off[-1])
 
     def total_charge(self) -> float:
         return float(sum(p.total_charge for p in self.particles))
@@ -428,8 +475,8 @@ class GTC:
         """Total useful flops of one step across all ranks."""
         total = 0.0
         vec = self.params.use_work_vector
-        for p in self.particles:
-            total += deposit_work(len(p), vec).flops
-            total += push_work(len(p), vec).flops
+        for n in np.diff(self._off).tolist():
+            total += deposit_work(n, vec).flops
+            total += push_work(n, vec).flops
         total += self.comm.nprocs * poisson_work(self.torus.plane).flops
         return total

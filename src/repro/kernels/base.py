@@ -86,13 +86,21 @@ class KernelBackend(Tokened):
         out: np.ndarray | None = None,
         arena: Any | None = None,
         cells: Any | None = None,
+        counts: np.ndarray | None = None,
     ) -> np.ndarray:
         """Histogram deposit; ``cells`` are the particles' located
-        :class:`~repro.apps.gtc.grid.Cells` when the caller has them."""
+        :class:`~repro.apps.gtc.grid.Cells` when the caller has them,
+        ``counts`` split them into consecutive ranks, one grid each."""
         from ..apps.gtc.deposit import deposit_scalar
 
         return deposit_scalar(
-            grid, particles, gyro_radius, out=out, arena=arena, cells=cells
+            grid,
+            particles,
+            gyro_radius,
+            out=out,
+            arena=arena,
+            cells=cells,
+            counts=counts,
         )
 
     def gtc_deposit_work_vector(
@@ -104,6 +112,7 @@ class KernelBackend(Tokened):
         out: np.ndarray | None = None,
         arena: Any | None = None,
         cells: Any | None = None,
+        counts: np.ndarray | None = None,
     ) -> np.ndarray:
         from ..apps.gtc.deposit import deposit_work_vector
 
@@ -115,6 +124,7 @@ class KernelBackend(Tokened):
             out=out,
             arena=arena,
             cells=cells,
+            counts=counts,
         )
 
     def gtc_gather_field(
@@ -123,12 +133,15 @@ class KernelBackend(Tokened):
         e_r: np.ndarray,
         e_theta: np.ndarray,
         cells: Any,
+        counts: np.ndarray | None = None,
+        planes: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """CIC gather at particles given as their located
-        :class:`~repro.apps.gtc.grid.Cells`."""
+        :class:`~repro.apps.gtc.grid.Cells`; with ``counts``, rank ``k``
+        of the call reads plane ``planes[k]`` of stacked fields."""
         from ..apps.gtc.push import gather_field
 
-        return gather_field(grid, e_r, e_theta, cells)
+        return gather_field(grid, e_r, e_theta, cells, counts, planes)
 
     def gtc_push_particles(
         self,

@@ -86,19 +86,20 @@ class TestRun:
         assert not (tmp_path / "cache").exists()  # nothing ran
 
     @pytest.mark.parametrize(
-        "params, fragment",
+        "app, params, fragment",
         [
-            ({"bogus": 1}, "unknown parameter(s) for 'lbmhd': bogus"),
-            ({"tau": 0.4}, "relaxation times must exceed 1/2"),
+            ("lbmhd", {"bogus": 1}, "unknown parameter(s) for 'lbmhd': bogus"),
+            ("lbmhd", {"tau": 0.4}, "relaxation times must exceed 1/2"),
+            ("gtc", {"dt": -1}, "push parameters must be positive"),
         ],
-        ids=["unknown", "unstable"],
+        ids=["unknown", "unstable", "gtc-negative-dt"],
     )
     def test_bad_params_exit_2_before_anything_runs(
-        self, tmp_path, capsys, params, fragment
+        self, tmp_path, capsys, app, params, fragment
     ):
         bad = tmp_path / "params.json"
         bad.write_text(
-            json.dumps(dict(SPEC, params={**SPEC["params"], "lbmhd": params}))
+            json.dumps(dict(SPEC, params={**SPEC["params"], app: params}))
         )
         assert _run(bad, tmp_path) == 2
         err = capsys.readouterr().err

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.gtc import (
+    PARTICLE_FIELDS,
     PARTICLE_WORDS,
     ParticleArray,
     PoloidalGrid,
@@ -25,9 +26,12 @@ from repro.apps.gtc import (
     work_vector_memory_overhead,
 )
 from repro.apps.gtc.push import PushParams
-from repro.apps.gtc.shift import classify, shift_particles
+from repro.apps.gtc.shift import classify, shift_block, wrap_zeta
 from repro.apps.gtc.decomp import GTCDecomposition, choose_decomposition
+from repro.machines import get_machine
 from repro.simmpi import Communicator
+
+import seed_gtc as seed
 
 GRID = PoloidalGrid(mpsi=16, mtheta=24)
 TORUS = TorusGrid(plane=GRID, ntoroidal=4)
@@ -41,9 +45,34 @@ def cells(p: ParticleArray):
     return GRID.locate_cells(p.r, p.theta)
 
 
-def fresh(rank: int, n: int) -> ParticleArray:
-    """Shift storage: new memory for every rank."""
-    return ParticleArray(*np.empty((PARTICLE_WORDS, n)))
+def shift(
+    comm: Communicator,
+    torus: TorusGrid,
+    decomp: GTCDecomposition,
+    pops: list[ParticleArray],
+) -> list[ParticleArray]:
+    """The per-rank populations through :func:`shift_block`: packed
+    into one block, shifted into another, and cut by the new offsets."""
+    off = np.concatenate([[0], np.cumsum([len(p) for p in pops])])
+    src = np.stack(
+        [
+            np.concatenate([getattr(p, f) for p in pops])
+            for f in PARTICLE_FIELDS
+        ]
+    )
+    dst = np.empty_like(src)
+    ranks = range(decomp.nprocs)
+    new = shift_block(
+        comm,
+        torus,
+        np.array([decomp.domain_of(r) for r in ranks]),
+        np.array([decomp.shift_neighbors(r) for r in ranks]),
+        off,
+        src,
+        dst,
+    )
+    assert new[-1] == off[-1]
+    return [ParticleArray(*dst[:, new[r] : new[r + 1]]) for r in ranks]
 
 
 class TestDeposition:
@@ -184,14 +213,24 @@ class TestShift:
         # nudge some into the neighbors
         p.zeta[:20] -= TORUS.dzeta  # into domain 0
         p.zeta[20:40] += TORUS.dzeta  # into domain 2
-        stay, left, right = classify(TORUS, 1, p)
-        assert stay.sum() == 160 and left.sum() == 20 and right.sum() == 20
+        movers, side = classify(TORUS, 1, p.zeta, p.vpar)
+        np.testing.assert_array_equal(movers, np.arange(40))
+        np.testing.assert_array_equal(side, np.repeat([0, 1], 20))
 
     def test_classify_rejects_multi_hop(self):
         p = particles(10, domain=0)
         p.zeta[0] += 2.5 * TORUS.dzeta
-        with pytest.raises(ValueError):
-            classify(TORUS, 0, p)
+        with pytest.raises(ValueError, match="more than one toroidal"):
+            classify(TORUS, 0, p.zeta, p.vpar)
+
+    def test_multi_hop_shift_raises_before_anything_is_charged(self):
+        comm = Communicator(4, trace=True)
+        decomp = GTCDecomposition(ntoroidal=4, npe_per_domain=1)
+        pops = [particles(50, seed=d, domain=d) for d in range(4)]
+        pops[2].zeta[7] += 2.0 * TORUS.dzeta
+        with pytest.raises(ValueError, match="reduce dt"):
+            shift(comm, TORUS, decomp, pops)
+        assert comm.elapsed == 0.0 and not comm.trace.calls
 
     def test_shift_conserves_particles_and_charge(self):
         comm = Communicator(4)
@@ -201,14 +240,7 @@ class TestShift:
             p.zeta[:10] += TORUS.dzeta * 0.99  # push some over the edge
         total_before = sum(len(p) for p in pops)
         charge_before = sum(p.total_charge for p in pops)
-        out = shift_particles(
-            comm,
-            TORUS,
-            [decomp.domain_of(r) for r in range(4)],
-            [decomp.shift_neighbors(r) for r in range(4)],
-            pops,
-            fresh,
-        )
+        out = shift(comm, TORUS, decomp, pops)
         assert sum(len(p) for p in out) == total_before
         assert sum(p.total_charge for p in out) == pytest.approx(charge_before)
         # every particle now lives in its rank's domain
@@ -216,13 +248,13 @@ class TestShift:
             if len(p):
                 assert (TORUS.domain_of(p.zeta) == decomp.domain_of(rank)).all()
 
-
     def test_shift_two_domains_conserves_particles_and_charge(self):
         """Both neighbours of a domain are the other one: a crossing
         particle leaves by the side its ``vpar`` points to."""
         torus = TorusGrid(plane=GRID, ntoroidal=2)
-        comm = Communicator(4)
+        comm = Communicator(4, trace=True)
         decomp = GTCDecomposition(ntoroidal=2, npe_per_domain=2)
+        assert decomp.shift_neighbors(0) == (2, 2)
         rng = np.random.default_rng(3)
         pops = []
         for rank in range(4):
@@ -234,22 +266,90 @@ class TestShift:
             p.zeta[10:20] -= torus.dzeta
             p.vpar[10:20] = -np.abs(p.vpar[10:20])
             pops.append(p)
-        stay, left, right = classify(torus, decomp.domain_of(0), pops[0])
-        assert (stay.sum(), left.sum(), right.sum()) == (80, 10, 10)
+        first = pops[0].copy()
+        wrap_zeta(first.zeta)
+        movers, side = classify(
+            torus, decomp.domain_of(0), first.zeta, first.vpar
+        )
+        np.testing.assert_array_equal(movers, np.arange(20))
+        np.testing.assert_array_equal(side, np.repeat([1, 0], 10))
         total_before = sum(len(p) for p in pops)
         charge_before = sum(p.total_charge for p in pops)
-        out = shift_particles(
-            comm,
-            torus,
-            [decomp.domain_of(r) for r in range(4)],
-            [decomp.shift_neighbors(r) for r in range(4)],
-            pops,
-            fresh,
-        )
+        sent = [p.copy() for p in pops]
+        out = shift(comm, torus, decomp, pops)
         assert sum(len(p) for p in out) == total_before
         assert sum(p.total_charge for p in out) == pytest.approx(charge_before)
         for rank, p in enumerate(out):
             assert (torus.domain_of(p.zeta) == decomp.domain_of(rank)).all()
+        # rank 2 keeps its stayers, then takes rank 0's left message
+        # (the particles that went down) before its right one
+        arrived = out[2].zeta[80:]
+        np.testing.assert_array_equal(
+            arrived[:10], np.mod(sent[0].zeta[10:20], 2 * np.pi)
+        )
+        np.testing.assert_array_equal(arrived[10:], sent[0].zeta[:10])
+        # rank 0 sends both its messages to rank 2, 10 particles each
+        assert comm.trace.matrix()[0, 2] == 20 * PARTICLE_WORDS * 8
+
+    @pytest.mark.parametrize("ntoroidal,npe", [(4, 1), (4, 3), (3, 2), (8, 2)])
+    def test_shift_matches_the_per_rank_exchange_bitwise(self, ntoroidal, npe):
+        """Layout, clocks and traffic of the one-block shift equal the
+        per-rank pack/exchange/append reference's, empty messages and
+        particles on the domain edges included."""
+        torus = TorusGrid(plane=GRID, ntoroidal=ntoroidal)
+        decomp = GTCDecomposition(ntoroidal=ntoroidal, npe_per_domain=npe)
+        rng = np.random.default_rng(ntoroidal * 10 + npe)
+        pops = []
+        for rank in range(decomp.nprocs):
+            p = load_particles(torus, 60, decomp.domain_of(rank), rng)
+            p.weight[:] = rng.random(len(p))
+            p.zeta += rng.normal(0.0, 0.2 * torus.dzeta, len(p))
+            lo, hi = torus.domain_bounds(decomp.domain_of(rank))
+            p.zeta[:3] = (lo, hi, -0.0 if lo == 0.0 else lo)
+            pops.append(p)
+        pops[-1] = pops[-1].keep(np.zeros(len(pops[-1]), bool))  # empty
+        machine = get_machine("ES")
+        got_comm = Communicator(decomp.nprocs, machine=machine, trace=True)
+        want_comm = Communicator(decomp.nprocs, machine=machine, trace=True)
+        want = seed.seed_shift_particles(
+            want_comm,
+            torus,
+            [decomp.domain_of(r) for r in range(decomp.nprocs)],
+            [decomp.shift_neighbors(r) for r in range(decomp.nprocs)],
+            [p.copy() for p in pops],
+        )
+        got = shift(got_comm, torus, decomp, pops)
+        for g, w in zip(got, want):
+            for f in PARTICLE_FIELDS:
+                assert getattr(g, f).tobytes() == getattr(w, f).tobytes()
+        assert got_comm.times.tobytes() == want_comm.times.tobytes()
+        assert np.array_equal(
+            got_comm.trace.matrix(), want_comm.trace.matrix()
+        )
+
+    def test_wrap_touches_only_what_mod_changes(self):
+        two_pi = 2.0 * np.pi
+        edges = np.array(
+            [-0.0, 0.0, two_pi, np.nextafter(two_pi, 0.0), -1e-300,
+             3.0 * two_pi + 0.5, -two_pi - 0.25, 1.0, 5e-324]
+        )
+        noise = np.random.default_rng(1).normal(3.0, 4.0, 500)
+        zeta = np.concatenate([edges, noise])
+        want = np.mod(zeta, two_pi)
+        wrap_zeta(zeta)
+        assert zeta.tobytes() == want.tobytes()
+        assert not np.signbit(zeta[0]) and zeta[2] == 0.0
+
+    def test_particles_at_zero_and_two_pi_belong_to_domain_zero(self):
+        comm = Communicator(4)
+        decomp = GTCDecomposition(ntoroidal=4, npe_per_domain=1)
+        pops = [particles(20, seed=d, domain=d) for d in range(4)]
+        pops[0].zeta[0] = -0.0  # stays
+        pops[3].zeta[0] = 2.0 * np.pi  # wraps to 0: one step right
+        out = shift(comm, TORUS, decomp, pops)
+        assert [len(p) for p in out] == [21, 20, 20, 19]
+        assert out[0].zeta[0] == 0.0 and not np.signbit(out[0].zeta[0])
+        assert out[0].zeta[20] == 0.0  # the arrival, after the stayers
 
 
 class TestDecomposition:

@@ -82,6 +82,63 @@ class TestSolver:
         sim = make_gtc(4)
         assert sim.flops_per_step > 0
 
+    def test_restore_resizes_the_blocks(self):
+        """A snapshot whose per-rank populations differ from the fresh
+        load — shifted ones, and fewer in total — sizes the blocks, and
+        the restored run steps on as the one it came from."""
+        source = make_gtc(8, dt=0.05)
+        source.run(4)
+        snap = source.checkpoint_state()
+        fresh = make_gtc(8, dt=0.05)
+        counts = [len(p) for p in source.particles]
+        assert counts != [len(p) for p in fresh.particles]
+        fresh.restore_state(snap)
+        assert [len(p) for p in fresh.particles] == counts
+        source.run(3)
+        fresh.run(3)
+        for got, want in zip(fresh.particles, source.particles):
+            for name in ("r", "theta", "zeta", "vpar", "weight"):
+                np.testing.assert_array_equal(
+                    getattr(got, name), getattr(want, name)
+                )
+        for domain in range(4):
+            np.testing.assert_array_equal(
+                fresh.domain_charge(domain), source.domain_charge(domain)
+            )
+
+        fewer = source.checkpoint_state()
+        fewer["particles"][0] = {
+            name: values[:-7] for name, values in fewer["particles"][0].items()
+        }
+        fresh.restore_state(fewer)
+        total = sum(counts) - 7
+        assert fresh.total_particles() == total
+        fresh.run(2)
+        assert fresh.total_particles() == total
+        assert sum(len(p) for p in fresh.particles) == total
+
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [
+            ({"mpsi": 2}, "grid must be at least 4x4"),
+            ({"mtheta": 3}, "grid must be at least 4x4"),
+            ({"ntoroidal": 0}, "need at least one toroidal domain"),
+            ({"particles_per_cell": -3}, "must be non-negative"),
+            ({"dt": -1.0}, "push parameters must be positive"),
+            ({"dt": 0.0}, "push parameters must be positive"),
+            (
+                {"use_work_vector": True, "work_vector_copies": 0},
+                "work_vector_copies must be >= 1",
+            ),
+        ],
+    )
+    def test_bad_params_fail_at_construction(self, bad, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            GTCParams(**bad)
+
+    def test_copies_are_not_checked_without_the_work_vector(self):
+        assert GTCParams(work_vector_copies=0).work_vector_copies == 0
+
 
 class TestTable4Shape:
     """Headline qualitative claims of the paper's Table 4."""

@@ -39,6 +39,9 @@ SMALL = {
     "params": {"shape": [8, 8, 8]},
 }
 
+#: A GTC request, for its parameter checks.
+GTC = {"app": "gtc", "nprocs": 4, "steps": 1, "seed": 0}
+
 #: A slower one, so concurrent identical requests overlap in flight.
 SLOW = {
     "app": "lbmhd",
@@ -95,6 +98,35 @@ class TestParsePredict:
             (
                 {**SMALL, "params": {"tau": 0.4}},
                 "relaxation times must exceed 1/2",
+            ),
+            # GTC checks its parameters at construction too
+            (
+                {**GTC, "params": {"dt": -1}},
+                "push parameters must be positive",
+            ),
+            (
+                {
+                    **GTC,
+                    "params": {
+                        "use_work_vector": True,
+                        "work_vector_copies": 0,
+                    },
+                },
+                "work_vector_copies must be >= 1",
+            ),
+            (
+                {**GTC, "params": {"particles_per_cell": -3}},
+                "particles_per_cell must be non-negative",
+            ),
+            (
+                {**GTC, "params": {"ntoroidal": 0}},
+                "need at least one toroidal domain",
+            ),
+            ({**GTC, "params": {"mpsi": 2}}, "grid must be at least 4x4"),
+            # the dead knob left: naming it is an unknown parameter
+            (
+                {**GTC, "params": {"thermal_velocity": -1}},
+                "unknown parameter(s) for 'gtc': thermal_velocity",
             ),
         ],
     )

@@ -24,7 +24,7 @@ The ``repro-campaign`` CLI (:mod:`repro.campaign.cli`) exposes
 """
 
 from .cache import CacheStats, ResultCache
-from .engine import run_campaign
+from .engine import OpenCampaign, open_campaign, run_campaign
 from .manifest import Manifest, read_events, summarize
 from .report import CampaignReport, ConfigResult
 from .spec import CampaignSpec, RunConfig
@@ -35,8 +35,10 @@ __all__ = [
     "CampaignSpec",
     "ConfigResult",
     "Manifest",
+    "OpenCampaign",
     "ResultCache",
     "RunConfig",
+    "open_campaign",
     "read_events",
     "run_campaign",
     "summarize",

@@ -78,27 +78,36 @@ class ResultCache:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
         self.stats = CacheStats()
         self._stats_lock = threading.Lock()
         self._persisted = CacheStats()  # counts already flushed to disk
 
+    def _file(self, key: str) -> str:
+        # a plain string on the lookup path: pathlib interns every part
+        # it parses, and a fresh key string per lookup churns the
+        # interpreter's intern table, whose resizes show in peak RSS
+        return os.path.join(self._root, key[:2], key + ".json")
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     def get(self, config: RunConfig) -> dict[str, Any] | None:
         """The cached result dict for ``config``, or ``None`` on a miss."""
-        path = self._path(config.key())
         try:
-            entry = json.loads(path.read_text())
-        except FileNotFoundError:
+            with open(self._file(config.key())) as fh:
+                entry = json.load(fh)
+        except (ValueError, OSError):
+            # absent or unreadable (not UTF-8, not JSON) == miss; the
+            # rerun will overwrite it
             self._count(misses=1)
             return None
-        except (json.JSONDecodeError, OSError):
-            # unreadable entry == miss; the rerun will overwrite it
-            self._count(misses=1)
+        result = entry.get("result") if isinstance(entry, dict) else None
+        if not isinstance(result, dict):
+            self._count(misses=1)  # parsed, but no result in it
             return None
         self._count(hits=1)
-        return entry.get("result")
+        return result
 
     def put(self, config: RunConfig, result: dict[str, Any]) -> Path:
         """Atomically publish one completed run."""
@@ -181,22 +190,25 @@ class ResultCache:
         total = CacheStats()
         path = self.root / STATS_FILENAME
         try:
-            lines = path.read_text().splitlines()
-        except (FileNotFoundError, OSError):
-            return total
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            total.hits += int(d.get("hits", 0))
-            total.misses += int(d.get("misses", 0))
-            total.puts += int(d.get("puts", 0))
-            # older stats lines predate the reruns counter
-            total.reruns += int(d.get("reruns", 0))
+            # line by line: the file gains a line per flush (a line per
+            # warm prediction in the service), so reading it whole
+            # costs memory in proportion to all traffic ever served
+            with path.open() as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        d = json.loads(line)
+                    except json.JSONDecodeError:
+                        continue
+                    total.hits += int(d.get("hits", 0))
+                    total.misses += int(d.get("misses", 0))
+                    total.puts += int(d.get("puts", 0))
+                    # older stats lines predate the reruns counter
+                    total.reruns += int(d.get("reruns", 0))
+        except OSError:
+            return CacheStats()
         return total
 
     @staticmethod

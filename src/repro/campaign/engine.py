@@ -6,6 +6,14 @@ concurrently on an executor (worker *processes* by default), journals
 every completion to the JSONL manifest, and returns a
 :class:`~repro.campaign.report.CampaignReport`.
 
+It runs in two halves a caller may also take apart.
+:func:`open_campaign` journals ``campaign-start`` and serves the hits
+(one cache lookup per config, no computation);
+:meth:`OpenCampaign.run_pending` computes the misses, the one blocking
+part; :meth:`OpenCampaign.close` journals ``campaign-end``.  The
+prediction service opens on its event loop and hands only a campaign
+with misses to a worker thread.
+
 Resume comes for free: workers publish each result to the
 content-addressed cache the moment it completes, so re-invoking an
 interrupted campaign finds the finished configs as cache hits and only
@@ -63,7 +71,7 @@ def run_campaign(
     *,
     configs: "Iterable[RunConfig] | None" = None,
     cache: "ResultCache | str | Path | None" = None,
-    manifest: "Manifest | str | Path | None" = None,
+    manifest: "Manifest | NullManifest | str | Path | None" = None,
     scheduler: "str | Executor" = "processes",
     rerun: bool = False,
     progress: ProgressFn | None = None,
@@ -82,7 +90,8 @@ def run_campaign(
         A :class:`ResultCache`, a directory for one, or ``None`` to run
         uncached (every config executes; benchmarks do this).
     manifest:
-        A :class:`Manifest`, a path for one, or ``None`` for no journal.
+        A :class:`Manifest`, a path for one, or ``None`` (or a
+        :class:`NullManifest`) for no journal.
     scheduler:
         How configs are fanned out: an executor spec string
         (``"processes"``, ``"processes:N"``, ``"serial"``,
@@ -97,13 +106,43 @@ def run_campaign(
         Callback invoked after every config resolves (hit, miss, or
         failure) with ``(done, total, row)`` — the CLI's live line.
     """
+    campaign = open_campaign(
+        spec,
+        configs=configs,
+        cache=cache,
+        manifest=manifest,
+        scheduler=scheduler,
+        rerun=rerun,
+        progress=progress,
+    )
+    campaign.run_pending()
+    return campaign.close()
+
+
+def open_campaign(
+    spec: CampaignSpec,
+    *,
+    configs: "Iterable[RunConfig] | None" = None,
+    cache: "ResultCache | str | Path | None" = None,
+    manifest: "Manifest | NullManifest | str | Path | None" = None,
+    scheduler: "str | Executor" = "processes",
+    rerun: bool = False,
+    progress: ProgressFn | None = None,
+) -> "OpenCampaign":
+    """The first half of :func:`run_campaign`: journal
+    ``campaign-start``, look every config up in the cache once, and
+    journal ``run-done`` for each hit.  Nothing is computed here; the
+    misses wait in :attr:`OpenCampaign.pending` for
+    :meth:`~OpenCampaign.run_pending`.  Parameters as for
+    :func:`run_campaign`.
+    """
     t0 = time.perf_counter()
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
     journal: "Manifest | NullManifest"
     if manifest is None:
         journal = NullManifest()
-    elif isinstance(manifest, Manifest):
+    elif isinstance(manifest, (Manifest, NullManifest)):
         journal = manifest
     else:
         journal = Manifest(manifest)
@@ -128,15 +167,66 @@ def run_campaign(
             "version": __version__,
         }
     )
+    campaign = OpenCampaign(
+        spec, configs, cache, journal, executor, progress, t0
+    )
+    for i, cfg in enumerate(configs):
+        hit = cache.get(cfg) if (cache is not None and not rerun) else None
+        if hit is None and rerun and cache is not None:
+            # a forced execution never called cache.get, but its put
+            # still lands — book the lookup-we-skipped so lifetime
+            # counters keep gets == hits + misses (with a distinct
+            # rerun count so status can attribute it)
+            cache.count_rerun()
+        if hit is not None:
+            campaign._finish(
+                i,
+                ConfigResult(
+                    config=cfg,
+                    key=cfg.key(),
+                    cached=True,
+                    wall_s=float(hit.get("wall_s", 0.0)),
+                    gflops=float(hit.get("gflops", 0.0)),
+                    result=hit,
+                ),
+            )
+        else:
+            campaign.pending.append(i)
+    return campaign
 
-    rows: dict[int, ConfigResult] = {}
-    pending: list[int] = []
-    done = 0
 
-    def finish(i: int, row: ConfigResult) -> None:
-        nonlocal done
-        done += 1
-        rows[i] = row
+class OpenCampaign:
+    """A campaign between :func:`open_campaign` and :meth:`close`.
+
+    ``pending`` lists the indices (into ``configs``) the cache did not
+    serve.  :meth:`run_pending` computes them on the scheduler — the
+    one blocking half — and :meth:`close` journals ``campaign-end``,
+    flushes the cache counters and returns the report.  A campaign
+    whose ``pending`` is empty after opening needs only :meth:`close`.
+    """
+
+    def __init__(
+        self,
+        spec: CampaignSpec,
+        configs: list[RunConfig],
+        cache: ResultCache | None,
+        journal: "Manifest | NullManifest",
+        executor: Executor,
+        progress: ProgressFn | None,
+        t0: float,
+    ) -> None:
+        self.spec = spec
+        self.configs = configs
+        self.cache = cache
+        self.journal = journal
+        self.executor = executor
+        self.progress = progress
+        self.pending: list[int] = []
+        self._rows: dict[int, ConfigResult] = {}
+        self._t0 = t0
+
+    def _finish(self, i: int, row: ConfigResult) -> None:
+        self._rows[i] = row
         if row.ok:
             event = {
                 "event": "run-done",
@@ -158,9 +248,9 @@ def run_campaign(
             ):
                 if field in result:
                     event[field] = result[field]
-            journal.append(event)
+            self.journal.append(event)
         else:
-            journal.append(
+            self.journal.append(
                 {
                     "event": "run-failed",
                     "key": row.key,
@@ -169,38 +259,21 @@ def run_campaign(
                     "error": row.error,
                 }
             )
-        if progress is not None:
-            progress(done, len(configs), row)
+        if self.progress is not None:
+            self.progress(len(self._rows), len(self.configs), row)
 
-    for i, cfg in enumerate(configs):
-        hit = cache.get(cfg) if (cache is not None and not rerun) else None
-        if hit is None and rerun and cache is not None:
-            # a forced execution never called cache.get, but its put
-            # still lands — book the lookup-we-skipped so lifetime
-            # counters keep gets == hits + misses (with a distinct
-            # rerun count so status can attribute it)
-            cache.count_rerun()
-        if hit is not None:
-            finish(
-                i,
-                ConfigResult(
-                    config=cfg,
-                    key=cfg.key(),
-                    cached=True,
-                    wall_s=float(hit.get("wall_s", 0.0)),
-                    gflops=float(hit.get("gflops", 0.0)),
-                    result=hit,
-                ),
-            )
-        else:
-            pending.append(i)
-
-    if pending:
-        cache_root = str(cache.root) if cache is not None else None
+    def run_pending(self) -> None:
+        """Blocking: compute every pending config on the scheduler,
+        journaling ``run-start`` for each and its ``run-done`` (or
+        ``run-failed``) as it completes."""
+        pending, self.pending = self.pending, []
+        if not pending:
+            return
+        cache_root = str(self.cache.root) if self.cache is not None else None
         jobs: list[tuple[dict[str, Any], str | None]] = []
         for i in pending:
-            cfg = configs[i]
-            journal.append(
+            cfg = self.configs[i]
+            self.journal.append(
                 {
                     "event": "run-start",
                     "key": cfg.key(),
@@ -209,10 +282,10 @@ def run_campaign(
                 }
             )
             jobs.append((cfg.to_dict(), cache_root))
-        for j, payload, exc in executor.imap_unordered(
+        for j, payload, exc in self.executor.imap_unordered(
             worker.run_and_cache, jobs
         ):
-            cfg = configs[pending[j]]
+            cfg = self.configs[pending[j]]
             if exc is not None:
                 row = ConfigResult(
                     config=cfg,
@@ -230,25 +303,28 @@ def run_campaign(
                     gflops=float(result.get("gflops", 0.0)),
                     result=result,
                 )
-            finish(pending[j], row)
+            self._finish(pending[j], row)
 
-    report = CampaignReport(
-        spec=spec,
-        rows=[rows[i] for i in sorted(rows)],
-        wall_s=time.perf_counter() - t0,
-        scheduler=executor.name,
-    )
-    journal.append(
-        {
-            "event": "campaign-end",
-            "hits": report.hits,
-            "misses": report.misses,
-            "failures": report.failures,
-            "wall_s": report.wall_s,
-        }
-    )
-    if cache is not None:
-        # lifetime counters: workers flushed their puts as they
-        # published; this invocation's hits/misses flush here
-        cache.persist_stats()
-    return report
+    def close(self) -> CampaignReport:
+        """Journal ``campaign-end``, flush this invocation's cache
+        counters, and return the report."""
+        report = CampaignReport(
+            spec=self.spec,
+            rows=[self._rows[i] for i in sorted(self._rows)],
+            wall_s=time.perf_counter() - self._t0,
+            scheduler=self.executor.name,
+        )
+        self.journal.append(
+            {
+                "event": "campaign-end",
+                "hits": report.hits,
+                "misses": report.misses,
+                "failures": report.failures,
+                "wall_s": report.wall_s,
+            }
+        )
+        if self.cache is not None:
+            # lifetime counters: workers flushed their puts as they
+            # published; this invocation's hits/misses flush here
+            self.cache.persist_stats()
+        return report

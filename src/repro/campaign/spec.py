@@ -128,13 +128,32 @@ class RunConfig:
         return cls(**kwargs)
 
     def key(self, version: str = __version__) -> str:
-        """Content hash identifying this config's cached result."""
+        """Content hash identifying this config's cached result.
+
+        The key for the running package version is computed once per
+        instance and memoized outside the dataclass fields, so it
+        takes no part in equality, hashing, :meth:`to_dict` or
+        pickling; any other ``version`` is hashed afresh.
+        """
+        memo = version == __version__
+        if memo and "_key" in self.__dict__:
+            return self.__dict__["_key"]
         canon = json.dumps(
             {"config": self.to_dict(), "version": version},
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(canon.encode()).hexdigest()
+        key = hashlib.sha256(canon.encode()).hexdigest()
+        if memo:
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def __getstate__(self) -> dict[str, Any]:
+        # the key memo stays behind: a receiver on another package
+        # version must hash for itself
+        state = dict(self.__dict__)
+        state.pop("_key", None)
+        return state
 
     @property
     def label(self) -> str:

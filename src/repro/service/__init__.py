@@ -11,9 +11,10 @@ interactive latency to many concurrent clients:
   the campaign's content-key identity;
 * :mod:`~repro.service.coalesce` — identical in-flight configs dedupe
   to one computation (keyed on the SHA-256 content key);
-* :mod:`~repro.service.jobs` — the asyncio job queue feeding the
-  campaign engine (and its ``ProcessExecutor`` worker pool) in worker
-  threads, journaling campaign-style manifests ``repro.perfdb``
+* :mod:`~repro.service.jobs` — the asyncio job queue over the
+  campaign engine: cache hits answered on the event loop, misses
+  computed in worker threads (on its ``ProcessExecutor`` worker pool
+  by default), journaling campaign-style manifests ``repro.perfdb``
   ingests unchanged;
 * :mod:`~repro.service.server` — the hand-rolled asyncio HTTP front
   end (predict / jobs / machines / whatif / stats endpoints, NDJSON

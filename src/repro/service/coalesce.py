@@ -81,9 +81,9 @@ class Coalescer:
                 raise
             if self._inflight.get(key) is placeholder:
                 if job.finished:
-                    # completed before we could index it (release saw
-                    # the placeholder and left it) — don't index a
-                    # terminal job
+                    # completed before we could index it — a cache hit
+                    # always is (release saw the placeholder and left
+                    # it) — don't index a terminal job
                     del self._inflight[key]
                 else:
                     self._inflight[key] = job

@@ -1,33 +1,40 @@
-"""The service's job layer: queued predictions over the campaign engine.
+"""The service's job layer: predictions over the campaign engine.
 
 A :class:`Job` is one prediction in flight — a single
 :class:`~repro.campaign.spec.RunConfig` with an event log every
 subscriber can stream (``queued`` -> ``running`` -> ``done``/``failed``).
-The :class:`JobQueue` owns a fixed set of asyncio worker tasks; each
-worker pops a job and executes it *in a thread* through
-:func:`~repro.campaign.engine.run_campaign` with a single explicit
-config, the shared :class:`~repro.campaign.cache.ResultCache`, the
-shared service manifest, and the shared campaign-level executor
-(``ProcessExecutor`` worker pool by default).  That one call buys the
-whole campaign contract: cache-hit serving, worker-side cache publish,
-per-config failure isolation, and campaign-style JSONL journaling that
-``repro.perfdb`` ingests unchanged.
+:meth:`JobQueue.submit` opens a one-config campaign through
+:func:`~repro.campaign.engine.open_campaign` with the shared
+:class:`~repro.campaign.cache.ResultCache`, the shared service manifest
+and the shared campaign-level executor (``ProcessExecutor`` worker pool
+by default).  That call is the engine's own hit-serving: it journals
+``campaign-start``, makes the request's one cache lookup, and journals
+``run-done`` for a hit — so a warm prediction is answered right there,
+on the event loop, and finished before ``submit`` returns.  A miss
+goes into the queue; one of a fixed set of asyncio worker tasks runs
+the campaign's pending half (worker-side cache publish, per-config
+failure isolation) and its close in ``asyncio.to_thread``.  Either way
+the manifest holds the campaign-style JSONL ``repro.perfdb`` ingests
+unchanged.
 
-All job state is mutated on the event loop; the only thing that runs
-off-loop is the blocking engine call inside ``asyncio.to_thread``.
+All job state is mutated on the event loop.  What runs on it for a
+hit is one cache entry read, three journal appends and one stats
+flush; nothing is computed there — a miss, including an entry the
+cache cannot read, always goes to a worker thread.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..campaign.cache import ResultCache
-from ..campaign.engine import run_campaign
+from ..campaign.engine import OpenCampaign, open_campaign, resolve_scheduler
 from ..campaign.manifest import Manifest, NullManifest
-from ..campaign.report import ConfigResult
+from ..campaign.report import CampaignReport, ConfigResult
 from ..campaign.spec import CampaignSpec, RunConfig
 
 #: Job lifecycle states.
@@ -106,12 +113,10 @@ class Job:
             pass
 
 
-#: Executes one config synchronously, returning its ConfigResult.
-RunnerFn = Callable[[RunConfig], ConfigResult]
-
-
 class JobQueue:
-    """Fixed-width asyncio worker pool draining predictions in FIFO order."""
+    """Hits answered at submit; misses drained FIFO by a fixed-width
+    asyncio worker pool, so ``workers`` bounds concurrent
+    *computations* and a hit never waits for one."""
 
     def __init__(
         self,
@@ -121,21 +126,23 @@ class JobQueue:
         scheduler: Any = "serial",
         workers: int = 2,
         campaign_name: str = "service",
-        runner: RunnerFn | None = None,
         on_finish: Callable[[Job], None] | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache = cache
         self.manifest = manifest if manifest is not None else NullManifest()
-        self.scheduler = scheduler
+        self.scheduler = resolve_scheduler(scheduler)
         self.workers = workers
         self.campaign_name = campaign_name
         self.on_finish = on_finish
-        self._runner = runner or self._run_config
-        self._queue: asyncio.Queue[Job | None] = asyncio.Queue()
+        self._queue: asyncio.Queue[tuple[Job, OpenCampaign] | None] = (
+            asyncio.Queue()
+        )
         self._tasks: list[asyncio.Task] = []
         self._jobs: dict[str, Job] = {}
+        #: ids of finished jobs still tracked, oldest first
+        self._finished: deque[str] = deque()
         self._running = 0
         self._seq = 0
         self.completed = 0
@@ -177,13 +184,13 @@ class JobQueue:
         self._tasks = []
 
     async def submit(self, config: RunConfig) -> Job:
-        """Accept one prediction; returns the queued :class:`Job`."""
+        """Accept one prediction.  A cache hit comes back finished; a
+        miss comes back queued for a worker."""
         self._seq += 1
         job = Job(
             id=f"j{self._seq:06d}", config=config, key=config.key()
         )
         self._jobs[job.id] = job
-        self._prune()
         await job.emit(
             {
                 "event": QUEUED,
@@ -193,51 +200,61 @@ class JobQueue:
                 "t": time.time(),
             }
         )
-        await self._queue.put(job)
+        try:
+            campaign = open_campaign(
+                CampaignSpec(
+                    name=self.campaign_name,
+                    apps=(config.app,),
+                    steps=config.steps,
+                ),
+                configs=[config],
+                cache=self.cache,
+                manifest=self.manifest,
+                scheduler=self.scheduler,
+            )
+        except Exception as exc:  # noqa: BLE001 - a failed job, not a 500
+            await self._finish(job, error=f"{type(exc).__name__}: {exc}")
+            return job
+        if campaign.pending:
+            await self._queue.put((job, campaign))
+        else:
+            await self._run(job, campaign)
         return job
 
     # -- execution --------------------------------------------------------
 
-    def _run_config(self, config: RunConfig) -> ConfigResult:
-        """Blocking: one config through the campaign engine (hit-first
-        serving, worker-pool fan-out, manifest journaling)."""
-        spec = CampaignSpec(
-            name=self.campaign_name,
-            apps=(config.app,),
-            steps=config.steps,
-        )
-        report = run_campaign(
-            spec,
-            configs=[config],
-            cache=self.cache,
-            manifest=self.manifest,
-            scheduler=self.scheduler,
-        )
-        return report.rows[0]
-
     async def _worker(self) -> None:
         while True:
-            job = await self._queue.get()
-            if job is None:
+            item = await self._queue.get()
+            if item is None:
                 return
-            job.state = RUNNING
-            self._running += 1
-            await job.emit(
-                {"event": RUNNING, "job": job.id, "t": time.time()}
-            )
-            try:
-                row = await asyncio.to_thread(self._runner, job.config)
-            except BaseException as exc:  # noqa: BLE001 - isolation seam
-                await self._finish(
-                    job, error=f"{type(exc).__name__}: {exc}"
-                )
+            await self._run(*item)
+
+    async def _run(self, job: Job, campaign: OpenCampaign) -> None:
+        """Take an opened campaign to its report and finish ``job``:
+        a miss computes in a thread, a hit only closes, here."""
+        job.state = RUNNING
+        self._running += 1
+        await job.emit({"event": RUNNING, "job": job.id, "t": time.time()})
+        try:
+            if campaign.pending:
+                report = await asyncio.to_thread(_complete, campaign)
             else:
-                if row.ok:
-                    await self._finish(job, row=row)
-                else:
-                    await self._finish(job, error=row.error, row=row)
-            finally:
-                self._running -= 1
+                report = campaign.close()
+            row = report.rows[0]
+        except BaseException as exc:  # noqa: BLE001 - isolation seam
+            await self._finish(job, error=f"{type(exc).__name__}: {exc}")
+            if not isinstance(exc, Exception):
+                # cancellation, interrupt, exit: the job is failed and
+                # its waiters woken, but the worker must not live on
+                raise
+        else:
+            if row.ok:
+                await self._finish(job, row=row)
+            else:
+                await self._finish(job, error=row.error, row=row)
+        finally:
+            self._running -= 1
 
     async def _finish(
         self,
@@ -274,12 +291,16 @@ class JobQueue:
                 "error": job.error,
                 "t": time.time(),
             }
+        # cap the finished-job history at MAX_FINISHED_JOBS, oldest out
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            self._jobs.pop(self._finished.popleft(), None)
         if self.on_finish is not None:
             self.on_finish(job)
         await job.emit(final)
 
-    def _prune(self) -> None:
-        """Cap the finished-job history at :data:`MAX_FINISHED_JOBS`."""
-        finished = [j for j in self._jobs.values() if j.finished]
-        for job in finished[: max(0, len(finished) - MAX_FINISHED_JOBS)]:
-            self._jobs.pop(job.id, None)
+
+def _complete(campaign: OpenCampaign) -> CampaignReport:
+    """Blocking: a campaign's pending half, then its close."""
+    campaign.run_pending()
+    return campaign.close()

@@ -19,11 +19,13 @@ Endpoints::
     POST /v1/shutdown      clean stop (drains the accept loop)
 
 Request flow for ``/v1/predict``: validate -> coalesce on the
-campaign's SHA-256 content key -> job queue -> campaign engine in a
-worker thread (cache-hit serving or ``ProcessExecutor`` computation)
--> journal to the service manifest (``repro-perfdb`` ingests it) ->
-respond.  Identical in-flight requests attach to one computation;
-identical later requests are warm cache hits.
+campaign's SHA-256 content key -> job queue, which opens a one-config
+campaign on the event loop (one cache lookup, journaled to the service
+manifest ``repro-perfdb`` ingests) -> a hit is answered right there; a
+miss waits for a job worker, which computes it in a thread (on the
+``ProcessExecutor`` pool by default) -> respond.  Identical in-flight
+requests attach to one computation; identical later requests are warm
+cache hits, and never wait behind a computation.
 """
 
 from __future__ import annotations

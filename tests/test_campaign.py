@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -56,6 +57,25 @@ class TestSpec:
         c = RunConfig(app="lbmhd", nprocs=4, steps=3,
                       params={"shape": [8, 8, 8]})
         assert c.key() != a.key()
+
+    def test_key_memo_is_invisible(self):
+        a = RunConfig(app="lbmhd", nprocs=4, seed=1)
+        b = RunConfig(app="lbmhd", nprocs=4, seed=1)
+        key = a.key()
+        assert a.key() == key == b.key()
+        # the memo takes no part in equality, hashing or the dict form
+        assert a == b and hash(a) == hash(b)
+        assert "_key" not in a.to_dict() and repr(a) == repr(b)
+        # ... and does not travel: a pickle carries the fields only
+        c = pickle.loads(pickle.dumps(a))
+        assert "_key" not in vars(c)
+        assert c == a and c.key() == key
+        # another version hashes afresh and leaves the memo alone
+        other = a.key(version="other")
+        assert other != key and a.key() == key
+        assert RunConfig(app="lbmhd", nprocs=4, seed=1).key(
+            version="other"
+        ) == other
 
     def test_band_by_band_paratec_results_are_not_served(self):
         """PARATEC's eigensolver changed to all-band CG in 1.2.0: a
@@ -169,6 +189,22 @@ class TestCacheAndResume:
         assert all(r.wall_s > 0 for r in warm.rows)
         status = summarize(manifest)
         assert status["complete"] and status["hits"] == 4
+
+    @pytest.mark.parametrize(
+        "junk",
+        [b"\x00\xff not utf-8", b"{torn", b"[1, 2]", b'{"key": "k"}'],
+        ids=["binary", "torn-json", "not-a-dict", "no-result"],
+    )
+    def test_unreadable_entry_is_a_miss(self, tmp_path, junk):
+        cache = ResultCache(tmp_path)
+        cfg = RunConfig(app="lbmhd", seed=0)
+        path = cache._path(cfg.key())
+        path.parent.mkdir(parents=True)
+        path.write_bytes(junk)
+        assert cache.get(cfg) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        cache.put(cfg, {"wall_s": 1.0})
+        assert cache.get(cfg) == {"wall_s": 1.0}
 
     def test_rerun_ignores_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

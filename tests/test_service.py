@@ -9,24 +9,30 @@ benchmark's ``predict_warm`` workload exercise.
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import json
+import logging
+import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.campaign.manifest import read_events
-from repro.campaign.report import ConfigResult
+from repro.campaign import CampaignSpec, ResultCache, run_campaign
+from repro.campaign.manifest import Manifest, read_events
 from repro.campaign.spec import RunConfig
 from repro.perfdb import PerfDB
 from repro.perfdb.ingest import ingest_path
+from repro.runtime.executors import SerialExecutor
 from repro.service import (
     ApiError,
     Coalescer,
     JobQueue,
     ReproService,
     ServiceThread,
+    jobs,
     parse_predict,
 )
 
@@ -146,24 +152,46 @@ class TestParsePredict:
 # -- coalescing (deterministic, gated runner) ------------------------------
 
 
+class StubScheduler(SerialExecutor):
+    """A campaign scheduler for the job layer's pending half.
+
+    It holds every computation until ``gate`` (a ``threading.Event``,
+    or ``None`` for open) is set, then answers each pending config with
+    ``answer(config)`` — a result dict, or an exception — in place of
+    the real worker; ``answer=None`` runs the real worker.
+    """
+
+    def __init__(self, answer=None, gate=None):
+        self.answer = answer
+        self.gate = gate
+
+    def imap_unordered(self, fn, items):
+        if self.gate is not None and not self.gate.wait(timeout=30):
+            raise TimeoutError("the test never opened the gate")
+        if self.answer is not None:
+            fn = self._stub
+        return super().imap_unordered(fn, items)
+
+    def _stub(self, item):
+        config = RunConfig.from_dict(item[0])
+        return {"key": config.key(), "result": self.answer(config)}
+
+
 class TestCoalescer:
     def test_identical_in_flight_requests_share_one_job(self):
         gate = threading.Event()
         computed = []
 
-        def runner(cfg):
-            gate.wait(timeout=10)
+        def answer(cfg):
             computed.append(cfg.key())
-            return ConfigResult(
-                config=cfg, key=cfg.key(), cached=False,
-                wall_s=0.1, gflops=1.0, result={"wall_s": 0.1},
-            )
+            return {"wall_s": 0.1, "gflops": 1.0}
 
         async def scenario():
             coal = Coalescer()
             queue = JobQueue(
-                cache=None, scheduler="serial", workers=1,
-                runner=runner, on_finish=coal.release,
+                cache=None, workers=1,
+                scheduler=StubScheduler(answer, gate),
+                on_finish=coal.release,
             )
             await queue.start()
             cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
@@ -190,10 +218,8 @@ class TestCoalescer:
         async def scenario():
             coal = Coalescer()
             queue = JobQueue(
-                cache=None, scheduler="serial", workers=2,
-                runner=lambda cfg: ConfigResult(
-                    config=cfg, key=cfg.key(), wall_s=0.0, result={},
-                ),
+                cache=None, workers=2,
+                scheduler=StubScheduler(lambda cfg: {"wall_s": 0.0}),
                 on_finish=coal.release,
             )
             await queue.start()
@@ -212,14 +238,14 @@ class TestCoalescer:
         assert asyncio.run(scenario()) == 0
 
     def test_failed_jobs_release_their_key(self):
-        def runner(cfg):
+        def answer(cfg):
             raise RuntimeError("boom")
 
         async def scenario():
             coal = Coalescer()
             queue = JobQueue(
-                cache=None, scheduler="serial", workers=1,
-                runner=runner, on_finish=coal.release,
+                cache=None, workers=1, scheduler=StubScheduler(answer),
+                on_finish=coal.release,
             )
             await queue.start()
             cfg = RunConfig(app="lbmhd")
@@ -326,6 +352,87 @@ class TestCoalescer:
             job, coalesced = await coal.submit(cfg, InstantQueue())
             assert job.finished and coalesced is False
             assert coal.in_flight == 0
+
+        asyncio.run(scenario())
+
+
+class TestJobQueue:
+    def test_finished_history_is_capped_oldest_first(
+        self, tmp_path, monkeypatch
+    ):
+        """Finished jobs beyond the cap leave oldest first; a queued or
+        running job is never dropped, however many finish around it."""
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 3)
+        cache = ResultCache(tmp_path)
+        warm = [RunConfig(app="lbmhd", seed=s) for s in range(5)]
+        for cfg in warm:
+            cache.put(cfg, {"wall_s": 0.0})
+        gate = threading.Event()
+
+        async def scenario():
+            queue = JobQueue(
+                cache=cache, workers=1,
+                scheduler=StubScheduler(lambda cfg: {"wall_s": 0.0}, gate),
+            )
+            await queue.start()
+            running = await queue.submit(RunConfig(app="lbmhd", seed=100))
+            await asyncio.sleep(0.05)  # let the worker pick it up
+            queued = await queue.submit(RunConfig(app="lbmhd", seed=101))
+            hits = [await queue.submit(cfg) for cfg in warm]
+            assert all(j.state == "done" and j.cached for j in hits)
+            assert (running.state, queued.state) == ("running", "queued")
+            ids = [j.id for j in queue.jobs()]
+            assert ids == [running.id, queued.id] + [
+                j.id for j in hits[2:]
+            ]
+            gate.set()
+            await running.wait()
+            await queued.wait()
+            ids = [j.id for j in queue.jobs()]
+            assert ids == [running.id, queued.id, hits[4].id]
+            assert queue.get(hits[3].id) is None
+            await queue.stop()
+
+        asyncio.run(scenario())
+
+    def test_journal_failure_at_submit_is_a_failed_job(self, tmp_path):
+        """Opening the campaign journals on the loop; when that write
+        fails the request gets a failed job, not an exception."""
+        (tmp_path / "service.manifest.jsonl").mkdir()
+        manifest = Manifest(tmp_path / "service.manifest.jsonl")
+
+        async def scenario():
+            queue = JobQueue(cache=None, manifest=manifest, workers=1)
+            await queue.start()
+            job = await queue.submit(RunConfig(app="lbmhd"))
+            assert job.state == "failed"
+            assert "IsADirectoryError" in job.error
+            assert (queue.completed, queue.failed) == (0, 1)
+            await queue.stop()
+
+        asyncio.run(scenario())
+
+    def test_cancelled_worker_fails_its_job_and_exits(self):
+        """Cancelling a worker mid-computation (loop shutdown) fails
+        its job, so waiters wake, and ends the worker instead of
+        leaving it parked on the queue."""
+        gate = threading.Event()
+
+        async def scenario():
+            queue = JobQueue(
+                cache=None, workers=1,
+                scheduler=StubScheduler(lambda cfg: {"wall_s": 0.0}, gate),
+            )
+            await queue.start()
+            job = await queue.submit(RunConfig(app="lbmhd"))
+            await asyncio.sleep(0.05)  # let the worker pick it up
+            assert job.state == "running"
+            (worker,) = queue._tasks
+            worker.cancel()
+            gate.set()  # lets the computing thread end
+            done, _ = await asyncio.wait({worker}, timeout=10)
+            assert worker in done and worker.cancelled()
+            assert job.state == "failed" and "CancelledError" in job.error
 
         asyncio.run(scenario())
 
@@ -554,6 +661,124 @@ class TestConcurrentCoalescing:
         assert coalesce["in_flight"] == 0
 
 
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _stream_events(port, job_id):
+    """The whole NDJSON stream of a job (returns once it finishes)."""
+    status, data = _request(port, "GET", f"/v1/jobs/{job_id}")
+    assert status == 200
+    return [json.loads(line) for line in data.decode().splitlines()]
+
+
+class TestWarmPath:
+    """Cache hits are answered on the event loop at submit; only a
+    miss goes to a job worker's thread."""
+
+    def test_unreadable_entry_is_computed_off_the_loop(self, tmp_path):
+        gate = threading.Event()
+        svc = ReproService(
+            tmp_path, workers=1, scheduler=StubScheduler(gate=gate)
+        )
+        key = parse_predict(SMALL)[0].key()
+        path = svc.cache._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"\x00\xff not json {")
+        with ServiceThread(svc) as thread:
+            port = thread.port
+            status, accepted = _json(
+                port, "POST", "/v1/predict", {**SMALL, "wait": False}
+            )
+            assert status == 202 and accepted["state"] != "done"
+            # the computation is parked at the gate; the loop is free
+            status, _ = _request(port, "GET", "/v1/healthz", timeout=5.0)
+            assert status == 200
+            gate.set()
+            events = _stream_events(port, accepted["job"])
+            _, stats = _json(port, "GET", "/v1/stats")
+        assert [e["event"] for e in events] == ["queued", "running", "done"]
+        assert events[-1]["cached"] is False
+        assert events[-1]["result"]["wall_s"] > 0
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (0, 1)
+        # the recomputation overwrote the garbage with a real entry
+        assert json.loads(path.read_text())["key"] == key
+
+    def test_warm_hit_does_not_wait_behind_a_computation(self, tmp_path):
+        gate = threading.Event()
+        gate.set()
+        svc = ReproService(
+            tmp_path, workers=1, scheduler=StubScheduler(gate=gate)
+        )
+        with ServiceThread(svc) as thread:
+            port = thread.port
+            status, body = _json(port, "POST", "/v1/predict", SMALL)
+            assert status == 200 and body["cached"] is False
+            gate.clear()
+            status, cold = _json(
+                port, "POST", "/v1/predict",
+                {**SMALL, "seed": 7, "wait": False},
+            )
+            assert status == 202
+            _wait_for(lambda: svc.queue.running == 1)
+            # the only worker is held by the cold job; the hit is not
+            status, data = _request(
+                port, "POST", "/v1/predict", SMALL, timeout=10.0
+            )
+            warm = json.loads(data)
+            assert status == 200 and warm["cached"] is True
+            assert svc.queue.get(cold["job"]).state == "running"
+            gate.set()
+            events = _stream_events(port, cold["job"])
+        assert events[-1]["event"] == "done"
+        assert events[-1]["cached"] is False
+
+    def test_warm_hit_journals_what_run_campaign_journals(self, tmp_path):
+        svc = ReproService(tmp_path / "cache", workers=1, scheduler="serial")
+        with ServiceThread(svc) as thread:
+            _json(thread.port, "POST", "/v1/predict", SMALL)
+            before = len(list(read_events(svc.manifest.path)))
+            status, warm = _json(thread.port, "POST", "/v1/predict", SMALL)
+            assert status == 200 and warm["cached"] is True
+        served = list(read_events(svc.manifest.path))[before:]
+
+        config = parse_predict(SMALL)[0]
+        run_campaign(
+            CampaignSpec(
+                name="service", apps=(config.app,), steps=config.steps
+            ),
+            configs=[config],
+            cache=tmp_path / "cache",
+            manifest=tmp_path / "engine.jsonl",
+            scheduler="serial",
+        )
+        engine = list(read_events(tmp_path / "engine.jsonl"))
+        assert [e["event"] for e in served] == [
+            "campaign-start", "run-done", "campaign-end",
+        ]
+        assert engine[1]["cached"] is True
+        for events in (served, engine):
+            assert events[-1].pop("wall_s") >= 0  # the one timing field
+        assert served == engine
+
+    def test_warm_hit_moves_hits_by_one_and_misses_by_none(self, tmp_path):
+        svc = ReproService(tmp_path, workers=1, scheduler="serial")
+        with ServiceThread(svc) as thread:
+            port = thread.port
+            _json(port, "POST", "/v1/predict", SMALL)
+            _, before = _json(port, "GET", "/v1/stats")
+            status, warm = _json(port, "POST", "/v1/predict", SMALL)
+            assert status == 200 and warm["cached"] is True
+            _, after = _json(port, "GET", "/v1/stats")
+        for scope in (lambda s: s["cache"], lambda s: s["cache"]["lifetime"]):
+            assert scope(after)["hits"] - scope(before)["hits"] == 1
+            assert scope(after)["misses"] == scope(before)["misses"]
+        assert after["jobs"]["completed"] - before["jobs"]["completed"] == 1
+
+
 class TestServiceLifecycle:
     def test_shutdown_endpoint_stops_the_server(self, tmp_path):
         svc = ReproService(tmp_path, workers=1, scheduler="serial")
@@ -580,3 +805,46 @@ class TestServiceLifecycle:
                 thread.port, "POST", "/v1/predict", SMALL
             )
             assert status == 200 and body["cached"] is True
+
+    def test_client_dropping_mid_stream_leaves_the_service_serving(
+        self, tmp_path, caplog
+    ):
+        gate = threading.Event()
+        svc = ReproService(
+            tmp_path, workers=1, scheduler=StubScheduler(gate=gate)
+        )
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with ServiceThread(svc) as thread:
+                port = thread.port
+                _, accepted = _json(
+                    port, "POST", "/v1/predict", {**SMALL, "wait": False}
+                )
+                job = accepted["job"]
+                with socket.create_connection(
+                    ("127.0.0.1", port), timeout=10
+                ) as sock:
+                    sock.sendall(
+                        f"GET /v1/jobs/{job} HTTP/1.1\r\n\r\n".encode()
+                    )
+                    stream = sock.makefile("rb")
+                    assert b" 200 " in stream.readline()
+                    while stream.readline() not in (b"\r\n", b""):
+                        pass
+                    first = json.loads(stream.readline())
+                    assert first["event"] == "queued"
+                    stream.close()
+                # the client is gone mid-stream; now let the job finish
+                gate.set()
+                _wait_for(lambda: svc.queue.get(job).finished)
+                assert svc.queue.get(job).state == "done"
+                status, _ = _request(port, "GET", "/v1/healthz", timeout=5.0)
+                assert status == 200
+                status, warm = _json(port, "POST", "/v1/predict", SMALL)
+                assert status == 200 and warm["cached"] is True
+            gc.collect()
+        unretrieved = [
+            r.getMessage() for r in caplog.records
+            if "never retrieved" in r.getMessage()
+            or r.levelno >= logging.ERROR
+        ]
+        assert not unretrieved

@@ -49,23 +49,32 @@ def _progress_printer(stream):
     return progress
 
 
-def _cmd_run(args) -> int:
-    spec_path = Path(args.spec)
+def load_spec(path: "str | Path") -> CampaignSpec:
+    """Read a :class:`CampaignSpec` JSON file and check every cell.
+
+    Every cell is type-checked, and its params built, before anything
+    runs: a bad params body never reaches a pool (an unknown app stays
+    a failure of its own cells).  Raises ``ValueError`` naming the file
+    for a missing file or a bad spec.
+    """
+    path = Path(path)
     try:
-        spec = CampaignSpec.from_json(spec_path.read_text())
-        # type-checks every cell, and builds its params, before
-        # anything runs: a bad params body never reaches a pool (an
-        # unknown app stays a failure of its own cells)
+        spec = CampaignSpec.from_json(path.read_text())
         for config in spec.expand():
             if config.app in APPLICATIONS:
                 build_params(config.app, config.params_dict())
     except FileNotFoundError:
-        print(f"repro-campaign: no such spec file: {spec_path}",
-              file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"repro-campaign: bad spec {spec_path}: {exc}",
-              file=sys.stderr)
+        raise ValueError(f"no such spec file: {path}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad spec {path}: {exc}") from None
+    return spec
+
+
+def _cmd_run(args) -> int:
+    try:
+        spec = load_spec(args.spec)
+    except ValueError as exc:
+        print(f"repro-campaign: {exc}", file=sys.stderr)
         return 2
 
     cache = ResultCache(args.cache_dir)

@@ -9,13 +9,12 @@ interactive latency to many concurrent clients:
 * :mod:`~repro.service.api` — JSON request validation: a predict body
   *is* a :class:`~repro.campaign.spec.RunConfig`, so requests share
   the campaign's content-key identity;
-* :mod:`~repro.service.coalesce` — identical in-flight configs dedupe
-  to one computation (keyed on the SHA-256 content key);
 * :mod:`~repro.service.jobs` — the asyncio job queue over the
-  campaign engine: cache hits answered on the event loop, misses
-  computed in worker threads (on its ``ProcessExecutor`` worker pool
-  by default), journaling campaign-style manifests ``repro.perfdb``
-  ingests unchanged;
+  campaign engine: identical in-flight configs attach to one job
+  (keyed on the SHA-256 content key), cache hits are answered on the
+  event loop, misses computed in worker threads (on its
+  ``ProcessExecutor`` worker pool by default), journaling
+  campaign-style manifests ``repro.perfdb`` ingests unchanged;
 * :mod:`~repro.service.server` — the hand-rolled asyncio HTTP front
   end (predict / jobs / machines / whatif / stats endpoints, NDJSON
   progress streaming);
@@ -29,13 +28,11 @@ prediction is published back for every later client.
 """
 
 from .api import ApiError, parse_predict
-from .coalesce import Coalescer
 from .jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobQueue
 from .server import ReproService, ServiceThread
 
 __all__ = [
     "ApiError",
-    "Coalescer",
     "DONE",
     "FAILED",
     "Job",

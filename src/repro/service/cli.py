@@ -25,9 +25,9 @@ import contextlib
 import json
 import signal
 import sys
-from pathlib import Path
 
 from ..campaign.cache import ResultCache
+from ..campaign.cli import _progress_printer, load_spec
 from ..campaign.engine import default_manifest_path, run_campaign
 from ..campaign.spec import CampaignSpec
 from .server import ReproService
@@ -88,33 +88,17 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_warm(args) -> int:
-    if args.spec:
-        spec_path = Path(args.spec)
-        try:
-            spec = CampaignSpec.from_json(spec_path.read_text())
-        except FileNotFoundError:
-            print(f"repro-service: no such spec file: {spec_path}",
-                  file=sys.stderr)
-            return 2
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            print(f"repro-service: bad spec {spec_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        spec = CampaignSpec.from_dict(DEFAULT_WARM_SPEC)
+    try:
+        spec = (
+            load_spec(args.spec) if args.spec
+            else CampaignSpec.from_dict(DEFAULT_WARM_SPEC)
+        )
+    except ValueError as exc:
+        print(f"repro-service: {exc}", file=sys.stderr)
+        return 2
 
     cache = ResultCache(args.cache_dir)
-    progress = None
-    if not args.quiet:
-        def progress(done, total, row):
-            wall = f"{row.wall_s:8.3f}s" if row.ok else "       -"
-            print(
-                f"[{done:>{len(str(total))}}/{total}] "
-                f"{row.config.label:<40} {row.status:>6} {wall}",
-                file=sys.stderr,
-                flush=True,
-            )
-
+    progress = None if args.quiet else _progress_printer(sys.stderr)
     try:
         report = run_campaign(
             spec,

@@ -3,7 +3,10 @@
 A :class:`Job` is one prediction in flight — a single
 :class:`~repro.campaign.spec.RunConfig` with an event log every
 subscriber can stream (``queued`` -> ``running`` -> ``done``/``failed``).
-:meth:`JobQueue.submit` opens a one-config campaign through
+:meth:`JobQueue.submit` is synchronous.  It looks the request's content
+key up in the queue's one in-flight table: an unfinished job there
+takes the request as a coalesced waiter.  Otherwise it indexes a new
+job and opens a one-config campaign through
 :func:`~repro.campaign.engine.open_campaign` with the shared
 :class:`~repro.campaign.cache.ResultCache`, the shared service manifest
 and the shared campaign-level executor (``ProcessExecutor`` worker pool
@@ -11,13 +14,15 @@ by default).  That call is the engine's own hit-serving: it journals
 ``campaign-start``, makes the request's one cache lookup, and journals
 ``run-done`` for a hit — so a warm prediction is answered right there,
 on the event loop, and finished before ``submit`` returns.  A miss
-goes into the queue; one of a fixed set of asyncio worker tasks runs
-the campaign's pending half (worker-side cache publish, per-config
+becomes one asyncio task, which waits for one of ``workers`` slots and
+runs the campaign's pending half (worker-side cache publish, per-config
 failure isolation) and its close in ``asyncio.to_thread``.  Either way
 the manifest holds the campaign-style JSONL ``repro.perfdb`` ingests
 unchanged.
 
-All job state is mutated on the event loop.  What runs on it for a
+All job state is mutated on the event loop, and nothing awaits between
+the in-flight lookup and the indexing of a new job, so two identical
+requests can never both open a campaign.  What runs on the loop for a
 hit is one cache entry read, three journal appends and one stats
 flush; nothing is computed there — a miss, including an entry the
 cache cannot read, always goes to a worker thread.
@@ -29,7 +34,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from ..campaign.cache import ResultCache
 from ..campaign.engine import OpenCampaign, open_campaign, resolve_scheduler
@@ -63,7 +68,7 @@ class Job:
     events: list[dict[str, Any]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._cond = asyncio.Condition()
+        self._changed = asyncio.Event()
 
     @property
     def finished(self) -> bool:
@@ -84,11 +89,12 @@ class Job:
             "error": self.error,
         }
 
-    async def emit(self, event: dict[str, Any]) -> None:
-        """Append one stream event and wake every subscriber."""
+    def emit(self, event: dict[str, Any]) -> None:
+        """Append one stream event and wake every subscriber.  The
+        event is set and replaced, so a later wait parks afresh."""
         self.events.append(event)
-        async with self._cond:
-            self._cond.notify_all()
+        changed, self._changed = self._changed, asyncio.Event()
+        changed.set()
 
     async def stream(self):
         """Yield every event, live, until the job finishes.
@@ -103,9 +109,7 @@ class Job:
                 idx += 1
             if self.finished:
                 return
-            async with self._cond:
-                if idx >= len(self.events) and not self.finished:
-                    await self._cond.wait()
+            await self._changed.wait()
 
     async def wait(self) -> None:
         """Block until the job reaches a terminal state."""
@@ -114,9 +118,10 @@ class Job:
 
 
 class JobQueue:
-    """Hits answered at submit; misses drained FIFO by a fixed-width
-    asyncio worker pool, so ``workers`` bounds concurrent
-    *computations* and a hit never waits for one."""
+    """Hits answered at submit; each miss a task that holds one of
+    ``workers`` slots while it computes, so ``workers`` bounds
+    concurrent *computations*, misses start in submit order, and a
+    hit never waits for one."""
 
     def __init__(
         self,
@@ -126,7 +131,6 @@ class JobQueue:
         scheduler: Any = "serial",
         workers: int = 2,
         campaign_name: str = "service",
-        on_finish: Callable[[Job], None] | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -135,16 +139,17 @@ class JobQueue:
         self.scheduler = resolve_scheduler(scheduler)
         self.workers = workers
         self.campaign_name = campaign_name
-        self.on_finish = on_finish
-        self._queue: asyncio.Queue[tuple[Job, OpenCampaign] | None] = (
-            asyncio.Queue()
-        )
-        self._tasks: list[asyncio.Task] = []
+        self._slots = asyncio.Semaphore(workers)
+        self._tasks: set[asyncio.Task] = set()
         self._jobs: dict[str, Job] = {}
+        #: content key -> its unfinished job; a job leaves as it finishes
+        self._inflight: dict[str, Job] = {}
         #: ids of finished jobs still tracked, oldest first
         self._finished: deque[str] = deque()
         self._running = 0
         self._seq = 0
+        #: Requests served by attaching to an in-flight job.
+        self.coalesced_total = 0
         self.completed = 0
         self.failed = 0
 
@@ -157,9 +162,14 @@ class JobQueue:
         return list(self._jobs.values())
 
     @property
+    def in_flight(self) -> int:
+        """Distinct keys being computed or waiting for a slot."""
+        return len(self._inflight)
+
+    @property
     def depth(self) -> int:
-        """Jobs accepted but not yet picked up by a worker."""
-        return self._queue.qsize()
+        """Misses waiting for a computation slot."""
+        return len(self._inflight) - self._running
 
     @property
     def running(self) -> int:
@@ -167,35 +177,31 @@ class JobQueue:
 
     # -- lifecycle --------------------------------------------------------
 
-    async def start(self) -> None:
-        if self._tasks:
-            return
-        self._tasks = [
-            asyncio.create_task(self._worker(), name=f"job-worker-{i}")
-            for i in range(self.workers)
-        ]
-
     async def stop(self) -> None:
-        """Drain-free shutdown: workers exit after their current job."""
-        for _ in self._tasks:
-            self._queue.put_nowait(None)
-        if self._tasks:
+        """Return once every accepted miss has finished."""
+        while self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
 
-    async def submit(self, config: RunConfig) -> Job:
-        """Accept one prediction.  A cache hit comes back finished; a
-        miss comes back queued for a worker."""
+    def submit(self, config: RunConfig) -> tuple[Job, bool]:
+        """Accept one prediction: ``(job, coalesced)``.  ``coalesced``
+        is True when the request attached to an unfinished job for the
+        same key.  A new job comes back finished for a cache hit (or a
+        failed journal write) and queued for a miss."""
+        key = config.key()
+        job = self._inflight.get(key)
+        if job is not None:
+            job.coalesced += 1
+            self.coalesced_total += 1
+            return job, True
         self._seq += 1
-        job = Job(
-            id=f"j{self._seq:06d}", config=config, key=config.key()
-        )
+        job = Job(id=f"j{self._seq:06d}", config=config, key=key)
         self._jobs[job.id] = job
-        await job.emit(
+        self._inflight[key] = job
+        job.emit(
             {
                 "event": QUEUED,
                 "job": job.id,
-                "key": job.key,
+                "key": key,
                 "label": config.label,
                 "t": time.time(),
             }
@@ -212,58 +218,54 @@ class JobQueue:
                 manifest=self.manifest,
                 scheduler=self.scheduler,
             )
+            if not campaign.pending:
+                self._start(job)
+                self._finish(job, row=campaign.close().rows[0])
+                return job, False
         except Exception as exc:  # noqa: BLE001 - a failed job, not a 500
-            await self._finish(job, error=f"{type(exc).__name__}: {exc}")
-            return job
-        if campaign.pending:
-            await self._queue.put((job, campaign))
-        else:
-            await self._run(job, campaign)
-        return job
+            self._finish(job, error=f"{type(exc).__name__}: {exc}")
+            return job, False
+        task = asyncio.create_task(
+            self._compute(job, campaign), name=f"job-{job.id}"
+        )
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return job, False
 
     # -- execution --------------------------------------------------------
 
-    async def _worker(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                return
-            await self._run(*item)
-
-    async def _run(self, job: Job, campaign: OpenCampaign) -> None:
-        """Take an opened campaign to its report and finish ``job``:
-        a miss computes in a thread, a hit only closes, here."""
-        job.state = RUNNING
-        self._running += 1
-        await job.emit({"event": RUNNING, "job": job.id, "t": time.time()})
+    async def _compute(self, job: Job, campaign: OpenCampaign) -> None:
+        """A miss: wait for a slot, compute in a thread, finish ``job``."""
         try:
-            if campaign.pending:
-                report = await asyncio.to_thread(_complete, campaign)
-            else:
-                report = campaign.close()
-            row = report.rows[0]
+            async with self._slots:
+                self._running += 1
+                self._start(job)
+                try:
+                    report = await asyncio.to_thread(_complete, campaign)
+                    row = report.rows[0]
+                finally:
+                    self._running -= 1
         except BaseException as exc:  # noqa: BLE001 - isolation seam
-            await self._finish(job, error=f"{type(exc).__name__}: {exc}")
+            self._finish(job, error=f"{type(exc).__name__}: {exc}")
             if not isinstance(exc, Exception):
                 # cancellation, interrupt, exit: the job is failed and
-                # its waiters woken, but the worker must not live on
+                # its waiters woken, but the task must not swallow it
                 raise
         else:
-            if row.ok:
-                await self._finish(job, row=row)
-            else:
-                await self._finish(job, error=row.error, row=row)
-        finally:
-            self._running -= 1
+            self._finish(job, row=row)
 
-    async def _finish(
+    def _start(self, job: Job) -> None:
+        job.state = RUNNING
+        job.emit({"event": RUNNING, "job": job.id, "t": time.time()})
+
+    def _finish(
         self,
         job: Job,
         *,
         row: ConfigResult | None = None,
         error: str | None = None,
     ) -> None:
-        if error is None and row is not None:
+        if row is not None and row.ok:
             job.state = DONE
             job.cached = row.cached
             job.wall_s = row.wall_s
@@ -282,7 +284,9 @@ class JobQueue:
             }
         else:
             job.state = FAILED
-            job.error = error or "unknown failure"
+            job.error = (
+                error or getattr(row, "error", None) or "unknown failure"
+            )
             self.failed += 1
             final = {
                 "event": FAILED,
@@ -291,13 +295,12 @@ class JobQueue:
                 "error": job.error,
                 "t": time.time(),
             }
+        del self._inflight[job.key]
         # cap the finished-job history at MAX_FINISHED_JOBS, oldest out
         self._finished.append(job.id)
         while len(self._finished) > MAX_FINISHED_JOBS:
             self._jobs.pop(self._finished.popleft(), None)
-        if self.on_finish is not None:
-            self.on_finish(job)
-        await job.emit(final)
+        job.emit(final)
 
 
 def _complete(campaign: OpenCampaign) -> CampaignReport:

@@ -18,11 +18,12 @@ Endpoints::
     GET  /v1/healthz       liveness probe
     POST /v1/shutdown      clean stop (drains the accept loop)
 
-Request flow for ``/v1/predict``: validate -> coalesce on the
-campaign's SHA-256 content key -> job queue, which opens a one-config
-campaign on the event loop (one cache lookup, journaled to the service
-manifest ``repro-perfdb`` ingests) -> a hit is answered right there; a
-miss waits for a job worker, which computes it in a thread (on the
+Request flow for ``/v1/predict``: validate -> ``JobQueue.submit``,
+synchronous on the event loop: attach to the in-flight job for the
+campaign's SHA-256 content key, or open a one-config campaign (one
+cache lookup, journaled to the service manifest ``repro-perfdb``
+ingests) -> a hit is answered right there; a miss becomes a task that
+waits for one of ``workers`` slots and computes in a thread (on the
 ``ProcessExecutor`` pool by default) -> respond.  Identical in-flight
 requests attach to one computation; identical later requests are warm
 cache hits, and never wait behind a computation.
@@ -45,7 +46,6 @@ from ..experiments import whatif
 from ..machines.catalog import PAPER_ORDER, get_machine
 from ..runtime.executors import Executor
 from .api import ApiError, parse_predict
-from .coalesce import Coalescer
 from .jobs import FAILED, JobQueue
 
 #: Largest accepted request body.
@@ -99,7 +99,13 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length") or 0)
+    declared = headers.get("content-length") or "0"
+    if not declared.isdecimal():
+        raise ApiError(
+            400, f"bad Content-Length header {declared!r}: "
+            "expected a non-negative integer"
+        )
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise ApiError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
@@ -157,14 +163,12 @@ class ReproService:
             manifest = Manifest(manifest)
         self.manifest = manifest
         self.scheduler = resolve_scheduler(scheduler)
-        self.coalescer = Coalescer()
         self.queue = JobQueue(
             cache=self.cache,
             manifest=self.manifest,
             scheduler=self.scheduler,
             workers=workers,
             campaign_name=campaign_name,
-            on_finish=self.coalescer.release,
         )
         self.started_at = time.time()
         self.requests: dict[str, int] = {}
@@ -179,7 +183,6 @@ class ReproService:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start serving; ``self.port`` holds the real port."""
         self._stop_event = asyncio.Event()
-        await self.queue.start()
         self._server = await asyncio.start_server(self._handle, host, port)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -285,7 +288,7 @@ class ReproService:
         self, request: _Request, writer: asyncio.StreamWriter
     ) -> None:
         config, wait = parse_predict(request.json())
-        job, coalesced = await self.coalescer.submit(config, self.queue)
+        job, coalesced = self.queue.submit(config)
         if not wait:
             await _send_json(
                 writer, 202, {**job.summary(), "coalesced": coalesced}
@@ -361,8 +364,8 @@ class ReproService:
                 "lifetime": self.cache.lifetime_stats().as_dict(),
             },
             "coalesce": {
-                "in_flight": self.coalescer.in_flight,
-                "coalesced_total": self.coalescer.coalesced_total,
+                "in_flight": self.queue.in_flight,
+                "coalesced_total": self.queue.coalesced_total,
             },
             "queue": {
                 "depth": self.queue.depth,

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.campaign import CampaignSpec, ResultCache, run_campaign
+from repro.campaign.cli import main as campaign_main
 from repro.campaign.manifest import Manifest, read_events
 from repro.campaign.spec import RunConfig
 from repro.perfdb import PerfDB
@@ -28,13 +29,13 @@ from repro.perfdb.ingest import ingest_path
 from repro.runtime.executors import SerialExecutor
 from repro.service import (
     ApiError,
-    Coalescer,
     JobQueue,
     ReproService,
     ServiceThread,
     jobs,
     parse_predict,
 )
+from repro.service.cli import main as service_main
 
 #: A fast prediction request (~ms of real solver work).
 SMALL = {
@@ -56,6 +57,33 @@ SLOW = {
     "seed": 0,
     "params": {"shape": [16, 16, 16]},
 }
+
+
+
+
+@pytest.fixture(autouse=True)
+def no_asyncio_errors():
+    """Fail any test during which the ``asyncio`` logger recorded an
+    ERROR (an unhandled exception in a connection callback, a task that
+    died) or a "never retrieved" message: the service must answer every
+    bad input itself, never leave it to the loop's last-resort
+    handler."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+        gc.collect()  # "never retrieved" is logged as a future dies
+    finally:
+        logger.removeHandler(handler)
+    logged = [
+        r.getMessage() for r in records
+        if r.levelno >= logging.ERROR or "never retrieved" in r.getMessage()
+    ]
+    if logged:
+        pytest.fail(f"asyncio logged: {logged}")
 
 
 # -- request validation ----------------------------------------------------
@@ -178,6 +206,10 @@ class StubScheduler(SerialExecutor):
 
 
 class TestCoalescer:
+    """Coalescing lives in ``JobQueue.submit``'s one in-flight table:
+    ``submit`` is synchronous, so nothing can interleave between the
+    lookup of a key and the indexing of its new job."""
+
     def test_identical_in_flight_requests_share_one_job(self):
         gate = threading.Event()
         computed = []
@@ -187,26 +219,24 @@ class TestCoalescer:
             return {"wall_s": 0.1, "gflops": 1.0}
 
         async def scenario():
-            coal = Coalescer()
             queue = JobQueue(
                 cache=None, workers=1,
                 scheduler=StubScheduler(answer, gate),
-                on_finish=coal.release,
             )
-            await queue.start()
             cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
-            job1, c1 = await coal.submit(cfg, queue)
-            await asyncio.sleep(0.05)  # let the worker pick it up
-            job2, c2 = await coal.submit(cfg, queue)
+            job1, c1 = queue.submit(cfg)
+            await asyncio.sleep(0.05)  # let its task start computing
+            assert job1.state == "running"
+            job2, c2 = queue.submit(cfg)
             assert job2 is job1
             assert (c1, c2) == (False, True)
             assert job1.coalesced == 1
-            assert coal.coalesced_total == 1 and coal.in_flight == 1
+            assert queue.coalesced_total == 1 and queue.in_flight == 1
             gate.set()
             await job1.wait()
-            assert job1.state == "done" and coal.in_flight == 0
+            assert job1.state == "done" and queue.in_flight == 0
             # after completion an identical request is a NEW job
-            job3, c3 = await coal.submit(cfg, queue)
+            job3, c3 = queue.submit(cfg)
             assert job3 is not job1 and c3 is False
             await job3.wait()
             await queue.stop()
@@ -216,24 +246,18 @@ class TestCoalescer:
 
     def test_distinct_configs_never_coalesce(self):
         async def scenario():
-            coal = Coalescer()
             queue = JobQueue(
                 cache=None, workers=2,
                 scheduler=StubScheduler(lambda cfg: {"wall_s": 0.0}),
-                on_finish=coal.release,
             )
-            await queue.start()
-            a, ca = await coal.submit(
-                RunConfig(app="lbmhd", seed=0), queue
-            )
-            b, cb = await coal.submit(
-                RunConfig(app="lbmhd", seed=1), queue
-            )
+            a, ca = queue.submit(RunConfig(app="lbmhd", seed=0))
+            b, cb = queue.submit(RunConfig(app="lbmhd", seed=1))
             assert a is not b and not ca and not cb
+            assert queue.in_flight == 2
             await a.wait()
             await b.wait()
             await queue.stop()
-            return coal.coalesced_total
+            return queue.coalesced_total
 
         assert asyncio.run(scenario()) == 0
 
@@ -242,116 +266,96 @@ class TestCoalescer:
             raise RuntimeError("boom")
 
         async def scenario():
-            coal = Coalescer()
             queue = JobQueue(
                 cache=None, workers=1, scheduler=StubScheduler(answer),
-                on_finish=coal.release,
             )
-            await queue.start()
             cfg = RunConfig(app="lbmhd")
-            job, _ = await coal.submit(cfg, queue)
+            job, _ = queue.submit(cfg)
             await job.wait()
             assert job.state == "failed" and "boom" in job.error
-            assert coal.in_flight == 0
+            assert queue.in_flight == 0
             await queue.stop()
 
         asyncio.run(scenario())
 
     def test_interleaved_identical_submits_enqueue_once(self):
-        """Regression: two identical requests that both reach submit
-        before either's ``queue.submit`` await resolves must still
-        share one computation.  The gated fake queue parks every
-        submit on an event, forcing exactly the interleaving window
-        the old in-flight check missed."""
-        from repro.service.jobs import Job
+        """Two identical submits in a row, with no await between them,
+        share one job and one computation: the second finds the first
+        indexed before either has yielded to the loop."""
+        gate = threading.Event()
+        computed = []
 
-        class GatedQueue:
-            def __init__(self):
-                self.gate = asyncio.Event()
-                self.submissions: list[Job] = []
-
-            async def submit(self, config):
-                await self.gate.wait()  # the hole: submit yields here
-                job = Job(
-                    id=f"g{len(self.submissions) + 1:03d}",
-                    config=config,
-                    key=config.key(),
-                )
-                self.submissions.append(job)
-                return job
+        def answer(cfg):
+            computed.append(cfg.key())
+            return {"wall_s": 0.1}
 
         async def scenario():
-            coal = Coalescer()
-            queue = GatedQueue()
+            queue = JobQueue(
+                cache=None, workers=2,
+                scheduler=StubScheduler(answer, gate),
+            )
             cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
-            t1 = asyncio.create_task(coal.submit(cfg, queue))
-            t2 = asyncio.create_task(coal.submit(cfg, queue))
-            await asyncio.sleep(0.05)  # both tasks are parked in-flight
-            queue.gate.set()
-            (job1, c1), (job2, c2) = await asyncio.gather(t1, t2)
-            assert job2 is job1
+            job1, c1 = queue.submit(cfg)
+            job2, c2 = queue.submit(cfg)
+            assert job2 is job1 and job1.state == "queued"
             assert (c1, c2) == (False, True)
-            assert len(queue.submissions) == 1
-            assert coal.coalesced_total == 1
-            assert coal.in_flight == 1  # the job, no leftover placeholder
+            assert queue.coalesced_total == 1 and queue.in_flight == 1
+            gate.set()
+            await job1.wait()
+            await queue.stop()
+            assert job1.state == "done" and queue.in_flight == 0
+
+        asyncio.run(scenario())
+        assert len(computed) == 1
+
+    def test_failed_enqueue_wakes_waiters_to_retry(self, tmp_path):
+        """A submit whose journal write fails finishes its job failed
+        and leaves no in-flight entry, so an identical later submit
+        opens afresh instead of attaching to the failure."""
+        path = tmp_path / "service.manifest.jsonl"
+        path.mkdir()  # the journal cannot be written
+
+        async def scenario():
+            queue = JobQueue(
+                cache=None, manifest=Manifest(path), workers=1,
+                scheduler=StubScheduler(lambda cfg: {"wall_s": 0.0}),
+            )
+            cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
+            failed, c1 = queue.submit(cfg)
+            assert failed.state == "failed" and c1 is False
+            assert "IsADirectoryError" in failed.error
+            assert queue.in_flight == 0
+            path.rmdir()  # the journal is writable again
+            job, c2 = queue.submit(cfg)
+            assert job is not failed and c2 is False
+            await job.wait()
+            await queue.stop()
+            assert job.state == "done"
+            assert (queue.completed, queue.failed) == (1, 1)
+            assert queue.coalesced_total == 0
 
         asyncio.run(scenario())
 
-    def test_failed_enqueue_wakes_waiters_to_retry(self):
-        """A waiter parked on another request's placeholder must not
-        hang (or crash) when that request's enqueue raises — it retries
-        and performs its own submission."""
-        from repro.service.jobs import Job
-
-        class FailFirstQueue:
-            def __init__(self):
-                self.gate = asyncio.Event()
-                self.calls = 0
-
-            async def submit(self, config):
-                self.calls += 1
-                call = self.calls
-                await self.gate.wait()
-                if call == 1:
-                    raise RuntimeError("backend down")
-                return Job(id=f"g{call}", config=config, key=config.key())
+    def test_job_finishing_during_submit_is_not_indexed(self, tmp_path):
+        """A cache hit is finished before ``submit`` returns and never
+        enters the in-flight table: an identical later request is a
+        fresh hit, not an attachment to a finished job."""
+        cache = ResultCache(tmp_path)
+        cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
+        cache.put(cfg, {"wall_s": 0.5})
 
         async def scenario():
-            coal = Coalescer()
-            queue = FailFirstQueue()
-            cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
-            t1 = asyncio.create_task(coal.submit(cfg, queue))
-            t2 = asyncio.create_task(coal.submit(cfg, queue))
-            await asyncio.sleep(0.05)
-            queue.gate.set()
-            results = await asyncio.gather(t1, t2, return_exceptions=True)
-            errors = [r for r in results if isinstance(r, Exception)]
-            jobs = [r for r in results if not isinstance(r, Exception)]
-            assert len(errors) == 1 and "backend down" in str(errors[0])
-            assert len(jobs) == 1 and jobs[0][1] is False
-            assert queue.calls == 2
-
-        asyncio.run(scenario())
-
-    def test_job_finishing_during_submit_is_not_indexed(self):
-        """If the enqueued job reaches a terminal state before submit
-        can index it, the in-flight table must stay clean — a later
-        identical request starts fresh instead of attaching to a
-        corpse."""
-        from repro.service.jobs import Job
-
-        class InstantQueue:
-            async def submit(self, config):
-                job = Job(id="g1", config=config, key=config.key())
-                job.state = "done"  # finished before submit returns
-                return job
-
-        async def scenario():
-            coal = Coalescer()
-            cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
-            job, coalesced = await coal.submit(cfg, InstantQueue())
-            assert job.finished and coalesced is False
-            assert coal.in_flight == 0
+            queue = JobQueue(cache=cache, workers=1)
+            job, coalesced = queue.submit(cfg)
+            assert job.finished and job.cached and coalesced is False
+            assert [e["event"] for e in job.events] == [
+                "queued", "running", "done",
+            ]
+            assert queue.in_flight == 0 and queue.running == 0
+            again, coalesced = queue.submit(cfg)
+            assert again is not job and again.cached and not coalesced
+            assert queue.coalesced_total == 0
+            await queue.stop()
 
         asyncio.run(scenario())
 
@@ -374,13 +378,13 @@ class TestJobQueue:
                 cache=cache, workers=1,
                 scheduler=StubScheduler(lambda cfg: {"wall_s": 0.0}, gate),
             )
-            await queue.start()
-            running = await queue.submit(RunConfig(app="lbmhd", seed=100))
-            await asyncio.sleep(0.05)  # let the worker pick it up
-            queued = await queue.submit(RunConfig(app="lbmhd", seed=101))
-            hits = [await queue.submit(cfg) for cfg in warm]
+            running, _ = queue.submit(RunConfig(app="lbmhd", seed=100))
+            await asyncio.sleep(0.05)  # let its task take the slot
+            queued, _ = queue.submit(RunConfig(app="lbmhd", seed=101))
+            hits = [queue.submit(cfg)[0] for cfg in warm]
             assert all(j.state == "done" and j.cached for j in hits)
             assert (running.state, queued.state) == ("running", "queued")
+            assert (queue.running, queue.depth) == (1, 1)
             ids = [j.id for j in queue.jobs()]
             assert ids == [running.id, queued.id] + [
                 j.id for j in hits[2:]
@@ -403,8 +407,7 @@ class TestJobQueue:
 
         async def scenario():
             queue = JobQueue(cache=None, manifest=manifest, workers=1)
-            await queue.start()
-            job = await queue.submit(RunConfig(app="lbmhd"))
+            job, _ = queue.submit(RunConfig(app="lbmhd"))
             assert job.state == "failed"
             assert "IsADirectoryError" in job.error
             assert (queue.completed, queue.failed) == (0, 1)
@@ -413,9 +416,9 @@ class TestJobQueue:
         asyncio.run(scenario())
 
     def test_cancelled_worker_fails_its_job_and_exits(self):
-        """Cancelling a worker mid-computation (loop shutdown) fails
-        its job, so waiters wake, and ends the worker instead of
-        leaving it parked on the queue."""
+        """Cancelling a miss's task mid-computation (loop shutdown)
+        fails its job, so waiters wake, and ends the task instead of
+        leaving the job running forever."""
         gate = threading.Event()
 
         async def scenario():
@@ -423,16 +426,73 @@ class TestJobQueue:
                 cache=None, workers=1,
                 scheduler=StubScheduler(lambda cfg: {"wall_s": 0.0}, gate),
             )
-            await queue.start()
-            job = await queue.submit(RunConfig(app="lbmhd"))
-            await asyncio.sleep(0.05)  # let the worker pick it up
+            job, _ = queue.submit(RunConfig(app="lbmhd"))
+            await asyncio.sleep(0.05)  # let its task start computing
             assert job.state == "running"
-            (worker,) = queue._tasks
-            worker.cancel()
+            (task,) = queue._tasks
+            task.cancel()
             gate.set()  # lets the computing thread end
-            done, _ = await asyncio.wait({worker}, timeout=10)
-            assert worker in done and worker.cancelled()
+            done, _ = await asyncio.wait({task}, timeout=10)
+            assert task in done and task.cancelled()
             assert job.state == "failed" and "CancelledError" in job.error
+            assert (queue.in_flight, queue.running) == (0, 0)
+
+        asyncio.run(scenario())
+
+    def test_misses_start_in_submit_order(self):
+        """With one slot, misses compute one at a time, first submitted
+        first."""
+        gate = threading.Event()
+        order = []
+
+        def answer(cfg):
+            order.append(cfg.seed)
+            return {"wall_s": 0.0}
+
+        async def scenario():
+            queue = JobQueue(
+                cache=None, workers=1,
+                scheduler=StubScheduler(answer, gate),
+            )
+            seeds = [5, 3, 8, 1, 4]
+            submitted = [
+                queue.submit(RunConfig(app="lbmhd", seed=s))[0]
+                for s in seeds
+            ]
+            await asyncio.sleep(0.05)
+            assert [j.state for j in submitted] == ["running"] + [
+                "queued"
+            ] * 4
+            assert (queue.running, queue.depth) == (1, 4)
+            gate.set()
+            await queue.stop()
+            assert all(j.state == "done" for j in submitted)
+            return seeds
+
+        assert order == asyncio.run(scenario())
+
+    def test_stop_returns_after_every_accepted_miss(self):
+        """``stop`` drains: it returns only once every miss accepted
+        before it, running or still waiting for a slot, has finished."""
+        gate = threading.Event()
+
+        async def scenario():
+            queue = JobQueue(
+                cache=None, workers=1,
+                scheduler=StubScheduler(lambda cfg: {"wall_s": 0.0}, gate),
+            )
+            accepted = [
+                queue.submit(RunConfig(app="lbmhd", seed=s))[0]
+                for s in range(3)
+            ]
+            stopping = asyncio.create_task(queue.stop())
+            await asyncio.sleep(0.05)
+            assert not stopping.done()
+            gate.set()
+            await asyncio.wait_for(stopping, timeout=30)
+            assert all(j.state == "done" for j in accepted)
+            assert (queue.in_flight, queue.depth, queue.running) == (0, 0, 0)
+            assert not queue._tasks
 
         asyncio.run(scenario())
 
@@ -516,6 +576,22 @@ class TestHttpApi:
         status, data = _request(port, "POST", "/v1/predict")
         body = json.loads(data)
         assert status == 400 and "'app' is required" in body["error"]
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1e3"])
+    def test_malformed_content_length_is_400(self, service, declared):
+        _, port = service
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                "POST /v1/predict HTTP/1.1\r\n"
+                f"Content-Length: {declared}\r\n\r\n".encode()
+            )
+            reply = sock.makefile("rb").read()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400", reply
+        error = json.loads(body)["error"]
+        assert "Content-Length" in error and repr(declared) in error
+        status, _ = _json(port, "GET", "/v1/healthz")
+        assert status == 200
 
     def test_invalid_config_is_400_not_a_job(self, service):
         svc, port = service
@@ -848,3 +924,64 @@ class TestServiceLifecycle:
             or r.levelno >= logging.ERROR
         ]
         assert not unretrieved
+
+
+
+#: A two-cell warm sweep; its seed-0 cell is ``SMALL``.
+WARM_SPEC = {
+    "name": "warm-smoke",
+    "apps": ["lbmhd"],
+    "nprocs": [4],
+    "seeds": [0, 1],
+    "steps": 1,
+    "params": {"lbmhd": {"shape": [8, 8, 8]}},
+}
+
+
+class TestWarmCommand:
+    """``repro-service warm --spec`` loads and checks its spec the way
+    ``repro-campaign run`` does, and fills the cache the service reads."""
+
+    @pytest.mark.parametrize(
+        "prog, main, command",
+        [
+            ("repro-campaign", campaign_main, ["run"]),
+            ("repro-service", service_main, ["warm", "--spec"]),
+        ],
+        ids=["campaign-run", "service-warm"],
+    )
+    def test_bad_params_spec_exits_2(
+        self, tmp_path, capsys, prog, main, command
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(dict(WARM_SPEC, params={"lbmhd": {"bogus": 1}}))
+        )
+        code = main(
+            [*command, str(bad), "--cache-dir", str(tmp_path / "cache"),
+             "--scheduler", "serial"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{prog}: bad spec" in err
+        assert "unknown parameter(s) for 'lbmhd': bogus" in err
+        assert not (tmp_path / "cache").exists()  # nothing ran
+
+    def test_warmed_cell_is_a_hit_for_the_first_predict(
+        self, tmp_path, capsys
+    ):
+        spec = tmp_path / "warm.json"
+        spec.write_text(json.dumps(WARM_SPEC))
+        cache_dir = tmp_path / "cache"
+        assert service_main(
+            ["warm", "--spec", str(spec), "--cache-dir", str(cache_dir),
+             "--scheduler", "serial"]
+        ) == 0
+        assert "[2/2]" in capsys.readouterr().err  # the progress lines
+
+        svc = ReproService(cache_dir, workers=1, scheduler="serial")
+        with ServiceThread(svc) as thread:
+            status, body = _json(thread.port, "POST", "/v1/predict", SMALL)
+            _, stats = _json(thread.port, "GET", "/v1/stats")
+        assert status == 200 and body["cached"] is True
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 0)

@@ -8,9 +8,9 @@ than a cold cache).
 
 Entries are written atomically (temp file + rename in the same
 directory), so a campaign killed mid-write never leaves a torn entry —
-the resume path either sees a complete result or a miss.  Workers in
+the resume path either sees a complete result or a miss.  Campaigns in
 different processes may race to publish the same key; last rename wins
-and both wrote identical content, so the race is benign.
+and both wrote equivalent content, so the race is benign.
 
 Every cache instance counts its own traffic (:class:`CacheStats`:
 hits, misses, puts) so cache effectiveness is observable directly —
@@ -18,8 +18,7 @@ the service's ``/v1/stats`` endpoint reads the live counters, and
 ``repro-campaign status`` reads the *lifetime* counters, which
 instances persist as append-only delta lines in
 ``<root>/cache-stats.jsonl`` (one small ``O_APPEND`` write per flush,
-so concurrent campaigns and worker processes never torn-write each
-other).
+so concurrent campaigns and services never torn-write each other).
 """
 
 from __future__ import annotations
@@ -82,6 +81,9 @@ class ResultCache:
         self.stats = CacheStats()
         self._stats_lock = threading.Lock()
         self._persisted = CacheStats()  # counts already flushed to disk
+        self._stats_file = os.path.join(self._root, STATS_FILENAME)
+        self._life_lock = threading.Lock()
+        self._forget_lifetime()
 
     def _file(self, key: str) -> str:
         # a plain string on the lookup path: pathlib interns every part
@@ -125,7 +127,8 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                # one write; json.dump writes chunk by chunk (slower)
+                fh.write(json.dumps(entry, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -164,9 +167,9 @@ class ResultCache:
     def persist_stats(self) -> None:
         """Append this instance's unflushed counter deltas to
         ``cache-stats.jsonl`` (no-op when nothing changed since the last
-        flush).  Campaign engines call this once per invocation; workers
-        call it after publishing, so lifetime counters survive across
-        processes."""
+        flush).  The campaign engine calls it after every publish and
+        once more at the end of an invocation, so lifetime counters
+        survive the process, even a killed one."""
         with self._stats_lock:
             delta = CacheStats(
                 hits=self.stats.hits - self._persisted.hits,
@@ -181,35 +184,60 @@ class ResultCache:
             {**delta.as_dict(), "time": time.time()}, sort_keys=True
         )
         # O_APPEND: one small write, atomic in practice across processes
-        with (self.root / STATS_FILENAME).open("a") as fh:
+        with open(self._stats_file, "a") as fh:
             fh.write(line + "\n")
 
     def lifetime_stats(self) -> CacheStats:
         """Summed persisted counters across every instance and process
-        that ever flushed into this cache root (torn lines skipped)."""
-        total = CacheStats()
-        path = self.root / STATS_FILENAME
-        try:
-            # line by line: the file gains a line per flush (a line per
-            # warm prediction in the service), so reading it whole
-            # costs memory in proportion to all traffic ever served
-            with path.open() as fh:
+        that ever flushed into this cache root (torn lines skipped).
+
+        Incremental: the instance keeps a running total and the byte
+        offset just past the last complete line it read, so a call
+        parses only the lines appended since.  A last line still
+        missing its newline (a flush being written) waits for the next
+        call.  A missing, shrunk or replaced file (:meth:`clear` from
+        any process) starts the total over; inode numbers get reused,
+        so "replaced" also compares the first line, which carries its
+        flush time.
+        """
+        with self._life_lock:
+            try:
+                fh = open(self._stats_file, "rb")
+            except OSError:
+                self._forget_lifetime()
+                return CacheStats()
+            with fh:
+                st = os.fstat(fh.fileno())
+                ident = (st.st_ino, fh.readline())
+                if ident != self._life_ident or st.st_size < self._life_at:
+                    self._forget_lifetime()
+                    fh.seek(0)
+                else:
+                    fh.seek(self._life_at)
+                total = self._life
                 for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+                    if not line.endswith(b"\n"):
+                        break  # torn tail: read it once it is whole
+                    self._life_at += len(line)
                     try:
                         d = json.loads(line)
-                    except json.JSONDecodeError:
+                    except ValueError:
                         continue
                     total.hits += int(d.get("hits", 0))
                     total.misses += int(d.get("misses", 0))
                     total.puts += int(d.get("puts", 0))
                     # older stats lines predate the reruns counter
                     total.reruns += int(d.get("reruns", 0))
-        except OSError:
-            return CacheStats()
-        return total
+                if self._life_at:
+                    self._life_ident = ident
+            return CacheStats(**total.as_dict())
+
+    def _forget_lifetime(self) -> None:
+        """Drop the running lifetime total (caller holds the lock, or
+        the instance is not shared yet)."""
+        self._life = CacheStats()
+        self._life_at = 0
+        self._life_ident: tuple[int, bytes] | None = None
 
     @staticmethod
     def _is_entry(path: Path) -> bool:
@@ -276,4 +304,6 @@ class ResultCache:
         with self._stats_lock:
             self.stats = CacheStats()
             self._persisted = CacheStats()
+        with self._life_lock:
+            self._forget_lifetime()
         return removed

@@ -14,11 +14,15 @@ part; :meth:`OpenCampaign.close` journals ``campaign-end``.  The
 prediction service opens on its event loop and hands only a campaign
 with misses to a worker thread.
 
-Resume comes for free: workers publish each result to the
-content-addressed cache the moment it completes, so re-invoking an
-interrupted campaign finds the finished configs as cache hits and only
-executes the remainder.  A failing config is isolated — it is reported
-(journal + report row) and the rest of the sweep still runs.
+Resume comes for free: the engine is the cache's one writer.  It
+publishes each result to the content-addressed cache the moment the
+scheduler hands it back, before journaling its ``run-done``, so
+re-invoking an interrupted campaign finds the finished configs as cache
+hits and only executes the remainder.  Workers only compute: a result
+a worker finished after the campaign's process died was never handed
+back, so it is computed again on resume.  A failing config is
+isolated — it is reported (journal + report row) and the rest of the
+sweep still runs.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import os
 import socket
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from .. import __version__
 from ..runtime.executors import Executor, get_executor
@@ -264,15 +268,14 @@ class OpenCampaign:
 
     def run_pending(self) -> None:
         """Blocking: compute every pending config on the scheduler,
-        journaling ``run-start`` for each and its ``run-done`` (or
-        ``run-failed``) as it completes."""
+        journaling ``run-start`` for each and, as it completes, its
+        ``run-done`` (after publishing the result to the cache) or
+        ``run-failed``."""
         pending, self.pending = self.pending, []
         if not pending:
             return
-        cache_root = str(self.cache.root) if self.cache is not None else None
-        jobs: list[tuple[dict[str, Any], str | None]] = []
-        for i in pending:
-            cfg = self.configs[i]
+        configs = [self.configs[i] for i in pending]
+        for cfg in configs:
             self.journal.append(
                 {
                     "event": "run-start",
@@ -281,11 +284,19 @@ class OpenCampaign:
                     "config": cfg.to_dict(),
                 }
             )
-            jobs.append((cfg.to_dict(), cache_root))
-        for j, payload, exc in self.executor.imap_unordered(
-            worker.run_and_cache, jobs
+        for j, result, exc in self.executor.imap_unordered(
+            worker.execute_config, configs
         ):
-            cfg = self.configs[pending[j]]
+            cfg = configs[j]
+            if exc is None and self.cache is not None:
+                # published before its run-done, and the put counted on
+                # disk at once: a campaign killed after this resumes
+                # from the result and its lifetime put
+                try:
+                    self.cache.put(cfg, result)
+                    self.cache.persist_stats()
+                except OSError as err:  # a result it cannot keep fails
+                    exc = err
             if exc is not None:
                 row = ConfigResult(
                     config=cfg,
@@ -294,10 +305,9 @@ class OpenCampaign:
                     error=f"{type(exc).__name__}: {exc}",
                 )
             else:
-                result = payload["result"]
                 row = ConfigResult(
                     config=cfg,
-                    key=payload["key"],
+                    key=cfg.key(),
                     cached=False,
                     wall_s=float(result.get("wall_s", 0.0)),
                     gflops=float(result.get("gflops", 0.0)),
@@ -324,7 +334,7 @@ class OpenCampaign:
             }
         )
         if self.cache is not None:
-            # lifetime counters: workers flushed their puts as they
-            # published; this invocation's hits/misses flush here
+            # lifetime counters: puts flushed as they were published;
+            # this invocation's hits/misses flush here
             self.cache.persist_stats()
         return report

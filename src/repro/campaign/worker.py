@@ -2,10 +2,11 @@
 
 These functions are module-level on purpose: the
 :class:`~repro.runtime.executors.ProcessExecutor` pickles the callable
-and its argument into a worker process, runs the harness there, and
-pickles the return value back.  Everything that crosses the boundary is
-a plain dict of JSON-plain values — solver objects, communicators, and
-ledgers stay in the worker.
+and its :class:`RunConfig` into a worker process, runs the harness
+there, and pickles the return value back.  What comes back is a plain
+dict of JSON-plain values — solver objects, communicators, and ledgers
+stay in the worker.  Workers only compute: the campaign engine that
+receives the result is the one that publishes it to the cache.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Any
 
 from .. import __version__, harness
 from ..harness.apps import get_application
-from .cache import ResultCache
 from .spec import RunConfig
 
 
@@ -128,17 +128,3 @@ def execute_config(config: RunConfig) -> dict[str, Any]:
         out["trace_volume"] = result.comm.trace.matrix().tolist()
     return out
 
-
-def run_and_cache(job: tuple[dict[str, Any], str | None]) -> dict[str, Any]:
-    """Process-pool entry point: execute a config dict, publish to the
-    cache *from the worker* (so a parent killed mid-campaign still finds
-    the completed result on resume), and return ``{"key", "result"}``.
-    """
-    config_dict, cache_root = job
-    config = RunConfig.from_dict(config_dict)
-    result = execute_config(config)
-    if cache_root is not None:
-        cache = ResultCache(cache_root)
-        cache.put(config, result)
-        cache.persist_stats()  # lifetime put counters survive the worker
-    return {"key": config.key(), "result": result}

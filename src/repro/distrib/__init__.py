@@ -10,11 +10,12 @@ execute it through the existing campaign worker path, and ship the
 result home.  Pull-based dispatch *is* work stealing: a slow host asks
 less often and naturally takes fewer cells.
 
-The coordinator publishes every remote result into the same
+The coordinator hands every remote result back to the campaign engine
+like any executor would; the engine publishes it into the same
 content-addressed :class:`~repro.campaign.cache.ResultCache` a local
-campaign would use, and the engine journals the standard manifest
-events (now with per-worker host/cpu_count/version provenance), so
-distributed results flow into ``repro-perfdb`` unchanged.
+campaign uses and journals the standard manifest events (with
+per-worker host/cpu_count/version provenance), so distributed results
+flow into ``repro-perfdb`` unchanged.
 
 Failure model: per-config timeouts, retry-on-another-worker with a
 bounded attempt budget, dead-worker detection via heartbeats, and a

@@ -13,15 +13,14 @@ tickets or a failed attempt is requeued, so an idle worker costs a
 cell no polling interval — only the frame's round trip.
 
 :meth:`Coordinator.dispatch` is the campaign engine's seam.  It takes
-the same ``(config_dict, cache_root)`` job tuples the engine hands any
-executor, registers them as tickets, and yields
-``(index, payload, exc)`` triples in completion order — exactly the
+the same :class:`~repro.campaign.spec.RunConfig` items the engine hands
+any executor, registers them as tickets, and yields
+``(index, result, exc)`` triples in completion order — exactly the
 ``imap_unordered`` contract — while connection handler threads move
-frames.  Results coming home from remote workers are published into
-the content-addressed :class:`~repro.campaign.cache.ResultCache` by
-the coordinator (workers may be on hosts that cannot see the cache
-directory), so a campaign killed mid-sweep still resumes from
-whatever completed.
+frames.  A config travels as its ``to_dict()``; a result comes home as
+the plain dict the worker computed.  Nothing here touches the cache:
+the engine publishes what the dispatch yields, as it does for any
+executor.
 
 Failure model (every path bounded and accounted in
 :class:`~repro.distrib.faults.DistribStats`):
@@ -41,8 +40,8 @@ Failure model (every path bounded and accounted in
 
 Version discipline: a worker whose package version differs from the
 coordinator's is rejected at ``hello`` — content keys hash the
-version, so a mismatched worker would publish results under keys this
-campaign can never look up.
+version, so a mismatched worker's results would be cached under a key
+that promises code it did not run.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from queue import Empty, Queue
 from typing import Any, Callable, Iterator
 
 from .. import __version__
-from ..campaign.cache import ResultCache
 from ..campaign.spec import RunConfig
 from .faults import AttemptTracker, DistribStats, WorkerHealth
 from .protocol import ProtocolError, recv_msg, send_msg
@@ -78,24 +76,22 @@ class RemoteRunError(RuntimeError):
     """A config exhausted its attempt budget across the worker pool."""
 
 
-#: The engine-side job tuple and worker function shapes.
-Job = "tuple[dict[str, Any], str | None]"
-LocalFn = Callable[[Any], dict[str, Any]]
+#: The engine's worker function shape (the local fallback runs it).
+LocalFn = Callable[[RunConfig], dict[str, Any]]
 
 
 class _Ticket:
     """One config's journey through the dispatch table."""
 
-    __slots__ = ("tid", "owner", "index", "config", "cache_root", "key",
-                 "state", "worker", "deadline")
+    __slots__ = ("tid", "owner", "index", "config", "key", "state",
+                 "worker", "deadline")
 
-    def __init__(self, tid, owner, index, config, cache_root, key):
+    def __init__(self, tid, owner, index, config: RunConfig):
         self.tid = tid
         self.owner = owner
         self.index = index
         self.config = config
-        self.cache_root = cache_root
-        self.key = key
+        self.key = config.key()  # memoized: the engine keyed it already
         self.state = PENDING
         self.worker: str | None = None
         self.deadline: float | None = None
@@ -106,7 +102,7 @@ class _Ticket:
 
     @property
     def label(self) -> str:
-        return str(self.config.get("app", "?"))
+        return self.config.app
 
 
 class _Dispatch:
@@ -156,7 +152,6 @@ class Coordinator:
         self._pending: deque[_Ticket] = deque()
         self._workers: dict[str, WorkerHealth] = {}
         self._conns: dict[str, socket.socket] = {}
-        self._caches: dict[str, ResultCache] = {}
         self._next_tid = 0
         self._no_worker_since: float | None = None
         self._stopping = False
@@ -233,14 +228,14 @@ class Coordinator:
     # -- the engine seam --------------------------------------------------
 
     def dispatch(
-        self, jobs: "list[Job]", local_fn: "LocalFn | None" = None
+        self, configs: "list[RunConfig]", local_fn: "LocalFn | None" = None
     ) -> Iterator[tuple[int, dict[str, Any] | None, BaseException | None]]:
-        """Schedule ``(config_dict, cache_root)`` jobs; yield completions.
+        """Schedule ``configs``; yield completions.
 
         The generator satisfies the executor ``imap_unordered``
-        contract: one ``(index, payload, exc)`` triple per job, in
-        completion order, with ``payload`` shaped like
-        :func:`repro.campaign.worker.run_and_cache`'s return value.
+        contract: one ``(index, result, exc)`` triple per config, in
+        completion order, with ``result`` the dict
+        :func:`repro.campaign.worker.execute_config` returns.
         ``local_fn`` is that very worker function — the fallback path
         runs it in-process when no workers are connected.
 
@@ -249,20 +244,15 @@ class Coordinator:
         of them share one pending deque and one worker pool.
         """
         self.ensure_started()
-        jobs = list(jobs)
-        disp = _Dispatch(len(jobs), local_fn if self.local_fallback else None)
+        configs = list(configs)
+        disp = _Dispatch(
+            len(configs), local_fn if self.local_fallback else None
+        )
         tickets: list[_Ticket] = []
-        # hash outside the lock: handlers answering ``next`` need it
-        keyed = [
-            (config, cache_root, RunConfig.from_dict(config).key())
-            for config, cache_root in jobs
-        ]
         with self._lock:
-            for index, (config, cache_root, key) in enumerate(keyed):
+            for index, config in enumerate(configs):
                 self._next_tid += 1
-                ticket = _Ticket(
-                    self._next_tid, disp, index, config, cache_root, key
-                )
+                ticket = _Ticket(self._next_tid, disp, index, config)
                 self._tickets[ticket.tid] = ticket
                 self._pending.append(ticket)
                 tickets.append(ticket)
@@ -285,22 +275,6 @@ class Coordinator:
                         ticket.state = FAILED
                     self._tickets.pop(ticket.tid, None)
                     self.attempts.forget(ticket.tid)
-
-    def _publish(self, ticket: _Ticket, result: dict[str, Any]) -> None:
-        """Write a ``DONE`` ticket's result to the cache, then hand it to
-        its dispatch.  Called *without* the lock: the disk work of one
-        worker's result must not hold up another worker's ``next``."""
-        if ticket.cache_root is not None:
-            with self._lock:
-                cache = self._caches.get(ticket.cache_root)
-                if cache is None:
-                    cache = ResultCache(ticket.cache_root)
-                    self._caches[ticket.cache_root] = cache
-            cache.put(RunConfig.from_dict(ticket.config), result)
-            cache.persist_stats()  # lifetime put counters survive a kill
-        ticket.owner.results.put(
-            (ticket.index, {"key": ticket.key, "result": result}, None)
-        )
 
     # -- ticket state transitions (always under the lock) -----------------
 
@@ -492,7 +466,7 @@ class Coordinator:
                         "tid": ticket.tid,
                         "key": ticket.key,
                         "attempt": self.attempts.attempts(ticket.tid) + 1,
-                        "config": ticket.config,
+                        "config": ticket.config.to_dict(),
                     }
                     break
                 self._work.wait(min(left, POLL_S))
@@ -532,7 +506,7 @@ class Coordinator:
             ticket.state = DONE
             ticket.deadline = None
             self.stats.completed += 1
-        self._publish(ticket, result)
+        ticket.owner.results.put((ticket.index, result, None))
 
     def _handle_failed(self, health: WorkerHealth,
                        msg: dict[str, Any]) -> None:
@@ -630,7 +604,7 @@ class Coordinator:
                 ticket.worker = "<local>"
                 fn = ticket.owner.local_fn
             try:
-                payload = fn((ticket.config, ticket.cache_root))
+                result = fn(ticket.config)
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:  # noqa: BLE001 - isolation seam
@@ -645,13 +619,9 @@ class Coordinator:
             with self._lock:
                 self.stats.local_runs += 1
                 if not ticket.terminal:
-                    # run_and_cache already published worker-side;
-                    # don't publish again
                     ticket.state = DONE
                     self.stats.completed += 1
-                    ticket.owner.results.put(
-                        (ticket.index, payload, None)
-                    )
+                    ticket.owner.results.put((ticket.index, result, None))
 
 
 def _readable(conn: socket.socket, timeout: float) -> bool:

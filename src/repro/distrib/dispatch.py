@@ -139,24 +139,12 @@ class DistribExecutor(Executor):
             "built the solver",
         )
 
-    def map(
-        self, fn: Callable[[_T], _R], items: Sequence[_T]
-    ) -> list[_R]:
-        """Ordered barrier map over the dispatch seam (rarely used —
-        the engine drives :meth:`imap_unordered`)."""
-        results: list = [None] * len(list(items))
-        for index, payload, exc in self.imap_unordered(fn, items):
-            if exc is not None:
-                raise exc
-            results[index] = payload
-        return results
-
     def imap_unordered(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
     ) -> Iterator[tuple[int, _R | None, BaseException | None]]:
-        """Dispatch ``(config_dict, cache_root)`` jobs to the worker
-        pool; ``fn`` (the engine passes ``run_and_cache``) doubles as
-        the local-fallback execution path."""
+        """Dispatch :class:`~repro.campaign.spec.RunConfig` items to the
+        worker pool; ``fn`` (the engine passes ``execute_config``)
+        doubles as the local-fallback execution path."""
         yield from self.coordinator.dispatch(list(items), local_fn=fn)
 
     def close(self) -> None:

@@ -7,10 +7,10 @@ A :class:`DistribWorker` connects to a coordinator, introduces itself
 request until it has work, so an idle worker sits in ``recv`` and
 starts a config the moment one is dispatched; ``wait`` is only the
 keepalive that ends a long park.  Configs execute through the same
-:func:`repro.campaign.worker.run_and_cache` path a local campaign
-uses — but with ``cache_root=None``, because the worker may be on a
-host that cannot see the campaign's cache directory; the coordinator
-publishes the shipped result into the content-addressed cache itself.
+:func:`repro.campaign.worker.execute_config` a local campaign's pool
+workers run.  The worker only computes and ships the result dict; the
+campaign engine behind the coordinator publishes it to the cache, so a
+worker needs no view of the cache directory.
 
 While a config is computing (in a thread), the connection thread sends
 ``heartbeat`` frames so the coordinator can tell "slow but alive" from
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .. import __version__
-from ..campaign.worker import run_and_cache
+from ..campaign.spec import RunConfig
+from ..campaign.worker import execute_config
 from .protocol import recv_msg, send_msg
 
 #: Heartbeat cadence while a config is computing.  Must be comfortably
@@ -66,9 +67,9 @@ class WorkerStats:
 
 
 def _default_runner(config: dict[str, Any]) -> dict[str, Any]:
-    """Execute one config dict the way a local campaign worker would,
-    minus the cache publish (the coordinator owns the cache)."""
-    return run_and_cache((config, None))["result"]
+    """Execute one wire config dict the way a local campaign worker
+    would."""
+    return execute_config(RunConfig.from_dict(config))
 
 
 class DistribWorker:

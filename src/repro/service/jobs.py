@@ -15,7 +15,7 @@ by default).  That call is the engine's own hit-serving: it journals
 ``run-done`` for a hit — so a warm prediction is answered right there,
 on the event loop, and finished before ``submit`` returns.  A miss
 becomes one asyncio task, which waits for one of ``workers`` slots and
-runs the campaign's pending half (worker-side cache publish, per-config
+runs the campaign's pending half (the engine's cache publish, per-config
 failure isolation) and its close in ``asyncio.to_thread``.  Either way
 the manifest holds the campaign-style JSONL ``repro.perfdb`` ingests
 unchanged.

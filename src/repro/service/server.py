@@ -50,6 +50,8 @@ from .jobs import FAILED, JobQueue
 
 #: Largest accepted request body.
 MAX_BODY_BYTES = 1 << 20
+#: Longest accepted request or header line (the stream reader's limit).
+MAX_LINE_BYTES = 1 << 16
 
 _ROUTES_HELP = (
     "POST /v1/predict, GET /v1/jobs[/<id>], GET /v1/machines, "
@@ -80,12 +82,18 @@ class _Request:
             raise ApiError(400, f"request body is not valid JSON: {exc}")
 
 
+async def _readline(reader: asyncio.StreamReader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # readline re-raises LimitOverrunError as this
+        raise ApiError(
+            431, f"{what} exceeds the {MAX_LINE_BYTES}-byte limit"
+        ) from None
+
+
 async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
     """Parse one request off the stream, or ``None`` on EOF/garbage."""
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
+    line = await _readline(reader, "request line")
     if not line:
         return None
     try:
@@ -94,7 +102,7 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
         return None
     headers: dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader, "header line")
         if raw in (b"\r\n", b"\n", b""):
             break
         name, _, value = raw.decode("latin-1").partition(":")
@@ -115,7 +123,7 @@ async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
-    500: "Internal Server Error",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
 }
 
 
@@ -183,7 +191,9 @@ class ReproService:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start serving; ``self.port`` holds the real port."""
         self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=MAX_LINE_BYTES
+        )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
 
@@ -215,7 +225,7 @@ class ReproService:
                 request = await asyncio.wait_for(
                     _read_request(reader), timeout=30.0
                 )
-            except (ApiError, asyncio.TimeoutError,
+            except (ApiError, ConnectionError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError) as exc:
                 if isinstance(exc, ApiError):
                     await _send_json(

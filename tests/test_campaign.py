@@ -16,6 +16,7 @@ from repro.campaign import (
     summarize,
 )
 from repro.campaign import worker
+from repro.campaign.cache import STATS_FILENAME, CacheStats
 from repro.campaign.manifest import read_events
 from repro.runtime.executors import ProcessExecutor, get_executor
 
@@ -234,6 +235,78 @@ class TestCacheAndResume:
         run_campaign(TINY, cache=None, scheduler="serial", rerun=True)
         assert ResultCache(tmp_path).lifetime_stats().reruns == 4
 
+    def test_lifetime_stats_read_only_appended_lines(self, tmp_path):
+        """Each instance keeps a running lifetime total and parses only
+        the lines appended since its last call; a torn tail waits for
+        its newline, and ``clear()`` from any instance starts it over."""
+        a, b = ResultCache(tmp_path), ResultCache(tmp_path)
+        stats = tmp_path / STATS_FILENAME
+        cfg = RunConfig(app="lbmhd", seed=0)
+
+        a.get(cfg)
+        a.persist_stats()
+        assert b.lifetime_stats() == CacheStats(misses=1)
+        b.put(cfg, {"wall_s": 1.0})
+        b.persist_stats()
+        assert a.lifetime_stats() == CacheStats(misses=1, puts=1)
+
+        # a flush caught mid-write counts once its newline lands
+        with stats.open("a") as fh:
+            fh.write('{"hits": 2')
+        assert b.lifetime_stats() == CacheStats(misses=1, puts=1)
+        with stats.open("a") as fh:
+            fh.write(', "misses": 0}\n')
+        assert b.lifetime_stats() == CacheStats(hits=2, misses=1, puts=1)
+
+        # lines already counted are not parsed again: junk written over
+        # the second line changes nothing for a reader past it, while a
+        # fresh reader skips the junk line
+        lines = stats.read_bytes().splitlines(keepends=True)
+        lines[1] = b"x" * (len(lines[1]) - 1) + b"\n"
+        stats.write_bytes(b"".join(lines))
+        assert b.lifetime_stats() == CacheStats(hits=2, misses=1, puts=1)
+        assert ResultCache(tmp_path).lifetime_stats() == CacheStats(
+            hits=2, misses=1
+        )
+
+        # clear() from another instance: a missing file reads as zero
+        a.clear()
+        assert b.lifetime_stats() == CacheStats()
+        # a file re-created behind a reader's back, longer than what it
+        # had read and perhaps on the same inode, is read from the start
+        for _ in range(2):
+            a.get(cfg)
+            a.persist_stats()
+        assert b.lifetime_stats() == CacheStats(misses=2)
+        read = stats.stat().st_size
+        a.clear()
+        while not stats.exists() or stats.stat().st_size <= read:
+            a.put(cfg, {"wall_s": 1.0})
+            a.persist_stats()
+        fresh = ResultCache(tmp_path).lifetime_stats()
+        assert fresh.misses == 0 and fresh.puts > 2
+        assert b.lifetime_stats() == fresh
+
+    def test_result_the_cache_cannot_keep_fails_its_config(
+        self, tmp_path, monkeypatch
+    ):
+        """The engine publishes every result; a publish that fails
+        (disk full, read-only root) fails that config alone."""
+        cache = ResultCache(tmp_path / "cache")
+
+        def disk_full(config, result):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cache, "put", disk_full)
+        manifest = tmp_path / "m.jsonl"
+        report = run_campaign(
+            TINY, cache=cache, manifest=manifest, scheduler="serial"
+        )
+        assert report.failures == 4
+        assert all("No space left" in r.error for r in report.rows)
+        kinds = [e["event"] for e in read_events(manifest)]
+        assert kinds.count("run-failed") == 4 and "run-done" not in kinds
+
     def test_failed_config_is_isolated(self, tmp_path):
         spec = CampaignSpec(
             name="mixed",
@@ -258,16 +331,16 @@ class TestCacheAndResume:
         served from the cache and never re-executed."""
         from repro.campaign import engine
 
-        real = worker.run_and_cache
+        real = worker.execute_config
         executed: list[str] = []
 
-        def dies_after_two(job):
+        def dies_after_two(config):
             if len(executed) >= 2:
                 raise KeyboardInterrupt  # the operator's Ctrl-C
-            executed.append(job[0]["app"] + str(job[0]["seed"]))
-            return real(job)
+            executed.append(config.app + str(config.seed))
+            return real(config)
 
-        monkeypatch.setattr(engine.worker, "run_and_cache", dies_after_two)
+        monkeypatch.setattr(engine.worker, "execute_config", dies_after_two)
         manifest = tmp_path / "killed.manifest.jsonl"
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
@@ -275,11 +348,14 @@ class TestCacheAndResume:
                 scheduler="serial",
             )
         assert len(executed) == 2
+        # both completions were published, and their puts counted on
+        # disk, before the kill
+        assert ResultCache(tmp_path / "cache").lifetime_stats().puts == 2
         # the journal recorded the completions that happened
         partial = summarize(manifest)
         assert partial["done"] == 2 and not partial["complete"]
 
-        monkeypatch.setattr(engine.worker, "run_and_cache", real)
+        monkeypatch.setattr(engine.worker, "execute_config", real)
         resumed = run_campaign(
             TINY, cache=tmp_path / "cache", manifest=manifest,
             scheduler="serial",
@@ -417,6 +493,9 @@ class TestProcessScheduler:
         )
         assert report.misses == 4
         assert len(cache) == 4
+        # the engine publishes through the caller's cache: its session
+        # counters see every put the lifetime counters do
+        assert cache.stats.puts == cache.lifetime_stats().puts == 4
 
     def test_communicator_accepts_capable_process_executor(self):
         """Since the shared-memory transport landed, a process executor

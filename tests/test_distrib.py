@@ -52,22 +52,18 @@ def _stub_result(config, host="stub-host", **over):
     return out
 
 
-def _jobs(n, cache_root=None):
+def _jobs(n):
     return [
-        (
-            RunConfig(app="lbmhd", nprocs=2, steps=1, seed=i).to_dict(),
-            cache_root,
-        )
-        for i in range(n)
+        RunConfig(app="lbmhd", nprocs=2, steps=1, seed=i) for i in range(n)
     ]
 
 
-def _consume(coord, jobs, local_fn=None):
+def _consume(coord, configs, local_fn=None):
     """Drive coord.dispatch on a thread; returns (results, thread)."""
     results = []
 
     def run():
-        results.extend(coord.dispatch(jobs, local_fn))
+        results.extend(coord.dispatch(configs, local_fn))
 
     t = threading.Thread(target=run, daemon=True)
     t.start()
@@ -139,7 +135,7 @@ def _start_worker(coord, name, runner=_stub_result, **kwargs):
 
 
 def _worker_names(results):
-    return [p["result"]["worker"] for _, p, exc in results if exc is None]
+    return [r["worker"] for _, r, exc in results if exc is None]
 
 
 @pytest.fixture
@@ -388,7 +384,7 @@ class TestDispatchFaults:
         consumer.join(timeout=30)
         assert not consumer.is_alive()
         assert len(results) == 2
-        names = {p["result"]["worker"] for _, p, exc in results if p}
+        names = {r["worker"] for _, r, exc in results if r}
         assert names == {"w0", "w1"}  # the barrier forces real mixing
         assert coord.stats.completed == 2
 
@@ -406,8 +402,8 @@ class TestDispatchFaults:
         threading.Thread(target=rescue.run, daemon=True).start()
         consumer.join(timeout=30)
         assert not consumer.is_alive()
-        (index, payload, exc) = results[0]
-        assert exc is None and payload["result"]["worker"] == "rescue"
+        (index, result, exc) = results[0]
+        assert exc is None and result["worker"] == "rescue"
         assert coord.stats.dead_workers == 1
         assert coord.stats.retried == 1
 
@@ -472,7 +468,7 @@ class TestDispatchFaults:
             stop_beat.set()
             sock.close()
             assert results[0][2] is None
-            assert results[0][1]["result"]["worker"] == "rescue"
+            assert results[0][1]["worker"] == "rescue"
             assert c.stats.timeouts >= 1
             assert c.stats.retried >= 1
         finally:
@@ -498,8 +494,8 @@ class TestDispatchFaults:
             results, consumer = _consume(c, _jobs(1))
             consumer.join(timeout=30)
             assert not consumer.is_alive()
-            index, payload, exc = results[0]
-            assert payload is None
+            index, result, exc = results[0]
+            assert result is None
             assert isinstance(exc, RemoteRunError)
             assert "2/2 attempt(s) failed" in str(exc)
             assert "kaboom" in str(exc)
@@ -515,13 +511,9 @@ class TestDispatchFaults:
         try:
             done = []
 
-            def local_fn(job):
-                config, _root = job
-                done.append(config["seed"])
-                return {
-                    "key": RunConfig.from_dict(config).key(),
-                    "result": _stub_result(config),
-                }
+            def local_fn(config):
+                done.append(config.seed)
+                return _stub_result(config.to_dict())
 
             results = list(c.dispatch(_jobs(3), local_fn))
             assert len(results) == 3 and all(
@@ -561,19 +553,34 @@ class TestDispatchFaults:
             s1.close()
             s2.close()
 
-    def test_coordinator_publishes_into_the_cache(self, coord, tmp_path):
-        w = DistribWorker(coord.endpoint, name="w", runner=_stub_result)
+    def test_coordinator_publishes_into_the_cache(self, tmp_path):
+        """Remote results reach the cache through the campaign engine,
+        the one writer: the caller's cache counts every put."""
+        ex = DistribExecutor(
+            "127.0.0.1", 0, grace_s=60, local_fallback=False
+        )
+        ex.coordinator.ensure_started()
+        w = DistribWorker(
+            ex.coordinator.endpoint, name="w", runner=_stub_result
+        )
         threading.Thread(target=w.run, daemon=True).start()
-        jobs = _jobs(2, cache_root=str(tmp_path))
-        results, consumer = _consume(coord, jobs)
-        consumer.join(timeout=30)
-        assert not consumer.is_alive()
+        configs = _jobs(2)
         cache = ResultCache(tmp_path)
+        try:
+            report = run_campaign(
+                CampaignSpec(name="remote", apps=("lbmhd",)),
+                configs=configs,
+                cache=cache,
+                scheduler=ex,
+            )
+        finally:
+            ex.close()
+        assert report.ok and report.misses == 2
         assert len(cache) == 2
-        for config_dict, _root in jobs:
-            entry = cache.get(RunConfig.from_dict(config_dict))
+        for config in configs:
+            entry = ResultCache(tmp_path).get(config)
             assert entry is not None and entry["worker"] == "w"
-        assert cache.lifetime_stats().puts == 2
+        assert cache.stats.puts == cache.lifetime_stats().puts == 2
 
 
 # -- the parked state: ``next`` is a long-poll -------------------------------

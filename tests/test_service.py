@@ -36,6 +36,7 @@ from repro.service import (
     parse_predict,
 )
 from repro.service.cli import main as service_main
+from repro.service.server import MAX_LINE_BYTES
 
 #: A fast prediction request (~ms of real solver work).
 SMALL = {
@@ -184,9 +185,10 @@ class StubScheduler(SerialExecutor):
     """A campaign scheduler for the job layer's pending half.
 
     It holds every computation until ``gate`` (a ``threading.Event``,
-    or ``None`` for open) is set, then answers each pending config with
-    ``answer(config)`` — a result dict, or an exception — in place of
-    the real worker; ``answer=None`` runs the real worker.
+    or ``None`` for open) is set, then answers each pending
+    :class:`RunConfig` with ``answer(config)`` — a result dict, or an
+    exception — in place of ``execute_config``; ``answer=None`` runs
+    the real worker.
     """
 
     def __init__(self, answer=None, gate=None):
@@ -196,13 +198,7 @@ class StubScheduler(SerialExecutor):
     def imap_unordered(self, fn, items):
         if self.gate is not None and not self.gate.wait(timeout=30):
             raise TimeoutError("the test never opened the gate")
-        if self.answer is not None:
-            fn = self._stub
-        return super().imap_unordered(fn, items)
-
-    def _stub(self, item):
-        config = RunConfig.from_dict(item[0])
-        return {"key": config.key(), "result": self.answer(config)}
+        return super().imap_unordered(self.answer or fn, items)
 
 
 class TestCoalescer:
@@ -593,6 +589,25 @@ class TestHttpApi:
         status, _ = _json(port, "GET", "/v1/healthz")
         assert status == 200
 
+    @pytest.mark.parametrize("where", ["request line", "header line"])
+    def test_oversized_line_is_431_naming_the_limit(self, service, where):
+        _, port = service
+        long = "a" * (MAX_LINE_BYTES + 4096)
+        request = (
+            f"GET /v1/{long} HTTP/1.1\r\n\r\n"
+            if where == "request line"
+            else f"GET /v1/healthz HTTP/1.1\r\nX-Long: {long}\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(request.encode())
+            reply = sock.makefile("rb").read()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"431", reply[:200]
+        error = json.loads(body)["error"]
+        assert where in error and str(MAX_LINE_BYTES) in error
+        status, _ = _json(port, "GET", "/v1/healthz")
+        assert status == 200
+
     def test_invalid_config_is_400_not_a_job(self, service):
         svc, port = service
         before = svc.queue.completed + svc.queue.failed
@@ -729,8 +744,9 @@ class TestConcurrentCoalescing:
 
         cache = stats["cache"]
         coalesce = stats["coalesce"]
-        # exactly one engine computation: one miss, one published entry
-        assert cache["misses"] == 1, stats
+        # exactly one engine computation: one miss, one published entry,
+        # counted by the service's own cache as well as on disk
+        assert cache["misses"] == cache["puts"] == 1, stats
         assert cache["lifetime"]["puts"] == 1, stats
         # everyone else piggybacked: attached in flight or a warm hit
         assert coalesce["coalesced_total"] + cache["hits"] == n - 1, stats

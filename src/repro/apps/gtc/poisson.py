@@ -11,10 +11,11 @@ the standard 5-point polar Laplacian
     1/r d/dr (r dphi/dr) + 1/r^2 d2phi/dtheta2
 
 diagonalized by an FFT in theta: each poloidal harmonic ``m`` leaves a
-radial tridiagonal system, solved directly.  Within a toroidal domain
-the solve is cheap relative to the particle work ("the computational
-work directly involving the particles accounts for almost 85% of the
-overhead").
+radial tridiagonal system, solved directly — all harmonics of all
+stacked planes in one Thomas sweep along the radius, whose inner axis
+is the long vector.  Within a toroidal domain the solve is cheap
+relative to the particle work ("the computational work directly
+involving the particles accounts for almost 85% of the overhead").
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ...workload import Work
 from .grid import PoloidalGrid
@@ -52,12 +52,11 @@ def laplacian(grid: PoloidalGrid, phi: np.ndarray) -> np.ndarray:
     return radial + poloidal
 
 
-@lru_cache(maxsize=8)
 def _radial_operators(grid: PoloidalGrid) -> np.ndarray:
     """The banded radial operator of every poloidal harmonic.
 
-    ``(nm, 3, mpsi)`` in ``solve_banded``'s ``(1, 1)`` layout, built
-    once per grid (a frozen dataclass, so it keys the cache):
+    ``(nm, 3, mpsi)`` in LAPACK's ``(1, 1)`` banded layout (upper,
+    main and lower diagonal), real:
 
         a_i phi_{i-1} + b_i phi_i + c_i phi_{i+1} = -rho_i
     """
@@ -66,7 +65,7 @@ def _radial_operators(grid: PoloidalGrid) -> np.ndarray:
     m = np.fft.rfftfreq(grid.mtheta, d=1.0 / grid.mtheta)  # harmonics
     lower = (r - 0.5 * dr) / (r * dr * dr)  # coefficient of phi_{i-1}
     upper = (r + 0.5 * dr) / (r * dr * dr)  # coefficient of phi_{i+1}
-    bands = np.zeros((len(m), 3, grid.mpsi), dtype=complex)
+    bands = np.zeros((len(m), 3, grid.mpsi))
     # theta second derivative of harmonic m: -(2 - 2 cos(m dth)) / dth^2
     for k, mk in enumerate(m):
         bands[k, 0, 1:] = upper[:-1]
@@ -75,24 +74,75 @@ def _radial_operators(grid: PoloidalGrid) -> np.ndarray:
             - (2.0 - 2.0 * np.cos(mk * dth)) / (r * r * dth * dth)
         )
         bands[k, 2, :-1] = lower[1:]
-    bands.setflags(write=False)
     return bands
+
+
+@lru_cache(maxsize=8)
+def _radial_factors(
+    grid: PoloidalGrid,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LU factors of every harmonic's radial operator, once per grid
+    (a frozen dataclass, so it keys the cache).
+
+    Returns the elimination multipliers ``(mpsi - 1, 2 nm)``, the
+    modified diagonal ``(mpsi, 2 nm)`` and the upper diagonal
+    ``(mpsi - 1, 2 nm)``.  Each harmonic's column appears twice in a
+    row, so a row multiplies a complex row viewed as float64 pairs.
+
+    The operator is diagonally dominant (``|d_i| >= l_i + u_i`` and
+    ``u_i > l_{i+1}``), so partial pivoting never swaps a row: these
+    are the factors LAPACK's tridiagonal ``gtsv`` forms, in its
+    operation order.
+    """
+    bands = _radial_operators(grid)
+    upper = bands[:, 0, 1:].T
+    diag = bands[:, 1, :].T.copy()
+    lower = bands[:, 2, :-1].T
+    mult = np.empty_like(lower)
+    for i in range(grid.mpsi - 1):
+        mult[i] = lower[i] / diag[i]
+        diag[i + 1] -= mult[i] * upper[i]
+    factors = tuple(np.repeat(a, 2, axis=-1) for a in (mult, diag, upper))
+    for a in factors:
+        a.setflags(write=False)
+    return factors
+
+
+def _radial_solve(grid: PoloidalGrid, rhs: np.ndarray) -> None:
+    """Solve every harmonic's radial system in place.
+
+    ``rhs`` is ``(n, mpsi, nm)`` complex, C-contiguous: one Thomas sweep
+    along the radius whose rows are all harmonics of all ``n`` planes,
+    the real and imaginary parts as float64 pairs (the multipliers are
+    real).  Bitwise what ``gtsv`` gives, except that a real or
+    imaginary part that is zero along a whole column may come out with
+    the other sign of zero.
+    """
+    mult, diag, upper = _radial_factors(grid)
+    x = rhs.view(np.float64)
+    tmp = np.empty_like(x[:, 0])
+    for i in range(grid.mpsi - 1):
+        np.multiply(mult[i], x[:, i], out=tmp)
+        np.subtract(x[:, i + 1], tmp, out=x[:, i + 1])
+    np.divide(x[:, -1], diag[-1], out=x[:, -1])
+    for i in range(grid.mpsi - 2, -1, -1):
+        np.multiply(upper[i], x[:, i + 1], out=tmp)
+        np.subtract(x[:, i], tmp, out=x[:, i])
+        np.divide(x[:, i], diag[i], out=x[:, i])
 
 
 def solve_poisson(grid: PoloidalGrid, rho: np.ndarray) -> np.ndarray:
     """Solve ``-laplacian(phi) = rho``; exact inverse of :func:`laplacian`.
 
     ``rho`` is one charge grid or a stack of them (any leading axes):
-    each harmonic's radial system is one banded solve over every grid
-    of the stack at once, a right-hand side column per grid.
+    one radial sweep solves every harmonic of every grid of the stack.
     """
     if rho.shape[-2:] != grid.shape:
         raise ValueError("rho does not match the grid")
     stack = rho.reshape((-1,) + grid.shape)
-    rho_m = np.fft.rfft(stack, axis=-1)  # (n, mpsi, nm)
-    phi_m = np.empty_like(rho_m)
-    for k, ab in enumerate(_radial_operators(grid)):
-        phi_m[:, :, k] = solve_banded((1, 1), ab, -rho_m[:, :, k].T).T
+    phi_m = np.fft.rfft(stack, axis=-1)  # (n, mpsi, nm)
+    np.negative(phi_m, out=phi_m)
+    _radial_solve(grid, phi_m)
     phi = np.fft.irfft(phi_m, n=grid.mtheta, axis=-1)
     return phi.reshape(rho.shape)
 

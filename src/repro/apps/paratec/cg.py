@@ -6,8 +6,8 @@ Knyazev 2001): every rank holds its slice of all ``nb`` bands as one
 ``(nb, ng_local)`` stack, and one sweep is
 
 * a start: one batched ``H X``, then a Rayleigh–Ritz on ``X`` alone —
-  ``eigh(H, S)`` factors the overlap ``S`` by Cholesky, so the random
-  or drifted start comes out orthonormal;
+  it factors the overlap ``S`` by Cholesky, so the random or drifted
+  start comes out orthonormal;
 * per iteration: the residual ``R = HX - X Lambda``, the block Teter
   preconditioner ``W = K R``, ``X`` projected out of ``W`` (one GEMM
   and one Allreduce of an ``nb x nb`` buffer), one batched ``H W``,
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from ...simmpi.comm import Communicator
 from ...workload import Work
@@ -83,9 +82,11 @@ def _lowest_ritz_pairs(
     k = m
     while k > nb and np.linalg.eigvalsh(s_sub[:k, :k])[0] < _RCOND:
         k -= nb
-    vals, vecs = eigh(
-        h_sub[:k, :k], s_sub[:k, :k], subset_by_index=(0, nb - 1)
-    )
+    # the reduction LAPACK's hegvx makes: S = L L^H, C = L^-1 H L^-H
+    l_inv = np.linalg.inv(np.linalg.cholesky(s_sub[:k, :k]))
+    c = l_inv @ h_sub[:k, :k] @ l_inv.conj().T
+    vals, vecs = np.linalg.eigh(0.5 * (c + c.conj().T))
+    vals, vecs = vals[:nb], l_inv.conj().T @ vecs[:, :nb]
     coeffs = np.zeros((m, nb), dtype=complex)
     coeffs[:k] = vecs * d[:k, None]
     return vals, coeffs

@@ -5,18 +5,13 @@ hypercube for the X1/X1E (2-D torus beyond 512 MSPs), and single-stage
 crossbars for the ES (custom IN) and SX-8 (IXS).  Each topology provides
 hop counts between *nodes* and a bisection-capacity figure (in links)
 that the collective models use to derate dense communication patterns.
-
-Graphs are materialized with :mod:`networkx` on demand for analysis and
-property tests; routine hop queries use closed forms.
+Hop counts are closed forms; no graph is built.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
-
-import networkx as nx
 
 
 class Topology(abc.ABC):
@@ -34,10 +29,6 @@ class Topology(abc.ABC):
     @abc.abstractmethod
     def bisection_links(self) -> float:
         """Links crossing a worst-case even bipartition of the nodes."""
-
-    @abc.abstractmethod
-    def build_graph(self) -> nx.Graph:
-        """Materialize the node-level graph (for tests / analysis)."""
 
     def _check(self, src: int, dst: int) -> None:
         if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
@@ -78,9 +69,6 @@ class FullCrossbar(Topology):
         # Full bisection: each node's port reaches any partner directly.
         return self.num_nodes / 2.0
 
-    def build_graph(self) -> nx.Graph:
-        return nx.complete_graph(self.num_nodes)
-
 
 class FatTree(Topology):
     """Folded-Clos / fat-tree (SP Switch2, Quadrics Elan4, InfiniBand).
@@ -113,23 +101,6 @@ class FatTree(Topology):
         # Constant-bisection fat-tree (the clusters studied were
         # non-blocking or close to it at the evaluated scales).
         return self.num_nodes / 2.0
-
-    def build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        leaves = list(range(self.num_nodes))
-        g.add_nodes_from(leaves)
-        next_id = self.num_nodes
-        frontier = leaves
-        while len(frontier) > 1:
-            parents = []
-            for i in range(0, len(frontier), self.arity):
-                parent = next_id
-                next_id += 1
-                parents.append(parent)
-                for child in frontier[i : i + self.arity]:
-                    g.add_edge(parent, child)
-            frontier = parents
-        return g
 
 
 class Hypercube4D(Topology):
@@ -167,28 +138,6 @@ class Hypercube4D(Topology):
             return self.num_nodes / 2.0
         return max(1.0, self.num_subsets / 2.0) * self.subset_size / 2.0
 
-    def build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_nodes))
-        # local crossbars
-        for s in range(self.num_subsets):
-            members = [
-                n
-                for n in range(s * self.subset_size, (s + 1) * self.subset_size)
-                if n < self.num_nodes
-            ]
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    g.add_edge(a, b)
-        # hypercube edges between subset leaders
-        dim = max(1, math.ceil(math.log2(max(self.num_subsets, 2))))
-        for s in range(self.num_subsets):
-            for bit in range(dim):
-                t = s ^ (1 << bit)
-                if t < self.num_subsets and t > s:
-                    g.add_edge(s * self.subset_size, t * self.subset_size)
-        return g
-
 
 class Torus2D(Topology):
     """2-D torus — the X1 interconnect beyond 512 MSPs."""
@@ -213,18 +162,6 @@ class Torus2D(Topology):
 
     def bisection_links(self) -> float:
         return 2.0 * min(self.nx_dim, self.ny_dim)
-
-    def build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        for node in range(self.num_nodes):
-            x, y = self._coords(node)
-            right = ((x + 1) % self.nx_dim) + y * self.nx_dim
-            up = x + ((y + 1) % self.ny_dim) * self.nx_dim
-            if right != node:
-                g.add_edge(node, right)
-            if up != node:
-                g.add_edge(node, up)
-        return g
 
 
 def make_topology(kind, num_nodes: int) -> Topology:

@@ -1,6 +1,13 @@
-"""Tests for the interconnect topology models."""
+"""Tests for the interconnect topology models.
+
+The models answer hop counts in closed form.  The oracle is each
+topology's node-level graph, built here with networkx: its shortest
+paths are the hop counts the closed forms must give.
+"""
 
 from __future__ import annotations
+
+import math
 
 import networkx as nx
 import pytest
@@ -22,6 +29,80 @@ ALL_CLASSES = [
     lambda n: Hypercube4D(n),
     lambda n: Torus2D(n),
 ]
+
+
+def _crossbar_graph(topo: FullCrossbar) -> nx.Graph:
+    return nx.complete_graph(topo.num_nodes)
+
+
+def _fat_tree_graph(topo: FatTree) -> nx.Graph:
+    """Leaves ``0 .. num_nodes - 1``, then one switch per ``arity``
+    children, level by level up to the root."""
+    g = nx.Graph()
+    leaves = list(range(topo.num_nodes))
+    g.add_nodes_from(leaves)
+    next_id = topo.num_nodes
+    frontier = leaves
+    while len(frontier) > 1:
+        parents = []
+        for i in range(0, len(frontier), topo.arity):
+            parent = next_id
+            next_id += 1
+            parents.append(parent)
+            for child in frontier[i : i + topo.arity]:
+                g.add_edge(parent, child)
+        frontier = parents
+    return g
+
+
+def _hypercube_graph(topo: Hypercube4D) -> nx.Graph:
+    """A crossbar inside each subset; hypercube edges between the
+    subsets' first nodes (their leaders)."""
+    g = nx.Graph()
+    g.add_nodes_from(range(topo.num_nodes))
+    size = topo.subset_size
+    for s in range(topo.num_subsets):
+        members = range(s * size, min((s + 1) * size, topo.num_nodes))
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                g.add_edge(a, b)
+    dim = max(1, math.ceil(math.log2(max(topo.num_subsets, 2))))
+    for s in range(topo.num_subsets):
+        for bit in range(dim):
+            t = s ^ (1 << bit)
+            if s < t < topo.num_subsets:
+                g.add_edge(s * size, t * size)
+    return g
+
+
+def _torus_graph(topo: Torus2D) -> nx.Graph:
+    g = nx.Graph()
+    for node in range(topo.num_nodes):
+        x, y = topo._coords(node)
+        right = ((x + 1) % topo.nx_dim) + y * topo.nx_dim
+        up = x + ((y + 1) % topo.ny_dim) * topo.nx_dim
+        if right != node:
+            g.add_edge(node, right)
+        if up != node:
+            g.add_edge(node, up)
+    return g
+
+
+_GRAPHS = {
+    FullCrossbar: _crossbar_graph,
+    FatTree: _fat_tree_graph,
+    Hypercube4D: _hypercube_graph,
+    Torus2D: _torus_graph,
+}
+
+
+def build_graph(topo) -> nx.Graph:
+    """The node-level graph of ``topo`` (switches are extra nodes)."""
+    return _GRAPHS[type(topo)](topo)
+
+
+def _is_leader(topo, node: int) -> bool:
+    return isinstance(topo, Hypercube4D) and node % topo.subset_size == 0
 
 
 @pytest.mark.parametrize("make", ALL_CLASSES)
@@ -50,8 +131,23 @@ class TestTopologyInvariants:
         assert make(16).bisection_links() > 0
 
     def test_graph_connected(self, make):
-        g = make(16).build_graph()
+        g = build_graph(make(16))
         assert nx.is_connected(g)
+
+    @pytest.mark.parametrize("n", [5, 16, 24, 64])
+    def test_hops_are_graph_shortest_paths(self, make, n):
+        """The closed form is the graph's shortest path.  A hypercube
+        leader is charged the local hop it does not take, so a path
+        from or to a leader may be shorter than the closed form."""
+        topo = make(n)
+        g = build_graph(topo)
+        for a in range(n):
+            dist = nx.single_source_shortest_path_length(g, a)
+            for b in range(n):
+                if _is_leader(topo, a) or _is_leader(topo, b):
+                    assert dist[b] <= topo.hops(a, b)
+                else:
+                    assert dist[b] == topo.hops(a, b), (a, b)
 
 
 class TestCrossbar:
@@ -97,7 +193,7 @@ class TestHypercube:
 
     def test_graph_matches_hops_scaling(self):
         topo = Hypercube4D(32, subset_size=8)
-        g = topo.build_graph()
+        g = build_graph(topo)
         assert nx.is_connected(g)
 
 

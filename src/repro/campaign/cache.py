@@ -14,11 +14,11 @@ and both wrote equivalent content, so the race is benign.
 
 Every cache instance counts its own traffic (:class:`CacheStats`:
 hits, misses, puts) so cache effectiveness is observable directly —
-the service's ``/v1/stats`` endpoint reads the live counters, and
-``repro-campaign status`` reads the *lifetime* counters, which
-instances persist as append-only delta lines in
-``<root>/cache-stats.jsonl`` (one small ``O_APPEND`` write per flush,
-so concurrent campaigns and services never torn-write each other).
+the service's ``/v1/stats`` endpoint reads the live counters.  The
+*lifetime* counters, which ``repro-campaign status`` reads, are a fold
+over the run events of the campaign journals in the root
+(``<root>/*.manifest.jsonl``), whichever process wrote them; a
+campaign journaled elsewhere, or not at all, is not in them.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ import json
 import os
 import tempfile
 import threading
-import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from .. import __version__
+from .manifest import SUFFIX
 from .spec import RunConfig
-
-#: File (under the cache root) accumulating persisted counter deltas.
-STATS_FILENAME = "cache-stats.jsonl"
 
 
 @dataclass
@@ -46,11 +44,11 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    #: Forced executions (``rerun=True``): counted inside ``misses``
-    #: too — a forced rerun *is* a lookup the cache did not serve, and
-    #: counting it preserves the ``gets == hits + misses`` invariant
-    #: that hit-rate rendering relies on — but broken out so status
-    #: output can tell "cold cache" from "operator forced it".
+    #: Forced executions (``rerun=True``; lifetime counters only).
+    #: Counted inside ``misses`` too — a forced rerun *is* a lookup the
+    #: cache did not serve, which keeps ``gets == hits + misses`` — but
+    #: broken out so status output can tell "cold cache" from
+    #: "operator forced it".
     reruns: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -80,10 +78,9 @@ class ResultCache:
         self._root = str(self.root)
         self.stats = CacheStats()
         self._stats_lock = threading.Lock()
-        self._persisted = CacheStats()  # counts already flushed to disk
-        self._stats_file = os.path.join(self._root, STATS_FILENAME)
         self._life_lock = threading.Lock()
-        self._forget_lifetime()
+        #: journal path -> what lifetime_stats has read of it
+        self._folds: dict[Path, _Fold] = {}
 
     def _file(self, key: str) -> str:
         # a plain string on the lookup path: pathlib interns every part
@@ -139,105 +136,46 @@ class ResultCache:
         self._count(puts=1)
         return path
 
-    def count_rerun(self) -> None:
-        """Book one forced execution (``run_campaign(rerun=True)``).
-
-        A forced rerun bypasses :meth:`get`, so without this the
-        resulting :meth:`put` would persist with no matching lookup and
-        lifetime counters would violate ``gets == hits + misses``.  It
-        counts as a miss (a lookup the cache did not serve) *and* as a
-        distinct ``reruns`` counter so status output can attribute it.
-        """
-        self._count(misses=1, reruns=1)
-
     def _count(
-        self,
-        *,
-        hits: int = 0,
-        misses: int = 0,
-        puts: int = 0,
-        reruns: int = 0,
+        self, *, hits: int = 0, misses: int = 0, puts: int = 0
     ) -> None:
         with self._stats_lock:
             self.stats.hits += hits
             self.stats.misses += misses
             self.stats.puts += puts
-            self.stats.reruns += reruns
 
     def persist_stats(self) -> None:
-        """Append this instance's unflushed counter deltas to
-        ``cache-stats.jsonl`` (no-op when nothing changed since the last
-        flush).  The campaign engine calls it after every publish and
-        once more at the end of an invocation, so lifetime counters
-        survive the process, even a killed one."""
-        with self._stats_lock:
-            delta = CacheStats(
-                hits=self.stats.hits - self._persisted.hits,
-                misses=self.stats.misses - self._persisted.misses,
-                puts=self.stats.puts - self._persisted.puts,
-                reruns=self.stats.reruns - self._persisted.reruns,
-            )
-            if not (delta.hits or delta.misses or delta.puts or delta.reruns):
-                return
-            self._persisted = CacheStats(**self.stats.as_dict())
-        line = json.dumps(
-            {**delta.as_dict(), "time": time.time()}, sort_keys=True
-        )
-        # O_APPEND: one small write, atomic in practice across processes
-        with open(self._stats_file, "a") as fh:
-            fh.write(line + "\n")
+        """A no-op (lifetime counters fold the journals), kept only while
+        the ladder's layer probe times it (``campaign.persist_stats_us``)."""
+
+    def journals(self) -> list[Path]:
+        """The campaign journals in the root: its record of traffic."""
+        return sorted(self.root.glob("*" + SUFFIX))
 
     def lifetime_stats(self) -> CacheStats:
-        """Summed persisted counters across every instance and process
-        that ever flushed into this cache root (torn lines skipped).
+        """Counters summed over every journal in the root, whoever
+        wrote it: a ``run-start`` is a miss (and a rerun when it says
+        so), a ``run-done`` a hit when ``cached`` and a put otherwise.
 
-        Incremental: the instance keeps a running total and the byte
-        offset just past the last complete line it read, so a call
-        parses only the lines appended since.  A last line still
-        missing its newline (a flush being written) waits for the next
-        call.  A missing, shrunk or replaced file (:meth:`clear` from
-        any process) starts the total over; inode numbers get reused,
-        so "replaced" also compares the first line, which carries its
-        flush time.
+        Incremental: the instance keeps, per journal, its counts and the
+        byte offset just past the last complete line it read, so a call
+        parses only the lines appended since, one at a time.  A last
+        line still missing its newline (an append being written) waits
+        for the next call.  A missing, shrunk or replaced journal
+        (:meth:`clear` from any process) is folded from the start;
+        inode numbers get reused, so "replaced" also compares the first
+        line, whose ``campaign-start`` carries its time.
         """
         with self._life_lock:
-            try:
-                fh = open(self._stats_file, "rb")
-            except OSError:
-                self._forget_lifetime()
-                return CacheStats()
-            with fh:
-                st = os.fstat(fh.fileno())
-                ident = (st.st_ino, fh.readline())
-                if ident != self._life_ident or st.st_size < self._life_at:
-                    self._forget_lifetime()
-                    fh.seek(0)
-                else:
-                    fh.seek(self._life_at)
-                total = self._life
-                for line in fh:
-                    if not line.endswith(b"\n"):
-                        break  # torn tail: read it once it is whole
-                    self._life_at += len(line)
-                    try:
-                        d = json.loads(line)
-                    except ValueError:
-                        continue
-                    total.hits += int(d.get("hits", 0))
-                    total.misses += int(d.get("misses", 0))
-                    total.puts += int(d.get("puts", 0))
-                    # older stats lines predate the reruns counter
-                    total.reruns += int(d.get("reruns", 0))
-                if self._life_at:
-                    self._life_ident = ident
-            return CacheStats(**total.as_dict())
-
-    def _forget_lifetime(self) -> None:
-        """Drop the running lifetime total (caller holds the lock, or
-        the instance is not shared yet)."""
-        self._life = CacheStats()
-        self._life_at = 0
-        self._life_ident: tuple[int, bytes] | None = None
+            self._folds = {
+                path: fold
+                for path in self.journals()
+                if (fold := _fold(path, self._folds.get(path))) is not None
+            }
+            total: Counter[str] = Counter()
+            for fold in self._folds.values():
+                total.update(fold.counts.as_dict())
+            return CacheStats(**total)
 
     @staticmethod
     def _is_entry(path: Path) -> bool:
@@ -280,8 +218,8 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry (stale ``.tmp`` staging files included, so
-        shard dirs actually empty out); returns how many entries were
-        removed."""
+        shard dirs actually empty out) and the root's journals, which
+        record its traffic; returns how many entries were removed."""
         removed = 0
         self.sweep_tmp()
         for path in list(self.root.glob("*/*.json")):
@@ -297,13 +235,54 @@ class ResultCache:
                     sub.rmdir()
                 except OSError:
                     pass
-        try:  # lifetime counters describe the entries; drop them together
-            (self.root / STATS_FILENAME).unlink()
-        except FileNotFoundError:
-            pass
+        for path in self.journals():
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                pass
         with self._stats_lock:
             self.stats = CacheStats()
-            self._persisted = CacheStats()
         with self._life_lock:
-            self._forget_lifetime()
+            self._folds = {}
         return removed
+
+
+@dataclass
+class _Fold:
+    """What :meth:`ResultCache.lifetime_stats` has read of a journal."""
+
+    ident: tuple[int, bytes]  # inode, first line
+    at: int = 0  # just past the last complete line
+    counts: CacheStats = field(default_factory=CacheStats)
+
+
+def _fold(path: Path, fold: "_Fold | None") -> "_Fold | None":
+    """``fold`` brought up to the end of ``path`` (a fresh one when the
+    file is not the one it read), or ``None`` when it cannot be read."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        st = os.fstat(fh.fileno())
+        ident = (st.st_ino, fh.readline())
+        if fold is None or ident != fold.ident or st.st_size < fold.at:
+            fold = _Fold(ident)
+        fh.seek(fold.at)
+        counts = fold.counts
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break  # torn tail: read it once it is whole
+            fold.at += len(line)
+            try:
+                event = json.loads(line)
+                kind = event.get("event")
+            except (AttributeError, ValueError):
+                continue  # junk, or JSON that is not an event
+            if kind == "run-start":
+                counts.misses += 1
+                counts.reruns += bool(event.get("rerun"))
+            elif kind == "run-done":
+                counts.hits += bool(event.get("cached"))
+                counts.puts += not event.get("cached")
+    return fold

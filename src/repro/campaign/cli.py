@@ -26,10 +26,11 @@ import json
 import sys
 from pathlib import Path
 
+from ..clitools import quiet_on_closed_stdout
 from ..harness.apps import APPLICATIONS
 from .cache import ResultCache
-from .engine import default_manifest_path, run_campaign
-from .manifest import summarize
+from .engine import run_campaign
+from .manifest import SUFFIX, summarize
 from .spec import CampaignSpec
 from .worker import build_params
 
@@ -77,18 +78,12 @@ def _cmd_run(args) -> int:
         print(f"repro-campaign: {exc}", file=sys.stderr)
         return 2
 
-    cache = ResultCache(args.cache_dir)
-    manifest = (
-        Path(args.manifest)
-        if args.manifest
-        else default_manifest_path(args.cache_dir, spec.name)
-    )
     progress = None if args.quiet else _progress_printer(sys.stderr)
     try:
         report = run_campaign(
             spec,
-            cache=cache,
-            manifest=manifest,
+            cache=args.cache_dir,
+            manifest=args.manifest,
             scheduler=args.scheduler,
             rerun=args.rerun,
             progress=progress,
@@ -107,7 +102,7 @@ def _cmd_run(args) -> int:
 def _latest_manifest(cache_dir: str) -> Path | None:
     root = Path(cache_dir)
     journals = sorted(
-        root.glob("*.manifest.jsonl"), key=lambda p: p.stat().st_mtime
+        root.glob("*" + SUFFIX), key=lambda p: p.stat().st_mtime
     )
     return journals[-1] if journals else None
 
@@ -137,7 +132,7 @@ def _cmd_status(args) -> int:
         args.cache_dir
     )
     if path is None or not path.exists():
-        where = args.manifest or f"{args.cache_dir}/*.manifest.jsonl"
+        where = args.manifest or f"{args.cache_dir}/*{SUFFIX}"
         print(f"repro-campaign: no manifest found: {where}",
               file=sys.stderr)
         return 2
@@ -182,11 +177,8 @@ def _cmd_status(args) -> int:
 
 def _cmd_clean(args) -> int:
     cache = ResultCache(args.cache_dir)
+    journals = len(cache.journals())
     removed = cache.clear()
-    journals = 0
-    for path in Path(args.cache_dir).glob("*.manifest.jsonl"):
-        path.unlink()
-        journals += 1
     print(
         f"repro-campaign: removed {removed} cached result(s) and "
         f"{journals} manifest(s) from {args.cache_dir}"
@@ -194,6 +186,7 @@ def _cmd_clean(args) -> int:
     return 0
 
 
+@quiet_on_closed_stdout
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",

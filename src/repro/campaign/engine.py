@@ -7,12 +7,12 @@ every completion to the JSONL manifest, and returns a
 :class:`~repro.campaign.report.CampaignReport`.
 
 It runs in two halves a caller may also take apart.
-:func:`open_campaign` journals ``campaign-start`` and serves the hits
-(one cache lookup per config, no computation);
-:meth:`OpenCampaign.run_pending` computes the misses, the one blocking
-part; :meth:`OpenCampaign.close` journals ``campaign-end``.  The
-prediction service opens on its event loop and hands only a campaign
-with misses to a worker thread.
+:func:`open_campaign` serves the hits (one cache lookup per config, no
+computation); :meth:`OpenCampaign.run_pending` computes the misses, the
+one blocking part; :meth:`OpenCampaign.close` builds the report.  Those
+journal run events only: :func:`run_campaign` journals
+``campaign-start`` and ``campaign-end`` around them, and the prediction
+service does so once per process.
 
 Resume comes for free: the engine is the cache's one writer.  It
 publishes each result to the content-addressed cache the moment the
@@ -31,13 +31,13 @@ import os
 import socket
 import time
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .. import __version__
 from ..runtime.executors import Executor, get_executor
 from . import worker
 from .cache import ResultCache
-from .manifest import Manifest, NullManifest
+from .manifest import SUFFIX, Manifest, NullManifest
 from .report import CampaignReport, ConfigResult
 from .spec import CampaignSpec, RunConfig, unique_configs
 
@@ -48,9 +48,45 @@ ProgressFn = Callable[[int, int, ConfigResult], None]
 def default_manifest_path(
     cache_root: str | Path, name: str
 ) -> Path:
-    """Where ``repro-campaign run`` journals campaign ``name``."""
+    """Where a campaign named ``name`` journals when given a cache at
+    ``cache_root`` and no journal of its own."""
     safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
-    return Path(cache_root) / f"{safe}.manifest.jsonl"
+    return Path(cache_root) / f"{safe}{SUFFIX}"
+
+
+def open_journal(
+    manifest: "Manifest | NullManifest | str | Path | None",
+    cache: ResultCache | None,
+    name: str,
+) -> "Manifest | NullManifest":
+    """The one placement rule: ``None`` is the cache root's journal for
+    campaign ``name`` (none without a cache), where the root's lifetime
+    counters fold it; a path or journal is the caller's choice."""
+    if isinstance(manifest, (Manifest, NullManifest)):
+        return manifest
+    if manifest is None:
+        if cache is None:
+            return NullManifest()
+        manifest = default_manifest_path(cache.root, name)
+    return Manifest(manifest)
+
+
+def start_event(spec: CampaignSpec, total: int, scheduler: str) -> dict:
+    """``campaign-start`` for ``spec``: with the host and version its
+    numbers come from (``repro.perfdb`` ingests them) and its time."""
+    return {
+        "event": "campaign-start",
+        "name": spec.name,
+        "total": total,
+        "scheduler": scheduler,
+        "spec": spec.to_dict(),
+        "host": {
+            "name": socket.gethostname(),
+            "cpu_count": os.cpu_count() or 1,
+        },
+        "version": __version__,
+        "time": time.time(),
+    }
 
 
 def resolve_scheduler(spec: "str | Executor") -> Executor:
@@ -94,8 +130,10 @@ def run_campaign(
         A :class:`ResultCache`, a directory for one, or ``None`` to run
         uncached (every config executes; benchmarks do this).
     manifest:
-        A :class:`Manifest`, a path for one, or ``None`` (or a
-        :class:`NullManifest`) for no journal.
+        A :class:`Manifest`, a path for one, a :class:`NullManifest`
+        for no journal, or ``None``: the cache root's
+        ``<name>.manifest.jsonl`` (no journal when uncached).  Only a
+        journal in the cache root counts in its lifetime counters.
     scheduler:
         How configs are fanned out: an executor spec string
         (``"processes"``, ``"processes:N"``, ``"serial"``,
@@ -110,7 +148,7 @@ def run_campaign(
         Callback invoked after every config resolves (hit, miss, or
         failure) with ``(done, total, row)`` — the CLI's live line.
     """
-    campaign = open_campaign(
+    campaign = OpenCampaign(
         spec,
         configs=configs,
         cache=cache,
@@ -119,83 +157,33 @@ def run_campaign(
         rerun=rerun,
         progress=progress,
     )
-    campaign.run_pending()
-    return campaign.close()
-
-
-def open_campaign(
-    spec: CampaignSpec,
-    *,
-    configs: "Iterable[RunConfig] | None" = None,
-    cache: "ResultCache | str | Path | None" = None,
-    manifest: "Manifest | NullManifest | str | Path | None" = None,
-    scheduler: "str | Executor" = "processes",
-    rerun: bool = False,
-    progress: ProgressFn | None = None,
-) -> "OpenCampaign":
-    """The first half of :func:`run_campaign`: journal
-    ``campaign-start``, look every config up in the cache once, and
-    journal ``run-done`` for each hit.  Nothing is computed here; the
-    misses wait in :attr:`OpenCampaign.pending` for
-    :meth:`~OpenCampaign.run_pending`.  Parameters as for
-    :func:`run_campaign`.
-    """
-    t0 = time.perf_counter()
-    if cache is not None and not isinstance(cache, ResultCache):
-        cache = ResultCache(cache)
-    journal: "Manifest | NullManifest"
-    if manifest is None:
-        journal = NullManifest()
-    elif isinstance(manifest, (Manifest, NullManifest)):
-        journal = manifest
-    else:
-        journal = Manifest(manifest)
-
-    configs = unique_configs(
-        spec.expand() if configs is None else configs
+    campaign.journal.append(
+        start_event(spec, len(campaign.configs), campaign.executor.name)
     )
-    executor = resolve_scheduler(scheduler)
-    journal.append(
+    campaign.serve_hits()
+    campaign.run_pending()
+    report = campaign.close()
+    campaign.journal.append(
         {
-            "event": "campaign-start",
-            "name": spec.name,
-            "total": len(configs),
-            "scheduler": executor.name,
-            "spec": spec.to_dict(),
-            # provenance for repro.perfdb ingestion: which host and
-            # package version this invocation's numbers come from
-            "host": {
-                "name": socket.gethostname(),
-                "cpu_count": os.cpu_count() or 1,
-            },
-            "version": __version__,
+            "event": "campaign-end",
+            "hits": report.hits,
+            "misses": report.misses,
+            "failures": report.failures,
+            "wall_s": report.wall_s,
         }
     )
-    campaign = OpenCampaign(
-        spec, configs, cache, journal, executor, progress, t0
-    )
-    for i, cfg in enumerate(configs):
-        hit = cache.get(cfg) if (cache is not None and not rerun) else None
-        if hit is None and rerun and cache is not None:
-            # a forced execution never called cache.get, but its put
-            # still lands — book the lookup-we-skipped so lifetime
-            # counters keep gets == hits + misses (with a distinct
-            # rerun count so status can attribute it)
-            cache.count_rerun()
-        if hit is not None:
-            campaign._finish(
-                i,
-                ConfigResult(
-                    config=cfg,
-                    key=cfg.key(),
-                    cached=True,
-                    wall_s=float(hit.get("wall_s", 0.0)),
-                    gflops=float(hit.get("gflops", 0.0)),
-                    result=hit,
-                ),
-            )
-        else:
-            campaign.pending.append(i)
+    return report
+
+
+def open_campaign(spec: CampaignSpec, **options: Any) -> "OpenCampaign":
+    """The first half of :func:`run_campaign`, less its framing: look
+    every config up in the cache once and journal ``run-done`` for each
+    hit.  Nothing is computed here; the misses wait in
+    :attr:`OpenCampaign.pending` for :meth:`~OpenCampaign.run_pending`.
+    ``options`` are :func:`run_campaign`'s.
+    """
+    campaign = OpenCampaign(spec, **options)
+    campaign.serve_hits()
     return campaign
 
 
@@ -204,30 +192,48 @@ class OpenCampaign:
 
     ``pending`` lists the indices (into ``configs``) the cache did not
     serve.  :meth:`run_pending` computes them on the scheduler — the
-    one blocking half — and :meth:`close` journals ``campaign-end``,
-    flushes the cache counters and returns the report.  A campaign
-    whose ``pending`` is empty after opening needs only :meth:`close`.
+    one blocking half — and :meth:`close` returns the report.  A
+    campaign whose ``pending`` is empty after opening needs only
+    :meth:`close`.
     """
 
     def __init__(
         self,
         spec: CampaignSpec,
-        configs: list[RunConfig],
-        cache: ResultCache | None,
-        journal: "Manifest | NullManifest",
-        executor: Executor,
-        progress: ProgressFn | None,
-        t0: float,
+        *,
+        configs: "Iterable[RunConfig] | None" = None,
+        cache: "ResultCache | str | Path | None" = None,
+        manifest: "Manifest | NullManifest | str | Path | None" = None,
+        scheduler: "str | Executor" = "processes",
+        rerun: bool = False,
+        progress: ProgressFn | None = None,
     ) -> None:
+        self._t0 = time.perf_counter()
+        if cache is not None and not isinstance(cache, ResultCache):
+            cache = ResultCache(cache)
         self.spec = spec
-        self.configs = configs
+        self.configs = unique_configs(
+            spec.expand() if configs is None else configs
+        )
         self.cache = cache
-        self.journal = journal
-        self.executor = executor
+        self.journal = open_journal(manifest, cache, spec.name)
+        self.executor = resolve_scheduler(scheduler)
+        self.rerun = rerun
         self.progress = progress
         self.pending: list[int] = []
         self._rows: dict[int, ConfigResult] = {}
-        self._t0 = t0
+
+    def serve_hits(self) -> None:
+        """Look every config up in the cache once (none under
+        ``rerun``): journal ``run-done`` for each hit, and leave the
+        rest in ``pending``."""
+        cache = None if self.rerun else self.cache
+        for i, cfg in enumerate(self.configs):
+            hit = cache.get(cfg) if cache is not None else None
+            if hit is None:
+                self.pending.append(i)
+            else:
+                self._finish(i, _done(cfg, hit, cached=True))
 
     def _finish(self, i: int, row: ConfigResult) -> None:
         self._rows[i] = row
@@ -276,25 +282,26 @@ class OpenCampaign:
             return
         configs = [self.configs[i] for i in pending]
         for cfg in configs:
-            self.journal.append(
-                {
-                    "event": "run-start",
-                    "key": cfg.key(),
-                    "label": cfg.label,
-                    "config": cfg.to_dict(),
-                }
-            )
+            event = {
+                "event": "run-start",
+                "key": cfg.key(),
+                "label": cfg.label,
+                "config": cfg.to_dict(),
+            }
+            if self.rerun:
+                # a forced execution: a miss the cache was never asked
+                # about, booked apart in the lifetime counters
+                event["rerun"] = True
+            self.journal.append(event)
         for j, result, exc in self.executor.imap_unordered(
             worker.execute_config, configs
         ):
             cfg = configs[j]
             if exc is None and self.cache is not None:
-                # published before its run-done, and the put counted on
-                # disk at once: a campaign killed after this resumes
-                # from the result and its lifetime put
+                # published before its run-done: a campaign killed
+                # between the two resumes from the result
                 try:
                     self.cache.put(cfg, result)
-                    self.cache.persist_stats()
                 except OSError as err:  # a result it cannot keep fails
                     exc = err
             if exc is not None:
@@ -305,36 +312,26 @@ class OpenCampaign:
                     error=f"{type(exc).__name__}: {exc}",
                 )
             else:
-                row = ConfigResult(
-                    config=cfg,
-                    key=cfg.key(),
-                    cached=False,
-                    wall_s=float(result.get("wall_s", 0.0)),
-                    gflops=float(result.get("gflops", 0.0)),
-                    result=result,
-                )
+                row = _done(cfg, result, cached=False)
             self._finish(pending[j], row)
 
     def close(self) -> CampaignReport:
-        """Journal ``campaign-end``, flush this invocation's cache
-        counters, and return the report."""
-        report = CampaignReport(
+        """The report of every config served or computed so far."""
+        return CampaignReport(
             spec=self.spec,
             rows=[self._rows[i] for i in sorted(self._rows)],
             wall_s=time.perf_counter() - self._t0,
             scheduler=self.executor.name,
         )
-        self.journal.append(
-            {
-                "event": "campaign-end",
-                "hits": report.hits,
-                "misses": report.misses,
-                "failures": report.failures,
-                "wall_s": report.wall_s,
-            }
-        )
-        if self.cache is not None:
-            # lifetime counters: puts flushed as they were published;
-            # this invocation's hits/misses flush here
-            self.cache.persist_stats()
-        return report
+
+
+def _done(cfg: RunConfig, result: dict, *, cached: bool) -> ConfigResult:
+    """The report row of a config served or computed."""
+    return ConfigResult(
+        config=cfg,
+        key=cfg.key(),
+        cached=cached,
+        wall_s=float(result.get("wall_s", 0.0)),
+        gflops=float(result.get("gflops", 0.0)),
+        result=result,
+    )

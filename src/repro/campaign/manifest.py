@@ -2,22 +2,27 @@
 
 Every event is one JSON object per line, appended and flushed as it
 happens, so a campaign killed mid-flight leaves a readable journal up
-to the kill point.  The journal is *descriptive* — resume correctness
-comes from the content-addressed cache (a completed run's entry was
-published before its ``run-done`` event was journaled) — but it is what
-``repro-campaign status`` renders and what post-hoc tooling reads.
+to the kill point.  Resume correctness comes from the content-addressed
+cache (a completed run's entry was published before its ``run-done``
+event was journaled).  The journals in a cache root are its one record
+of traffic: ``repro-campaign status`` renders them, and
+:meth:`~repro.campaign.cache.ResultCache.lifetime_stats` folds them.
 
 Events::
 
     {"event": "campaign-start", "name": ..., "total": N, "spec": {...},
-     "host": {"name": ..., "cpu_count": N}, "version": ...}
-    {"event": "run-start",  "key": ..., "label": ..., "config": {...}}
+     "host": {"name": ..., "cpu_count": N}, "version": ..., "time": ...}
+    {"event": "run-start",  "key": ..., "label": ..., "config": {...},
+     "rerun": true}                          # rerun only under rerun=True
     {"event": "run-done",   "key": ..., "label": ..., "config": {...},
      "cached": bool, "wall_s": ..., "gflops": ..., "executor": ...}
     {"event": "run-failed", "key": ..., "label": ..., "config": {...},
      "error": "..."}
     {"event": "campaign-end", "hits": H, "misses": M, "failures": F,
      "wall_s": ...}
+
+``run_campaign`` journals ``campaign-start`` and ``campaign-end``
+around its run events; the prediction service, once per process.
 
 The ``config`` and ``host``/``version`` fields are what
 :func:`repro.perfdb.ingest.records_from_manifest` normalizes into
@@ -31,6 +36,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Any, Iterator
+
+#: File suffix of a campaign journal.
+SUFFIX = ".manifest.jsonl"
 
 
 class Manifest:
@@ -101,7 +109,8 @@ def summarize(path: str | Path) -> dict[str, Any]:
     hits = sum(1 for e in done if e.get("cached"))
     return {
         "name": name,
-        "total": total,
+        # the service journals an open-ended campaign (total 0)
+        "total": max(total, len(runs)),
         "complete": ended,
         "done": len(done),
         "hits": hits,

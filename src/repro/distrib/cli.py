@@ -24,6 +24,7 @@ import socket
 import sys
 
 from .. import __version__
+from ..clitools import quiet_on_closed_stdout
 from .protocol import ProtocolError
 from .worker import DistribWorker, WorkerError
 
@@ -98,6 +99,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
+@quiet_on_closed_stdout
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "worker":

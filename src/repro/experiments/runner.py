@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..clitools import quiet_on_closed_stdout
 from ..runtime.executors import (
     EXECUTORS,
     ProcessExecutor,
@@ -131,6 +132,7 @@ def list_experiments() -> str:
     )
 
 
+@quiet_on_closed_stdout
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",

@@ -21,6 +21,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..clitools import quiet_on_closed_stdout
 from .ingest import ingest_path
 from .query import AXIS_FIELDS, VALUE_FIELDS, pivot
 from .reports import (
@@ -190,6 +191,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@quiet_on_closed_stdout
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-perfdb",

@@ -26,10 +26,10 @@ import json
 import signal
 import sys
 
-from ..campaign.cache import ResultCache
-from ..campaign.cli import _progress_printer, load_spec
-from ..campaign.engine import default_manifest_path, run_campaign
+from ..campaign.cli import _cache_stats_line, _progress_printer, load_spec
+from ..campaign.engine import run_campaign
 from ..campaign.spec import CampaignSpec
+from ..clitools import quiet_on_closed_stdout
 from .server import ReproService
 
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -97,13 +97,11 @@ def _cmd_warm(args) -> int:
         print(f"repro-service: {exc}", file=sys.stderr)
         return 2
 
-    cache = ResultCache(args.cache_dir)
     progress = None if args.quiet else _progress_printer(sys.stderr)
     try:
         report = run_campaign(
             spec,
-            cache=cache,
-            manifest=default_manifest_path(args.cache_dir, spec.name),
+            cache=args.cache_dir,
             scheduler=args.scheduler,
             progress=progress,
         )
@@ -115,16 +113,11 @@ def _cmd_warm(args) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.render())
-        life = cache.lifetime_stats()
-        n = len(cache)
-        print(
-            f"cache {cache.root}: {n} entr{'y' if n == 1 else 'ies'} warm; "
-            f"lifetime {life.hits} hit(s), {life.misses} miss(es), "
-            f"{life.puts} put(s)"
-        )
+        print(_cache_stats_line(args.cache_dir))
     return 0 if report.ok else 1
 
 
+@quiet_on_closed_stdout
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-service",

@@ -8,24 +8,26 @@ key up in the queue's one in-flight table: an unfinished job there
 takes the request as a coalesced waiter.  Otherwise it indexes a new
 job and opens a one-config campaign through
 :func:`~repro.campaign.engine.open_campaign` with the shared
-:class:`~repro.campaign.cache.ResultCache`, the shared service manifest
+:class:`~repro.campaign.cache.ResultCache`, the shared service journal
 and the shared campaign-level executor (``ProcessExecutor`` worker pool
-by default).  That call is the engine's own hit-serving: it journals
-``campaign-start``, makes the request's one cache lookup, and journals
-``run-done`` for a hit — so a warm prediction is answered right there,
-on the event loop, and finished before ``submit`` returns.  A miss
-becomes one asyncio task, which waits for one of ``workers`` slots and
-runs the campaign's pending half (the engine's cache publish, per-config
-failure isolation) and its close in ``asyncio.to_thread``.  Either way
-the manifest holds the campaign-style JSONL ``repro.perfdb`` ingests
-unchanged.
+by default).  That call is the engine's own hit-serving: it makes the
+request's one cache lookup and journals ``run-done`` for a hit — so a
+warm prediction is answered right there, on the event loop, and
+finished before ``submit`` returns.  A miss becomes one asyncio task,
+which waits for one of ``workers`` slots and runs the campaign's
+pending half (the engine's cache publish, per-config failure
+isolation) and its close in ``asyncio.to_thread``.
+
+The queue journals as one campaign: ``campaign-start`` with its first
+request, then every request's run events, and ``campaign-end`` in
+:meth:`JobQueue.stop` — JSONL ``repro.perfdb`` ingests unchanged.
 
 All job state is mutated on the event loop, and nothing awaits between
 the in-flight lookup and the indexing of a new job, so two identical
 requests can never both open a campaign.  What runs on the loop for a
-hit is one cache entry read, three journal appends and one stats
-flush; nothing is computed there — a miss, including an entry the
-cache cannot read, always goes to a worker thread.
+hit is one cache entry read and one journal append; nothing is
+computed there — a miss, including an entry the cache cannot read,
+always goes to a worker thread.
 """
 
 from __future__ import annotations
@@ -34,13 +36,21 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 from ..campaign.cache import ResultCache
-from ..campaign.engine import OpenCampaign, open_campaign, resolve_scheduler
+from ..campaign.engine import (
+    OpenCampaign,
+    open_campaign,
+    open_journal,
+    resolve_scheduler,
+    start_event,
+)
 from ..campaign.manifest import Manifest, NullManifest
 from ..campaign.report import CampaignReport, ConfigResult
 from ..campaign.spec import CampaignSpec, RunConfig
+from ..harness.apps import APPLICATIONS
 
 #: Job lifecycle states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -127,7 +137,7 @@ class JobQueue:
         self,
         *,
         cache: ResultCache | None,
-        manifest: "Manifest | NullManifest | None" = None,
+        manifest: "Manifest | NullManifest | str | Path | None" = None,
         scheduler: Any = "serial",
         workers: int = 2,
         campaign_name: str = "service",
@@ -135,10 +145,15 @@ class JobQueue:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.cache = cache
-        self.manifest = manifest if manifest is not None else NullManifest()
+        self.manifest = open_journal(manifest, cache, campaign_name)
         self.scheduler = resolve_scheduler(scheduler)
         self.workers = workers
-        self.campaign_name = campaign_name
+        #: the one campaign every request belongs to
+        self.spec = CampaignSpec(
+            name=campaign_name, apps=tuple(APPLICATIONS)
+        )
+        #: perf_counter() at the journaled campaign-start, or None
+        self._opened: float | None = None
         self._slots = asyncio.Semaphore(workers)
         self._tasks: set[asyncio.Task] = set()
         self._jobs: dict[str, Job] = {}
@@ -151,6 +166,8 @@ class JobQueue:
         #: Requests served by attaching to an in-flight job.
         self.coalesced_total = 0
         self.completed = 0
+        #: completed jobs served from the cache
+        self.hits = 0
         self.failed = 0
 
     # -- introspection ----------------------------------------------------
@@ -178,9 +195,21 @@ class JobQueue:
     # -- lifecycle --------------------------------------------------------
 
     async def stop(self) -> None:
-        """Return once every accepted miss has finished."""
+        """Return once every accepted miss has finished, the campaign
+        ended in the journal."""
         while self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
+        if self._opened is not None:
+            self.manifest.append(
+                {
+                    "event": "campaign-end",
+                    "hits": self.hits,
+                    "misses": self.completed - self.hits,
+                    "failures": self.failed,
+                    "wall_s": time.perf_counter() - self._opened,
+                }
+            )
+            self._opened = None
 
     def submit(self, config: RunConfig) -> tuple[Job, bool]:
         """Accept one prediction: ``(job, coalesced)``.  ``coalesced``
@@ -207,12 +236,13 @@ class JobQueue:
             }
         )
         try:
+            if self._opened is None:
+                self.manifest.append(
+                    start_event(self.spec, 0, self.scheduler.name)
+                )
+                self._opened = time.perf_counter()
             campaign = open_campaign(
-                CampaignSpec(
-                    name=self.campaign_name,
-                    apps=(config.app,),
-                    steps=config.steps,
-                ),
+                self.spec,
                 configs=[config],
                 cache=self.cache,
                 manifest=self.manifest,
@@ -272,6 +302,7 @@ class JobQueue:
             job.gflops = row.gflops
             job.result = row.result
             self.completed += 1
+            self.hits += row.cached
             final = {
                 "event": DONE,
                 "job": job.id,

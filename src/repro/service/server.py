@@ -21,12 +21,12 @@ Endpoints::
 Request flow for ``/v1/predict``: validate -> ``JobQueue.submit``,
 synchronous on the event loop: attach to the in-flight job for the
 campaign's SHA-256 content key, or open a one-config campaign (one
-cache lookup, journaled to the service manifest ``repro-perfdb``
-ingests) -> a hit is answered right there; a miss becomes a task that
-waits for one of ``workers`` slots and computes in a thread (on the
-``ProcessExecutor`` pool by default) -> respond.  Identical in-flight
-requests attach to one computation; identical later requests are warm
-cache hits, and never wait behind a computation.
+cache lookup; a hit appends its ``run-done`` to the service journal
+``repro-perfdb`` ingests) -> a hit is answered right there; a miss
+becomes a task that waits for one of ``workers`` slots and computes in
+a thread (on the ``ProcessExecutor`` pool by default) -> respond.
+Identical in-flight requests attach to one computation; identical later
+requests are warm cache hits, and never wait behind a computation.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Any
 
 from .. import __version__
 from ..campaign.cache import ResultCache
-from ..campaign.engine import default_manifest_path, resolve_scheduler
+from ..campaign.engine import resolve_scheduler
 from ..campaign.manifest import Manifest, NullManifest
 from ..experiments import whatif
 from ..machines.catalog import PAPER_ORDER, get_machine
@@ -163,21 +163,15 @@ class ReproService:
         campaign_name: str = "service",
     ) -> None:
         self.cache = ResultCache(cache_dir)
-        if manifest is None:
-            manifest = Manifest(
-                default_manifest_path(self.cache.root, campaign_name)
-            )
-        elif isinstance(manifest, (str, Path)):
-            manifest = Manifest(manifest)
-        self.manifest = manifest
         self.scheduler = resolve_scheduler(scheduler)
         self.queue = JobQueue(
             cache=self.cache,
-            manifest=self.manifest,
+            manifest=manifest,
             scheduler=self.scheduler,
             workers=workers,
             campaign_name=campaign_name,
         )
+        self.manifest = self.queue.manifest
         self.started_at = time.time()
         self.requests: dict[str, int] = {}
         self._whatif_cache: dict[str, Any] = {}

@@ -16,8 +16,9 @@ from repro.campaign import (
     summarize,
 )
 from repro.campaign import worker
-from repro.campaign.cache import STATS_FILENAME, CacheStats
-from repro.campaign.manifest import read_events
+from repro.campaign.cache import CacheStats
+from repro.campaign.engine import default_manifest_path, start_event
+from repro.campaign.manifest import Manifest, NullManifest, read_events
 from repro.runtime.executors import ProcessExecutor, get_executor
 
 TINY = CampaignSpec(
@@ -236,58 +237,148 @@ class TestCacheAndResume:
         assert ResultCache(tmp_path).lifetime_stats().reruns == 4
 
     def test_lifetime_stats_read_only_appended_lines(self, tmp_path):
-        """Each instance keeps a running lifetime total and parses only
-        the lines appended since its last call; a torn tail waits for
-        its newline, and ``clear()`` from any instance starts it over."""
+        """Each instance keeps a running fold per journal and parses
+        only the lines appended since its last call; a torn tail waits
+        for its newline, and ``clear()`` from any instance starts it
+        over."""
         a, b = ResultCache(tmp_path), ResultCache(tmp_path)
-        stats = tmp_path / STATS_FILENAME
-        cfg = RunConfig(app="lbmhd", seed=0)
+        journal = default_manifest_path(tmp_path, "j")
+        manifest = Manifest(journal)
+        key = RunConfig(app="lbmhd", seed=0).key()
+        miss = {"event": "run-start", "key": key}
+        put = {"event": "run-done", "key": key, "cached": False}
+        hit = {"event": "run-done", "key": key, "cached": True}
+        spec = CampaignSpec(name="j", apps=("lbmhd",))
 
-        a.get(cfg)
-        a.persist_stats()
+        manifest.append(start_event(spec, 1, "serial"))
+        manifest.append(miss)
         assert b.lifetime_stats() == CacheStats(misses=1)
-        b.put(cfg, {"wall_s": 1.0})
-        b.persist_stats()
+        manifest.append(put)
         assert a.lifetime_stats() == CacheStats(misses=1, puts=1)
 
-        # a flush caught mid-write counts once its newline lands
-        with stats.open("a") as fh:
-            fh.write('{"hits": 2')
+        # an event caught mid-append counts once its newline lands
+        line = json.dumps(hit, sort_keys=True) + "\n"
+        with journal.open("a") as fh:
+            fh.write(line[:12])
         assert b.lifetime_stats() == CacheStats(misses=1, puts=1)
-        with stats.open("a") as fh:
-            fh.write(', "misses": 0}\n')
-        assert b.lifetime_stats() == CacheStats(hits=2, misses=1, puts=1)
+        with journal.open("a") as fh:
+            fh.write(line[12:])
+        assert b.lifetime_stats() == CacheStats(hits=1, misses=1, puts=1)
 
         # lines already counted are not parsed again: junk written over
-        # the second line changes nothing for a reader past it, while a
-        # fresh reader skips the junk line
-        lines = stats.read_bytes().splitlines(keepends=True)
+        # the miss changes nothing for a reader past it, while a fresh
+        # reader skips the junk line
+        lines = journal.read_bytes().splitlines(keepends=True)
         lines[1] = b"x" * (len(lines[1]) - 1) + b"\n"
-        stats.write_bytes(b"".join(lines))
-        assert b.lifetime_stats() == CacheStats(hits=2, misses=1, puts=1)
+        journal.write_bytes(b"".join(lines))
+        assert b.lifetime_stats() == CacheStats(hits=1, misses=1, puts=1)
         assert ResultCache(tmp_path).lifetime_stats() == CacheStats(
-            hits=2, misses=1
+            hits=1, puts=1
         )
 
-        # clear() from another instance: a missing file reads as zero
+        # clear() from another instance takes the journals with the
+        # entries: what is gone reads as zero
         a.clear()
+        assert not journal.exists()
         assert b.lifetime_stats() == CacheStats()
-        # a file re-created behind a reader's back, longer than what it
-        # had read and perhaps on the same inode, is read from the start
+        # a journal re-created behind a reader's back, longer than what
+        # it had read and perhaps on the same inode, is read from the
+        # start: its campaign-start is not the one the reader saw
+        manifest.append(start_event(spec, 1, "serial"))
         for _ in range(2):
-            a.get(cfg)
-            a.persist_stats()
+            manifest.append(miss)
         assert b.lifetime_stats() == CacheStats(misses=2)
-        read = stats.stat().st_size
+        read = journal.stat().st_size
         a.clear()
+        manifest.append(start_event(spec, 1, "serial"))
         n = 0
-        while not stats.exists() or stats.stat().st_size <= read:
-            a.put(cfg, {"wall_s": 1.0})
-            a.persist_stats()
+        while journal.stat().st_size <= read:
+            manifest.append(put)
             n += 1
         fresh = ResultCache(tmp_path).lifetime_stats()
         assert fresh.puts == n and fresh.misses == 0
         assert b.lifetime_stats() == fresh
+
+    def test_lifetime_counts_only_journals_in_the_root(self, tmp_path):
+        """A journal outside the cache root, or none, is the caller's
+        choice: its traffic stays out of the root's lifetime counters,
+        while the default journal in the root is folded."""
+        root = tmp_path / "cache"
+        outside = tmp_path / "elsewhere.manifest.jsonl"
+        run_campaign(TINY, cache=root, manifest=outside, scheduler="serial")
+        run_campaign(
+            TINY, cache=root, manifest=NullManifest(), scheduler="serial",
+            rerun=True,
+        )
+        cache = ResultCache(root)
+        assert len(cache) == 4 and cache.journals() == []
+        assert cache.lifetime_stats() == CacheStats()
+        assert summarize(outside)["done"] == 4
+
+        report = run_campaign(TINY, cache=root, scheduler="serial")
+        assert report.hits == 4
+        assert cache.journals() == [default_manifest_path(root, TINY.name)]
+        assert cache.lifetime_stats() == CacheStats(hits=4)
+
+    def test_rerun_is_booked_by_the_run_start_flag(self, tmp_path):
+        """``rerun=True`` marks each ``run-start`` it journals; the
+        fold books those as reruns (and misses), nothing else does."""
+        run_campaign(TINY, cache=tmp_path, scheduler="serial")
+        run_campaign(TINY, cache=tmp_path, scheduler="serial", rerun=True)
+        starts = [
+            e for e in read_events(default_manifest_path(tmp_path, "tiny"))
+            if e["event"] == "run-start"
+        ]
+        assert [e.get("rerun", False) for e in starts] == [False] * 4 + [
+            True
+        ] * 4
+        assert ResultCache(tmp_path).lifetime_stats().reruns == 4
+
+    def test_two_processes_journaling_into_one_root_fold_to_the_sum(
+        self, tmp_path
+    ):
+        """Two processes appending to one root's journals at once (one
+        shared journal, one each of their own) fold to the sum of what
+        each did."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import json, sys\n"
+            "from repro.campaign import CampaignSpec, ResultCache, "
+            "run_campaign\n"
+            "seeds, name = json.loads(sys.argv[1]), sys.argv[2]\n"
+            "spec = CampaignSpec(name=name, apps=('lbmhd',), nprocs=(4,),"
+            " seeds=tuple(seeds), params={'lbmhd': {'shape': [8, 8, 8]}})\n"
+            "cache = ResultCache(sys.argv[3])\n"
+            "for campaign in (spec, CampaignSpec.from_dict("
+            "{**spec.to_dict(), 'name': 'shared'})):\n"
+            "    run_campaign(campaign, cache=cache, scheduler='serial')\n"
+            "print(json.dumps(cache.stats.as_dict()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, json.dumps(seeds), name,
+                 str(tmp_path)],
+                stdout=subprocess.PIPE, env=env, text=True,
+            )
+            for seeds, name in (([0, 1], "first"), ([2, 3, 4], "second"))
+        ]
+        sessions = [json.loads(p.communicate(timeout=300)[0]) for p in procs]
+        assert all(p.returncode == 0 for p in procs)
+        total = {
+            k: sum(s[k] for s in sessions) for k in sessions[0]
+        }
+        # each process: its seeds missed once, then hit in 'shared'
+        assert total == {"hits": 5, "misses": 5, "puts": 5, "reruns": 0}
+        cache = ResultCache(tmp_path)
+        assert len(cache.journals()) == 3
+        assert cache.lifetime_stats().as_dict() == total
 
     def test_result_the_cache_cannot_keep_fails_its_config(
         self, tmp_path, monkeypatch
@@ -343,15 +434,16 @@ class TestCacheAndResume:
             return real(config)
 
         monkeypatch.setattr(engine.worker, "execute_config", dies_after_two)
-        manifest = tmp_path / "killed.manifest.jsonl"
+        # under the cache root, where its lifetime counters are folded
+        manifest = tmp_path / "cache" / "killed.manifest.jsonl"
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
                 TINY, cache=tmp_path / "cache", manifest=manifest,
                 scheduler="serial",
             )
         assert len(executed) == 2
-        # both completions were published, and their puts counted on
-        # disk, before the kill
+        # both completions were published, and their run-done
+        # journaled, before the kill
         assert ResultCache(tmp_path / "cache").lifetime_stats().puts == 2
         # the journal recorded the completions that happened
         partial = summarize(manifest)

@@ -176,6 +176,44 @@ class TestRunnerRegistry:
         assert proc.stderr == ""
         assert set(proc.stdout.split()) >= set(EXPERIMENTS)
 
+    @pytest.mark.parametrize(
+        "lines", [1, 0], ids=["after-one-line", "before-any-output"]
+    )
+    def test_list_into_a_reader_that_closes_exits_quietly(self, lines):
+        """``repro-experiments --list | head -1``: a reader that goes
+        away early ends the command with exit 0 and an empty stderr,
+        not a ``BrokenPipeError`` traceback."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        read_fd, write_fd = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", "--list"],
+            stdout=write_fd, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"},
+        )
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as reader:
+            for _ in range(lines):
+                assert reader.readline().startswith(b"table1")
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_a_broken_pipe_that_is_not_stdout_still_raises(self):
+        """Only stdout's reader going away is a quiet exit: a broken
+        pipe elsewhere (a socket, a pool's pipe) is still an error."""
+        from repro.clitools import quiet_on_closed_stdout
+
+        @quiet_on_closed_stdout
+        def main(argv=None):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        with pytest.raises(BrokenPipeError):
+            main([])
+
     def test_cli_json(self, capsys):
         import json
 

@@ -22,6 +22,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, ResultCache, run_campaign
 from repro.campaign.cli import main as campaign_main
+from repro.campaign.engine import start_event
 from repro.campaign.manifest import Manifest, read_events
 from repro.campaign.spec import RunConfig
 from repro.perfdb import PerfDB
@@ -708,6 +709,43 @@ class TestPredictFlow:
         assert done
         assert all(isinstance(e.get("config"), dict) for e in done)
 
+    def test_pre_change_journal_ingests_and_folds_the_same(self, tmp_path):
+        """A service journal from before the service journaled once per
+        process framed each request as its own campaign (start, run
+        events, end).  It ingests to the same records, and folds to the
+        same lifetime counts, as the one journal now written."""
+        svc = ReproService(tmp_path / "new", workers=1, scheduler="serial")
+        with ServiceThread(svc) as thread:
+            for body in (SMALL, SMALL, {**SMALL, "seed": 1}, SMALL):
+                _json(thread.port, "POST", "/v1/predict", body)
+        events = list(read_events(svc.manifest.path))
+        old = Manifest(tmp_path / "old" / "service.manifest.jsonl")
+        for event in events:
+            if event["event"] not in ("run-start", "run-done"):
+                continue
+            if event["event"] == "run-start" or event["cached"]:
+                config = RunConfig.from_dict(event["config"])
+                old.append(start_event(
+                    CampaignSpec(
+                        name="service", apps=(config.app,),
+                        steps=config.steps,
+                    ),
+                    1, "serial",
+                ))
+            old.append(event)
+            if event["event"] == "run-done":
+                old.append({"event": "campaign-end", "wall_s": 0.0})
+        assert [e["event"] for e in read_events(old.path)].count(
+            "campaign-start"
+        ) == 4
+        assert ingest_path(old.path) == ingest_path(svc.manifest.path)
+        assert len(ingest_path(old.path)) == 4
+        life = ResultCache(tmp_path / "old").lifetime_stats()
+        assert life == ResultCache(tmp_path / "new").lifetime_stats()
+        assert life.as_dict() == {
+            "hits": 2, "misses": 2, "puts": 2, "reruns": 0,
+        }
+
 
 class TestConcurrentCoalescing:
     """The acceptance criterion, over real HTTP: N identical concurrent
@@ -835,26 +873,61 @@ class TestWarmPath:
             before = len(list(read_events(svc.manifest.path)))
             status, warm = _json(thread.port, "POST", "/v1/predict", SMALL)
             assert status == 200 and warm["cached"] is True
-        served = list(read_events(svc.manifest.path))[before:]
+            served = list(read_events(svc.manifest.path))[before:]
 
         config = parse_predict(SMALL)[0]
         run_campaign(
-            CampaignSpec(
-                name="service", apps=(config.app,), steps=config.steps
-            ),
+            CampaignSpec(name="service", apps=(config.app,)),
             configs=[config],
             cache=tmp_path / "cache",
             manifest=tmp_path / "engine.jsonl",
             scheduler="serial",
         )
         engine = list(read_events(tmp_path / "engine.jsonl"))
-        assert [e["event"] for e in served] == [
+        assert [e["event"] for e in served] == ["run-done"]
+        assert [e["event"] for e in engine] == [
             "campaign-start", "run-done", "campaign-end",
         ]
         assert engine[1]["cached"] is True
-        for events in (served, engine):
-            assert events[-1].pop("wall_s") >= 0  # the one timing field
-        assert served == engine
+        for event in (served[0], engine[1]):
+            assert event.pop("wall_s") >= 0
+        assert served[0] == engine[1]
+
+    def test_warm_prediction_appends_one_line_and_nothing_else(
+        self, tmp_path
+    ):
+        """A warm prediction's one write: its ``run-done``, appended to
+        the service journal.  No other file under the cache root is
+        created or grows."""
+
+        def files():
+            return {
+                p: p.stat().st_size
+                for p in tmp_path.rglob("*") if p.is_file()
+            }
+
+        svc = ReproService(tmp_path, workers=1, scheduler="serial")
+        journal = tmp_path / "service.manifest.jsonl"
+        with ServiceThread(svc) as thread:
+            _json(thread.port, "POST", "/v1/predict", SMALL)
+            before, lines = files(), journal.read_bytes().count(b"\n")
+            status, warm = _json(thread.port, "POST", "/v1/predict", SMALL)
+            assert status == 200 and warm["cached"] is True
+            after = files()
+            served = list(read_events(journal))[lines:]
+        assert svc.manifest.path == journal
+        assert [e["event"] for e in served] == ["run-done"]
+        assert served[0]["cached"] is True
+        grown = {p for p in after if after[p] != before.get(p)}
+        assert grown == {journal}
+        added = journal.read_bytes()[before[journal]:after[journal]]
+        assert added.count(b"\n") == 1 and added.endswith(b"\n")
+        # the service's one campaign ends in the journal as it stops
+        kinds = [e["event"] for e in read_events(journal)]
+        assert kinds == [
+            "campaign-start", "run-start", "run-done", "run-done",
+            "campaign-end",
+        ]
 
     def test_warm_hit_moves_hits_by_one_and_misses_by_none(self, tmp_path):
         svc = ReproService(tmp_path, workers=1, scheduler="serial")

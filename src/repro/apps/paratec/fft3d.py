@@ -10,11 +10,31 @@ Layout and algorithm (the standard PARATEC scheme):
 
 * In Fourier space each rank owns whole (gx, gy) *columns* of the
   sphere (load balanced, :mod:`repro.apps.paratec.gvectors`).
-* In real space each rank owns a contiguous slab of z-planes.
+* In real space each rank owns a contiguous slab of z-planes, stored
+  **plane-major**, ``(..., nz, n1, n2)``: each z-plane is one
+  contiguous block, so both planar passes run along the plane's own
+  axes.  Callers see a slab as ``(..., n1, n2, nz)``, a ``moveaxis``
+  view of that storage, and may hand back any array of that shape.
 * Sphere -> real: scatter sphere points into the owned columns, 1-D
   inverse FFT along z per column, global transpose (Alltoallv) from
   column to slab layout, then 2-D inverse FFTs in each z-plane.
 * Real -> sphere reverses the steps with forward FFTs.
+
+The planar passes are pruned to the sphere.  Its columns touch only a
+band of a plane's x-rows and of its y-columns (9 of 16 of each at
+``ecut`` 8 on a 16^3 grid), and ``numpy.fft`` transforms the last axis
+first, so a dense planar transform is a y pass and then an x pass:
+
+* the inverse runs its y pass on the touched x-rows alone — the
+  transpose delivers just those rows, as a ``(..., nz, rows, n2)``
+  block — and its x pass on every column of the zero-padded planes;
+* the forward runs its y pass on every row and its x pass on the
+  touched y-columns alone, the only ones the transpose sends on.
+
+Every entry kept is bitwise what the dense planar transform gives: the
+rows the inverse skips are exactly zero, and the columns the forward
+skips are never read.  The transposes move the same messages as dense
+planes would.
 
 Every transform carries any leading band axes along: a rank's
 ``(nb, ng_local)`` band stack goes through one scatter, one batched
@@ -73,36 +93,44 @@ def _line_shard(lo: int, hi: int, args) -> list[np.ndarray]:
 
 
 def _ifft2_shard(lo: int, hi: int, args) -> list[np.ndarray]:
-    return [args.kernels.paratec_ifft2_planes(s) for s in args.slabs[lo:hi]]
+    return [
+        args.kernels.paratec_ifft2_planes(b, rows=args.rows)
+        for b in args.blocks[lo:hi]
+    ]
 
 
 def _fft2_shard(lo: int, hi: int, args) -> list[np.ndarray]:
-    return [args.kernels.paratec_fft2_planes(s) for s in args.slabs[lo:hi]]
+    return [
+        args.kernels.paratec_fft2_planes(p, cols=args.cols)
+        for p in args.planes[lo:hi]
+    ]
 
 
 def _unpack_slab_shard(lo: int, hi: int, args) -> list[np.ndarray]:
-    """Place every rank's delivered columns into each rank's slab."""
+    """Place every rank's delivered columns into each rank's plane-major
+    ``(..., nz, nrows, n2)`` block of kept x-rows."""
     plan = args.plan
-    n1, n2, _ = plan.grid_shape
+    n2 = plan.grid_shape[1]
     off = plan._col_offsets
-    slabs = []
+    blocks = []
     for j in range(lo, hi):
-        nz = plan.slab_shape(j)[2]
+        z0, z1 = plan.slab_range(j)
         lead = args.recv[j][0].shape[:-2]
         rank_arena = args.arena.for_rank(j)
-        slab = rank_arena.scratch(
-            "paratec.slab", (*lead, n1, n2, nz), np.complex128
+        block = rank_arena.scratch(
+            "paratec.planes", (*lead, z1 - z0, args.nrows, n2), np.complex128
         )
-        slab.fill(0.0)
-        # stage every sender's rows once, then one stacked scatter
-        rows = rank_arena.scratch(
-            "paratec.rows", (*lead, int(off[-1]), nz), np.complex128
+        block.fill(0.0)
+        # stage every sender's columns once, plane-major, then one
+        # stacked scatter
+        cols = rank_arena.scratch(
+            "paratec.cols", (*lead, z1 - z0, int(off[-1])), np.complex128
         )
         for i in range(args.p):
-            rows[..., off[i] : off[i + 1], :] = args.recv[j][i]
-        slab[..., plan._all_keys[:, 0], plan._all_keys[:, 1], :] = rows
-        slabs.append(slab)
-    return slabs
+            cols[..., off[i] : off[i + 1]] = args.recv[j][i].swapaxes(-1, -2)
+        block[..., args.key_rows, plan._all_keys[:, 1]] = cols
+        blocks.append(block)
+    return blocks
 
 
 def _zline_shard(lo: int, hi: int, args) -> list[np.ndarray]:
@@ -124,17 +152,19 @@ def _zline_shard(lo: int, hi: int, args) -> list[np.ndarray]:
 
 
 def _pack_slab_shard(lo: int, hi: int, args) -> list[list[np.ndarray]]:
-    """One stacked gather of every destination's columns per rank; each
-    destination's block is a row range (a view) of it."""
+    """One stacked gather of every destination's columns per rank from
+    its plane-major ``(..., nz, n1, ncols)`` planes; each destination's
+    ``(..., ncol, nz)`` block is a column range (a view) of it."""
     plan = args.plan
     off = plan._col_offsets
     sends = []
     for j in range(lo, hi):
-        allcols = args.f2s[j][
-            ..., plan._all_keys[:, 0], plan._all_keys[:, 1], :
-        ]
+        allcols = args.planes[j][..., plan._all_keys[:, 0], args.key_cols]
         sends.append(
-            [allcols[..., off[i] : off[i + 1], :] for i in range(args.p)]
+            [
+                allcols[..., off[i] : off[i + 1]].swapaxes(-1, -2)
+                for i in range(args.p)
+            ]
         )
     return sends
 
@@ -147,7 +177,8 @@ class ParallelFFT3D:
     (``alltoallv(copy=False)``), draw their scatter/gather staging
     buffers from ``arena`` (the engine takes its own from the
     communicator's executor when given none), and place each rank's
-    received rows in one stacked scatter.
+    received columns in one stacked scatter.  The planar passes run
+    plane-major and pruned to the sphere (module docstring).
     """
 
     dist: SphereDistribution
@@ -207,6 +238,18 @@ class ParallelFFT3D:
         ncols = np.array([len(k) for k in self._col_keys], dtype=np.int64)
         self._col_offsets = np.concatenate(([0], np.cumsum(ncols)))
 
+        # The x-rows and y-columns of a plane that the sphere's columns
+        # touch (boolean masks): the inverse y pass runs on those rows,
+        # the forward x pass on those columns.  Each stacked column's
+        # row among the kept rows, and column among the kept columns.
+        kx, ky = self._all_keys[:, 0], self._all_keys[:, 1]
+        self._rows = np.zeros(n1, dtype=bool)
+        self._rows[kx] = True
+        self._cols = np.zeros(n2, dtype=bool)
+        self._cols[ky] = True
+        self._key_rows = np.cumsum(self._rows)[kx] - 1
+        self._key_cols = np.cumsum(self._cols)[ky] - 1
+
     # -- layout helpers -----------------------------------------------------
 
     @property
@@ -223,8 +266,9 @@ class ParallelFFT3D:
         return (n1, n2, hi - lo)
 
     def gather_slabs(self, slabs: list[np.ndarray]) -> np.ndarray:
-        """Assemble per-rank z-slabs into the full real-space grid."""
-        return np.concatenate(slabs, axis=2)
+        """Assemble per-rank z-slabs into the full real-space grid (any
+        leading band axes carried along)."""
+        return np.concatenate(slabs, axis=-1)
 
     # -- transforms -----------------------------------------------------------
 
@@ -241,31 +285,46 @@ class ParallelFFT3D:
 
         ``coeffs[r]`` is ``(..., ng_local)``, ``(nb, ng_local)`` for a
         band stack; each returned slab is ``(..., n1, n2, nz)`` with the
-        same leading axes.  Uses the ``numpy.fft.ifftn`` normalization
-        (1/N on the inverse), so the composition with
-        :meth:`real_to_sphere` is the identity.
+        same leading axes, a view of fresh plane-major memory.  Uses the
+        ``numpy.fft.ifftn`` normalization (1/N on the inverse), so the
+        composition with :meth:`real_to_sphere` is the identity.
         """
         # 1. scatter points into columns; 1-D inverse FFT along z.
         lines = self._per_rank(
             _line_shard, plan=self, arena=self.arena, coeffs=coeffs
         )
 
-        # 2 + 3. global transpose, then 2-D inverse FFT per plane.
-        slabs = self.transpose_columns_to_slabs(lines)
-        return self._per_rank(_ifft2_shard, slabs=slabs, kernels=self.kernels)
+        # 2 + 3. global transpose of the kept rows, then 2-D inverse FFT
+        # per plane.
+        blocks = self.transpose_columns_to_slabs(lines, pruned=True)
+        planes = self._per_rank(
+            _ifft2_shard,
+            blocks=[_planes_view(b) for b in blocks],
+            rows=self._rows,
+            kernels=self.kernels,
+        )
+        return [_slab_view(p) for p in planes]
 
     def transpose_columns_to_slabs(
-        self, lines: list[np.ndarray]
+        self, lines: list[np.ndarray], pruned: bool = False
     ) -> list[np.ndarray]:
         """The column->slab global transpose (pack, Alltoallv, unpack).
 
         ``lines[i]`` is rank i's ``(..., ncol_i, n3)`` z-lines; returns
         each rank's ``(..., n1, n2, nz_j)`` slab with the sphere columns
-        placed (zero elsewhere), before any planar FFT.  Each ``(i, j)``
-        sub-block is posted as a z-window *view* and delivered
-        uncopied; every destination stages its rows once for a single
-        stacked scatter.
+        placed (zero elsewhere), before any planar FFT, stored
+        plane-major.  ``pruned`` keeps only the x-rows the sphere
+        touches, ``(..., rows, n2, nz_j)``, as :meth:`sphere_to_real`
+        wants them.
+
+        Each ``(i, j)`` sub-block is posted as a z-window *view* and
+        delivered uncopied; every destination stages its columns once
+        for a single stacked scatter.
         """
+        if pruned:
+            key_rows, nrows = self._key_rows, int(self._rows.sum())
+        else:
+            key_rows, nrows = self._all_keys[:, 0], self.grid_shape[0]
         p = self.comm.nprocs
         bounds = self._slab_bounds
         send = [
@@ -275,24 +334,40 @@ class ParallelFFT3D:
         with self.comm.phase("fft"):
             recv = self.comm.alltoallv(send, copy=False)
 
-        return self._per_rank(
-            _unpack_slab_shard, plan=self, arena=self.arena, recv=recv, p=p
+        blocks = self._per_rank(
+            _unpack_slab_shard,
+            plan=self,
+            arena=self.arena,
+            recv=recv,
+            p=p,
+            key_rows=key_rows,
+            nrows=nrows,
         )
+        return [_slab_view(b) for b in blocks]
 
     def real_to_sphere(self, slabs: list[np.ndarray]) -> list[np.ndarray]:
         """psi(r) (per-rank z-slabs) -> psi(G) (per-rank sphere slices).
 
-        Leading band axes of the slabs carry through, as in
-        :meth:`sphere_to_real`.  High-frequency grid content outside the
-        sphere is discarded — exactly PARATEC's cutoff projection.
+        ``slabs[r]`` is ``(..., n1, n2, nz)``, in any memory order (a
+        slab :meth:`sphere_to_real` returned is plane-major already).
+        Leading band axes carry through, as in :meth:`sphere_to_real`.
+        High-frequency grid content outside the sphere is discarded —
+        exactly PARATEC's cutoff projection.
         """
         p = self.comm.nprocs
 
-        # 1. 2-D forward FFT per plane.
-        f2s = self._per_rank(_fft2_shard, slabs=slabs, kernels=self.kernels)
+        # 1. 2-D forward FFT per plane, x pass on the kept columns only.
+        f2s = self._per_rank(
+            _fft2_shard,
+            planes=[_planes_view(s) for s in slabs],
+            cols=self._cols,
+            kernels=self.kernels,
+        )
 
         # 2. global transpose slabs -> columns.
-        recv = self.transpose_slabs_to_columns(f2s)
+        recv = self.transpose_slabs_to_columns(
+            [_slab_view(f) for f in f2s], pruned=True
+        )
 
         # 3. reassemble full z-lines; forward FFT along z; pull points.
         return self._per_rank(
@@ -300,19 +375,30 @@ class ParallelFFT3D:
         )
 
     def transpose_slabs_to_columns(
-        self, f2s: list[np.ndarray]
+        self, f2s: list[np.ndarray], pruned: bool = False
     ) -> list[list[np.ndarray]]:
         """The slab->column global transpose (pack, Alltoallv, unpack).
 
         ``f2s[j]`` is rank j's planar-transformed ``(..., n1, n2,
-        nz_j)`` slab; returns ``recv`` with ``recv[i][j]`` = rank i's
-        columns restricted to rank j's planes (rank j sends
-        ``send[j][i]`` to rank i).  All columns of a slab are gathered
-        in one stacked fancy-index per rank and posted as row-range
-        views, delivered uncopied.
+        nz_j)`` slab, or with ``pruned`` ``(..., n1, cols, nz_j)``: only
+        the y-columns the sphere touches, as :meth:`real_to_sphere` has
+        them.  Returns ``recv`` with ``recv[i][j]`` = rank i's columns
+        restricted to rank j's planes (rank j sends ``send[j][i]`` to
+        rank i).
+
+        All columns of a rank are gathered in one stacked fancy-index
+        from its planes and posted as column-range views, delivered
+        uncopied.
         """
+        key_cols = self._key_cols if pruned else self._all_keys[:, 1]
         p = self.comm.nprocs
-        send = self._per_rank(_pack_slab_shard, plan=self, f2s=f2s, p=p)
+        send = self._per_rank(
+            _pack_slab_shard,
+            plan=self,
+            planes=[_planes_view(f) for f in f2s],
+            key_cols=key_cols,
+            p=p,
+        )
         with self.comm.phase("fft"):
             return self.comm.alltoallv(send, copy=False)
 
@@ -332,3 +418,29 @@ class ParallelFFT3D:
             fma_fraction=0.8,
             cache_fraction=0.6,
         )
+
+
+
+# -- the two views of a slab -------------------------------------------------
+#
+# ``np.moveaxis(planes, -3, -1)`` and ``np.moveaxis(slab, -1, -3)``, as
+# two ``swapaxes`` each: a transform takes several of these a call, and
+# ``moveaxis``'s argument normalisation costs ten times the view.
+
+
+def _slab_view(planes: np.ndarray) -> np.ndarray:
+    """The ``(..., n1, n2, nz)`` slab view of plane-major ``(..., nz,
+    n1, n2)`` memory."""
+    return planes.swapaxes(-3, -2).swapaxes(-2, -1)
+
+
+def _planes_view(slab: np.ndarray) -> np.ndarray:
+    """The plane-major ``(..., nz, n1, n2)`` view of a ``(..., n1, n2,
+    nz)`` slab (contiguous when the slab's memory is plane-major)."""
+    return slab.swapaxes(-1, -2).swapaxes(-2, -3)
+
+
+def plane_major(slab: np.ndarray) -> np.ndarray:
+    """A copy of a ``(..., n1, n2, nz)`` slab stored plane-major, seen
+    in the same shape."""
+    return _slab_view(_planes_view(slab).copy())

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...workload import Work
-from .fft3d import ParallelFFT3D
+from .fft3d import ParallelFFT3D, plane_major
 from .gvectors import GSphere, SphereDistribution
 
 
@@ -60,7 +60,12 @@ def build_local_potential(
 
 @dataclass
 class Hamiltonian:
-    """Distributed H = -1/2 nabla^2 + V_loc(r) over a sphere distribution."""
+    """Distributed H = -1/2 nabla^2 + V_loc(r) over a sphere distribution.
+
+    ``potential_slabs[r]`` is rank r's ``(n1, n2, nz)`` potential, held
+    as a copy stored plane-major like the FFT's slabs, so ``slab *= V``
+    runs over contiguous planes.
+    """
 
     fft: ParallelFFT3D
     potential_slabs: list[np.ndarray] = field(default_factory=list)
@@ -76,9 +81,7 @@ class Hamiltonian:
                 np.zeros(self.fft.slab_shape(r))
                 for r in range(dist.nranks)
             ]
-        for r, slab in enumerate(self.potential_slabs):
-            if slab.shape != self.fft.slab_shape(r):
-                raise ValueError("potential slab shape mismatch")
+        self.set_potential(self.potential_slabs)
 
     @classmethod
     def from_atoms(
@@ -88,19 +91,18 @@ class Hamiltonian:
     ) -> "Hamiltonian":
         v_full = build_local_potential(fft.grid_shape, atoms)
         slabs = [
-            np.ascontiguousarray(
-                v_full[:, :, slice(*fft.slab_range(r))]
-            )
+            v_full[:, :, slice(*fft.slab_range(r))]
             for r in range(fft.dist.nranks)
         ]
         return cls(fft=fft, potential_slabs=slabs)
 
     def set_potential(self, slabs: list[np.ndarray]) -> None:
-        """Replace the local potential (SCF update)."""
+        """Replace the local potential (SCF update) with plane-major
+        copies of ``(n1, n2, nz)`` slabs."""
         for r, slab in enumerate(slabs):
             if slab.shape != self.fft.slab_shape(r):
                 raise ValueError("potential slab shape mismatch")
-        self.potential_slabs = [s.copy() for s in slabs]
+        self.potential_slabs = [plane_major(s) for s in slabs]
 
     def kinetic_of(self, rank: int) -> np.ndarray:
         return self._kinetic_local[rank]

@@ -89,7 +89,7 @@ class SCFDriver:
             v_old = fft.gather_slabs(self.ham.potential_slabs)
             v_mixed = mix_potentials(v_old, v_new, self.mixing)
             slabs = [
-                np.ascontiguousarray(v_mixed[:, :, slice(*fft.slab_range(r))])
+                v_mixed[:, :, slice(*fft.slab_range(r))]
                 for r in range(fft.dist.nranks)
             ]
             self.ham.set_potential(slabs)

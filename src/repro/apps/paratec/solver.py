@@ -174,9 +174,7 @@ class Paratec:
         if [b.shape for b in bands] != [b.shape for b in self.bands]:
             raise ValueError("checkpoint band layout mismatch")
         self.bands = [np.array(b, copy=True) for b in bands]
-        self.ham.set_potential(
-            [np.array(s, copy=True) for s in snapshot["potential_slabs"]]
-        )
+        self.ham.set_potential(snapshot["potential_slabs"])
         self.result = None
 
     @property

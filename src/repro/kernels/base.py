@@ -169,14 +169,38 @@ class KernelBackend(Tokened):
         """Forward 1-D FFT along z of one rank's column lines."""
         return np.fft.fft(lines, axis=-1)
 
-    def paratec_ifft2_planes(self, slab: np.ndarray) -> np.ndarray:
-        """Inverse planar FFTs of one rank's ``(..., n1, n2, nz)``
-        z-slab (any leading band axes)."""
-        return np.fft.ifft2(slab, axes=(-3, -2))
+    def paratec_ifft2_planes(
+        self, planes: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Inverse planar FFTs of one rank's plane-major ``(..., nz, n1,
+        n2)`` z-slab (any leading band axes): a y pass along the last
+        axis, then an x pass.
 
-    def paratec_fft2_planes(self, slab: np.ndarray) -> np.ndarray:
-        """Forward planar FFTs of one rank's z-slab."""
-        return np.fft.fft2(slab, axes=(-3, -2))
+        ``rows``, a boolean mask over the ``n1`` x-rows, prunes the y
+        pass: ``planes`` then holds only the masked rows, ``(..., nz,
+        rows.sum(), n2)``, every other row being zero.  Omitted, every
+        row is kept.  Returns the full ``(..., nz, n1, n2)`` planes.
+        """
+        if rows is None:
+            rows = np.ones(planes.shape[-2], dtype=bool)
+        y = np.fft.ifft(planes, axis=-1)
+        out = np.zeros((*y.shape[:-2], len(rows), y.shape[-1]), y.dtype)
+        out[..., rows, :] = y
+        return np.fft.ifft(out, axis=-2)
+
+    def paratec_fft2_planes(
+        self, planes: np.ndarray, cols: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Forward planar FFTs of one rank's plane-major z-slab: a y pass
+        on every row, then an x pass.
+
+        ``cols``, a boolean mask over the ``n2`` y-columns, prunes the x
+        pass to the masked columns, the only ones returned: ``(..., nz,
+        n1, cols.sum())``.  Omitted, every column is kept.
+        """
+        if cols is None:
+            cols = np.ones(planes.shape[-1], dtype=bool)
+        return np.fft.fft(np.fft.fft(planes, axis=-1)[..., cols], axis=-2)
 
     def paratec_precondition(
         self, residual: np.ndarray, kinetic: np.ndarray, e_ref: float

@@ -13,6 +13,7 @@ from repro.apps.paratec import (
     SphereDistribution,
     load_balance_columns,
 )
+from repro.kernels import get_backend
 from repro.simmpi import Communicator
 
 SPHERE = GSphere(ecut=8.0, grid_shape=(12, 12, 12))
@@ -153,3 +154,83 @@ class TestParallelFFT:
         psi = np.ones(SPHERE.num_g, dtype=complex)
         fft.sphere_to_real(dist.scatter(psi))
         assert comm.trace.bytes_by_kind["alltoall"] > 0
+
+
+def _noise(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestTransformEdgeCases:
+    """The pruned planar passes at their edges.  Every case matches the
+    dense ``numpy.fft`` reference, round-trips to the identity and
+    returns slabs of the public ``(..., n1, n2, nz)`` shape."""
+
+    CASES = {
+        # (sphere, nranks, leading band axes)
+        # the disk of columns touches every x-row: nothing to prune
+        "unpruned": (GSphere(ecut=8.0, grid_shape=(9, 9, 9)), 3, (2,)),
+        "n1-ne-n2": (GSphere(ecut=8.0, grid_shape=(16, 12, 10)), 3, (2,)),
+        "single-band": (SPHERE, 4, ()),
+        # more ranks than z-planes: four ranks hold no plane
+        "empty-slabs": (SPHERE, 16, (2,)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_dense_and_round_trips(self, case, rng):
+        sphere, nranks, lead = self.CASES[case]
+        dist = SphereDistribution(sphere, nranks)
+        fft = ParallelFFT3D(dist, Communicator(nranks))
+        psi = _noise(rng, (*lead, sphere.num_g))
+
+        slabs = fft.sphere_to_real(dist.scatter(psi))
+        for r, slab in enumerate(slabs):
+            assert slab.shape == (*lead, *fft.slab_shape(r))
+        dense = np.zeros((*lead, *sphere.grid_shape), dtype=complex)
+        ix, iy, iz = sphere.grid_indices()
+        dense[..., ix, iy, iz] = psi
+        np.testing.assert_allclose(
+            fft.gather_slabs(slabs),
+            np.fft.ifftn(dense, axes=(-3, -2, -1)),
+            atol=1e-13,
+        )
+        back = dist.gather(fft.real_to_sphere(slabs))
+        np.testing.assert_allclose(back, psi, atol=1e-12)
+
+    def test_cases_cover_the_edges(self):
+        def engine(case):
+            sphere, nranks, _ = self.CASES[case]
+            return ParallelFFT3D(
+                SphereDistribution(sphere, nranks), Communicator(nranks)
+            )
+
+        unpruned = engine("unpruned")
+        assert unpruned._rows.all() and unpruned._cols.all()
+        ragged = engine("n1-ne-n2")
+        assert ragged.grid_shape[0] != ragged.grid_shape[1]
+        assert not ragged._rows.all() and not ragged._cols.all()
+        empty = engine("empty-slabs")
+        assert 0 in [empty.slab_shape(r)[2] for r in range(16)]
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 4, 12, 10), (4, 12, 10), (0, 12, 10)]
+    )
+    def test_pruned_kernels_keep_the_dense_bits(self, shape, rng):
+        """The pruned passes equal the dense ones, bit for bit, on every
+        entry kept: numpy's y-then-x order is preserved."""
+        kernels = get_backend()
+        planes = _noise(rng, shape)
+        rows = np.zeros(shape[-2], dtype=bool)
+        rows[[0, 1, 2, 9, 11]] = True
+        cols = np.zeros(shape[-1], dtype=bool)
+        cols[[0, 3, 4, 8]] = True
+
+        sparse = planes.copy()
+        sparse[..., ~rows, :] = 0.0
+        dense = np.fft.ifft2(sparse, axes=(-2, -1))
+        pruned = kernels.paratec_ifft2_planes(planes[..., rows, :], rows=rows)
+        assert pruned.shape == shape
+        assert pruned.tobytes() == dense.tobytes()
+
+        dense = np.fft.fft2(planes, axes=(-2, -1))[..., cols]
+        pruned = kernels.paratec_fft2_planes(planes, cols=cols)
+        assert pruned.tobytes() == dense.tobytes()

@@ -111,6 +111,7 @@ def _unpack_slab_shard(lo: int, hi: int, args) -> list[np.ndarray]:
     ``(..., nz, nrows, n2)`` block of kept x-rows."""
     plan = args.plan
     n2 = plan.grid_shape[1]
+    nrows = int(plan._rows.sum())
     off = plan._col_offsets
     blocks = []
     for j in range(lo, hi):
@@ -118,7 +119,7 @@ def _unpack_slab_shard(lo: int, hi: int, args) -> list[np.ndarray]:
         lead = args.recv[j][0].shape[:-2]
         rank_arena = args.arena.for_rank(j)
         block = rank_arena.scratch(
-            "paratec.planes", (*lead, z1 - z0, args.nrows, n2), np.complex128
+            "paratec.planes", (*lead, z1 - z0, nrows, n2), np.complex128
         )
         block.fill(0.0)
         # stage every sender's columns once, plane-major, then one
@@ -128,7 +129,7 @@ def _unpack_slab_shard(lo: int, hi: int, args) -> list[np.ndarray]:
         )
         for i in range(args.p):
             cols[..., off[i] : off[i + 1]] = args.recv[j][i].swapaxes(-1, -2)
-        block[..., args.key_rows, plan._all_keys[:, 1]] = cols
+        block[..., plan._key_rows, plan._all_keys[:, 1]] = cols
         blocks.append(block)
     return blocks
 
@@ -159,7 +160,7 @@ def _pack_slab_shard(lo: int, hi: int, args) -> list[list[np.ndarray]]:
     off = plan._col_offsets
     sends = []
     for j in range(lo, hi):
-        allcols = args.planes[j][..., plan._all_keys[:, 0], args.key_cols]
+        allcols = args.planes[j][..., plan._all_keys[:, 0], plan._key_cols]
         sends.append(
             [
                 allcols[..., off[i] : off[i + 1]].swapaxes(-1, -2)
@@ -296,7 +297,7 @@ class ParallelFFT3D:
 
         # 2 + 3. global transpose of the kept rows, then 2-D inverse FFT
         # per plane.
-        blocks = self.transpose_columns_to_slabs(lines, pruned=True)
+        blocks = self.transpose_columns_to_slabs(lines)
         planes = self._per_rank(
             _ifft2_shard,
             blocks=[_planes_view(b) for b in blocks],
@@ -306,25 +307,19 @@ class ParallelFFT3D:
         return [_slab_view(p) for p in planes]
 
     def transpose_columns_to_slabs(
-        self, lines: list[np.ndarray], pruned: bool = False
+        self, lines: list[np.ndarray]
     ) -> list[np.ndarray]:
         """The column->slab global transpose (pack, Alltoallv, unpack).
 
         ``lines[i]`` is rank i's ``(..., ncol_i, n3)`` z-lines; returns
-        each rank's ``(..., n1, n2, nz_j)`` slab with the sphere columns
-        placed (zero elsewhere), before any planar FFT, stored
-        plane-major.  ``pruned`` keeps only the x-rows the sphere
-        touches, ``(..., rows, n2, nz_j)``, as :meth:`sphere_to_real`
-        wants them.
+        each rank's ``(..., rows, n2, nz_j)`` slab of the x-rows the
+        sphere touches (``_rows``), with the sphere columns placed (zero
+        elsewhere), before any planar FFT, stored plane-major.
 
         Each ``(i, j)`` sub-block is posted as a z-window *view* and
         delivered uncopied; every destination stages its columns once
         for a single stacked scatter.
         """
-        if pruned:
-            key_rows, nrows = self._key_rows, int(self._rows.sum())
-        else:
-            key_rows, nrows = self._all_keys[:, 0], self.grid_shape[0]
         p = self.comm.nprocs
         bounds = self._slab_bounds
         send = [
@@ -340,8 +335,6 @@ class ParallelFFT3D:
             arena=self.arena,
             recv=recv,
             p=p,
-            key_rows=key_rows,
-            nrows=nrows,
         )
         return [_slab_view(b) for b in blocks]
 
@@ -365,9 +358,7 @@ class ParallelFFT3D:
         )
 
         # 2. global transpose slabs -> columns.
-        recv = self.transpose_slabs_to_columns(
-            [_slab_view(f) for f in f2s], pruned=True
-        )
+        recv = self.transpose_slabs_to_columns([_slab_view(f) for f in f2s])
 
         # 3. reassemble full z-lines; forward FFT along z; pull points.
         return self._per_rank(
@@ -375,28 +366,25 @@ class ParallelFFT3D:
         )
 
     def transpose_slabs_to_columns(
-        self, f2s: list[np.ndarray], pruned: bool = False
+        self, f2s: list[np.ndarray]
     ) -> list[list[np.ndarray]]:
         """The slab->column global transpose (pack, Alltoallv, unpack).
 
-        ``f2s[j]`` is rank j's planar-transformed ``(..., n1, n2,
-        nz_j)`` slab, or with ``pruned`` ``(..., n1, cols, nz_j)``: only
-        the y-columns the sphere touches, as :meth:`real_to_sphere` has
-        them.  Returns ``recv`` with ``recv[i][j]`` = rank i's columns
-        restricted to rank j's planes (rank j sends ``send[j][i]`` to
-        rank i).
+        ``f2s[j]`` is rank j's planar-transformed ``(..., n1, cols,
+        nz_j)`` slab of the y-columns the sphere touches (``_cols``),
+        as :meth:`real_to_sphere` has them.  Returns ``recv`` with
+        ``recv[i][j]`` = rank i's columns restricted to rank j's planes
+        (rank j sends ``send[j][i]`` to rank i).
 
         All columns of a rank are gathered in one stacked fancy-index
         from its planes and posted as column-range views, delivered
         uncopied.
         """
-        key_cols = self._key_cols if pruned else self._all_keys[:, 1]
         p = self.comm.nprocs
         send = self._per_rank(
             _pack_slab_shard,
             plan=self,
             planes=[_planes_view(f) for f in f2s],
-            key_cols=key_cols,
             p=p,
         )
         with self.comm.phase("fft"):

@@ -26,9 +26,8 @@ around its run events; the prediction service, once per process.
 
 The ``config`` and ``host``/``version`` fields are what
 :func:`repro.perfdb.ingest.records_from_manifest` normalizes into
-canonical :class:`~repro.perfdb.record.RunRecord` rows; journals from
-older package versions lack them, and the ingester falls back to
-expanding the journaled spec and matching content keys.
+canonical :class:`~repro.perfdb.record.RunRecord` rows, one per
+``run-done`` event.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ concurrencies.  This package does the same for the reproduction's own
 trajectory: one canonical :class:`RunRecord` schema for every
 measurement the repository produces (the ladder benchmark's record
 payloads, the tracked ``perf_history.jsonl``, campaign manifests,
-result-cache entries), an SQLite-backed
-:class:`PerfDB` store with JSONL import/export, a filter/group/pivot
-query API, paired-ratio regression detection with host-aware
+result-cache entries), a :class:`PerfDB` store that keeps each
+record once, as one line of record JSONL, a filter/group/pivot query
+API, paired-ratio regression detection with host-aware
 thresholds, and rendered roofline / phase-breakdown / shootout reports
 reusing :mod:`repro.perfmodel`.
 
@@ -24,7 +24,7 @@ from .ingest import (
     records_from_report,
 )
 from .query import Pivot, filter_records, group_by, pivot
-from .record import RunRecord, SCHEMA_VERSION
+from .record import RunRecord
 from .reports import (
     render_phase_breakdown,
     render_roofline,
@@ -45,7 +45,6 @@ __all__ = [
     "Pivot",
     "Regression",
     "RunRecord",
-    "SCHEMA_VERSION",
     "TrendPolicy",
     "detect_regressions",
     "filter_records",

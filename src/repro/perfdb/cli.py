@@ -34,10 +34,6 @@ from .store import PerfDB
 from .trend import TrendPolicy, detect_regressions, inject_slowdown
 
 
-def _open_db(path: str) -> PerfDB:
-    return PerfDB(path)
-
-
 def _parse_where(pairs: list[str]) -> dict:
     out: dict = {}
     for pair in pairs:
@@ -67,7 +63,7 @@ def _parse_where(pairs: list[str]) -> dict:
 
 
 def _cmd_ingest(args) -> int:
-    db = _open_db(args.db)
+    db = PerfDB(args.db)
     total_new = 0
     bad = 0
     for raw in args.paths:
@@ -97,14 +93,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    db = _open_db(args.db)
     try:
-        where = _parse_where(args.where or [])
-        records = db.all()
-        if where:
-            from .query import filter_records
-
-            records = filter_records(records, **where)
+        records = PerfDB(args.db).query(**_parse_where(args.where or []))
         rows = [f for f in (args.rows or "app").split(",") if f]
         cols = [f for f in (args.cols or "").split(",") if f]
         table = pivot(
@@ -122,13 +112,12 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    db = _open_db(args.db)
     policy = TrendPolicy(
         same_host_ratio=args.same_host_ratio,
         cross_host_ratio=args.cross_host_ratio,
         min_wall_s=args.min_wall_s,
     )
-    records = db.all()
+    records = PerfDB(args.db).all()
     if args.inject_slowdown is not None:
         records = inject_slowdown(records, args.inject_slowdown)
     findings = detect_regressions(records, policy)
@@ -166,8 +155,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    db = _open_db(args.db)
-    records = db.all()
+    records = PerfDB(args.db).all()
     renderers = {
         "trend": render_trend,
         "shootout": render_shootout,
@@ -185,8 +173,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    db = _open_db(args.db)
-    n = db.export_jsonl(args.out)
+    n = PerfDB(args.db).export_jsonl(args.out)
     print(f"repro-perfdb: exported {n} record(s) to {args.out}")
     return 0
 
@@ -206,13 +193,15 @@ def main(argv: list[str] | None = None) -> int:
     p_ingest = sub.add_parser(
         "ingest", help="normalize sources into the database"
     )
-    p_ingest.add_argument("db", help="SQLite database file (created if absent)")
+    p_ingest.add_argument(
+        "db", help="record-JSONL store file (created if absent)"
+    )
     p_ingest.add_argument(
         "paths", nargs="+",
         help=(
-            '{"records": [...]} JSON payloads, campaign *.manifest.jsonl '
-            "journals, record JSONL (exports, perf_history.jsonl), or "
-            "ResultCache directories"
+            '{"records": [...]} *.json payloads, campaign '
+            "*.manifest.jsonl journals, record JSONL (stores, exports, "
+            "perf_history.jsonl), or ResultCache directories"
         ),
     )
     p_ingest.add_argument("--quiet", action="store_true")

@@ -8,13 +8,13 @@ Sources:
   taken verbatim (source and PR tag filled from the file name when
   absent).  Any other JSON is rejected with a :class:`ValueError`
   naming the file and what was found.
-* **Record JSONL** — one record dict per line: ``repro-perfdb export``
+* **Record JSONL** — one record dict per line: a
+  :class:`~repro.perfdb.store.PerfDB` file, ``repro-perfdb export``
   output and the tracked ``perf_history.jsonl`` (the measurements of
   PR 1–10, frozen).
 * **Campaign manifests** — the JSONL journals of
-  :mod:`repro.campaign.manifest`.  ``run-done`` events become records;
-  configs come from the events themselves (new journals embed them) or
-  from expanding the journaled spec and matching content keys.
+  :mod:`repro.campaign.manifest`.  Each ``run-done`` event becomes a
+  record, built from the config the event carries.
 * **Result caches** — :class:`repro.campaign.cache.ResultCache`
   directories; entries carry full configs and phase breakdowns.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .record import RunRecord, pr_from_source
 
@@ -117,20 +117,16 @@ def records_from_manifest(
 ) -> list[RunRecord]:
     """Records from a campaign JSONL journal (torn lines tolerated).
 
-    ``run-done`` events become records.  Configs are taken from the
-    events that carry them (journals written by this version embed
-    ``config`` in ``run-start``/``run-done``); for older journals the
-    spec in ``campaign-start`` is expanded and matched by content key.
+    Each ``run-done`` event becomes a record built from the ``config``
+    it carries; ``campaign-start`` names the series and the host.
     """
     from ..campaign.manifest import read_events
-    from ..campaign.spec import CampaignSpec
 
     p = Path(path)
     if source is None:
         source = f"manifest:{p.name}"
     name = "campaign"
     host = cpu_count = version = None
-    configs_by_key: dict[str, dict[str, Any]] = {}
     records: list[RunRecord] = []
     for event in read_events(p):
         kind = event.get("event")
@@ -140,29 +136,11 @@ def records_from_manifest(
             host = hostinfo.get("name")
             cpu_count = hostinfo.get("cpu_count")
             version = event.get("version")
-            spec_dict = event.get("spec")
-            if isinstance(spec_dict, dict):
-                try:
-                    spec = CampaignSpec.from_dict(spec_dict)
-                    for cfg in spec.expand():
-                        configs_by_key.setdefault(
-                            cfg.key(version) if version else cfg.key(),
-                            cfg.to_dict(),
-                        )
-                except (TypeError, ValueError):
-                    pass
-        elif kind in ("run-start", "run-done"):
-            cfg = event.get("config")
-            if isinstance(cfg, dict):
-                configs_by_key[str(event.get("key"))] = cfg
-        if kind != "run-done":
             continue
-        key = str(event.get("key"))
-        config = configs_by_key.get(key)
-        if config is None:
-            continue  # unmatchable legacy event: nothing to normalize
-        config = dict(config)
-        config.setdefault("label", event.get("label"))
+        config = event.get("config")
+        if kind != "run-done" or not isinstance(config, dict):
+            continue
+        config = {"label": event.get("label"), **config}
         # per-event provenance outranks the campaign-start block: a
         # distrib campaign computes different cells on different
         # hosts, and run-done events journal where each one ran.
@@ -177,7 +155,7 @@ def records_from_manifest(
                 wall_s=float(event.get("wall_s", 0.0)),
                 gflops=event.get("gflops"),
                 source=source,
-                key=key,
+                key=str(event.get("key")),
                 host=ev_host if isinstance(ev_host, str) else host,
                 cpu_count=event.get("cpu_count", cpu_count),
                 version=event.get("version") or version,
@@ -281,35 +259,32 @@ def _records_from_payload(p: Path) -> list[RunRecord]:
     return records
 
 
+def records_from_jsonl(lines: Iterable[str]) -> list[RunRecord]:
+    """Records from record-JSONL lines, one record dict a line: a
+    :class:`~repro.perfdb.store.PerfDB` file, ``repro-perfdb export``
+    output, ``perf_history.jsonl``.  Blank, torn and foreign lines
+    (campaign events among them) are skipped."""
+    records: list[RunRecord] = []
+    for line in lines:
+        try:
+            records.append(RunRecord.from_dict(json.loads(line)))
+        except (TypeError, ValueError):
+            continue
+    return records
+
+
 def ingest_path(path: "str | Path") -> list[RunRecord]:
     """Records from *any* supported on-disk source.
 
-    Dispatch: a directory is a ResultCache; ``*.jsonl`` is a campaign
-    manifest (falling back to record-JSONL lines if no events match);
-    anything else must be a ``{"records": [...]}`` JSON payload.
+    Dispatch: a directory is a ResultCache; a ``.json`` file is a
+    ``{"records": [...]}`` payload; any other file is JSONL, a campaign
+    manifest if its events yield records and record JSONL otherwise.
     """
     p = Path(path)
     if p.is_dir():
         return records_from_cache(p, source=f"cache:{p.name}")
-    if p.suffix == ".jsonl":
-        records = records_from_manifest(p)
-        if records:
-            return records
-        # not a manifest (or an empty one): try record-JSONL lines
-        out: list[RunRecord] = []
-        with p.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(obj, dict) and "event" not in obj:
-                    try:
-                        out.append(RunRecord.from_dict(obj))
-                    except (TypeError, ValueError):
-                        continue
-        return out
-    return _records_from_payload(p)
+    if p.suffix == ".json":
+        return _records_from_payload(p)
+    return records_from_manifest(p) or records_from_jsonl(
+        p.read_text().splitlines()
+    )

@@ -1,9 +1,9 @@
 """Filter / group / pivot over record lists.
 
-The store answers column-equality queries; this module does the
-in-memory shaping on top: grouping by arbitrary field tuples and the
-pivot the shootout and cross-PR views are built from, e.g. Gflop/s by
-app x (executor, kernel_backend)::
+The one filter (:func:`filter_records`, which :meth:`PerfDB.query`
+runs), grouping by arbitrary field tuples, and the pivot the shootout
+and cross-PR views are built from, e.g. Gflop/s by app x (executor,
+kernel_backend)::
 
     pivot(records, rows=("app",), cols=("executor", "kernel_backend"),
           value="gflops", agg="max")
@@ -82,7 +82,8 @@ def resolve_agg(agg: str, value: str) -> Callable[[list[float]], float]:
 def filter_records(
     records: Iterable[RunRecord], **where: Any
 ) -> list[RunRecord]:
-    """Equality filtering mirroring :meth:`PerfDB.query` semantics."""
+    """Records whose axis fields equal ``where``'s values, in input
+    order; a list/tuple/set value matches any member, ``None`` included."""
     out = list(records)
     for name, wanted in where.items():
         if isinstance(wanted, (list, tuple, set, frozenset)):

@@ -25,10 +25,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
-
-#: Bumped when the RunRecord field set changes incompatibly.
-SCHEMA_VERSION = 1
+from typing import Any, Iterable, Mapping
 
 _PR_RE = re.compile(r"PR(\d+)", re.IGNORECASE)
 
@@ -185,33 +182,9 @@ class RunRecord:
     # -- (de)serialization ----------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "app": self.app,
-            "bench": self.bench,
-            "variant": self.variant,
-            "machine": self.machine,
-            "nprocs": self.nprocs,
-            "executor": self.executor,
-            "kernel_backend": self.kernel_backend,
-            "seed": self.seed,
-            "steps": self.steps,
-            "repeats": self.repeats,
-            "wall_s": self.wall_s,
-            "gflops": self.gflops,
-            "compute_s": self.compute_s,
-            "comm_s": self.comm_s,
-            "sync_s": self.sync_s,
-            "recovery_s": self.recovery_s,
-            "nbytes": self.nbytes,
-            "messages": self.messages,
-            "source": self.source,
-            "pr": self.pr,
-            "host": self.host,
-            "cpu_count": self.cpu_count,
-            "version": self.version,
-            "key": self.key,
-            "extra": self.extra_dict(),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["extra"] = self.extra_dict()
+        return d
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RunRecord":
@@ -245,3 +218,13 @@ class RunRecord:
         if version is not None and self.version is None:
             updates["version"] = version
         return replace(self, **updates) if updates else self
+
+
+def trajectory_order(records: Iterable[RunRecord]) -> list[RunRecord]:
+    """Records by PR tag, untagged ones last; ties keep their order.
+
+    The order a trajectory is walked in: :meth:`PerfDB.all
+    <repro.perfdb.store.PerfDB.all>` returns it (ties in ingest order),
+    and :mod:`repro.perfdb.trend` pairs consecutive points along it.
+    """
+    return sorted(records, key=lambda r: (r.pr is None, r.pr or 0))

@@ -1,95 +1,62 @@
-"""SQLite-backed store of :class:`~repro.perfdb.record.RunRecord` rows.
+"""Record-JSONL store of :class:`~repro.perfdb.record.RunRecord` rows.
 
-One table, one row per record, addressed by :meth:`RunRecord.uid` — so
-``add`` is idempotent and re-ingesting a file someone already ingested
-is a no-op, not a duplicate trajectory.  The full canonical JSON is
-kept alongside typed columns: the JSON is the round-trip truth, the
-columns are what WHERE clauses and indexes use.
+A store file holds one canonical record dict per line — the form
+``perf_history.jsonl`` and ``repro-perfdb export`` use, so a store is
+itself an ingest source.  Records are addressed by
+:meth:`RunRecord.uid`: ``add`` is idempotent, and re-ingesting a file
+someone already ingested is a no-op, not a duplicate trajectory.
 
-``seq`` (the SQLite rowid) preserves ingest order; together with the
-``pr`` tag it defines the trajectory ordering
-:mod:`repro.perfdb.trend` pairs records along.
+File order is ingest order; :meth:`PerfDB.all` returns the records in
+:func:`~repro.perfdb.record.trajectory_order`, the order
+:mod:`repro.perfdb.trend` pairs them along.
 
-The store also speaks JSONL: :meth:`export_jsonl` writes one record
-per line, :meth:`import_jsonl` reads them back (torn trailing lines
-tolerated, same as campaign manifests).
+Each ``add`` is one flushed and fsynced append.  A writer killed
+mid-append leaves a torn last line: opening the file drops it from the
+records, and the next ``add`` cuts it off before appending, so a new
+line never lands glued onto it.  A store has one writer at a time.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
+import os
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from .record import RunRecord, SCHEMA_VERSION
+from .ingest import records_from_jsonl
+from .query import AXIS_FIELDS, filter_records
+from .record import RunRecord, trajectory_order
 
-_COLUMNS = (
-    "app", "bench", "variant", "machine", "nprocs", "executor",
-    "kernel_backend", "seed", "steps", "repeats", "wall_s", "gflops",
-    "source", "pr", "host", "cpu_count", "version", "key",
-)
-
-_SCHEMA = f"""
-CREATE TABLE IF NOT EXISTS records (
-    uid TEXT PRIMARY KEY,
-    app TEXT NOT NULL,
-    bench TEXT NOT NULL,
-    variant TEXT NOT NULL DEFAULT '',
-    machine TEXT,
-    nprocs INTEGER,
-    executor TEXT NOT NULL DEFAULT 'serial',
-    kernel_backend TEXT NOT NULL DEFAULT 'numpy',
-    seed INTEGER,
-    steps INTEGER,
-    repeats INTEGER,
-    wall_s REAL NOT NULL,
-    gflops REAL,
-    source TEXT NOT NULL DEFAULT '',
-    pr INTEGER,
-    host TEXT,
-    cpu_count INTEGER,
-    version TEXT,
-    key TEXT,
-    json TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_records_series
-    ON records (bench, variant, app, pr);
-CREATE INDEX IF NOT EXISTS idx_records_app ON records (app);
-CREATE TABLE IF NOT EXISTS meta (k TEXT PRIMARY KEY, v TEXT NOT NULL);
-INSERT OR IGNORE INTO meta (k, v) VALUES ('schema', '{SCHEMA_VERSION}');
-"""
+_SQLITE_MAGIC = b"SQLite format 3\0"
 
 
 class PerfDB:
-    """The performance database: a single SQLite file (or ``:memory:``)."""
+    """The performance database: a record-JSONL file, or ``:memory:``."""
 
     def __init__(self, path: "str | Path" = ":memory:") -> None:
         self.path = str(path)
-        if self.path != ":memory:":
-            Path(self.path).parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(self.path)
-        self._conn.row_factory = sqlite3.Row
-        self._conn.executescript(_SCHEMA)
-        stored = self.schema_version
-        if stored != SCHEMA_VERSION:
+        self._file = None if self.path == ":memory:" else Path(self.path)
+        self._records: list[RunRecord] = []
+        self._uids: set[str] = set()
+        #: length of the whole lines when the file ends in a torn one
+        self._torn_at: int | None = None
+        if self._file is None or not self._file.exists():
+            return
+        data = self._file.read_bytes()
+        if data.startswith(_SQLITE_MAGIC):
             raise ValueError(
-                f"perfdb schema mismatch: {self.path} is v{stored}, "
-                f"this package speaks v{SCHEMA_VERSION} — re-ingest into "
-                f"a fresh database"
+                f"{self.path} is an SQLite perfdb from an older version; "
+                "re-ingest its sources into a fresh store"
             )
-
-    # -- lifecycle -------------------------------------------------------
-
-    @property
-    def schema_version(self) -> int:
-        row = self._conn.execute(
-            "SELECT v FROM meta WHERE k = 'schema'"
-        ).fetchone()
-        return int(row["v"]) if row else SCHEMA_VERSION
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            self._torn_at = whole
+        lines = data[:whole].decode().splitlines()
+        self._keep(self._unseen(records_from_jsonl(lines)))
 
     def close(self) -> None:
-        self._conn.close()
+        """Nothing to release: every ``add`` closes the file it wrote."""
 
     def __enter__(self) -> "PerfDB":
         return self
@@ -99,96 +66,64 @@ class PerfDB:
 
     # -- writes ----------------------------------------------------------
 
-    def add(self, records: "RunRecord | Iterable[RunRecord]") -> int:
-        """Insert records, deduping on uid; returns how many were new."""
-        if isinstance(records, RunRecord):
-            records = [records]
-        new = 0
-        with self._conn:
-            for rec in records:
-                d = rec.to_dict()
-                cur = self._conn.execute(
-                    "INSERT OR IGNORE INTO records "
-                    f"(uid, {', '.join(_COLUMNS)}, json) VALUES "
-                    f"({', '.join('?' * (len(_COLUMNS) + 2))})",
-                    (
-                        rec.uid(),
-                        *[d[c] for c in _COLUMNS],
-                        json.dumps(d, sort_keys=True),
-                    ),
-                )
-                new += cur.rowcount
+    def _unseen(self, records: Iterable[RunRecord]) -> dict[str, RunRecord]:
+        new: dict[str, RunRecord] = {}
+        for rec in records:
+            uid = rec.uid()
+            if uid not in self._uids:
+                new.setdefault(uid, rec)
         return new
 
-    def clear(self) -> int:
-        with self._conn:
-            cur = self._conn.execute("DELETE FROM records")
-        return cur.rowcount
+    def _keep(self, new: dict[str, RunRecord]) -> None:
+        self._uids.update(new)
+        self._records.extend(new.values())
+
+    def add(self, records: "RunRecord | Iterable[RunRecord]") -> int:
+        """Append records, deduping on uid; returns how many were new."""
+        if isinstance(records, RunRecord):
+            records = [records]
+        new = self._unseen(records)
+        if new and self._file is not None:
+            data = "".join(_line(rec) for rec in new.values()).encode()
+            self._file.parent.mkdir(parents=True, exist_ok=True)
+            with self._file.open("ab") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+        self._keep(new)
+        return len(new)
 
     # -- reads -----------------------------------------------------------
 
     def __len__(self) -> int:
-        row = self._conn.execute("SELECT COUNT(*) AS n FROM records")
-        return int(row.fetchone()["n"])
+        return len(self._records)
 
     def __iter__(self) -> Iterator[RunRecord]:
         return iter(self.all())
 
     def all(self) -> list[RunRecord]:
         """Every record in trajectory order (PR tag, then ingest order)."""
-        rows = self._conn.execute(
-            "SELECT json FROM records "
-            "ORDER BY (pr IS NULL), pr, rowid"
-        ).fetchall()
-        return [RunRecord.from_dict(json.loads(r["json"])) for r in rows]
+        return trajectory_order(self._records)
 
     def query(self, **where: Any) -> list[RunRecord]:
-        """Records matching column equality filters, trajectory-ordered.
-
-        ``db.query(app="lbmhd", executor="serial")``; a ``None`` value
-        matches SQL NULL; a list/tuple/set value is an ``IN`` filter.
-        """
-        clauses: list[str] = []
-        params: list[Any] = []
-        for col, value in where.items():
-            if col not in _COLUMNS:
-                raise ValueError(
-                    f"unknown query column {col!r}; choices: "
-                    + ", ".join(_COLUMNS)
-                )
-            if value is None:
-                clauses.append(f"{col} IS NULL")
-            elif isinstance(value, (list, tuple, set, frozenset)):
-                items = list(value)
-                clauses.append(
-                    f"{col} IN ({', '.join('?' * len(items))})"
-                )
-                params.extend(items)
-            else:
-                clauses.append(f"{col} = ?")
-                params.append(value)
-        sql = "SELECT json FROM records"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY (pr IS NULL), pr, rowid"
-        rows = self._conn.execute(sql, params).fetchall()
-        return [RunRecord.from_dict(json.loads(r["json"])) for r in rows]
+        """Records matching :func:`~repro.perfdb.query.filter_records`,
+        trajectory-ordered: ``db.query(app="lbmhd", pr=[None, 1])``."""
+        return filter_records(self.all(), **where)
 
     def distinct(self, column: str) -> list[Any]:
-        if column not in _COLUMNS:
+        """An axis field's values, ``None`` first, the rest sorted."""
+        if column not in AXIS_FIELDS:
             raise ValueError(f"unknown column {column!r}")
-        rows = self._conn.execute(
-            f"SELECT DISTINCT {column} AS v FROM records ORDER BY v"
-        ).fetchall()
-        return [r["v"] for r in rows]
+        values = {getattr(rec, column) for rec in self._records}
+        return sorted(values, key=lambda v: (v is not None, v))
 
     def sources(self) -> dict[str, int]:
         """Record count per source tag — the ingest ledger."""
-        rows = self._conn.execute(
-            "SELECT source, COUNT(*) AS n FROM records "
-            "GROUP BY source ORDER BY source"
-        ).fetchall()
-        return {r["source"]: int(r["n"]) for r in rows}
+        counts = Counter(rec.source for rec in self._records)
+        return dict(sorted(counts.items()))
 
     # -- JSONL interchange ----------------------------------------------
 
@@ -197,23 +132,15 @@ class PerfDB:
         records = self.all()
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
-        with p.open("w") as fh:
-            for rec in records:
-                fh.write(
-                    json.dumps(rec.to_dict(), sort_keys=True) + "\n"
-                )
+        p.write_text("".join(_line(rec) for rec in records))
         return len(records)
 
     def import_jsonl(self, path: "str | Path") -> int:
-        """Read records written by :meth:`export_jsonl`; returns new rows."""
-        records: list[RunRecord] = []
-        with Path(path).open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(RunRecord.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, TypeError, ValueError):
-                    continue  # torn trailing line or foreign JSONL
-        return self.add(records)
+        """Read record JSONL (torn lines skipped); returns new records."""
+        return self.add(
+            records_from_jsonl(Path(path).read_text().splitlines())
+        )
+
+
+def _line(rec: RunRecord) -> str:
+    return json.dumps(rec.to_dict(), sort_keys=True) + "\n"

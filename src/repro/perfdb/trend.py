@@ -2,9 +2,9 @@
 
 Records sharing one :meth:`RunRecord.series_key` are a trajectory:
 the same measured cell, recorded by successive PRs.  Within each
-trajectory (ordered by PR tag, then ingest order), consecutive pairs
-are compared on wall seconds *per step*, and a pair whose ratio
-exceeds the applicable threshold is a :class:`Regression`.
+trajectory (by PR tag, then input order: :func:`trajectory_order`),
+consecutive pairs are compared on wall seconds *per step*, and a pair
+whose ratio exceeds the applicable threshold is a :class:`Regression`.
 
 Thresholds are **host-aware** because absolute wall-clock is only
 comparable on comparable hardware: a pair measured on the same named
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
-from .record import RunRecord
+from .record import RunRecord, trajectory_order
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,14 @@ class Regression:
 def _ordered_series(
     records: Iterable[RunRecord],
 ) -> dict[tuple, list[RunRecord]]:
-    """Series buckets in trajectory order (pr tag, then input order)."""
-    seq: dict[tuple, list[tuple[int, int | None, RunRecord]]] = {}
-    for i, rec in enumerate(records):
-        seq.setdefault(rec.series_key(), []).append((i, rec.pr, rec))
-    out: dict[tuple, list[RunRecord]] = {}
-    for key, items in seq.items():
-        items.sort(key=lambda t: (t[1] is None, t[1] if t[1] is not None else 0, t[0]))
-        out[key] = [rec for _, _, rec in items]
+    """Series buckets, each in :func:`trajectory_order`; the buckets
+    keep the order their series first appear in."""
+    records = list(records)
+    out: dict[tuple, list[RunRecord]] = {
+        rec.series_key(): [] for rec in records
+    }
+    for rec in trajectory_order(records):
+        out[rec.series_key()].append(rec)
     return out
 
 

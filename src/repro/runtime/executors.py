@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from .arena import Arena
 from .resolve import Resolver, Support
-from .shm import SharedArenaPool, shm_available
+from .shm import SharedArenaPool, shm_unavailable_reason
 from .team import RankTeam, contiguous_shards
 
 _T = TypeVar("_T")
@@ -365,17 +365,12 @@ class ProcessExecutor(Executor):
                 "inherit the solver the parent built; spawned workers "
                 "could not)",
             )
-        if not shm_available():
-            if os.environ.get("REPRO_SHM_DISABLE"):
-                return Support(
-                    False,
-                    "rank segments need shared memory and "
-                    "REPRO_SHM_DISABLE is set in the environment",
-                )
+        reason = shm_unavailable_reason()
+        if reason is not None:
             return Support(
                 False,
                 "rank segments need POSIX shared memory, which is "
-                "unavailable (no usable /dev/shm)",
+                f"unavailable ({reason})",
             )
         return Support(
             True, "fork + POSIX shared memory are available"

@@ -30,8 +30,8 @@ Design points, in the order they bit:
   "leaked shared_memory objects" warning.  Live NumPy views keep the
   *mapping* valid after unlink (POSIX semantics), so results handed to
   callers survive the pool they were allocated from.
-* **Graceful degradation.**  :func:`shm_available` actually probes a
-  segment create (cached) and honors the ``REPRO_SHM_DISABLE``
+* **Graceful degradation.**  :func:`shm_unavailable_reason` actually
+  probes a segment create (cached) and honors the ``REPRO_SHM_DISABLE``
   environment toggle, so hosts without a usable ``/dev/shm`` — and CI
   jobs simulating them — fall back to serial execution instead of
   failing mid-run.
@@ -67,6 +67,7 @@ __all__ = [
     "ShmArena",
     "ShmHandles",
     "shm_available",
+    "shm_unavailable_reason",
 ]
 
 _ENV_DISABLE = "REPRO_SHM_DISABLE"
@@ -77,16 +78,16 @@ _probe_lock = threading.Lock()
 _probe_result: bool | None = None
 
 
-def shm_available() -> bool:
-    """Can this host actually create POSIX shared memory?
+def shm_unavailable_reason() -> str | None:
+    """Why this host cannot create POSIX shared memory, or ``None``.
 
-    Probes one tiny segment create/unlink (result cached for the
-    process).  Setting ``REPRO_SHM_DISABLE`` to any non-empty value
-    forces ``False`` — the CI fallback job uses this to exercise the
-    degrade-to-serial path on hosts that do have ``/dev/shm``.
+    Setting ``REPRO_SHM_DISABLE`` to any non-empty value is a reason —
+    the CI fallback job uses it to exercise the degrade-to-serial path
+    on hosts that do have ``/dev/shm``.  Otherwise one tiny segment
+    create/unlink is probed (result cached for the process).
     """
     if os.environ.get(_ENV_DISABLE):
-        return False
+        return f"{_ENV_DISABLE} is set in the environment"
     global _probe_result
     with _probe_lock:
         if _probe_result is None:
@@ -101,7 +102,12 @@ def shm_available() -> bool:
                 except OSError:  # pragma: no cover - raced cleanup
                     pass
                 _probe_result = True
-    return _probe_result
+    return None if _probe_result else "no usable /dev/shm"
+
+
+def shm_available() -> bool:
+    """Can this host actually create POSIX shared memory?"""
+    return shm_unavailable_reason() is None
 
 
 def _detach_segment(seg: shared_memory.SharedMemory) -> None:
@@ -243,14 +249,10 @@ class SharedArenaPool:
     ) -> None:
         if slab_bytes < _ALIGN:
             raise ValueError(f"slab_bytes must be >= {_ALIGN}")
-        if not shm_available():
+        reason = shm_unavailable_reason()
+        if reason is not None:
             raise RuntimeError(
-                "POSIX shared memory is unavailable on this host"
-                + (
-                    f" ({_ENV_DISABLE} is set)"
-                    if os.environ.get(_ENV_DISABLE)
-                    else " (no usable /dev/shm)"
-                )
+                f"POSIX shared memory is unavailable on this host ({reason})"
             )
         self.name = name
         self._slab_bytes = int(slab_bytes)

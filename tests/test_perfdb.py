@@ -27,6 +27,7 @@ from repro.perfdb import (
     RunRecord,
     TrendPolicy,
     detect_regressions,
+    filter_records,
     ingest_path,
     inject_slowdown,
     pivot,
@@ -214,6 +215,64 @@ def test_jsonl_round_trip(tmp_path):
     torn.write_text(out.read_text() + '{"app": "lb')
     db3 = PerfDB()
     assert db3.import_jsonl(torn) == n
+
+
+def test_query_is_filter_records_over_all():
+    """One filter: ``query`` matches a ``None`` in an IN-list, as
+    ``repro-perfdb query --where pr=none,1`` does."""
+    db = PerfDB()
+    db.add([_record(pr=None), _record(pr=1, wall_s=1.1),
+            _record(pr=2, wall_s=1.2)])
+    both = db.query(pr=[None, 1])
+    assert both == filter_records(db.all(), pr=[None, 1])
+    assert [r.pr for r in both] == [1, None]
+    assert db.distinct("pr") == [None, 1, 2]
+
+
+def test_store_drops_a_torn_last_line_and_appends_after_it(tmp_path):
+    path = tmp_path / "perf.db"
+    records = [_record(pr=pr, wall_s=1.0 + pr) for pr in (1, 2, 3)]
+    with PerfDB(path) as db:
+        db.add(records)
+    data = path.read_bytes()
+    path.write_bytes(data[:-20])  # the writer died mid-line
+    with PerfDB(path) as db:
+        assert db.all() == records[:2]
+        assert db.add(records + [_record(pr=4)]) == 2
+    with PerfDB(path) as db:
+        assert db.all() == records + [_record(pr=4)]
+    lines = path.read_text().splitlines()
+    assert [RunRecord.from_dict(json.loads(line)) for line in lines] == (
+        records + [_record(pr=4)]
+    )
+
+
+def test_store_refuses_an_sqlite_perfdb(tmp_path, capsys):
+    """A ``perf.db`` written by the SQLite-backed store is refused, left
+    as it is, and named with the way forward."""
+    import sqlite3
+
+    from repro.perfdb.cli import main
+
+    path = tmp_path / "perf.db"
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("CREATE TABLE records (uid TEXT PRIMARY KEY)")
+    conn.close()
+    data = path.read_bytes()
+    assert data.startswith(b"SQLite format 3\0")
+    with pytest.raises(ValueError, match="re-ingest its sources"):
+        PerfDB(path)
+    assert main(["check", str(path)]) == 2
+    assert "re-ingest its sources" in capsys.readouterr().err
+    assert path.read_bytes() == data
+
+
+def test_store_file_is_an_ingest_source(tmp_path):
+    path = tmp_path / "perf.db"
+    with PerfDB(path) as db:
+        db.add(_trajectory())
+    assert ingest_path(path) == _trajectory()
 
 
 # -- campaign manifests ----------------------------------------------------

@@ -199,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ingest.add_argument(
         "paths", nargs="+",
         help=(
-            '{"records": [...]} *.json payloads, campaign '
+            '{"records": [...]} JSON payloads, campaign '
             "*.manifest.jsonl journals, record JSONL (stores, exports, "
             "perf_history.jsonl), or ResultCache directories"
         ),

@@ -2,16 +2,17 @@
 
 Sources:
 
-* **Record payloads** — a ``.json`` file whose top level is an object
-  carrying a ``records`` list of canonical record dicts, which is what
-  ``benchmarks/ladder`` writes as its ``result.json``; the records are
-  taken verbatim (source and PR tag filled from the file name when
-  absent).  Any other JSON is rejected with a :class:`ValueError`
-  naming the file and what was found.
+* **Record payloads** — a JSON document (any file name) whose top level
+  is an object carrying a ``records`` list of canonical record dicts,
+  which is what ``benchmarks/ladder`` writes as its ``result.json``;
+  the records are taken verbatim (source and PR tag filled from the
+  file name when absent).  Any other JSON document is rejected with a
+  :class:`ValueError` naming the file and what was found.
 * **Record JSONL** — one record dict per line: a
   :class:`~repro.perfdb.store.PerfDB` file, ``repro-perfdb export``
   output and the tracked ``perf_history.jsonl`` (the measurements of
-  PR 1–10, frozen).
+  PR 1–10, frozen).  Every whole line must be a record; only a torn
+  last line is skipped.
 * **Campaign manifests** — the JSONL journals of
   :mod:`repro.campaign.manifest`.  Each ``run-done`` event becomes a
   record, built from the config the event carries.
@@ -27,11 +28,19 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .record import RunRecord, pr_from_source
 
 # -- campaign sources -----------------------------------------------------
+
+
+#: RunRecord phase field -> the per-step key a worker result carries
+_PHASE_KEYS = {
+    "compute_s": "compute_s_mean", "comm_s": "comm_s_mean",
+    "sync_s": "wait_s_mean", "recovery_s": "recovery_s_mean",
+    "nbytes": "nbytes", "messages": "messages",
+}
 
 
 def _phase_totals(result: Mapping[str, Any]) -> dict[str, float | None]:
@@ -39,26 +48,11 @@ def _phase_totals(result: Mapping[str, Any]) -> dict[str, float | None]:
     phases = result.get("phases")
     if not isinstance(phases, list) or not phases:
         return {}
-    steps = result.get("steps") or 1
-    totals = {"compute": 0.0, "comm": 0.0, "sync": 0.0,
-              "recovery": 0.0, "nbytes": 0.0, "messages": 0.0}
-    for p in phases:
-        if not isinstance(p, dict):
-            continue
-        totals["compute"] += float(p.get("compute_s_mean", 0.0))
-        totals["comm"] += float(p.get("comm_s_mean", 0.0))
-        totals["sync"] += float(p.get("wait_s_mean", 0.0))
-        totals["recovery"] += float(p.get("recovery_s_mean", 0.0))
-        totals["nbytes"] += float(p.get("nbytes", 0.0))
-        totals["messages"] += float(p.get("messages", 0.0))
-    s = max(int(steps), 1)
+    steps = max(int(result.get("steps") or 1), 1)
+    phases = [p for p in phases if isinstance(p, dict)]
     return {
-        "compute_s": totals["compute"] * s,
-        "comm_s": totals["comm"] * s,
-        "sync_s": totals["sync"] * s,
-        "recovery_s": totals["recovery"] * s,
-        "nbytes": totals["nbytes"] * s,
-        "messages": totals["messages"] * s,
+        field: steps * sum(float(p.get(key, 0.0)) for p in phases)
+        for field, key in _PHASE_KEYS.items()
     }
 
 
@@ -229,22 +223,34 @@ def records_from_report(
 
 # -- the one-call entry point ---------------------------------------------
 
+def _json_or_none(data: bytes) -> Any:
+    try:
+        return json.loads(data)
+    except ValueError:
+        return None
 
-def _records_from_payload(p: Path) -> list[RunRecord]:
-    """Records from a ``{"records": [...]}`` JSON file, or ValueError."""
-    payload = json.loads(p.read_text())
+
+def _as_record(obj: Any) -> RunRecord | None:
+    try:
+        return RunRecord.from_dict(obj)
+    except (TypeError, ValueError):
+        return None
+
+
+def _records_from_payload(payload: Any, name: str) -> list[RunRecord]:
+    """Records from a ``{"records": [...]}`` JSON document, or ValueError."""
     if not isinstance(payload, dict):
         raise ValueError(
-            f"{p.name}: top level is a {type(payload).__name__}, "
+            f"{name}: top level is a {type(payload).__name__}, "
             "expected an object with a 'records' list"
         )
     rows = payload.get("records")
     if not isinstance(rows, list):
         raise ValueError(
-            f"{p.name}: no 'records' list among top-level keys "
+            f"{name}: no 'records' list among top-level keys "
             + (", ".join(sorted(map(str, payload))) or "(none)")
         )
-    pr = pr_from_source(p.name)
+    pr = pr_from_source(name)
     records: list[RunRecord] = []
     for i, row in enumerate(rows):
         try:
@@ -253,38 +259,63 @@ def _records_from_payload(p: Path) -> list[RunRecord]:
             rec = RunRecord.from_dict(row)
         except (TypeError, ValueError) as exc:
             raise ValueError(
-                f"{p.name}: records[{i}] is not a RunRecord: {exc}"
+                f"{name}: records[{i}] is not a RunRecord: {exc}"
             ) from exc
-        records.append(rec.with_provenance(source=p.name, pr=pr))
+        records.append(rec.with_provenance(source=name, pr=pr))
     return records
 
 
-def records_from_jsonl(lines: Iterable[str]) -> list[RunRecord]:
-    """Records from record-JSONL lines, one record dict a line: a
-    :class:`~repro.perfdb.store.PerfDB` file, ``repro-perfdb export``
-    output, ``perf_history.jsonl``.  Blank, torn and foreign lines
-    (campaign events among them) are skipped."""
+def read_store(data: bytes, name: str) -> tuple[list[RunRecord], int]:
+    """The records of record-JSONL bytes (a store, an export,
+    ``perf_history.jsonl``) and the offset where they end.
+
+    Every non-blank line must be a record, except a last line that
+    starts a JSON object it does not finish: a writer died mid-append,
+    and the offset stops before that torn line.  Anything else, an
+    SQLite ``perf.db`` from an older version among them, is a ValueError.
+    """
+    if data.startswith(b"SQLite format 3\0"):
+        raise ValueError(
+            f"{name} is an SQLite perfdb from an older version; "
+            "re-ingest its sources into a fresh store"
+        )
+    *lines, tail = data.split(b"\n")
+    torn = tail.lstrip().startswith(b"{") and _json_or_none(tail) is None
     records: list[RunRecord] = []
-    for line in lines:
-        try:
-            records.append(RunRecord.from_dict(json.loads(line)))
-        except (TypeError, ValueError):
-            continue
-    return records
+    for number, line in enumerate(lines if torn else lines + [tail], 1):
+        if line.strip():
+            rec = _as_record(_json_or_none(line))
+            if rec is None:
+                raise ValueError(
+                    f"{name}: line {number} is not a perfdb record"
+                )
+            records.append(rec)
+    return records, len(data) - len(tail) if torn else len(data)
 
 
 def ingest_path(path: "str | Path") -> list[RunRecord]:
-    """Records from *any* supported on-disk source.
-
-    Dispatch: a directory is a ResultCache; a ``.json`` file is a
-    ``{"records": [...]}`` payload; any other file is JSONL, a campaign
-    manifest if its events yield records and record JSONL otherwise.
-    """
+    """Records from *any* supported on-disk source, told apart by content:
+    a directory is a ResultCache; one JSON document, other than a lone
+    record or event, is a ``{"records": [...]}`` payload; JSONL whose
+    first line is a campaign event is a manifest; anything else is
+    record JSONL (:func:`read_store`), and must yield a record unless
+    it is empty."""
     p = Path(path)
     if p.is_dir():
         return records_from_cache(p, source=f"cache:{p.name}")
-    if p.suffix == ".json":
-        return _records_from_payload(p)
-    return records_from_manifest(p) or records_from_jsonl(
-        p.read_text().splitlines()
+    data = p.read_bytes()
+    doc = _json_or_none(data)
+    is_line = isinstance(doc, dict) and (
+        "event" in doc or _as_record(doc) is not None
     )
+    if doc is not None and not is_line:
+        return _records_from_payload(doc, p.name)
+    first = _json_or_none(data.lstrip().split(b"\n", 1)[0])
+    if isinstance(first, dict) and "event" in first:
+        return records_from_manifest(p)
+    records, _end = read_store(data, p.name)
+    if not records and data.strip():
+        raise ValueError(
+            f"{p.name}: no record, records payload or campaign event"
+        )
+    return records

@@ -13,7 +13,11 @@ File order is ingest order; :meth:`PerfDB.all` returns the records in
 Each ``add`` is one flushed and fsynced append.  A writer killed
 mid-append leaves a torn last line: opening the file drops it from the
 records, and the next ``add`` cuts it off before appending, so a new
-line never lands glued onto it.  A store has one writer at a time.
+line never lands glued onto it; a last record without its newline is
+kept and gets one.  Opening a file that is not record JSONL (a JSON
+payload, a campaign journal, an SQLite ``perf.db`` from an older
+version) is a ValueError, and the file is left as it is.  A store has
+one writer at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +28,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from .ingest import records_from_jsonl
+from .ingest import read_store
 from .query import AXIS_FIELDS, filter_records
 from .record import RunRecord, trajectory_order
-
-_SQLITE_MAGIC = b"SQLite format 3\0"
 
 
 class PerfDB:
@@ -39,21 +41,15 @@ class PerfDB:
         self._file = None if self.path == ":memory:" else Path(self.path)
         self._records: list[RunRecord] = []
         self._uids: set[str] = set()
-        #: length of the whole lines when the file ends in a torn one
-        self._torn_at: int | None = None
+        #: (cut at, write first) for the next append to a ragged end
+        self._mend: tuple[int, bytes] | None = None
         if self._file is None or not self._file.exists():
             return
         data = self._file.read_bytes()
-        if data.startswith(_SQLITE_MAGIC):
-            raise ValueError(
-                f"{self.path} is an SQLite perfdb from an older version; "
-                "re-ingest its sources into a fresh store"
-            )
-        whole = data.rfind(b"\n") + 1
-        if whole < len(data):
-            self._torn_at = whole
-        lines = data[:whole].decode().splitlines()
-        self._keep(self._unseen(records_from_jsonl(lines)))
+        records, end = read_store(data, self.path)
+        if data and not data.endswith(b"\n"):
+            self._mend = (end, b"\n" if end == len(data) else b"")
+        self._keep(self._unseen(records))
 
     def close(self) -> None:
         """Nothing to release: every ``add`` closes the file it wrote."""
@@ -87,9 +83,11 @@ class PerfDB:
             data = "".join(_line(rec) for rec in new.values()).encode()
             self._file.parent.mkdir(parents=True, exist_ok=True)
             with self._file.open("ab") as fh:
-                if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
-                    self._torn_at = None
+                if self._mend is not None:
+                    end, newline = self._mend
+                    fh.truncate(end)
+                    data = newline + data
+                    self._mend = None
                 fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -136,10 +134,9 @@ class PerfDB:
         return len(records)
 
     def import_jsonl(self, path: "str | Path") -> int:
-        """Read record JSONL (torn lines skipped); returns new records."""
-        return self.add(
-            records_from_jsonl(Path(path).read_text().splitlines())
-        )
+        """Read record JSONL (torn last line skipped); returns new records."""
+        records, _end = read_store(Path(path).read_bytes(), str(path))
+        return self.add(records)
 
 
 def _line(rec: RunRecord) -> str:

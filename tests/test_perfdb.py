@@ -268,6 +268,38 @@ def test_store_refuses_an_sqlite_perfdb(tmp_path, capsys):
     assert path.read_bytes() == data
 
 
+def test_store_keeps_a_last_record_without_its_newline(tmp_path):
+    path = tmp_path / "perf.db"
+    records = [_record(pr=pr, wall_s=1.0 + pr) for pr in (1, 2)]
+    path.write_text(
+        "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in records)
+    )
+    with PerfDB(path) as db:
+        assert db.all() == records
+        assert db.add(_record(pr=3)) == 1
+    with PerfDB(path) as db:
+        assert db.all() == records + [_record(pr=3)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"records": [_record().to_dict()]}, indent=1),
+        json.dumps({"records": [_record().to_dict()]}),
+        '{"event": "campaign-start", "name": "c"}\n',
+        "notes, not records",
+    ],
+    ids=["pretty-payload", "one-line-payload", "manifest", "text"],
+)
+def test_store_refuses_a_file_that_is_not_record_jsonl(tmp_path, text):
+    """Naming a source where the store belongs leaves the source as it is."""
+    path = tmp_path / "result.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="not a perfdb record"):
+        PerfDB(path)
+    assert path.read_text() == text
+
+
 def test_store_file_is_an_ingest_source(tmp_path):
     path = tmp_path / "perf.db"
     with PerfDB(path) as db:

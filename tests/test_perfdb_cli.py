@@ -93,6 +93,46 @@ def test_ingest_names_what_is_wrong_with_a_bad_json_source(
     assert "0 new" in out  # nothing from the file reached the store
 
 
+def test_ingest_reads_a_payload_by_content_not_name(db_path, tmp_path,
+                                                   capsys):
+    records = [json.loads(line) for line in HISTORY.read_text().splitlines()]
+    payload = tmp_path / "r.out"
+    payload.write_text(json.dumps({"records": records}, indent=1))
+    assert main(["ingest", str(db_path), str(payload)]) == 0
+    assert "42 new record(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "data,complaint",
+    [
+        (b"garbage\nmore garbage\n", "line 1 is not a perfdb record"),
+        (b'{"records": ', "no record, records payload or campaign event"),
+        (b"SQLite format 3\0\xdf\x00", "re-ingest its sources"),
+    ],
+    ids=["text", "torn-payload", "sqlite"],
+)
+def test_ingest_refuses_a_bad_source_whatever_its_name(
+    db_path, tmp_path, capsys, data, complaint
+):
+    bad = tmp_path / "x.txt"
+    bad.write_bytes(data)
+    assert main(["ingest", str(db_path), str(bad)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"repro-perfdb: bad source {bad}: ")
+    assert complaint in line
+
+
+def test_ingest_into_a_source_by_mistake_writes_nothing(tmp_path, capsys):
+    """Leaving out the db argument names a payload as the store: the
+    command fails and the payload keeps every byte."""
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"records": []}, indent=1))
+    before = result.read_bytes()
+    assert main(["ingest", str(result), str(HISTORY)]) == 2
+    assert "not a perfdb record" in capsys.readouterr().err
+    assert result.read_bytes() == before
+
+
 def test_query_renders_the_acceptance_pivot(loaded_db, capsys):
     rc = main([
         "query", str(loaded_db),

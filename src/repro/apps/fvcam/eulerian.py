@@ -57,9 +57,6 @@ class EulerianCore:
         self.zeta = self.transform.analysis(grid)
         self.zeta[0, 0] = 0.0  # the sphere carries no net vorticity
 
-    def vorticity_grid(self) -> np.ndarray:
-        return self.transform.synthesis(self.zeta)
-
     def streamfunction(self) -> np.ndarray:
         return self.transform.synthesis(
             self.transform.inverse_laplacian(self.zeta)

@@ -86,13 +86,6 @@ class LatLonGrid:
             np.abs(self.latitudes) > np.deg2rad(self.filter_lat_deg)
         )[0]
 
-    def cell_area(self) -> np.ndarray:
-        """Cell areas (jm, im), proportional to cos(lat)."""
-        area_j = (
-            self.radius**2 * self.dlon * self.dlat * self.coslat
-        )
-        return np.repeat(area_j[:, None], self.im, axis=1)
-
     @property
     def points_per_level(self) -> int:
         return self.im * self.jm

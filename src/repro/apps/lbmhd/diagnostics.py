@@ -67,13 +67,6 @@ class TurbulenceReport:
             return 0.0
         return float((self.shells * self.kinetic_spectrum).sum() / total)
 
-    @property
-    def magnetic_centroid(self) -> float:
-        total = self.magnetic_spectrum.sum()
-        if total == 0:
-            return 0.0
-        return float((self.shells * self.magnetic_spectrum).sum() / total)
-
 
 def turbulence_report(sim: LBMHD3D) -> TurbulenceReport:
     """Spectra of the current global state."""

@@ -36,6 +36,9 @@ from .. import __version__
 from .manifest import SUFFIX
 from .spec import RunConfig
 
+#: Decoded entries each :class:`ResultCache` keeps for :meth:`~ResultCache.get`.
+MEMO_ENTRIES = 1024
+
 
 @dataclass
 class CacheStats:
@@ -81,6 +84,9 @@ class ResultCache:
         self._life_lock = threading.Lock()
         #: journal path -> what lifetime_stats has read of it
         self._folds: dict[Path, _Fold] = {}
+        #: entry path -> (inode, mtime_ns, size) stat stamp, result
+        self._memo: dict[str, tuple[tuple[int, int, int], dict]] = {}
+        self._memo_lock = threading.Lock()
 
     def _file(self, key: str) -> str:
         # a plain string on the lookup path: pathlib interns every part
@@ -92,21 +98,49 @@ class ResultCache:
         return Path(self._file(key))
 
     def get(self, config: RunConfig) -> dict[str, Any] | None:
-        """The cached result dict for ``config``, or ``None`` on a miss."""
+        """The cached result dict for ``config``, or ``None`` on a miss.
+
+        An entry this instance has decoded is served from its memo
+        (:data:`MEMO_ENTRIES` of them, oldest out) while one ``os.stat``
+        still finds the file it read: same inode, mtime and size.  A
+        re-put is a rename, so a new inode (and this instance's own
+        ``put`` drops the path); a cleared entry is ``ENOENT``, a miss.  The memo hands out the dict it holds, not
+        a copy: nothing in the package mutates a result after ``get``
+        or ``put`` (the distrib worker adds its name to a result it has
+        just computed, before any ``put``)."""
+        path = self._file(config.key())
         try:
-            with open(self._file(config.key())) as fh:
-                entry = json.load(fh)
+            st = os.stat(path)
+            stamp = (st.st_ino, st.st_mtime_ns, st.st_size)
+            memo = self._memo.get(path)
+            if memo is not None and memo[0] == stamp:
+                result = memo[1]
+            else:
+                with open(path, "rb") as fh:
+                    entry = json.loads(fh.read())
+                result = (
+                    entry.get("result") if isinstance(entry, dict) else None
+                )
+                if isinstance(result, dict):
+                    self._remember(path, stamp, result)
         except (ValueError, OSError):
             # absent or unreadable (not UTF-8, not JSON) == miss; the
             # rerun will overwrite it
-            self._count(misses=1)
-            return None
-        result = entry.get("result") if isinstance(entry, dict) else None
+            result = None
         if not isinstance(result, dict):
-            self._count(misses=1)  # parsed, but no result in it
+            self._count(misses=1)
             return None
         self._count(hits=1)
         return result
+
+    def _remember(
+        self, path: str, stamp: tuple[int, int, int], result: dict
+    ) -> None:
+        with self._memo_lock:
+            self._memo.pop(path, None)
+            self._memo[path] = (stamp, result)
+            while len(self._memo) > MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
 
     def put(self, config: RunConfig, result: dict[str, Any]) -> Path:
         """Atomically publish one completed run."""
@@ -133,6 +167,8 @@ class ResultCache:
             except FileNotFoundError:
                 pass
             raise
+        with self._memo_lock:
+            self._memo.pop(str(path), None)
         self._count(puts=1)
         return path
 
@@ -242,6 +278,8 @@ class ResultCache:
                 pass
         with self._stats_lock:
             self.stats = CacheStats()
+        with self._memo_lock:
+            self._memo = {}
         with self._life_lock:
             self._folds = {}
         return removed

@@ -1,8 +1,8 @@
 """JSONL progress journal of one campaign invocation.
 
-Every event is one JSON object per line, appended and flushed as it
-happens, so a campaign killed mid-flight leaves a readable journal up
-to the kill point.  Resume correctness comes from the content-addressed
+Every event is one JSON object per line, written as it happens, so a
+campaign killed mid-flight leaves a readable journal up to the kill
+point.  Resume correctness comes from the content-addressed
 cache (a completed run's entry was published before its ``run-done``
 event was journaled).  The journals in a cache root are its one record
 of traffic: ``repro-campaign status`` renders them, and
@@ -33,6 +33,7 @@ canonical :class:`~repro.perfdb.record.RunRecord` rows, one per
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -41,16 +42,23 @@ SUFFIX = ".manifest.jsonl"
 
 
 class Manifest:
-    """Append-only JSONL journal (opened lazily, flushed per event)."""
+    """Append-only JSONL journal: each event one ``os.write`` of its
+    whole line, on a descriptor opened ``O_APPEND`` for that event alone.
+    Nothing stays open, so a journal deleted between events (a cache
+    :meth:`~repro.campaign.cache.ResultCache.clear`) is created again."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, event: dict[str, Any]) -> None:
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-            fh.flush()
+        line = (json.dumps(event, sort_keys=True) + "\n").encode()
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while line:  # a short write leaves the rest to write
+                line = line[os.write(fd, line):]
+        finally:
+            os.close(fd)
 
 
 class NullManifest:

@@ -9,7 +9,6 @@ from ..apps.fvcam import FVCAMScenario
 from ..apps.gtc import GTCScenario
 from ..apps.lbmhd import LBMHDScenario
 from ..apps.paratec import ParatecScenario
-from ..machines.catalog import get_machine
 from ..perfmodel.predict import model_of
 
 #: One 256-processor scenario per application: the cases of Figure 8
@@ -29,16 +28,6 @@ class Cell:
     machine: str
     model_gflops: float
     paper_gflops: float | None
-
-    @property
-    def model_pct(self) -> float:
-        return get_machine(self.machine).pct_of_peak(self.model_gflops)
-
-    @property
-    def paper_pct(self) -> float | None:
-        if self.paper_gflops is None:
-            return None
-        return get_machine(self.machine).pct_of_peak(self.paper_gflops)
 
     @property
     def ratio(self) -> float | None:

@@ -18,6 +18,8 @@ a failed job discovered minutes later in a worker process.
 
 from __future__ import annotations
 
+import json
+from functools import lru_cache
 from typing import Any
 
 from ..campaign.spec import RunConfig
@@ -88,7 +90,19 @@ def _validate_config(config: RunConfig) -> None:
         raise ApiError(400, "'nprocs' must be >= 1")
     # the worker builds the same params: an unknown or invalid one
     # (an unstable relaxation time, say) fails here, not in the job
+    params = json.dumps(config.params_dict(), sort_keys=True)
+    error = _params_error(config.app, params)
+    if error is not None:
+        raise ApiError(400, f"bad params for {config.app!r}: {error}")
+
+
+@lru_cache(maxsize=256)
+def _params_error(app: str, params: str) -> str | None:
+    """Why ``build_params`` rejects ``params`` (canonical JSON), or
+    ``None``; checked once per distinct pair.  Keyed on JSON text, not
+    the frozen tuple, whose ``1``, ``1.0`` and ``True`` compare equal."""
     try:
-        build_params(config.app, config.params_dict())
+        build_params(app, json.loads(params))
     except (TypeError, ValueError) as exc:
-        raise ApiError(400, f"bad params for {config.app!r}: {exc}") from None
+        return str(exc)
+    return None

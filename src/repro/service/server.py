@@ -1,9 +1,9 @@
 """The asyncio HTTP front end: what-if predictions at interactive latency.
 
-Hand-rolled HTTP/1.1 over ``asyncio.start_server`` — no dependencies
-beyond the standard library.  One request per connection
-(``Connection: close``), JSON bodies, and close-delimited NDJSON for
-the job progress stream.
+Hand-rolled HTTP/1.1 on one :class:`asyncio.Protocol` connection class
+(``loop.create_server``) — no dependencies beyond the standard
+library.  One request per connection (``Connection: close``), JSON
+bodies, and close-delimited NDJSON for the job progress stream.
 
 Endpoints::
 
@@ -18,15 +18,21 @@ Endpoints::
     GET  /v1/healthz       liveness probe
     POST /v1/shutdown      clean stop (drains the accept loop)
 
-Request flow for ``/v1/predict``: validate -> ``JobQueue.submit``,
-synchronous on the event loop: attach to the in-flight job for the
-campaign's SHA-256 content key, or open a one-config campaign (one
-cache lookup; a hit appends its ``run-done`` to the service journal
-``repro-perfdb`` ingests) -> a hit is answered right there; a miss
-becomes a task that waits for one of ``workers`` slots and computes in
-a thread (on the ``ProcessExecutor`` pool by default) -> respond.
-Identical in-flight requests attach to one computation; identical later
-requests are warm cache hits, and never wait behind a computation.
+The connection parses its request as the bytes arrive, in
+``data_received``.  Request flow for ``/v1/predict``: validate ->
+``JobQueue.submit``, synchronous on the event loop: attach to the
+in-flight job for the campaign's SHA-256 content key, or open a
+one-config campaign (one cache lookup; a hit appends its ``run-done``
+to the service journal ``repro-perfdb`` ingests).  A hit, a ``wait:
+false`` acceptance and a rejected body need no waiting: the reply goes
+out from the same ``data_received`` call, in one ``transport.write``.
+A miss becomes a task that waits for one of ``workers`` slots and
+computes in a thread (on the ``ProcessExecutor`` pool by default); the
+connection's own task waits for it and responds.  Identical in-flight
+requests attach to one computation; identical later requests are warm
+cache hits, and never wait behind a computation.  Every other route
+runs in the connection's task too, writing through the transport with
+``pause_writing``/``resume_writing`` flow control.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Coroutine
 
 from .. import __version__
 from ..campaign.cache import ResultCache
@@ -46,12 +52,14 @@ from ..experiments import whatif
 from ..machines.catalog import PAPER_ORDER, get_machine
 from ..runtime.executors import Executor
 from .api import ApiError, parse_predict
-from .jobs import FAILED, JobQueue
+from .jobs import FAILED, Job, JobQueue
 
 #: Largest accepted request body.
 MAX_BODY_BYTES = 1 << 20
-#: Longest accepted request or header line (the stream reader's limit).
+#: Longest accepted request or header line, newline excluded.
 MAX_LINE_BYTES = 1 << 16
+#: Seconds a client has to send its whole request.
+READ_TIMEOUT_S = 30.0
 
 _ROUTES_HELP = (
     "POST /v1/predict, GET /v1/jobs[/<id>], GET /v1/machines, "
@@ -63,13 +71,14 @@ _ROUTES_HELP = (
 class _Request:
     """One parsed HTTP request."""
 
-    __slots__ = ("method", "path", "headers", "body")
+    __slots__ = ("method", "path", "route", "headers", "body")
 
     def __init__(
         self, method: str, path: str, headers: dict[str, str], body: bytes
     ) -> None:
         self.method = method
         self.path = path
+        self.route = path.rstrip("/") or "/"
         self.headers = headers
         self.body = body
 
@@ -80,44 +89,6 @@ class _Request:
             return json.loads(self.body)
         except json.JSONDecodeError as exc:
             raise ApiError(400, f"request body is not valid JSON: {exc}")
-
-
-async def _readline(reader: asyncio.StreamReader, what: str) -> bytes:
-    try:
-        return await reader.readline()
-    except ValueError:  # readline re-raises LimitOverrunError as this
-        raise ApiError(
-            431, f"{what} exceeds the {MAX_LINE_BYTES}-byte limit"
-        ) from None
-
-
-async def _read_request(reader: asyncio.StreamReader) -> _Request | None:
-    """Parse one request off the stream, or ``None`` on EOF/garbage."""
-    line = await _readline(reader, "request line")
-    if not line:
-        return None
-    try:
-        method, target, _version = line.decode("latin-1").split()
-    except ValueError:
-        return None
-    headers: dict[str, str] = {}
-    while True:
-        raw = await _readline(reader, "header line")
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    declared = headers.get("content-length") or "0"
-    if not declared.isdecimal():
-        raise ApiError(
-            400, f"bad Content-Length header {declared!r}: "
-            "expected a non-negative integer"
-        )
-    length = int(declared)
-    if length > MAX_BODY_BYTES:
-        raise ApiError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    return _Request(method.upper(), target.split("?", 1)[0], headers, body)
 
 
 _STATUS_TEXT = {
@@ -141,13 +112,169 @@ def _head(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-async def _send_json(
-    writer: asyncio.StreamWriter, status: int, payload: Any
-) -> None:
+def _json_reply(status: int, payload: Any) -> bytes:
     body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-    writer.write(_head(status, "application/json", len(body)))
-    writer.write(body)
-    await writer.drain()
+    return _head(status, "application/json", len(body)) + body
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: one request in, one response out.
+
+    :meth:`data_received` parses the request incrementally, with the
+    limits above (431 for a line over ``MAX_LINE_BYTES``, 400 for a bad
+    ``Content-Length``, 413 for a body over ``MAX_BODY_BYTES``) and
+    ``READ_TIMEOUT_S`` to finish it.  The service then either answers
+    at once (:meth:`send`) or gives the connection one task
+    (:meth:`spawn`), which writes through ``transport`` and
+    :meth:`drain`, and is cancelled if the client goes away.
+    """
+
+    def __init__(self, service: "ReproService") -> None:
+        self.service = service
+        self.transport: asyncio.Transport | None = None
+        self._buf = bytearray()
+        #: start of the first line not parsed yet
+        self._pos = 0
+        #: (method, path) once the request line is in
+        self._start: tuple[str, str] | None = None
+        self._headers: dict[str, str] = {}
+        #: body length once the blank line ending the head is in
+        self._length = -1
+        #: the one request (or its refusal) is in hand: read no more
+        self._taken = False
+        self._task: asyncio.Task | None = None
+        #: set while the transport's write buffer is over its high mark
+        self._writable: asyncio.Future | None = None
+
+    # -- asyncio.Protocol ---------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._deadline = asyncio.get_running_loop().call_later(
+            READ_TIMEOUT_S, transport.abort
+        )
+
+    def data_received(self, data: bytes) -> None:
+        if self._taken:
+            return
+        self._buf += data
+        try:
+            request = self._parse()
+        except ApiError as exc:
+            # the client may still be sending: half-close so it reads
+            # the refusal, and close once it is done (or the deadline)
+            self._taken = True
+            self.transport.write(
+                _json_reply(exc.status, {"error": exc.message})
+            )
+            self.transport.write_eof()
+            return
+        if request is not None:
+            self._taken = True
+            self._deadline.cancel()
+            self.service._serve(request, self)
+
+    def eof_received(self) -> bool:
+        # a client may half-close once its request is sent: keep the
+        # connection while its task still has a reply to write
+        return self._task is not None and not self._task.done()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._deadline.cancel()
+        if self._task is not None:
+            self._task.cancel()
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if self._writable is not None:
+            if not self._writable.done():  # a cancelled task's is
+                self._writable.set_result(None)
+            self._writable = None
+
+    # -- request parsing ----------------------------------------------------
+
+    def _parse(self) -> _Request | None:
+        """The request once all of it is buffered, else ``None``."""
+        buf = self._buf
+        while self._length < 0:
+            what = "request line" if self._start is None else "header line"
+            end = buf.find(b"\n", self._pos, self._pos + MAX_LINE_BYTES + 1)
+            if end < 0:
+                if len(buf) - self._pos > MAX_LINE_BYTES:
+                    raise ApiError(
+                        431, f"{what} exceeds the {MAX_LINE_BYTES}-byte limit"
+                    )
+                return None
+            line = buf[self._pos:end + 1].decode("latin-1")
+            self._pos = end + 1
+            if self._start is None:
+                try:
+                    method, target, _version = line.split()
+                except ValueError:  # not HTTP: nothing to answer
+                    self._taken = True
+                    self.transport.close()
+                    return None
+                self._start = (method.upper(), target.split("?", 1)[0])
+            elif line in ("\r\n", "\n"):
+                self._length = _body_length(self._headers)
+            else:
+                name, _, value = line.partition(":")
+                self._headers[name.strip().lower()] = value.strip()
+        if len(buf) - self._pos < self._length:
+            return None
+        body = bytes(buf[self._pos:self._pos + self._length])
+        return _Request(*self._start, self._headers, body)
+
+    # -- responding ---------------------------------------------------------
+
+    def send(self, status: int, payload: Any) -> None:
+        """The whole JSON response in one write, then close."""
+        self.transport.write(_json_reply(status, payload))
+        self.transport.close()
+
+    def spawn(self, work: Coroutine[Any, Any, None]) -> None:
+        """Run ``work`` as this connection's task; close when it ends."""
+        self._task = asyncio.get_running_loop().create_task(self._run(work))
+
+    async def _run(self, work: Coroutine[Any, Any, None]) -> None:
+        try:
+            await work
+        except Exception as exc:  # noqa: BLE001 - last-resort boundary
+            self.service._fail(exc, self)
+        finally:
+            self.transport.close()
+
+    async def drain(self) -> None:
+        """Wait until the transport takes writes again."""
+        if self._writable is not None:
+            await self._writable
+
+
+def _body_length(headers: dict[str, str]) -> int:
+    declared = headers.get("content-length") or "0"
+    if not declared.isdecimal():
+        raise ApiError(
+            400, f"bad Content-Length header {declared!r}: "
+            "expected a non-negative integer"
+        )
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        raise ApiError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+    return length
+
+
+def _predict_reply(
+    job: Job, coalesced: bool, wait: bool
+) -> tuple[int, dict[str, Any]]:
+    reply = {**job.summary(), "coalesced": coalesced}
+    if not wait:
+        return 202, reply
+    if job.state == FAILED:
+        return 500, reply
+    return 200, {**reply, "result": job.result}
 
 
 class ReproService:
@@ -185,8 +312,8 @@ class ReproService:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start serving; ``self.port`` holds the real port."""
         self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=MAX_LINE_BYTES
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -209,124 +336,80 @@ class ReproService:
             self._server = None
         await self.queue.stop()
 
-    # -- connection handling ----------------------------------------------
+    # -- request handling -------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve(self, request: _Request, conn: _Connection) -> None:
+        """Answer ``request`` on ``conn``: a predict that needs no
+        waiting right here, anything else from the connection's task."""
         try:
-            try:
-                request = await asyncio.wait_for(
-                    _read_request(reader), timeout=30.0
-                )
-            except (ApiError, ConnectionError, asyncio.TimeoutError,
-                    asyncio.IncompleteReadError) as exc:
-                if isinstance(exc, ApiError):
-                    await _send_json(
-                        writer, exc.status, {"error": exc.message}
-                    )
-                return
-            if request is None:
-                return
-            try:
-                await self._dispatch(request, writer)
-            except ApiError as exc:
-                self._count("errors")
-                await _send_json(writer, exc.status, {"error": exc.message})
-            except (ConnectionError, BrokenPipeError):
-                pass
-            except Exception as exc:  # noqa: BLE001 - last-resort boundary
-                self._count("errors")
-                await _send_json(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+            if request.route == "/v1/predict" and request.method == "POST":
+                self._count("predict")
+                config, wait = parse_predict(request.json())
+                job, coalesced = self.queue.submit(config)
+                if job.finished or not wait:
+                    conn.send(*_predict_reply(job, coalesced, wait))
+                else:
+                    conn.spawn(self._await_predict(job, coalesced, conn))
+            else:
+                conn.spawn(self._dispatch(request, conn))
+        except Exception as exc:  # noqa: BLE001 - last-resort boundary
+            self._fail(exc, conn)
 
-    async def _dispatch(
-        self, request: _Request, writer: asyncio.StreamWriter
-    ) -> None:
-        method, path = request.method, request.path.rstrip("/") or "/"
-        if path == "/v1/predict" and method == "POST":
-            self._count("predict")
-            await self._predict(request, writer)
-        elif path == "/v1/jobs" and method == "GET":
+    def _fail(self, exc: Exception, conn: _Connection) -> None:
+        self._count("errors")
+        if isinstance(exc, ApiError):
+            conn.send(exc.status, {"error": exc.message})
+        else:
+            conn.send(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    async def _dispatch(self, request: _Request, conn: _Connection) -> None:
+        method, path = request.method, request.route
+        if path == "/v1/jobs" and method == "GET":
             self._count("jobs")
-            await _send_json(
-                writer,
-                200,
-                {"jobs": [j.summary() for j in self.queue.jobs()]},
-            )
+            conn.send(200, {"jobs": [j.summary() for j in self.queue.jobs()]})
         elif path.startswith("/v1/jobs/") and method == "GET":
             self._count("jobs")
-            await self._stream_job(path.removeprefix("/v1/jobs/"), writer)
+            await self._stream_job(path.removeprefix("/v1/jobs/"), conn)
         elif path == "/v1/machines" and method == "GET":
             self._count("machines")
-            await _send_json(writer, 200, {"machines": _machine_rows()})
+            conn.send(200, {"machines": _machine_rows()})
         elif path.startswith("/v1/whatif/") and method == "GET":
             self._count("whatif")
-            await self._whatif(path.removeprefix("/v1/whatif/"), writer)
+            await self._whatif(path.removeprefix("/v1/whatif/"), conn)
         elif path == "/v1/stats" and method == "GET":
             self._count("stats")
-            await _send_json(writer, 200, self.stats())
+            conn.send(200, self.stats())
         elif path == "/v1/healthz" and method == "GET":
-            await _send_json(
-                writer, 200, {"ok": True, "version": __version__}
-            )
+            conn.send(200, {"ok": True, "version": __version__})
         elif path == "/v1/shutdown" and method == "POST":
-            await _send_json(writer, 200, {"ok": True, "stopping": True})
+            conn.send(200, {"ok": True, "stopping": True})
             self.request_stop()
         else:
-            self._count("errors")
             raise ApiError(
                 404, f"no route {method} {request.path}; try: {_ROUTES_HELP}"
             )
 
     # -- endpoints --------------------------------------------------------
 
-    async def _predict(
-        self, request: _Request, writer: asyncio.StreamWriter
+    async def _await_predict(
+        self, job: Job, coalesced: bool, conn: _Connection
     ) -> None:
-        config, wait = parse_predict(request.json())
-        job, coalesced = self.queue.submit(config)
-        if not wait:
-            await _send_json(
-                writer, 202, {**job.summary(), "coalesced": coalesced}
-            )
-            return
         await job.wait()
-        if job.state == FAILED:
-            await _send_json(
-                writer,
-                500,
-                {**job.summary(), "coalesced": coalesced},
-            )
-            return
-        await _send_json(
-            writer,
-            200,
-            {**job.summary(), "coalesced": coalesced, "result": job.result},
-        )
+        conn.send(*_predict_reply(job, coalesced, True))
 
-    async def _stream_job(
-        self, job_id: str, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _stream_job(self, job_id: str, conn: _Connection) -> None:
         job = self.queue.get(job_id)
         if job is None:
             raise ApiError(404, f"no such job: {job_id!r}")
-        writer.write(_head(200, "application/x-ndjson"))
-        await writer.drain()
+        conn.transport.write(_head(200, "application/x-ndjson"))
+        await conn.drain()
         async for event in job.stream():
-            writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
-            await writer.drain()
+            conn.transport.write(
+                (json.dumps(event, sort_keys=True) + "\n").encode()
+            )
+            await conn.drain()
 
-    async def _whatif(
-        self, name: str, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _whatif(self, name: str, conn: _Connection) -> None:
         cases = dict(whatif.WHATIF_CASES)
         cases["all"] = whatif.run
         fn = cases.get(name)
@@ -339,9 +422,7 @@ class ReproService:
         if name not in self._whatif_cache:
             # pure model evaluation — compute once off-loop, serve forever
             self._whatif_cache[name] = await asyncio.to_thread(fn)
-        await _send_json(
-            writer, 200, {"whatif": name, "data": self._whatif_cache[name]}
-        )
+        conn.send(200, {"whatif": name, "data": self._whatif_cache[name]})
 
     # -- stats ------------------------------------------------------------
 

@@ -373,10 +373,6 @@ class Communicator(Tokened):
         return self._resil.injector
 
     @property
-    def retry_policy(self) -> RetryPolicy:
-        return self._resil.policy
-
-    @property
     def recovery_stats(self) -> RecoveryStats:
         return self._resil.stats
 

@@ -490,6 +490,50 @@ class TestCacheAndResume:
         path.write_text('{"key": "truncat')  # torn write
         assert cache.get(cfg) is None
 
+    def test_reput_result_replaces_the_one_an_instance_read(self, tmp_path):
+        reader = ResultCache(tmp_path)
+        cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
+        ResultCache(tmp_path).put(cfg, {"wall_s": 1.0})
+        assert reader.get(cfg) == {"wall_s": 1.0}
+        ResultCache(tmp_path).put(cfg, {"wall_s": 2.0})
+        assert reader.get(cfg) == {"wall_s": 2.0}
+        # a forced rerun through the engine, on the reading instance
+        run_campaign(TINY, cache=reader, scheduler="serial")
+        configs = TINY.expand()
+        before = [reader.get(c) for c in configs]
+        run_campaign(TINY, cache=reader, scheduler="serial", rerun=True)
+        after = [reader.get(c) for c in configs]
+        on_disk = [
+            json.loads(reader._path(c.key()).read_text())["result"]
+            for c in configs
+        ]
+        assert after == on_disk and after != before
+
+    def test_clear_by_another_instance_is_a_miss(self, tmp_path):
+        reader = ResultCache(tmp_path)
+        cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
+        reader.put(cfg, {"wall_s": 1.0})
+        assert reader.get(cfg) == {"wall_s": 1.0}
+        assert ResultCache(tmp_path).clear() == 1
+        assert reader.get(cfg) is None
+        assert (reader.stats.hits, reader.stats.misses) == (1, 1)
+
+    def test_entry_overwritten_in_place_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cfg = RunConfig(app="lbmhd", nprocs=4, steps=1)
+        path = cache.put(cfg, {"wall_s": 1.0})
+        assert cache.get(cfg) == {"wall_s": 1.0}
+        size = path.stat().st_size
+        with open(path, "r+b") as fh:  # same inode, new bytes and size
+            fh.write(b"garbage")
+            fh.truncate()
+        assert path.stat().st_size != size
+        assert cache.get(cfg) is None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        cache.put(cfg, {"wall_s": 3.0})
+        assert cache.get(cfg) == {"wall_s": 3.0}
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
     def test_stale_tmp_files_are_invisible_and_swept(self, tmp_path):
         """Regression: a worker killed between ``mkstemp`` and
         ``os.replace`` leaves ``.{key[:8]}-*.tmp`` behind; those must

@@ -529,6 +529,19 @@ def _json(port, method, path, body=None):
     return status, json.loads(data)
 
 
+def _raw(port, pieces, pause):
+    """Send ``pieces`` as separate writes ``pause`` s apart; read the
+    reply to EOF as ``(status, body)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for piece in pieces:
+            sock.sendall(piece)
+            time.sleep(pause)
+        reply = sock.makefile("rb").read()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
 class TestHttpApi:
     def test_healthz(self, service):
         _, port = service
@@ -608,6 +621,44 @@ class TestHttpApi:
         assert where in error and str(MAX_LINE_BYTES) in error
         status, _ = _json(port, "GET", "/v1/healthz")
         assert status == 200
+
+    def test_predict_sent_in_pieces_gets_the_one_shot_reply(self, service):
+        _, port = service
+        body = json.dumps(SMALL).encode()
+        for _ in range(2):  # the second is a warm hit
+            status, whole = _json(port, "POST", "/v1/predict", SMALL)
+        assert status == 200 and whole["cached"] is True
+        pieces = [
+            b"POST /v1/predict HTTP/1.1\r\n",
+            f"Content-Length: {len(body)}\r\n\r\n".encode(),
+            body[:len(body) // 2],
+            body[len(body) // 2:],
+        ]
+        status, reply = _raw(port, pieces, pause=0.05)
+        assert status == 200
+        piecewise = json.loads(reply)
+        assert piecewise.pop("job") != whole.pop("job")
+        assert piecewise == whole
+
+    def test_header_block_growing_past_the_limit_is_431(self, service):
+        _, port = service
+        third = MAX_LINE_BYTES // 3 + 1
+        pieces = [b"GET /v1/healthz HTTP/1.1\r\nX-Long: "] + [b"a" * third] * 4
+        status, reply = _raw(port, pieces, pause=0.02)
+        assert status == 431
+        error = json.loads(reply)["error"]
+        assert "header line" in error and str(MAX_LINE_BYTES) in error
+        status, _ = _json(port, "GET", "/v1/healthz")
+        assert status == 200
+
+    def test_client_closing_without_a_request_leaves_it_serving(
+        self, service
+    ):
+        _, port = service
+        for _ in range(3):
+            socket.create_connection(("127.0.0.1", port), timeout=10).close()
+        status, body = _json(port, "GET", "/v1/healthz")
+        assert status == 200 and body["ok"] is True
 
     def test_invalid_config_is_400_not_a_job(self, service):
         svc, port = service
